@@ -143,6 +143,30 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
+/// CPU seconds this process has used so far, summed over its threads
+/// (exited ones included).
+pub fn cpu_seconds() -> f64 {
+    use std::ffi::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+    let mut now = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `now` is a live, writable `struct timespec` (two C longs on
+    // Linux) for the whole call, and the clock id is one Linux defines.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut now) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    now.tv_sec as f64 + now.tv_nsec as f64 * 1e-9
+}
+
 /// Peak resident set (VmHWM) of a process, in MB.
 pub fn peak_rss_mb(pid: u32) -> Option<f64> {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
@@ -164,11 +188,9 @@ pub fn set_tier(health: &StoreHealth, outcome: &mut Outcome) {
 }
 
 /// Closes a traced run: builds the ledger from the recorded spans, checks
-/// it against `capacity_s` (thread-seconds of the traced phases), writes
-/// the spans out and sets the `ledger.*` metrics.
+/// its coverage, writes the spans out and sets the `ledger.*` metrics.
 pub fn finish_traced(
     rec: &Recorder,
-    capacity_s: f64,
     wall_s: f64,
     overhead_pct: f64,
     args: &Args,
@@ -176,7 +198,7 @@ pub fn finish_traced(
 ) -> Ledger {
     let spans = rec.spans();
     let ledger = Ledger::from_spans(&spans);
-    if let Err(e) = ledger.check(capacity_s, LEDGER_TOLERANCE) {
+    if let Err(e) = ledger.check(LEDGER_TOLERANCE) {
         outcome.problems.push(format!("ledger: {e}"));
     }
     let path = out_dir().join(format!("spans-{}-seed{}.jsonl", args.workload, args.seed));
@@ -190,7 +212,7 @@ pub fn finish_traced(
         note(&format!("self.{layer}"), *seconds, "s");
     }
     note("self.unattributed", ledger.unattributed_s, "s");
-    note("ledger.capacity", capacity_s, "thread-s");
+    note("ledger.traced", ledger.traced_s(), "thread-s");
     outcome.set("ledger.wall_s", wall_s);
     outcome.set("ledger.attributed_s", ledger.attributed_s());
     outcome.set("ledger.unattributed_s", ledger.unattributed_s);
@@ -225,5 +247,21 @@ mod tests {
         ] {
             assert!(parse_args(&argv(bad)).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn cpu_seconds_count_work_on_other_threads() {
+        let before = cpu_seconds();
+        std::thread::spawn(|| {
+            let start = std::time::Instant::now();
+            while start.elapsed().as_secs_f64() < 0.05 {
+                std::hint::black_box(());
+            }
+        })
+        .join()
+        .unwrap();
+        let used = cpu_seconds() - before;
+        // The exited thread's busy 50 ms still count.
+        assert!((0.04..1.0).contains(&used), "{used}");
     }
 }

@@ -208,22 +208,27 @@ impl HotMix {
     }
 }
 
-/// Requests in one cold sequence: two rounds of the mix.
-pub const COLD_EPOCH: usize = 16;
+/// Rounds of eight requests in one cold sequence.
+const COLD_ROUNDS: usize = 2;
+
+/// Requests in one cold sequence: the rounds, then the revisit.
+pub const COLD_EPOCH: usize = 8 * COLD_ROUNDS + 1;
 
 /// One cold sequence: [`COLD_EPOCH`] distinct targets in a seeded order,
-/// each on a different application, so every request is the first to ask
-/// for its application's trace and simulations. Requests come in rounds of
+/// each on a different application. The first sixteen come in rounds of
 /// eight — a sweep per organization, three points, two dynamic runs —
-/// shuffled within the round, so one request in four is `dynamic`. Systems,
-/// the organizations of points and dynamic runs, and the points themselves
-/// (never the full size) are drawn from the seed.
+/// shuffled within the round, and each is the first request to ask for its
+/// application's trace and simulations. The last is the *revisit*: a
+/// dynamic run on an application whose full-size baseline the epoch's
+/// set-up simulated (see [`revisit_baseline`]), so its trace is already in
+/// the store. Systems, the organizations of points and dynamic runs, and the
+/// points themselves (never the full size) are drawn from the seed.
 pub fn cold_sequence(seed: u64) -> Vec<Request> {
     let mut rng = Prng::new(seed ^ 0x434f_4c44);
     let mut apps = app_names();
     shuffle(&mut apps, &mut rng);
     let mut out = Vec::with_capacity(COLD_EPOCH);
-    for _ in 0..COLD_EPOCH / 8 {
+    for _ in 0..COLD_ROUNDS {
         let mut round = [
             (Kind::Sweep, Some(Organization::SelectiveSets)),
             (Kind::Sweep, Some(Organization::SelectiveWays)),
@@ -259,7 +264,28 @@ pub fn cold_sequence(seed: u64) -> Vec<Request> {
             });
         }
     }
+    let system = System::ALL[rng.below_usize(System::ALL.len())];
+    out.push(Request {
+        kind: Kind::Dynamic,
+        app: apps.pop().expect("more applications than requests"),
+        org: ORGS[rng.below_usize(ORGS.len())],
+        system,
+        point: None,
+    });
     out
+}
+
+/// The request an epoch's set-up sends for a cold sequence: the full-size
+/// baseline of the revisit's application and system. It persists the
+/// application's store entry and memoizes the baseline, so the revisit
+/// simulates only its dynamic run, streaming the trace from the store.
+pub fn revisit_baseline(sequence: &[Request]) -> Request {
+    let revisit = sequence.last().expect("a cold sequence is not empty");
+    Request {
+        kind: Kind::Point,
+        point: None,
+        ..revisit.clone()
+    }
 }
 
 #[cfg(test)]
@@ -284,8 +310,9 @@ mod tests {
     #[test]
     fn generated_requests_are_accepted_by_the_service() {
         for seed in 0..4 {
-            for request in cold_sequence(seed) {
-                accepts(&request).unwrap();
+            let sequence = cold_sequence(seed);
+            for request in sequence.iter().chain([&revisit_baseline(&sequence)]) {
+                accepts(request).unwrap();
             }
             let mut mix = HotMix::new(seed, 0);
             for _ in 0..300 {
@@ -329,14 +356,22 @@ mod tests {
     }
 
     #[test]
-    fn cold_sequence_has_distinct_apps_and_a_quarter_dynamic() {
+    fn cold_sequence_has_distinct_apps_rounds_and_a_revisit() {
         assert_eq!(app_names().len(), 21);
         for seed in 0..8 {
             let sequence = cold_sequence(seed);
             assert_eq!(sequence.len(), COLD_EPOCH);
             let apps: HashSet<&str> = sequence.iter().map(|r| r.app).collect();
             assert_eq!(apps.len(), COLD_EPOCH);
-            for round in sequence.chunks(8) {
+            let (revisit, rounds) = sequence.split_last().unwrap();
+            assert_eq!(revisit.kind, Kind::Dynamic);
+            let baseline = revisit_baseline(&sequence);
+            assert_eq!((baseline.kind, baseline.point), (Kind::Point, None));
+            assert_eq!(
+                (baseline.app, baseline.system),
+                (revisit.app, revisit.system)
+            );
+            for round in rounds.chunks(8) {
                 let dynamic = round.iter().filter(|r| r.kind == Kind::Dynamic).count();
                 assert_eq!(dynamic, 2);
                 for org in ORGS {

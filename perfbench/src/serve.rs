@@ -7,11 +7,12 @@
 //!   simulation is a memo hit, and request time is protocol, energy
 //!   re-pricing and socket waits.
 //! * `serve_cold` runs in epochs, each a fresh service on a fresh store
-//!   directory with a resident-trace cap of [`COLD_RESIDENT_TRACES`], sent
-//!   its own seeded sequence of distinct targets on distinct applications
-//!   (see [`requests::cold_sequence`]): the tier mostly misses, every
-//!   request generates and persists its trace, and both engines and the
-//!   dynamic controller run.
+//!   directory with a resident-trace cap of [`resident_traces`], sent its
+//!   own seeded sequence of distinct targets on distinct applications (see
+//!   [`requests::cold_sequence`]): the tier mostly misses, every request but
+//!   the last generates and persists its trace, and both engines and the
+//!   dynamic controller run. The last request, sent once the others have
+//!   completed, is a dynamic run that streams its trace back from the store.
 //!
 //! The service simulates regions a quarter of the paper's length (50k
 //! warm-up, 600k measured instructions): long enough that a cold request's
@@ -21,15 +22,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rescache_core::experiment::{
     Runner, RunnerConfig, ServeConfig, SharedTier, StoreHealth, SweepServer, TraceStore,
 };
 use rescache_core::json::Json;
-use rescache_core::{CachePoint, Organization};
 use rescache_trace::IoPolicy;
 
 use crate::layers::{self, ProbeInput};
@@ -42,9 +41,13 @@ use crate::{nproc, out_dir, stats, Args};
 /// First argument that makes the benchmark binary act as the server child.
 pub const CHILD_FLAG: &str = "serve-child";
 
-/// Resident full traces the cold server may keep: small, so that traces
-/// are evicted and later requests read their store entries back from disk.
-const COLD_RESIDENT_TRACES: usize = 2;
+/// Resident full traces the cold server may keep: one per client, so each
+/// in-flight request keeps its own trace whatever the host's core count.
+/// At most the sixteen other applications of an epoch, whose traces, all
+/// loaded after the set-up's, therefore evict it before the revisit runs.
+fn resident_traces() -> usize {
+    nproc().min(requests::COLD_EPOCH - 1)
+}
 
 /// How long a client waits for any one response line before it counts the
 /// request as failed.
@@ -71,8 +74,7 @@ pub fn runner_config(seed: u64) -> RunnerConfig {
     }
 }
 
-/// Entry point of the server child:
-/// `serve-child --seed <n> --workers <n> [--store <dir> --resident <n>]`.
+/// Entry point of the server child: `serve-child --seed <n> [--store <dir>]`.
 /// Prints `port <n>` once listening, then serves until a `shutdown`
 /// request.
 pub fn child_main(argv: &[String]) {
@@ -82,22 +84,20 @@ pub fn child_main(argv: &[String]) {
             .and_then(|i| argv.get(i + 1))
             .cloned()
     };
-    let number = |flag: &str| -> u64 {
-        value(flag)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("server child needs a numeric {flag}"))
-    };
+    let seed = value("--seed")
+        .and_then(|v| v.parse().ok())
+        .expect("server child needs a numeric --seed");
     let store = match value("--store") {
         Some(dir) => TraceStore::with_tier(
             SharedTier::new(Some(PathBuf::from(dir)), IoPolicy::none())
-                .with_resident_cap(number("--resident") as usize),
+                .with_resident_cap(resident_traces()),
         ),
         None => TraceStore::with_dir(None),
     };
-    let runner = Runner::with_store(runner_config(number("--seed")), store);
+    let runner = Runner::with_store(runner_config(seed), store);
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        workers: number("--workers") as usize,
+        workers: nproc(),
         ..ServeConfig::default()
     };
     let server = SweepServer::bind(runner, config).expect("bind the sweep service");
@@ -122,12 +122,7 @@ impl Child {
         let mut command = Command::new(std::env::current_exe()?);
         command
             .arg(CHILD_FLAG)
-            .args([
-                "--seed",
-                &seed.to_string(),
-                "--workers",
-                &nproc().to_string(),
-            ])
+            .args(["--seed", &seed.to_string()])
             .env("RESCACHE_THREADS", nproc().to_string())
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
@@ -136,10 +131,7 @@ impl Child {
             .then(|| out_dir().join(format!("store-{}-{index}", std::process::id())));
         if let Some(dir) = &store {
             std::fs::remove_dir_all(dir).ok();
-            command
-                .arg("--store")
-                .arg(dir)
-                .args(["--resident", &COLD_RESIDENT_TRACES.to_string()]);
+            command.arg("--store").arg(dir);
         }
         let mut process = command.spawn()?;
         let stdout = process.stdout.take().expect("piped stdout");
@@ -173,7 +165,7 @@ impl Child {
     }
 
     /// Bytes the child has read through read-like system calls (sockets
-    /// and files alike).
+    /// and files alike, page-cache hits included).
     fn rchar(&self) -> Option<u64> {
         let io = std::fs::read_to_string(format!("/proc/{}/io", self.pid())).ok()?;
         io.lines()
@@ -353,16 +345,56 @@ impl Sample {
 /// Where the clients take their requests from.
 enum Source {
     Hot(u64),
-    Cold(Vec<Request>, AtomicUsize),
+    Cold(ColdQueue),
+}
+
+/// A cold sequence handed out in order, its last request held back until
+/// every other one has completed.
+struct ColdQueue {
+    sequence: Vec<Request>,
+    /// Requests handed out and requests completed.
+    progress: Mutex<(usize, usize)>,
+    completed: Condvar,
+}
+
+impl ColdQueue {
+    fn new(sequence: Vec<Request>) -> Self {
+        Self {
+            sequence,
+            progress: Mutex::new((0, 0)),
+            completed: Condvar::new(),
+        }
+    }
+
+    /// Every request was handed out.
+    fn drained(&self) -> bool {
+        self.progress.lock().expect("cold queue lock").0 >= self.sequence.len()
+    }
 }
 
 impl Source {
     fn next(&self, mix: &mut Option<HotMix>) -> Option<Request> {
-        match self {
-            Source::Hot(_) => mix.as_mut().map(HotMix::next_request),
-            Source::Cold(sequence, cursor) => sequence
-                .get(cursor.fetch_add(1, Ordering::Relaxed))
-                .cloned(),
+        let Source::Cold(queue) = self else {
+            return mix.as_mut().map(HotMix::next_request);
+        };
+        let mut progress = queue.progress.lock().expect("cold queue lock");
+        let index = progress.0;
+        let last = queue.sequence.len().checked_sub(1)?;
+        if index > last {
+            return None;
+        }
+        progress.0 += 1;
+        while index == last && progress.1 < last {
+            progress = queue.completed.wait(progress).expect("cold queue lock");
+        }
+        Some(queue.sequence[index].clone())
+    }
+
+    /// Marks a handed-out request as answered or failed.
+    fn complete(&self) {
+        if let Source::Cold(queue) = self {
+            queue.progress.lock().expect("cold queue lock").1 += 1;
+            queue.completed.notify_all();
         }
     }
 }
@@ -372,18 +404,18 @@ impl Source {
 struct Phase {
     samples: Vec<Sample>,
     wall_s: f64,
-    /// Sum over clients of the seconds each was active.
-    client_s: f64,
     /// Tier counters over the phase.
     health: StoreHealth,
     /// Distinct applications each tier saw, summed over the phase's tiers:
     /// a bound on its trace generations.
     apps: u64,
-    /// Index of the first sample the current service child answered.
-    last_epoch: usize,
     /// Stretches of the phase whose rates the throughput metrics take the
     /// median of.
     rounds: Vec<Round>,
+    /// Leading samples the latency metrics take: every hot sample, the
+    /// samples of whole cold epochs (only the last epoch can be cut short,
+    /// and its request mix is partial).
+    whole: usize,
 }
 
 /// Work done over one stretch of a timed phase: a whole cold epoch, or one
@@ -412,11 +444,12 @@ impl Round {
 impl Phase {
     /// Adds a later stretch of the same phase (the next cold epoch).
     fn absorb(&mut self, other: Phase) {
-        self.last_epoch = self.samples.len();
+        if other.whole == other.samples.len() {
+            self.whole = self.samples.len() + other.whole;
+        }
         self.rounds.extend(other.rounds);
         self.samples.extend(other.samples);
         self.wall_s += other.wall_s;
-        self.client_s += other.client_s;
         self.health.hits += other.health.hits;
         self.health.misses += other.health.misses;
         self.health.coalesced += other.health.coalesced;
@@ -425,21 +458,19 @@ impl Phase {
 }
 
 /// Runs `nproc` closed-loop clients for `seconds`, or until a cold source
-/// runs out; requests sent before the deadline run to completion.
+/// runs out; requests handed out before the deadline run to completion.
 fn timed(child: &Child, source: &Source, seconds: f64, rec: &Recorder) -> Result<Phase, String> {
     let mut control = child
         .connect()
         .map_err(|e| format!("control connection: {e}"))?;
     let before = control.health().map_err(|e| format!("health: {e}"))?;
     let samples = Mutex::new(Vec::new());
-    let client_s = Mutex::new(0.0);
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(seconds);
     std::thread::scope(|scope| {
         for client_index in 0..nproc() {
-            let (samples, client_s) = (&samples, &client_s);
+            let samples = &samples;
             scope.spawn(move || {
-                let began = Instant::now();
                 let root = rec.span("bench.client", client_index as u64);
                 let mut mix = match source {
                     Source::Hot(seed) => Some(HotMix::new(*seed, client_index as u64)),
@@ -460,6 +491,7 @@ fn timed(child: &Child, source: &Source, seconds: f64, rec: &Recorder) -> Result
                         Ok(c) => c.exchange(&line, Some(request.kind), rec),
                         Err(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
                     };
+                    source.complete();
                     let sample = match exchange {
                         Ok(exchange) => Sample {
                             end_s: start.elapsed().as_secs_f64(),
@@ -491,7 +523,6 @@ fn timed(child: &Child, source: &Source, seconds: f64, rec: &Recorder) -> Result
                     mine.push(sample);
                 }
                 drop(root);
-                *client_s.lock().expect("client time lock") += began.elapsed().as_secs_f64();
                 samples.lock().expect("sample list lock").extend(mine);
             });
         }
@@ -502,16 +533,13 @@ fn timed(child: &Child, source: &Source, seconds: f64, rec: &Recorder) -> Result
     let mut apps: Vec<&str> = samples.iter().map(|s| s.request.app).collect();
     apps.sort_unstable();
     apps.dedup();
+    // A cold epoch cut short by the deadline has a partial request mix, so
+    // neither its rate nor its latencies are scored.
+    let cut_short = matches!(source, Source::Cold(queue) if !queue.drained());
+    let whole = if cut_short { 0 } else { samples.len() };
     let rounds = match source {
-        // Whole epochs only: one cut short by the deadline has a partial
-        // request mix.
-        Source::Cold(sequence, cursor) => {
-            if cursor.load(Ordering::Relaxed) >= sequence.len() {
-                vec![Round::of(samples.iter(), wall_s)]
-            } else {
-                Vec::new()
-            }
-        }
+        Source::Cold(_) if cut_short => Vec::new(),
+        Source::Cold(_) => vec![Round::of(samples.iter(), wall_s)],
         // Consecutive completions in equal-count chunks, each timed from
         // the previous chunk's last completion.
         Source::Hot(_) => {
@@ -531,11 +559,10 @@ fn timed(child: &Child, source: &Source, seconds: f64, rec: &Recorder) -> Result
     };
     Ok(Phase {
         apps: apps.len() as u64,
-        last_epoch: 0,
         rounds,
+        whole,
         samples,
         wall_s,
-        client_s: client_s.into_inner().expect("client time lock"),
         health: StoreHealth {
             hits: after.hits - before.hits,
             misses: after.misses - before.misses,
@@ -545,10 +572,10 @@ fn timed(child: &Child, source: &Source, seconds: f64, rec: &Recorder) -> Result
     })
 }
 
-/// Spawns the service, hands over its port and — for the hot workload —
-/// warms its tier with every hot sweep. Returns the child and the seconds
-/// that took.
-fn set_up(mode: Mode, seed: u64, index: usize) -> Result<(Child, f64), String> {
+/// Spawns the service, hands over its port and warms its tier with `warm`:
+/// every hot sweep, or a cold epoch's revisit baseline. Returns the child
+/// and the seconds that took.
+fn set_up(mode: Mode, seed: u64, index: usize, warm: &[Request]) -> Result<(Child, f64), String> {
     let start = Instant::now();
     let child = Child::spawn(mode, seed, index).map_err(|e| format!("spawn the service: {e}"))?;
     let mut client = child.connect().map_err(|e| format!("connect: {e}"))?;
@@ -559,14 +586,16 @@ fn set_up(mode: Mode, seed: u64, index: usize) -> Result<(Child, f64), String> {
     if !pong.ok {
         return Err("ping refused".into());
     }
-    if mode == Mode::Hot {
-        for (i, target) in requests::hot_targets(seed).iter().enumerate() {
-            let reply = client
-                .exchange(&target.to_json(i as u64).render(), Some(Kind::Sweep), &off)
-                .map_err(|e| format!("warm-up sweep: {e}"))?;
-            if !reply.ok {
-                return Err(format!("warm-up sweep of {target:?} refused"));
-            }
+    for (i, request) in warm.iter().enumerate() {
+        let reply = client
+            .exchange(
+                &request.to_json(i as u64).render(),
+                Some(request.kind),
+                &off,
+            )
+            .map_err(|e| format!("warm-up request: {e}"))?;
+        if !reply.ok {
+            return Err(format!("warm-up request {request:?} refused"));
         }
     }
     Ok((child, start.elapsed().as_secs_f64()))
@@ -581,31 +610,33 @@ fn metrics_ms(samples: &[&Sample], f: impl Fn(&Sample) -> Option<f64>) -> Vec<f6
 }
 
 /// The service processes of one run: the current child, every set-up's
-/// duration, and the highest peak RSS any child reached.
+/// duration, and the peak RSS of every child that served timed traffic.
 struct Service {
     mode: Mode,
     seed: u64,
     child: Option<Child>,
     setups: Vec<f64>,
-    peak_rss_mb: f64,
+    /// VmHWM of the hot child after each timed phase, or of each whole cold
+    /// epoch's child after its epoch.
+    peaks_mb: Vec<f64>,
     epochs: u64,
+    /// Bytes each whole cold epoch's child read while it was timed.
+    epoch_reads: Vec<f64>,
 }
 
 impl Service {
     /// Replaces the running child (if any) with a freshly set-up one.
-    fn replace_child(&mut self, outcome: &mut Outcome) -> Result<(), String> {
+    fn replace_child(&mut self, warm: &[Request], outcome: &mut Outcome) -> Result<(), String> {
         self.retire(outcome);
-        let (child, seconds) = set_up(self.mode, self.seed, self.setups.len())?;
+        let (child, seconds) = set_up(self.mode, self.seed, self.setups.len(), warm)?;
         self.setups.push(seconds);
         self.child = Some(child);
         Ok(())
     }
 
-    /// Shuts the running child down, keeping its peak RSS.
+    /// Shuts the running child down.
     fn retire(&mut self, outcome: &mut Outcome) {
         if let Some(child) = self.child.take() {
-            let rss = crate::peak_rss_mb(child.pid()).unwrap_or(0.0);
-            self.peak_rss_mb = self.peak_rss_mb.max(rss);
             if let Err(e) = child.shutdown() {
                 outcome.problems.push(e);
             }
@@ -618,10 +649,10 @@ impl Service {
 
     /// One timed phase. The hot service keeps its warm child. The cold
     /// service runs epochs until the seconds are used up: each epoch is a
-    /// fresh child with an empty tier and store, sent its own cold sequence
-    /// of [`requests::COLD_EPOCH`] requests. An epoch is cold from its first
-    /// request, so the phase can run for any length without the tier
-    /// warming up.
+    /// fresh child with an empty tier and store, set up with its revisit's
+    /// baseline and sent its own cold sequence of [`requests::COLD_EPOCH`]
+    /// requests. An epoch is cold from its first request, so the phase can
+    /// run for any length without the tier warming up.
     fn phase(
         &mut self,
         seconds: f64,
@@ -629,17 +660,43 @@ impl Service {
         outcome: &mut Outcome,
     ) -> Result<Phase, String> {
         if self.mode == Mode::Hot {
-            return timed(self.child(), &Source::Hot(self.seed), seconds, rec);
+            let phase = timed(self.child(), &Source::Hot(self.seed), seconds, rec)?;
+            self.peaks_mb.extend(crate::peak_rss_mb(self.child().pid()));
+            return Ok(phase);
         }
         let start = Instant::now();
         let mut phase = Phase::default();
         loop {
-            self.replace_child(outcome)?;
             let sequence = requests::cold_sequence(epoch_seed(self.seed, self.epochs));
+            let revisit = requests::revisit_baseline(&sequence);
+            self.replace_child(std::slice::from_ref(&revisit), outcome)?;
             self.epochs += 1;
             let left = seconds - start.elapsed().as_secs_f64();
-            let source = Source::Cold(sequence, AtomicUsize::new(0));
-            phase.absorb(timed(self.child(), &source, left.max(0.0), rec)?);
+            let child = self.child.as_ref().expect("set up above");
+            let before = child.rchar();
+            let epoch = timed(
+                child,
+                &Source::Cold(ColdQueue::new(sequence)),
+                left.max(0.0),
+                rec,
+            )?;
+            if !epoch.rounds.is_empty() {
+                // A whole epoch ran its revisit, which must have streamed the
+                // set-up's store entry back from disk.
+                let read = before.zip(child.rchar()).map(|(b, a)| a - b);
+                self.peaks_mb.extend(crate::peak_rss_mb(child.pid()));
+                match (read, entry_bytes(child, revisit.app)) {
+                    (Some(read), Some(entry)) if read >= entry => {
+                        self.epoch_reads.push(read as f64)
+                    }
+                    (read, entry) => outcome.problems.push(format!(
+                        "serve_cold: the revisit of {} read no store entry from disk \
+                         (the epoch read {read:?} bytes; the entry has {entry:?})",
+                        revisit.app
+                    )),
+                }
+            }
+            phase.absorb(epoch);
             if start.elapsed().as_secs_f64() >= seconds {
                 return Ok(phase);
             }
@@ -654,16 +711,18 @@ pub fn run(args: &Args, mode: Mode) -> Outcome {
         seed: args.seed,
         child: None,
         setups: Vec::new(),
-        peak_rss_mb: 0.0,
+        peaks_mb: Vec::new(),
         epochs: 0,
+        epoch_reads: Vec::new(),
     };
     let off = Recorder::new(false);
     let rec = Recorder::new(args.trace);
     let measured = (|| -> Result<(Option<Phase>, Phase), String> {
         if mode == Mode::Hot {
             // Several warm set-ups; the last one's child serves the run.
+            let warm = requests::hot_targets(args.seed);
             for _ in 0..HOT_SETUPS {
-                service.replace_child(&mut outcome)?;
+                service.replace_child(&warm, &mut outcome)?;
             }
         }
         if args.trace {
@@ -684,17 +743,16 @@ pub fn run(args: &Args, mode: Mode) -> Outcome {
             std::process::exit(1);
         }
     };
-    let rss = crate::peak_rss_mb(service.child().pid()).unwrap_or(0.0);
-    service.peak_rss_mb = service.peak_rss_mb.max(rss);
-
     let phases: Vec<&Phase> = untraced.iter().chain([&main]).collect();
     check_invariants(mode, &phases, &mut outcome);
     let all: Vec<&Sample> = phases.iter().flat_map(|p| &p.samples).collect();
     if mode == Mode::Cold {
-        // The running child answered the last epoch's samples.
-        let last: Vec<&Sample> = main.samples[main.last_epoch..].iter().collect();
-        let sequence = requests::cold_sequence(epoch_seed(args.seed, service.epochs - 1));
-        disk_served_dynamic(service.child(), &last, &sequence, &mut outcome);
+        match stats::median(&service.epoch_reads) {
+            Some(read) => note("cold.epoch_read_bytes", read, "bytes"),
+            None => outcome
+                .problems
+                .push("serve_cold: no whole epoch read its revisit from disk".into()),
+        }
     }
 
     // Reference answers are computed after the timed phases.
@@ -711,7 +769,10 @@ pub fn run(args: &Args, mode: Mode) -> Outcome {
     };
     let reference_s = reference_start.elapsed().as_secs_f64();
 
-    let ok: Vec<&Sample> = main.samples.iter().filter(|s| s.error.is_none()).collect();
+    let ok: Vec<&Sample> = main.samples[..main.whole]
+        .iter()
+        .filter(|s| s.error.is_none())
+        .collect();
     let of_kind = |kind: Kind| -> Vec<&Sample> {
         ok.iter()
             .copied()
@@ -773,7 +834,10 @@ pub fn run(args: &Args, mode: Mode) -> Outcome {
             stats::median(&metrics_ms(&sweeps, Sample::first_result_s)).unwrap_or(0.0),
         );
         outcome.set("setup_s", stats::median(&service.setups).unwrap_or(0.0));
-        outcome.set("peak_rss_mb", service.peak_rss_mb);
+        outcome.set(
+            "peak_rss_mb",
+            stats::median(&service.peaks_mb).unwrap_or(0.0),
+        );
         if let Some(t) = tail {
             println!("sweep tail: p{:.1} over {} sweeps", t.percentile, t.samples);
         }
@@ -820,10 +884,8 @@ pub fn run(args: &Args, mode: Mode) -> Outcome {
             &mut outcome,
         );
         let probe_s = probe_start.elapsed().as_secs_f64();
-        let capacity = main.client_s + reference_s + probe_s;
         let ledger = crate::finish_traced(
             &rec,
-            capacity,
             main.wall_s + reference_s + probe_s,
             overhead_pct,
             args,
@@ -894,121 +956,6 @@ fn check_invariants(mode: Mode, phases: &[&Phase], outcome: &mut Outcome) {
             );
         }
     }
-}
-
-/// Shows that a `dynamic` request streams its trace from a disk store
-/// entry. Which source served a request is not visible from outside the
-/// process while clients run concurrently, so this runs alone after the
-/// timed phases, on the last epoch's service: it re-sends a dynamic run of
-/// the epoch after making its trace non-resident —
-/// [`COLD_RESIDENT_TRACES`] point requests that nothing asked for yet load
-/// other applications' traces — and requires the server to have read at
-/// least the entry's size in bytes meanwhile.
-fn disk_served_dynamic(
-    child: &Child,
-    samples: &[&Sample],
-    sequence: &[Request],
-    outcome: &mut Outcome,
-) {
-    let Some(target) = sequence.iter().find(|r| r.kind == Kind::Dynamic).cloned() else {
-        outcome
-            .problems
-            .push("the cold sequence has no dynamic request".into());
-        return;
-    };
-    let answered: Vec<&Request> = samples
-        .iter()
-        .filter(|s| s.error.is_none())
-        .map(|s| &s.request)
-        .chain([&target])
-        .collect();
-    let result = (|| -> Result<u64, String> {
-        let mut client = child.connect().map_err(|e| e.to_string())?;
-        let off = Recorder::new(false);
-        let mut ask = |request: &Request| -> Result<(), String> {
-            let reply = client
-                .exchange(&request.to_json(0).render(), Some(request.kind), &off)
-                .map_err(|e| e.to_string())?;
-            reply
-                .ok
-                .then_some(())
-                .ok_or_else(|| format!("{request:?} refused"))
-        };
-        // Once, in case the epoch ended before the target was sent: the run
-        // persists the entry and memoizes the baseline.
-        ask(&target)?;
-        for evictor in unsimulated_points(&answered, target.app) {
-            ask(&evictor)?;
-        }
-        let entry = entry_bytes(child, target.app).ok_or("no store entry for the target")?;
-        let before = child
-            .rchar()
-            .ok_or("cannot read the server's I/O counters")?;
-        ask(&target)?;
-        let read = child
-            .rchar()
-            .ok_or("cannot read the server's I/O counters")?
-            - before;
-        if read < entry {
-            return Err(format!(
-                "dynamic run of {} read {read} bytes; its store entry has {entry}",
-                target.app
-            ));
-        }
-        Ok(read)
-    })();
-    match result {
-        Ok(read) => note("cold.disk_dynamic_read_bytes", read as f64, "bytes"),
-        Err(e) => outcome
-            .problems
-            .push(format!("serve_cold: no dynamic run served from disk: {e}")),
-    }
-}
-
-/// Point requests on [`COLD_RESIDENT_TRACES`] applications other than
-/// `skip` whose geometry no answered request simulated: each one is a memo
-/// miss, so it loads its application's trace and makes it resident.
-fn unsimulated_points(answered: &[&Request], skip: &str) -> Vec<Request> {
-    let simulated = |app: &str, system, point: CachePoint| {
-        answered.iter().any(|r| {
-            r.app == app
-                && r.system == system
-                && match r.kind {
-                    Kind::Sweep => r.space().points().contains(&point) || point == full(r),
-                    Kind::Point => r.point == Some(point),
-                    Kind::Dynamic => point == full(r),
-                }
-        })
-    };
-    let mut picked: Vec<Request> = Vec::new();
-    for app in requests::app_names() {
-        if app == skip || picked.len() == COLD_RESIDENT_TRACES {
-            continue;
-        }
-        let found = requests::System::ALL.iter().find_map(|system| {
-            let space = requests::space(Organization::Hybrid, *system)?;
-            let point = space
-                .points()
-                .iter()
-                .copied()
-                .find(|p| !simulated(app, *system, *p))?;
-            Some(Request {
-                kind: Kind::Point,
-                app,
-                org: Organization::Hybrid,
-                system: *system,
-                point: Some(point),
-            })
-        });
-        picked.extend(found);
-    }
-    picked
-}
-
-/// The full-size geometry of a request's data cache.
-fn full(request: &Request) -> CachePoint {
-    let space = request.space();
-    space.points()[space.full_index()]
 }
 
 /// Size of an application's store entry in the child's store directory.
