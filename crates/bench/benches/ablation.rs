@@ -6,9 +6,9 @@
 //!   and the L2 traffic they generate),
 //! * leakage accounting on/off.
 
-use rescache_bench::{all_apps, bench_runner, print_header, timed};
+use rescache_bench::{all_apps, bench_config, bench_runner, print_header, timed};
 use rescache_cache::CacheConfig;
-use rescache_core::experiment::{format_table, mean, Runner, RunnerConfig};
+use rescache_core::experiment::{format_table, mean, Runner};
 use rescache_core::org::ConfigSpace;
 use rescache_core::{Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::AppProfile;
@@ -39,7 +39,7 @@ fn subarray_sweep(runner: &Runner, apps: &[AppProfile], subarray_bytes: u64) -> 
 /// Mean dynamic energy-delay reduction and resize count for one controller
 /// interval length.
 fn interval_sweep(apps: &[AppProfile], interval: u64) -> (f64, f64) {
-    let mut cfg = RunnerConfig::from_env();
+    let mut cfg = bench_config();
     cfg.dynamic_interval = interval;
     let runner = Runner::new(cfg);
     let results: Vec<(f64, f64)> = apps

@@ -61,7 +61,7 @@ struct EngineResult {
     /// trace records at all (the pure cache-access kernels).
     trace_format: Option<TraceFormat>,
     /// On-disk size of the store entry the stage replays, and the ratio of
-    /// the raw 12-byte-per-record encoding to that size; `Some` only for
+    /// the packed 12-byte in-memory record to that size; `Some` only for
     /// `trace_store_load`, the stage whose whole point is the disk format.
     store_bytes: Option<u64>,
     compression_ratio: Option<f64>,
@@ -151,15 +151,12 @@ fn measure(
     }
 }
 
-fn bench_trace_gen(scale: u64, format: TraceFormat) -> EngineResult {
+fn bench_trace_gen(scale: u64) -> EngineResult {
     let n = (50_000 * scale) as usize;
     let mut result = measure("trace_gen", n as u64, 5, || {
-        TraceGenerator::new(spec::gcc(), 7)
-            .with_format(format)
-            .generate(n)
-            .len() as u64
+        TraceGenerator::new(spec::gcc(), 7).generate(n).len() as u64
     });
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     result
 }
 
@@ -167,12 +164,10 @@ fn bench_trace_gen(scale: u64, format: TraceFormat) -> EngineResult {
 /// record sequence as `trace_gen`, but only one `CHUNK_RECORDS` buffer ever
 /// resident — the rate a streaming (fused generate-and-simulate) run feeds
 /// its engine at.
-fn bench_trace_gen_streaming(scale: u64, format: TraceFormat) -> EngineResult {
+fn bench_trace_gen_streaming(scale: u64) -> EngineResult {
     let n = (50_000 * scale) as usize;
     let mut result = measure("trace_gen_streaming", n as u64, 5, || {
-        let mut stream = TraceGenerator::new(spec::gcc(), 7)
-            .with_format(format)
-            .stream(n);
+        let mut stream = TraceGenerator::new(spec::gcc(), 7).stream(n);
         let mut records = 0u64;
         loop {
             let chunk = stream.next_chunk();
@@ -183,7 +178,7 @@ fn bench_trace_gen_streaming(scale: u64, format: TraceFormat) -> EngineResult {
         }
         records
     });
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     result
 }
 
@@ -192,20 +187,15 @@ fn bench_trace_gen_streaming(scale: u64, format: TraceFormat) -> EngineResult {
 /// each chunk straight into a resident buffer the engine batch lanes read
 /// from, so the stage drains `TraceFileSource` chunk by chunk — it never
 /// materializes a whole-trace `Vec<InstrRecord>`.
-fn bench_trace_store_load(scale: u64, format: TraceFormat) -> EngineResult {
+fn bench_trace_store_load(scale: u64) -> EngineResult {
     let n = (50_000 * scale) as usize;
     let Some(dir) = store_scratch_dir("store-load") else {
         return skipped("trace_store_load");
     };
     std::fs::create_dir_all(&dir).expect("create bench store dir");
     let path = dir.join("gcc.rctrace");
-    codec::save_trace(
-        &path,
-        &TraceGenerator::new(spec::gcc(), 7)
-            .with_format(format)
-            .generate(n),
-    )
-    .expect("persist bench trace");
+    codec::save_trace(&path, &TraceGenerator::new(spec::gcc(), 7).generate(n))
+        .expect("persist bench trace");
     let store_bytes = std::fs::metadata(&path).expect("stat bench trace").len();
     let mut result = measure("trace_store_load", n as u64, 5, || {
         let mut source = codec::TraceFileSource::open(&path, None).expect("open bench trace");
@@ -219,10 +209,10 @@ fn bench_trace_store_load(scale: u64, format: TraceFormat) -> EngineResult {
         }
         records
     });
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     result.store_bytes = Some(store_bytes);
-    // Ratio of the raw fixed-width encoding (12 bytes/record) to what the
-    // entry actually occupies on disk — 1.0 for the uncompressed formats.
+    // Ratio of the packed in-memory record (12 bytes) to what the entry
+    // actually occupies on disk.
     result.compression_ratio = Some(12.0 * n as f64 / store_bytes as f64);
     std::fs::remove_dir_all(&dir).ok();
     result
@@ -261,16 +251,9 @@ fn bench_evict_stream(scale: u64) -> EngineResult {
     })
 }
 
-fn bench_engine(
-    name: &'static str,
-    config: CpuConfig,
-    scale: u64,
-    format: TraceFormat,
-) -> EngineResult {
+fn bench_engine(name: &'static str, config: CpuConfig, scale: u64) -> EngineResult {
     let n = (20_000 * scale) as usize;
-    let trace = TraceGenerator::new(spec::m88ksim(), 3)
-        .with_format(format)
-        .generate(n);
+    let trace = TraceGenerator::new(spec::m88ksim(), 3).generate(n);
     // These stages finish in ~2 ms, so on a shared host a best-of-3 is
     // regularly inflated by scheduler interference; 15 repetitions (still
     // ~30 ms per stage) land the best-of reliably near the true minimum.
@@ -280,7 +263,7 @@ fn bench_engine(
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         Simulator::new(config).run(&trace, &mut h).instructions
     });
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     result
 }
 
@@ -289,17 +272,12 @@ fn bench_engine(
 /// `fused: false` is the pre-streaming pipeline (materialize, then replay);
 /// `fused: true` interleaves generation and simulation per chunk through
 /// `run_source`, with only one chunk buffer resident.
-fn bench_gen_plus_first_sim(
-    name: &'static str,
-    fused: bool,
-    scale: u64,
-    format: TraceFormat,
-) -> EngineResult {
+fn bench_gen_plus_first_sim(name: &'static str, fused: bool, scale: u64) -> EngineResult {
     let n = (20_000 * scale) as usize;
     let config = CpuConfig::base_out_of_order();
     let mut result = measure(name, n as u64, 3, move || {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let generator = TraceGenerator::new(spec::m88ksim(), 3).with_format(format);
+        let generator = TraceGenerator::new(spec::m88ksim(), 3);
         if fused {
             let mut stream = generator.stream(n);
             Simulator::new(config)
@@ -310,14 +288,14 @@ fn bench_gen_plus_first_sim(
             Simulator::new(config).run(&trace, &mut h).instructions
         }
     });
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     result
 }
 
 /// One out-of-order engine run per registry workload, fed through the
 /// streaming source: tracks how the engine responds to each scenario's
 /// stress pattern (quick mode covers a three-workload subset).
-fn bench_workloads(scale: u64, quick: bool, format: TraceFormat) -> Vec<EngineResult> {
+fn bench_workloads(scale: u64, quick: bool) -> Vec<EngineResult> {
     let n = (20_000 * scale) as usize;
     let registry = WorkloadRegistry::builtin();
     let quick_set = ["nominal", "pointer_chase", "mshr_burst"];
@@ -334,14 +312,12 @@ fn bench_workloads(scale: u64, quick: bool, format: TraceFormat) -> Vec<EngineRe
             let label: &'static str = Box::leak(format!("wl_{}", spec.name).into_boxed_str());
             let mut result = measure(label, n as u64, 3, move || {
                 let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-                let mut stream = TraceGenerator::new(profile.clone(), 3)
-                    .with_format(format)
-                    .stream(n);
+                let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
                 Simulator::new(config)
                     .run_source(&mut stream, &mut h)
                     .instructions
             });
-            result.trace_format = Some(format);
+            result.trace_format = Some(TraceFormat::V3);
             result
         })
         .collect()
@@ -361,7 +337,7 @@ fn bench_workloads(scale: u64, quick: bool, format: TraceFormat) -> Vec<EngineRe
 /// lines whose outstanding fills are cheapest, so the merges that remain
 /// land close to completion — the *mean* stall per delayed hit drops well
 /// below LRU's even though MAD admits more (cheap) merges.
-fn bench_policy_pair(scale: u64, format: TraceFormat) -> Vec<EngineResult> {
+fn bench_policy_pair(scale: u64) -> Vec<EngineResult> {
     let n = (100_000 * scale) as usize;
     let registry = WorkloadRegistry::builtin();
     let spec = registry
@@ -381,9 +357,7 @@ fn bench_policy_pair(scale: u64, format: TraceFormat) -> Vec<EngineResult> {
             let mut h =
                 MemoryHierarchy::new(HierarchyConfig::with_l1(4 * 1024, 2).with_l1d_policy(policy))
                     .unwrap();
-            let mut stream = TraceGenerator::new(profile.clone(), 3)
-                .with_format(format)
-                .stream(n);
+            let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
             let r = Simulator::new(config).run_source(&mut stream, &mut h);
             latency = r.latency;
             r.instructions
@@ -394,7 +368,7 @@ fn bench_policy_pair(scale: u64, format: TraceFormat) -> Vec<EngineResult> {
             latency.delayed_hits,
             latency.mean_delayed_hit_cycles()
         );
-        result.trace_format = Some(format);
+        result.trace_format = Some(TraceFormat::V3);
         result.latency = Some(latency);
         result
     })
@@ -411,7 +385,6 @@ fn bench_dynamic(
     name: &'static str,
     streamed: bool,
     scale: u64,
-    format: TraceFormat,
     health_out: &mut Option<StoreHealth>,
 ) -> EngineResult {
     let warm_len = (4_000 * scale) as usize;
@@ -421,7 +394,6 @@ fn bench_dynamic(
         measure_instructions: measure_len,
         trace_seed: 42,
         dynamic_interval: 1_024,
-        trace_format: format,
         ..RunnerConfig::paper()
     };
     // The materialized baseline replays resident traces; only the streamed
@@ -465,7 +437,7 @@ fn bench_dynamic(
         };
         m.l1d_resizes + m.cycles
     });
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     // The streamed stage's tier health goes into the JSON record: a bench
     // run that quietly retried, regenerated or degraded is not measuring
     // what it claims to measure.
@@ -521,7 +493,7 @@ fn bench_fig5_sweep(scale: u64) -> EngineResult {
     // baseline and each organization's full-size point), so fewer
     // instructions execute than the divisor counts, by design.
     result.nominal_workload = true;
-    result.trace_format = Some(cfg.trace_format);
+    result.trace_format = Some(TraceFormat::V3);
     result
 }
 
@@ -531,7 +503,7 @@ fn bench_fig5_sweep(scale: u64) -> EngineResult {
 /// the feature under test. The stage therefore reports an *equivalent*
 /// MIPS (nominal workload over wall-clock) plus the service's headline
 /// counters: requests answered and the result-cache hit rate.
-fn bench_sweep_service(scale: u64, format: TraceFormat) -> EngineResult {
+fn bench_sweep_service(scale: u64) -> EngineResult {
     use std::io::{BufRead, Write};
 
     const CLIENTS: usize = 4;
@@ -541,7 +513,6 @@ fn bench_sweep_service(scale: u64, format: TraceFormat) -> EngineResult {
         measure_instructions: (12_000 * scale) as usize,
         trace_seed: 42,
         dynamic_interval: 1_024,
-        trace_format: format,
         ..RunnerConfig::paper()
     };
     // In-memory tier: the stage measures the serving path, not the disk, so
@@ -615,7 +586,7 @@ fn bench_sweep_service(scale: u64, format: TraceFormat) -> EngineResult {
     result.requests = Some(health.requests);
     result.hit_rate = health.result_cache_hit_rate();
     result.nominal_workload = true;
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     handle.stop();
     join.join().expect("sweep service drains");
     result
@@ -642,7 +613,6 @@ fn sweep_service_worker() {
         measure_instructions: env_usize("RESCACHE_BENCH_SWEEP_MEASURE", 12_000),
         trace_seed: 42,
         dynamic_interval: 1_024,
-        trace_format: RunnerConfig::from_env().trace_format,
         ..RunnerConfig::paper()
     };
     let server = SweepServer::bind(
@@ -666,7 +636,7 @@ fn sweep_service_worker() {
 /// simulation memos do not — so the aggregate result-cache hit rate
 /// measures exactly the single-process-vs-multi-process gap, against
 /// `sweep_service`'s within-run rate.
-fn bench_sweep_service_multiproc(scale: u64, format: TraceFormat) -> EngineResult {
+fn bench_sweep_service_multiproc(scale: u64) -> EngineResult {
     use std::io::{BufRead, Write};
 
     const SERVERS: usize = 2;
@@ -802,7 +772,7 @@ fn bench_sweep_service_multiproc(scale: u64, format: TraceFormat) -> EngineResul
     let lookups = hits + coalesced + misses;
     result.hit_rate = (lookups > 0).then(|| (hits + coalesced) as f64 / lookups as f64);
     result.nominal_workload = true;
-    result.trace_format = Some(format);
+    result.trace_format = Some(TraceFormat::V3);
     result
 }
 
@@ -831,9 +801,6 @@ fn main() {
         std::env::set_var("RESCACHE_MEASURE", if quick { "30000" } else { "200000" });
     }
     let scale = if quick { 1 } else { 5 };
-    // One env resolution for every stage (RunnerConfig::from_env warns on an
-    // unknown RESCACHE_TRACE_FORMAT instead of silently defaulting).
-    let trace_format = RunnerConfig::from_env().trace_format;
 
     println!("=== sim_throughput: simulator wall-clock throughput ===");
     println!(
@@ -850,54 +817,40 @@ fn main() {
     // literal: materializing a dozen stage results as macro temporaries
     // perturbed the store-load stage's measured time by ~1.5x run over run.
     let mut results = Vec::new();
-    results.push(bench_trace_gen(scale, trace_format));
-    results.push(bench_trace_gen_streaming(scale, trace_format));
-    results.push(bench_trace_store_load(scale, trace_format));
+    results.push(bench_trace_gen(scale));
+    results.push(bench_trace_gen_streaming(scale));
+    results.push(bench_trace_store_load(scale));
     results.push(bench_hit_stream(scale));
     results.push(bench_evict_stream(scale));
-    results.push(bench_engine(
-        "in_order",
-        CpuConfig::base_in_order(),
-        scale,
-        trace_format,
-    ));
+    results.push(bench_engine("in_order", CpuConfig::base_in_order(), scale));
     results.push(bench_engine(
         "out_of_order",
         CpuConfig::base_out_of_order(),
         scale,
-        trace_format,
     ));
     results.push(bench_gen_plus_first_sim(
         "gen_first_sim_split",
         false,
         scale,
-        trace_format,
     ));
-    results.push(bench_gen_plus_first_sim(
-        "gen_first_sim_fused",
-        true,
-        scale,
-        trace_format,
-    ));
+    results.push(bench_gen_plus_first_sim("gen_first_sim_fused", true, scale));
     results.push(bench_dynamic(
         "dyn_materialized",
         false,
         scale,
-        trace_format,
         &mut store_health,
     ));
     results.push(bench_dynamic(
         "dyn_streamed",
         true,
         scale,
-        trace_format,
         &mut store_health,
     ));
-    results.extend(bench_workloads(scale, quick, trace_format));
-    results.extend(bench_policy_pair(scale, trace_format));
+    results.extend(bench_workloads(scale, quick));
+    results.extend(bench_policy_pair(scale));
     results.push(bench_fig5_sweep(scale));
-    results.push(bench_sweep_service(scale, trace_format));
-    results.push(bench_sweep_service_multiproc(scale, trace_format));
+    results.push(bench_sweep_service(scale));
+    results.push(bench_sweep_service_multiproc(scale));
 
     let json = render_json(&results, quick, store_health);
     // Quick (CI smoke) runs record to a sibling file so they never clobber

@@ -12,11 +12,20 @@ use std::time::Instant;
 use rescache_core::experiment::{Runner, RunnerConfig};
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
-/// The runner used by every figure bench: the paper-quality configuration,
-/// overridable via `RESCACHE_WARMUP` / `RESCACHE_MEASURE` / `RESCACHE_SEED` /
-/// `RESCACHE_INTERVAL`.
+/// The configuration every figure bench runs: the paper-quality
+/// configuration, overridable via `RESCACHE_WARMUP` / `RESCACHE_MEASURE` /
+/// `RESCACHE_SEED` / `RESCACHE_INTERVAL`. A malformed knob exits with the
+/// typed error instead of silently running at paper length.
+pub fn bench_config() -> RunnerConfig {
+    RunnerConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("rescache: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The runner used by every figure bench (see [`bench_config`]).
 pub fn bench_runner() -> Runner {
-    Runner::new(RunnerConfig::from_env())
+    Runner::new(bench_config())
 }
 
 /// The twelve applications of the paper's evaluation.
@@ -36,7 +45,7 @@ pub fn print_header(title: &str, detail: &str) {
     println!();
     println!("=== {title} ===");
     println!("{detail}");
-    let cfg = RunnerConfig::from_env();
+    let cfg = bench_config();
     println!(
         "(warm-up {} instr, measured {} instr per run, seed {}, dynamic interval {} accesses)",
         cfg.warmup_instructions, cfg.measure_instructions, cfg.trace_seed, cfg.dynamic_interval

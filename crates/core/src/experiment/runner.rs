@@ -28,9 +28,9 @@ pub struct RunnerConfig {
     /// Interval length (in cache accesses) of the dynamic resizing
     /// controller.
     pub dynamic_interval: u64,
-    /// Trace-format version the generated bit streams use. Part of every
-    /// trace and simulation memo key, and of the trace store's on-disk
-    /// entry names, so runs under different versions never share records.
+    /// Trace-format version the generated bit streams use. v3 is the only
+    /// format, so this field has one value; it stays because the standalone
+    /// benchmark (`perfbench/src/layers.rs`) reads it.
     pub trace_format: TraceFormat,
     /// The scalar objective the best-configuration searches minimise and the
     /// dynamic controller steers by. EDP (the default) reproduces the paper;
@@ -69,41 +69,31 @@ impl RunnerConfig {
 
     /// [`RunnerConfig::paper`] with overrides from the environment variables
     /// `RESCACHE_WARMUP`, `RESCACHE_MEASURE`, `RESCACHE_SEED`,
-    /// `RESCACHE_INTERVAL`, `RESCACHE_TRACE_FORMAT` (`v1`/`v2`) and
-    /// `RESCACHE_OBJECTIVE` (`edp`/`ed2p`/`delay`; all optional), so bench
-    /// runs can be scaled — and pinned to a trace format or objective —
-    /// without recompiling.
-    pub fn from_env() -> Self {
+    /// `RESCACHE_INTERVAL` and `RESCACHE_OBJECTIVE` (`edp`/`ed2p`/`delay`;
+    /// all optional), so bench runs can be scaled without recompiling.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`], naming the variable, when a
+    /// set length, seed or interval knob is not an unsigned integer: a typo
+    /// must fail loudly rather than silently run the paper-length default.
+    pub fn from_env() -> Result<Self, CoreError> {
+        let knob = |name| parse_knob(name, std::env::var(name).ok().as_deref());
         let mut cfg = Self::paper();
-        if let Some(v) = read_env("RESCACHE_WARMUP") {
+        if let Some(v) = knob("RESCACHE_WARMUP")? {
             cfg.warmup_instructions = v as usize;
         }
-        if let Some(v) = read_env("RESCACHE_MEASURE") {
+        if let Some(v) = knob("RESCACHE_MEASURE")? {
             cfg.measure_instructions = v as usize;
         }
-        if let Some(v) = read_env("RESCACHE_SEED") {
+        if let Some(v) = knob("RESCACHE_SEED")? {
             cfg.trace_seed = v;
         }
-        if let Some(v) = read_env("RESCACHE_INTERVAL") {
+        if let Some(v) = knob("RESCACHE_INTERVAL")? {
             cfg.dynamic_interval = v.max(1);
         }
-        if let Ok(v) = std::env::var("RESCACHE_TRACE_FORMAT") {
-            match TraceFormat::from_tag(&v) {
-                Some(format) => cfg.trace_format = format,
-                None => eprintln!(
-                    "rescache: unknown RESCACHE_TRACE_FORMAT {v:?}; using {}",
-                    cfg.trace_format
-                ),
-            }
-        }
         cfg.objective = Objective::from_env();
-        cfg
-    }
-
-    /// Returns this configuration with the given trace-format version.
-    pub fn with_trace_format(mut self, format: TraceFormat) -> Self {
-        self.trace_format = format;
-        self
+        Ok(cfg)
     }
 
     /// Returns this configuration with the given search objective.
@@ -119,8 +109,18 @@ impl Default for RunnerConfig {
     }
 }
 
-fn read_env(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+/// Parses one numeric knob's raw value: unset is `None`, an unsigned
+/// integer (surrounding whitespace ignored) is its value, and anything else
+/// is a typed error naming the knob.
+fn parse_knob(name: &'static str, value: Option<&str>) -> Result<Option<u64>, CoreError> {
+    value
+        .map(|v| {
+            v.trim().parse().map_err(|_| CoreError::InvalidParameter {
+                parameter: name,
+                detail: format!("{v:?} is not an unsigned integer"),
+            })
+        })
+        .transpose()
 }
 
 /// Everything measured from one simulation of the measured region.
@@ -449,9 +449,7 @@ impl Runner {
             health.note_regeneration();
             let total = cfg.warmup_instructions + cfg.measure_instructions;
             let mut retry = StoreSource::Generated(Box::new(
-                TraceGenerator::new(app.clone(), cfg.trace_seed)
-                    .with_format(cfg.trace_format)
-                    .stream(total),
+                TraceGenerator::new(app.clone(), cfg.trace_seed).stream(total),
             ));
             return simulate(&mut retry);
         }
@@ -919,9 +917,30 @@ mod tests {
         assert!(
             RunnerConfig::fast().measure_instructions < RunnerConfig::paper().measure_instructions
         );
-        // from_env falls back to the paper configuration when unset.
-        let cfg = RunnerConfig::from_env();
-        assert!(cfg.measure_instructions > 0);
+    }
+
+    #[test]
+    fn knobs_parse_strictly() {
+        assert_eq!(parse_knob("RESCACHE_MEASURE", None), Ok(None));
+        assert_eq!(
+            parse_knob("RESCACHE_MEASURE", Some("20000")),
+            Ok(Some(20_000))
+        );
+        assert_eq!(parse_knob("RESCACHE_SEED", Some(" 7 ")), Ok(Some(7)));
+        for bad in ["", "20k", "2e4", "-1", "0x10", "1.5"] {
+            let err = parse_knob("RESCACHE_MEASURE", Some(bad)).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    CoreError::InvalidParameter {
+                        parameter: "RESCACHE_MEASURE",
+                        ..
+                    }
+                ),
+                "{bad:?}: {err}"
+            );
+            assert!(err.to_string().contains("RESCACHE_MEASURE"), "{err}");
+        }
     }
 
     #[test]

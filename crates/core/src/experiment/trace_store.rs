@@ -39,7 +39,7 @@
 //! * a **transient** I/O error (see [`rescache_trace::is_transient`]) gets a
 //!   bounded retry with backoff before falling back to regeneration — the
 //!   entry is *not* quarantined, because nothing proves the file is bad;
-//! * a **corrupt, truncated, mislabeled or wrong-version** entry is
+//! * a **corrupt, truncated, mislabeled or retired-format** entry is
 //!   *quarantined* — renamed to a `.corrupt` sidecar — before regeneration,
 //!   so repeated corruption is diagnosable on disk instead of silently
 //!   churned;
@@ -55,29 +55,29 @@ use std::path::{Path, PathBuf};
 use std::sync::PoisonError;
 
 use rescache_trace::{
-    codec, is_transient, AppProfile, Compression, InstrRecord, IoPolicy, Trace, TraceCursor,
-    TraceFileSource, TraceFormat, TraceGenerator, TraceSource, TraceStream,
+    codec, is_transient, AppProfile, InstrRecord, IoPolicy, Trace, TraceCursor, TraceFileSource,
+    TraceFormat, TraceGenerator, TraceSource, TraceStream,
 };
 
 use crate::experiment::runner::RunnerConfig;
 use crate::experiment::shared_tier::{LockOutcome, SharedTier, StoreHealth};
 
 /// Key identifying one (warm, measure) trace request: application name,
-/// profile fingerprint, seed, warm-up length, measured length, trace-format
-/// version. The fingerprint covers the profile's full contents, so two
-/// differing profiles that happen to share a name (possible via the
-/// `AppProfile` builders) never alias; the format version keeps v1 and v2
-/// bit streams apart. Simulation memo keys embed this type — the split
-/// matters to a simulation even though the underlying records only depend
-/// on the total.
-pub(crate) type TraceKey = (&'static str, u64, u64, usize, usize, TraceFormat);
+/// profile fingerprint, seed, warm-up length, measured length. The
+/// fingerprint covers the profile's full contents, so two differing profiles
+/// that happen to share a name (possible via the `AppProfile` builders)
+/// never alias. Simulation memo keys embed this type — the split matters to
+/// a simulation even though the underlying records only depend on the
+/// total.
+pub(crate) type TraceKey = (&'static str, u64, u64, usize, usize);
 
 /// Key of one full generated trace in the store: application name, profile
-/// fingerprint, seed, total length, trace-format version. Requests whose
-/// totals agree share the entry and split it at fetch time; requests whose
-/// format versions differ never share anything — the bit streams differ by
-/// design, so cross-process sweeps must never mix them.
-pub(crate) type StoreKey = (&'static str, u64, u64, usize, TraceFormat);
+/// fingerprint, seed, total length. Requests whose totals agree share the
+/// entry and split it at fetch time.
+pub(crate) type StoreKey = (&'static str, u64, u64, usize);
+
+/// File-name suffix of every store entry.
+const ENTRY_SUFFIX: &str = TraceFormat::V3.file_suffix();
 
 /// The store of generated traces (see the module documentation): a view
 /// over the [`SharedTier`] that holds the actual maps, policy and health.
@@ -143,14 +143,6 @@ impl TraceSource for StoreSource {
             StoreSource::Resident(s) => s.name(),
             StoreSource::Disk(s) => s.name(),
             StoreSource::Generated(s) => s.name(),
-        }
-    }
-
-    fn format(&self) -> TraceFormat {
-        match self {
-            StoreSource::Resident(s) => s.format(),
-            StoreSource::Disk(s) => s.format(),
-            StoreSource::Generated(s) => s.format(),
         }
     }
 
@@ -240,7 +232,6 @@ impl TraceStore {
             config.trace_seed,
             config.warmup_instructions,
             config.measure_instructions,
-            config.trace_format,
         )
     }
 
@@ -251,7 +242,6 @@ impl TraceStore {
             app.fingerprint(),
             config.trace_seed,
             config.warmup_instructions + config.measure_instructions,
-            config.trace_format,
         )
     }
 
@@ -392,9 +382,7 @@ impl TraceStore {
             // materialized.
             self.tier.health().note_miss();
             return StoreSource::Generated(Box::new(
-                TraceGenerator::new(app.clone(), key.2)
-                    .with_format(key.4)
-                    .stream(total),
+                TraceGenerator::new(app.clone(), key.2).stream(total),
             ));
         }
 
@@ -417,10 +405,10 @@ impl TraceStore {
             if !app.length_invariant() {
                 return None;
             }
-            let (name, fingerprint, seed, total, format) = *key;
+            let (name, fingerprint, seed, total) = *key;
             map.iter()
-                .filter(|((n, f, s, t, v), _)| {
-                    *n == name && *f == fingerprint && *s == seed && *t > total && *v == format
+                .filter(|((n, f, s, t), _)| {
+                    *n == name && *f == fingerprint && *s == seed && *t > total
                 })
                 .filter_map(|(k, slot)| slot.get().map(|t| (*k, t)))
                 .min_by_key(|(k, _)| k.3)
@@ -434,32 +422,30 @@ impl TraceStore {
     /// is absent or unusable — the hot path is one `open`.
     fn disk_source(&self, app: &AppProfile, key: &StoreKey) -> Option<TraceFileSource> {
         let total = key.3;
-        if let Some(source) = self.open_entry(app, &self.entry_path(key)?, total, total, key.4) {
+        if let Some(source) = self.open_entry(app, &self.entry_path(key)?, total, total) {
             return Some(source);
         }
         if app.length_invariant() {
             if let Some((path, file_total)) = self.find_longer_entry(key) {
-                return self.open_entry(app, &path, total, file_total, key.4);
+                return self.open_entry(app, &path, total, file_total);
             }
         }
         None
     }
 
     /// Opens one candidate entry serving `take` records, validating the
-    /// header's trace-format version against the key's (a v1 file must
-    /// never serve a v2 request, or vice versa — the mismatch surfaces as
-    /// the codec's typed [`codec::CodecError::FormatMismatch`]) and the
-    /// header's application name and record count against what the *file
-    /// name* promises (`file_total`) — a header that disagrees marks a
-    /// foreign, stale or hash-colliding file, which must be ignored, never
-    /// prefix-served.
+    /// header (a retired-format file surfaces as the codec's typed
+    /// [`codec::CodecError::UnsupportedVersion`] or
+    /// [`codec::CodecError::UnsupportedFlags`]) and the header's application
+    /// name and record count against what the *file name* promises
+    /// (`file_total`) — a header that disagrees marks a foreign, stale or
+    /// hash-colliding file, which must be ignored, never prefix-served.
     fn open_entry(
         &self,
         app: &AppProfile,
         path: &Path,
         take: usize,
         file_total: usize,
-        format: TraceFormat,
     ) -> Option<TraceFileSource> {
         let policy = self.tier.policy();
         let health = self.tier.health();
@@ -467,7 +453,7 @@ impl TraceStore {
         // decided immediately.
         let mut attempt = 1;
         let opened = loop {
-            match TraceFileSource::open_expecting_with(path, Some(take), format, policy) {
+            match TraceFileSource::open_with(path, Some(take), policy) {
                 Err(codec::CodecError::Io(e))
                     if is_transient(&e) && attempt < IoPolicy::ATTEMPTS =>
                 {
@@ -509,8 +495,9 @@ impl TraceStore {
                 None
             }
             Err(e) => {
-                // Typed content errors (bad magic, wrong/unknown version,
-                // bad name): provably not a servable entry.
+                // Typed content errors (bad magic, retired or unknown
+                // version or flags, bad name): provably not a servable
+                // entry.
                 eprintln!(
                     "rescache: trace store entry {} unreadable ({e}); quarantining",
                     path.display()
@@ -573,30 +560,28 @@ impl TraceStore {
         if quarantine {
             self.quarantine_entry(path);
         }
-        let (name, fingerprint, seed, _, format) = Self::store_key(app, config);
+        let (name, fingerprint, seed, _) = Self::store_key(app, config);
         self.tier.persists.remove(&Self::store_key(app, config));
-        if let Some(file_total) = Self::entry_total_from_path(path, name, fingerprint, seed, format)
-        {
+        if let Some(file_total) = Self::entry_total_from_path(path, name, fingerprint, seed) {
             self.tier
                 .persists
-                .remove(&(name, fingerprint, seed, file_total, format));
+                .remove(&(name, fingerprint, seed, file_total));
         }
     }
 
     /// Parses the total-record count a store entry's file name claims, if
-    /// the name matches the given (application, fingerprint, seed, format).
+    /// the name matches the given (application, fingerprint, seed).
     fn entry_total_from_path(
         path: &Path,
         name: &str,
         fingerprint: u64,
         seed: u64,
-        format: TraceFormat,
     ) -> Option<usize> {
         let file_name = path.file_name()?.to_str()?;
         let prefix = format!("{name}-{fingerprint:016x}-s{seed}-t");
         file_name
             .strip_prefix(&prefix)?
-            .strip_suffix(Self::entry_suffix(format))?
+            .strip_suffix(ENTRY_SUFFIX)?
             .parse()
             .ok()
     }
@@ -628,12 +613,8 @@ impl TraceStore {
             let result = policy.retrying(
                 || self.tier.health().note_retry(),
                 || {
-                    let mut stream = TraceGenerator::new(app.clone(), key.2)
-                        .with_format(key.4)
-                        .stream(key.3);
-                    // The RESCACHE_STORE_COMPRESS override is read per save
-                    // so long-lived stores honour a knob flipped mid-run.
-                    codec::save_source_opts(&path, &mut stream, policy, Compression::from_env())
+                    let mut stream = TraceGenerator::new(app.clone(), key.2).stream(key.3);
+                    codec::save_source(&path, &mut stream, policy)
                 },
             );
             match result {
@@ -697,7 +678,7 @@ impl TraceStore {
     /// a disk (or resident-prefix) serve is a hit, a clean cold generation a
     /// miss, a generation forced by a bad entry a regeneration.
     fn load_or_generate(&self, app: &AppProfile, key: &StoreKey) -> Trace {
-        let (_, _, seed, total, format) = *key;
+        let (_, _, seed, total) = *key;
         let health = self.tier.health();
 
         // A longer prefix-stable trace already resident in this process
@@ -730,7 +711,7 @@ impl TraceStore {
             }
             if source.fault().is_none() && records.len() == total {
                 health.note_hit();
-                return Trace::with_format(app.name, records, format);
+                return Trace::new(app.name, records);
             }
             let transient = matches!(
                 source.fault(),
@@ -767,9 +748,7 @@ impl TraceStore {
         } else {
             health.note_miss();
         }
-        let full = TraceGenerator::new(app.clone(), seed)
-            .with_format(format)
-            .generate(total);
+        let full = TraceGenerator::new(app.clone(), seed).generate(total);
         if let Some(path) = self.entry_path(key) {
             if let Err(e) = self.persist(&path, &full) {
                 self.note_persist_failure(&path, &e);
@@ -798,7 +777,7 @@ impl TraceStore {
         let policy = self.tier.policy();
         policy.retrying(
             || self.tier.health().note_retry(),
-            || codec::save_trace_opts(path, full, policy, Compression::from_env()),
+            || codec::save_source(path, &mut full.cursor(), policy),
         )
     }
 
@@ -813,9 +792,8 @@ impl TraceStore {
     /// prefix serving. Returns the path and the total its file name claims.
     fn find_longer_entry(&self, key: &StoreKey) -> Option<(PathBuf, usize)> {
         let dir = self.tier.active_dir()?;
-        let (name, fingerprint, seed, total, format) = *key;
+        let (name, fingerprint, seed, total) = *key;
         let prefix = format!("{name}-{fingerprint:016x}-s{seed}-t");
-        let suffix = Self::entry_suffix(format);
         let mut best: Option<(PathBuf, usize)> = None;
         for entry in self.tier.policy().read_dir(dir).ok()? {
             let Ok(entry) = entry else { continue };
@@ -825,13 +803,10 @@ impl TraceStore {
             };
             let Some(rest) = file_name
                 .strip_prefix(&prefix)
-                .and_then(|r| r.strip_suffix(suffix))
+                .and_then(|r| r.strip_suffix(ENTRY_SUFFIX))
             else {
                 continue;
             };
-            // The totals parse as bare integers, so a v2 file (whose
-            // stripped remainder still carries the ".v2" tag under the v1
-            // suffix) can never be picked up by a v1 scan, and vice versa.
             let Ok(entry_total) = rest.parse::<usize>() else {
                 continue;
             };
@@ -842,29 +817,13 @@ impl TraceStore {
         best
     }
 
-    /// File-name suffix segregating entries by trace-format version: v1
-    /// keeps the historical bare extension (entries persisted before the
-    /// version bump keep serving v1 requests), newer formats tag the
-    /// version explicitly.
-    fn entry_suffix(format: TraceFormat) -> &'static str {
-        match format {
-            TraceFormat::V1 => ".rctrace",
-            TraceFormat::V2 => ".v2.rctrace",
-            TraceFormat::V3 => ".v3.rctrace",
-        }
-    }
-
     /// File name of a store entry: application name plus every key component
     /// that distinguishes trace contents. Entries are keyed by *total*
     /// length — the warm/measure split is a property of the request, not of
-    /// the records — so overlapping requests share files; the format version
-    /// is part of the name, so v1 and v2 requests never share anything.
+    /// the records — so overlapping requests share files.
     fn file_name(key: &StoreKey) -> String {
-        let (name, fingerprint, seed, total, format) = key;
-        format!(
-            "{name}-{fingerprint:016x}-s{seed}-t{total}{}",
-            Self::entry_suffix(*format)
-        )
+        let (name, fingerprint, seed, total) = key;
+        format!("{name}-{fingerprint:016x}-s{seed}-t{total}{ENTRY_SUFFIX}")
     }
 }
 
@@ -1139,92 +1098,66 @@ mod tests {
     }
 
     #[test]
-    fn format_versions_never_share_entries_on_disk_or_in_memory() {
-        // The same (app, seed, lengths) under v1/v2/v3 is three different
-        // on-disk entries: the store must keep separate files, separate
-        // resident traces, and must never serve one format's entry to
-        // another — even v2 and v3, whose *records* coincide in practice
-        // (only the mix-draw quantization and the container differ).
-        let (store, dir) = temp_store("formats");
-        let cfg_v3 = RunnerConfig::fast();
-        let cfg_v2 = RunnerConfig::fast().with_trace_format(TraceFormat::V2);
-        let cfg_v1 = RunnerConfig::fast().with_trace_format(TraceFormat::V1);
-        assert_eq!(cfg_v3.trace_format, TraceFormat::V3);
-
-        let (_, m_v3) = store.fetch(&spec::ammp(), &cfg_v3);
-        let (_, m_v2) = store.fetch(&spec::ammp(), &cfg_v2);
-        let (_, m_v1) = store.fetch(&spec::ammp(), &cfg_v1);
-        assert_ne!(
-            m_v2.records(),
-            m_v1.records(),
-            "v1 and v2 must differ in dependency bits"
-        );
-        assert_eq!(
-            m_v3.records(),
-            m_v2.records(),
-            "v2 and v3 records must coincide on real traces"
-        );
-        assert_eq!(store.resident_full_traces(), 3, "one entry per format");
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .expect("store dir")
-            .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
-            .collect();
-        names.sort();
-        assert_eq!(names.len(), 3, "one file per format: {names:?}");
-        assert!(
-            names[0].ends_with(".rctrace")
-                && !names[0].ends_with(".v2.rctrace")
-                && !names[0].ends_with(".v3.rctrace")
-        );
-        assert!(names[1].ends_with(".v2.rctrace"));
-        assert!(names[2].ends_with(".v3.rctrace"));
-
-        // A fresh store ("new process") reloads each format from its own
-        // entry without touching the others or regenerating.
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (_, r_v1) = fresh.fetch(&spec::ammp(), &cfg_v1);
-        let (_, r_v2) = fresh.fetch(&spec::ammp(), &cfg_v2);
-        let (_, r_v3) = fresh.fetch(&spec::ammp(), &cfg_v3);
-        assert_eq!(r_v1, m_v1);
-        assert_eq!(r_v2, m_v2);
-        assert_eq!(r_v3, m_v3);
-        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn wrong_format_at_the_right_path_is_rejected_and_regenerated() {
-        // Plant a v1-format file at a v3 entry's exact path (a stale or
-        // foreign store): the typed FormatMismatch must reject it — for both
-        // the materialized and the streamed access modes — and the request
-        // regenerates the honest v3 bits.
-        let (_, dir) = temp_store("mixed");
-        std::fs::create_dir_all(&dir).expect("create dir");
+        // Plant each retired layout at a v3 entry's exact path (a store
+        // written by an older build): `RCTRACE1`/`RCTRACE2` headers (no
+        // flags byte, raw 12-byte records) and an `RCTRACE3` header with the
+        // raw layout's flags 0. Each is rejected typed, quarantined to a
+        // `.corrupt` sidecar, and the request regenerates the honest bits —
+        // for both the materialized and the streamed access modes.
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
-        let key_v3 = TraceStore::store_key(&spec::m88ksim(), &cfg);
-        let v1_trace = TraceGenerator::new(spec::m88ksim(), cfg.trace_seed)
-            .with_format(TraceFormat::V1)
-            .generate(total);
-        codec::save_trace(&dir.join(TraceStore::file_name(&key_v3)), &v1_trace)
-            .expect("plant v1 bits at the v3 path");
+        let app = spec::m88ksim();
+        let expected = TraceGenerator::new(app.clone(), cfg.trace_seed).generate(total);
+        let old_entry = |magic: &[u8; 8], flags: Option<u8>| {
+            let mut bytes = magic.to_vec();
+            bytes.extend(flags);
+            bytes.extend_from_slice(&(app.name.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(app.name.as_bytes());
+            bytes.extend_from_slice(&(total as u64).to_le_bytes());
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&[0u8; 12]);
+            bytes
+        };
+        let (_, dir) = temp_store("mixed");
+        let path = dir.join(TraceStore::file_name(&TraceStore::store_key(&app, &cfg)));
+        let mut sidecar = path.clone().into_os_string();
+        sidecar.push(".corrupt");
+        for (label, bytes) in [
+            ("v1", old_entry(b"RCTRACE1", None)),
+            ("v2", old_entry(b"RCTRACE2", None)),
+            ("raw", old_entry(b"RCTRACE3", Some(0))),
+        ] {
+            for streamed in [false, true] {
+                std::fs::remove_dir_all(&dir).ok();
+                std::fs::create_dir_all(&dir).expect("create dir");
+                std::fs::write(&path, &bytes).expect("plant old entry");
+                let err = TraceFileSource::open(&path, None).unwrap_err();
+                let typed = match label {
+                    "v1" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'1' }),
+                    "v2" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'2' }),
+                    _ => matches!(err, codec::CodecError::UnsupportedFlags { flags: 0 }),
+                };
+                assert!(typed, "{label}: {err}");
 
-        let expected = TraceGenerator::new(spec::m88ksim(), cfg.trace_seed).generate(total);
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (w, m) = fresh.fetch(&spec::m88ksim(), &cfg);
-        assert_eq!(w.records(), &expected.records()[..cfg.warmup_instructions]);
-        assert_eq!(m.records(), &expected.records()[cfg.warmup_instructions..]);
-
-        // Streamed path on a separately planted copy.
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("recreate dir");
-        codec::save_trace(&dir.join(TraceStore::file_name(&key_v3)), &v1_trace)
-            .expect("plant again");
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let mut source = fresh.source(&spec::m88ksim(), &cfg);
-        assert_eq!(source.format(), TraceFormat::V3);
-        assert_eq!(drain(&mut source), expected.records());
-        assert!(source.fault().is_none());
+                let fresh = TraceStore::with_dir(Some(dir.clone()));
+                let records = if streamed {
+                    let mut source = fresh.source(&app, &cfg);
+                    let records = drain(&mut source);
+                    assert!(source.fault().is_none(), "{label}");
+                    records
+                } else {
+                    let (w, m) = fresh.fetch(&app, &cfg);
+                    [w.records(), m.records()].concat()
+                };
+                assert_eq!(records, expected.records(), "{label} streamed={streamed}");
+                assert_eq!(fresh.health().quarantines, 1, "{label} streamed={streamed}");
+                assert!(
+                    PathBuf::from(&sidecar).exists(),
+                    "{label} streamed={streamed}: no .corrupt sidecar"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1245,36 +1178,6 @@ mod tests {
         let (w2, m2) = fresh.fetch(&spec::ammp(), &cfg);
         assert_eq!(w1, w2, "regeneration must reproduce the trace");
         assert_eq!(m1, m2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn prefix_sharing_stays_within_one_format() {
-        // A longer v1 entry must not prefix-serve a shorter v2 request even
-        // for a length-invariant profile; the honest v2 prefix source is a
-        // fresh v2 entry.
-        let (_, dir) = temp_store("prefixfmt");
-        let cfg_long_v1 = RunnerConfig::fast().with_trace_format(TraceFormat::V1);
-        let store = TraceStore::with_dir(Some(dir.clone()));
-        assert!(spec::ammp().length_invariant());
-        store.fetch(&spec::ammp(), &cfg_long_v1);
-        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 1);
-
-        let mut cfg_short_v2 = RunnerConfig::fast();
-        cfg_short_v2.measure_instructions /= 2;
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (_, m_short) = fresh.fetch(&spec::ammp(), &cfg_short_v2);
-        let expected = TraceGenerator::new(spec::ammp(), cfg_short_v2.trace_seed)
-            .generate(cfg_short_v2.warmup_instructions + cfg_short_v2.measure_instructions);
-        assert_eq!(
-            m_short.records(),
-            &expected.records()[cfg_short_v2.warmup_instructions..]
-        );
-        assert_eq!(
-            std::fs::read_dir(&dir).expect("dir").count(),
-            2,
-            "the v2 request wrote its own entry instead of reusing v1's"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1435,49 +1338,6 @@ mod tests {
         let (w3, _) = again.fetch(&spec::gcc(), &cfg);
         assert_eq!(w3, w2);
         assert_eq!(again.health().quarantines, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn raw_override_entries_serve_without_regeneration() {
-        // `RESCACHE_STORE_COMPRESS=raw` writes uncompressed v3 entries. The
-        // reader self-describes from the flags byte, so a store must serve a
-        // raw entry exactly as it serves a compressed one — no quarantine,
-        // no regeneration. Rewrite the entry with `Compression::Raw`
-        // directly rather than through the env knob: the knob is plain
-        // parsing (covered in the codec crate), while cross-format serving
-        // is the store-level property, and process-global env mutation would
-        // race the other store tests.
-        let (store, dir) = temp_store("raw-override");
-        let cfg = RunnerConfig::fast();
-        let (w1, m1) = store.fetch(&spec::vortex(), &cfg);
-        let path = entry_path(&dir);
-        let compressed_len = std::fs::metadata(&path).expect("entry").len();
-
-        let full = codec::load_trace(&path).expect("load compressed entry");
-        codec::save_trace_opts(&path, &full, &IoPolicy::none(), Compression::Raw)
-            .expect("re-save raw");
-        let bytes = std::fs::read(&path).expect("read raw entry");
-        assert_eq!(&bytes[..8], b"RCTRACE3");
-        assert_eq!(bytes[8], 0, "raw entries carry a zero flags byte");
-        assert!(
-            bytes.len() as u64 > 2 * compressed_len,
-            "delta compression must at least halve the entry: raw {} vs compressed {}",
-            bytes.len(),
-            compressed_len
-        );
-
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (w2, m2) = fresh.fetch(&spec::vortex(), &cfg);
-        assert_eq!((w1, m1), (w2, m2), "raw entry serves identical records");
-        let health = fresh.health();
-        assert_eq!(health.quarantines, 0, "{health:?}");
-        assert_eq!(health.regenerations, 0, "{health:?}");
-        assert_eq!(
-            std::fs::read_dir(&dir).expect("dir").count(),
-            1,
-            "served from the raw entry, nothing rewritten"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -91,10 +91,9 @@ impl AddressStream {
             // The classification thresholds are hoisted out of the per-access
             // loop as exact fixed-point values: `chance_bits` decides
             // identically to the `next_f64()` comparisons it replaced (see
-            // its proof), so this stream's addresses are unchanged in every
-            // trace format — which is why it needs no format gate. The
-            // second threshold is built from the same rounded `f64` partial
-            // sum the original chained comparison used.
+            // its proof), so this stream's addresses are unchanged by the
+            // move. The second threshold is built from the same rounded
+            // `f64` partial sum the original chained comparison used.
             sequential_bits: chance_bits(mix.sequential),
             in_set_bits: chance_bits(mix.sequential + mix.random_in_set),
             stride: stride.max(1),

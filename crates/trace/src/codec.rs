@@ -4,28 +4,12 @@
 //! Trace generation is deterministic but not free (it is the slowest single
 //! stage of a cold sweep), so multi-process experiment campaigns persist
 //! generated traces under `RESCACHE_TRACE_DIR` and replay them from disk.
-//! The v1/v2 container is deliberately simple — no compression, no seeking:
-//!
-//! ```text
-//! magic      8 bytes   b"RCTRACE" + version digit (b"RCTRACE1", b"RCTRACE2")
-//! name_len   4 bytes   u32 LE, at most MAX_NAME_BYTES
-//! name       n bytes   UTF-8 application name
-//! records    8 bytes   u64 LE total record count
-//! chunk*                repeated until `records` records have been read:
-//!   len      4 bytes   u32 LE records in this chunk (1 ..= CHUNK_RECORDS)
-//!   data     len × 12  encoded records (see `InstrRecord::encode`)
-//! ```
-//!
-//! The v3 container (`b"RCTRACE3"`) adds one `flags` byte after the magic
-//! and, when its compression bit is set (the default — see [`Compression`]
-//! and the `RESCACHE_STORE_COMPRESS` override), frames each chunk with an
-//! explicit byte length over a delta-compressed payload (see [`crate::compress`]
-//! internals for the per-record layout):
+//! There is one container, with delta-compressed chunks (see
+//! [`crate::compress`] internals for the per-record payload layout):
 //!
 //! ```text
 //! magic      8 bytes   b"RCTRACE3"
-//! flags      1 byte    bit 0: chunks are delta compressed;
-//!                      any other bit set is UnsupportedFlags
+//! flags      1 byte    always 1: chunks are delta compressed
 //! name_len   4 bytes   u32 LE, at most MAX_NAME_BYTES
 //! name       n bytes   UTF-8 application name
 //! records    8 bytes   u64 LE total record count
@@ -35,26 +19,20 @@
 //!   data     bytes     compressed records, delta bases reset per chunk
 //! ```
 //!
-//! The magic's trailing digit is the [`TraceFormat`] version of the records
-//! (which generation algorithm produced the bits — see [`crate::format`]).
-//! Every known version decodes; a reader that *expects* a particular
-//! version ([`TraceFileSource::open_expecting`]) rejects a mismatch with the
-//! typed [`CodecError::FormatMismatch`], and an unknown version digit is
-//! [`CodecError::UnsupportedVersion`] — mixed-version reads fail loudly and
-//! typed, never silently and never by panic.
+//! Readers validate everything they touch and return a [`CodecError`] —
+//! never panic — on truncated, corrupt or foreign files, so a store
+//! populated by a crashed or concurrent process degrades to regeneration
+//! rather than an aborted sweep. A file of a retired format (`RCTRACE1`,
+//! `RCTRACE2`) or an unknown one is [`CodecError::UnsupportedVersion`]; a
+//! header with any other flags byte (including the retired raw layout's `0`)
+//! is [`CodecError::UnsupportedFlags`].
 //!
-//! Readers validate everything else they touch the same way and return a
-//! [`CodecError`] — never panic — on truncated, corrupt or foreign files, so
-//! a store populated by a crashed or concurrent process degrades to
-//! regeneration rather than an aborted sweep.
-//!
-//! The per-chunk framing is what makes the store's streaming and sharing
-//! features chunk-granular: [`ChunkedTraceReader`] decodes one chunk at a
-//! time (nothing else resident), [`TraceFileSource`] adapts that reader to
-//! the [`TraceSource`] pull interface so simulations replay straight from
-//! disk (including serving only a leading prefix of a longer entry), and
-//! [`save_source`] persists a streaming generator without ever holding the
-//! full record array.
+//! There is one save and one open, both routing every filesystem operation
+//! through an [`IoPolicy`]: [`save_source`] drains any [`TraceSource`] to a
+//! file atomically without holding the full record array, and
+//! [`TraceFileSource::open_with`] replays a file chunk by chunk (including
+//! serving only a leading prefix of a longer file), with one decoded chunk
+//! resident.
 
 use std::fmt;
 use std::fs::File;
@@ -62,91 +40,42 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::compress;
-use crate::faults::{IoPolicy, PolicedRead, PolicedWrite};
+use crate::faults::{IoPolicy, PolicedRead};
 use crate::format::TraceFormat;
-use crate::record::{InstrRecord, InvalidRecord, ENCODED_RECORD_BYTES};
+use crate::record::InstrRecord;
 use crate::source::{TraceSource, CHUNK_RECORDS};
 use crate::trace::Trace;
 
 pub use crate::compress::{CorruptChunk, UnencodableRecord};
 
-/// Version-independent prefix of every trace-file magic; the eighth byte is
-/// the [`TraceFormat`] version digit (see [`TraceFormat::magic`]).
-pub const MAGIC_PREFIX: [u8; 7] = *b"RCTRACE";
+/// Version-independent prefix of every trace-file magic: a file with this
+/// prefix but another version digit is a rescache trace of a format this
+/// build does not read.
+const MAGIC_PREFIX: [u8; 7] = *b"RCTRACE";
+
+/// The header flags byte: bit 0 announces delta-compressed chunks, the only
+/// encoding.
+const FLAGS: u8 = 1;
 
 /// Upper bound on the encoded application-name length.
-pub const MAX_NAME_BYTES: u32 = 4 * 1024;
-
-/// Chunk-payload encoding of a persisted v3 trace.
-///
-/// v1/v2 containers are always raw (their layout predates the flags byte);
-/// a v3 writer chooses per file, recording the choice in the header's flags
-/// byte so readers self-describe — the two encodings decode to identical
-/// records and identical chunk boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compression {
-    /// Delta-compressed chunk payloads (the default): ≥2× smaller
-    /// files and record decode straight into the consumer's batch lanes.
-    #[default]
-    Delta,
-    /// Raw 12-byte records, framed exactly as the v1/v2 container.
-    Raw,
-}
-
-impl Compression {
-    /// Reads the `RESCACHE_STORE_COMPRESS` override used by the experiment
-    /// trace store: `0`, `off` or `raw` selects [`Compression::Raw`];
-    /// anything else — including unset — keeps the default
-    /// [`Compression::Delta`].
-    pub fn from_env() -> Self {
-        match std::env::var("RESCACHE_STORE_COMPRESS").as_deref() {
-            Ok("0") | Ok("off") | Ok("raw") => Compression::Raw,
-            _ => Compression::Delta,
-        }
-    }
-
-    /// The v3 header flags byte announcing this encoding.
-    fn flags(self) -> u8 {
-        match self {
-            Compression::Delta => 1,
-            Compression::Raw => 0,
-        }
-    }
-
-    /// Decodes a v3 header flags byte; `None` for any unknown bit.
-    fn from_flags(flags: u8) -> Option<Self> {
-        match flags {
-            0 => Some(Compression::Raw),
-            1 => Some(Compression::Delta),
-            _ => None,
-        }
-    }
-}
+const MAX_NAME_BYTES: u32 = 4 * 1024;
 
 /// Error produced when decoding a persisted trace.
 #[derive(Debug)]
 pub enum CodecError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// The file does not start with [`MAGIC_PREFIX`] — not a rescache trace
-    /// at all.
+    /// The file does not start with `RCTRACE` — not a rescache trace at all.
     BadMagic,
-    /// The magic names a trace-format version this build does not know.
+    /// The magic names a trace-format version this build does not read
+    /// (the retired v1/v2, or a future one).
     UnsupportedVersion {
         /// The unrecognized version byte from the magic.
         version: u8,
     },
-    /// The file is a valid trace of a *different* [`TraceFormat`] than the
-    /// reader asked for: the two bit streams must never mix, so the read is
-    /// rejected rather than silently served.
-    FormatMismatch {
-        /// The version the reader required.
-        expected: TraceFormat,
-        /// The version the file's magic carries.
-        found: TraceFormat,
-    },
-    /// The v3 header's flags byte sets a bit this build does not know —
-    /// a future encoding must be regenerated, not half-decoded.
+    /// The header's flags byte is not the delta-compressed encoding's — the
+    /// retired raw layout, or a future encoding, must be regenerated, not
+    /// half-decoded.
     UnsupportedFlags {
         /// The rejected flags byte.
         flags: u8,
@@ -161,18 +90,16 @@ pub enum CodecError {
         /// Records still expected when the chunk header was read.
         remaining: u64,
     },
-    /// A compressed chunk's byte length is impossible for its record count
-    /// (the chunk directory points at the wrong place).
+    /// A chunk's byte length is impossible for its record count (the chunk
+    /// directory points at the wrong place).
     BadChunkBytes {
         /// Records the chunk header promises.
         len: u32,
         /// The impossible payload byte length.
         byte_len: u32,
     },
-    /// A compressed chunk payload failed to decode.
+    /// A chunk payload failed to decode.
     BadPayload(CorruptChunk),
-    /// A record payload failed to decode.
-    BadRecord(InvalidRecord),
     /// The file ended before the promised record count was delivered.
     Truncated {
         /// Records promised by the header.
@@ -191,10 +118,6 @@ impl fmt::Display for CodecError {
                 f,
                 "trace file has an unsupported format version byte {version:#04x}"
             ),
-            CodecError::FormatMismatch { expected, found } => write!(
-                f,
-                "trace file is format {found} but the reader requires {expected}"
-            ),
             CodecError::UnsupportedFlags { flags } => write!(
                 f,
                 "trace file header has unsupported flags byte {flags:#04x}"
@@ -211,7 +134,6 @@ impl fmt::Display for CodecError {
             CodecError::BadPayload(e) => {
                 write!(f, "trace file has a corrupt compressed chunk: {e}")
             }
-            CodecError::BadRecord(e) => write!(f, "trace file has a corrupt record: {e}"),
             CodecError::Truncated { expected, got } => write!(
                 f,
                 "trace file is truncated: expected {expected} records, decoded {got}"
@@ -224,7 +146,6 @@ impl std::error::Error for CodecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CodecError::Io(e) => Some(e),
-            CodecError::BadRecord(e) => Some(e),
             CodecError::BadPayload(e) => Some(e),
             _ => None,
         }
@@ -243,65 +164,19 @@ impl From<io::Error> for CodecError {
     }
 }
 
-impl From<InvalidRecord> for CodecError {
-    fn from(e: InvalidRecord) -> Self {
-        CodecError::BadRecord(e)
-    }
-}
-
-/// Writes `trace` to `w` in the format described at module level, with the
-/// magic carrying the trace's own [`TraceFormat`] version.
+/// Writes `source` to `w` in the format described at module level, chunk by
+/// chunk. Oversized producer chunks (a materialized cursor yields its whole
+/// window as one chunk) are re-framed to the [`CHUNK_RECORDS`] bound.
 ///
 /// # Errors
 ///
-/// Besides writer errors, returns `InvalidInput` for a trace whose name
-/// exceeds [`MAX_NAME_BYTES`] — a reader would reject such a file, so it
-/// must never be produced.
-pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
-    write_trace_opts(w, trace, Compression::default())
-}
-
-/// [`write_trace`] with an explicit chunk-payload [`Compression`] (only
-/// meaningful for v3 traces; v1/v2 containers are raw by definition).
-///
-/// # Errors
-///
-/// Everything [`write_trace`] reports, plus `InvalidInput` for a record the
-/// compressed payload cannot represent (see [`UnencodableRecord`]).
-pub fn write_trace_opts<W: Write>(
-    w: &mut W,
-    trace: &Trace,
-    compression: Compression,
-) -> io::Result<()> {
-    write_header(
-        w,
-        trace.format(),
-        compression,
-        trace.name(),
-        trace.len() as u64,
-    )?;
-    let mut chunks = ChunkWriter::new(trace.format(), compression);
-    for chunk in trace.records().chunks(CHUNK_RECORDS) {
-        chunks.write_chunk(w, chunk)?;
-    }
-    Ok(())
-}
-
-/// Writes the container header: magic, the v3 flags byte, name and record
-/// count. Shared by the materialized and streaming save paths so the two
-/// always produce byte-identical files.
-fn write_header<W: Write>(
-    w: &mut W,
-    format: TraceFormat,
-    compression: Compression,
-    name: &str,
-    records: u64,
-) -> io::Result<()> {
-    w.write_all(&format.magic())?;
-    if format == TraceFormat::V3 {
-        w.write_all(&[compression.flags()])?;
-    }
-    let name = name.as_bytes();
+/// Besides writer errors, returns `InvalidInput` for a name over
+/// [`MAX_NAME_BYTES`] or a record the payload cannot represent (see
+/// [`UnencodableRecord`]) — a reader would reject such a file, so it must
+/// never be produced — and `InvalidData` if the source delivers fewer
+/// records than [`TraceSource::total_records`] promised.
+fn write_source<W: Write, S: TraceSource>(w: &mut W, source: &mut S) -> io::Result<()> {
+    let name = source.name().as_bytes().to_vec();
     if name.len() as u64 > u64::from(MAX_NAME_BYTES) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -311,54 +186,47 @@ fn write_header<W: Write>(
             ),
         ));
     }
+    let promised = source.total_records() as u64;
+    w.write_all(&TraceFormat::V3.magic())?;
+    w.write_all(&[FLAGS])?;
     w.write_all(&(name.len() as u32).to_le_bytes())?;
-    w.write_all(name)?;
-    w.write_all(&records.to_le_bytes())?;
-    Ok(())
-}
+    w.write_all(&name)?;
+    w.write_all(&promised.to_le_bytes())?;
 
-/// Frames and writes record chunks in whichever encoding the header
-/// announced, reusing one scratch buffer across chunks.
-struct ChunkWriter {
-    compressed: bool,
-    bytes: Vec<u8>,
-}
-
-impl ChunkWriter {
-    fn new(format: TraceFormat, compression: Compression) -> Self {
-        Self {
-            compressed: format == TraceFormat::V3 && compression == Compression::Delta,
-            bytes: Vec::with_capacity(CHUNK_RECORDS * ENCODED_RECORD_BYTES),
+    let mut written = 0u64;
+    let mut payload = Vec::new();
+    loop {
+        let chunk = source.next_chunk();
+        if chunk.is_empty() {
+            break;
         }
-    }
-
-    fn write_chunk<W: Write>(&mut self, w: &mut W, chunk: &[InstrRecord]) -> io::Result<()> {
-        w.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        self.bytes.clear();
-        if self.compressed {
-            compress::encode_chunk(chunk, &mut self.bytes)
+        for frame in chunk.chunks(CHUNK_RECORDS) {
+            payload.clear();
+            compress::encode_chunk(frame, &mut payload)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            w.write_all(&(self.bytes.len() as u32).to_le_bytes())?;
-        } else {
-            for record in chunk {
-                self.bytes.extend_from_slice(&record.encode());
-            }
+            w.write_all(&(frame.len() as u32).to_le_bytes())?;
+            w.write_all(&(payload.len() as u32).to_le_bytes())?;
+            w.write_all(&payload)?;
+            written += frame.len() as u64;
         }
-        w.write_all(&self.bytes)
     }
+    if written != promised {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("source promised {promised} records but delivered {written}"),
+        ));
+    }
+    Ok(())
 }
 
 /// An incremental reader over the persisted trace format: the header is
 /// validated on construction, then [`ChunkedTraceReader::next_chunk`] decodes
-/// one chunk at a time into an internal buffer, so a consumer that never
-/// needs the whole trace resident (the store's streaming replay path) keeps
-/// at most [`CHUNK_RECORDS`] decoded records alive.
+/// one chunk at a time into an internal buffer, so at most
+/// [`CHUNK_RECORDS`] decoded records are ever alive.
 #[derive(Debug)]
-pub struct ChunkedTraceReader<R: Read> {
+struct ChunkedTraceReader<R: Read> {
     r: R,
     name: String,
-    format: TraceFormat,
-    compression: Compression,
     total: u64,
     delivered: u64,
     buf: Vec<InstrRecord>,
@@ -366,31 +234,21 @@ pub struct ChunkedTraceReader<R: Read> {
 }
 
 impl<R: Read> ChunkedTraceReader<R> {
-    /// Reads and validates the stream header. Any known [`TraceFormat`]
-    /// version is accepted and reported via [`ChunkedTraceReader::format`];
-    /// callers that require one specific version check it (or use
-    /// [`TraceFileSource::open_expecting`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] for a missing magic, an unknown format
-    /// version, an invalid name, or a reader failure.
-    pub fn new(mut r: R) -> Result<Self, CodecError> {
+    /// Reads and validates the stream header.
+    fn new(mut r: R) -> Result<Self, CodecError> {
         let mut magic = [0u8; 8];
         read_exact_or_truncated(&mut r, &mut magic, 0, 0)?;
         if magic[..7] != MAGIC_PREFIX {
             return Err(CodecError::BadMagic);
         }
-        let format = TraceFormat::from_version_byte(magic[7])
-            .ok_or(CodecError::UnsupportedVersion { version: magic[7] })?;
-        let compression = if format == TraceFormat::V3 {
-            let mut flags = [0u8; 1];
-            read_exact_or_truncated(&mut r, &mut flags, 0, 0)?;
-            Compression::from_flags(flags[0])
-                .ok_or(CodecError::UnsupportedFlags { flags: flags[0] })?
-        } else {
-            Compression::Raw
-        };
+        if magic != TraceFormat::V3.magic() {
+            return Err(CodecError::UnsupportedVersion { version: magic[7] });
+        }
+        let mut flags = [0u8; 1];
+        read_exact_or_truncated(&mut r, &mut flags, 0, 0)?;
+        if flags[0] != FLAGS {
+            return Err(CodecError::UnsupportedFlags { flags: flags[0] });
+        }
 
         let mut len4 = [0u8; 4];
         read_exact_or_truncated(&mut r, &mut len4, 0, 0)?;
@@ -409,8 +267,6 @@ impl<R: Read> ChunkedTraceReader<R> {
         Ok(Self {
             r,
             name,
-            format,
-            compression,
             total,
             delivered: 0,
             buf: Vec::new(),
@@ -418,457 +274,55 @@ impl<R: Read> ChunkedTraceReader<R> {
         })
     }
 
-    /// The application name recorded in the header.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The [`TraceFormat`] version the header's magic carries.
-    pub fn format(&self) -> TraceFormat {
-        self.format
-    }
-
-    /// The chunk-payload encoding the header announced ([`Compression::Raw`]
-    /// for every v1/v2 file).
-    pub fn compression(&self) -> Compression {
-        self.compression
-    }
-
-    /// The total record count promised by the header.
-    pub fn total_records(&self) -> u64 {
-        self.total
-    }
-
-    /// Records decoded so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Decodes the next chunk, or returns an empty slice once every promised
-    /// record has been delivered.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncation, an impossible chunk header or
-    /// a corrupt record; the reader must not be used further after an error.
-    pub fn next_chunk(&mut self) -> Result<&[InstrRecord], CodecError> {
-        // The decode buffer is swapped out for the call so the borrow-free
-        // decode can write into it, then swapped back; `current` keeps
-        // serving the decoded records without any copy.
-        let mut buf = std::mem::take(&mut self.buf);
-        let result = self.next_chunk_reusing(&mut buf);
-        self.buf = buf;
-        result?;
+    /// record has been delivered. The decode *overwrites* the buffer:
+    /// steady-state chunks are all the same length, so after the first chunk
+    /// the resize is a no-op and the decode writes straight over the last
+    /// chunk's records — a clear-then-grow cycle would re-zero the whole
+    /// buffer every chunk. The reader must not be used further after an
+    /// error.
+    fn next_chunk(&mut self) -> Result<&[InstrRecord], CodecError> {
+        let remaining = self.total - self.delivered;
+        if remaining == 0 {
+            self.buf.clear();
+            return Ok(&self.buf);
+        }
+        let (total, delivered) = (self.total, self.delivered);
+        let mut len4 = [0u8; 4];
+        read_exact_or_truncated(&mut self.r, &mut len4, total, delivered)?;
+        let len = u32::from_le_bytes(len4);
+        if len == 0 || len as usize > CHUNK_RECORDS || u64::from(len) > remaining {
+            return Err(CodecError::BadChunk { len, remaining });
+        }
+        read_exact_or_truncated(&mut self.r, &mut len4, total, delivered)?;
+        let byte_len = u32::from_le_bytes(len4);
+        // The payload bounds are a structural invariant (3 layout and head
+        // bytes plus two bounded delta fields per record); anything outside
+        // them means the chunk directory is lying, so reject before trusting
+        // it for an allocation or a read.
+        if (byte_len as usize) < compress::MIN_RECORD_BYTES * len as usize
+            || byte_len as usize > compress::MAX_RECORD_BYTES * len as usize
+        {
+            return Err(CodecError::BadChunkBytes { len, byte_len });
+        }
+        let byte_len = byte_len as usize;
+        self.raw.resize(byte_len.max(self.raw.len()), 0);
+        read_exact_or_truncated(&mut self.r, &mut self.raw[..byte_len], total, delivered)?;
+        self.buf.resize(len as usize, InstrRecord::zeroed());
+        compress::decode_chunk_into(&self.raw[..byte_len], &mut self.buf)?;
+        self.delivered += u64::from(len);
         Ok(&self.buf)
     }
-
-    /// [`ChunkedTraceReader::next_chunk_into`] that *overwrites* `out`
-    /// instead of appending: steady-state chunks are all the same length,
-    /// so after the first chunk the resize is a no-op and the decode writes
-    /// straight over last chunk's records — the clear-then-grow cycle would
-    /// re-zero the whole buffer every chunk. `out` is left empty once every
-    /// promised record has been delivered.
-    fn next_chunk_reusing(&mut self, out: &mut Vec<InstrRecord>) -> Result<usize, CodecError> {
-        let remaining = self.total - self.delivered;
-        if remaining == 0 {
-            out.clear();
-            return Ok(0);
-        }
-        let (len, byte_len) = read_chunk_frame(
-            &mut self.r,
-            self.compression,
-            self.total,
-            self.delivered,
-            remaining,
-        )?;
-        self.raw.resize(byte_len.max(self.raw.len()), 0);
-        read_exact_or_truncated(
-            &mut self.r,
-            &mut self.raw[..byte_len],
-            self.total,
-            self.delivered,
-        )?;
-        out.resize(len, InstrRecord::zeroed());
-        decode_payload_into(self.compression, &self.raw[..byte_len], &mut out[..])?;
-        self.delivered += len as u64;
-        Ok(len)
-    }
-
-    /// The most recently decoded chunk, as [`ChunkedTraceReader::next_chunk`]
-    /// returned it. This is the zero-copy serve surface: a streaming consumer
-    /// (the store's [`TraceFileSource`]) hands out sub-slices of this buffer
-    /// directly instead of staging records through a second copy.
-    pub fn current(&self) -> &[InstrRecord] {
-        &self.buf
-    }
-
-    /// Decodes the next chunk straight into `out` (appending), returning the
-    /// record count — 0 once every promised record has been delivered. This
-    /// is the one-pass load path: [`read_trace`] decodes every chunk into
-    /// the final record vector with no intermediate per-chunk staging.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on truncation, an impossible chunk header or
-    /// a corrupt record; the reader must not be used further after an error,
-    /// and `out` holds an unspecified tail that must be discarded.
-    pub fn next_chunk_into(&mut self, out: &mut Vec<InstrRecord>) -> Result<usize, CodecError> {
-        let remaining = self.total - self.delivered;
-        if remaining == 0 {
-            return Ok(0);
-        }
-        let (len, byte_len) = read_chunk_frame(
-            &mut self.r,
-            self.compression,
-            self.total,
-            self.delivered,
-            remaining,
-        )?;
-        // Allocate lazily (bounded by what the file actually delivers) so a
-        // corrupt record count cannot force an absurd up-front allocation.
-        self.raw.resize(byte_len.max(self.raw.len()), 0);
-        read_exact_or_truncated(
-            &mut self.r,
-            &mut self.raw[..byte_len],
-            self.total,
-            self.delivered,
-        )?;
-        match self.compression {
-            Compression::Raw => decode_raw_payload(&self.raw[..byte_len], len, out)?,
-            Compression::Delta => compress::decode_chunk(&self.raw[..byte_len], len, out)?,
-        }
-        self.delivered += len as u64;
-        Ok(len)
-    }
 }
 
-impl<'a> ChunkedTraceReader<&'a [u8]> {
-    /// The borrowed-image twin of [`ChunkedTraceReader::next_chunk_into`]:
-    /// when the whole file is already in memory, each chunk payload decodes
-    /// straight out of the image with no staging copy. This is the
-    /// [`read_trace`] fast path.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ChunkedTraceReader::next_chunk_into`].
-    pub fn next_chunk_into_borrowed(
-        &mut self,
-        out: &mut Vec<InstrRecord>,
-    ) -> Result<usize, CodecError> {
-        let remaining = self.total - self.delivered;
-        if remaining == 0 {
-            return Ok(0);
-        }
-        let (len, byte_len) = read_chunk_frame(
-            &mut self.r,
-            self.compression,
-            self.total,
-            self.delivered,
-            remaining,
-        )?;
-        let Some(payload) = self.r.get(..byte_len) else {
-            return Err(CodecError::Truncated {
-                expected: self.total,
-                got: self.delivered,
-            });
-        };
-        self.r = &self.r[byte_len..];
-        match self.compression {
-            Compression::Raw => decode_raw_payload(payload, len, out)?,
-            Compression::Delta => compress::decode_chunk(payload, len, out)?,
-        }
-        self.delivered += len as u64;
-        Ok(len)
-    }
-
-    /// Walks and validates every remaining chunk frame — record count, byte
-    /// length, and payload presence — without decoding any records, returning
-    /// each chunk's record count and its payload borrowed from the image.
-    ///
-    /// This is the front half of [`read_trace`]: because v3 delta bases reset
-    /// per chunk, the frames it returns are independent decode units, so the
-    /// load path can fan them out across worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same structural [`CodecError`]s the chunk-by-chunk decode
-    /// loop reports (impossible headers, lying directories, truncation).
-    fn frames(&mut self) -> Result<Vec<(usize, &'a [u8])>, CodecError> {
-        let mut frames = Vec::new();
-        loop {
-            let remaining = self.total - self.delivered;
-            if remaining == 0 {
-                return Ok(frames);
-            }
-            let (len, byte_len) = read_chunk_frame(
-                &mut self.r,
-                self.compression,
-                self.total,
-                self.delivered,
-                remaining,
-            )?;
-            // Copy the reference out of `self` so the payload borrows the
-            // image's lifetime, not this call's borrow of the reader.
-            let image: &'a [u8] = self.r;
-            let Some(payload) = image.get(..byte_len) else {
-                return Err(CodecError::Truncated {
-                    expected: self.total,
-                    got: self.delivered,
-                });
-            };
-            self.r = &image[byte_len..];
-            frames.push((len, payload));
-            self.delivered += len as u64;
-        }
-    }
-}
-
-/// Reads and validates one chunk's frame (record count, and for compressed
-/// payloads the directory's byte length), leaving `r` positioned at the
-/// payload. Shared by the staged and borrowed-image decode paths.
-fn read_chunk_frame<R: Read>(
-    r: &mut R,
-    compression: Compression,
-    total: u64,
-    delivered: u64,
-    remaining: u64,
-) -> Result<(usize, usize), CodecError> {
-    let mut len4 = [0u8; 4];
-    read_exact_or_truncated(r, &mut len4, total, delivered)?;
-    let len = u32::from_le_bytes(len4);
-    if len == 0 || len as usize > CHUNK_RECORDS || u64::from(len) > remaining {
-        return Err(CodecError::BadChunk { len, remaining });
-    }
-    let byte_len = match compression {
-        Compression::Raw => len as usize * ENCODED_RECORD_BYTES,
-        Compression::Delta => {
-            read_exact_or_truncated(r, &mut len4, total, delivered)?;
-            let byte_len = u32::from_le_bytes(len4);
-            // The payload bounds are a structural invariant (3 layout and
-            // head bytes plus two bounded delta fields per record);
-            // anything outside them
-            // means the chunk directory is lying, so reject before trusting
-            // it for an allocation or a read.
-            if (byte_len as usize) < compress::MIN_RECORD_BYTES * len as usize
-                || byte_len as usize > compress::MAX_RECORD_BYTES * len as usize
-            {
-                return Err(CodecError::BadChunkBytes { len, byte_len });
-            }
-            byte_len as usize
-        }
-    };
-    Ok((len as usize, byte_len))
-}
-
-/// Decodes a raw chunk payload (fixed 12-byte records) into `out` through a
-/// pre-sized slice — per-record `Vec` pushes keep the vector's bookkeeping
-/// hot in the loop; see [`compress::decode_chunk`] for the same discipline
-/// on the compressed path.
-fn decode_raw_payload(
-    payload: &[u8],
-    len: usize,
-    out: &mut Vec<InstrRecord>,
-) -> Result<(), CodecError> {
-    let start = out.len();
-    out.resize(start + len, InstrRecord::zeroed());
-    decode_payload_into(Compression::Raw, payload, &mut out[start..])
-}
-
-/// Decodes one chunk payload, in whichever encoding the header announced,
-/// into an exactly-sized slice of the final record vector. This is the unit
-/// of work of the parallel whole-trace load path: the frame walk hands each
-/// worker disjoint `(payload, slice)` pairs, so workers share nothing.
-fn decode_payload_into(
-    compression: Compression,
-    payload: &[u8],
-    out: &mut [InstrRecord],
-) -> Result<(), CodecError> {
-    match compression {
-        Compression::Raw => {
-            for (slot, encoded) in out
-                .iter_mut()
-                .zip(payload.chunks_exact(ENCODED_RECORD_BYTES))
-            {
-                let mut bytes = [0u8; ENCODED_RECORD_BYTES];
-                bytes.copy_from_slice(encoded);
-                *slot = InstrRecord::decode(&bytes)?;
-            }
-            Ok(())
-        }
-        Compression::Delta => compress::decode_chunk_into(payload, out).map_err(CodecError::from),
-    }
-}
-
-/// Reads a trace from `r`, validating the format end to end.
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] if the stream is not a well-formed trace file;
-/// truncation, unknown record tags and impossible chunk headers are all
-/// reported as errors rather than panics.
-pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, CodecError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes).map_err(CodecError::Io)?;
-    read_trace_bytes(&bytes)
-}
-
-/// [`read_trace`] over an image already in memory: every chunk payload
-/// decodes borrowed straight out of `bytes` with no staging copy. This is
-/// the whole-load fast path [`load_trace`] uses after one pre-sized file
-/// read.
-///
-/// # Errors
-///
-/// Exactly as [`read_trace`].
-pub fn read_trace_bytes(bytes: &[u8]) -> Result<Trace, CodecError> {
-    let mut reader = ChunkedTraceReader::new(bytes)?;
-    let compression = reader.compression();
-
-    // Pre-size the record vector from the header's claim, bounded by the
-    // most records the image's bytes could possibly encode, so an honest
-    // file never pays a growth copy and a lying record count cannot force
-    // an absurd up-front allocation.
-    let min_record_bytes = match compression {
-        Compression::Raw => ENCODED_RECORD_BYTES,
-        Compression::Delta => compress::MIN_RECORD_BYTES,
-    };
-    let claimed = usize::try_from(reader.total_records()).unwrap_or(usize::MAX);
-    let capacity = claimed.min(bytes.len() / min_record_bytes);
-
-    let workers = decode_workers(claimed.div_ceil(CHUNK_RECORDS));
-    if workers <= 1 {
-        // Fused streaming decode: validate each chunk frame and decode its
-        // payload immediately, while the frame's bytes and the freshly
-        // grown stretch of the record vector are still cache-hot. Chunk
-        // errors surface in stream order by construction.
-        let mut records = Vec::with_capacity(capacity);
-        while reader.next_chunk_into_borrowed(&mut records)? != 0 {}
-        return Ok(Trace::with_format(
-            reader.name().to_string(),
-            records,
-            reader.format(),
-        ));
-    }
-
-    read_trace_bytes_parallel(bytes, workers)
-}
-
-/// The parallel half of [`read_trace_bytes`]: walk and validate the whole
-/// chunk directory first, then fan the payloads out across `workers`
-/// threads. Split out with an explicit worker count so the fan-out, the
-/// disjoint slice hand-off and the earliest-chunk error selection stay
-/// testable on single-core hosts, where [`decode_workers`] never exceeds 1.
-fn read_trace_bytes_parallel(bytes: &[u8], workers: usize) -> Result<Trace, CodecError> {
-    let mut reader = ChunkedTraceReader::new(bytes)?;
-    let compression = reader.compression();
-    // The record vector is sized from the *validated* frames — every
-    // payload was checked to exist in the image — so a corrupt record
-    // count cannot force an absurd up-front allocation.
-    let frames = match reader.frames() {
-        Ok(frames) => frames,
-        // The directory walk failed partway through. Chunk-by-chunk order
-        // may blame an *earlier* chunk's payload (a lying byte length
-        // derails every later frame), so re-decode serially and report
-        // exactly what the streaming reader would.
-        Err(walk) => {
-            let mut reader = ChunkedTraceReader::new(bytes)?;
-            let mut records = Vec::new();
-            loop {
-                if reader.next_chunk_into_borrowed(&mut records)? == 0 {
-                    // Unreachable in practice: the serial pass re-checks the
-                    // same directory the walk just rejected.
-                    return Err(walk);
-                }
-            }
-        }
-    };
-    let total: usize = frames.iter().map(|&(len, _)| len).sum();
-    let mut records = vec![InstrRecord::zeroed(); total];
-
-    // Delta bases reset per chunk, so frames decode independently. Workers
-    // write disjoint sub-slices of the one record vector — the result is
-    // bit-identical to the serial decode, whatever the count.
-    let workers = workers.min(frames.len()).max(1);
-    let mut slices = Vec::with_capacity(frames.len());
-    let mut rest: &mut [InstrRecord] = &mut records;
-    for &(len, payload) in &frames {
-        let (head, tail) = rest.split_at_mut(len);
-        slices.push((payload, head));
-        rest = tail;
-    }
-    if workers <= 1 {
-        for (payload, out) in slices {
-            decode_payload_into(compression, payload, out)?;
-        }
-    } else {
-        let per = slices.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            let mut slices = slices;
-            let mut base = 0usize;
-            while !slices.is_empty() {
-                let group: Vec<_> = slices.drain(..per.min(slices.len())).collect();
-                let group_base = base;
-                base += group.len();
-                handles.push(scope.spawn(move || {
-                    for (i, (payload, out)) in group.into_iter().enumerate() {
-                        decode_payload_into(compression, payload, out)
-                            .map_err(|e| (group_base + i, e))?;
-                    }
-                    Ok(())
-                }));
-            }
-            // Report the error of the *earliest* corrupt chunk so parallel
-            // and serial decode fail identically on a multi-corrupt file.
-            let mut first: Option<(usize, CodecError)> = None;
-            for handle in handles {
-                let outcome: Result<(), (usize, CodecError)> = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                if let Err((chunk, e)) = outcome {
-                    if first.as_ref().is_none_or(|(c, _)| chunk < *c) {
-                        first = Some((chunk, e));
-                    }
-                }
-            }
-            match first {
-                Some((_, e)) => Err(e),
-                None => Ok(()),
-            }
-        })?;
-    }
-    Ok(Trace::with_format(
-        reader.name().to_string(),
-        records,
-        reader.format(),
-    ))
-}
-
-/// Worker-thread count for the parallel whole-trace decode: one worker per
-/// available core (capped — decode saturates memory bandwidth well before
-/// high core counts), and strictly serial for short traces, where thread
-/// spawns would cost more than they recover.
-fn decode_workers(chunks: usize) -> usize {
-    const MIN_PARALLEL_CHUNKS: usize = 4;
-    const MAX_WORKERS: usize = 8;
-    if chunks < MIN_PARALLEL_CHUNKS {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(MAX_WORKERS)
-        .min(chunks)
-}
-
-/// A [`TraceSource`] replaying a persisted trace chunk by chunk from disk:
-/// the streaming twin of [`load_trace`], keeping one decoded chunk resident
-/// instead of the whole record array — and serving it as sub-slices of the
+/// A [`TraceSource`] replaying a persisted trace chunk by chunk from disk,
+/// keeping one decoded chunk resident — and serving it as sub-slices of the
 /// reader's decode buffer, so records reach the engines in one decode pass
-/// with no staging copy. Opening with a `take` shorter than the
-/// file is chunk-granular prefix serving — decoding stops with the chunk
-/// that covers the request, so corruption *beyond* the prefix is never even
-/// read; this is how the experiment trace store serves a short trace request
-/// from a longer persisted entry.
+/// with no staging copy. Opening with a `take` shorter than the file is
+/// chunk-granular prefix serving — decoding stops with the chunk that
+/// covers the request, so corruption *beyond* the prefix is never even
+/// read; this is how the experiment trace store serves a short trace
+/// request from a longer persisted entry.
 ///
 /// The pull interface has no error channel, so a decode failure mid-stream
 /// (a truncated or corrupted store entry) is recorded in
@@ -885,37 +339,36 @@ pub struct TraceFileSource {
     pos: usize,
     fence: usize,
     /// Extent and cursor into the reader's current decoded chunk: the source
-    /// serves sub-slices of [`ChunkedTraceReader::current`] directly, so
-    /// records flow from the decode buffer to the consumer without a second
-    /// staging copy.
+    /// serves sub-slices of the reader's buffer directly, so records flow
+    /// from the decode buffer to the consumer without a second staging
+    /// copy.
     chunk_len: usize,
     chunk_pos: usize,
     fault: Option<CodecError>,
 }
 
 impl TraceFileSource {
-    /// Opens the trace at `path`, serving its first `take` records (`None` =
-    /// the whole file). Any known [`TraceFormat`] version is accepted; use
-    /// [`TraceFileSource::open_expecting`] when the caller's bit stream is
-    /// version-pinned.
+    /// [`TraceFileSource::open_with`] without fault injection. Kept as a
+    /// one-line wrapper because the standalone benchmark
+    /// (`perfbench/src/layers.rs`) compiles against it.
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] if the file cannot be opened, its header is
-    /// invalid, or it promises fewer than `take` records.
+    /// As [`TraceFileSource::open_with`].
     pub fn open(path: &Path, take: Option<usize>) -> Result<Self, CodecError> {
         Self::open_with(path, take, &IoPolicy::none())
     }
 
-    /// [`TraceFileSource::open`] with the open and every subsequent read
-    /// routed through `policy` — the fault-injectable variant the experiment
-    /// trace store uses. A fault injected mid-stream surfaces through
+    /// Opens the trace at `path`, serving its first `take` records (`None` =
+    /// the whole file), with the open and every subsequent read routed
+    /// through `policy`. A fault injected mid-stream surfaces through
     /// [`TraceFileSource::fault`] exactly like real disk trouble.
     ///
     /// # Errors
     ///
-    /// Everything [`TraceFileSource::open`] reports, plus whatever `policy`
-    /// injects.
+    /// Returns a [`CodecError`] if the file cannot be opened, its header is
+    /// invalid, it promises fewer than `take` records, or `policy` injects a
+    /// fault.
     pub fn open_with(
         path: &Path,
         take: Option<usize>,
@@ -923,11 +376,11 @@ impl TraceFileSource {
     ) -> Result<Self, CodecError> {
         let file = policy.open(path)?;
         let reader = ChunkedTraceReader::new(BufReader::new(policy.reader(file)))?;
-        let take = take.unwrap_or(reader.total_records() as usize);
-        if (take as u64) > reader.total_records() {
+        let take = take.unwrap_or(reader.total as usize);
+        if (take as u64) > reader.total {
             return Err(CodecError::Truncated {
                 expected: take as u64,
-                got: reader.total_records(),
+                got: reader.total,
             });
         }
         Ok(Self {
@@ -942,44 +395,6 @@ impl TraceFileSource {
         })
     }
 
-    /// [`TraceFileSource::open`] that additionally requires the file to be
-    /// of the `expected` [`TraceFormat`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`TraceFileSource::open`] reports, plus
-    /// [`CodecError::FormatMismatch`] when the file is a valid trace of a
-    /// different version — a v1 entry must never quietly serve a v2 request
-    /// (or vice versa), because the two bit streams differ by design.
-    pub fn open_expecting(
-        path: &Path,
-        take: Option<usize>,
-        expected: TraceFormat,
-    ) -> Result<Self, CodecError> {
-        Self::open_expecting_with(path, take, expected, &IoPolicy::none())
-    }
-
-    /// [`TraceFileSource::open_expecting`] routed through `policy` (see
-    /// [`TraceFileSource::open_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`TraceFileSource::open_expecting`] reports, plus whatever
-    /// `policy` injects.
-    pub fn open_expecting_with(
-        path: &Path,
-        take: Option<usize>,
-        expected: TraceFormat,
-        policy: &IoPolicy,
-    ) -> Result<Self, CodecError> {
-        let source = Self::open_with(path, take, policy)?;
-        let found = source.format();
-        if found != expected {
-            return Err(CodecError::FormatMismatch { expected, found });
-        }
-        Ok(source)
-    }
-
     /// The file this source replays (callers that detect a fault use it to
     /// invalidate the entry).
     pub fn path(&self) -> &Path {
@@ -991,7 +406,7 @@ impl TraceFileSource {
     /// Store-layer callers compare this against the count implied by the
     /// entry's key to reject foreign or stale files.
     pub fn file_records(&self) -> usize {
-        self.reader.total_records() as usize
+        self.reader.total as usize
     }
 
     /// The decode error that interrupted this source, if any. When a fault is
@@ -1029,11 +444,7 @@ impl TraceFileSource {
 
 impl TraceSource for TraceFileSource {
     fn name(&self) -> &str {
-        self.reader.name()
-    }
-
-    fn format(&self) -> TraceFormat {
-        self.reader.format()
+        &self.reader.name
     }
 
     fn total_records(&self) -> usize {
@@ -1055,7 +466,7 @@ impl TraceSource for TraceFileSource {
         let start = self.chunk_pos;
         self.chunk_pos += n;
         self.pos += n;
-        &self.reader.current()[start..start + n]
+        &self.reader.buf[start..start + n]
     }
 
     fn position(&self) -> usize {
@@ -1097,17 +508,38 @@ fn read_exact_or_truncated<R: Read>(
     })
 }
 
-/// Writes to `path` atomically (via a same-directory temporary file and
-/// rename), so concurrent writers — processes *or* threads — sharing a trace
-/// store never expose a half-written file at the final path. The create,
-/// every buffered write, and the committing rename all go through `policy`;
-/// on any failure the temporary file is cleaned up (best effort, un-policed
-/// — injecting on the cleanup of an already-failed save would only leave the
-/// same debris a crashed process leaves, which readers already ignore).
-fn atomic_save(
+/// [`save_source`] of a materialized trace (through its cursor) without
+/// fault injection. Kept as a one-line wrapper because the standalone
+/// benchmark (`perfbench/src/layers.rs`) compiles against it.
+///
+/// # Errors
+///
+/// As [`save_source`].
+pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
+    save_source(path, &mut trace.cursor(), &IoPolicy::none())
+}
+
+/// Drains `source` to `path` atomically, chunk by chunk, without ever
+/// materializing the full record array. The write goes to a same-directory
+/// temporary file that is renamed into place, so concurrent writers —
+/// processes *or* threads — sharing a trace store never expose a
+/// half-written file at the final path. The create, every buffered write
+/// and the committing rename all go through `policy`; on any failure the
+/// temporary file is cleaned up (best effort, unpoliced — injecting on the
+/// cleanup of an already-failed save would only leave the same debris a
+/// crashed process leaves, which readers already ignore).
+///
+/// # Errors
+///
+/// Besides writer errors and whatever `policy` injects, returns
+/// `InvalidData` if the source delivers fewer records than
+/// [`TraceSource::total_records`] promised (the partial file is discarded,
+/// never renamed into place), and `InvalidInput` for an over-long name or
+/// an unencodable record.
+pub fn save_source<S: TraceSource>(
     path: &Path,
+    source: &mut S,
     policy: &IoPolicy,
-    write: impl FnOnce(&mut BufWriter<PolicedWrite<File>>) -> io::Result<()>,
 ) -> io::Result<()> {
     // The temporary name must be unique per writer, not just per process:
     // two threads saving the same store entry would otherwise share the
@@ -1117,7 +549,7 @@ fn atomic_save(
     let tmp = path.with_extension(format!("tmp.{}.{writer}", std::process::id()));
     let result = (|| {
         let mut w = BufWriter::new(policy.writer(policy.create(&tmp)?));
-        match write(&mut w).and_then(|()| w.flush()) {
+        match write_source(&mut w, source).and_then(|()| w.flush()) {
             Ok(()) => policy.rename(&tmp, path),
             Err(e) => {
                 // Discard the buffered tail: `BufWriter`'s drop would
@@ -1134,126 +566,6 @@ fn atomic_save(
     result
 }
 
-/// Writes `trace` to `path` atomically (see [`atomic_save`]).
-pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    save_trace_with(path, trace, &IoPolicy::none())
-}
-
-/// [`save_trace`] with every filesystem operation routed through `policy`.
-pub fn save_trace_with(path: &Path, trace: &Trace, policy: &IoPolicy) -> io::Result<()> {
-    save_trace_opts(path, trace, policy, Compression::default())
-}
-
-/// [`save_trace_with`] with an explicit chunk-payload [`Compression`] — the
-/// variant the experiment trace store calls with
-/// [`Compression::from_env`].
-pub fn save_trace_opts(
-    path: &Path,
-    trace: &Trace,
-    policy: &IoPolicy,
-    compression: Compression,
-) -> io::Result<()> {
-    atomic_save(path, policy, |w| write_trace_opts(w, trace, compression))
-}
-
-/// Drains `source` to `path` atomically, chunk by chunk: the streaming twin
-/// of [`save_trace`], persisting (for example) a resumable
-/// [`TraceStream`](crate::TraceStream) without ever materializing the full
-/// record array. Oversized producer chunks (a materialized cursor yields its
-/// whole window as one chunk) are re-framed to the format's
-/// [`CHUNK_RECORDS`] bound.
-///
-/// # Errors
-///
-/// Besides writer errors, returns `InvalidData` if the source delivers fewer
-/// records than [`TraceSource::total_records`] promised (the partial file is
-/// discarded, never renamed into place), and `InvalidInput` for an over-long
-/// name as [`write_trace`] does.
-pub fn save_source<S: TraceSource>(path: &Path, source: &mut S) -> io::Result<()> {
-    save_source_with(path, source, &IoPolicy::none())
-}
-
-/// [`save_source`] with every filesystem operation routed through `policy`.
-///
-/// # Errors
-///
-/// Everything [`save_source`] reports, plus whatever `policy` injects.
-pub fn save_source_with<S: TraceSource>(
-    path: &Path,
-    source: &mut S,
-    policy: &IoPolicy,
-) -> io::Result<()> {
-    save_source_opts(path, source, policy, Compression::default())
-}
-
-/// [`save_source_with`] with an explicit chunk-payload [`Compression`] — the
-/// variant the experiment trace store calls with
-/// [`Compression::from_env`].
-///
-/// # Errors
-///
-/// Everything [`save_source_with`] reports.
-pub fn save_source_opts<S: TraceSource>(
-    path: &Path,
-    source: &mut S,
-    policy: &IoPolicy,
-    compression: Compression,
-) -> io::Result<()> {
-    atomic_save(path, policy, |w| {
-        let name = source.name().to_string();
-        let promised = source.total_records() as u64;
-        write_header(w, source.format(), compression, &name, promised)?;
-
-        let mut written = 0u64;
-        let mut chunks = ChunkWriter::new(source.format(), compression);
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            for frame in chunk.chunks(CHUNK_RECORDS) {
-                chunks.write_chunk(w, frame)?;
-                written += frame.len() as u64;
-            }
-        }
-        if written != promised {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("source promised {promised} records but delivered {written}"),
-            ));
-        }
-        Ok(())
-    })
-}
-
-/// Reads a trace from `path` (see [`read_trace`]).
-///
-/// # Errors
-///
-/// Returns a [`CodecError`] if the file is missing, unreadable or malformed.
-pub fn load_trace(path: &Path) -> Result<Trace, CodecError> {
-    load_trace_with(path, &IoPolicy::none())
-}
-
-/// [`load_trace`] with the open and every read routed through `policy`.
-///
-/// # Errors
-///
-/// Everything [`load_trace`] reports, plus whatever `policy` injects
-/// (surfacing as [`CodecError::Io`]).
-pub fn load_trace_with(path: &Path, policy: &IoPolicy) -> Result<Trace, CodecError> {
-    // No BufReader: the image is slurped in large reads anyway, so an 8 KiB
-    // staging buffer would only add copies. Pre-sizing from the file's
-    // length makes the slurp one allocation and one read — `read_to_end`'s
-    // doubling growth would copy a multi-megabyte image several times over.
-    let file = policy.open(path)?;
-    let size_hint = file.metadata().map(|m| m.len() as usize).unwrap_or(0);
-    let mut bytes = Vec::with_capacity(size_hint);
-    let mut r = policy.reader(file);
-    r.read_to_end(&mut bytes).map_err(CodecError::Io)?;
-    read_trace_bytes(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1264,23 +576,48 @@ mod tests {
         TraceGenerator::new(spec::compress(), 11).generate(n)
     }
 
-    /// A sample pinned to a specific format: the raw-layout byte-surgery
-    /// tests operate on v2 files, whose record offsets are fixed.
-    fn sample_with(n: usize, format: TraceFormat) -> Trace {
-        TraceGenerator::new(spec::compress(), 11)
-            .with_format(format)
-            .generate(n)
-    }
-
     fn encode(trace: &Trace) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_trace(&mut bytes, trace).expect("vec writes cannot fail");
+        write_source(&mut bytes, &mut trace.cursor()).expect("vec writes cannot fail");
         bytes
     }
 
-    /// Byte offsets of each chunk header in a compressed v3 file, walked
-    /// via the chunk directory's explicit byte lengths.
-    fn v3_chunk_offsets(bytes: &[u8], name_len: usize) -> Vec<usize> {
+    /// Decodes a whole in-memory image through the chunked reader.
+    fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
+        let mut reader = ChunkedTraceReader::new(bytes)?;
+        let mut records = Vec::new();
+        loop {
+            let chunk = reader.next_chunk()?;
+            if chunk.is_empty() {
+                break;
+            }
+            records.extend_from_slice(chunk);
+        }
+        Ok(Trace::new(reader.name, records))
+    }
+
+    /// Drains a file source, returning its records and fault.
+    fn drain(source: &mut TraceFileSource) -> Vec<InstrRecord> {
+        let mut records = Vec::new();
+        loop {
+            let chunk = source.next_chunk();
+            if chunk.is_empty() {
+                break;
+            }
+            records.extend_from_slice(chunk);
+        }
+        records
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rescache-codec-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    /// Byte offsets of each chunk header, walked via the chunk directory's
+    /// explicit byte lengths.
+    fn chunk_offsets(bytes: &[u8], name_len: usize) -> Vec<usize> {
         let mut off = 9 + 4 + name_len + 8;
         let mut offsets = Vec::new();
         while off < bytes.len() {
@@ -1297,23 +634,8 @@ mod tests {
         // Cover the empty, sub-chunk and multi-chunk cases.
         for n in [0usize, 1, 1000, CHUNK_RECORDS + 17] {
             let trace = sample(n);
-            let decoded = read_trace(&mut encode(&trace).as_slice()).expect("round trip");
+            let decoded = decode(&encode(&trace)).expect("round trip");
             assert_eq!(decoded, trace, "{n} records");
-        }
-    }
-
-    #[test]
-    fn both_format_versions_round_trip_and_are_preserved() {
-        for format in TraceFormat::ALL {
-            let trace = TraceGenerator::new(spec::compress(), 11)
-                .with_format(format)
-                .generate(500);
-            assert_eq!(trace.format(), format);
-            let bytes = encode(&trace);
-            assert_eq!(&bytes[..8], &format.magic(), "magic carries the version");
-            let decoded = read_trace(&mut bytes.as_slice()).expect("round trip");
-            assert_eq!(decoded.format(), format);
-            assert_eq!(decoded, trace);
         }
     }
 
@@ -1322,89 +644,87 @@ mod tests {
         let mut bytes = encode(&sample(100));
         bytes[7] = b'9';
         assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
+            decode(&bytes),
             Err(CodecError::UnsupportedVersion { version: b'9' })
         ));
         // A broken prefix is still BadMagic, not UnsupportedVersion.
         bytes[0] ^= 0xff;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadMagic)
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadMagic)));
     }
 
     #[test]
     fn mixed_version_open_is_rejected_with_a_typed_error() {
-        let dir = std::env::temp_dir().join(format!("rescache-codec-mixed-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        for (written, requested) in [
-            (TraceFormat::V1, TraceFormat::V2),
-            (TraceFormat::V2, TraceFormat::V1),
+        // Headers of the retired formats: v1/v2 were `RCTRACE1`/`RCTRACE2`
+        // followed directly by the name (no flags byte) and raw 12-byte
+        // records; v3's raw layout carried flags 0. All are rejected at the
+        // header, typed, before any record is read.
+        let dir = temp_dir("mixed");
+        let old_header = |magic: &[u8], flags: Option<u8>| {
+            let mut bytes = magic.to_vec();
+            bytes.extend(flags);
+            bytes.extend_from_slice(&4u32.to_le_bytes());
+            bytes.extend_from_slice(b"ammp");
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&[0u8; 12]);
+            bytes
+        };
+        for (tag, bytes) in [
+            ("v1", old_header(b"RCTRACE1", None)),
+            ("v2", old_header(b"RCTRACE2", None)),
+            ("raw", old_header(b"RCTRACE3", Some(0))),
         ] {
-            let path = dir.join(format!("{written}.rctrace"));
-            let trace = TraceGenerator::new(spec::compress(), 11)
-                .with_format(written)
-                .generate(300);
-            save_trace(&path, &trace).expect("save");
-            // The matching expectation opens fine...
-            let src = TraceFileSource::open_expecting(&path, None, written).expect("same version");
-            assert_eq!(src.format(), written);
-            // ...the mixed one is a typed rejection, not a panic or a
-            // silently-wrong stream.
-            let err = TraceFileSource::open_expecting(&path, None, requested).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CodecError::FormatMismatch { expected, found }
-                        if expected == requested && found == written
-                ),
-                "{written}->{requested}: {err}"
-            );
-            // The version-agnostic open still works and reports the version.
-            assert_eq!(
-                TraceFileSource::open(&path, None)
-                    .expect("any version")
-                    .format(),
-                written
-            );
+            let path = dir.join(format!("{tag}.rctrace"));
+            std::fs::write(&path, &bytes).expect("plant old file");
+            let err = TraceFileSource::open(&path, None).unwrap_err();
+            let expected = match tag {
+                "v1" => matches!(err, CodecError::UnsupportedVersion { version: b'1' }),
+                "v2" => matches!(err, CodecError::UnsupportedVersion { version: b'2' }),
+                _ => matches!(err, CodecError::UnsupportedFlags { flags: 0 }),
+            };
+            assert!(expected, "{tag}: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn round_trips_through_a_file() {
-        let dir = std::env::temp_dir().join(format!("rescache-codec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("file");
         let path = dir.join("compress.rctrace");
         let trace = sample(5_000);
         save_trace(&path, &trace).expect("save");
-        let decoded = load_trace(&path).expect("load");
-        assert_eq!(decoded, trace);
+        let mut source = TraceFileSource::open(&path, None).expect("open");
+        assert_eq!(source.name(), trace.name());
+        assert_eq!(drain(&mut source), trace.records());
+        assert!(source.fault().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_file_is_an_error() {
-        let err = load_trace(Path::new("/nonexistent/rescache.rctrace")).unwrap_err();
-        assert!(matches!(err, CodecError::Io(_)));
+        let err =
+            TraceFileSource::open(Path::new("/nonexistent/rescache.rctrace"), None).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Io(e) if e.kind() == io::ErrorKind::NotFound),
+            "{err}"
+        );
     }
 
     #[test]
     fn bad_magic_is_an_error() {
         let mut bytes = encode(&sample(100));
         bytes[0] ^= 0xff;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadMagic)
-        ));
+        assert!(matches!(decode(&bytes), Err(CodecError::BadMagic)));
     }
 
     #[test]
     fn truncation_is_an_error_not_a_panic() {
         let bytes = encode(&sample(1000));
-        // Cut the file at every structurally interesting prefix length.
-        for cut in [0, 4, 8, 10, 20, 30, bytes.len() / 2, bytes.len() - 1] {
-            let err = read_trace(&mut &bytes[..cut]).unwrap_err();
+        // Cut the file at every structurally interesting prefix length:
+        // inside the magic, the flags byte, the name, the count, the chunk
+        // header and the payload.
+        for cut in [0, 4, 8, 10, 20, 30, 34, bytes.len() / 2, bytes.len() - 1] {
+            let err = decode(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, CodecError::Truncated { .. }),
                 "cut {cut}: {err}"
@@ -1414,56 +734,63 @@ mod tests {
 
     #[test]
     fn corrupt_record_tag_is_an_error() {
-        let trace = sample_with(100, TraceFormat::V2);
+        // An operation tag beyond the last kind in the first record's head
+        // (payload byte 1: the layout byte leads, then the little-endian
+        // head whose low three bits are the tag).
+        let trace = sample(100);
         let mut bytes = encode(&trace);
-        // Locate the first record's tag byte: magic(8) + name_len(4) +
-        // name + count(8) + chunk_len(4) + 8 bytes into the record.
-        let offset = 8 + 4 + trace.name().len() + 8 + 4 + 8;
-        bytes[offset] = 0xee;
+        let chunk = chunk_offsets(&bytes, trace.name().len())[0];
+        bytes[chunk + 9] |= 0x07;
         assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadRecord(_))
+            decode(&bytes),
+            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
     }
 
     #[test]
     fn impossible_chunk_header_is_an_error() {
-        // Raw v2 layout: the chunk length field directly follows the count.
-        let trace = sample_with(100, TraceFormat::V2);
-        let mut bytes = encode(&trace);
-        let chunk_header = 8 + 4 + trace.name().len() + 8;
-        bytes[chunk_header..chunk_header + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadChunk { .. })
-        ));
-        // Compressed v3 layout: same rejection, one flags byte later.
         let trace = sample(100);
-        let mut bytes = encode(&trace);
-        let chunk_header = v3_chunk_offsets(&bytes, trace.name().len())[0];
-        bytes[chunk_header..chunk_header + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::BadChunk { .. })
-        ));
+        let bytes = encode(&trace);
+        let chunk = chunk_offsets(&bytes, trace.name().len())[0];
+        // Zero, over-long and more-than-remaining record counts.
+        for len in [0u32, u32::MAX, CHUNK_RECORDS as u32 + 1, 101] {
+            let mut b = bytes.clone();
+            b[chunk..chunk + 4].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(decode(&b), Err(CodecError::BadChunk { len: l, .. }) if l == len),
+                "chunk length {len}"
+            );
+        }
     }
 
     #[test]
     fn over_long_name_is_rejected_at_write_time() {
-        use crate::record::{InstrRecord, Op};
+        use crate::record::Op;
         let trace = Trace::new(
             "n".repeat(MAX_NAME_BYTES as usize + 1),
             vec![InstrRecord::new(0x400, Op::Int)],
         );
         let mut bytes = Vec::new();
-        let err = write_trace(&mut bytes, &trace).unwrap_err();
+        let err = write_source(&mut bytes, &mut trace.cursor()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        // Through the atomic save, nothing lands at the path.
+        let dir = temp_dir("longname");
+        let path = dir.join("long.rctrace");
+        let err = save_trace(&path, &trace).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!path.exists());
+        assert_eq!(
+            std::fs::read_dir(&dir).expect("dir").count(),
+            0,
+            "no debris"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn concurrent_saves_of_one_entry_never_expose_a_torn_file() {
-        let dir = std::env::temp_dir().join(format!("rescache-codec-race-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("race");
         let path = dir.join("entry.rctrace");
         let trace = sample(2_000);
         std::thread::scope(|scope| {
@@ -1471,8 +798,10 @@ mod tests {
                 scope.spawn(|| {
                     for _ in 0..8 {
                         save_trace(&path, &trace).expect("save");
-                        let loaded = load_trace(&path).expect("load during races");
-                        assert_eq!(loaded, trace);
+                        let mut source =
+                            TraceFileSource::open(&path, None).expect("open during races");
+                        assert_eq!(drain(&mut source), trace.records());
+                        assert!(source.fault().is_none());
                     }
                 });
             }
@@ -1482,19 +811,14 @@ mod tests {
 
     #[test]
     fn oversized_name_is_an_error() {
-        // The name-length field sits at 8 in v1/v2 and at 9 in v3 (after
-        // the flags byte); both containers must reject an absurd value.
-        for (bytes, offset) in [
-            (encode(&sample_with(10, TraceFormat::V2)), 8usize),
-            (encode(&sample(10)), 9),
-        ] {
-            let mut bytes = bytes;
-            bytes[offset..offset + 4].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
-            assert!(matches!(
-                read_trace(&mut bytes.as_slice()),
-                Err(CodecError::BadName)
-            ));
-        }
+        // The name-length field follows the magic and the flags byte.
+        let mut bytes = encode(&sample(10));
+        bytes[9..13].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
+        assert!(matches!(decode(&bytes), Err(CodecError::BadName)));
+        // A name that is not UTF-8 is rejected the same way.
+        let mut bytes = encode(&sample(10));
+        bytes[13] = 0xff;
+        assert!(matches!(decode(&bytes), Err(CodecError::BadName)));
     }
 
     #[test]
@@ -1502,8 +826,8 @@ mod tests {
         let trace = sample(2 * CHUNK_RECORDS + 321);
         let bytes = encode(&trace);
         let mut reader = ChunkedTraceReader::new(bytes.as_slice()).expect("header");
-        assert_eq!(reader.name(), trace.name());
-        assert_eq!(reader.total_records(), trace.len() as u64);
+        assert_eq!(reader.name, trace.name());
+        assert_eq!(reader.total, trace.len() as u64);
         let mut records = Vec::new();
         loop {
             let chunk = reader.next_chunk().expect("chunk");
@@ -1514,30 +838,21 @@ mod tests {
             records.extend_from_slice(chunk);
         }
         assert_eq!(records, trace.records());
-        assert_eq!(reader.delivered(), trace.len() as u64);
+        assert_eq!(reader.delivered, trace.len() as u64);
         // Exhausted readers keep returning empty chunks.
         assert!(reader.next_chunk().expect("past end").is_empty());
     }
 
     #[test]
     fn prefix_serving_is_chunk_granular() {
-        let dir =
-            std::env::temp_dir().join(format!("rescache-codec-prefix-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("prefix");
         let path = dir.join("compress.rctrace");
-        let trace = sample_with(2 * CHUNK_RECORDS + 100, TraceFormat::V2);
+        let trace = sample(2 * CHUNK_RECORDS + 100);
         save_trace(&path, &trace).expect("save");
 
         let drain_prefix = |n: usize| {
             let mut source = TraceFileSource::open(&path, Some(n)).expect("open prefix");
-            let mut records = Vec::with_capacity(n);
-            loop {
-                let chunk = source.next_chunk();
-                if chunk.is_empty() {
-                    break;
-                }
-                records.extend_from_slice(chunk);
-            }
+            let records = drain(&mut source);
             assert!(source.fault().is_none(), "{:?}", source.fault());
             records
         };
@@ -1546,22 +861,29 @@ mod tests {
         let n = CHUNK_RECORDS + 17;
         assert_eq!(drain_prefix(n), &trace.records()[..n]);
 
-        // Corruption *beyond* the requested prefix is never read: flip a
-        // record tag in the last chunk and the prefix still serves cleanly.
+        // Corruption *beyond* the requested prefix is never read: set a
+        // reserved head bit in the last chunk and the prefix still serves
+        // cleanly...
         let mut bytes = std::fs::read(&path).expect("read");
-        let tail_record = bytes.len() - ENCODED_RECORD_BYTES + 8;
-        bytes[tail_record] = 0xee;
+        let last = *chunk_offsets(&bytes, trace.name().len())
+            .last()
+            .expect("chunks");
+        bytes[last + 10] |= 0x80;
         std::fs::write(&path, &bytes).expect("corrupt tail");
         assert_eq!(drain_prefix(n), &trace.records()[..n]);
-        // ... but the full load now fails.
-        assert!(matches!(load_trace(&path), Err(CodecError::BadRecord(_))));
+        // ... but a full replay now faults.
+        let mut source = TraceFileSource::open(&path, None).expect("open full");
+        drain(&mut source);
+        assert!(matches!(
+            source.fault(),
+            Some(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn file_source_replays_and_splits_across_chunk_boundaries() {
-        let dir = std::env::temp_dir().join(format!("rescache-codec-fsrc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("fsrc");
         let path = dir.join("compress.rctrace");
         let trace = sample(2 * CHUNK_RECORDS + 50);
         save_trace(&path, &trace).expect("save");
@@ -1570,15 +892,8 @@ mod tests {
         let mut src = TraceFileSource::open(&path, None).expect("open");
         assert_eq!(src.name(), trace.name());
         assert_eq!(src.total_records(), trace.len());
-        let mut records = Vec::new();
-        loop {
-            let chunk = src.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        assert_eq!(records, trace.records());
+        assert_eq!(src.file_records(), trace.len());
+        assert_eq!(drain(&mut src), trace.records());
         assert!(src.fault().is_none());
 
         // Prefix serving plus a split point that lands mid-chunk: the two
@@ -1588,23 +903,10 @@ mod tests {
         let mut src = TraceFileSource::open(&path, Some(take)).expect("open prefix");
         assert_eq!(src.total_records(), take);
         src.split_at(split);
-        let mut records = Vec::new();
-        loop {
-            let chunk = src.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
+        let mut records = drain(&mut src);
         assert_eq!(src.position(), split);
         src.split_at(take);
-        loop {
-            let chunk = src.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
+        records.extend(drain(&mut src));
         assert_eq!(records, &trace.records()[..take]);
 
         // skip() drops records and keeps delivering the right suffix.
@@ -1622,31 +924,25 @@ mod tests {
 
     #[test]
     fn file_source_records_a_fault_instead_of_panicking() {
-        let dir = std::env::temp_dir().join(format!("rescache-codec-fault-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("fault");
         let path = dir.join("compress.rctrace");
-        let trace = sample_with(2 * CHUNK_RECORDS, TraceFormat::V2);
+        let trace = sample(2 * CHUNK_RECORDS);
         save_trace(&path, &trace).expect("save");
 
         // Corrupt a record tag in the second chunk: the source delivers the
         // first chunk, then faults and under-delivers.
         let mut bytes = std::fs::read(&path).expect("read");
-        let second_chunk_record =
-            8 + 4 + trace.name().len() + 8 + 4 + CHUNK_RECORDS * ENCODED_RECORD_BYTES + 4 + 8;
-        bytes[second_chunk_record] = 0xee;
+        let second = chunk_offsets(&bytes, trace.name().len())[1];
+        bytes[second + 9] |= 0x07;
         std::fs::write(&path, &bytes).expect("corrupt");
 
         let mut src = TraceFileSource::open(&path, None).expect("header is intact");
-        let mut delivered = 0;
-        loop {
-            let chunk = src.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            delivered += chunk.len();
-        }
+        let delivered = drain(&mut src).len();
         assert_eq!(delivered, CHUNK_RECORDS, "only the intact chunk arrives");
-        assert!(matches!(src.fault(), Some(CodecError::BadRecord(_))));
+        assert!(matches!(
+            src.fault(),
+            Some(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+        ));
         // Once faulted, the source stays exhausted.
         assert!(src.next_chunk().is_empty());
         std::fs::remove_dir_all(&dir).ok();
@@ -1654,15 +950,13 @@ mod tests {
 
     #[test]
     fn save_source_streams_a_generator_to_the_identical_file_contents() {
-        let dir =
-            std::env::temp_dir().join(format!("rescache-codec-savesrc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("savesrc");
         let n = CHUNK_RECORDS + 999;
         let generator = TraceGenerator::new(spec::compress(), 11);
 
         let streamed_path = dir.join("streamed.rctrace");
         let mut stream = generator.stream(n);
-        save_source(&streamed_path, &mut stream).expect("stream to disk");
+        save_source(&streamed_path, &mut stream, &IoPolicy::none()).expect("stream to disk");
 
         let materialized_path = dir.join("materialized.rctrace");
         save_trace(&materialized_path, &generator.generate(n)).expect("save");
@@ -1677,7 +971,7 @@ mod tests {
         let missing = dir.join("underdelivered.rctrace");
         let mut fenced = generator.stream(n);
         fenced.split_at(100);
-        let err = save_source(&missing, &mut fenced).unwrap_err();
+        let err = save_source(&missing, &mut fenced, &IoPolicy::none()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(!missing.exists(), "partial file never renamed into place");
         std::fs::remove_dir_all(&dir).ok();
@@ -1688,11 +982,10 @@ mod tests {
         use crate::faults::{FaultInjector, FaultKind, IoOp, ScriptedFault};
         use std::sync::Arc;
 
-        let dir =
-            std::env::temp_dir().join(format!("rescache-codec-inject-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("inject");
         let path = dir.join("entry.rctrace");
         let trace = sample(2 * CHUNK_RECORDS);
+        let save = |policy: &IoPolicy| save_source(&path, &mut trace.cursor(), policy);
 
         // A write fault aborts the save and leaves no file (and no debris at
         // the final path).
@@ -1701,7 +994,7 @@ mod tests {
             kind: FaultKind::Transient,
         }]));
         let policy = IoPolicy::with_injector(Arc::clone(&injector));
-        let err = save_trace_with(&path, &trace, &policy).unwrap_err();
+        let err = save(&policy).unwrap_err();
         assert!(crate::faults::is_transient(&err));
         assert!(!path.exists(), "failed save leaves nothing at the path");
 
@@ -1711,14 +1004,14 @@ mod tests {
             op: IoOp::Rename,
             kind: FaultKind::DiskFull,
         });
-        let err = save_trace_with(&path, &trace, &policy).unwrap_err();
+        let err = save(&policy).unwrap_err();
         assert!(crate::faults::is_disk_full(&err));
         assert!(!path.exists());
 
         // With the script drained the same policy saves cleanly, and a read
         // fault mid-replay surfaces as a recorded source fault — the same
         // degradation path a truncated entry takes.
-        save_trace_with(&path, &trace, &policy).expect("clean save");
+        save(&policy).expect("clean save");
         // Open first (the header read passes), then inject: the fault lands
         // mid-replay rather than at open time.
         let mut src = TraceFileSource::open_with(&path, None, &policy).expect("open");
@@ -1726,14 +1019,7 @@ mod tests {
             op: IoOp::Read,
             kind: FaultKind::Transient,
         });
-        let mut delivered = 0;
-        loop {
-            let chunk = src.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            delivered += chunk.len();
-        }
+        let delivered = drain(&mut src).len();
         assert!(
             delivered < trace.len(),
             "the injected read cut replay short"
@@ -1744,13 +1030,13 @@ mod tests {
             src.fault()
         );
 
-        // load_trace_with reports the injected error as CodecError::Io.
+        // An open fault is reported as CodecError::Io.
         injector.push(ScriptedFault {
             op: IoOp::Open,
             kind: FaultKind::Transient,
         });
         assert!(matches!(
-            load_trace_with(&path, &policy),
+            TraceFileSource::open_with(&path, None, &policy),
             Err(CodecError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -1759,78 +1045,35 @@ mod tests {
     #[test]
     fn v3_default_is_compressed_and_at_least_halves_the_file() {
         let trace = sample(20_000);
-        assert_eq!(trace.format(), TraceFormat::V3);
         let bytes = encode(&trace);
         assert_eq!(&bytes[..8], b"RCTRACE3");
         assert_eq!(bytes[8], 1, "flags byte announces compression");
         assert!(
-            bytes.len() * 2 <= trace.len() * ENCODED_RECORD_BYTES,
+            bytes.len() * 2 <= trace.len() * std::mem::size_of::<InstrRecord>(),
             "{} bytes for {} records is under 2x compression",
             bytes.len(),
             trace.len()
         );
-        let mut reader = ChunkedTraceReader::new(bytes.as_slice()).expect("header");
-        assert_eq!(reader.compression(), Compression::Delta);
-        let mut records = Vec::new();
-        while reader.next_chunk_into(&mut records).expect("chunk") > 0 {}
-        assert_eq!(records, trace.records());
-    }
-
-    #[test]
-    fn v3_raw_override_round_trips_the_same_records() {
-        let trace = sample(CHUNK_RECORDS + 500);
-        let mut raw = Vec::new();
-        write_trace_opts(&mut raw, &trace, Compression::Raw).expect("raw write");
-        assert_eq!(raw[8], 0, "flags byte announces raw chunks");
-        let decoded = read_trace(&mut raw.as_slice()).expect("raw round trip");
-        assert_eq!(decoded, trace);
-        assert_eq!(decoded.format(), TraceFormat::V3);
-        let compressed = encode(&trace);
-        assert!(
-            compressed.len() * 2 <= raw.len(),
-            "compressed {} vs raw {}",
-            compressed.len(),
-            raw.len()
-        );
+        assert_eq!(decode(&bytes).expect("decode").records(), trace.records());
     }
 
     #[test]
     fn unknown_flags_byte_is_a_typed_error() {
-        let mut bytes = encode(&sample(100));
-        bytes[8] = 0x82;
-        assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
-            Err(CodecError::UnsupportedFlags { flags: 0x82 })
-        ));
-    }
-
-    #[test]
-    fn compress_env_knob_parses_every_spelling() {
-        // No other test in this binary reads the knob, so the process-global
-        // mutation cannot race; the var is cleared again before returning.
-        for (value, expected) in [
-            (Some("0"), Compression::Raw),
-            (Some("off"), Compression::Raw),
-            (Some("raw"), Compression::Raw),
-            (Some("1"), Compression::Delta),
-            (Some("delta"), Compression::Delta),
-            (Some("anything-else"), Compression::Delta),
-            (None, Compression::Delta),
-        ] {
-            match value {
-                Some(v) => std::env::set_var("RESCACHE_STORE_COMPRESS", v),
-                None => std::env::remove_var("RESCACHE_STORE_COMPRESS"),
-            }
-            assert_eq!(Compression::from_env(), expected, "value {value:?}");
+        for flags in [0x82u8, 0, 3] {
+            let mut bytes = encode(&sample(100));
+            bytes[8] = flags;
+            assert!(
+                matches!(decode(&bytes), Err(CodecError::UnsupportedFlags { flags: f }) if f == flags),
+                "flags {flags:#04x}"
+            );
         }
-        std::env::remove_var("RESCACHE_STORE_COMPRESS");
     }
 
     #[test]
     fn compressed_chunk_corruption_is_typed_never_a_panic() {
         let trace = sample(2 * CHUNK_RECORDS);
         let bytes = encode(&trace);
-        let chunk = v3_chunk_offsets(&bytes, trace.name().len())[0];
+        let chunk = chunk_offsets(&bytes, trace.name().len())[0];
         let byte_len = u32::from_le_bytes(bytes[chunk + 4..chunk + 8].try_into().expect("4 bytes"));
 
         // An impossible chunk-directory byte length (pointing the payload
@@ -1838,7 +1081,7 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 4..chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadChunkBytes {
                 byte_len: u32::MAX,
                 ..
@@ -1850,7 +1093,7 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 4..chunk + 8].copy_from_slice(&(byte_len - 1).to_le_bytes());
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadPayload(CorruptChunk::Truncated))
         ));
 
@@ -1858,7 +1101,7 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 4..chunk + 8].copy_from_slice(&(byte_len + 1).to_le_bytes());
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadPayload(CorruptChunk::TrailingBytes {
                 extra: 1
             }))
@@ -1869,78 +1112,16 @@ mod tests {
         let mut b = bytes.clone();
         b[chunk + 10] |= 0x80;
         assert!(matches!(
-            read_trace(&mut b.as_slice()),
+            decode(&b),
             Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
-    }
-
-    #[test]
-    fn parallel_decode_matches_serial_and_reports_corruption_typed() {
-        // Enough chunks that `read_trace` takes its fan-out path (the
-        // threshold in `decode_workers`); the streaming reader is the
-        // always-serial reference.
-        let trace = sample(6 * CHUNK_RECORDS + 123);
-        let bytes = encode(&trace);
-        let decoded = read_trace(&mut bytes.as_slice()).expect("parallel load");
-        assert_eq!(decoded, trace);
-
-        // A reserved head bit deep in a middle chunk surfaces as the same
-        // typed error the serial path reports, never a panic.
-        let mut b = bytes.clone();
-        let chunk = v3_chunk_offsets(&bytes, trace.name().len())[3];
-        b[chunk + 10] |= 0x80;
-        assert!(matches!(
-            read_trace(&mut b.as_slice()),
-            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
-        ));
-    }
-
-    #[test]
-    fn explicit_worker_fan_out_is_bit_identical_and_blames_the_earliest_chunk() {
-        // `decode_workers` is capped by the host's parallelism (1 on a
-        // single-core runner), so drive the fan-out with explicit worker
-        // counts: every count must reproduce the streaming decode bit for
-        // bit, including the trailing partial chunk.
-        let trace = sample(6 * CHUNK_RECORDS + 123);
-        let bytes = encode(&trace);
-        for workers in [2usize, 3, 8] {
-            let decoded = read_trace_bytes_parallel(&bytes, workers).expect("parallel decode");
-            assert_eq!(decoded, trace, "{workers} workers");
-        }
-
-        // Corrupt two chunks so different worker groups each hit an error:
-        // the fan-out must blame the *earliest* corrupt chunk, exactly as
-        // the streaming reader does.
-        let offsets = v3_chunk_offsets(&bytes, trace.name().len());
-        let mut b = bytes.clone();
-        b[offsets[2] + 10] |= 0x80;
-        b[offsets[4] + 10] |= 0x80;
-        let serial = {
-            let mut reader = ChunkedTraceReader::new(b.as_slice()).expect("header intact");
-            let mut records = Vec::new();
-            loop {
-                match reader.next_chunk_into_borrowed(&mut records) {
-                    Ok(0) => unreachable!("streaming decode must hit the corrupt chunk"),
-                    Ok(_) => {}
-                    Err(e) => break e,
-                }
-            }
-        };
-        for workers in [2usize, 3, 8] {
-            let parallel = read_trace_bytes_parallel(&b, workers).expect_err("corrupt chunk");
-            assert_eq!(
-                format!("{parallel:?}"),
-                format!("{serial:?}"),
-                "{workers} workers"
-            );
-        }
     }
 
     #[test]
     fn bad_delta_base_is_a_typed_error() {
-        // Hand-assemble a v3 file whose single record steps the PC stream
-        // below zero — the "bad delta base" shape a resequenced or
-        // bit-flipped chunk produces.
+        // Hand-assemble a file whose single record steps the PC stream below
+        // zero — the "bad delta base" shape a resequenced or bit-flipped
+        // chunk produces.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"RCTRACE3");
         bytes.push(1); // flags: compressed
@@ -1952,23 +1133,21 @@ mod tests {
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(payload);
         assert!(matches!(
-            read_trace(&mut bytes.as_slice()),
+            decode(&bytes),
             Err(CodecError::BadPayload(CorruptChunk::DeltaOutOfRange))
         ));
     }
 
     #[test]
     fn v3_prefix_serving_never_reads_corruption_beyond_the_prefix() {
-        let dir =
-            std::env::temp_dir().join(format!("rescache-codec-v3prefix-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let dir = temp_dir("v3prefix");
         let path = dir.join("compress.v3.rctrace");
         let trace = sample(2 * CHUNK_RECORDS + 100);
         save_trace(&path, &trace).expect("save");
 
         // Scribble over the *last* chunk's directory entry.
         let mut bytes = std::fs::read(&path).expect("read");
-        let last = *v3_chunk_offsets(&bytes, trace.name().len())
+        let last = *chunk_offsets(&bytes, trace.name().len())
             .last()
             .expect("chunks");
         bytes[last + 4..last + 8].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1977,34 +1156,17 @@ mod tests {
         // A prefix covered by the intact chunks serves cleanly...
         let n = CHUNK_RECORDS + 17;
         let mut source = TraceFileSource::open(&path, Some(n)).expect("open prefix");
-        let mut records = Vec::with_capacity(n);
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
+        assert_eq!(drain(&mut source), &trace.records()[..n]);
         assert!(source.fault().is_none(), "{:?}", source.fault());
-        assert_eq!(records, &trace.records()[..n]);
-        // ...while the full read reports the corruption typed.
-        assert!(matches!(
-            load_trace(&path),
-            Err(CodecError::BadChunkBytes { .. })
-        ));
 
-        // A full-file source faults mid-stream instead of panicking, after
-        // delivering every intact chunk.
+        // ...while a full-file source faults mid-stream instead of
+        // panicking, after delivering every intact chunk.
         let mut source = TraceFileSource::open(&path, None).expect("open full");
-        let mut delivered = 0;
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            delivered += chunk.len();
-        }
-        assert_eq!(delivered, 2 * CHUNK_RECORDS, "intact chunks arrive");
+        assert_eq!(
+            drain(&mut source).len(),
+            2 * CHUNK_RECORDS,
+            "intact chunks arrive"
+        );
         assert!(matches!(
             source.fault(),
             Some(CodecError::BadChunkBytes { .. })

@@ -1,12 +1,11 @@
-//! Delta compression of record chunks: the payload encoding of the v3 trace
+//! Delta compression of record chunks: the payload encoding of the trace
 //! container (see [`crate::codec`]).
 //!
 //! Each chunk compresses independently — the delta bases reset at every
 //! chunk boundary — so the store's chunk-granular properties survive
 //! compression unchanged: streaming replay decodes one chunk at a time,
-//! prefix serving never reads past the chunk that covers the request, a
-//! corrupt chunk poisons only itself, and whole-trace loads can decode
-//! chunks on parallel workers.
+//! prefix serving never reads past the chunk that covers the request, and a
+//! corrupt chunk poisons only itself.
 //!
 //! The payload is *sectioned* — three planes, not one interleaved record
 //! stream:
@@ -40,7 +39,7 @@
 //! wins back several times over. PCs walk basic blocks (deltas of a few
 //! instruction slots, occasionally a jump) and data addresses are dominated
 //! by strided and in-set accesses, so typical records cost 4–6 bytes
-//! against the raw encoding's fixed 12. The hard bounds are
+//! against the packed in-memory record's 12. The hard bounds are
 //! [`MIN_RECORD_BYTES`] and [`MAX_RECORD_BYTES`]; the container rejects
 //! chunk byte lengths outside them before reading the payload.
 //!
@@ -242,8 +241,8 @@ pub fn encode_chunk(records: &[InstrRecord], out: &mut Vec<u8>) -> Result<(), Un
     Ok(())
 }
 
-/// Decodes exactly `len` records from the compressed payload `bytes`,
-/// appending them to `out`.
+/// Decodes the compressed payload `bytes` into an exactly-sized slice: one
+/// decoded record per slot.
 ///
 /// The output is pre-sized and written through a slice rather than pushed
 /// record by record: per-record `Vec` bookkeeping (length and capacity live
@@ -254,25 +253,7 @@ pub fn encode_chunk(records: &[InstrRecord], out: &mut Vec<u8>) -> Result<(), Un
 ///
 /// Returns a [`CorruptChunk`] if the payload is malformed in any way,
 /// including bytes left over after the last record; `out` holds
-/// unspecified extra records on error and must be discarded.
-pub fn decode_chunk(
-    bytes: &[u8],
-    len: usize,
-    out: &mut Vec<InstrRecord>,
-) -> Result<(), CorruptChunk> {
-    let start = out.len();
-    out.resize(start + len, InstrRecord::zeroed());
-    decode_chunk_into(bytes, &mut out[start..])
-}
-
-/// [`decode_chunk`] writing into an exactly-sized slice: one decoded record
-/// per slot. This is the target the parallel whole-trace load path hands
-/// each worker — disjoint sub-slices of the final record vector, one per
-/// chunk, with no per-thread staging.
-///
-/// # Errors
-///
-/// Exactly as [`decode_chunk`]; `out` holds unspecified records on error.
+/// unspecified records on error and must be discarded.
 #[inline(never)]
 pub fn decode_chunk_into(bytes: &[u8], out: &mut [InstrRecord]) -> Result<(), CorruptChunk> {
     // Low-bits mask per field length. Indexed by a 3-bit value so the bounds
@@ -417,6 +398,17 @@ mod tests {
     use crate::record::Op;
     use crate::spec;
 
+    /// Decodes exactly `len` records from `bytes`, appending them to `out`.
+    fn decode_chunk(
+        bytes: &[u8],
+        len: usize,
+        out: &mut Vec<InstrRecord>,
+    ) -> Result<(), CorruptChunk> {
+        let start = out.len();
+        out.resize(start + len, InstrRecord::zeroed());
+        decode_chunk_into(bytes, &mut out[start..])
+    }
+
     fn round_trip(records: &[InstrRecord]) -> Vec<InstrRecord> {
         let mut payload = Vec::new();
         encode_chunk(records, &mut payload).expect("encodable");
@@ -486,14 +478,10 @@ mod tests {
             encode_chunk(&[deep], &mut payload),
             Err(UnencodableRecord::DepTooLarge { dep: 64 })
         );
-        // A non-memory record with an address only arises from a foreign
-        // raw file; the encoder refuses rather than silently dropping it.
-        let stray = InstrRecord::decode(&{
-            let mut bytes = InstrRecord::new(0x400, Op::Int).encode();
-            bytes[4] = 1; // plant a stray address lane byte
-            bytes
-        })
-        .expect("raw decode does not police addresses");
+        // A non-memory record with an address cannot come from the public
+        // constructors; the encoder still refuses rather than silently
+        // dropping the lane.
+        let stray = InstrRecord::from_lanes_validated(0x400, 1, kind::INT, 0, 0);
         assert_eq!(
             encode_chunk(&[stray], &mut payload),
             Err(UnencodableRecord::StrayAddress { kind: kind::INT })

@@ -36,40 +36,24 @@ use crate::trace::Trace;
 pub struct TraceGenerator {
     profile: AppProfile,
     seed: u64,
-    format: TraceFormat,
 }
 
 impl TraceGenerator {
-    /// Creates a generator for the given profile and seed, producing the
-    /// default (current) [`TraceFormat`]; use [`TraceGenerator::with_format`]
-    /// to reproduce another version's bit stream.
+    /// Creates a generator for the given profile and seed.
     pub fn new(profile: AppProfile, seed: u64) -> Self {
-        Self {
-            profile,
-            seed,
-            format: TraceFormat::default(),
-        }
+        Self { profile, seed }
     }
 
-    /// Selects the [`TraceFormat`] this generator produces. Formats differ
-    /// only in dedicated RNG sub-streams: the dependency-distance bits
-    /// (v1 vs v2/v3) and the instruction-mix draw's quantization (v1/v2
-    /// compare `next_f64()` at 53-bit resolution, v3 compares the raw
-    /// 64-bit draw against fixed-point thresholds); PCs, addresses and
-    /// branch outcomes are identical across all formats.
-    pub fn with_format(mut self, format: TraceFormat) -> Self {
-        self.format = format;
+    /// Selects the [`TraceFormat`] this generator produces. v3 is the only
+    /// format, so this returns the generator unchanged; it stays because the
+    /// standalone benchmark (`perfbench/src/layers.rs`) compiles against it.
+    pub fn with_format(self, TraceFormat::V3: TraceFormat) -> Self {
         self
     }
 
     /// The profile this generator expands.
     pub fn profile(&self) -> &AppProfile {
         &self.profile
-    }
-
-    /// The [`TraceFormat`] this generator produces.
-    pub fn format(&self) -> TraceFormat {
-        self.format
     }
 
     /// Generates a trace of `instructions` dynamic instructions.
@@ -83,7 +67,7 @@ impl TraceGenerator {
             let record = stream.step();
             records.push(record);
         }
-        Trace::with_format(self.profile.name, records, self.format)
+        Trace::new(self.profile.name, records)
     }
 
     /// Returns a resumable stream over the same `instructions`-long record
@@ -108,15 +92,11 @@ impl TraceGenerator {
         let ilp_rng = rng.fork(4);
 
         TraceStream {
-            ilp: self.profile.ilp.sampler(self.format),
-            // v3's zero-f64 classification: the cumulative thresholds are
-            // hoisted out of the per-record loop here, exactly as the
-            // distance sampler hoists its table.
-            mix_thresholds: match self.format {
-                TraceFormat::V1 | TraceFormat::V2 => None,
-                TraceFormat::V3 => Some(self.profile.mix.thresholds()),
-            },
-            format: self.format,
+            ilp: self.profile.ilp.sampler(),
+            // Zero-f64 classification: the cumulative thresholds are hoisted
+            // out of the per-record loop here, exactly as the distance
+            // sampler hoists its table.
+            mix_thresholds: self.profile.mix.thresholds(),
             profile: self.profile.clone(),
             total: instructions as u64,
             pos: 0,
@@ -137,7 +117,6 @@ impl TraceGenerator {
 #[derive(Debug, Clone)]
 pub struct TraceStream {
     profile: AppProfile,
-    format: TraceFormat,
     total: u64,
     pos: u64,
     /// Absolute record index delivery is fenced at (see
@@ -148,9 +127,8 @@ pub struct TraceStream {
     mix_rng: Prng,
     ilp_rng: Prng,
     ilp: DistanceSampler,
-    /// `Some` for v3: the integer-threshold instruction-mix draw; `None`
-    /// reproduces the v1/v2 `f64` comparison bit for bit.
-    mix_thresholds: Option<MixThresholds>,
+    /// The integer-threshold instruction-mix draw.
+    mix_thresholds: MixThresholds,
     code_cursor: ScheduleCursor,
     data_cursor: ScheduleCursor,
     buf: Vec<InstrRecord>,
@@ -171,28 +149,14 @@ impl TraceStream {
 
         let op = if step.is_branch {
             Op::Branch { taken: step.taken }
-        } else if let Some(thresholds) = &self.mix_thresholds {
-            // v3: one raw 64-bit draw against precomputed fixed-point
-            // thresholds — no f64 math per record. Consumes exactly the
-            // one `next_u64` the f64 path does, so the code/data/ilp
-            // sub-streams stay aligned across formats.
-            match thresholds.classify(self.mix_rng.next_u64()) {
+        } else {
+            // One raw 64-bit draw against precomputed fixed-point
+            // thresholds — no f64 math per record.
+            match self.mix_thresholds.classify(self.mix_rng.next_u64()) {
                 MixClass::Load => Op::Load(self.data.next_address(&data_ws)),
                 MixClass::Store => Op::Store(self.data.next_address(&data_ws)),
                 MixClass::Fp => Op::Fp,
                 MixClass::Int => Op::Int,
-            }
-        } else {
-            let r = self.mix_rng.next_f64();
-            let mix = self.profile.mix;
-            if r < mix.load {
-                Op::Load(self.data.next_address(&data_ws))
-            } else if r < mix.load + mix.store {
-                Op::Store(self.data.next_address(&data_ws))
-            } else if r < mix.load + mix.store + mix.fp {
-                Op::Fp
-            } else {
-                Op::Int
             }
         };
 
@@ -205,10 +169,6 @@ impl TraceStream {
 impl TraceSource for TraceStream {
     fn name(&self) -> &str {
         self.profile.name
-    }
-
-    fn format(&self) -> TraceFormat {
-        self.format
     }
 
     fn total_records(&self) -> usize {
@@ -284,84 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn formats_differ_only_in_dependency_bits() {
-        let n = 10_000;
-        let v2 = TraceGenerator::new(spec::gcc(), 7)
-            .with_format(TraceFormat::V2)
-            .generate(n);
-        let v1 = TraceGenerator::new(spec::gcc(), 7)
-            .with_format(TraceFormat::V1)
-            .generate(n);
-        assert_eq!(v2.format(), TraceFormat::V2);
-        assert_eq!(v1.format(), TraceFormat::V1);
-        let mut dep_diffs = 0u64;
-        for (a, b) in v1.iter().zip(v2.iter()) {
-            assert_eq!(a.pc(), b.pc(), "PC walk must be format-independent");
-            assert_eq!(a.op(), b.op(), "op/address must be format-independent");
-            if (a.dep1(), a.dep2()) != (b.dep1(), b.dep2()) {
-                dep_diffs += 1;
-            }
-        }
-        assert!(
-            dep_diffs > 0,
-            "the v2 sampler must actually change dependency bits"
-        );
-    }
-
-    #[test]
-    fn v3_records_match_v2_record_for_record() {
-        // v3 re-quantizes the mix draw from 53 to 64 bits; a draw can only
-        // classify differently inside a ~2^-53-wide window per threshold, so
-        // on any testable trace every field — PC, op, address *and* the
-        // dependency bits (same sampler) — must come out identical. What v3
-        // changes observably is the container: magic, flags byte and the
-        // compressed chunk payloads (pinned by the codec and fixture tests).
-        for profile in [spec::gcc(), spec::swim(), spec::su2cor()] {
-            let name = profile.name;
-            let n = 20_000;
-            let v3 = TraceGenerator::new(profile.clone(), 7).generate(n);
-            let v2 = TraceGenerator::new(profile, 7)
-                .with_format(TraceFormat::V2)
-                .generate(n);
-            assert_eq!(v3.format(), TraceFormat::V3, "{name}: default is v3");
-            assert_eq!(v2.format(), TraceFormat::V2);
-            for (i, (a, b)) in v2.iter().zip(v3.iter()).enumerate() {
-                assert_eq!(a.pc(), b.pc(), "{name} record {i}: PC");
-                assert_eq!(a.op(), b.op(), "{name} record {i}: op/address");
-                assert_eq!(
-                    (a.dep1(), a.dep2()),
-                    (b.dep1(), b.dep2()),
-                    "{name} record {i}: dependency bits"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn stream_matches_generate_record_for_record() {
-        // Cover all three schedule kinds (constant, sequence, periodic), a
-        // length that is not a chunk multiple, and both trace formats.
-        for format in TraceFormat::ALL {
-            for profile in [spec::ammp(), spec::gcc(), spec::su2cor()] {
-                let name = profile.name;
-                let n = CHUNK_RECORDS + 777;
-                let generator = TraceGenerator::new(profile, 5).with_format(format);
-                let materialized = generator.generate(n);
-                assert_eq!(materialized.format(), format);
-                let mut stream = generator.stream(n);
-                assert_eq!(stream.format(), format);
-                let mut streamed = Vec::with_capacity(n);
-                loop {
-                    let chunk = stream.next_chunk();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    streamed.extend_from_slice(chunk);
-                }
-                assert_eq!(streamed, materialized.records(), "{name} {format}");
-            }
-        }
-        // The original multi-chunk shape, under the default format.
+        // Cover all three schedule kinds (constant, sequence, periodic) and a
+        // length that is not a chunk multiple.
         for profile in [spec::ammp(), spec::gcc(), spec::su2cor()] {
             let name = profile.name;
             let n = 2 * CHUNK_RECORDS + 777;

@@ -5,7 +5,6 @@
 //! producers of each instruction sit in the dynamic stream — bound that
 //! parallelism, so they are the single knob this crate exposes for ILP.
 
-use crate::format::TraceFormat;
 use crate::rng::{geometric_is_constant, Prng};
 
 /// Distances are capped to the record's 6-bit dependency field.
@@ -60,46 +59,12 @@ impl IlpBehavior {
         Self::new(5.0, 0.45, 0.20)
     }
 
-    /// Samples the `(dep1, dep2)` distances for one instruction with the v1
-    /// (`ln`-based) sampler — bit-identical to the uncached
-    /// [`Prng::geometric`] path, as the sampler tests pin.
-    pub fn sample(&self, rng: &mut Prng) -> (u8, u8) {
-        self.sampler(TraceFormat::V1).sample(rng)
+    /// Returns a sampler with the distance distribution's constants
+    /// precomputed — the form the trace generator holds across a whole trace
+    /// (see [`DistanceSampler`]).
+    pub fn sampler(&self) -> DistanceSampler {
+        DistanceSampler::new(*self)
     }
-
-    /// Returns a sampler for the given trace format with the distance
-    /// distribution's constants precomputed — the form the trace generator
-    /// holds across a whole trace (see [`DistanceSampler`]).
-    pub fn sampler(&self, format: TraceFormat) -> DistanceSampler {
-        DistanceSampler::new(*self, format)
-    }
-}
-
-/// How one geometric distance draw is performed — the part of the sampler
-/// the [`TraceFormat`] version selects.
-///
-/// The table variant is deliberately stored inline (not boxed) despite its
-/// ~760-byte size: exactly one sampler exists per trace stream, the table
-/// is read on every record of the generation hot path (an extra pointer
-/// chase is measurable there), and inline storage keeps the sampler `Copy`.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum DistanceDraw {
-    /// `mean_distance <= 1` (the shared [`geometric_is_constant`] rule):
-    /// the draw is the constant 1 and consumes no randomness, identically
-    /// in every format.
-    Constant,
-    /// v1: inverse transform via `ln(u) / ln(1 - p)`, with the constant
-    /// denominator precomputed. One `ln`, one division and one `floor` per
-    /// draw.
-    Ln {
-        /// `ln(1 - 1/mean_distance)`.
-        ln_one_minus_p: f64,
-    },
-    /// v2: precomputed fixed-point inverse CDF of the capped geometric.
-    /// One 64-bit draw, one guide-table load and a short compare chain per
-    /// draw — no transcendental math, no `f64` at all.
-    Table(DistanceTable),
 }
 
 /// The precomputed inverse CDF of a capped geometric distribution, in
@@ -174,88 +139,62 @@ impl DistanceTable {
     }
 }
 
-/// An [`IlpBehavior`] with its sampling constants precomputed for one
-/// [`TraceFormat`].
+/// An [`IlpBehavior`] with its sampling constants precomputed.
 ///
-/// Sampling dependency distances is the only transcendental math on the
-/// trace-generation hot path. The v1 sampler hoists the geometric's constant
-/// `ln(1 - 1/mean)` out of the loop (values bit-identical to
-/// [`IlpBehavior::sample`]); the v2 sampler removes the per-record `ln`
-/// entirely with a fixed-point inverse-CDF table ([`DistanceTable`]) and
-/// replaces the `f64` probability comparisons with integer thresholds — a
-/// different (but equally geometric) bit stream, which is why selecting it
-/// is a trace-format version bump rather than an optimization.
+/// Sampling dependency distances is the only distribution math on the
+/// trace-generation hot path. The sampler draws from a fixed-point
+/// inverse-CDF table ([`DistanceTable`]) and compares integer thresholds
+/// for the dependency probabilities, so a record costs no transcendental
+/// math and no `f64` comparison.
+///
+/// The table is stored inline (not boxed) despite its ~760-byte size:
+/// exactly one sampler exists per trace stream, the table is read on every
+/// record of the generation hot path (an extra pointer chase is measurable
+/// there), and inline storage keeps the sampler `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistanceSampler {
-    behavior: IlpBehavior,
-    format: TraceFormat,
-    draw: DistanceDraw,
-    /// v2 only: `independent_prob * 2^64` (v1 compares `f64`s).
+    /// `None` when `mean_distance <= 1` (the shared [`geometric_is_constant`]
+    /// rule): the draw is the constant 1 and consumes no randomness.
+    table: Option<DistanceTable>,
+    /// `independent_prob * 2^64`.
     independent_bits: u64,
-    /// v2 only: `second_source_prob * 2^64`.
+    /// `second_source_prob * 2^64`.
     second_source_bits: u64,
 }
 
 /// A probability as a 64-bit fixed-point threshold: `next_u64() < bits`
 /// succeeds with probability `p` (up to the 2^-64 quantum). Shared with the
-/// v3 instruction-mix thresholds ([`crate::InstructionMix::thresholds`]).
+/// instruction-mix thresholds ([`crate::InstructionMix::thresholds`]).
 pub(crate) fn probability_bits(p: f64) -> u64 {
     (p.clamp(0.0, 1.0) * 18_446_744_073_709_551_616.0) as u64
 }
 
 impl DistanceSampler {
-    /// Precomputes the sampling constants of `behavior` for `format`.
-    pub fn new(behavior: IlpBehavior, format: TraceFormat) -> Self {
-        let draw = if geometric_is_constant(behavior.mean_distance) {
-            DistanceDraw::Constant
-        } else {
-            match format {
-                TraceFormat::V1 => DistanceDraw::Ln {
-                    ln_one_minus_p: (1.0 - 1.0 / behavior.mean_distance).ln(),
-                },
-                // v3 keeps v2's dependency bits unchanged: the formats differ
-                // in the instruction-mix draw (and the on-disk container),
-                // not in the distance sampler.
-                TraceFormat::V2 | TraceFormat::V3 => {
-                    DistanceDraw::Table(DistanceTable::new(behavior.mean_distance))
-                }
-            }
-        };
+    /// Precomputes the sampling constants of `behavior`.
+    pub fn new(behavior: IlpBehavior) -> Self {
         Self {
-            behavior,
-            format,
-            draw,
+            table: (!geometric_is_constant(behavior.mean_distance))
+                .then(|| DistanceTable::new(behavior.mean_distance)),
             independent_bits: probability_bits(behavior.independent_prob),
             second_source_bits: probability_bits(behavior.second_source_prob),
         }
     }
 
-    /// The format this sampler draws for.
-    pub fn format(&self) -> TraceFormat {
-        self.format
-    }
-
-    /// The v2 inverse-CDF table, when this sampler uses one (`None` for v1
-    /// samplers and for the degenerate constant-distance case).
+    /// The inverse-CDF table, when this sampler uses one (`None` for the
+    /// degenerate constant-distance case).
     pub fn table(&self) -> Option<&DistanceTable> {
-        match &self.draw {
-            DistanceDraw::Table(table) => Some(table),
-            _ => None,
-        }
+        self.table.as_ref()
     }
 
-    /// Samples the `(dep1, dep2)` distances for one instruction.
+    /// Samples the `(dep1, dep2)` distances for one instruction. Each
+    /// Bernoulli decision consumes exactly one [`Prng::next_u64`].
     #[inline]
     pub fn sample(&self, rng: &mut Prng) -> (u8, u8) {
-        if self.chance(rng, self.behavior.independent_prob, self.independent_bits) {
+        if rng.next_u64() < self.independent_bits {
             return (0, 0);
         }
         let d1 = self.draw(rng);
-        let d2 = if self.chance(
-            rng,
-            self.behavior.second_source_prob,
-            self.second_source_bits,
-        ) {
+        let d2 = if rng.next_u64() < self.second_source_bits {
             self.draw(rng)
         } else {
             0
@@ -263,30 +202,12 @@ impl DistanceSampler {
         (d1, d2)
     }
 
-    /// One Bernoulli draw in this sampler's format: v1 compares `f64`s
-    /// (bit-compatible with [`Prng::chance`]), v2/v3 compare the raw 64-bit
-    /// draw against a fixed-point threshold. Both consume exactly one
-    /// [`Prng::next_u64`].
-    #[inline]
-    fn chance(&self, rng: &mut Prng, p: f64, bits: u64) -> bool {
-        match self.format {
-            TraceFormat::V1 => rng.chance(p),
-            TraceFormat::V2 | TraceFormat::V3 => rng.next_u64() < bits,
-        }
-    }
-
     /// One geometric distance draw, capped to the record's 6-bit field.
     #[inline]
     pub fn draw(&self, rng: &mut Prng) -> u8 {
-        match &self.draw {
-            // The shared `geometric_is_constant` rule: constant 1, no
-            // randomness consumed (matching `Prng::geometric`).
-            DistanceDraw::Constant => 1,
-            DistanceDraw::Ln { ln_one_minus_p } => {
-                rng.geometric_with_ln(*ln_one_minus_p)
-                    .min(u64::from(MAX_DISTANCE)) as u8
-            }
-            DistanceDraw::Table(table) => table.distance(rng.next_u64()),
+        match &self.table {
+            Some(table) => table.distance(rng.next_u64()),
+            None => 1,
         }
     }
 }
@@ -302,58 +223,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_respects_bounds_in_both_formats() {
-        let b = IlpBehavior::moderate();
-        for format in TraceFormat::ALL {
-            let sampler = b.sampler(format);
-            let mut rng = Prng::new(1);
-            for _ in 0..10_000 {
-                let (d1, d2) = sampler.sample(&mut rng);
-                assert!(d1 <= MAX_DISTANCE);
-                assert!(d2 <= MAX_DISTANCE);
-            }
+    fn sample_respects_bounds() {
+        let sampler = IlpBehavior::moderate().sampler();
+        let mut rng = Prng::new(1);
+        for _ in 0..10_000 {
+            let (d1, d2) = sampler.sample(&mut rng);
+            assert!(d1 <= MAX_DISTANCE);
+            assert!(d2 <= MAX_DISTANCE);
         }
     }
 
     #[test]
     fn serial_has_shorter_distances_than_parallel() {
-        for format in TraceFormat::ALL {
-            let mut rng = Prng::new(2);
-            let mean = |b: IlpBehavior, rng: &mut Prng| {
-                let sampler = b.sampler(format);
-                let mut sum = 0u64;
-                let mut n = 0u64;
-                for _ in 0..20_000 {
-                    let (d1, _) = sampler.sample(rng);
-                    if d1 > 0 {
-                        sum += u64::from(d1);
-                        n += 1;
-                    }
+        let mut rng = Prng::new(2);
+        let mean = |b: IlpBehavior, rng: &mut Prng| {
+            let sampler = b.sampler();
+            let mut sum = 0u64;
+            let mut n = 0u64;
+            for _ in 0..20_000 {
+                let (d1, _) = sampler.sample(rng);
+                if d1 > 0 {
+                    sum += u64::from(d1);
+                    n += 1;
                 }
-                sum as f64 / n as f64
-            };
-            let serial = mean(IlpBehavior::serial(), &mut rng);
-            let parallel = mean(IlpBehavior::parallel(), &mut rng);
-            assert!(
-                serial < parallel,
-                "{format}: serial {serial} !< parallel {parallel}"
-            );
-        }
+            }
+            sum as f64 / n as f64
+        };
+        let serial = mean(IlpBehavior::serial(), &mut rng);
+        let parallel = mean(IlpBehavior::parallel(), &mut rng);
+        assert!(serial < parallel, "serial {serial} !< parallel {parallel}");
     }
 
     #[test]
     fn independent_probability_observed() {
-        let b = IlpBehavior::new(4.0, 0.5, 0.5);
-        for format in TraceFormat::ALL {
-            let sampler = b.sampler(format);
-            let mut rng = Prng::new(3);
-            let n = 20_000;
-            let independent = (0..n)
-                .filter(|_| sampler.sample(&mut rng) == (0, 0))
-                .count();
-            let frac = independent as f64 / n as f64;
-            assert!((0.45..=0.55).contains(&frac), "{format}: {frac}");
-        }
+        let sampler = IlpBehavior::new(4.0, 0.5, 0.5).sampler();
+        let mut rng = Prng::new(3);
+        let n = 20_000;
+        let independent = (0..n)
+            .filter(|_| sampler.sample(&mut rng) == (0, 0))
+            .count();
+        let frac = independent as f64 / n as f64;
+        assert!((0.45..=0.55).contains(&frac), "{frac}");
     }
 
     #[test]
@@ -363,87 +273,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_sampler_matches_direct_sampling_bit_for_bit() {
-        for behavior in [
-            IlpBehavior::serial(),
-            IlpBehavior::parallel(),
-            IlpBehavior::moderate(),
-            IlpBehavior::new(1.0, 0.5, 0.1), // degenerate constant-distance case
-        ] {
-            let sampler = behavior.sampler(TraceFormat::V1);
-            let mut a = Prng::new(41);
-            let mut b = Prng::new(41);
-            for i in 0..20_000 {
-                let direct = {
-                    // Re-derive through the uncached Prng::geometric path.
-                    if a.chance(behavior.independent_prob) {
-                        (0, 0)
-                    } else {
-                        let d1 = a.geometric(behavior.mean_distance).min(63) as u8;
-                        let d2 = if a.chance(behavior.second_source_prob) {
-                            a.geometric(behavior.mean_distance).min(63) as u8
-                        } else {
-                            0
-                        };
-                        (d1, d2)
-                    }
-                };
-                assert_eq!(sampler.sample(&mut b), direct, "draw {i}");
-            }
-            // And the two RNGs consumed identical amounts of randomness.
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
+    fn table_sampler_has_no_table_when_degenerate() {
+        assert!(IlpBehavior::new(1.0, 0.5, 0.1).sampler().table().is_none());
+        assert!(IlpBehavior::moderate().sampler().table().is_some());
     }
 
     #[test]
-    fn v3_sampler_is_bit_identical_to_v2() {
-        // v3 changes the instruction-mix draw and the on-disk container,
-        // not the dependency sampler: same table, same thresholds, same
-        // randomness consumption.
-        for behavior in [
-            IlpBehavior::serial(),
-            IlpBehavior::parallel(),
-            IlpBehavior::moderate(),
-            IlpBehavior::new(1.0, 0.5, 0.1),
-        ] {
-            let v2 = behavior.sampler(TraceFormat::V2);
-            let v3 = behavior.sampler(TraceFormat::V3);
-            let mut a = Prng::new(33);
-            let mut b = Prng::new(33);
-            for i in 0..20_000 {
-                assert_eq!(v2.sample(&mut a), v3.sample(&mut b), "draw {i}");
-            }
-            assert_eq!(a.next_u64(), b.next_u64(), "consumption differs");
-        }
-    }
-
-    #[test]
-    fn table_sampler_has_no_table_when_degenerate_or_v1() {
-        assert!(IlpBehavior::moderate()
-            .sampler(TraceFormat::V1)
-            .table()
-            .is_none());
-        assert!(IlpBehavior::new(1.0, 0.5, 0.1)
-            .sampler(TraceFormat::V2)
-            .table()
-            .is_none());
-        assert!(IlpBehavior::moderate()
-            .sampler(TraceFormat::V2)
-            .table()
-            .is_some());
-    }
-
-    #[test]
-    fn degenerate_distance_consumes_no_randomness_in_both_formats() {
+    fn degenerate_distance_consumes_no_randomness() {
         // The shared `geometric_is_constant` rule, verified through the
-        // sampler's public draw for both formats.
-        for format in TraceFormat::ALL {
-            let sampler = IlpBehavior::new(1.0, 0.5, 0.1).sampler(format);
-            let mut rng = Prng::new(9);
-            let before = rng.clone();
-            assert_eq!(sampler.draw(&mut rng), 1, "{format}");
-            assert_eq!(rng, before, "{format}: degenerate draw touched the RNG");
-        }
+        // sampler's public draw: the constant case leaves the RNG untouched,
+        // and a mean just above 1 is a real draw of exactly one value.
+        let sampler = IlpBehavior::new(1.0, 0.5, 0.1).sampler();
+        let mut rng = Prng::new(9);
+        let before = rng.clone();
+        assert_eq!(sampler.draw(&mut rng), 1);
+        assert_eq!(rng, before, "degenerate draw touched the RNG");
+
+        let sampler = IlpBehavior::new(1.0f64.next_up(), 0.5, 0.1).sampler();
+        let mut expected = rng.clone();
+        expected.next_u64();
+        assert!(sampler.draw(&mut rng) >= 1);
+        assert_eq!(rng, expected, "a real draw consumes exactly one value");
     }
 
     #[test]

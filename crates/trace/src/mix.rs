@@ -56,13 +56,11 @@ impl InstructionMix {
         (1.0 - self.load - self.store - self.fp).max(0.0)
     }
 
-    /// Precomputes the mix's cumulative fixed-point thresholds — the v3
+    /// Precomputes the mix's cumulative fixed-point thresholds — the
     /// classification draw (see [`MixThresholds`]).
     pub fn thresholds(&self) -> MixThresholds {
-        // Built from the same rounded f64 partial sums the v1/v2 chained
-        // comparison uses, quantized at the full 64-bit draw resolution
-        // (2^-64) rather than `next_f64`'s 2^-53 — the finer quantization is
-        // what makes selecting this draw a trace-format bump.
+        // Built from the rounded f64 partial sums of the mix, quantized at
+        // the full 64-bit draw resolution (2^-64).
         MixThresholds {
             load: probability_bits(self.load),
             store: probability_bits(self.load + self.store),
@@ -84,13 +82,12 @@ pub enum MixClass {
     Int,
 }
 
-/// Cumulative fixed-point thresholds of an [`InstructionMix`]: the v3 trace
-/// format classifies each non-branch slot by comparing one raw
+/// Cumulative fixed-point thresholds of an [`InstructionMix`]: the trace
+/// generator classifies each non-branch slot by comparing one raw
 /// [`Prng::next_u64`](crate::Prng::next_u64) draw against these, performing
-/// zero `f64` operations per record (v1/v2 compare `next_f64()` against the
-/// mix fractions — the same pattern-to-threshold move the v2
-/// [`DistanceSampler`](crate::ilp::DistanceSampler) made for the dependency
-/// bits).
+/// zero `f64` operations per record — the same move the
+/// [`DistanceSampler`](crate::ilp::DistanceSampler) makes for the dependency
+/// bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MixThresholds {
     /// `load * 2^64`.
@@ -171,7 +168,7 @@ mod tests {
     fn threshold_boundaries_partition_the_draw_space() {
         // Degenerate mixes. `probability_bits(1.0)` saturates to u64::MAX
         // (2^64 is not representable), so an all-load mix classifies every
-        // draw but u64::MAX itself as Load — the same 2^-64 quantum the v2
+        // draw but u64::MAX itself as Load — the same 2^-64 quantum the
         // dependency thresholds already accept. Pin both sides of it.
         let all_load = InstructionMix::new(1.0, 0.0, 0.0).thresholds();
         let all_int = InstructionMix::new(0.0, 0.0, 0.0).thresholds();

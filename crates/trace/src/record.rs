@@ -239,62 +239,7 @@ impl InstrRecord {
     pub(crate) fn set_addr_lane(&mut self, addr: u32) {
         self.addr = addr;
     }
-
-    /// Encodes the record into its 12-byte on-disk form (little-endian PC and
-    /// address, tag byte, two dependency bytes, one reserved zero byte).
-    ///
-    /// This is the unit of the trace-store codec (see [`crate::codec`]); the
-    /// encoding matches the in-memory packing so a paper-length trace streams
-    /// to and from disk at memcpy-like cost.
-    pub fn encode(&self) -> [u8; ENCODED_RECORD_BYTES] {
-        let mut out = [0u8; ENCODED_RECORD_BYTES];
-        out[0..4].copy_from_slice(&self.pc.to_le_bytes());
-        out[4..8].copy_from_slice(&self.addr.to_le_bytes());
-        out[8] = self.kind;
-        out[9] = self.dep1;
-        out[10] = self.dep2;
-        out
-    }
-
-    /// Decodes a record from its 12-byte on-disk form, rejecting unknown
-    /// operation tags and a non-zero reserved byte (both indicate a corrupt
-    /// or foreign file rather than a valid trace).
-    pub fn decode(bytes: &[u8; ENCODED_RECORD_BYTES]) -> Result<Self, InvalidRecord> {
-        let kind = bytes[8];
-        if kind > KIND_BRANCH_TAKEN {
-            return Err(InvalidRecord { kind });
-        }
-        if bytes[11] != 0 {
-            return Err(InvalidRecord { kind });
-        }
-        Ok(Self {
-            pc: u32::from_le_bytes(bytes[0..4].try_into().expect("4-byte slice")),
-            addr: u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice")),
-            kind,
-            dep1: bytes[9],
-            dep2: bytes[10],
-        })
-    }
 }
-
-/// Size in bytes of one encoded [`InstrRecord`].
-pub const ENCODED_RECORD_BYTES: usize = 12;
-
-/// Error returned by [`InstrRecord::decode`] for bytes that are not a valid
-/// record encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidRecord {
-    /// The rejected operation tag.
-    pub kind: u8,
-}
-
-impl std::fmt::Display for InvalidRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid trace record encoding (tag {})", self.kind)
-    }
-}
-
-impl std::error::Error for InvalidRecord {}
 
 #[cfg(test)]
 mod tests {
@@ -363,30 +308,5 @@ mod tests {
             assert_eq!(u64::from(rec.pc_raw()), rec.pc());
             assert_eq!(rec.op().address().unwrap_or(0), addr);
         }
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let records = [
-            InstrRecord::new(0x40_0000, Op::Int),
-            InstrRecord::with_deps(0x40_0004, Op::Fp, 3, 7),
-            InstrRecord::with_deps(0x40_0008, Op::Load(0x1234_5678), 1, 0),
-            InstrRecord::new(0x40_000c, Op::Store(0x7000_0040)),
-            InstrRecord::new(0x40_0010, Op::Branch { taken: true }),
-            InstrRecord::new(0x40_0014, Op::Branch { taken: false }),
-        ];
-        for r in records {
-            assert_eq!(InstrRecord::decode(&r.encode()), Ok(r));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_bad_tag_and_reserved_byte() {
-        let mut bytes = InstrRecord::new(0x400, Op::Int).encode();
-        bytes[8] = 9;
-        assert!(InstrRecord::decode(&bytes).is_err());
-        let mut bytes = InstrRecord::new(0x400, Op::Int).encode();
-        bytes[11] = 1;
-        assert!(InstrRecord::decode(&bytes).is_err());
     }
 }

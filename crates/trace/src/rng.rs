@@ -5,15 +5,12 @@
 //! experiment, so this crate uses its own xorshift/SplitMix generator rather
 //! than pulling a general-purpose RNG into the simulation path.
 
-/// The shared degenerate-geometric rule: a geometric draw whose mean is at
-/// most 1 is the constant 1 and consumes **no randomness**.
+/// The degenerate-geometric rule: a geometric draw whose mean is at most 1
+/// is the constant 1 and consumes **no randomness**.
 ///
-/// Both [`Prng::geometric`] and the trace generator's
-/// [`DistanceSampler`](crate::ilp::DistanceSampler) (in every
-/// [`TraceFormat`](crate::TraceFormat)) short-circuit on this predicate; it
-/// lives here as the single definition so the two can never drift apart —
-/// a sampler that consumed randomness where `geometric` does not (or vice
-/// versa) would silently desynchronize every later draw of the stream.
+/// The trace generator's [`DistanceSampler`](crate::ilp::DistanceSampler)
+/// short-circuits on this predicate; a sampler that consumed randomness
+/// here would silently desynchronize every later draw of the stream.
 #[inline]
 pub fn geometric_is_constant(mean: f64) -> bool {
     mean <= 1.0
@@ -38,8 +35,8 @@ pub fn geometric_is_constant(mean: f64) -> bool {
 /// per record (the generator's mix draws) hoist `chance_bits` out of the
 /// loop and compare [`Prng::next_bits53`] against it. Both consume exactly
 /// one [`Prng::next_u64`], so mixing the two styles never desynchronizes a
-/// stream — which is what lets the address stream use integer thresholds in
-/// *every* [`TraceFormat`](crate::TraceFormat) without a format bump.
+/// stream — which is what let the address stream move to integer
+/// thresholds without changing a single address.
 #[inline]
 pub fn chance_bits(p: f64) -> u64 {
     // 2^53 as an exactly representable f64; `as u64` saturates negatives
@@ -119,30 +116,6 @@ impl Prng {
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Returns a geometrically distributed value with the given mean
-    /// (minimum 1). Used for dependency distances and burst lengths.
-    pub fn geometric(&mut self, mean: f64) -> u64 {
-        if geometric_is_constant(mean) {
-            return 1;
-        }
-        let p = 1.0 / mean;
-        self.geometric_with_ln((1.0 - p).ln())
-    }
-
-    /// [`Prng::geometric`] with the constant denominator `ln(1 - 1/mean)`
-    /// precomputed by the caller.
-    ///
-    /// The trace generator draws one or two geometric distances per
-    /// instruction; hoisting the denominator's `ln` out of the per-record
-    /// loop (see [`crate::ilp::DistanceSampler`]) removes half of the
-    /// transcendental math from the generation hot path while producing
-    /// bit-identical values.
-    pub fn geometric_with_ln(&mut self, ln_one_minus_p: f64) -> u64 {
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        let v = (u.ln() / ln_one_minus_p).floor() as u64;
-        v + 1
     }
 
     /// Derives an independent generator for a named sub-stream.
@@ -253,53 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_is_reasonable() {
-        let mut rng = Prng::new(5);
-        let n = 20_000;
-        let mean = 4.0;
-        let sum: u64 = (0..n).map(|_| rng.geometric(mean)).sum();
-        let observed = sum as f64 / n as f64;
-        assert!(
-            (observed - mean).abs() < 0.5,
-            "observed mean {observed} too far from {mean}"
-        );
-    }
-
-    #[test]
-    fn geometric_minimum_is_one() {
-        let mut rng = Prng::new(5);
-        for _ in 0..1000 {
-            assert!(rng.geometric(0.5) >= 1);
-            assert!(rng.geometric(3.0) >= 1);
-        }
-    }
-
-    #[test]
     fn degenerate_boundary_is_shared_and_consumes_no_randomness() {
         // The rule: mean <= 1 is the constant 1 (no draw); anything above 1
         // is a real geometric draw. Pin the boundary at exactly 1.0 and at
-        // the next representable mean above it.
-        let just_above = 1.0f64.next_up();
+        // the next representable mean above it; the sampler tests pin that
+        // the constant case leaves the RNG untouched.
         assert!(geometric_is_constant(1.0));
         assert!(geometric_is_constant(0.0));
-        assert!(!geometric_is_constant(just_above));
-
-        // At the boundary: constant 1, RNG state untouched.
-        let mut rng = Prng::new(21);
-        let before = rng.clone();
-        assert_eq!(rng.geometric(1.0), 1);
-        assert_eq!(rng, before, "mean = 1.0 must not consume randomness");
-
-        // Just above the boundary: a real draw that consumes exactly one
-        // 64-bit value (p ~ 1, so the value itself is still 1 almost surely).
-        let drawn = rng.geometric(just_above);
-        assert!(drawn >= 1);
-        let mut expected = before;
-        expected.next_u64();
-        assert_eq!(
-            rng, expected,
-            "mean just above 1 must consume exactly one draw"
-        );
+        assert!(!geometric_is_constant(1.0f64.next_up()));
     }
 
     #[test]

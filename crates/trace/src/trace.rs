@@ -3,7 +3,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::format::TraceFormat;
 use crate::record::{InstrRecord, Op};
 
 /// A dynamic instruction trace for one application.
@@ -26,44 +25,23 @@ pub struct Trace {
     /// Window into `records` occupied by this trace view.
     start: usize,
     len: usize,
-    format: TraceFormat,
 }
 
 impl Trace {
-    /// Creates a trace from a name and a record vector, in the default
-    /// (current) [`TraceFormat`]; use [`Trace::with_format`] for records
-    /// generated or decoded under another version.
+    /// Creates a trace from a name and a record vector.
     pub fn new(name: impl Into<String>, records: Vec<InstrRecord>) -> Self {
-        Self::with_format(name, records, TraceFormat::default())
-    }
-
-    /// Creates a trace carrying an explicit [`TraceFormat`] version.
-    pub fn with_format(
-        name: impl Into<String>,
-        records: Vec<InstrRecord>,
-        format: TraceFormat,
-    ) -> Self {
         let len = records.len();
         Self {
             name: name.into().into(),
             records: records.into(),
             start: 0,
             len,
-            format,
         }
     }
 
     /// The application name this trace was generated from.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The [`TraceFormat`] version these records were generated under. The
-    /// codec persists it (as the file magic), so a round-trip through disk
-    /// preserves it; views made by [`Trace::slice`] / [`Trace::split_at`]
-    /// inherit it.
-    pub fn format(&self) -> TraceFormat {
-        self.format
     }
 
     /// The trace records, in dynamic program order.
@@ -98,7 +76,6 @@ impl Trace {
             records: Arc::clone(&self.records),
             start: self.start + range.start,
             len: range.end - range.start,
-            format: self.format,
         }
     }
 
@@ -147,12 +124,10 @@ impl Trace {
 }
 
 impl PartialEq for Trace {
-    /// Traces compare by name, format and visible records, so a copy-free
-    /// view is equal to an owned trace with the same contents — but a v1
-    /// trace never equals a v2 trace, even with coincidentally equal
-    /// records.
+    /// Traces compare by name and visible records, so a copy-free view is
+    /// equal to an owned trace with the same contents.
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.format == other.format && self.records() == other.records()
+        self.name == other.name && self.records() == other.records()
     }
 }
 
@@ -258,22 +233,6 @@ mod tests {
         assert_eq!(inner.records(), &t.records()[3..5]);
         // A view equals an owned trace with the same contents.
         assert_eq!(inner, Trace::new("t", t.records()[3..5].to_vec()));
-    }
-
-    #[test]
-    fn format_is_carried_and_distinguishes_traces() {
-        let records = sample().records().to_vec();
-        let v2 = Trace::new("t", records.clone());
-        assert_eq!(v2.format(), TraceFormat::default());
-        let v1 = Trace::with_format("t", records, TraceFormat::V1);
-        assert_eq!(v1.format(), TraceFormat::V1);
-        // Same name and records, different format: not equal.
-        assert_ne!(v1, v2);
-        // Views inherit the format.
-        let (warm, measure) = v1.split_at(2);
-        assert_eq!(warm.format(), TraceFormat::V1);
-        assert_eq!(measure.slice(0..1).format(), TraceFormat::V1);
-        assert_eq!(crate::TraceSource::format(&v1.cursor()), TraceFormat::V1);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! a refactor that changed generation and decoding *consistently* would
 //! pass every test while silently invalidating persisted stores and
 //! breaking cross-version reproducibility. These fixtures are the
-//! cross-process anchor: small (4–12 KiB) encoded traces for three registry
-//! workloads under **every** trace-format version, committed under
-//! `tests/fixtures/`, with their FNV-1a content hashes pinned in this file.
-//! The v3 fixtures are delta compressed (length-prefixed fields), so they
-//! additionally pin the compressor's byte stream.
+//! cross-process anchor: small (1–6 KiB) encoded traces for three registry
+//! workloads, committed under `tests/fixtures/`, with their FNV-1a content
+//! hashes pinned in this file. The fixtures are delta compressed
+//! (length-prefixed fields), so they additionally pin the compressor's byte
+//! stream.
 //!
 //! A deliberate format bump re-blesses the fixtures (and their hashes) in
 //! the same change:
@@ -23,10 +23,9 @@
 
 use std::path::PathBuf;
 
-use rescache_trace::{codec, TraceFormat, TraceGenerator, WorkloadRegistry};
+use rescache_trace::{codec, TraceFormat, TraceGenerator, TraceSource, WorkloadRegistry};
 
-/// Length of every fixture trace: 1000 records ≈ 12 KiB encoded, inside the
-/// 4–16 KiB budget a committed binary fixture should stay in.
+/// Length of every fixture trace: 1000 records, 12 KiB before compression.
 const FIXTURE_RECORDS: usize = 1000;
 
 /// Generation seed shared by every fixture.
@@ -36,14 +35,8 @@ const FIXTURE_SEED: u64 = 42;
 /// encoded file bytes). Regenerate with `RESCACHE_BLESS_FIXTURES=1` (see
 /// the module docs) — and only on a deliberate format bump.
 const PINNED: &[(&str, TraceFormat, u64)] = &[
-    ("nominal", TraceFormat::V1, 0x781e9c9c2231723c),
-    ("nominal", TraceFormat::V2, 0xb9ea4d41cbda29f5),
     ("nominal", TraceFormat::V3, 0x297d2cf0990a9031),
-    ("pointer_chase", TraceFormat::V1, 0xe8d3be049f7ef0fd),
-    ("pointer_chase", TraceFormat::V2, 0x31b75408d05c4528),
     ("pointer_chase", TraceFormat::V3, 0x7251c8676902eb09),
-    ("phase_flip", TraceFormat::V1, 0x82bb8e12e87edae6),
-    ("phase_flip", TraceFormat::V2, 0x9561a7310e5bf00d),
     ("phase_flip", TraceFormat::V3, 0xc47ec671bcb9c804),
 ];
 
@@ -67,18 +60,21 @@ fn fixture_path(workload: &str, format: TraceFormat) -> PathBuf {
         ))
 }
 
-/// Encodes the fixture trace for one (workload, format) pair exactly as the
-/// committed fixture was produced.
-fn encode_fixture(workload: &str, format: TraceFormat) -> Vec<u8> {
+/// Encodes the fixture trace for one workload exactly as the committed
+/// fixture was produced, through a temporary file.
+fn encode_fixture(workload: &str) -> Vec<u8> {
     let profile = WorkloadRegistry::builtin()
         .get(workload)
         .unwrap_or_else(|| panic!("{workload} is a registered workload"))
         .profile();
-    let trace = TraceGenerator::new(profile, FIXTURE_SEED)
-        .with_format(format)
-        .generate(FIXTURE_RECORDS);
-    let mut bytes = Vec::new();
-    codec::write_trace(&mut bytes, &trace).expect("vec writes cannot fail");
+    let trace = TraceGenerator::new(profile, FIXTURE_SEED).generate(FIXTURE_RECORDS);
+    let path = std::env::temp_dir().join(format!(
+        "rescache-fixture-{workload}-{}.rctrace",
+        std::process::id()
+    ));
+    codec::save_trace(&path, &trace).expect("save fixture trace");
+    let bytes = std::fs::read(&path).expect("read fixture trace");
+    std::fs::remove_file(&path).ok();
     bytes
 }
 
@@ -95,15 +91,10 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
             .expect("create fixtures dir");
         eprintln!("blessed fixture hashes (paste over PINNED):");
         for &(workload, format, _) in PINNED {
-            let bytes = encode_fixture(workload, format);
+            let bytes = encode_fixture(workload);
             std::fs::write(fixture_path(workload, format), &bytes).expect("write fixture");
-            let tag = match format {
-                TraceFormat::V1 => "V1",
-                TraceFormat::V2 => "V2",
-                TraceFormat::V3 => "V3",
-            };
             eprintln!(
-                "    (\"{workload}\", TraceFormat::{tag}, {:#018x}),",
+                "    (\"{workload}\", TraceFormat::V3, {:#018x}),",
                 fnv1a(&bytes)
             );
         }
@@ -114,13 +105,9 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
         let committed = std::fs::read(&path).unwrap_or_else(|e| {
             panic!("missing fixture {} ({e}); see module docs", path.display())
         });
-        // v1/v2 are fixed 12 bytes/record; v3 fixtures carry delta
-        // compressed chunks, so their ceiling doubles as a compression pin:
-        // above ~6 KiB the codec has stopped at least halving the stream.
-        let budget = match format {
-            TraceFormat::V1 | TraceFormat::V2 => 4096..=16384,
-            TraceFormat::V3 => 1024..=FIXTURE_RECORDS * 12 / 2,
-        };
+        // The ceiling doubles as a compression pin: above ~6 KiB the codec
+        // has stopped at least halving the 12-byte records.
+        let budget = 1024..=FIXTURE_RECORDS * 12 / 2;
         assert!(
             budget.contains(&committed.len()),
             "{workload} {format}: fixture size {} outside the {budget:?} byte budget",
@@ -128,7 +115,7 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
         );
 
         // The committed bytes are what today's generator + codec produce…
-        let regenerated = encode_fixture(workload, format);
+        let regenerated = encode_fixture(workload);
         assert_eq!(
             regenerated, committed,
             "{workload} {format}: generator or codec bytes drifted from the committed fixture"
@@ -142,71 +129,22 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
         );
 
         // The fixture decodes, and the header carries the right identity.
-        let decoded = codec::read_trace(&mut committed.as_slice())
-            .unwrap_or_else(|e| panic!("{workload} {format}: fixture failed to decode: {e}"));
-        assert_eq!(decoded.name(), workload);
-        assert_eq!(decoded.format(), format);
-        assert_eq!(decoded.len(), FIXTURE_RECORDS);
-    }
-}
-
-#[test]
-fn fixture_formats_differ_only_in_dependency_bits() {
-    // The committed v1/v2 fixture pair of one workload must decode to
-    // record sequences that agree on everything except the dependency
-    // lanes — the exact scope of the format bump.
-    for workload in ["nominal", "pointer_chase", "phase_flip"] {
-        let v1 = codec::read_trace(
-            &mut std::fs::read(fixture_path(workload, TraceFormat::V1))
-                .expect("v1 fixture")
-                .as_slice(),
-        )
-        .expect("v1 decodes");
-        let v2 = codec::read_trace(
-            &mut std::fs::read(fixture_path(workload, TraceFormat::V2))
-                .expect("v2 fixture")
-                .as_slice(),
-        )
-        .expect("v2 decodes");
-        let mut dep_diffs = 0u64;
-        for (a, b) in v1.iter().zip(v2.iter()) {
-            assert_eq!(a.pc(), b.pc(), "{workload}: PC must be format-independent");
-            assert_eq!(a.op(), b.op(), "{workload}: op must be format-independent");
-            dep_diffs += u64::from((a.dep1(), a.dep2()) != (b.dep1(), b.dep2()));
+        let mut source = codec::TraceFileSource::open(&path, None)
+            .unwrap_or_else(|e| panic!("{workload} {format}: fixture failed to open: {e}"));
+        assert_eq!(source.name(), workload);
+        let mut decoded = 0;
+        loop {
+            let chunk = source.next_chunk();
+            if chunk.is_empty() {
+                break;
+            }
+            decoded += chunk.len();
         }
         assert!(
-            dep_diffs > 0,
-            "{workload}: the formats must actually differ"
+            source.fault().is_none(),
+            "{workload} {format}: fixture failed to decode: {:?}",
+            source.fault()
         );
-    }
-}
-
-#[test]
-fn v3_fixture_records_coincide_with_v2() {
-    // v3 redefines the mix draw at 2^-64 quantization (v2 draws at 2^-53),
-    // so the formats only disagree inside ~2^-53-wide threshold windows —
-    // never on these traces. The committed v2/v3 fixture pairs must decode
-    // to identical record sequences while the files themselves differ
-    // (magic, flags byte, compressed chunk payloads).
-    for workload in ["nominal", "pointer_chase", "phase_flip"] {
-        let v2_bytes = std::fs::read(fixture_path(workload, TraceFormat::V2)).expect("v2 fixture");
-        let v3_bytes = std::fs::read(fixture_path(workload, TraceFormat::V3)).expect("v3 fixture");
-        assert_ne!(v2_bytes, v3_bytes, "{workload}: containers must differ");
-        assert_eq!(&v3_bytes[..8], b"RCTRACE3");
-        assert_eq!(v3_bytes[8], 1, "{workload}: v3 fixtures are compressed");
-        assert!(
-            2 * v3_bytes.len() <= v2_bytes.len(),
-            "{workload}: compression must at least halve the fixture: v3 {} vs v2 {}",
-            v3_bytes.len(),
-            v2_bytes.len()
-        );
-
-        let v2 = codec::read_trace(&mut v2_bytes.as_slice()).expect("v2 decodes");
-        let v3 = codec::read_trace(&mut v3_bytes.as_slice()).expect("v3 decodes");
-        assert_eq!(v3.format(), TraceFormat::V3);
-        assert_eq!(v2.len(), v3.len());
-        for (i, (a, b)) in v2.iter().zip(v3.iter()).enumerate() {
-            assert_eq!(a, b, "{workload}: record {i} must coincide across v2/v3");
-        }
+        assert_eq!(decoded, FIXTURE_RECORDS);
     }
 }

@@ -35,7 +35,9 @@ fn main() -> std::io::Result<()> {
     if std::env::args().any(|a| a == "--demo") {
         demo()
     } else {
-        let runner = Runner::new(RunnerConfig::from_env());
+        let config = RunnerConfig::from_env()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let runner = Runner::new(config);
         let server = SweepServer::bind(runner, ServeConfig::from_env())?;
         println!(
             "rescache sweep service listening on {}",

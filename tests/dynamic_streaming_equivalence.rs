@@ -12,7 +12,7 @@
 
 use rescache::prelude::*;
 use rescache_core::experiment::{Measurement, RunSetup, StoreSourceKind};
-use rescache_trace::{TraceFormat, WorkloadRegistry};
+use rescache_trace::WorkloadRegistry;
 use std::path::PathBuf;
 
 fn engines() -> [SystemConfig; 2] {
@@ -76,23 +76,7 @@ fn assert_dynamic_equivalence(
     store_dir: Option<PathBuf>,
     expect_no_materialization: bool,
 ) -> u64 {
-    assert_dynamic_equivalence_in_format(
-        profile,
-        system,
-        store_dir,
-        expect_no_materialization,
-        TraceFormat::default(),
-    )
-}
-
-fn assert_dynamic_equivalence_in_format(
-    profile: &AppProfile,
-    system: &SystemConfig,
-    store_dir: Option<PathBuf>,
-    expect_no_materialization: bool,
-    format: TraceFormat,
-) -> u64 {
-    let cfg = fast_config().with_trace_format(format);
+    let cfg = fast_config();
     // Reference runner: plain in-memory store, classic materialized path.
     let reference = Runner::new(cfg);
     let (warm, measure) = reference.trace(profile);
@@ -171,45 +155,6 @@ fn paper_profiles_match_with_an_in_memory_store() {
             assert_dynamic_equivalence(&profile, &system, None, false);
         }
     }
-}
-
-#[test]
-fn v1_format_matches_across_the_persistent_store() {
-    // The v1 differential kept alive: a v1-pinned dynamic run must stream
-    // bit-identically through a persistent store (v1 entries on disk, v1
-    // memo keys) exactly as the default format does — and still leave
-    // nothing materialized.
-    let profile = WorkloadRegistry::builtin()
-        .get("phase_flip")
-        .expect("registered workload")
-        .profile();
-    let dir = std::env::temp_dir().join(format!("rescache-dyneq-v1-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let resizes = assert_dynamic_equivalence_in_format(
-        &profile,
-        &SystemConfig::base(),
-        Some(dir.clone()),
-        true,
-        TraceFormat::V1,
-    );
-    assert!(
-        resizes > 0,
-        "phase_flip must trigger downsizing under v1 too"
-    );
-    // The store entries the run produced are v1-tagged files.
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .expect("store dir")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
-        .collect();
-    entries.sort();
-    assert!(
-        !entries.is_empty()
-            && entries
-                .iter()
-                .all(|n| n.ends_with(".rctrace") && !n.ends_with(".v2.rctrace")),
-        "v1 runs must persist v1-suffixed entries: {entries:?}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

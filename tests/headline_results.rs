@@ -1,16 +1,13 @@
 //! Integration tests for the paper's headline claims, run at a reduced scale
-//! (the full-scale numbers are produced by `cargo bench` and recorded in
-//! EXPERIMENTS.md).
+//! (the full-scale figures are produced by the `cargo bench` targets in
+//! `crates/bench`).
 
 use rescache::core::experiment::{
     dual_resizing, organization_vs_associativity, Runner, RunnerConfig,
 };
 use rescache::prelude::*;
-use rescache::trace::{AppProfile, TraceFormat};
+use rescache::trace::AppProfile;
 
-/// The headline claims run under the default trace format (v2);
-/// [`v1_trace_format_reproduces_the_headline_organization_claim`] keeps a
-/// v1 differential alive.
 fn test_config() -> RunnerConfig {
     RunnerConfig {
         warmup_instructions: 8_000,
@@ -182,53 +179,6 @@ fn best_static_points_have_bounded_slowdown() {
             outcome.best.slowdown_percent
         );
     }
-}
-
-/// The v1 differential kept alive: the paper's organization claim must hold
-/// under the legacy trace format too — the claims are properties of the
-/// modelled machine, not of one sampler's bit stream — and the v1 and v2
-/// runs must really be distinct bit streams (different traces, segregated
-/// memo keys) inside one runner.
-#[test]
-fn v1_trace_format_reproduces_the_headline_organization_claim() {
-    let runner = Runner::new(test_config().with_trace_format(TraceFormat::V1));
-    let apps = small_ws_apps();
-    let points = organization_vs_associativity(
-        &runner,
-        &apps,
-        &[2],
-        &[Organization::SelectiveWays, Organization::SelectiveSets],
-        ResizableCacheSide::Data,
-    )
-    .unwrap();
-    let ways = points
-        .iter()
-        .find(|p| p.organization == Organization::SelectiveWays)
-        .unwrap();
-    let sets = points
-        .iter()
-        .find(|p| p.organization == Organization::SelectiveSets)
-        .unwrap();
-    assert!(
-        sets.mean_edp_reduction > ways.mean_edp_reduction + 1.0,
-        "v1: selective-sets ({:.1} %) should clearly beat selective-ways ({:.1} %) at 2-way",
-        sets.mean_edp_reduction,
-        ways.mean_edp_reduction
-    );
-
-    // And the two formats really simulate different traces: the same app
-    // under v1 vs v2 yields different cycle counts through one shared
-    // runner facility (same profile, seed and lengths).
-    let v1_runner = Runner::new(test_config().with_trace_format(TraceFormat::V1));
-    let v2_runner = Runner::new(test_config());
-    let (w1, m1) = v1_runner.trace(&spec::ammp());
-    let (w2, m2) = v2_runner.trace(&spec::ammp());
-    assert_eq!(w1.len(), w2.len());
-    assert_ne!(
-        (w1.records(), m1.records()),
-        (w2.records(), m2.records()),
-        "v1 and v2 must be distinct bit streams"
-    );
 }
 
 /// End-to-end determinism: the whole pipeline (trace, simulation, energy,

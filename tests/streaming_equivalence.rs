@@ -5,21 +5,16 @@
 //! everywhere.
 
 use rescache::prelude::*;
-use rescache_trace::{TraceFormat, WorkloadRegistry};
+use rescache_trace::WorkloadRegistry;
 
 fn engines() -> [CpuConfig; 2] {
     [CpuConfig::base_in_order(), CpuConfig::base_out_of_order()]
 }
 
 /// Runs one profile both ways on fresh hierarchies and asserts identical
-/// results and statistics, under the given trace format.
-fn assert_equivalent(
-    profile: &rescache_trace::AppProfile,
-    seed: u64,
-    instructions: usize,
-    format: TraceFormat,
-) {
-    let generator = TraceGenerator::new(profile.clone(), seed).with_format(format);
+/// results and statistics.
+fn assert_equivalent(profile: &rescache_trace::AppProfile, seed: u64, instructions: usize) {
+    let generator = TraceGenerator::new(profile.clone(), seed);
     for config in engines() {
         let sim = Simulator::new(config);
 
@@ -32,14 +27,11 @@ fn assert_equivalent(
         let streamed = sim.run_source(&mut stream, &mut h_stream);
 
         let name = profile.name;
-        assert_eq!(
-            materialized, streamed,
-            "{name} {format} ({config:?}): SimResult"
-        );
+        assert_eq!(materialized, streamed, "{name} ({config:?}): SimResult");
         assert_eq!(
             h_mat.snapshot(),
             h_stream.snapshot(),
-            "{name} {format} ({config:?}): hierarchy statistics"
+            "{name} ({config:?}): hierarchy statistics"
         );
         assert_eq!(streamed.instructions, instructions as u64, "{name}");
     }
@@ -49,41 +41,18 @@ fn assert_equivalent(
 fn registry_workloads_stream_and_materialize_identically() {
     let registry = WorkloadRegistry::builtin();
     // A cross-section of the registry: nominal behaviour, serial misses,
-    // MSHR saturation, phase alternation — under the default (v2) format.
+    // MSHR saturation, phase alternation.
     for name in ["nominal", "pointer_chase", "mshr_burst", "phase_flip"] {
         let spec = registry.get(name).expect("registered workload");
         // Longer than two chunks so chunk boundaries are really crossed.
-        assert_equivalent(
-            &spec.profile(),
-            42,
-            2 * rescache_trace::CHUNK_RECORDS + 123,
-            TraceFormat::default(),
-        );
+        assert_equivalent(&spec.profile(), 42, 2 * rescache_trace::CHUNK_RECORDS + 123);
     }
-}
-
-#[test]
-fn v1_format_streams_and_materializes_identically() {
-    // The v1 differential kept alive: the streaming contract must hold for
-    // the legacy bit stream too, so a v1-pinned replay (or an old store
-    // entry) stays simulatable through either path.
-    let registry = WorkloadRegistry::builtin();
-    for name in ["nominal", "phase_flip"] {
-        let spec = registry.get(name).expect("registered workload");
-        assert_equivalent(
-            &spec.profile(),
-            42,
-            rescache_trace::CHUNK_RECORDS + 123,
-            TraceFormat::V1,
-        );
-    }
-    assert_equivalent(&spec::gcc(), 7, 20_000, TraceFormat::V1);
 }
 
 #[test]
 fn paper_profiles_stream_and_materialize_identically() {
     for profile in [spec::gcc(), spec::swim()] {
-        assert_equivalent(&profile, 7, 30_000, TraceFormat::default());
+        assert_equivalent(&profile, 7, 30_000);
     }
 }
 
