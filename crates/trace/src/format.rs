@@ -72,4 +72,14 @@ mod tests {
             .file_suffix()
             .starts_with(&format!(".{}", TraceFormat::V3.tag())));
     }
+
+    #[test]
+    fn tags_round_trip() {
+        // The tag, the Display form and the magic's version digit name the
+        // same version, so a file name and its contents never disagree.
+        let format = TraceFormat::V3;
+        assert_eq!(format.to_string(), format.tag());
+        assert_eq!(format.tag(), "v3");
+        assert_eq!(format!("v{}", char::from(format.magic()[7])), format.tag());
+    }
 }
