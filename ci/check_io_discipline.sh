@@ -18,7 +18,8 @@ for file in \
     crates/core/src/experiment/trace_store.rs \
     crates/core/src/experiment/shared_tier.rs \
     crates/core/src/experiment/server.rs \
-    crates/core/src/json.rs
+    crates/core/src/json.rs \
+    crates/core/src/knobs.rs
 do
     if [ ! -f "$file" ]; then
         echo "check_io_discipline: missing $file" >&2

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use rescache_bench::bench_runner;
+use rescache_bench::knobs;
 use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy, ReplacementPolicy};
 use rescache_core::experiment::{
     effective_workers, per_app_org_comparison, RunSetup, Runner, RunnerConfig, ServeConfig,
@@ -100,15 +100,12 @@ fn skipped(name: &'static str) -> EngineResult {
 }
 
 /// A per-stage scratch subdirectory under `RESCACHE_TRACE_DIR`, or `None`
-/// (skip the stage) when the variable is unset or empty. The subdirectory is
+/// (skip the stage) when the variable is unset. The subdirectory is
 /// namespaced by stage and pid so concurrent runs cannot collide and a real
 /// store's entries are never touched; callers remove it when done.
 fn store_scratch_dir(stage: &str) -> Option<std::path::PathBuf> {
-    let root = std::env::var("RESCACHE_TRACE_DIR").ok()?;
-    if root.trim().is_empty() {
-        return None;
-    }
-    Some(std::path::Path::new(&root).join(format!("bench-{stage}-{}", std::process::id())))
+    let root = knobs().trace_dir.as_ref()?;
+    Some(root.join(format!("bench-{stage}-{}", std::process::id())))
 }
 
 /// Runs `body` `reps` times (after one untimed warm-up) and keeps the fastest
@@ -451,9 +448,8 @@ fn bench_dynamic(
 /// A figure-5-style static sweep over a subset of applications: the
 /// end-to-end path (trace cache, runner, parallel sweep) every figure bench
 /// takes. Returns total simulated instructions and the measured result.
-fn bench_fig5_sweep(scale: u64) -> EngineResult {
-    let runner = bench_runner();
-    let cfg = *runner.config();
+fn bench_fig5_sweep(cfg: RunnerConfig, scale: u64) -> EngineResult {
+    let runner = Runner::new(cfg);
     let apps = [
         spec::ammp(),
         spec::m88ksim(),
@@ -616,7 +612,7 @@ fn sweep_service_worker() {
         ..RunnerConfig::paper()
     };
     let server = SweepServer::bind(
-        Runner::with_store(cfg, TraceStore::from_env()),
+        Runner::new(cfg),
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             ..ServeConfig::default()
@@ -780,6 +776,8 @@ fn bench_sweep_service_multiproc(scale: u64) -> EngineResult {
 // literal — see the comment at its declaration.
 #[allow(clippy::vec_init_then_push)]
 fn main() {
+    // A malformed runtime knob stops the bench here, before any work.
+    let knobs = knobs();
     // Re-exec mode: the multi-process sweep-service stage spawns this same
     // binary as its server processes.
     if std::env::var("RESCACHE_BENCH_SWEEP_WORKER").is_ok() {
@@ -792,21 +790,19 @@ fn main() {
     let quick = std::env::var("RESCACHE_BENCH_QUICK")
         .map(|v| !matches!(v.trim(), "" | "0" | "false"))
         .unwrap_or(false);
-    // The sweep bench honours RESCACHE_WARMUP/RESCACHE_MEASURE; default to a
+    // The sweep bench honours the runner knobs; unset lengths default to a
     // bench-sized region so a full run finishes in minutes, not hours.
-    if std::env::var("RESCACHE_WARMUP").is_err() {
-        std::env::set_var("RESCACHE_WARMUP", "20000");
-    }
-    if std::env::var("RESCACHE_MEASURE").is_err() {
-        std::env::set_var("RESCACHE_MEASURE", if quick { "30000" } else { "200000" });
-    }
+    let sweep_config = knobs.runner_config(RunnerConfig {
+        warmup_instructions: 20_000,
+        measure_instructions: if quick { 30_000 } else { 200_000 },
+        ..RunnerConfig::paper()
+    });
     let scale = if quick { 1 } else { 5 };
 
     println!("=== sim_throughput: simulator wall-clock throughput ===");
     println!(
         "(quick={quick}, warm-up {} / measure {} instructions per sweep run)",
-        std::env::var("RESCACHE_WARMUP").unwrap(),
-        std::env::var("RESCACHE_MEASURE").unwrap()
+        sweep_config.warmup_instructions, sweep_config.measure_instructions
     );
     println!();
 
@@ -848,7 +844,7 @@ fn main() {
     ));
     results.extend(bench_workloads(scale, quick));
     results.extend(bench_policy_pair(scale));
-    results.push(bench_fig5_sweep(scale));
+    results.push(bench_fig5_sweep(sweep_config, scale));
     results.push(bench_sweep_service(scale));
     results.push(bench_sweep_service_multiproc(scale));
 

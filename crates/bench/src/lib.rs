@@ -3,21 +3,29 @@
 //! Each `[[bench]]` target of this crate regenerates one table or figure of
 //! the HPCA 2002 resizable-cache paper and prints the corresponding rows or
 //! series. The helpers here keep the targets small: a common runner
-//! configuration (overridable through `RESCACHE_*` environment variables),
-//! the full application list, and a tiny stopwatch for reporting how long a
-//! sweep took.
+//! configuration (the paper's, with the `RESCACHE_*` knobs of
+//! [`rescache_core::Knobs`] applied; a malformed knob stops the bench before
+//! any work, with exit status 2), the full application list, and a tiny
+//! stopwatch for reporting how long a sweep took.
 
 use std::time::Instant;
 
 use rescache_core::experiment::{Runner, RunnerConfig};
+use rescache_core::Knobs;
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
 /// The configuration every figure bench runs: the paper-quality
-/// configuration, overridable via `RESCACHE_WARMUP` / `RESCACHE_MEASURE` /
-/// `RESCACHE_SEED` / `RESCACHE_INTERVAL`. A malformed knob exits with the
-/// typed error instead of silently running at paper length.
+/// configuration with the length, seed, interval and objective knobs
+/// applied (see [`knobs`]).
 pub fn bench_config() -> RunnerConfig {
-    RunnerConfig::from_env().unwrap_or_else(|e| {
+    knobs().runner_config(RunnerConfig::paper())
+}
+
+/// The process's runtime knobs. Any malformed `RESCACHE_*` knob — not only
+/// the ones a bench reads itself — prints the typed error and exits with
+/// status 2, so a typo stops the run instead of silently changing it.
+pub fn knobs() -> &'static Knobs {
+    Knobs::resolved().unwrap_or_else(|e| {
         eprintln!("rescache: {e}");
         std::process::exit(2)
     })

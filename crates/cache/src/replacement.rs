@@ -68,18 +68,6 @@ impl ReplacementPolicy {
             _ => None,
         }
     }
-
-    /// The policy named by the `RESCACHE_POLICY` environment variable, or
-    /// LRU (the paper's baseline) when unset or unrecognized.
-    pub fn from_env() -> Self {
-        match std::env::var("RESCACHE_POLICY") {
-            Ok(v) => Self::from_tag(&v).unwrap_or_else(|| {
-                eprintln!("rescache: unknown RESCACHE_POLICY {v:?}; using lru");
-                ReplacementPolicy::Lru
-            }),
-            Err(_) => ReplacementPolicy::Lru,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,65 +5,41 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use crate::knobs::knobs;
+
 /// Upper bound on the resolved worker count: `RESCACHE_THREADS` values above
 /// this clamp down to it. Spawning thousands of scoped threads only adds
 /// scheduler pressure — `parallel_map` additionally never uses more workers
 /// than it has items.
 const MAX_WORKERS: usize = 512;
 
-/// Resolves the worker count from a raw `RESCACHE_THREADS` value and the
-/// host parallelism. Deterministic fallback rules, in order:
-///
-/// * unset → `host`;
-/// * a positive integer → that value, clamped to [`MAX_WORKERS`];
-/// * anything else (`0`, empty, non-numeric, overflowing) → `host`, exactly
-///   as if the variable were unset.
-///
-/// `host` itself is clamped to `1..=MAX_WORKERS` so the result is always a
-/// usable thread count.
-fn resolve_workers(raw: Option<&str>, host: usize) -> usize {
-    let fallback = host.clamp(1, MAX_WORKERS);
-    match raw {
-        None => fallback,
-        Some(value) => match value.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n.min(MAX_WORKERS),
-            _ => fallback,
-        },
-    }
+/// Resolves the worker count from the parsed `RESCACHE_THREADS` knob (a
+/// positive count, or `None` when unset) and the host parallelism: the knob
+/// if set, the host otherwise, clamped to `1..=MAX_WORKERS`.
+fn resolve_workers(threads: Option<usize>, host: usize) -> usize {
+    threads.unwrap_or(host).clamp(1, MAX_WORKERS)
 }
 
 /// The number of worker threads `parallel_map` fans out over: the
-/// `RESCACHE_THREADS` environment variable if set to a positive integer
-/// (clamped to 512), otherwise `std::thread::available_parallelism()`.
-/// Invalid values — `0`, empty, or unparsable — fall back to the host
-/// parallelism exactly as if the variable were unset (see `resolve_workers`
-/// for the precedence), with a one-time warning on stderr.
+/// `RESCACHE_THREADS` knob if set (clamped to 512), otherwise
+/// `std::thread::available_parallelism()`. A malformed knob panics with its
+/// typed error (see [`crate::knobs`]); entry points reject it before this
+/// runs.
 ///
 /// The override serves two audiences: scaling studies (pin the worker count
 /// and measure, instead of inheriting whatever the host offers) and shared
 /// CI/build boxes (cap the fan-out below the machine width). The value is
-/// resolved and recorded **once per process** — the environment is read on
-/// first call only, every later call returns the same value — and written to
-/// `BENCH_sim_throughput.json` so every trajectory entry names the
-/// parallelism it was measured at. Callers that fan out over fewer items
-/// than workers use fewer threads (`parallel_map` caps at the item count).
+/// resolved **once per process** and written to `BENCH_sim_throughput.json`
+/// so every trajectory entry names the parallelism it was measured at.
+/// Callers that fan out over fewer items than workers use fewer threads
+/// (`parallel_map` caps at the item count).
 pub fn effective_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
-        let raw = std::env::var("RESCACHE_THREADS").ok();
         let host = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let resolved = resolve_workers(raw.as_deref(), host);
-        if let Some(value) = raw {
-            if !matches!(value.trim().parse::<usize>(), Ok(n) if n > 0) {
-                eprintln!(
-                    "RESCACHE_THREADS={value:?} is not a positive integer; \
-                     falling back to host parallelism ({resolved})"
-                );
-            }
-        }
-        resolved
+        resolve_workers(knobs().threads, host)
     })
 }
 
@@ -165,8 +141,7 @@ mod tests {
 
     #[test]
     fn effective_workers_is_positive_and_stable() {
-        // The value is computed once per process; with RESCACHE_THREADS unset
-        // in the test environment it falls back to the host parallelism.
+        // The value is computed once per process.
         let first = effective_workers();
         assert!(first >= 1);
         assert_eq!(effective_workers(), first);
@@ -174,35 +149,15 @@ mod tests {
 
     #[test]
     fn resolve_workers_accepts_positive_integers() {
-        assert_eq!(resolve_workers(Some("3"), 8), 3);
-        assert_eq!(resolve_workers(Some(" 16 "), 8), 16, "whitespace trimmed");
-        assert_eq!(resolve_workers(Some("1"), 8), 1);
-    }
-
-    #[test]
-    fn resolve_workers_falls_back_deterministically_on_invalid_values() {
-        // Zero, empty, garbage, negative and overflowing values all behave
-        // exactly as if the variable were unset.
-        for raw in [
-            None,
-            Some("0"),
-            Some(""),
-            Some("abc"),
-            Some("-2"),
-            Some("1e3"),
-        ] {
-            assert_eq!(resolve_workers(raw, 8), 8, "raw {raw:?}");
-        }
-        assert_eq!(
-            resolve_workers(Some("18446744073709551616"), 4),
-            4,
-            "overflow falls back to host"
-        );
+        assert_eq!(resolve_workers(Some(3), 8), 3);
+        assert_eq!(resolve_workers(Some(16), 8), 16, "may exceed the host");
+        assert_eq!(resolve_workers(Some(1), 8), 1);
+        assert_eq!(resolve_workers(None, 8), 8, "unset follows the host");
     }
 
     #[test]
     fn resolve_workers_clamps_oversized_requests_and_hosts() {
-        assert_eq!(resolve_workers(Some("1000000"), 8), MAX_WORKERS);
+        assert_eq!(resolve_workers(Some(1_000_000), 8), MAX_WORKERS);
         assert_eq!(resolve_workers(None, 100_000), MAX_WORKERS);
         assert_eq!(resolve_workers(None, 0), 1, "degenerate host clamps up");
     }

@@ -11,6 +11,7 @@ use rescache_trace::{
 use crate::error::CoreError;
 use crate::experiment::parallel::parallel_map;
 use crate::experiment::trace_store::{StoreSource, TraceKey, TraceStore};
+use crate::knobs::knobs;
 use crate::org::{CachePoint, ConfigSpace, Organization};
 use crate::strategy::{DynamicController, DynamicParams, ResizeDecision};
 use crate::system::{ResizableCacheSide, SystemConfig};
@@ -67,35 +68,6 @@ impl RunnerConfig {
         }
     }
 
-    /// [`RunnerConfig::paper`] with overrides from the environment variables
-    /// `RESCACHE_WARMUP`, `RESCACHE_MEASURE`, `RESCACHE_SEED`,
-    /// `RESCACHE_INTERVAL` and `RESCACHE_OBJECTIVE` (`edp`/`ed2p`/`delay`;
-    /// all optional), so bench runs can be scaled without recompiling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`], naming the variable, when a
-    /// set length, seed or interval knob is not an unsigned integer: a typo
-    /// must fail loudly rather than silently run the paper-length default.
-    pub fn from_env() -> Result<Self, CoreError> {
-        let knob = |name| parse_knob(name, std::env::var(name).ok().as_deref());
-        let mut cfg = Self::paper();
-        if let Some(v) = knob("RESCACHE_WARMUP")? {
-            cfg.warmup_instructions = v as usize;
-        }
-        if let Some(v) = knob("RESCACHE_MEASURE")? {
-            cfg.measure_instructions = v as usize;
-        }
-        if let Some(v) = knob("RESCACHE_SEED")? {
-            cfg.trace_seed = v;
-        }
-        if let Some(v) = knob("RESCACHE_INTERVAL")? {
-            cfg.dynamic_interval = v.max(1);
-        }
-        cfg.objective = Objective::from_env();
-        Ok(cfg)
-    }
-
     /// Returns this configuration with the given search objective.
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
@@ -107,20 +79,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         Self::paper()
     }
-}
-
-/// Parses one numeric knob's raw value: unset is `None`, an unsigned
-/// integer (surrounding whitespace ignored) is its value, and anything else
-/// is a typed error naming the knob.
-fn parse_knob(name: &'static str, value: Option<&str>) -> Result<Option<u64>, CoreError> {
-    value
-        .map(|v| {
-            v.trim().parse().map_err(|_| CoreError::InvalidParameter {
-                parameter: name,
-                detail: format!("{v:?} is not an unsigned integer"),
-            })
-        })
-        .transpose()
 }
 
 /// Everything measured from one simulation of the measured region.
@@ -274,15 +232,18 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates a runner with empty trace and simulation caches. The trace
-    /// store persists to `RESCACHE_TRACE_DIR` when that is set and injects
-    /// faults under `RESCACHE_FAULTS` (see [`TraceStore::from_env`]).
+    /// Creates a runner with empty trace and simulation caches over the
+    /// store the [`Knobs`](crate::Knobs) configure: persisted under
+    /// `RESCACHE_TRACE_DIR` when set, faults injected under
+    /// `RESCACHE_FAULTS`, resident traces capped by
+    /// `RESCACHE_RESIDENT_TRACES`. A malformed knob panics with its typed
+    /// error.
     pub fn new(config: RunnerConfig) -> Self {
-        Self::with_store(config, TraceStore::from_env())
+        Self::with_store(config, TraceStore::with_tier(knobs().shared_tier()))
     }
 
     /// Creates a runner over an explicit trace store (tests and tools that
-    /// must control persistence; [`Runner::new`] reads the environment).
+    /// must control persistence; [`Runner::new`] follows the knobs).
     /// The store's shared tier also carries the simulation memo, so two
     /// runners over one store share simulations too.
     pub fn with_store(config: RunnerConfig, store: TraceStore) -> Self {
@@ -917,30 +878,6 @@ mod tests {
         assert!(
             RunnerConfig::fast().measure_instructions < RunnerConfig::paper().measure_instructions
         );
-    }
-
-    #[test]
-    fn knobs_parse_strictly() {
-        assert_eq!(parse_knob("RESCACHE_MEASURE", None), Ok(None));
-        assert_eq!(
-            parse_knob("RESCACHE_MEASURE", Some("20000")),
-            Ok(Some(20_000))
-        );
-        assert_eq!(parse_knob("RESCACHE_SEED", Some(" 7 ")), Ok(Some(7)));
-        for bad in ["", "20k", "2e4", "-1", "0x10", "1.5"] {
-            let err = parse_knob("RESCACHE_MEASURE", Some(bad)).unwrap_err();
-            assert!(
-                matches!(
-                    &err,
-                    CoreError::InvalidParameter {
-                        parameter: "RESCACHE_MEASURE",
-                        ..
-                    }
-                ),
-                "{bad:?}: {err}"
-            );
-            assert!(err.to_string().contains("RESCACHE_MEASURE"), "{err}");
-        }
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! * malformed, oversized or unserviceable request lines get typed error
 //!   responses on the same connection — never a panic, never a silent
 //!   disconnect — and a per-connection request quota
-//!   ([`ServeConfig::max_requests_per_conn`], `RESCACHE_SERVE_QUOTA`) caps
-//!   what any one connection may ask before being closed with a typed
-//!   `quota_exhausted` error.
+//!   ([`ServeConfig::max_requests_per_conn`]; the `serve` example takes it
+//!   from `RESCACHE_SERVE_QUOTA`) caps what any one connection may ask
+//!   before being closed with a typed `quota_exhausted` error.
 //!
 //! # Protocol
 //!
@@ -57,7 +57,7 @@
 //! default, `"in_order"`), `"side"` (`"data"` default, `"instruction"`),
 //! `"org"` (`"selective_sets"` default, `"selective_ways"`, `"hybrid"`) and
 //! `"objective"` (`"edp"`, `"ed2p"`, `"delay"`; defaults to the runner's
-//! configured objective, i.e. `RESCACHE_OBJECTIVE` or EDP); `point`
+//! configured objective); `point`
 //! omitting `sets`/`ways` measures the full-size baseline. `dynamic`
 //! additionally accepts `"interval"` (accesses; defaults to the runner's
 //! `dynamic_interval`), `"miss_bound"` (defaults to the baseline's
@@ -69,7 +69,9 @@
 //! next to the energy numbers, and a sweep's `kind:"done"` summary names
 //! the objective that ranked its best point. For `dynamic`, the objective
 //! also steers the controller's interval signal (a latency-first objective
-//! counts delayed hits as upsizing pressure).
+//! counts delayed hits as upsizing pressure). Every simulated system uses
+//! the d-cache replacement policy `RESCACHE_POLICY` names, resolved once when
+//! the server binds; the policy is part of every memo key.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -78,6 +80,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use rescache_cache::ReplacementPolicy;
 use rescache_energy::Objective;
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
@@ -85,6 +88,7 @@ use crate::experiment::parallel::effective_workers;
 use crate::experiment::runner::{Measurement, RunSetup, Runner};
 use crate::experiment::shared_tier::StoreHealth;
 use crate::json::{obj, Json};
+use crate::knobs::Knobs;
 use crate::org::{CachePoint, ConfigSpace, Organization};
 use crate::strategy::{DynamicParams, ResizeDecision};
 use crate::system::{ResizableCacheSide, SystemConfig};
@@ -135,30 +139,6 @@ impl Default for ServeConfig {
             workers: effective_workers(),
             max_requests_per_conn: 0,
         }
-    }
-}
-
-impl ServeConfig {
-    /// The configuration the environment selects: `RESCACHE_SERVE_ADDR`
-    /// overrides the bind address, `RESCACHE_SERVE_QUOTA` the
-    /// per-connection request quota (`0` or unset = unlimited; unparsable
-    /// values warn and keep unlimited), and `RESCACHE_THREADS` (via
-    /// [`effective_workers`]) the sweep fan-out.
-    pub fn from_env() -> Self {
-        let mut config = Self::default();
-        if let Ok(addr) = std::env::var("RESCACHE_SERVE_ADDR") {
-            config.addr = addr;
-        }
-        if let Ok(quota) = std::env::var("RESCACHE_SERVE_QUOTA") {
-            match quota.trim().parse::<usize>() {
-                Ok(n) => config.max_requests_per_conn = n,
-                Err(_) => eprintln!(
-                    "rescache-serve: unparsable RESCACHE_SERVE_QUOTA {quota:?}; \
-                     serving without a per-connection quota"
-                ),
-            }
-        }
-        config
     }
 }
 
@@ -215,23 +195,31 @@ pub struct SweepServer {
     listener: TcpListener,
     runner: Runner,
     config: ServeConfig,
+    policy: ReplacementPolicy,
     shutdown: Arc<AtomicBool>,
     connections: Arc<AtomicUsize>,
 }
 
 impl SweepServer {
     /// Binds the service (resolving an ephemeral port if `addr` asked for
-    /// one) without accepting yet.
+    /// one) without accepting yet. The d-cache replacement policy of every
+    /// simulated system is the `RESCACHE_POLICY` knob, resolved here once.
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable.
+    /// Returns the bind error if the address is unavailable, and an
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error carrying the
+    /// typed knob error if a runtime knob is malformed.
     pub fn bind(runner: Runner, config: ServeConfig) -> std::io::Result<Self> {
+        let policy = Knobs::resolved()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
+            .policy;
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Self {
             listener,
             runner,
             config,
+            policy,
             shutdown: Arc::new(AtomicBool::new(false)),
             connections: Arc::new(AtomicUsize::new(0)),
         })
@@ -296,6 +284,7 @@ impl SweepServer {
                 Ok(stream) => {
                     let runner = self.runner.clone();
                     let config = self.config.clone();
+                    let policy = self.policy;
                     let handle = handle.clone();
                     // Counted up front (not in the thread) so the gauge
                     // never under-reports a connection that was accepted
@@ -313,7 +302,8 @@ impl SweepServer {
                             }
                         }
                         let _open = Open(gauge);
-                        if let Err(e) = serve_connection(&runner, stream, &config, &handle) {
+                        if let Err(e) = serve_connection(&runner, stream, &config, policy, &handle)
+                        {
                             // A vanished client is normal server life, not a
                             // server failure.
                             eprintln!("rescache-serve: connection ended: {e}");
@@ -450,6 +440,7 @@ struct Conn<'a> {
     lines: LineReader,
     pending: VecDeque<String>,
     config: &'a ServeConfig,
+    policy: ReplacementPolicy,
     handle: &'a ServerHandle,
 }
 
@@ -492,6 +483,7 @@ fn serve_connection(
     runner: &Runner,
     stream: TcpStream,
     config: &ServeConfig,
+    policy: ReplacementPolicy,
     handle: &ServerHandle,
 ) -> std::io::Result<()> {
     // Reads poll so a shutdown drains even past idle clients; the timeout
@@ -503,6 +495,7 @@ fn serve_connection(
         lines: LineReader::default(),
         pending: VecDeque::new(),
         config,
+        policy,
         handle,
     };
     let mut accepted: usize = 0;
@@ -616,13 +609,13 @@ fn dispatch(runner: &Runner, line: &str, conn: &mut Conn) -> std::io::Result<Flo
             Ok(Flow::Shutdown)
         }
         "point" => {
-            match parse_target(&request, runner.config().objective) {
+            match parse_target(&request, runner.config().objective, conn.policy) {
                 Ok(target) => serve_point(runner, &request, id, &target, &mut conn.writer)?,
                 Err(e) => write_line(&mut conn.writer, &error_response(id, &e))?,
             }
             Ok(Flow::Continue)
         }
-        "sweep" => match parse_target(&request, runner.config().objective) {
+        "sweep" => match parse_target(&request, runner.config().objective, conn.policy) {
             Ok(target) => serve_sweep(runner, id, &target, conn),
             Err(e) => {
                 write_line(&mut conn.writer, &error_response(id, &e))?;
@@ -630,7 +623,7 @@ fn dispatch(runner: &Runner, line: &str, conn: &mut Conn) -> std::io::Result<Flo
             }
         },
         "dynamic" => {
-            match parse_target(&request, runner.config().objective) {
+            match parse_target(&request, runner.config().objective, conn.policy) {
                 Ok(target) => serve_dynamic(runner, &request, id, &target, conn)?,
                 Err(e) => write_line(&mut conn.writer, &error_response(id, &e))?,
             }
@@ -681,8 +674,13 @@ struct Target {
 /// Resolves a request's simulation target, with a protocol-level error
 /// string on anything unresolvable. `default_objective` is the runner's
 /// configured objective; a request's `"objective"` field overrides it for
-/// that request only.
-fn parse_target(request: &Json, default_objective: Objective) -> Result<Target, String> {
+/// that request only. `policy` is the server's d-cache replacement policy;
+/// it lands in the hierarchy config and so in every memo key.
+fn parse_target(
+    request: &Json,
+    default_objective: Objective,
+    policy: ReplacementPolicy,
+) -> Result<Target, String> {
     let name = request
         .get("app")
         .and_then(Json::as_str)
@@ -690,13 +688,12 @@ fn parse_target(request: &Json, default_objective: Objective) -> Result<Target, 
     let app = spec::profile(name)
         .or_else(|| WorkloadRegistry::builtin().get(name).map(|w| w.profile()))
         .ok_or_else(|| format!("unknown application {name:?}"))?;
-    // `with_env_policy`: the serving process honours `RESCACHE_POLICY`
-    // (the policy lands in the hierarchy config and so in every memo key).
-    let system = match request.get("system").and_then(Json::as_str) {
-        None | Some("base") => SystemConfig::base().with_env_policy(),
-        Some("in_order") => SystemConfig::in_order().with_env_policy(),
+    let mut system = match request.get("system").and_then(Json::as_str) {
+        None | Some("base") => SystemConfig::base(),
+        Some("in_order") => SystemConfig::in_order(),
         Some(other) => return Err(format!("unknown system {other:?} (want base or in_order)")),
     };
+    system.hierarchy.l1d_policy = policy;
     let organization = match request.get("org").and_then(Json::as_str) {
         None | Some("selective_sets") => Organization::SelectiveSets,
         Some("selective_ways") => Organization::SelectiveWays,
@@ -1444,29 +1441,26 @@ mod tests {
     }
 
     #[test]
-    fn serve_config_from_env_parses_the_quota() {
-        // Default: unlimited.
-        assert_eq!(ServeConfig::default().max_requests_per_conn, 0);
-    }
-
-    #[test]
     fn parse_target_resolves_defaults_and_rejects_unknowns() {
         let ok = Json::parse(r#"{"req":"sweep","app":"ammp"}"#).unwrap();
-        let target = parse_target(&ok, Objective::Edp).expect("defaults apply");
+        let target =
+            parse_target(&ok, Objective::Edp, ReplacementPolicy::Lru).expect("defaults apply");
         assert_eq!(target.app.name, "ammp");
         assert_eq!(target.organization, Organization::SelectiveSets);
         assert_eq!(target.side, ResizableCacheSide::Data);
         assert_eq!(target.objective, Objective::Edp);
         // The runner's configured objective is the default the request
         // inherits when it names none.
-        let target = parse_target(&ok, Objective::Delay).expect("defaults apply");
+        let target =
+            parse_target(&ok, Objective::Delay, ReplacementPolicy::Lru).expect("defaults apply");
         assert_eq!(target.objective, Objective::Delay);
 
         let scenario = Json::parse(
             r#"{"app":"pointer_chase","org":"hybrid","side":"instruction","system":"in_order","objective":"ed2p"}"#,
         )
         .unwrap();
-        let target = parse_target(&scenario, Objective::Edp).expect("registry workloads resolve");
+        let target = parse_target(&scenario, Objective::Edp, ReplacementPolicy::Lru)
+            .expect("registry workloads resolve");
         assert_eq!(target.app.name, "pointer_chase");
         assert_eq!(target.organization, Organization::Hybrid);
         assert_eq!(target.side, ResizableCacheSide::Instruction);
@@ -1481,7 +1475,31 @@ mod tests {
             r#"{"app":"ammp","objective":"bogus"}"#,
         ] {
             let request = Json::parse(bad).unwrap();
-            assert!(parse_target(&request, Objective::Edp).is_err(), "{bad}");
+            assert!(
+                parse_target(&request, Objective::Edp, ReplacementPolicy::Lru).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_target_applies_the_servers_policy_to_both_systems() {
+        for system in ["base", "in_order"] {
+            let request = Json::parse(&format!(r#"{{"app":"gcc","system":"{system}"}}"#)).unwrap();
+            let target = parse_target(&request, Objective::Edp, ReplacementPolicy::LruMad)
+                .expect("valid target");
+            assert_eq!(
+                target.system.hierarchy.l1d_policy,
+                ReplacementPolicy::LruMad,
+                "{system}"
+            );
+            let target = parse_target(&request, Objective::Edp, ReplacementPolicy::default())
+                .expect("valid target");
+            assert_eq!(
+                target.system.hierarchy.l1d_policy,
+                ReplacementPolicy::Lru,
+                "{system}"
+            );
         }
     }
 }

@@ -374,30 +374,6 @@ impl SharedTier {
         }
     }
 
-    /// The tier the environment configures: persistence from
-    /// `RESCACHE_TRACE_DIR`, fault injection from `RESCACHE_FAULTS`, resident
-    /// full-trace cap from `RESCACHE_RESIDENT_TRACES`.
-    pub fn from_env() -> Self {
-        let tier = Self::new(
-            std::env::var_os("RESCACHE_TRACE_DIR").map(PathBuf::from),
-            IoPolicy::from_env(),
-        );
-        match std::env::var("RESCACHE_RESIDENT_TRACES")
-            .ok()
-            .map(|v| v.trim().parse::<usize>())
-        {
-            Some(Ok(cap)) => tier.with_resident_cap(cap),
-            Some(Err(_)) => {
-                eprintln!(
-                    "rescache: ignoring unparsable RESCACHE_RESIDENT_TRACES \
-                     (want a positive integer); keeping cap {DEFAULT_RESIDENT_CAP}"
-                );
-                tier
-            }
-            None => tier,
-        }
-    }
-
     /// This tier with the given lock timings (tests shrink them).
     pub fn with_lock_params(mut self, lock: LockParams) -> Self {
         self.lock = lock;

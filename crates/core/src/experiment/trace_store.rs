@@ -1,6 +1,6 @@
 //! The shared trace store: once-per-key generation, copy-free in-process
-//! sharing, chunk-granular prefix sharing, optional on-disk persistence, and
-//! streamed (never-materialized) serving for replay-once consumers.
+//! sharing, optional on-disk persistence, and streamed (never-materialized)
+//! serving for replay-once consumers.
 //!
 //! Every experiment replays the same `(application, seed, lengths)` trace
 //! under many cache configurations, and trace generation is the slowest
@@ -26,14 +26,12 @@
 //!   materialized path. This is what lets the dynamic-controller experiments
 //!   run with a single chunk buffer resident.
 //!
-//! Persisted entries are keyed by *total* length and shared chunk-granularly
-//! between overlapping requests: a request is served from a longer entry's
-//! leading chunks when the profile is
-//! [`length-invariant`](AppProfile::length_invariant) (generation is
-//! prefix-stable), and two warm/measure splits of the same total always
-//! share one entry. Disk entries are advisory, with typed recovery (all of
-//! it exercised deterministically via the [`rescache_trace::IoPolicy`] fault
-//! seam and accounted in [`StoreHealth`]):
+//! Entries, resident and persisted, are keyed by *total* length and served
+//! only for that exact key: two warm/measure splits of the same total share
+//! one entry, while a request for a different total gets its own. Disk
+//! entries are advisory, with typed recovery (all of it exercised
+//! deterministically via the [`rescache_trace::IoPolicy`] fault seam and
+//! accounted in [`StoreHealth`]):
 //!
 //! * a **missing** entry regenerates silently;
 //! * a **transient** I/O error (see [`rescache_trace::is_transient`]) gets a
@@ -188,13 +186,6 @@ impl TraceSource for StoreSource {
 }
 
 impl TraceStore {
-    /// Creates a store persisting to `RESCACHE_TRACE_DIR` if that names a
-    /// directory (created on first write), in-memory only otherwise, with
-    /// fault injection from `RESCACHE_FAULTS` if set.
-    pub fn from_env() -> Self {
-        Self::with_tier(SharedTier::from_env())
-    }
-
     /// Creates a store with an explicit persistence directory (`None` =
     /// in-memory only) and no fault injection.
     pub fn with_dir(dir: Option<PathBuf>) -> Self {
@@ -354,11 +345,11 @@ impl TraceStore {
         let key = Self::store_key(app, config);
         let total = key.3;
 
-        // Already materialized in this process (exactly, or as a longer
-        // prefix-stable trace): replaying the resident buffer is free.
-        if let Some((served, full)) = self.resident_prefix(app, &key) {
+        // Already materialized in this process: replaying the resident
+        // buffer is free.
+        if let Some(full) = self.resident(&key) {
             self.tier.health().note_hit();
-            self.note_resident_use(&served);
+            self.note_resident_use(&key);
             return StoreSource::Resident(full.cursor());
         }
 
@@ -392,68 +383,34 @@ impl TraceStore {
         StoreSource::Resident(self.fetch_full(app, config).cursor())
     }
 
-    /// A resident full trace covering `key` — exact, or a copy-free prefix
-    /// view of a longer resident trace when the profile is prefix-stable.
-    /// Returns the key of the entry actually serving the request (the longer
-    /// entry's, on a prefix serve), so callers can stamp the right key in
-    /// the resident LRU.
-    fn resident_prefix(&self, app: &AppProfile, key: &StoreKey) -> Option<(StoreKey, Trace)> {
-        self.tier.traces.with_map(|map| {
-            if let Some(trace) = map.get(key).and_then(|slot| slot.get()) {
-                return Some((*key, trace.clone()));
-            }
-            if !app.length_invariant() {
-                return None;
-            }
-            let (name, fingerprint, seed, total) = *key;
-            map.iter()
-                .filter(|((n, f, s, t), _)| {
-                    *n == name && *f == fingerprint && *s == seed && *t > total
-                })
-                .filter_map(|(k, slot)| slot.get().map(|t| (*k, t)))
-                .min_by_key(|(k, _)| k.3)
-                .map(|(k, trace)| (k, trace.slice(0..total)))
-        })
+    /// The full trace materialized for exactly `key`, if resident.
+    fn resident(&self, key: &StoreKey) -> Option<Trace> {
+        self.tier
+            .traces
+            .with_map(|map| map.get(key).and_then(|slot| slot.get()).cloned())
     }
 
-    /// Opens a chunked on-disk source for `key`: the exact-total entry, or a
-    /// prefix of a longer entry when the profile is prefix-stable. The
-    /// directory scan for a longer candidate runs only when the exact entry
-    /// is absent or unusable — the hot path is one `open`.
+    /// Opens a chunked on-disk source over `key`'s entry, if a usable
+    /// directory holds a valid one.
     fn disk_source(&self, app: &AppProfile, key: &StoreKey) -> Option<TraceFileSource> {
-        let total = key.3;
-        if let Some(source) = self.open_entry(app, &self.entry_path(key)?, total, total) {
-            return Some(source);
-        }
-        if app.length_invariant() {
-            if let Some((path, file_total)) = self.find_longer_entry(key) {
-                return self.open_entry(app, &path, total, file_total);
-            }
-        }
-        None
+        self.open_entry(app, &self.entry_path(key)?, key.3)
     }
 
-    /// Opens one candidate entry serving `take` records, validating the
-    /// header (a retired-format file surfaces as the codec's typed
+    /// Opens one entry of `total` records, validating the header (a
+    /// retired-format file surfaces as the codec's typed
     /// [`codec::CodecError::UnsupportedVersion`] or
     /// [`codec::CodecError::UnsupportedFlags`]) and the header's application
-    /// name and record count against what the *file name* promises
-    /// (`file_total`) — a header that disagrees marks a foreign, stale or
-    /// hash-colliding file, which must be ignored, never prefix-served.
-    fn open_entry(
-        &self,
-        app: &AppProfile,
-        path: &Path,
-        take: usize,
-        file_total: usize,
-    ) -> Option<TraceFileSource> {
+    /// name and record count against what the *file name* promises — a
+    /// header that disagrees marks a foreign, stale or hash-colliding file,
+    /// which is quarantined, never served.
+    fn open_entry(&self, app: &AppProfile, path: &Path, total: usize) -> Option<TraceFileSource> {
         let policy = self.tier.policy();
         let health = self.tier.health();
         // A transient open failure gets the bounded retry; anything typed is
         // decided immediately.
         let mut attempt = 1;
         let opened = loop {
-            match TraceFileSource::open_with(path, Some(take), policy) {
+            match TraceFileSource::open_with(path, Some(total), policy) {
                 Err(codec::CodecError::Io(e))
                     if is_transient(&e) && attempt < IoPolicy::ATTEMPTS =>
                 {
@@ -465,7 +422,7 @@ impl TraceStore {
             }
         };
         match opened {
-            Ok(source) if source.name() == app.name && source.file_records() == file_total => {
+            Ok(source) if source.name() == app.name && source.file_records() == total => {
                 Some(source)
             }
             Ok(source) => {
@@ -473,7 +430,7 @@ impl TraceStore {
                 // foreign, stale or hash-colliding file: a content problem,
                 // so it is quarantined like corruption.
                 eprintln!(
-                    "rescache: trace store entry {} is for {}/{} records, expected {}/{file_total}; quarantining",
+                    "rescache: trace store entry {} is for {}/{} records, expected {}/{total}; quarantining",
                     path.display(),
                     source.name(),
                     source.file_records(),
@@ -512,7 +469,7 @@ impl TraceStore {
     /// corruption is diagnosable on disk) and counts the quarantine. If even
     /// the rename fails, the entry is removed instead — the store must never
     /// keep re-reading a corrupt file. The sidecar name is outside the
-    /// store's entry-name grammar, so scans and prefix sharing ignore it.
+    /// store's entry-name grammar, so the store never opens it.
     fn quarantine_entry(&self, path: &Path) {
         let mut sidecar = path.as_os_str().to_os_string();
         sidecar.push(".corrupt");
@@ -546,10 +503,6 @@ impl TraceStore {
     /// fault was transient I/O (`quarantine = false`), the entry itself is
     /// left untouched — only the persist memo is cleared so the next request
     /// re-probes the disk.
-    ///
-    /// The faulted file may be the requesting key's exact entry *or* a
-    /// longer shared entry, so the persist memo is cleared for both the
-    /// requesting key and the key the file's own name claims.
     pub(crate) fn invalidate_disk_entry(
         &self,
         path: &Path,
@@ -560,30 +513,7 @@ impl TraceStore {
         if quarantine {
             self.quarantine_entry(path);
         }
-        let (name, fingerprint, seed, _) = Self::store_key(app, config);
         self.tier.persists.remove(&Self::store_key(app, config));
-        if let Some(file_total) = Self::entry_total_from_path(path, name, fingerprint, seed) {
-            self.tier
-                .persists
-                .remove(&(name, fingerprint, seed, file_total));
-        }
-    }
-
-    /// Parses the total-record count a store entry's file name claims, if
-    /// the name matches the given (application, fingerprint, seed).
-    fn entry_total_from_path(
-        path: &Path,
-        name: &str,
-        fingerprint: u64,
-        seed: u64,
-    ) -> Option<usize> {
-        let file_name = path.file_name()?.to_str()?;
-        let prefix = format!("{name}-{fingerprint:016x}-s{seed}-t");
-        file_name
-            .strip_prefix(&prefix)?
-            .strip_suffix(ENTRY_SUFFIX)?
-            .parse()
-            .ok()
     }
 
     /// Persists the keyed trace by draining a generator stream to disk (no
@@ -675,29 +605,17 @@ impl TraceStore {
 
     /// Loads the keyed full trace from disk if possible, otherwise generates
     /// it (and persists the result, best-effort). Every landing is counted:
-    /// a disk (or resident-prefix) serve is a hit, a clean cold generation a
-    /// miss, a generation forced by a bad entry a regeneration.
+    /// a disk serve is a hit, a clean cold generation a miss, a generation
+    /// forced by a bad entry a regeneration.
     fn load_or_generate(&self, app: &AppProfile, key: &StoreKey) -> Trace {
         let (_, _, seed, total) = *key;
         let health = self.tier.health();
 
-        // A longer prefix-stable trace already resident in this process
-        // serves the request as a copy-free view — the same sharing
-        // `source()` applies (the exact key can't be resident: this runs
-        // inside its one-time initializer).
-        if let Some((served, prefix)) = self.resident_prefix(app, key) {
-            health.note_hit();
-            self.note_resident_use(&served);
-            return prefix;
-        }
-
         // One disk-serving policy for both access modes: `disk_source`
-        // locates and validates the entry (exact total, or a longer entry's
-        // prefix when the profile is prefix-stable — chunk-granular, so
-        // corruption beyond the prefix is never even read) and this path
-        // merely materializes what it streams. A transient mid-read fault
-        // retries the whole materialization (bounded); a content fault
-        // quarantines the entry before falling back to regeneration.
+        // locates and validates the entry and this path merely materializes
+        // what it streams. A transient mid-read fault retries the whole
+        // materialization (bounded); a content fault quarantines the entry
+        // before falling back to regeneration.
         let mut forced_regeneration = false;
         let mut attempt = 1;
         while let Some(mut source) = self.disk_source(app, key) {
@@ -787,40 +705,10 @@ impl TraceStore {
         self.tier.active_dir().map(|d| d.join(Self::file_name(key)))
     }
 
-    /// Finds the smallest persisted entry for the same (application,
-    /// fingerprint, seed) whose total exceeds the key's — the candidate for
-    /// prefix serving. Returns the path and the total its file name claims.
-    fn find_longer_entry(&self, key: &StoreKey) -> Option<(PathBuf, usize)> {
-        let dir = self.tier.active_dir()?;
-        let (name, fingerprint, seed, total) = *key;
-        let prefix = format!("{name}-{fingerprint:016x}-s{seed}-t");
-        let mut best: Option<(PathBuf, usize)> = None;
-        for entry in self.tier.policy().read_dir(dir).ok()? {
-            let Ok(entry) = entry else { continue };
-            let file_name = entry.file_name();
-            let Some(file_name) = file_name.to_str() else {
-                continue;
-            };
-            let Some(rest) = file_name
-                .strip_prefix(&prefix)
-                .and_then(|r| r.strip_suffix(ENTRY_SUFFIX))
-            else {
-                continue;
-            };
-            let Ok(entry_total) = rest.parse::<usize>() else {
-                continue;
-            };
-            if entry_total > total && best.as_ref().is_none_or(|(_, t)| entry_total < *t) {
-                best = Some((entry.path(), entry_total));
-            }
-        }
-        best
-    }
-
     /// File name of a store entry: application name plus every key component
     /// that distinguishes trace contents. Entries are keyed by *total*
     /// length — the warm/measure split is a property of the request, not of
-    /// the records — so overlapping requests share files.
+    /// the records — so two splits of one total share a file.
     fn file_name(key: &StoreKey) -> String {
         let (name, fingerprint, seed, total) = key;
         format!("{name}-{fingerprint:016x}-s{seed}-t{total}{ENTRY_SUFFIX}")
@@ -929,96 +817,64 @@ mod tests {
     }
 
     #[test]
-    fn longer_entry_serves_a_shorter_request_without_regeneration() {
-        let (store, dir) = temp_store("prefix");
+    fn a_shorter_total_gets_its_own_entry_and_leaves_the_longer_one_alone() {
+        // Entries serve exactly their own total, whatever the profile's
+        // schedules: for constant-schedule ammp as for multi-phase gcc, a
+        // fresh store asked for a shorter total generates and persists its
+        // own entry, bit-equal to a fresh generator, and the longer entry's
+        // bytes stay as they were.
         let cfg = RunnerConfig::fast();
-        // ammp is length-invariant (constant schedules): persist the long
-        // trace, then ask a fresh store for a shorter one.
-        assert!(spec::ammp().length_invariant());
-        let (w_long, m_long) = store.fetch(&spec::ammp(), &cfg);
-        let long_path = entry_path(&dir);
-
         let mut short = cfg;
         short.measure_instructions /= 2;
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (w_short, m_short) = fresh.fetch(&spec::ammp(), &short);
-        assert_eq!(w_short, w_long);
-        let long_records: Vec<_> = w_long
-            .records()
-            .iter()
-            .chain(m_long.records())
-            .copied()
-            .collect();
-        assert_eq!(
-            m_short.records(),
-            &long_records
-                [short.warmup_instructions..short.warmup_instructions + short.measure_instructions]
-        );
-        // Served from the longer entry: no new file appeared.
-        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 1);
+        let short_total = short.warmup_instructions + short.measure_instructions;
+        for app in [spec::ammp(), spec::gcc()] {
+            let name = app.name;
+            let (store, dir) = temp_store(&format!("exact-{name}"));
+            store.fetch(&app, &cfg);
+            let long_path = entry_path(&dir);
+            let long_bytes = std::fs::read(&long_path).expect("read long entry");
 
-        // A corrupt chunk *inside* the requested prefix falls back to
-        // regeneration (which writes the exact-total entry). Wreck the first
-        // chunk's directory entry — v3 compressed container: magic(8) +
-        // flags(1) + name_len(4) + name + count(8), then per chunk
-        // [len u32][byte_len u32][payload].
-        let mut bytes = std::fs::read(&long_path).expect("read entry");
-        let first_chunk = 9 + 4 + "ammp".len() + 8;
-        bytes[first_chunk + 4..first_chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&long_path, &bytes).expect("corrupt entry");
-        let corrupted = TraceStore::with_dir(Some(dir.clone()));
-        let (w_regen, m_regen) = corrupted.fetch(&spec::ammp(), &short);
-        assert_eq!(w_regen, w_short, "regeneration reproduces the prefix");
-        assert_eq!(m_regen, m_short);
-        assert_eq!(
-            std::fs::read_dir(&dir).expect("dir").count(),
-            2,
-            "regeneration persisted the exact-total entry"
-        );
-        std::fs::remove_dir_all(&dir).ok();
+            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            let (w, m) = fresh.fetch(&app, &short);
+            let expected = TraceGenerator::new(app.clone(), short.trace_seed).generate(short_total);
+            assert_eq!(
+                [w.records(), m.records()].concat(),
+                expected.records(),
+                "{name}"
+            );
+            assert_eq!(fresh.health().misses, 1, "{name}: generated, not reused");
+            let short_path = dir.join(TraceStore::file_name(&TraceStore::store_key(&app, &short)));
+            assert!(short_path.exists(), "{name}: its own entry is written");
+            assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 2, "{name}");
+            assert_eq!(
+                std::fs::read(&long_path).expect("reread long entry"),
+                long_bytes,
+                "{name}: the longer entry is untouched"
+            );
+
+            // The streamed path replays the shorter total's own entry.
+            let mut source = TraceStore::with_dir(Some(dir.clone())).source(&app, &short);
+            assert_eq!(source.kind(), StoreSourceKind::Disk, "{name}");
+            assert_eq!(drain(&mut source), expected.records(), "{name}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
-    fn length_varying_profiles_never_share_prefixes() {
-        let (store, dir) = temp_store("noprefix");
-        let cfg = RunnerConfig::fast();
-        // gcc's multi-phase sequence schedules scale with the total: a
-        // shorter request must regenerate, not reuse the longer entry.
-        assert!(!spec::gcc().length_invariant());
-        store.fetch(&spec::gcc(), &cfg);
-
-        let mut short = cfg;
-        short.measure_instructions /= 2;
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (_, m_short) = fresh.fetch(&spec::gcc(), &short);
-        let expected = TraceGenerator::new(spec::gcc(), cfg.trace_seed)
-            .generate(short.warmup_instructions + short.measure_instructions);
-        assert_eq!(
-            m_short.records(),
-            &expected.records()[short.warmup_instructions..]
-        );
-        assert_eq!(
-            std::fs::read_dir(&dir).expect("dir").count(),
-            2,
-            "the shorter gcc trace gets its own entry"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mislabeled_entry_is_ignored_not_prefix_served() {
+    fn entry_whose_header_disagrees_with_its_name_is_quarantined() {
         // A file whose header promises more records than its *name* claims
-        // is foreign or stale: serving its prefix would silently diverge for
-        // length-varying profiles. Both the materialized and the streamed
-        // paths must regenerate instead.
+        // is foreign or stale: serving any of it would silently diverge.
+        // Both the materialized and the streamed paths must quarantine it
+        // and regenerate instead.
         let (_, dir) = temp_store("mislabel");
         std::fs::create_dir_all(&dir).expect("create dir");
         let cfg = RunnerConfig::fast();
         let mut short = cfg;
         short.measure_instructions /= 2;
         let short_total = short.warmup_instructions + short.measure_instructions;
-        // Masquerade a long trace as the short entry (gcc is NOT
-        // length-invariant, so no honest sharing path exists).
+        // Masquerade a long trace as the short entry (gcc's multi-phase
+        // schedules scale with the total, so its prefix is not the short
+        // trace).
         let short_name = TraceStore::file_name(&TraceStore::store_key(&spec::gcc(), &short));
         let long_trace = TraceGenerator::new(spec::gcc(), cfg.trace_seed)
             .generate(cfg.warmup_instructions + cfg.measure_instructions);
@@ -1084,8 +940,8 @@ mod tests {
         assert_eq!(drain(&mut source).len(), total);
         assert_eq!(store.resident_full_traces(), 1);
 
-        // A shorter request for a length-invariant profile is a copy-free
-        // prefix view of the resident trace — still one materialization.
+        // A shorter total is a key of its own: it materializes its own
+        // trace rather than viewing the longer one.
         let mut short = cfg;
         short.measure_instructions /= 2;
         let source = store.source(&spec::ammp(), &short);
@@ -1094,7 +950,7 @@ mod tests {
             source.total_records(),
             short.warmup_instructions + short.measure_instructions
         );
-        assert_eq!(store.resident_full_traces(), 1);
+        assert_eq!(store.resident_full_traces(), 2);
     }
 
     #[test]

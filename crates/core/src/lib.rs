@@ -47,12 +47,14 @@
 pub mod error;
 pub mod experiment;
 pub mod json;
+pub mod knobs;
 pub mod org;
 pub mod strategy;
 pub mod system;
 
 pub use error::CoreError;
 pub use experiment::{Runner, RunnerConfig};
+pub use knobs::Knobs;
 pub use org::{CachePoint, ConfigSpace, Organization};
 pub use strategy::{DynamicController, DynamicParams, ResizeDecision, StaticSearch};
 pub use system::{ResizableCacheSide, SystemConfig};

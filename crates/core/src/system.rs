@@ -1,7 +1,7 @@
 //! The simulated system: processor configuration plus memory hierarchy, and
 //! which L1 cache(s) an experiment resizes.
 
-use rescache_cache::{CacheConfig, HierarchyConfig, ReplacementPolicy};
+use rescache_cache::{CacheConfig, HierarchyConfig};
 use rescache_cpu::CpuConfig;
 
 /// Which L1 cache a resizing organization/strategy is applied to.
@@ -81,17 +81,6 @@ impl SystemConfig {
     /// Returns a copy with the in-order/blocking processor.
     pub fn into_in_order(mut self) -> Self {
         self.cpu = CpuConfig::base_in_order();
-        self
-    }
-
-    /// This system with the d-cache replacement policy `RESCACHE_POLICY`
-    /// names (LRU — the paper's baseline, and a no-op — when unset). The
-    /// policy is part of the hierarchy configuration and hence of every
-    /// memo key, so runs under different policies never cross-serve. The
-    /// figure benches deliberately do *not* apply this: the paper's
-    /// figures are defined over LRU.
-    pub fn with_env_policy(mut self) -> Self {
-        self.hierarchy.l1d_policy = ReplacementPolicy::from_env();
         self
     }
 }

@@ -117,18 +117,6 @@ impl Objective {
             _ => None,
         }
     }
-
-    /// The objective named by the `RESCACHE_OBJECTIVE` environment variable,
-    /// or EDP (the paper's metric) when unset or unrecognized.
-    pub fn from_env() -> Self {
-        match std::env::var("RESCACHE_OBJECTIVE") {
-            Ok(v) => Self::from_tag(&v).unwrap_or_else(|| {
-                eprintln!("rescache: unknown RESCACHE_OBJECTIVE {v:?}; using edp");
-                Objective::Edp
-            }),
-            Err(_) => Objective::Edp,
-        }
-    }
 }
 
 #[cfg(test)]

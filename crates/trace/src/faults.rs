@@ -23,9 +23,11 @@
 //! is how the single-flight memo tier's poisoned-lock recovery is regression
 //! tested.
 //!
-//! The environment knob `RESCACHE_FAULTS` (see [`FaultSpec::parse`])
-//! configures a seeded probabilistic injector for whole processes — the CI
-//! fault-injection stress job runs the full shared-tier test suite under it.
+//! The environment knob `RESCACHE_FAULTS` (parsed by [`FaultSpec::parse`];
+//! read once per process by the core crate's knob layer) configures a seeded
+//! probabilistic injector for every store built from the environment — the
+//! CI fault-injection stress job runs the full shared-tier test suite under
+//! it.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -373,27 +375,6 @@ impl IoPolicy {
         }
     }
 
-    /// The policy `RESCACHE_FAULTS` configures: a seeded probabilistic
-    /// injector when the variable is set and parses, the transparent policy
-    /// otherwise (a malformed value warns on stderr rather than silently
-    /// injecting nothing under a typo'd spec — the warning names the error).
-    pub fn from_env() -> Self {
-        let Ok(value) = std::env::var("RESCACHE_FAULTS") else {
-            return Self::none();
-        };
-        if value.trim().is_empty() {
-            return Self::none();
-        }
-        match FaultSpec::parse(&value) {
-            Ok(spec) if spec.is_quiet() => Self::none(),
-            Ok(spec) => Self::with_injector(Arc::new(FaultInjector::seeded(spec))),
-            Err(e) => {
-                eprintln!("rescache: ignoring malformed RESCACHE_FAULTS ({e}); running fault-free");
-                Self::none()
-            }
-        }
-    }
-
     /// The injector behind this policy, if any (tests inspect counters).
     pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
         self.injector.as_ref()
@@ -445,12 +426,6 @@ impl IoPolicy {
     pub fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         self.check(IoOp::CreateDir)?;
         std::fs::create_dir_all(path)
-    }
-
-    /// Lists a directory ([`IoOp::Open`]).
-    pub fn read_dir(&self, path: &Path) -> io::Result<std::fs::ReadDir> {
-        self.check(IoOp::Open)?;
-        std::fs::read_dir(path)
     }
 
     /// Wraps a reader so every `read` call is policed ([`IoOp::Read`]).
@@ -711,16 +686,5 @@ mod tests {
             .unwrap_err();
         assert!(is_disk_full(&err));
         assert_eq!(retries, 0);
-    }
-
-    #[test]
-    fn from_env_spec_shapes() {
-        // Not testing the env var itself (process-global); the parse +
-        // is_quiet path from_env relies on is covered here.
-        assert!(FaultSpec::parse("seed=1,read=0")
-            .expect("quiet spec")
-            .is_quiet());
-        let spec = FaultSpec::parse("read=0.001").expect("live spec");
-        assert!(!spec.is_quiet());
     }
 }

@@ -334,32 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn length_invariant_profiles_generate_prefix_stable_traces() {
-        // The store's cross-length prefix sharing is sound exactly when
-        // `AppProfile::length_invariant` holds: verify the guarantee on the
-        // shipped profiles that claim it, and that some profiles do claim it.
-        let invariant: Vec<_> = spec::all_profiles()
-            .into_iter()
-            .filter(|p| p.length_invariant())
-            .collect();
-        assert!(
-            invariant.len() >= 4,
-            "several paper profiles have constant/periodic schedules"
-        );
-        for profile in [spec::ammp(), spec::su2cor(), spec::m88ksim()] {
-            assert!(profile.length_invariant(), "{}", profile.name);
-            let long = TraceGenerator::new(profile.clone(), 9).generate(12_000);
-            let short = TraceGenerator::new(profile, 9).generate(5_000);
-            assert_eq!(short.records(), &long.records()[..5_000]);
-        }
-        // A multi-phase sequence schedule scales with the total: not a prefix.
-        assert!(!spec::gcc().length_invariant());
-        let long = TraceGenerator::new(spec::gcc(), 9).generate(12_000);
-        let short = TraceGenerator::new(spec::gcc(), 9).generate(5_000);
-        assert_ne!(short.records(), &long.records()[..5_000]);
-    }
-
-    #[test]
     fn mem_fraction_tracks_mix() {
         for p in [spec::gcc(), spec::swim(), spec::m88ksim()] {
             let expected = p.mix.mem();

@@ -135,24 +135,6 @@ impl PhaseSchedule {
         self.phases.len() - 1
     }
 
-    /// Returns `true` when the phase active at an instruction index does not
-    /// depend on the trace's total length: periodic schedules place phases by
-    /// `index % period`, and a sequence with a single positively-weighted
-    /// phase (including [`PhaseSchedule::constant`]) is the same phase
-    /// everywhere. Multi-phase sequences scale their boundaries with the
-    /// total, so they are *not* length-invariant.
-    ///
-    /// Length invariance is what makes a generated trace of `N` records a
-    /// bit-exact prefix of the same profile's `M > N`-record trace, which the
-    /// experiment trace store relies on to share persisted chunks between
-    /// overlapping trace lengths (see `AppProfile::length_invariant`).
-    pub fn length_invariant(&self) -> bool {
-        match self.kind {
-            ScheduleKind::Periodic { .. } => true,
-            ScheduleKind::Sequence => self.phases.iter().filter(|p| p.weight > 0.0).count() <= 1,
-        }
-    }
-
     /// The instruction-weighted mean working-set size in bytes.
     pub fn mean_bytes(&self) -> f64 {
         let weight_sum: f64 = self.phases.iter().map(|p| p.weight.max(0.0)).sum();
@@ -308,34 +290,6 @@ mod tests {
         let s = PhaseSchedule::periodic(10, vec![Phase::new(1.0, ws(1024))]);
         assert_eq!(s.kind(), ScheduleKind::Periodic { period: 10 });
         assert_eq!(s.phases().len(), 1);
-    }
-
-    #[test]
-    fn length_invariance_matches_the_active_phase_function() {
-        let schedules = [
-            PhaseSchedule::constant(ws(4096)),
-            PhaseSchedule::sequence(vec![Phase::new(1.0, ws(1024)), Phase::new(1.0, ws(8192))]),
-            PhaseSchedule::sequence(vec![Phase::new(0.0, ws(1024)), Phase::new(1.0, ws(8192))]),
-            PhaseSchedule::periodic(
-                100,
-                vec![Phase::new(1.0, ws(1024)), Phase::new(1.0, ws(8192))],
-            ),
-        ];
-        for s in &schedules {
-            // The predicate must be exactly "active phase is the same under
-            // every total": check it against the definition.
-            let same_under_all_totals = (0..500u64).all(|i| {
-                [600u64, 1_000, 5_000]
-                    .iter()
-                    .all(|t| s.active_index(i, 500) == s.active_index(i, *t))
-            });
-            assert_eq!(
-                s.length_invariant(),
-                same_under_all_totals,
-                "{:?}",
-                s.kind()
-            );
-        }
     }
 
     #[test]

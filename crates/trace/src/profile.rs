@@ -137,22 +137,6 @@ impl AppProfile {
         hash
     }
 
-    /// Returns `true` when this profile expands to the same record at every
-    /// index regardless of the requested trace length, i.e. a generated trace
-    /// of `N` records is a bit-exact prefix of the profile's `M > N`-record
-    /// trace.
-    ///
-    /// The generator's code walk, address walk, RNG sub-streams and
-    /// dependency sampler all advance strictly per record; the only
-    /// length-dependent input is the pair of phase schedules, so the profile
-    /// is prefix-stable exactly when both schedules are
-    /// [`PhaseSchedule::length_invariant`]. The experiment trace store uses
-    /// this to serve short trace requests from longer persisted entries
-    /// without regenerating.
-    pub fn length_invariant(&self) -> bool {
-        self.data.schedule.length_invariant() && self.code.schedule.length_invariant()
-    }
-
     /// Instruction-weighted mean data working-set size in bytes.
     pub fn mean_data_working_set(&self) -> f64 {
         self.data.schedule.mean_bytes()

@@ -3,7 +3,9 @@
 //! pool of traces and simulation results.
 //!
 //! Run a long-lived server (address from `RESCACHE_SERVE_ADDR`, default
-//! `127.0.0.1:7878`; runner knobs from the usual `RESCACHE_*` variables):
+//! `127.0.0.1:7878`; per-connection quota from `RESCACHE_SERVE_QUOTA`; runner
+//! knobs from the usual `RESCACHE_*` variables — a malformed one exits with
+//! status 2 before the server binds):
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -29,16 +31,24 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use rescache::core::json::Json;
+use rescache::core::Knobs;
 use rescache::prelude::*;
 
 fn main() -> std::io::Result<()> {
+    let knobs = Knobs::resolved().unwrap_or_else(|e| {
+        eprintln!("rescache-serve: {e}");
+        std::process::exit(2)
+    });
     if std::env::args().any(|a| a == "--demo") {
         demo()
     } else {
-        let config = RunnerConfig::from_env()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let runner = Runner::new(config);
-        let server = SweepServer::bind(runner, ServeConfig::from_env())?;
+        let runner = Runner::new(knobs.runner_config(RunnerConfig::paper()));
+        let config = ServeConfig {
+            addr: knobs.serve_addr.clone(),
+            max_requests_per_conn: knobs.serve_quota,
+            ..ServeConfig::default()
+        };
+        let server = SweepServer::bind(runner, config)?;
         println!(
             "rescache sweep service listening on {}",
             server.local_addr()?

@@ -727,7 +727,7 @@ fn multiproc_worker() {
     let Ok(port_file) = std::env::var("RESCACHE_SWEEP_WORKER_PORT_FILE") else {
         return;
     };
-    let runner = Runner::with_store(service_config(), TraceStore::from_env());
+    let runner = Runner::new(service_config());
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         ..ServeConfig::default()
