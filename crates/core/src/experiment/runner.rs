@@ -866,6 +866,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::Knobs;
     use rescache_trace::spec;
 
     fn runner() -> Runner {
@@ -878,6 +879,49 @@ mod tests {
         assert!(
             RunnerConfig::fast().measure_instructions < RunnerConfig::paper().measure_instructions
         );
+    }
+
+    #[test]
+    fn knobs_parse_strictly() {
+        // The length, seed and interval knobs land in the runner config;
+        // unset ones keep the base's value.
+        let base = RunnerConfig::fast();
+        let lookup = |set: &'static [(&'static str, &'static str)]| {
+            move |name: &str| {
+                set.iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.to_string())
+            }
+        };
+        let knobs = Knobs::parse(lookup(&[
+            ("RESCACHE_MEASURE", "20000"),
+            ("RESCACHE_SEED", " 7 "),
+        ]))
+        .expect("valid knobs");
+        let config = knobs.runner_config(base);
+        assert_eq!(config.measure_instructions, 20_000);
+        assert_eq!(config.trace_seed, 7);
+        assert_eq!(config.warmup_instructions, base.warmup_instructions);
+        assert_eq!(config.dynamic_interval, base.dynamic_interval);
+        let unset = Knobs::parse(lookup(&[])).expect("no knobs set");
+        assert_eq!(unset.runner_config(base), base);
+
+        for bad in ["", "20k", "2e4", "-1", "0x10", "1.5"] {
+            let err =
+                Knobs::parse(|name: &str| (name == "RESCACHE_MEASURE").then(|| bad.to_string()))
+                    .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    CoreError::InvalidParameter {
+                        parameter: "RESCACHE_MEASURE",
+                        ..
+                    }
+                ),
+                "{bad:?}: {err}"
+            );
+            assert!(err.to_string().contains("RESCACHE_MEASURE"), "{err}");
+        }
     }
 
     #[test]

@@ -1441,6 +1441,39 @@ mod tests {
     }
 
     #[test]
+    fn serve_config_from_env_parses_the_quota() {
+        // Default: unlimited.
+        assert_eq!(ServeConfig::default().max_requests_per_conn, 0);
+        // The `serve` example takes the quota from `RESCACHE_SERVE_QUOTA`:
+        // unset and `0` both mean unlimited, anything else non-numeric is a
+        // typed error naming the variable.
+        let quota = |raw: Option<&'static str>| {
+            crate::knobs::Knobs::parse(|name: &str| {
+                (name == "RESCACHE_SERVE_QUOTA")
+                    .then_some(raw)
+                    .flatten()
+                    .map(str::to_string)
+            })
+            .map(|k| k.serve_quota)
+        };
+        assert_eq!(quota(None), Ok(0));
+        assert_eq!(quota(Some("0")), Ok(0));
+        assert_eq!(quota(Some("25")), Ok(25));
+        for bad in ["", "-1", "many"] {
+            assert!(
+                matches!(
+                    quota(Some(bad)),
+                    Err(crate::error::CoreError::InvalidParameter {
+                        parameter: "RESCACHE_SERVE_QUOTA",
+                        ..
+                    })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parse_target_resolves_defaults_and_rejects_unknowns() {
         let ok = Json::parse(r#"{"req":"sweep","app":"ammp"}"#).unwrap();
         let target =

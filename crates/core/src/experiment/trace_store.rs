@@ -816,48 +816,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn a_shorter_total_gets_its_own_entry_and_leaves_the_longer_one_alone() {
-        // Entries serve exactly their own total, whatever the profile's
-        // schedules: for constant-schedule ammp as for multi-phase gcc, a
-        // fresh store asked for a shorter total generates and persists its
-        // own entry, bit-equal to a fresh generator, and the longer entry's
-        // bytes stay as they were.
+    /// Entries serve exactly their own total, whatever the profile's
+    /// schedules: a fresh store asked for a shorter total of `app` generates
+    /// and persists its own entry, bit-equal to a fresh generator, and the
+    /// longer entry's bytes stay as they were.
+    fn assert_shorter_total_gets_its_own_entry(app: &AppProfile) {
         let cfg = RunnerConfig::fast();
         let mut short = cfg;
         short.measure_instructions /= 2;
         let short_total = short.warmup_instructions + short.measure_instructions;
-        for app in [spec::ammp(), spec::gcc()] {
-            let name = app.name;
-            let (store, dir) = temp_store(&format!("exact-{name}"));
-            store.fetch(&app, &cfg);
-            let long_path = entry_path(&dir);
-            let long_bytes = std::fs::read(&long_path).expect("read long entry");
+        let name = app.name;
+        let (store, dir) = temp_store(&format!("exact-{name}"));
+        store.fetch(app, &cfg);
+        let long_path = entry_path(&dir);
+        let long_bytes = std::fs::read(&long_path).expect("read long entry");
 
-            let fresh = TraceStore::with_dir(Some(dir.clone()));
-            let (w, m) = fresh.fetch(&app, &short);
-            let expected = TraceGenerator::new(app.clone(), short.trace_seed).generate(short_total);
-            assert_eq!(
-                [w.records(), m.records()].concat(),
-                expected.records(),
-                "{name}"
-            );
-            assert_eq!(fresh.health().misses, 1, "{name}: generated, not reused");
-            let short_path = dir.join(TraceStore::file_name(&TraceStore::store_key(&app, &short)));
-            assert!(short_path.exists(), "{name}: its own entry is written");
-            assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 2, "{name}");
-            assert_eq!(
-                std::fs::read(&long_path).expect("reread long entry"),
-                long_bytes,
-                "{name}: the longer entry is untouched"
-            );
+        let fresh = TraceStore::with_dir(Some(dir.clone()));
+        let (w, m) = fresh.fetch(app, &short);
+        let expected = TraceGenerator::new(app.clone(), short.trace_seed).generate(short_total);
+        assert_eq!(
+            [w.records(), m.records()].concat(),
+            expected.records(),
+            "{name}"
+        );
+        assert_eq!(fresh.health().misses, 1, "{name}: generated, not reused");
+        let short_path = dir.join(TraceStore::file_name(&TraceStore::store_key(app, &short)));
+        assert!(short_path.exists(), "{name}: its own entry is written");
+        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 2, "{name}");
+        assert_eq!(
+            std::fs::read(&long_path).expect("reread long entry"),
+            long_bytes,
+            "{name}: the longer entry is untouched"
+        );
 
-            // The streamed path replays the shorter total's own entry.
-            let mut source = TraceStore::with_dir(Some(dir.clone())).source(&app, &short);
-            assert_eq!(source.kind(), StoreSourceKind::Disk, "{name}");
-            assert_eq!(drain(&mut source), expected.records(), "{name}");
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        // The streamed path replays the shorter total's own entry.
+        let mut source = TraceStore::with_dir(Some(dir.clone())).source(app, &short);
+        assert_eq!(source.kind(), StoreSourceKind::Disk, "{name}");
+        assert_eq!(drain(&mut source), expected.records(), "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shorter_total_gets_its_own_entry_and_leaves_the_longer_one_alone() {
+        // Constant-schedule ammp: even where a prefix would match, the
+        // shorter total is its own key.
+        assert_shorter_total_gets_its_own_entry(&spec::ammp());
+    }
+
+    #[test]
+    fn length_varying_profiles_never_share_prefixes() {
+        // gcc's multi-phase sequence schedules scale with the total, so the
+        // longer entry's prefix is not the shorter trace.
+        assert_shorter_total_gets_its_own_entry(&spec::gcc());
     }
 
     #[test]

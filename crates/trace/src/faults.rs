@@ -687,4 +687,16 @@ mod tests {
         assert!(is_disk_full(&err));
         assert_eq!(retries, 0);
     }
+
+    #[test]
+    fn from_env_spec_shapes() {
+        // Not testing the env var itself (process-global): the parse +
+        // is_quiet path the `RESCACHE_FAULTS` knob relies on is covered
+        // here. A quiet spec installs no injector; a live one does.
+        assert!(FaultSpec::parse("seed=1,read=0")
+            .expect("quiet spec")
+            .is_quiet());
+        let spec = FaultSpec::parse("read=0.001").expect("live spec");
+        assert!(!spec.is_quiet());
+    }
 }
