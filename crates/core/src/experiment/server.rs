@@ -21,7 +21,10 @@
 //! * a streaming sweep is cancellable mid-flight — an interleaved
 //!   `{"req":"cancel","id":...}` naming the sweep's id (or the client
 //!   disconnecting) stops the shared point cursor, so workers finish only
-//!   the points already in flight instead of computing the whole space;
+//!   the points already in flight instead of computing the whole space.
+//!   The check for such lines before each result line is a non-blocking
+//!   read that never waits: a quiet client costs a streamed result one
+//!   empty read, not a timer tick;
 //! * identical in-flight requests — from one client or many — coalesce on
 //!   the tier's single-flight memos exactly the way `TraceStore`
 //!   single-flights generation: N clients asking for the same cold point run
@@ -33,8 +36,9 @@
 //!   responses on the same connection — never a panic, never a silent
 //!   disconnect — and a per-connection request quota
 //!   ([`ServeConfig::max_requests_per_conn`]; the `serve` example takes it
-//!   from `RESCACHE_SERVE_QUOTA`) caps what any one connection may ask
-//!   before being closed with a typed `quota_exhausted` error.
+//!   from `RESCACHE_SERVE_QUOTA`) caps the lines any one connection may send
+//!   — those read mid-sweep included — before being closed with a typed
+//!   `quota_exhausted` error.
 //!
 //! # Protocol
 //!
@@ -106,12 +110,6 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
 /// slowest client.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(100);
 
-/// The socket timeout of a mid-sweep *poll* for interleaved lines (cancel
-/// requests, pipelined follow-ups, or the client vanishing): short enough
-/// that a quiet client costs ~1 ms per streamed result, long enough that a
-/// cancel sent right after a result line is seen before the next one.
-const POLL_FAST: Duration = Duration::from_millis(1);
-
 /// The address the sweep service binds when `RESCACHE_SERVE_ADDR` is unset.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
@@ -125,9 +123,10 @@ pub struct ServeConfig {
     /// Worker threads a single sweep request shards its points across.
     pub workers: usize,
     /// Requests one connection may make before it is closed with a typed
-    /// `quota_exhausted` error; `0` means unlimited. Counts every accepted
-    /// request line (including oversized ones), so a hostile or runaway
-    /// client cannot monopolise the tier indefinitely.
+    /// `quota_exhausted` error; `0` means unlimited. Counts every request
+    /// line the server reads (oversized ones, and cancels or pipelined
+    /// requests read while a sweep streams, included), so a hostile or
+    /// runaway client cannot monopolise the tier indefinitely.
     pub max_requests_per_conn: usize,
 }
 
@@ -345,7 +344,7 @@ enum LineOutcome {
     Oversized,
     /// The client closed the connection.
     Eof,
-    /// Poll mode only: no complete line is buffered right now.
+    /// Poll mode only: no complete line has arrived yet.
     Quiet,
 }
 
@@ -363,8 +362,9 @@ struct LineReader {
 
 impl LineReader {
     /// Reads one line. On a socket read timeout, blocking mode re-checks
-    /// the shutdown flag and keeps waiting; poll mode returns
-    /// [`LineOutcome::Quiet`] (any partial line stays gathered for the next
+    /// the shutdown flag and keeps waiting. Poll mode runs on a
+    /// non-blocking socket and returns [`LineOutcome::Quiet`] as soon as a
+    /// read would block (any partial line stays gathered for the next
     /// call).
     fn read_line(
         &mut self,
@@ -432,25 +432,46 @@ impl LineReader {
 }
 
 /// Per-connection state: the buffered stream pair, the incremental line
-/// scanner, and any request lines the client pipelined while a sweep was
-/// streaming (dispatched in arrival order once the sweep finishes).
+/// scanner, any request lines the client pipelined while a sweep was
+/// streaming (dispatched in arrival order once the sweep finishes), and the
+/// count of request lines read against the connection's quota.
 struct Conn<'a> {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     lines: LineReader,
     pending: VecDeque<String>,
+    accepted: usize,
     config: &'a ServeConfig,
     policy: ReplacementPolicy,
     handle: &'a ServerHandle,
 }
 
-impl Conn<'_> {
-    /// The next request line to dispatch: lines pipelined during a sweep
-    /// first, then a blocking socket read.
-    fn next_request(&mut self) -> std::io::Result<LineOutcome> {
-        if let Some(line) = self.pending.pop_front() {
-            return Ok(LineOutcome::Line(line));
-        }
+impl<'a> Conn<'a> {
+    /// Wraps an accepted stream: a blocking socket with the shutdown-poll
+    /// read timeout, read and written through two clones of it.
+    fn new(
+        stream: TcpStream,
+        config: &'a ServeConfig,
+        policy: ReplacementPolicy,
+        handle: &'a ServerHandle,
+    ) -> std::io::Result<Self> {
+        // Reads poll so a shutdown drains even past idle clients; the
+        // timeout never surfaces to the protocol (LineReader absorbs it).
+        stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
+        Ok(Self {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: BufWriter::new(stream),
+            lines: LineReader::default(),
+            pending: VecDeque::new(),
+            accepted: 0,
+            config,
+            policy,
+            handle,
+        })
+    }
+
+    /// A blocking read of the next request line from the socket.
+    fn read_request(&mut self) -> std::io::Result<LineOutcome> {
         self.lines.read_line(
             &mut self.reader,
             self.config.max_line_bytes,
@@ -459,21 +480,52 @@ impl Conn<'_> {
         )
     }
 
-    /// A non-waiting look at the connection, used between streamed sweep
-    /// results: shrinks the socket timeout to [`POLL_FAST`] for the read
-    /// attempt, then restores the shutdown-poll timeout.
+    /// A look at the connection that never waits, used between streamed
+    /// sweep results. The socket is non-blocking only for the read: the
+    /// reader and the writer are clones of one socket and share its
+    /// `O_NONBLOCK` flag, and a write to a slow client while it is set
+    /// would fail with `WouldBlock` and abort the sweep. So the flag is
+    /// cleared again on every path before this returns.
     fn poll_line(&mut self) -> std::io::Result<LineOutcome> {
-        self.reader.get_ref().set_read_timeout(Some(POLL_FAST))?;
+        self.reader.get_ref().set_nonblocking(true)?;
         let outcome = self.lines.read_line(
             &mut self.reader,
             self.config.max_line_bytes,
             &self.handle.shutdown,
             false,
         );
-        let restored = self.reader.get_ref().set_read_timeout(Some(SHUTDOWN_POLL));
-        let outcome = outcome?;
-        restored?;
-        Ok(outcome)
+        self.reader.get_ref().set_nonblocking(false)?;
+        outcome
+    }
+
+    /// Counts one request line the server read, in the tier's health and
+    /// against the connection's quota; `false` once the quota is exhausted.
+    fn admit(&mut self, runner: &Runner) -> bool {
+        runner.trace_store().tier().health().note_request();
+        self.accepted += 1;
+        let quota = self.config.max_requests_per_conn;
+        quota == 0 || self.accepted <= quota
+    }
+
+    /// Answers a line past the quota with the typed `quota_exhausted`
+    /// error; the connection closes after it.
+    fn refuse(&mut self, line: Option<&str>) -> std::io::Result<()> {
+        let id = line
+            .and_then(|line| Json::parse(line).ok())
+            .and_then(|request| request.get("id").cloned())
+            .unwrap_or(Json::Null);
+        let quota = self.config.max_requests_per_conn;
+        write_line(&mut self.writer, &quota_response(id, quota))
+    }
+
+    /// Answers an oversized line with a typed error; the connection stays
+    /// usable.
+    fn reject_oversized(&mut self) -> std::io::Result<()> {
+        let message = format!(
+            "request line exceeds {} bytes; line skipped",
+            self.config.max_line_bytes
+        );
+        write_line(&mut self.writer, &error_response(Json::Null, &message))
     }
 }
 
@@ -486,60 +538,30 @@ fn serve_connection(
     policy: ReplacementPolicy,
     handle: &ServerHandle,
 ) -> std::io::Result<()> {
-    // Reads poll so a shutdown drains even past idle clients; the timeout
-    // never surfaces to the protocol (LineReader absorbs it).
-    stream.set_read_timeout(Some(SHUTDOWN_POLL))?;
-    let mut conn = Conn {
-        reader: BufReader::new(stream.try_clone()?),
-        writer: BufWriter::new(stream),
-        lines: LineReader::default(),
-        pending: VecDeque::new(),
-        config,
-        policy,
-        handle,
-    };
-    let mut accepted: usize = 0;
+    let mut conn = Conn::new(stream, config, policy, handle)?;
     loop {
-        let outcome = conn.next_request()?;
-        let quota = config.max_requests_per_conn;
-        let over_quota = |accepted: &mut usize| {
-            *accepted += 1;
-            quota > 0 && *accepted > quota
-        };
-        let line = match outcome {
-            LineOutcome::Eof | LineOutcome::Quiet => return Ok(()),
-            LineOutcome::Oversized => {
-                runner.trace_store().tier().health().note_request();
-                if over_quota(&mut accepted) {
-                    write_line(&mut conn.writer, &quota_response(Json::Null, quota))?;
-                    return Ok(());
+        // Lines pipelined during a sweep were admitted when the sweep's
+        // poll read them; they go first, in arrival order.
+        let line = match conn.pending.pop_front() {
+            Some(line) => line,
+            None => match conn.read_request()? {
+                LineOutcome::Eof | LineOutcome::Quiet => return Ok(()),
+                LineOutcome::Oversized => {
+                    if !conn.admit(runner) {
+                        return conn.refuse(None);
+                    }
+                    conn.reject_oversized()?;
+                    continue;
                 }
-                write_line(
-                    &mut conn.writer,
-                    &error_response(
-                        Json::Null,
-                        &format!(
-                            "request line exceeds {} bytes; line skipped",
-                            config.max_line_bytes
-                        ),
-                    ),
-                )?;
-                continue;
-            }
-            LineOutcome::Line(line) => line,
+                LineOutcome::Line(line) if line.trim().is_empty() => continue,
+                LineOutcome::Line(line) => {
+                    if !conn.admit(runner) {
+                        return conn.refuse(Some(&line));
+                    }
+                    line
+                }
+            },
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        runner.trace_store().tier().health().note_request();
-        if over_quota(&mut accepted) {
-            let id = Json::parse(&line)
-                .ok()
-                .and_then(|request| request.get("id").cloned())
-                .unwrap_or(Json::Null);
-            write_line(&mut conn.writer, &quota_response(id, quota))?;
-            return Ok(());
-        }
         match dispatch(runner, &line, &mut conn)? {
             Flow::Continue => {}
             Flow::Close => {
@@ -559,8 +581,8 @@ fn serve_connection(
 /// after a request.
 enum Flow {
     Continue,
-    /// The connection is done (client vanished mid-stream); close without
-    /// treating it as an I/O failure.
+    /// The connection is done (client vanished, or was refused past its
+    /// quota, mid-stream); close without treating it as an I/O failure.
     Close,
     Shutdown,
 }
@@ -815,60 +837,60 @@ enum Control {
     Quiet,
     /// The client cancelled this sweep.
     Cancel,
-    /// The client is gone (EOF or connection error).
-    Disconnected,
+    /// The connection is done: the client is gone (EOF or connection
+    /// error), or it sent a line past its quota and was refused.
+    Close,
 }
 
-/// Polls the connection between streamed sweep results: consumes everything
-/// the client pipelined, handling a `cancel` that names this sweep (and
-/// answering, mid-stream, cancels that name anything else), queueing other
-/// requests for dispatch after the sweep, and detecting a vanished client.
+/// Polls the connection between streamed sweep results, without waiting:
+/// consumes everything the client pipelined, counting each line against
+/// the quota, handling a `cancel` that names this sweep (and answering,
+/// mid-stream, cancels that name anything else), queueing other requests
+/// for dispatch after the sweep, and detecting a vanished client. A line
+/// past the quota is refused with the typed `quota_exhausted` error and
+/// closes the connection.
 fn poll_control(runner: &Runner, conn: &mut Conn, sweep_id: &Json) -> Control {
     loop {
-        match conn.poll_line() {
+        let line = match conn.poll_line() {
             Ok(LineOutcome::Quiet) => return Control::Quiet,
-            Ok(LineOutcome::Eof) | Err(_) => return Control::Disconnected,
-            Ok(LineOutcome::Oversized) => {
-                runner.trace_store().tier().health().note_request();
-                let oversized = error_response(
-                    Json::Null,
-                    &format!(
-                        "request line exceeds {} bytes; line skipped",
-                        conn.config.max_line_bytes
-                    ),
-                );
-                if write_line(&mut conn.writer, &oversized).is_err() {
-                    return Control::Disconnected;
-                }
+            Ok(LineOutcome::Eof) | Err(_) => return Control::Close,
+            Ok(LineOutcome::Oversized) => None,
+            Ok(LineOutcome::Line(line)) if line.trim().is_empty() => continue,
+            Ok(LineOutcome::Line(line)) => Some(line),
+        };
+        if !conn.admit(runner) {
+            // Refused or not, the connection closes; a failed write only
+            // means the client is already gone.
+            let _ = conn.refuse(line.as_deref());
+            return Control::Close;
+        }
+        let Some(line) = line else {
+            if conn.reject_oversized().is_err() {
+                return Control::Close;
             }
-            Ok(LineOutcome::Line(line)) => {
-                if line.trim().is_empty() {
-                    continue;
+            continue;
+        };
+        if let Ok(request) = Json::parse(&line) {
+            if request.get("req").and_then(Json::as_str) == Some("cancel") {
+                let cancel_id = request.get("id").cloned().unwrap_or(Json::Null);
+                if cancel_id == *sweep_id {
+                    return Control::Cancel;
                 }
-                if let Ok(request) = Json::parse(&line) {
-                    if request.get("req").and_then(Json::as_str) == Some("cancel") {
-                        runner.trace_store().tier().health().note_request();
-                        let cancel_id = request.get("id").cloned().unwrap_or(Json::Null);
-                        if cancel_id == *sweep_id {
-                            return Control::Cancel;
-                        }
-                        // A cancel naming some other id would otherwise wait
-                        // out the very sweep it does not name; answer now.
-                        let unmatched = error_response(
-                            cancel_id,
-                            "no in-flight sweep with that id on this connection",
-                        );
-                        if write_line(&mut conn.writer, &unmatched).is_err() {
-                            return Control::Disconnected;
-                        }
-                        continue;
-                    }
+                // A cancel naming some other id would otherwise wait out
+                // the very sweep it does not name; answer now.
+                let unmatched = error_response(
+                    cancel_id,
+                    "no in-flight sweep with that id on this connection",
+                );
+                if write_line(&mut conn.writer, &unmatched).is_err() {
+                    return Control::Close;
                 }
-                // Any other pipelined request (malformed ones included)
-                // waits its turn until the sweep finishes.
-                conn.pending.push_back(line);
+                continue;
             }
         }
+        // Any other pipelined request (malformed ones included) waits its
+        // turn until the sweep finishes.
+        conn.pending.push_back(line);
     }
 }
 
@@ -878,10 +900,12 @@ fn poll_control(runner: &Runner, conn: &mut Conn, sweep_id: &Json) -> Control {
 /// through the tier memos), then writes the `kind:"done"` summary with the
 /// best point under the request's objective (EDP by default).
 ///
-/// The connection is polled between result lines: a `cancel` naming this
-/// sweep's id — or the client disconnecting — stops the shared cursor, so
-/// the workers finish only the points already in flight and the sweep
-/// answers with a `kind:"cancelled"` line counting what was evaluated.
+/// Before each result line the connection is polled without waiting (see
+/// [`Conn::poll_line`]): a `cancel` naming this sweep's id stops the shared
+/// cursor, so the workers finish only the points already in flight and the
+/// sweep answers with a `kind:"cancelled"` line counting what was
+/// evaluated. The client disconnecting, or sending a line past its quota,
+/// stops the cursor the same way and closes the connection.
 fn serve_sweep(
     runner: &Runner,
     id: Json,
@@ -904,7 +928,7 @@ fn serve_sweep(
     let mut evaluated: Vec<(CachePoint, Measurement)> = Vec::with_capacity(points.len());
     let mut write_error = None;
     let mut cancelled = false;
-    let mut disconnected = false;
+    let mut closed = false;
     std::thread::scope(|scope| {
         let cursor = &cursor;
         for _ in 0..conn.config.workers.clamp(1, points.len().max(1)) {
@@ -925,66 +949,54 @@ fn serve_sweep(
         // Stream results in completion order; the done line carries the
         // summary, so clients needing sweep order key on (sets, ways).
         loop {
+            let result = match rx.recv_timeout(SHUTDOWN_POLL) {
+                Ok(result) => Some(result),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            };
             let streaming = |w: &Option<std::io::Error>, c: bool, d: bool| w.is_none() && !c && !d;
-            match rx.recv_timeout(SHUTDOWN_POLL) {
-                Ok((point, measurement)) => {
-                    evaluated.push((point, measurement));
-                    if streaming(&write_error, cancelled, disconnected) {
-                        // A cancel racing this result must win: check the
-                        // connection before writing the line.
-                        match poll_control(runner, conn, &id) {
-                            Control::Quiet => {}
-                            Control::Cancel => {
-                                cancelled = true;
-                                stop_cursor();
-                            }
-                            Control::Disconnected => {
-                                disconnected = true;
-                                stop_cursor();
-                            }
-                        }
+            if streaming(&write_error, cancelled, closed) {
+                // A cancel racing a result must win: check the connection
+                // before writing the line.
+                match poll_control(runner, conn, &id) {
+                    Control::Quiet => {}
+                    Control::Cancel => {
+                        cancelled = true;
+                        stop_cursor();
                     }
-                    if streaming(&write_error, cancelled, disconnected) {
-                        runner.trace_store().tier().health().note_served();
-                        if let Err(e) = write_line(
-                            &mut conn.writer,
-                            &result_response(id.clone(), Some(point), &measurement),
-                        ) {
-                            write_error = Some(e);
-                            stop_cursor();
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if streaming(&write_error, cancelled, disconnected) {
-                        match poll_control(runner, conn, &id) {
-                            Control::Quiet => {}
-                            Control::Cancel => {
-                                cancelled = true;
-                                stop_cursor();
-                            }
-                            Control::Disconnected => {
-                                disconnected = true;
-                                stop_cursor();
-                            }
-                        }
-                    }
-                    // A server shutdown mid-sweep also stops claiming new
-                    // points (the done line reports what was evaluated).
-                    if conn.handle.shutdown.load(Ordering::SeqCst) {
+                    Control::Close => {
+                        closed = true;
                         stop_cursor();
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            }
+            let Some((point, measurement)) = result else {
+                // A server shutdown mid-sweep also stops claiming new
+                // points (the done line reports what was evaluated).
+                if conn.handle.shutdown.load(Ordering::SeqCst) {
+                    stop_cursor();
+                }
+                continue;
+            };
+            evaluated.push((point, measurement));
+            if streaming(&write_error, cancelled, closed) {
+                runner.trace_store().tier().health().note_served();
+                if let Err(e) = write_line(
+                    &mut conn.writer,
+                    &result_response(id.clone(), Some(point), &measurement),
+                ) {
+                    write_error = Some(e);
+                    stop_cursor();
+                }
             }
         }
     });
     if let Some(e) = write_error {
         return Err(e);
     }
-    if disconnected {
-        // Nothing left to write to — the in-flight results already drained
-        // into the shared tier for the next client.
+    if closed {
+        // The client is gone or was refused; the in-flight results already
+        // drained into the shared tier for the next client.
         return Ok(Flow::Close);
     }
     if cancelled {
@@ -1422,6 +1434,62 @@ mod tests {
             panic!("unterminated tail");
         };
         assert_eq!(tail, "tail");
+    }
+
+    #[test]
+    fn poll_line_never_waits_and_leaves_the_socket_blocking() {
+        use std::io::Read;
+        use std::time::Instant;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let config = ServeConfig::default();
+        let handle = ServerHandle {
+            addr,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            connections: Arc::new(AtomicUsize::new(0)),
+        };
+        let mut conn = Conn::new(stream, &config, ReplacementPolicy::default(), &handle).unwrap();
+
+        // A quiet connection answers every poll at once.
+        let start = Instant::now();
+        for _ in 0..200 {
+            assert!(matches!(conn.poll_line().unwrap(), LineOutcome::Quiet));
+        }
+        let quiet = start.elapsed();
+        assert!(
+            quiet < Duration::from_millis(100),
+            "200 quiet polls took {quiet:?}"
+        );
+
+        // A line the client has already sent comes back from the next poll.
+        let request = b"{\"req\":\"ping\"}\n";
+        client.write_all(request).unwrap();
+        let mut peeked = vec![0u8; request.len()];
+        while conn.reader.get_ref().peek(&mut peeked).unwrap_or(0) < request.len() {}
+        let LineOutcome::Line(line) = conn.poll_line().unwrap() else {
+            panic!("the sent line");
+        };
+        assert_eq!(line, "{\"req\":\"ping\"}");
+
+        // The poll left the socket blocking: a plain read with nothing
+        // pending waits out the socket timeout instead of failing at once.
+        let start = Instant::now();
+        let err = conn.reader.get_mut().read(&mut [0u8; 1]).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{err:?}"
+        );
+        let waited = start.elapsed();
+        assert!(
+            waited >= Duration::from_millis(50),
+            "a read after the poll returned after {waited:?}"
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   disconnecting mid-stream) stops the shared point cursor: provably
 //!   fewer points are evaluated than the space offers.
 //! * **Quotas** — `ServeConfig::max_requests_per_conn` closes a connection
-//!   with a typed `quota_exhausted` error once exceeded.
+//!   with a typed `quota_exhausted` error once exceeded, counting the lines
+//!   a client sends while a sweep streams too.
 //! * **Dynamic verb** — a `dynamic` request streams the controller's resize
 //!   decisions and its done line matches the in-process
 //!   `Runner::run_dynamic` bit-for-bit.
@@ -563,6 +564,82 @@ fn client_disconnect_mid_sweep_stops_the_cursor() {
         (health.served as usize) < points + 1,
         "only written results count as served: {health:?}"
     );
+
+    handle.stop();
+    join.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn lines_sent_mid_sweep_count_against_the_request_quota() {
+    let tier = SharedTier::new(None, IoPolicy::none());
+    let config = ServeConfig {
+        max_requests_per_conn: 2,
+        ..single_worker_config()
+    };
+    let (addr, handle, join) = spawn_server_with(slow_sweep_config(), tier.clone(), config);
+    let points = selective_sets_points();
+
+    let mut client = Client::connect(addr);
+    client.send(r#"{"req":"sweep","id":1,"app":"ammp","org":"selective_sets"}"#);
+    let first = client.recv();
+    assert_eq!(kind(&first), "result", "{first:?}");
+    // The sweep is request 1 and the first cancel request 2; the second
+    // cancel is past the quota, and nothing after it may be answered.
+    for id in 100..105 {
+        client.send(&format!(r#"{{"req":"cancel","id":{id}}}"#));
+    }
+    client.send(r#"{"req":"ping","id":7}"#);
+    // A connection left open would otherwise hang the test.
+    client
+        .writer
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut answered = Vec::new();
+    loop {
+        let mut line = String::new();
+        match client.reader.read_line(&mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => answered.push(Json::parse(line.trim_end()).expect("valid JSON")),
+        }
+    }
+    let errors: Vec<&Json> = answered.iter().filter(|r| kind(r) != "result").collect();
+    assert_eq!(
+        errors.len(),
+        2,
+        "one unmatched cancel, then the refusal: {errors:?}"
+    );
+    assert_eq!(errors[0].get("id").and_then(Json::as_u64), Some(100));
+    assert_eq!(errors[0].get("ok").and_then(Json::as_bool), Some(false));
+    let refused = errors[1];
+    assert_eq!(
+        refused.get("code").and_then(Json::as_str),
+        Some("quota_exhausted"),
+        "{refused:?}"
+    );
+    assert_eq!(refused.get("id").and_then(Json::as_u64), Some(101));
+    assert_eq!(
+        kind(answered.last().expect("answered")),
+        "",
+        "the refusal is the connection's last line: {answered:?}"
+    );
+
+    // The refusal parked the cursor as a disconnect does: the connection
+    // winds down without finishing the space.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while handle.open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "sweep wound down after the refusal"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let health = tier.health_snapshot();
+    assert!(
+        (health.misses as usize) < points + 1,
+        "the cursor stopped before the space was exhausted: {health:?}"
+    );
+    // The sweep and the two cancels it read were counted as requests.
+    assert_eq!(health.requests, 3, "{health:?}");
 
     handle.stop();
     join.join().expect("server thread exits cleanly");
