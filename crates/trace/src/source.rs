@@ -7,7 +7,7 @@
 //! interface:
 //!
 //! * [`TraceCursor`] — a window over an already-materialized
-//!   [`Trace`](crate::Trace) (`Arc<[InstrRecord]>` storage). It yields each
+//!   [`Trace`](crate::Trace) (`Arc<Vec<InstrRecord>>` storage). It yields each
 //!   delivery region as a single chunk, so the engines' hot loops run over
 //!   one contiguous slice exactly as they did before this abstraction
 //!   existed; memoization and copy-free trace sharing are untouched.

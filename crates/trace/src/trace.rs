@@ -11,29 +11,32 @@ use crate::record::{InstrRecord, Op};
 /// and then replayed under every cache configuration of an experiment, which
 /// keeps the thousands of simulations behind the paper's figures tractable.
 ///
-/// The record storage is an `Arc<[InstrRecord]>` window: cloning a trace, or
-/// slicing it into warm-up and measured regions with [`Trace::slice`] /
-/// [`Trace::split_at`], shares the underlying buffer instead of copying it.
-/// A paper-length trace is ~2.6 million records (~80 MB across twelve
-/// applications), and every experiment replays it under many cache
-/// configurations — copy-free sharing is what makes a per-application trace
-/// cache affordable.
+/// The record storage is an `Arc<Vec<InstrRecord>>` window. [`Trace::new`]
+/// adopts the caller's vector as is, so the buffer a generator or a disk
+/// decode fills is the one every view reads: it is never copied, not even
+/// at construction. Cloning a trace, or slicing it into warm-up and measured
+/// regions with [`Trace::slice`] / [`Trace::split_at`], shares that buffer.
+/// A paper-length trace is ~2.6 million 12-byte records (~31 MB each, ~375 MB
+/// across twelve applications), and every experiment replays it under many
+/// cache configurations — copy-free sharing is what makes a per-application
+/// trace cache affordable.
 #[derive(Debug, Clone)]
 pub struct Trace {
     name: Arc<str>,
-    records: Arc<[InstrRecord]>,
+    records: Arc<Vec<InstrRecord>>,
     /// Window into `records` occupied by this trace view.
     start: usize,
     len: usize,
 }
 
 impl Trace {
-    /// Creates a trace from a name and a record vector.
+    /// Creates a trace from a name and a record vector, adopting the
+    /// vector's allocation (capacity included) rather than copying it.
     pub fn new(name: impl Into<String>, records: Vec<InstrRecord>) -> Self {
         let len = records.len();
         Self {
             name: name.into().into(),
-            records: records.into(),
+            records: Arc::new(records),
             start: 0,
             len,
         }
@@ -233,6 +236,19 @@ mod tests {
         assert_eq!(inner.records(), &t.records()[3..5]);
         // A view equals an owned trace with the same contents.
         assert_eq!(inner, Trace::new("t", t.records()[3..5].to_vec()));
+    }
+
+    #[test]
+    fn construction_adopts_the_vector_and_views_share_it() {
+        let records = sample().records().to_vec();
+        let base = records.as_ptr();
+        let t = Trace::new("t", records);
+        assert_eq!(t.records().as_ptr(), base, "Trace::new copied the records");
+        assert_eq!(t.clone().records().as_ptr(), base);
+        let (warm, measure) = t.split_at(2);
+        assert_eq!(warm.records().as_ptr(), base);
+        assert_eq!(measure.records().as_ptr(), base.wrapping_add(2));
+        assert_eq!(measure.slice(1..3).records().as_ptr(), base.wrapping_add(3));
     }
 
     #[test]

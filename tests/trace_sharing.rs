@@ -7,7 +7,7 @@
 //! copies record-for-record, and measurements taken through the cached path
 //! equal measurements taken from independently generated traces.
 
-use rescache::core::experiment::{RunSetup, Runner, RunnerConfig};
+use rescache::core::experiment::{RunSetup, Runner, RunnerConfig, TraceStore};
 use rescache::core::{CachePoint, SystemConfig};
 use rescache::trace::{spec, Trace, TraceGenerator};
 
@@ -52,6 +52,43 @@ fn repeated_trace_requests_share_one_buffer() {
     // And a clone of the runner shares the cache.
     let (warm_c, _) = r.clone().trace(&spec::vpr());
     assert_eq!(warm_a.records().as_ptr(), warm_c.records().as_ptr());
+}
+
+#[test]
+fn disk_loaded_traces_equal_fresh_generation_and_share_one_buffer() {
+    let dir = std::env::temp_dir().join(format!("rescache-sharing-disk-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = RunnerConfig::fast();
+    let app = spec::gcc();
+
+    // The first runner generates the trace and persists its store entry.
+    let writer = Runner::with_store(config, TraceStore::with_dir(Some(dir.clone())));
+    writer.trace(&app);
+    assert_eq!(writer.trace_store().health().misses, 1);
+
+    // A second store over the same directory has nothing resident, so its
+    // trace is decoded from the entry rather than generated.
+    let reader = Runner::with_store(config, TraceStore::with_dir(Some(dir.clone())));
+    let (warm_a, measure_a) = reader.trace(&app);
+    let health = reader.trace_store().health();
+    assert_eq!((health.hits, health.misses), (1, 0), "served from disk");
+    let (owned_warm, owned_measure) = owned_regions(&config, &app);
+    assert_eq!(warm_a, owned_warm, "disk-loaded warm region");
+    assert_eq!(measure_a, owned_measure, "disk-loaded measured region");
+
+    // Repeated requests are served the one decoded buffer.
+    let (warm_b, measure_b) = reader.trace(&app);
+    assert_eq!(warm_a.records().as_ptr(), warm_b.records().as_ptr());
+    assert_eq!(measure_a.records().as_ptr(), measure_b.records().as_ptr());
+    assert_eq!(
+        measure_a.records().as_ptr(),
+        warm_a
+            .records()
+            .as_ptr()
+            .wrapping_add(config.warmup_instructions),
+        "warm and measured regions are windows of one buffer"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
