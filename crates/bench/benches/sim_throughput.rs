@@ -1,39 +1,35 @@
 //! Throughput harness for the simulation substrate itself: measures simulated
 //! instructions (or cache accesses) per wall-clock second for the stages every
-//! experiment runs through — trace generation, the cache access path, the two
-//! execution engines, and a figure-5-style static sweep — and records the
+//! experiment runs through — trace generation and store replay, the cache
+//! access path, the two execution engines, the dynamic controller, one engine
+//! run per registry workload and the replacement-policy pair — and records the
 //! numbers in `BENCH_sim_throughput.json` at the workspace root so successive
 //! performance PRs have a tracked trajectory.
 //!
 //! Unlike the figure benches (which reproduce the paper's *results*), this
 //! bench measures the *simulator*: its unit is MIPS, millions of simulated
-//! instructions per second of wall-clock time.
+//! instructions per second of wall-clock time. End-to-end sweeps (a paper
+//! figure in-process, a sweep service under load) are measured by
+//! `perfbench/`, not here.
 //!
-//! Run with `cargo bench --bench sim_throughput`. Set
-//! `RESCACHE_BENCH_QUICK=1` to run a fast smoke-test variant (used by CI;
-//! `0`, `false` and the empty string count as unset). Quick runs only ever
-//! write the `.quick.json` sibling — the committed full-run trajectory file
-//! is never touched in quick mode.
-//!
-//! The store-backed stages (`trace_store_load`, `dyn_streamed`,
-//! `sweep_service_multiproc`) exercise the persistent-store path and
-//! therefore need `RESCACHE_TRACE_DIR`;
-//! when it is not set they are skipped — recorded in the JSON with
-//! `"status": "skipped"` — rather than silently writing into a fabricated
-//! temp directory or failing. Each run uses (and removes) a
-//! `bench-<stage>-<pid>` subdirectory so a real store is never polluted.
+//! Run with `cargo bench --bench sim_throughput`. Every stage reports the
+//! median, minimum and maximum of [`SAMPLES`] timed repetitions. The
+//! store-backed stages (`trace_store_load`, `dyn_streamed`) work in a
+//! `rescache-bench-<stage>-<pid>` directory under the system temp directory
+//! and remove it afterwards.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
-use rescache_bench::knobs;
+use rescache_bench::{knobs, Spread};
 use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy, ReplacementPolicy};
-use rescache_core::experiment::{
-    effective_workers, per_app_org_comparison, RunSetup, Runner, RunnerConfig, ServeConfig,
-    StoreHealth, SweepServer, TraceStore,
-};
+use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
 use rescache_cpu::{CpuConfig, LatencyStats, Simulator};
-use rescache_trace::{codec, spec, TraceFormat, TraceGenerator, TraceSource, WorkloadRegistry};
+use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, TraceSource, WorkloadRegistry};
+
+/// Timed repetitions per stage (after one untimed warm-up).
+const SAMPLES: usize = 21;
 
 /// One measured stage of the simulation pipeline.
 struct EngineResult {
@@ -41,129 +37,71 @@ struct EngineResult {
     /// Work items per repetition (instructions, or cache accesses for the
     /// pure cache stages).
     items: u64,
-    /// Best wall-clock seconds over the measured repetitions.
-    seconds: f64,
-    /// Millions of items per second at the best repetition.
+    /// Wall-clock seconds per repetition over the timed samples.
+    seconds: Spread,
+    /// Millions of items per second at the median repetition.
     mips: f64,
-    /// `true` when `items` counts the sweep's *nominal* workload (runs ×
-    /// instructions as the pre-optimization kernel executed them) rather
-    /// than instructions literally simulated: memoization legitimately
-    /// skips redundant runs, so the quotient is an *equivalent* MIPS — a
-    /// figure of merit for "figure produced per second" whose before/after
-    /// ratio equals the wall-clock ratio.
-    nominal_workload: bool,
-    /// `true` when the stage did not run (missing `RESCACHE_TRACE_DIR`);
-    /// recorded in the JSON as `"status": "skipped"` with zeroed values so
-    /// trajectory consumers can tell "not measured" from "measured as 0".
-    skipped: bool,
-    /// The trace-format version whose bit stream the stage generated,
-    /// replayed or simulated; `None` only for the stages that touch no
-    /// trace records at all (the pure cache-access kernels).
-    trace_format: Option<TraceFormat>,
     /// On-disk size of the store entry the stage replays, and the ratio of
     /// the packed 12-byte in-memory record to that size; `Some` only for
     /// `trace_store_load`, the stage whose whole point is the disk format.
     store_bytes: Option<u64>,
     compression_ratio: Option<f64>,
-    /// Request lines the sweep service answered, and the shared tier's
-    /// result-cache hit rate over the stage (hits + coalesced over all
-    /// lookups); `Some` only for `sweep_service` (one process, one tier)
-    /// and `sweep_service_multiproc` (N server processes sharing a store
-    /// directory, counters aggregated across them), the stages whose whole
-    /// point is serving shared results.
-    requests: Option<u64>,
-    hit_rate: Option<f64>,
     /// Latency-domain counters from the stage's last engine run; `Some`
     /// only for the replacement-policy pair, whose whole point is the
     /// delayed-hit stall profile rather than raw MIPS.
     latency: Option<LatencyStats>,
 }
 
-/// The record for a stage that was skipped because its prerequisite
-/// environment (the trace-store directory) is absent.
-fn skipped(name: &'static str) -> EngineResult {
-    println!("{name:<24} skipped (RESCACHE_TRACE_DIR not set)");
-    EngineResult {
-        name,
-        items: 0,
-        seconds: 0.0,
-        mips: 0.0,
-        nominal_workload: false,
-        skipped: true,
-        trace_format: None,
-        store_bytes: None,
-        compression_ratio: None,
-        requests: None,
-        hit_rate: None,
-        latency: None,
-    }
+/// A per-stage scratch store directory under the system temp directory,
+/// namespaced by stage and pid so concurrent runs cannot collide; callers
+/// remove it when done.
+fn scratch_dir(stage: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("rescache-bench-{stage}-{}", std::process::id()))
 }
 
-/// A per-stage scratch subdirectory under `RESCACHE_TRACE_DIR`, or `None`
-/// (skip the stage) when the variable is unset. The subdirectory is
-/// namespaced by stage and pid so concurrent runs cannot collide and a real
-/// store's entries are never touched; callers remove it when done.
-fn store_scratch_dir(stage: &str) -> Option<std::path::PathBuf> {
-    let root = knobs().trace_dir.as_ref()?;
-    Some(root.join(format!("bench-{stage}-{}", std::process::id())))
-}
-
-/// Runs `body` `reps` times (after one untimed warm-up) and keeps the fastest
-/// repetition; `items` is the simulated work per repetition.
-fn measure(
-    name: &'static str,
-    items: u64,
-    reps: usize,
-    mut body: impl FnMut() -> u64,
-) -> EngineResult {
-    let mut check = body(); // warm-up, also keeps the result alive
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        check = check.wrapping_add(body());
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-        }
-    }
-    // Keep the accumulated check value observable so the work is not elided.
-    if check == u64::MAX {
-        eprintln!("(unreachable checksum {check})");
-    }
-    let mips = items as f64 / best / 1.0e6;
-    println!("{name:<24} {items:>10} items   {best:>9.4} s   {mips:>9.2} MIPS");
+/// Runs `body` [`SAMPLES`] times (after one untimed warm-up) and summarizes
+/// the repetitions' wall-clock times; `items` is the simulated work per
+/// repetition.
+fn measure(name: &'static str, items: u64, mut body: impl FnMut() -> u64) -> EngineResult {
+    std::hint::black_box(body());
+    let samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(body());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    let seconds = Spread::of(&samples);
+    let mips = items as f64 / seconds.median / 1.0e6;
+    println!(
+        "{name:<24} {items:>10} items   {:>9.4} s [{:.4}, {:.4}]   {mips:>9.2} MIPS",
+        seconds.median, seconds.min, seconds.max
+    );
     EngineResult {
         name,
         items,
-        seconds: best,
+        seconds,
         mips,
-        nominal_workload: false,
-        skipped: false,
-        trace_format: None,
         store_bytes: None,
         compression_ratio: None,
-        requests: None,
-        hit_rate: None,
         latency: None,
     }
 }
 
-fn bench_trace_gen(scale: u64) -> EngineResult {
-    let n = (50_000 * scale) as usize;
-    let mut result = measure("trace_gen", n as u64, 5, || {
+fn bench_trace_gen() -> EngineResult {
+    let n = 250_000;
+    measure("trace_gen", n as u64, || {
         TraceGenerator::new(spec::gcc(), 7).generate(n).len() as u64
-    });
-    result.trace_format = Some(TraceFormat::V3);
-    result
+    })
 }
 
 /// Chunked generation through the `TraceSource` pull interface: the same
 /// record sequence as `trace_gen`, but only one `CHUNK_RECORDS` buffer ever
 /// resident — the rate a streaming (fused generate-and-simulate) run feeds
 /// its engine at.
-fn bench_trace_gen_streaming(scale: u64) -> EngineResult {
-    let n = (50_000 * scale) as usize;
-    let mut result = measure("trace_gen_streaming", n as u64, 5, || {
+fn bench_trace_gen_streaming() -> EngineResult {
+    let n = 250_000;
+    measure("trace_gen_streaming", n as u64, || {
         let mut stream = TraceGenerator::new(spec::gcc(), 7).stream(n);
         let mut records = 0u64;
         loop {
@@ -174,9 +112,7 @@ fn bench_trace_gen_streaming(scale: u64) -> EngineResult {
             records += chunk.len() as u64;
         }
         records
-    });
-    result.trace_format = Some(TraceFormat::V3);
-    result
+    })
 }
 
 /// Replaying a persisted trace from the on-disk store (the cross-process
@@ -184,18 +120,22 @@ fn bench_trace_gen_streaming(scale: u64) -> EngineResult {
 /// each chunk straight into a resident buffer the engine batch lanes read
 /// from, so the stage drains `TraceFileSource` chunk by chunk — it never
 /// materializes a whole-trace `Vec<InstrRecord>`.
-fn bench_trace_store_load(scale: u64) -> EngineResult {
-    let n = (50_000 * scale) as usize;
-    let Some(dir) = store_scratch_dir("store-load") else {
-        return skipped("trace_store_load");
-    };
+fn bench_trace_store_load() -> EngineResult {
+    let n = 250_000;
+    let dir = scratch_dir("store-load");
     std::fs::create_dir_all(&dir).expect("create bench store dir");
     let path = dir.join("gcc.rctrace");
-    codec::save_trace(&path, &TraceGenerator::new(spec::gcc(), 7).generate(n))
-        .expect("persist bench trace");
+    let policy = IoPolicy::none();
+    codec::save_source(
+        &path,
+        &mut TraceGenerator::new(spec::gcc(), 7).stream(n),
+        &policy,
+    )
+    .expect("persist bench trace");
     let store_bytes = std::fs::metadata(&path).expect("stat bench trace").len();
-    let mut result = measure("trace_store_load", n as u64, 5, || {
-        let mut source = codec::TraceFileSource::open(&path, None).expect("open bench trace");
+    let mut result = measure("trace_store_load", n as u64, || {
+        let mut source =
+            codec::TraceFileSource::open_with(&path, None, &policy).expect("open bench trace");
         let mut records = 0u64;
         loop {
             let chunk = source.next_chunk();
@@ -206,7 +146,6 @@ fn bench_trace_store_load(scale: u64) -> EngineResult {
         }
         records
     });
-    result.trace_format = Some(TraceFormat::V3);
     result.store_bytes = Some(store_bytes);
     // Ratio of the packed in-memory record (12 bytes) to what the entry
     // actually occupies on disk.
@@ -215,11 +154,11 @@ fn bench_trace_store_load(scale: u64) -> EngineResult {
     result
 }
 
-fn bench_hit_stream(scale: u64) -> EngineResult {
-    let n = 200_000 * scale;
+fn bench_hit_stream() -> EngineResult {
+    let n = 1_000_000;
     let mut cache = Cache::new(CacheConfig::l1_default(32 * 1024, 2)).unwrap();
     cache.fill(0x1000, false);
-    measure("hit_stream", n, 5, move || {
+    measure("hit_stream", n, move || {
         let mut hits = 0u64;
         for i in 0..n {
             if cache.access_read(0x1000 + (i % 4) * 8).hit {
@@ -230,13 +169,13 @@ fn bench_hit_stream(scale: u64) -> EngineResult {
     })
 }
 
-fn bench_evict_stream(scale: u64) -> EngineResult {
+fn bench_evict_stream() -> EngineResult {
     // Aliasing addresses so every fill evicts: this is the allocation-prone
     // miss path (choose_victim) of the pre-optimization kernel.
-    let n = 100_000 * scale;
+    let n = 500_000;
     let mut cache = Cache::new(CacheConfig::l1_default(32 * 1024, 4)).unwrap();
     let way_span = 8 * 1024u64;
-    measure("evict_stream", n, 5, move || {
+    measure("evict_stream", n, move || {
         let mut evictions = 0u64;
         for i in 0..n {
             let addr = (i % 8) * way_span; // 8 aliases over 4 ways
@@ -248,20 +187,13 @@ fn bench_evict_stream(scale: u64) -> EngineResult {
     })
 }
 
-fn bench_engine(name: &'static str, config: CpuConfig, scale: u64) -> EngineResult {
-    let n = (20_000 * scale) as usize;
+fn bench_engine(name: &'static str, config: CpuConfig) -> EngineResult {
+    let n = 100_000;
     let trace = TraceGenerator::new(spec::m88ksim(), 3).generate(n);
-    // These stages finish in ~2 ms, so on a shared host a best-of-3 is
-    // regularly inflated by scheduler interference; 15 repetitions (still
-    // ~30 ms per stage) land the best-of reliably near the true minimum.
-    // More repetitions can only tighten the same statistic, so engine values
-    // stay comparable with the earlier best-of-3 trajectory entries.
-    let mut result = measure(name, n as u64, 15, move || {
+    measure(name, n as u64, move || {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         Simulator::new(config).run(&trace, &mut h).instructions
-    });
-    result.trace_format = Some(TraceFormat::V3);
-    result
+    })
 }
 
 /// The cold-start ("trace-limited") stage every sweep pays once per
@@ -269,10 +201,10 @@ fn bench_engine(name: &'static str, config: CpuConfig, scale: u64) -> EngineResu
 /// `fused: false` is the pre-streaming pipeline (materialize, then replay);
 /// `fused: true` interleaves generation and simulation per chunk through
 /// `run_source`, with only one chunk buffer resident.
-fn bench_gen_plus_first_sim(name: &'static str, fused: bool, scale: u64) -> EngineResult {
-    let n = (20_000 * scale) as usize;
+fn bench_gen_plus_first_sim(name: &'static str, fused: bool) -> EngineResult {
+    let n = 100_000;
     let config = CpuConfig::base_out_of_order();
-    let mut result = measure(name, n as u64, 3, move || {
+    measure(name, n as u64, move || {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let generator = TraceGenerator::new(spec::m88ksim(), 3);
         if fused {
@@ -284,22 +216,17 @@ fn bench_gen_plus_first_sim(name: &'static str, fused: bool, scale: u64) -> Engi
             let trace = generator.generate(n);
             Simulator::new(config).run(&trace, &mut h).instructions
         }
-    });
-    result.trace_format = Some(TraceFormat::V3);
-    result
+    })
 }
 
 /// One out-of-order engine run per registry workload, fed through the
 /// streaming source: tracks how the engine responds to each scenario's
-/// stress pattern (quick mode covers a three-workload subset).
-fn bench_workloads(scale: u64, quick: bool) -> Vec<EngineResult> {
-    let n = (20_000 * scale) as usize;
-    let registry = WorkloadRegistry::builtin();
-    let quick_set = ["nominal", "pointer_chase", "mshr_burst"];
-    registry
+/// stress pattern.
+fn bench_workloads() -> Vec<EngineResult> {
+    let n = 100_000;
+    WorkloadRegistry::builtin()
         .specs()
         .iter()
-        .filter(|spec| !quick || quick_set.contains(&spec.name))
         .map(|spec| {
             let profile = spec.profile();
             let config = CpuConfig::base_out_of_order();
@@ -307,15 +234,13 @@ fn bench_workloads(scale: u64, quick: bool) -> Vec<EngineResult> {
             // stable prefixed name; leak once per stage (bounded by the
             // registry size).
             let label: &'static str = Box::leak(format!("wl_{}", spec.name).into_boxed_str());
-            let mut result = measure(label, n as u64, 3, move || {
+            measure(label, n as u64, move || {
                 let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
                 let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
                 Simulator::new(config)
                     .run_source(&mut stream, &mut h)
                     .instructions
-            });
-            result.trace_format = Some(TraceFormat::V3);
-            result
+            })
         })
         .collect()
 }
@@ -334,8 +259,8 @@ fn bench_workloads(scale: u64, quick: bool) -> Vec<EngineResult> {
 /// lines whose outstanding fills are cheapest, so the merges that remain
 /// land close to completion — the *mean* stall per delayed hit drops well
 /// below LRU's even though MAD admits more (cheap) merges.
-fn bench_policy_pair(scale: u64) -> Vec<EngineResult> {
-    let n = (100_000 * scale) as usize;
+fn bench_policy_pair() -> Vec<EngineResult> {
+    let n = 500_000;
     let registry = WorkloadRegistry::builtin();
     let spec = registry
         .get("conflict_storm")
@@ -350,7 +275,7 @@ fn bench_policy_pair(scale: u64) -> Vec<EngineResult> {
         let config = CpuConfig::base_out_of_order();
         let profile = profile.clone();
         let mut latency = LatencyStats::default();
-        let mut result = measure(label, n as u64, 3, || {
+        let mut result = measure(label, n as u64, || {
             let mut h =
                 MemoryHierarchy::new(HierarchyConfig::with_l1(4 * 1024, 2).with_l1d_policy(policy))
                     .unwrap();
@@ -365,7 +290,6 @@ fn bench_policy_pair(scale: u64) -> Vec<EngineResult> {
             latency.delayed_hits,
             latency.mean_delayed_hit_cycles()
         );
-        result.trace_format = Some(TraceFormat::V3);
         result.latency = Some(latency);
         result
     })
@@ -381,11 +305,10 @@ fn bench_policy_pair(scale: u64) -> Vec<EngineResult> {
 fn bench_dynamic(
     name: &'static str,
     streamed: bool,
-    scale: u64,
     health_out: &mut Option<StoreHealth>,
 ) -> EngineResult {
-    let warm_len = (4_000 * scale) as usize;
-    let measure_len = (16_000 * scale) as usize;
+    let warm_len = 20_000;
+    let measure_len = 80_000;
     let cfg = RunnerConfig {
         warmup_instructions: warm_len,
         measure_instructions: measure_len,
@@ -394,15 +317,8 @@ fn bench_dynamic(
         ..RunnerConfig::paper()
     };
     // The materialized baseline replays resident traces; only the streamed
-    // variant needs (and requires) a store directory.
-    let dir = if streamed {
-        match store_scratch_dir(name) {
-            Some(dir) => Some(dir),
-            None => return skipped(name),
-        }
-    } else {
-        None
-    };
+    // variant needs a store directory.
+    let dir = streamed.then(|| scratch_dir(name));
     if let Some(dir) = &dir {
         std::fs::remove_dir_all(dir).ok();
     }
@@ -425,7 +341,7 @@ fn bench_dynamic(
     // `measure`'s untimed warm-up call populates the store (generate-to-disk
     // for the streamed variant, materialize-and-memoize for the baseline),
     // so the timed repetitions measure steady-state replay.
-    let mut result = measure(name, (warm_len + measure_len) as u64, 3, move || {
+    let result = measure(name, (warm_len + measure_len) as u64, move || {
         let m = if streamed {
             runner.run_dynamic(&app, &system, &setup)
         } else {
@@ -434,7 +350,6 @@ fn bench_dynamic(
         };
         m.l1d_resizes + m.cycles
     });
-    result.trace_format = Some(TraceFormat::V3);
     // The streamed stage's tier health goes into the JSON record: a bench
     // run that quietly retried, regenerated or degraded is not measuring
     // what it claims to measure.
@@ -445,365 +360,15 @@ fn bench_dynamic(
     result
 }
 
-/// A figure-5-style static sweep over a subset of applications: the
-/// end-to-end path (trace cache, runner, parallel sweep) every figure bench
-/// takes. Returns total simulated instructions and the measured result.
-fn bench_fig5_sweep(cfg: RunnerConfig, scale: u64) -> EngineResult {
-    let runner = Runner::new(cfg);
-    let apps = [
-        spec::ammp(),
-        spec::m88ksim(),
-        spec::compress(),
-        spec::su2cor(),
-    ];
-    let orgs = [Organization::SelectiveWays, Organization::SelectiveSets];
-    let side = ResizableCacheSide::Data;
-
-    // Count the simulations the sweep performs: per (app, org) one baseline
-    // plus one run per offered point, each over warm-up + measured regions.
-    let system = SystemConfig::with_l1(32 * 1024, 4);
-    let per_run = (cfg.warmup_instructions + cfg.measure_instructions) as u64;
-    let mut runs = 0u64;
-    for org in orgs {
-        let points = ConfigSpace::enumerate(side.config_of(&system.hierarchy), org)
-            .expect("both organizations apply to a 4-way cache")
-            .points()
-            .len() as u64;
-        runs += (apps.len() as u64) * (1 + points);
-    }
-    let total_instructions = runs * per_run;
-
-    let reps = if scale > 1 { 4 } else { 1 };
-    let mut result = measure("fig5_sweep", total_instructions, reps, || {
-        // Each repetition is one full figure sweep: traces stay shared (they
-        // are generated once per process in real sweeps too), but the
-        // simulation memoization starts empty so every repetition performs
-        // the sweep's full deduplicated simulation work.
-        let runner = runner.with_fresh_simulations();
-        let rows = per_app_org_comparison(&runner, &apps, 4, &orgs, side)
-            .expect("both organizations apply to a 4-way cache");
-        rows.len() as u64
-    });
-    // The sweep's item count is its nominal workload (see `EngineResult`):
-    // the runner memoizes simulations shared between sweep arms (e.g. the
-    // baseline and each organization's full-size point), so fewer
-    // instructions execute than the divisor counts, by design.
-    result.nominal_workload = true;
-    result.trace_format = Some(TraceFormat::V3);
-    result
-}
-
-/// The sweep service end to end: concurrent clients run identical sweeps
-/// against one server over TCP, so almost all of the nominal workload is
-/// served from the shared tier's single-flight memos — that sharing *is*
-/// the feature under test. The stage therefore reports an *equivalent*
-/// MIPS (nominal workload over wall-clock) plus the service's headline
-/// counters: requests answered and the result-cache hit rate.
-fn bench_sweep_service(scale: u64) -> EngineResult {
-    use std::io::{BufRead, Write};
-
-    const CLIENTS: usize = 4;
-    const SWEEPS_PER_CLIENT: usize = 2;
-    let cfg = RunnerConfig {
-        warmup_instructions: (4_000 * scale) as usize,
-        measure_instructions: (12_000 * scale) as usize,
-        trace_seed: 42,
-        dynamic_interval: 1_024,
-        ..RunnerConfig::paper()
-    };
-    // In-memory tier: the stage measures the serving path, not the disk, so
-    // it runs everywhere (no RESCACHE_TRACE_DIR requirement).
-    let store = TraceStore::with_dir(None);
-    let tier = store.tier().clone();
-    let server = SweepServer::bind(
-        Runner::with_store(cfg, store),
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr");
-    let (handle, join) = server.spawn().expect("spawn sweep service");
-
-    let system = SystemConfig::base();
-    let points = ConfigSpace::enumerate(
-        ResizableCacheSide::Data.config_of(&system.hierarchy),
-        Organization::SelectiveSets,
-    )
-    .expect("selective-sets applies to the base d-cache")
-    .points()
-    .len() as u64;
-    // Nominal workload: every sweep's baseline plus one run per point, as
-    // the pre-coalescing service would have simulated them.
-    let per_run = (cfg.warmup_instructions + cfg.measure_instructions) as u64;
-    let nominal = (CLIENTS * SWEEPS_PER_CLIENT) as u64 * (points + 1) * per_run;
-
-    let mut result = measure("sweep_service", nominal, 3, || {
-        std::thread::scope(|scope| {
-            let clients: Vec<_> = (0..CLIENTS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let stream =
-                            std::net::TcpStream::connect(addr).expect("connect bench client");
-                        let mut reader =
-                            std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-                        let mut writer = stream;
-                        let mut served = 0u64;
-                        for _ in 0..SWEEPS_PER_CLIENT {
-                            writeln!(
-                                writer,
-                                r#"{{"req":"sweep","app":"gcc","org":"selective_sets"}}"#
-                            )
-                            .expect("send sweep");
-                            let mut line = String::new();
-                            loop {
-                                line.clear();
-                                let n = reader.read_line(&mut line).expect("read response");
-                                assert!(n > 0, "server closed mid-sweep");
-                                assert!(line.contains("\"ok\":true"), "sweep failed: {line}");
-                                if line.contains("\"kind\":\"done\"") {
-                                    break;
-                                }
-                                served += 1;
-                            }
-                        }
-                        served
-                    })
-                })
-                .collect();
-            clients
-                .into_iter()
-                .map(|c| c.join().expect("bench client"))
-                .sum()
-        })
-    });
-    let health = tier.health_snapshot();
-    result.requests = Some(health.requests);
-    result.hit_rate = health.result_cache_hit_rate();
-    result.nominal_workload = true;
-    result.trace_format = Some(TraceFormat::V3);
-    handle.stop();
-    join.join().expect("sweep service drains");
-    result
-}
-
-/// The server process the multi-process stage re-execs this binary into:
-/// binds an ephemeral port over the store directory the parent points
-/// `RESCACHE_TRACE_DIR` at, prints the port on a marker line, and serves
-/// until a client sends `shutdown`.
-fn sweep_service_worker() {
-    use std::io::Write;
-
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(default)
-    };
-    // Mirrors bench_sweep_service's runner configuration; the parent passes
-    // the scaled region sizes explicitly so every server process keys the
-    // same memo entries.
-    let cfg = RunnerConfig {
-        warmup_instructions: env_usize("RESCACHE_BENCH_SWEEP_WARMUP", 4_000),
-        measure_instructions: env_usize("RESCACHE_BENCH_SWEEP_MEASURE", 12_000),
-        trace_seed: 42,
-        dynamic_interval: 1_024,
-        ..RunnerConfig::paper()
-    };
-    let server = SweepServer::bind(
-        Runner::new(cfg),
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind worker server");
-    let port = server.local_addr().expect("local addr").port();
-    println!("SWEEP_WORKER_PORT={port}");
-    std::io::stdout().flush().expect("flush port marker");
-    server.serve().expect("worker serves until shutdown");
-}
-
-/// The multi-process face of the sweep service: N independent server
-/// *processes* (re-execs of this binary) share one `RESCACHE_TRACE_DIR`
-/// through the store's entry locks, instead of one in-process tier.
-/// Sharing is shallower here — persisted traces cross process boundaries,
-/// simulation memos do not — so the aggregate result-cache hit rate
-/// measures exactly the single-process-vs-multi-process gap, against
-/// `sweep_service`'s within-run rate.
-fn bench_sweep_service_multiproc(scale: u64) -> EngineResult {
-    use std::io::{BufRead, Write};
-
-    const SERVERS: usize = 2;
-    const CLIENTS_PER_SERVER: usize = 2;
-    const SWEEPS_PER_CLIENT: usize = 2;
-
-    let Some(dir) = store_scratch_dir("sweep-multiproc") else {
-        return skipped("sweep_service_multiproc");
-    };
-    std::fs::create_dir_all(&dir).expect("create multiproc scratch directory");
-    let exe = std::env::current_exe().expect("bench binary path");
-    let mut children = Vec::new();
-    for _ in 0..SERVERS {
-        children.push(
-            std::process::Command::new(&exe)
-                .env("RESCACHE_BENCH_SWEEP_WORKER", "1")
-                .env("RESCACHE_TRACE_DIR", &dir)
-                .env("RESCACHE_BENCH_SWEEP_WARMUP", (4_000 * scale).to_string())
-                .env("RESCACHE_BENCH_SWEEP_MEASURE", (12_000 * scale).to_string())
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::null())
-                .spawn()
-                .expect("spawn server process"),
-        );
-    }
-    let mut addrs = Vec::new();
-    for child in &mut children {
-        let stdout = child.stdout.take().expect("piped worker stdout");
-        let mut lines = std::io::BufReader::new(stdout).lines();
-        let port = loop {
-            let line = lines
-                .next()
-                .expect("worker prints its port before EOF")
-                .expect("read worker stdout");
-            if let Some(port) = line.strip_prefix("SWEEP_WORKER_PORT=") {
-                break port.trim().parse::<u16>().expect("valid port");
-            }
-        };
-        addrs.push(std::net::SocketAddr::from(([127, 0, 0, 1], port)));
-        // Keep draining the pipe so the child never blocks writing to it.
-        std::thread::spawn(move || for _ in lines {});
-    }
-
-    let system = SystemConfig::base();
-    let points = ConfigSpace::enumerate(
-        ResizableCacheSide::Data.config_of(&system.hierarchy),
-        Organization::SelectiveSets,
-    )
-    .expect("selective-sets applies to the base d-cache")
-    .points()
-    .len() as u64;
-    let per_run = (4_000 + 12_000) * scale;
-    let nominal =
-        (SERVERS * CLIENTS_PER_SERVER * SWEEPS_PER_CLIENT) as u64 * (points + 1) * per_run;
-
-    let run_sweeps = |addr: std::net::SocketAddr| {
-        let stream = std::net::TcpStream::connect(addr).expect("connect bench client");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut writer = stream;
-        let mut served = 0u64;
-        for _ in 0..SWEEPS_PER_CLIENT {
-            writeln!(
-                writer,
-                r#"{{"req":"sweep","app":"gcc","org":"selective_sets"}}"#
-            )
-            .expect("send sweep");
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let n = reader.read_line(&mut line).expect("read response");
-                assert!(n > 0, "server closed mid-sweep");
-                assert!(line.contains("\"ok\":true"), "sweep failed: {line}");
-                if line.contains("\"kind\":\"done\"") {
-                    break;
-                }
-                served += 1;
-            }
-        }
-        served
-    };
-    let mut result = measure("sweep_service_multiproc", nominal, 1, || {
-        std::thread::scope(|scope| {
-            let clients: Vec<_> = addrs
-                .iter()
-                .flat_map(|&addr| (0..CLIENTS_PER_SERVER).map(move |_| addr))
-                .map(|addr| scope.spawn(move || run_sweeps(addr)))
-                .collect();
-            clients
-                .into_iter()
-                .map(|c| c.join().expect("bench client"))
-                .sum()
-        })
-    });
-
-    // Aggregate the per-process tier counters through the protocol (the
-    // tiers live in the worker processes) and wind the servers down.
-    let mut hits = 0u64;
-    let mut coalesced = 0u64;
-    let mut misses = 0u64;
-    let mut requests = 0u64;
-    for &addr in &addrs {
-        let stream = std::net::TcpStream::connect(addr).expect("connect for health");
-        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-        let mut writer = stream;
-        writeln!(writer, r#"{{"req":"health"}}"#).expect("send health");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read health");
-        let health = rescache_core::json::Json::parse(line.trim_end()).expect("health JSON");
-        let counter = |name: &str| {
-            health
-                .get(name)
-                .and_then(rescache_core::json::Json::as_u64)
-                .unwrap_or(0)
-        };
-        hits += counter("hits");
-        coalesced += counter("coalesced");
-        misses += counter("misses");
-        requests += counter("requests");
-        writeln!(writer, r#"{{"req":"shutdown"}}"#).expect("send shutdown");
-        line.clear();
-        reader.read_line(&mut line).expect("read bye");
-    }
-    for mut child in children {
-        let status = child.wait().expect("worker exits");
-        assert!(
-            status.success(),
-            "worker process exited cleanly: {status:?}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-
-    result.requests = Some(requests);
-    let lookups = hits + coalesced + misses;
-    result.hit_rate = (lookups > 0).then(|| (hits + coalesced) as f64 / lookups as f64);
-    result.nominal_workload = true;
-    result.trace_format = Some(TraceFormat::V3);
-    result
-}
-
 // `results` is deliberately built push by push, not as a `vec![...]`
 // literal — see the comment at its declaration.
 #[allow(clippy::vec_init_then_push)]
 fn main() {
     // A malformed runtime knob stops the bench here, before any work.
-    let knobs = knobs();
-    // Re-exec mode: the multi-process sweep-service stage spawns this same
-    // binary as its server processes.
-    if std::env::var("RESCACHE_BENCH_SWEEP_WORKER").is_ok() {
-        sweep_service_worker();
-        return;
-    }
-    // "0", "false" and the empty string count as unset, so e.g.
-    // `RESCACHE_BENCH_QUICK=0` runs the full bench as intended rather than
-    // silently selecting quick mode.
-    let quick = std::env::var("RESCACHE_BENCH_QUICK")
-        .map(|v| !matches!(v.trim(), "" | "0" | "false"))
-        .unwrap_or(false);
-    // The sweep bench honours the runner knobs; unset lengths default to a
-    // bench-sized region so a full run finishes in minutes, not hours.
-    let sweep_config = knobs.runner_config(RunnerConfig {
-        warmup_instructions: 20_000,
-        measure_instructions: if quick { 30_000 } else { 200_000 },
-        ..RunnerConfig::paper()
-    });
-    let scale = if quick { 1 } else { 5 };
+    knobs();
 
     println!("=== sim_throughput: simulator wall-clock throughput ===");
-    println!(
-        "(quick={quick}, warm-up {} / measure {} instructions per sweep run)",
-        sweep_config.warmup_instructions, sweep_config.measure_instructions
-    );
+    println!("(median [min, max] seconds over {SAMPLES} timed repetitions per stage)");
     println!();
 
     // Captured by the last store-backed dynamic stage (the streamed one):
@@ -813,55 +378,25 @@ fn main() {
     // literal: materializing a dozen stage results as macro temporaries
     // perturbed the store-load stage's measured time by ~1.5x run over run.
     let mut results = Vec::new();
-    results.push(bench_trace_gen(scale));
-    results.push(bench_trace_gen_streaming(scale));
-    results.push(bench_trace_store_load(scale));
-    results.push(bench_hit_stream(scale));
-    results.push(bench_evict_stream(scale));
-    results.push(bench_engine("in_order", CpuConfig::base_in_order(), scale));
-    results.push(bench_engine(
-        "out_of_order",
-        CpuConfig::base_out_of_order(),
-        scale,
-    ));
-    results.push(bench_gen_plus_first_sim(
-        "gen_first_sim_split",
-        false,
-        scale,
-    ));
-    results.push(bench_gen_plus_first_sim("gen_first_sim_fused", true, scale));
-    results.push(bench_dynamic(
-        "dyn_materialized",
-        false,
-        scale,
-        &mut store_health,
-    ));
-    results.push(bench_dynamic(
-        "dyn_streamed",
-        true,
-        scale,
-        &mut store_health,
-    ));
-    results.extend(bench_workloads(scale, quick));
-    results.extend(bench_policy_pair(scale));
-    results.push(bench_fig5_sweep(sweep_config, scale));
-    results.push(bench_sweep_service(scale));
-    results.push(bench_sweep_service_multiproc(scale));
+    results.push(bench_trace_gen());
+    results.push(bench_trace_gen_streaming());
+    results.push(bench_trace_store_load());
+    results.push(bench_hit_stream());
+    results.push(bench_evict_stream());
+    results.push(bench_engine("in_order", CpuConfig::base_in_order()));
+    results.push(bench_engine("out_of_order", CpuConfig::base_out_of_order()));
+    results.push(bench_gen_plus_first_sim("gen_first_sim_split", false));
+    results.push(bench_gen_plus_first_sim("gen_first_sim_fused", true));
+    results.push(bench_dynamic("dyn_materialized", false, &mut store_health));
+    results.push(bench_dynamic("dyn_streamed", true, &mut store_health));
+    results.extend(bench_workloads());
+    results.extend(bench_policy_pair());
 
-    let json = render_json(&results, quick, store_health);
-    // Quick (CI smoke) runs record to a sibling file so they never clobber
-    // the committed full-run trajectory baseline.
-    let out_path = if quick {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_sim_throughput.quick.json"
-        )
-    } else {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_sim_throughput.json"
-        )
-    };
+    let json = render_json(&results, store_health);
+    let out_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_sim_throughput.json"
+    );
     std::fs::write(out_path, &json).expect("write throughput record");
     println!();
     println!("wrote {out_path}");
@@ -869,10 +404,9 @@ fn main() {
 
 /// Renders the result list as JSON by hand (the workspace builds offline and
 /// carries no serde dependency).
-fn render_json(results: &[EngineResult], quick: bool, health: Option<StoreHealth>) -> String {
+fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/10\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
+    out.push_str("  \"schema\": \"rescache-sim-throughput/11\",\n");
     // The streamed dynamic stage's shared-tier recovery counters. All-zero
     // with `"degraded": false` on a healthy machine; anything else flags a
     // run whose numbers were taken while the store was fighting its disk.
@@ -888,29 +422,17 @@ fn render_json(results: &[EngineResult], quick: bool, health: Option<StoreHealth
             .map(|n| n.get())
             .unwrap_or(1)
     ));
-    out.push_str(&format!(
-        "  \"effective_threads\": {},\n",
-        effective_workers()
-    ));
+    out.push_str(&format!("  \"samples\": {SAMPLES},\n"));
     out.push_str("  \"engines\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let mut trace_format = match r.trace_format {
-            Some(format) => format!(", \"trace_format\": \"{format}\""),
-            None => String::new(),
-        };
+        let mut extra = String::new();
         if let (Some(bytes), Some(ratio)) = (r.store_bytes, r.compression_ratio) {
-            trace_format.push_str(&format!(
+            extra.push_str(&format!(
                 ", \"store_bytes\": {bytes}, \"compression_ratio\": {ratio:.3}"
             ));
         }
-        if let Some(requests) = r.requests {
-            trace_format.push_str(&format!(", \"requests\": {requests}"));
-        }
-        if let Some(rate) = r.hit_rate {
-            trace_format.push_str(&format!(", \"result_cache_hit_rate\": {rate:.4}"));
-        }
         if let Some(lat) = r.latency {
-            trace_format.push_str(&format!(
+            extra.push_str(&format!(
                 ", \"latency\": {{\"delayed_hits\": {}, \"delayed_hit_cycles\": {}, \"mean_delayed_hit_cycles\": {:.4}, \"d_primary_misses\": {}, \"d_miss_cycles\": {}, \"mean_miss_cycles\": {:.4}}}",
                 lat.delayed_hits,
                 lat.delayed_hit_cycles,
@@ -921,13 +443,13 @@ fn render_json(results: &[EngineResult], quick: bool, health: Option<StoreHealth
             ));
         }
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"status\": \"{}\", \"items\": {}, \"seconds\": {:.6}, \"mips\": {:.3}, \"workload\": \"{}\"{trace_format}}}{}\n",
+            "    {{\"name\": \"{}\", \"items\": {}, \"median_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}, \"mips\": {:.3}{extra}}}{}\n",
             r.name,
-            if r.skipped { "skipped" } else { "measured" },
             r.items,
-            r.seconds,
+            r.seconds.median,
+            r.seconds.min,
+            r.seconds.max,
             r.mips,
-            if r.nominal_workload { "nominal" } else { "measured" },
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

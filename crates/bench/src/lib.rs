@@ -5,8 +5,9 @@
 //! series. The helpers here keep the targets small: a common runner
 //! configuration (the paper's, with the `RESCACHE_*` knobs of
 //! [`rescache_core::Knobs`] applied; a malformed knob stops the bench before
-//! any work, with exit status 2), the full application list, and a tiny
-//! stopwatch for reporting how long a sweep took.
+//! any work, with exit status 2), the full application list, a tiny
+//! stopwatch for reporting how long a sweep took, and the median/min/max
+//! summary the throughput harness reports its timing samples with.
 
 use std::time::Instant;
 
@@ -72,6 +73,41 @@ pub fn timed<T>(label: &str, body: impl FnOnce() -> T) -> T {
     value
 }
 
+/// Median, minimum and maximum of a set of timing samples: how the
+/// throughput harness reports each stage, so a number carries its spread
+/// instead of a lucky best-of-k.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    pub median: f64,
+    pub min: f64,
+    pub max: f64,
+}
+
+impl Spread {
+    /// Summarizes `samples`, given in any order. The median of an even
+    /// count is the mean of the two middle samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[f64]) -> Self {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let median = if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        };
+        Self {
+            median,
+            min: sorted[0],
+            max: sorted[n - 1],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,6 +123,39 @@ mod tests {
     #[test]
     fn timed_returns_the_body_value() {
         assert_eq!(timed("test", || 21 * 2), 42);
+    }
+
+    #[test]
+    fn spread_of_an_odd_count_takes_the_middle_sample() {
+        let s = Spread::of(&[0.3, 0.1, 0.5, 0.2, 0.4]);
+        assert_eq!(
+            s,
+            Spread {
+                median: 0.3,
+                min: 0.1,
+                max: 0.5
+            }
+        );
+        assert_eq!(Spread::of(&[7.0]).median, 7.0);
+    }
+
+    #[test]
+    fn spread_of_an_even_count_averages_the_two_middle_samples() {
+        let s = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(
+            s,
+            Spread {
+                median: 2.5,
+                min: 1.0,
+                max: 4.0
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sample")]
+    fn spread_of_no_samples_panics() {
+        Spread::of(&[]);
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn resolve_workers(threads: Option<usize>, host: usize) -> usize {
 /// The override serves two audiences: scaling studies (pin the worker count
 /// and measure, instead of inheriting whatever the host offers) and shared
 /// CI/build boxes (cap the fan-out below the machine width). The value is
-/// resolved **once per process** and written to `BENCH_sim_throughput.json`
-/// so every trajectory entry names the parallelism it was measured at.
+/// resolved **once per process**; perfbench prints it with every run so each
+/// measurement names the parallelism it was taken at.
 /// Callers that fan out over fewer items than workers use fewer threads
 /// (`parallel_map` caps at the item count).
 pub fn effective_workers() -> usize {

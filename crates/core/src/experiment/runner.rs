@@ -250,17 +250,6 @@ impl Runner {
         Self { config, store }
     }
 
-    /// Returns a runner sharing this runner's generated traces (and health
-    /// accounting) but with an empty simulation cache (used by benchmarks
-    /// that measure sweep throughput and must not carry simulations across
-    /// repetitions).
-    pub fn with_fresh_simulations(&self) -> Self {
-        Self {
-            config: self.config,
-            store: TraceStore::with_tier(self.store.tier().with_fresh_sims()),
-        }
-    }
-
     /// The runner configuration.
     pub fn config(&self) -> &RunnerConfig {
         &self.config

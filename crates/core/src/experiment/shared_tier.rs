@@ -395,16 +395,6 @@ impl SharedTier {
         self.resident_cap
     }
 
-    /// A tier sharing this tier's traces, persists, policy and health but
-    /// with an empty simulation memo (benchmarks measuring sweep throughput
-    /// must not carry simulations across repetitions).
-    pub fn with_fresh_sims(&self) -> Self {
-        Self {
-            sims: Memo::default(),
-            ..self.clone()
-        }
-    }
-
     /// The I/O policy every store/codec filesystem operation goes through.
     pub fn policy(&self) -> &IoPolicy {
         &self.policy
@@ -632,7 +622,6 @@ mod tests {
 
         // Clones share the health block and the degraded flag.
         assert!(tier.clone().health_snapshot().degraded);
-        assert!(tier.with_fresh_sims().health_snapshot().degraded);
     }
 
     #[test]
