@@ -25,7 +25,7 @@ use rescache_bench::{knobs, Spread};
 use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy, ReplacementPolicy};
 use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
-use rescache_cpu::{CpuConfig, LatencyStats, Simulator};
+use rescache_cpu::{CpuConfig, LatencyStats, NoopHook, Simulator};
 use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, TraceSource, WorkloadRegistry};
 
 /// Timed repetitions per stage (after one untimed warm-up).
@@ -210,7 +210,7 @@ fn bench_gen_plus_first_sim(name: &'static str, fused: bool) -> EngineResult {
         if fused {
             let mut stream = generator.stream(n);
             Simulator::new(config)
-                .run_source(&mut stream, &mut h)
+                .run_source(&mut stream, &mut h, &mut NoopHook)
                 .instructions
         } else {
             let trace = generator.generate(n);
@@ -238,7 +238,7 @@ fn bench_workloads() -> Vec<EngineResult> {
                 let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
                 let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
                 Simulator::new(config)
-                    .run_source(&mut stream, &mut h)
+                    .run_source(&mut stream, &mut h, &mut NoopHook)
                     .instructions
             })
         })
@@ -280,7 +280,7 @@ fn bench_policy_pair() -> Vec<EngineResult> {
                 MemoryHierarchy::new(HierarchyConfig::with_l1(4 * 1024, 2).with_l1d_policy(policy))
                     .unwrap();
             let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
-            let r = Simulator::new(config).run_source(&mut stream, &mut h);
+            let r = Simulator::new(config).run_source(&mut stream, &mut h, &mut NoopHook);
             latency = r.latency;
             r.instructions
         });

@@ -267,7 +267,10 @@ impl MemoryHierarchy {
     }
 
     /// Performs a data access (load if `write` is false, store otherwise).
-    #[inline]
+    ///
+    /// Forced inline: it sits in every engine's per-instruction loop, and a
+    /// plain hint left it out of line in some engine instantiations.
+    #[inline(always)]
     pub fn access_data(&mut self, addr: u64, write: bool, cycle: u64) -> AccessResult {
         let l1_latency = self.config.l1d.hit_latency;
         let outcome = if write {

@@ -102,13 +102,6 @@ fn evaluate_app(
 
     let d_cfg = system.hierarchy.l1d;
     let i_cfg = system.hierarchy.l1i;
-    let tag_bits = |cfg: rescache_cache::CacheConfig| {
-        if organization.needs_resizing_tag_bits() {
-            cfg.resizing_tag_bits()
-        } else {
-            0
-        }
-    };
 
     // Run both caches together at their individually profiled best points
     // (memoized: if either side's best is the full size, this shares the
@@ -118,8 +111,8 @@ fn evaluate_app(
         system,
         d_search.best.point,
         i_search.best.point,
-        tag_bits(d_cfg),
-        tag_bits(i_cfg),
+        organization.tag_bits(&d_cfg),
+        organization.tag_bits(&i_cfg),
     );
 
     let base_ed = base.energy_delay();

@@ -2,15 +2,13 @@
 //! setup and reports energy, delay and cache-size statistics.
 
 use rescache_cache::{HierarchySnapshot, MemoryHierarchy};
-use rescache_cpu::{LatencyStats, SimHook, SimResult, Simulator};
+use rescache_cpu::{LatencyStats, NoopHook, SimHook, SimResult, Simulator};
 use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel, Objective, ResizingTagOverhead};
-use rescache_trace::{
-    is_transient, AppProfile, IoPolicy, Trace, TraceFormat, TraceGenerator, TraceSource,
-};
+use rescache_trace::{AppProfile, Trace, TraceFormat, TraceSource};
 
 use crate::error::CoreError;
 use crate::experiment::parallel::parallel_map;
-use crate::experiment::trace_store::{StoreSource, TraceKey, TraceStore};
+use crate::experiment::trace_store::{TraceKey, TraceStore};
 use crate::knobs::knobs;
 use crate::org::{CachePoint, ConfigSpace, Organization};
 use crate::strategy::{DynamicController, DynamicParams, ResizeDecision};
@@ -271,7 +269,9 @@ impl Runner {
         self.store.fetch(app, &self.config)
     }
 
-    /// Runs one simulation: warm-up, statistics reset, measured region.
+    /// Runs one simulation, uncached: warm-up over `warm`, statistics reset,
+    /// measured region over `measure`. The two halves of a
+    /// [`Runner::trace`] rejoin copy-free into the one source the run reads.
     pub fn run(
         &self,
         warm: &Trace,
@@ -279,40 +279,74 @@ impl Runner {
         system: &SystemConfig,
         setup: &RunSetup,
     ) -> Measurement {
-        let model = EnergyModel::with_overhead(
-            &system.hierarchy,
-            ResizingTagOverhead {
-                l1i_bits: setup.i_tag_bits,
-                l1d_bits: setup.d_tag_bits,
-            },
-        );
+        let mut source = warm.join(measure).cursor();
+        let regions = (warm.len(), measure.len());
+        let (d_static, i_static) = (setup.d_static, setup.i_static);
         let sim = match setup.dynamic.clone() {
-            None => Self::simulate_static(warm, measure, system, setup.d_static, setup.i_static),
+            None => Self::simulate(
+                &mut source,
+                regions,
+                system,
+                d_static,
+                i_static,
+                &mut NoopHook,
+            ),
             Some((side, space, params)) => {
-                let mut hierarchy = Self::static_hierarchy(system, setup.d_static, setup.i_static);
-                let mut controller = DynamicController::new(side, space, params)
-                    .expect("dynamic parameters validated by the caller")
-                    .with_objective(self.config.objective);
-                let sim = Simulator::new(system.cpu);
-                sim.run_with_hook(warm, &mut hierarchy, &mut controller);
-                hierarchy.reset_stats();
-                let result = sim.run_with_hook(measure, &mut hierarchy, &mut controller);
-                StaticSim {
-                    snapshot: hierarchy.snapshot(),
-                    result,
-                }
+                let mut controller = self.controller(side, space, params);
+                Self::simulate(
+                    &mut source,
+                    regions,
+                    system,
+                    d_static,
+                    i_static,
+                    &mut controller,
+                )
             }
         };
-        Self::build_measurement(&model, &sim.result, &sim.snapshot, system)
+        Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
     }
 
-    /// Builds a hierarchy with the given static points applied (flush
-    /// writebacks noted, as a real pre-run resize would).
-    fn static_hierarchy(
+    /// The warm-up and measured record counts of this runner's experiments.
+    fn regions(&self) -> (usize, usize) {
+        (
+            self.config.warmup_instructions,
+            self.config.measure_instructions,
+        )
+    }
+
+    /// A fresh dynamic controller steering by this runner's objective.
+    fn controller(
+        &self,
+        side: ResizableCacheSide,
+        space: ConfigSpace,
+        params: DynamicParams,
+    ) -> DynamicController {
+        DynamicController::new(side, space, params)
+            .expect("dynamic parameters validated by the caller")
+            .with_objective(self.config.objective)
+    }
+
+    /// The one experiment sequence every run takes: build a hierarchy with
+    /// the static points applied (flush writebacks noted, as a real pre-run
+    /// resize would), then warm-up, statistics reset and measured region over
+    /// one source, `regions` giving the two record counts. `hook` — the
+    /// dynamic controller, or [`NoopHook`] for a static run — sees every
+    /// commit of both regions.
+    ///
+    /// The uncached [`Runner::run`], the memoized static path (over the
+    /// resident trace or a store-served stream) and the streamed dynamic
+    /// path all come through here, which is what guarantees the memo key's
+    /// "static run is a pure function of (trace, system, geometry)"
+    /// invariant: every source of the same records yields the same bits
+    /// (asserted by `tests/dynamic_streaming_equivalence.rs`).
+    fn simulate<S: TraceSource, H: SimHook + ?Sized>(
+        source: &mut S,
+        (warm, measure): (usize, usize),
         system: &SystemConfig,
         d_static: Option<CachePoint>,
         i_static: Option<CachePoint>,
-    ) -> MemoryHierarchy {
+        hook: &mut H,
+    ) -> StaticSim {
         let mut hierarchy = MemoryHierarchy::new(system.hierarchy)
             .expect("base hierarchy configurations are valid");
         if let Some(point) = d_static {
@@ -323,131 +357,10 @@ impl Runner {
             let effect = point.apply(hierarchy.l1i_mut());
             hierarchy.note_resize_flush_writebacks(effect.dirty_writebacks);
         }
-        hierarchy
-    }
-
-    /// The one static simulation sequence (hierarchy build, point apply,
-    /// warm-up, statistics reset, measured region) shared by the uncached
-    /// [`Runner::run`] path and the memoized [`Runner::run_static`] path —
-    /// keeping them one function is what guarantees the memo key's "static
-    /// run is a pure function of (trace, system, geometry)" invariant.
-    fn simulate_static(
-        warm: &Trace,
-        measure: &Trace,
-        system: &SystemConfig,
-        d_static: Option<CachePoint>,
-        i_static: Option<CachePoint>,
-    ) -> StaticSim {
-        let mut hierarchy = Self::static_hierarchy(system, d_static, i_static);
-        let sim = Simulator::new(system.cpu);
-        sim.run(warm, &mut hierarchy);
-        hierarchy.reset_stats();
-        let result = sim.run(measure, &mut hierarchy);
-        StaticSim {
-            snapshot: hierarchy.snapshot(),
-            result,
-        }
-    }
-
-    /// Runs `simulate` over a store-served source, recovering if the store
-    /// entry faults or under-delivers mid-run — a corrupt or
-    /// concurrently-replaced persisted trace must degrade to regeneration,
-    /// never to a silently short simulation. A *transient* I/O fault retries
-    /// the store (bounded, with backoff — the entry itself is presumed
-    /// fine); a content fault quarantines the entry and reruns from a fresh
-    /// generator stream (wrapped in the same [`StoreSource`] type) so later
-    /// runs re-persist a fresh entry. `simulate` must build any per-run hook
-    /// state itself: it is invoked afresh on every attempt.
-    fn with_streamed_source(
-        &self,
-        app: &AppProfile,
-        mut simulate: impl FnMut(&mut StoreSource) -> StaticSim,
-    ) -> StaticSim {
-        let cfg = &self.config;
-        let health = self.store.tier().health();
-        let mut attempt = 1;
-        loop {
-            let mut source = self.store.source(app, cfg);
-            let sim = simulate(&mut source);
-            if source.fault().is_none()
-                && sim.result.instructions == cfg.measure_instructions as u64
-            {
-                return sim;
-            }
-            let transient = matches!(
-                source.fault(),
-                Some(rescache_trace::CodecError::Io(e)) if is_transient(e)
-            );
-            if transient && attempt < IoPolicy::ATTEMPTS {
-                health.note_retry();
-                std::thread::sleep(IoPolicy::BACKOFF * attempt);
-                attempt += 1;
-                continue;
-            }
-            eprintln!(
-                "rescache: store-served run of {} under-delivered ({}); regenerating",
-                app.name,
-                source
-                    .fault()
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "short stream".into()),
-            );
-            if let StoreSource::Disk(file) = &source {
-                self.store
-                    .invalidate_disk_entry(file.path(), app, cfg, !transient);
-            }
-            health.note_regeneration();
-            let total = cfg.warmup_instructions + cfg.measure_instructions;
-            let mut retry = StoreSource::Generated(Box::new(
-                TraceGenerator::new(app.clone(), cfg.trace_seed).stream(total),
-            ));
-            return simulate(&mut retry);
-        }
-    }
-
-    /// The static experiment sequence over one pull-based source —
-    /// bit-identical to [`Runner::simulate_static`] over pre-split traces of
-    /// the same records (asserted by `tests/dynamic_streaming_equivalence.rs`)
-    /// and equally free of per-instruction hook dispatch, but with only one
-    /// chunk buffer resident when the source streams.
-    fn simulate_static_source<S: TraceSource>(
-        &self,
-        source: &mut S,
-        system: &SystemConfig,
-        d_static: Option<CachePoint>,
-        i_static: Option<CachePoint>,
-    ) -> StaticSim {
-        let mut hierarchy = Self::static_hierarchy(system, d_static, i_static);
-        let sim = Simulator::new(system.cpu);
-        let result = sim.run_warm_measure(
+        let result = Simulator::new(system.cpu).run_warm_measure(
             source,
-            self.config.warmup_instructions,
-            self.config.measure_instructions,
-            &mut hierarchy,
-        );
-        StaticSim {
-            snapshot: hierarchy.snapshot(),
-            result,
-        }
-    }
-
-    /// The hooked experiment sequence over one pull-based source: how a
-    /// dynamic controller rides a streamed run (hook state carries across
-    /// the warm/measure boundary, as in the materialized path).
-    fn simulate_hooked_source<S: TraceSource>(
-        &self,
-        source: &mut S,
-        system: &SystemConfig,
-        d_static: Option<CachePoint>,
-        i_static: Option<CachePoint>,
-        hook: &mut dyn SimHook,
-    ) -> StaticSim {
-        let mut hierarchy = Self::static_hierarchy(system, d_static, i_static);
-        let sim = Simulator::new(system.cpu);
-        let result = sim.run_warm_measure_with_hook(
-            source,
-            self.config.warmup_instructions,
-            self.config.measure_instructions,
+            warm,
+            measure,
             &mut hierarchy,
             hook,
         );
@@ -457,14 +370,22 @@ impl Runner {
         }
     }
 
-    /// Prices a finished simulation under `model` and assembles the
-    /// [`Measurement`] the experiments consume.
-    fn build_measurement(
-        model: &EnergyModel,
-        result: &SimResult,
-        snapshot: &HierarchySnapshot,
+    /// Prices a finished simulation with the given resizing-tag-bit
+    /// overheads and assembles the [`Measurement`] the experiments consume.
+    fn price(
+        sim: &StaticSim,
         system: &SystemConfig,
+        d_tag_bits: u32,
+        i_tag_bits: u32,
     ) -> Measurement {
+        let model = EnergyModel::with_overhead(
+            &system.hierarchy,
+            ResizingTagOverhead {
+                l1i_bits: i_tag_bits,
+                l1d_bits: d_tag_bits,
+            },
+        );
+        let (result, snapshot) = (&sim.result, &sim.snapshot);
         let breakdown = model.breakdown_snapshot(result, snapshot);
         let block_d = system.hierarchy.l1d.block_bytes;
         let block_i = system.hierarchy.l1i.block_bytes;
@@ -507,6 +428,28 @@ impl Runner {
         )
     }
 
+    /// Runs (or reuses) the static simulation of `point` on `side` alone,
+    /// priced with `organization`'s resizing-tag-bit overhead on that side;
+    /// `None` is the non-resizable baseline (full size, no tag overhead).
+    pub(crate) fn run_point(
+        &self,
+        app: &AppProfile,
+        system: &SystemConfig,
+        organization: Organization,
+        side: ResizableCacheSide,
+        point: Option<CachePoint>,
+    ) -> Measurement {
+        let tag_bits = point.map_or(0, |_| {
+            organization.tag_bits(&side.config_of(&system.hierarchy))
+        });
+        match side {
+            ResizableCacheSide::Data => self.run_static(app, system, point, None, tag_bits, 0),
+            ResizableCacheSide::Instruction => {
+                self.run_static(app, system, None, point, 0, tag_bits)
+            }
+        }
+    }
+
     /// [`Runner::run_static`] with a choice of how a memo *miss* obtains its
     /// records: `streamed = false` materializes the shared trace (right for
     /// static sweeps, which replay it for every geometry), `streamed = true`
@@ -544,13 +487,21 @@ impl Runner {
         let sim = slot.get_or_init(|| {
             ran = true;
             tier.health().note_miss();
+            let regions = self.regions();
             if streamed {
-                self.with_streamed_source(app, |source| {
-                    self.simulate_static_source(source, system, d_static, i_static)
+                self.store.replay(app, &self.config, |source| {
+                    Self::simulate(source, regions, system, d_static, i_static, &mut NoopHook)
                 })
             } else {
-                let (warm, measure) = self.trace(app);
-                Self::simulate_static(&warm, &measure, system, d_static, i_static)
+                let full = self.store.fetch_full(app, &self.config);
+                Self::simulate(
+                    &mut full.cursor(),
+                    regions,
+                    system,
+                    d_static,
+                    i_static,
+                    &mut NoopHook,
+                )
             }
         });
         if !warm_hit && !ran {
@@ -560,14 +511,7 @@ impl Runner {
             // guarantee is asserted on.
             tier.health().note_coalesced();
         }
-        let model = EnergyModel::with_overhead(
-            &system.hierarchy,
-            ResizingTagOverhead {
-                l1i_bits: i_tag_bits,
-                l1d_bits: d_tag_bits,
-            },
-        );
-        Self::build_measurement(&model, &sim.result, &sim.snapshot, system)
+        Self::price(sim, system, d_tag_bits, i_tag_bits)
     }
 
     /// Runs one simulation of `setup` with the records pulled from the trace
@@ -621,31 +565,24 @@ impl Runner {
                 true,
             );
         };
-        let model = EnergyModel::with_overhead(
-            &system.hierarchy,
-            ResizingTagOverhead {
-                l1i_bits: setup.i_tag_bits,
-                l1d_bits: setup.d_tag_bits,
-            },
-        );
-        let sim = self.with_streamed_source(app, |source| {
+        let regions = self.regions();
+        let sim = self.store.replay(app, &self.config, |source| {
             // A fresh controller per attempt: a retried run must not see the
             // aborted attempt's interval state.
-            let mut controller = DynamicController::new(side, space.clone(), params)
-                .expect("dynamic parameters validated by the caller")
-                .with_objective(self.config.objective);
+            let mut controller = self.controller(side, space.clone(), params);
             if let Some(sink) = sink {
                 controller = controller.with_decision_sink(sink.clone());
             }
-            self.simulate_hooked_source(
+            Self::simulate(
                 source,
+                regions,
                 system,
                 setup.d_static,
                 setup.i_static,
                 &mut controller,
             )
         });
-        Self::build_measurement(&model, &sim.result, &sim.snapshot, system)
+        Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
     }
 
     /// The trace-store key of an application under this runner's config.
@@ -698,29 +635,15 @@ impl Runner {
         organization: Organization,
         side: ResizableCacheSide,
     ) -> Result<StaticOutcome, CoreError> {
-        let cache_cfg = side.config_of(&system.hierarchy);
-        let space = ConfigSpace::enumerate(cache_cfg, organization)?;
-        let tag_bits = if organization.needs_resizing_tag_bits() {
-            cache_cfg.resizing_tag_bits()
-        } else {
-            0
-        };
-
-        let base = self.run_static(app, system, None, None, 0, 0);
+        let space = ConfigSpace::enumerate(side.config_of(&system.hierarchy), organization)?;
+        let base = self.run_point(app, system, organization, side, None);
 
         // Every point replays the same shared trace on an independent
         // hierarchy, so the static search fans out over the available cores
         // (the outer per-application loops of the figure drivers compose with
         // this: the work-stealing pool is per `parallel_map` call).
         let evaluated: Vec<(CachePoint, Measurement)> = parallel_map(space.points(), |point| {
-            let measurement = match side {
-                ResizableCacheSide::Data => {
-                    self.run_static(app, system, Some(*point), None, tag_bits, 0)
-                }
-                ResizableCacheSide::Instruction => {
-                    self.run_static(app, system, None, Some(*point), 0, tag_bits)
-                }
-            };
+            let measurement = self.run_point(app, system, organization, side, Some(*point));
             (*point, measurement)
         });
 
@@ -794,11 +717,7 @@ impl Runner {
     ) -> Result<DynamicOutcome, CoreError> {
         let cache_cfg = side.config_of(&system.hierarchy);
         let space = ConfigSpace::enumerate(cache_cfg, organization)?;
-        let tag_bits = if organization.needs_resizing_tag_bits() {
-            cache_cfg.resizing_tag_bits()
-        } else {
-            0
-        };
+        let tag_bits = organization.tag_bits(&cache_cfg);
 
         // The baseline also seeds the store: on a cold key with a
         // persistence directory this generates the entry straight to disk,

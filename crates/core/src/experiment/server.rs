@@ -749,21 +749,13 @@ fn parse_target(
 /// validated against the organization's configuration space, so this cannot
 /// fail.
 fn run_point(runner: &Runner, target: &Target, point: Option<CachePoint>) -> Measurement {
-    let tag_bits = match point {
-        Some(_) if target.organization.needs_resizing_tag_bits() => target
-            .side
-            .config_of(&target.system.hierarchy)
-            .resizing_tag_bits(),
-        _ => 0,
-    };
-    match target.side {
-        ResizableCacheSide::Data => {
-            runner.run_static(&target.app, &target.system, point, None, tag_bits, 0)
-        }
-        ResizableCacheSide::Instruction => {
-            runner.run_static(&target.app, &target.system, None, point, 0, tag_bits)
-        }
-    }
+    runner.run_point(
+        &target.app,
+        &target.system,
+        target.organization,
+        target.side,
+        point,
+    )
 }
 
 /// Serves a `point` request: one simulation (baseline when `sets`/`ways`
@@ -1108,9 +1100,7 @@ fn serve_dynamic(
                 )
             }
         },
-        None => (base_miss_ratio.max(1e-4) * interval as f64)
-            .ceil()
-            .max(1.0) as u64,
+        None => DynamicParams::interval_misses(interval, base_miss_ratio).max(1.0) as u64,
     };
     let size_bound = match request.get("size_bound") {
         Some(v) => match v.as_u64() {
@@ -1136,14 +1126,9 @@ fn serve_dynamic(
             )
         }
     };
-    let tag_bits = if target.organization.needs_resizing_tag_bits() {
-        target
-            .side
-            .config_of(&target.system.hierarchy)
-            .resizing_tag_bits()
-    } else {
-        0
-    };
+    let tag_bits = target
+        .organization
+        .tag_bits(&target.side.config_of(&target.system.hierarchy));
     let mut setup = RunSetup {
         dynamic: Some((target.side, space, params)),
         ..RunSetup::default()

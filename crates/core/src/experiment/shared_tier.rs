@@ -323,7 +323,7 @@ impl Drop for EntryLockGuard {
 #[derive(Debug, Clone)]
 pub struct SharedTier {
     /// Full generated traces, keyed by the trace store's
-    /// `(name, fingerprint, seed, total, format)`.
+    /// `(name, fingerprint, seed, total)`.
     pub(crate) traces: Memo<crate::experiment::trace_store::StoreKey, rescache_trace::Trace>,
     /// Once-per-process streaming persists (value: whether the entry is now
     /// on disk).

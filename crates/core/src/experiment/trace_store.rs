@@ -34,9 +34,10 @@
 //! accounted in [`StoreHealth`]):
 //!
 //! * a **missing** entry regenerates silently;
-//! * a **transient** I/O error (see [`rescache_trace::is_transient`]) gets a
-//!   bounded retry with backoff before falling back to regeneration — the
-//!   entry is *not* quarantined, because nothing proves the file is bad;
+//! * an **I/O** error falls back to regeneration — a transient one (see
+//!   [`rescache_trace::is_transient`]) after a bounded retry with backoff —
+//!   and never quarantines, at open or mid-read: nothing proves the file is
+//!   bad;
 //! * a **corrupt, truncated, mislabeled or retired-format** entry is
 //!   *quarantined* — renamed to a `.corrupt` sidecar — before regeneration,
 //!   so repeated corruption is diagnosable on disk instead of silently
@@ -126,7 +127,7 @@ impl StoreSource {
 
     /// The decode fault that interrupted an on-disk source, if any: a faulted
     /// source under-delivered, and the consuming simulation must be retried
-    /// from another producer (the runner regenerates).
+    /// from another producer (the store's recovery loop regenerates).
     pub fn fault(&self) -> Option<&codec::CodecError> {
         match self {
             StoreSource::Disk(d) => d.fault(),
@@ -252,7 +253,7 @@ impl TraceStore {
 
     /// Returns the full (warm + measure) trace for an application,
     /// materializing at most once per `(application, seed, total)`.
-    fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
+    pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
         let slot = self.tier.traces.slot(key);
         if let Some(trace) = slot.get() {
@@ -405,22 +406,17 @@ impl TraceStore {
     /// which is quarantined, never served.
     fn open_entry(&self, app: &AppProfile, path: &Path, total: usize) -> Option<TraceFileSource> {
         let policy = self.tier.policy();
-        let health = self.tier.health();
         // A transient open failure gets the bounded retry; anything typed is
         // decided immediately.
-        let mut attempt = 1;
-        let opened = loop {
-            match TraceFileSource::open_with(path, Some(total), policy) {
-                Err(codec::CodecError::Io(e))
-                    if is_transient(&e) && attempt < IoPolicy::ATTEMPTS =>
-                {
-                    health.note_retry();
-                    std::thread::sleep(IoPolicy::BACKOFF * attempt);
-                    attempt += 1;
-                }
-                other => break other,
-            }
-        };
+        let opened = policy
+            .retrying(
+                || self.tier.health().note_retry(),
+                || match TraceFileSource::open_with(path, Some(total), policy) {
+                    Err(codec::CodecError::Io(e)) => Err(e),
+                    typed => Ok(typed),
+                },
+            )
+            .unwrap_or_else(|e| Err(codec::CodecError::Io(e)));
         match opened {
             Ok(source) if source.name() == app.name && source.file_records() == total => {
                 Some(source)
@@ -497,23 +493,80 @@ impl TraceStore {
         }
     }
 
-    /// Quarantines a faulted persisted entry and forgets that it was
-    /// persisted, so the next [`TraceStore::source`] for its key re-persists
-    /// a fresh entry instead of re-reading the corrupt one forever. When the
-    /// fault was transient I/O (`quarantine = false`), the entry itself is
-    /// left untouched — only the persist memo is cleared so the next request
-    /// re-probes the disk.
-    pub(crate) fn invalidate_disk_entry(
+    /// Runs `consume` over the full record sequence [`TraceStore::source`]
+    /// serves, recovering mid-read (see [`TraceStore::read_recovering`]) so
+    /// the result always covers every record. `consume` must build any
+    /// per-run state itself: a retry invokes it afresh.
+    pub(crate) fn replay<T>(
         &self,
-        path: &Path,
         app: &AppProfile,
         config: &RunnerConfig,
-        quarantine: bool,
-    ) {
-        if quarantine {
-            self.quarantine_entry(path);
+        consume: impl FnMut(&mut StoreSource) -> T,
+    ) -> T {
+        let first = self.source(app, config);
+        let reopen = || Some(self.source(app, config));
+        self.read_recovering(app, &Self::store_key(app, config), first, reopen, consume)
+            .0
+    }
+
+    /// The store's one mid-read recovery loop: runs `consume` over `source`
+    /// (afresh on every attempt) and returns its result with the kind of
+    /// source that delivered it. A read is complete when the source recorded
+    /// no fault and delivered every record — a bad entry must degrade to
+    /// regeneration, never to a silently short read. A transient I/O error
+    /// retries over `reopen`'s source (bounded, with backoff). Any other
+    /// shortfall regenerates from a generator stream and forgets the persist
+    /// memo, so a later [`TraceStore::source`] re-probes the disk; only a
+    /// codec content error quarantines the entry first — an I/O error,
+    /// persistent or not, cannot prove the file is bad.
+    fn read_recovering<T>(
+        &self,
+        app: &AppProfile,
+        key: &StoreKey,
+        mut source: StoreSource,
+        mut reopen: impl FnMut() -> Option<StoreSource>,
+        mut consume: impl FnMut(&mut StoreSource) -> T,
+    ) -> (T, StoreSourceKind) {
+        let health = self.tier.health();
+        let mut attempt = 1;
+        loop {
+            let out = consume(&mut source);
+            let fault = source.fault();
+            if fault.is_none() && source.position() == source.total_records() {
+                return (out, source.kind());
+            }
+            let transient = matches!(fault, Some(codec::CodecError::Io(e)) if is_transient(e));
+            if transient && attempt < IoPolicy::ATTEMPTS {
+                health.note_retry();
+                std::thread::sleep(IoPolicy::BACKOFF * attempt);
+                attempt += 1;
+                if let Some(reopened) = reopen() {
+                    source = reopened;
+                    continue;
+                }
+            }
+            eprintln!(
+                "rescache: store-served read of {} fell short ({}); regenerating",
+                app.name,
+                fault.map_or_else(|| "short stream".into(), |e| e.to_string()),
+            );
+            let content = fault.is_some_and(|e| !matches!(e, codec::CodecError::Io(_)));
+            if let StoreSource::Disk(file) = &source {
+                let path = file.path().to_path_buf();
+                drop(source);
+                if content {
+                    // Keep the evidence as a `.corrupt` sidecar; the entry's
+                    // path is free for a fresh persist.
+                    self.quarantine_entry(&path);
+                }
+            }
+            self.tier.persists.remove(key);
+            health.note_regeneration();
+            let mut stream = StoreSource::Generated(Box::new(
+                TraceGenerator::new(app.clone(), key.2).stream(key.3),
+            ));
+            return (consume(&mut stream), StoreSourceKind::Generated);
         }
-        self.tier.persists.remove(&Self::store_key(app, config));
     }
 
     /// Persists the keyed trace by draining a generator stream to disk (no
@@ -521,39 +574,15 @@ impl TraceStore {
     /// lock, once per *store directory* when sibling processes race on the
     /// same cold key. Returns whether an entry exists.
     fn ensure_persisted(&self, app: &AppProfile, key: &StoreKey) -> bool {
-        let Some(dir) = self.tier.active_dir().map(Path::to_path_buf) else {
+        let Some(path) = self.entry_path(key) else {
             return false;
         };
-        let slot = self.tier.persists.slot(*key);
-        *slot.get_or_init(|| {
-            let path = dir.join(Self::file_name(key));
-            if self.dir_unusable(&dir) {
-                return false;
-            }
-            let _guard = match self.tier.lock_entry(&path) {
-                LockOutcome::Acquired(guard) => Some(guard),
-                // Another process committed the entry while we waited.
-                LockOutcome::EntryAppeared => return true,
-                // Liveness over cross-process dedup: write without the lock
-                // (atomic_save makes the duplicate harmless).
-                LockOutcome::Unlocked => None,
-            };
-            self.tier.health().note_miss();
-            let policy = self.tier.policy();
-            let result = policy.retrying(
-                || self.tier.health().note_retry(),
-                || {
-                    let mut stream = TraceGenerator::new(app.clone(), key.2).stream(key.3);
-                    codec::save_source(&path, &mut stream, policy)
-                },
-            );
-            match result {
-                Ok(()) => true,
-                Err(e) => {
-                    self.note_persist_failure(&path, &e);
-                    false
-                }
-            }
+        *self.tier.persists.slot(*key).get_or_init(|| {
+            self.persist(
+                &path,
+                || self.tier.health().note_miss(),
+                || TraceGenerator::new(app.clone(), key.2).stream(key.3),
+            )
         })
     }
 
@@ -608,95 +637,69 @@ impl TraceStore {
     /// a disk serve is a hit, a clean cold generation a miss, a generation
     /// forced by a bad entry a regeneration.
     fn load_or_generate(&self, app: &AppProfile, key: &StoreKey) -> Trace {
-        let (_, _, seed, total) = *key;
-        let health = self.tier.health();
-
-        // One disk-serving policy for both access modes: `disk_source`
-        // locates and validates the entry and this path merely materializes
-        // what it streams. A transient mid-read fault retries the whole
-        // materialization (bounded); a content fault quarantines the entry
-        // before falling back to regeneration.
-        let mut forced_regeneration = false;
-        let mut attempt = 1;
-        while let Some(mut source) = self.disk_source(app, key) {
-            let mut records: Vec<InstrRecord> = Vec::with_capacity(total);
-            loop {
-                let chunk = source.next_chunk();
-                if chunk.is_empty() {
-                    break;
+        let full = match self.disk_source(app, key) {
+            // One disk-serving policy for both access modes: this path only
+            // drains what the recovery loop serves.
+            Some(entry) => {
+                let reopen = || self.disk_source(app, key).map(StoreSource::Disk);
+                let (records, kind) =
+                    self.read_recovering(app, key, StoreSource::Disk(entry), reopen, drain);
+                let full = Trace::new(app.name, records);
+                if kind == StoreSourceKind::Disk {
+                    self.tier.health().note_hit();
+                    return full;
                 }
-                records.extend_from_slice(chunk);
+                full
             }
-            if source.fault().is_none() && records.len() == total {
-                health.note_hit();
-                return Trace::new(app.name, records);
+            None => {
+                self.tier.health().note_miss();
+                TraceGenerator::new(app.clone(), key.2).generate(key.3)
             }
-            let transient = matches!(
-                source.fault(),
-                Some(codec::CodecError::Io(e)) if is_transient(e)
-            );
-            if transient && attempt < IoPolicy::ATTEMPTS {
-                health.note_retry();
-                std::thread::sleep(IoPolicy::BACKOFF * attempt);
-                attempt += 1;
-                continue;
-            }
-            eprintln!(
-                "rescache: trace store entry {} unreadable ({}); regenerating",
-                source.path().display(),
-                source
-                    .fault()
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "short stream".into()),
-            );
-            if !transient {
-                // Provably bad content (corrupt, truncated, short): keep the
-                // evidence as a `.corrupt` sidecar so the regeneration below
-                // persists a fresh entry at the original path.
-                let path = source.path().to_path_buf();
-                drop(source);
-                self.quarantine_entry(&path);
-            }
-            forced_regeneration = true;
-            break;
-        }
-
-        if forced_regeneration {
-            health.note_regeneration();
-        } else {
-            health.note_miss();
-        }
-        let full = TraceGenerator::new(app.clone(), seed).generate(total);
+        };
         if let Some(path) = self.entry_path(key) {
-            if let Err(e) = self.persist(&path, &full) {
-                self.note_persist_failure(&path, &e);
-            }
+            self.persist(&path, || {}, || full.cursor());
         }
         full
     }
 
-    /// Writes `full` to `path` (with bounded transient retry), creating the
-    /// store directory on first use. Cross-process writers on the same cold
-    /// entry are serialized by the advisory lock; if the entry appears while
-    /// waiting, the persist is already done.
-    fn persist(&self, path: &Path, full: &Trace) -> std::io::Result<()> {
+    /// The store's one persist routine, for a generator stream and a
+    /// resident cursor alike: probes the store directory, takes the
+    /// cross-process entry lock, runs `on_write`, then saves a fresh
+    /// `records()` source per attempt (bounded transient retry) and
+    /// classifies a failure. Returns whether the entry now exists.
+    fn persist<S: TraceSource>(
+        &self,
+        path: &Path,
+        on_write: impl FnOnce(),
+        mut records: impl FnMut() -> S,
+    ) -> bool {
         if let Some(parent) = path.parent() {
             if self.dir_unusable(parent) {
-                // Degraded mode just latched (with its one-time warning);
-                // the caller needs no second report.
-                return Ok(());
+                // Degraded mode just latched, with its one-time warning.
+                return false;
             }
         }
         let _guard = match self.tier.lock_entry(path) {
             LockOutcome::Acquired(guard) => Some(guard),
-            LockOutcome::EntryAppeared => return Ok(()),
+            // Another process committed the entry while we waited.
+            LockOutcome::EntryAppeared => return true,
+            // Liveness over cross-process dedup: write without the lock
+            // (atomic_save makes the duplicate harmless).
             LockOutcome::Unlocked => None,
         };
+        on_write();
         let policy = self.tier.policy();
-        policy.retrying(
+        let saved = policy.retrying(
             || self.tier.health().note_retry(),
-            || codec::save_source(path, &mut full.cursor(), policy),
-        )
+            || codec::save_source(path, &mut records(), policy),
+        );
+        match saved {
+            Ok(()) => true,
+            Err(e) => {
+                self.note_persist_failure(path, &e);
+                false
+            }
+        }
     }
 
     /// The on-disk path of a key's exact-total entry, if a usable directory
@@ -715,9 +718,25 @@ impl TraceStore {
     }
 }
 
+/// Drains `source` into one buffer sized up front for its whole record
+/// count: a grown-and-copied second buffer would show in peak RSS.
+fn drain<S: TraceSource>(source: &mut S) -> Vec<InstrRecord> {
+    let mut records = Vec::with_capacity(source.total_records());
+    loop {
+        let chunk = source.next_chunk();
+        if chunk.is_empty() {
+            break;
+        }
+        records.extend_from_slice(chunk);
+    }
+    records
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescache_cache::{HierarchyConfig, MemoryHierarchy};
+    use rescache_cpu::{CpuConfig, NoopHook, Simulator};
     use rescache_trace::{spec, FaultInjector, FaultKind, IoOp, ScriptedFault};
     use std::sync::Arc;
 
@@ -734,18 +753,6 @@ mod tests {
             .collect();
         assert_eq!(entries.len(), 1, "expected one store entry: {entries:?}");
         entries.into_iter().next().expect("one entry")
-    }
-
-    fn drain(source: &mut StoreSource) -> Vec<InstrRecord> {
-        let mut records = Vec::new();
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        records
     }
 
     #[test]
@@ -1156,6 +1163,129 @@ mod tests {
         assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 1);
         assert!(!store.health().degraded);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One mid-read fault, scripted after the store entry has opened.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum MidReadFault {
+        /// A transient read error: retried, the entry presumed fine.
+        Transient,
+        /// A persistent (permission-denied) read error: regenerated, but an
+        /// I/O error proves nothing about the file, so no quarantine.
+        Permission,
+        /// Corrupt bytes in the second chunk's header: a codec content
+        /// error, quarantined and regenerated.
+        Corrupt,
+    }
+
+    /// Reads a freshly persisted `m88ksim` entry through the recovery loop
+    /// with `consume`, injecting `fault` from the consumer's first call, and
+    /// checks the result against `clean` and the health counters against
+    /// the fault model.
+    fn assert_mid_read_recovery<T: PartialEq + std::fmt::Debug>(
+        fault: MidReadFault,
+        label: &str,
+        mut consume: impl FnMut(&mut StoreSource) -> T,
+        clean: &T,
+    ) {
+        use std::io::{Seek, SeekFrom, Write};
+        let injector = Arc::new(FaultInjector::default());
+        let (store, dir) = injected_store(&format!("midread-{label}"), injector.clone());
+        let (app, cfg) = (spec::m88ksim(), RunnerConfig::fast());
+        let key = TraceStore::store_key(&app, &cfg);
+        assert_eq!(store.source(&app, &cfg).kind(), StoreSourceKind::Disk);
+        let path = entry_path(&dir);
+        // The second chunk's header sits past the first chunk's payload,
+        // beyond anything the open's buffered header read has pulled in.
+        let bytes = std::fs::read(&path).expect("read entry");
+        let first_chunk = 9 + 4 + app.name.len() + 8;
+        let first_len =
+            u32::from_le_bytes(bytes[first_chunk + 4..first_chunk + 8].try_into().unwrap());
+        let second_chunk = (first_chunk + 8) as u64 + u64::from(first_len);
+
+        let before = store.health();
+        let mut first_call = true;
+        let scripted = |source: &mut StoreSource| {
+            if std::mem::take(&mut first_call) {
+                let kind = match fault {
+                    MidReadFault::Transient => Some(FaultKind::Transient),
+                    MidReadFault::Permission => Some(FaultKind::PermissionDenied),
+                    MidReadFault::Corrupt => {
+                        let mut file = std::fs::OpenOptions::new()
+                            .write(true)
+                            .open(&path)
+                            .expect("open entry for writing");
+                        file.seek(SeekFrom::Start(second_chunk + 4)).expect("seek");
+                        file.write_all(&u32::MAX.to_le_bytes()).expect("corrupt");
+                        None
+                    }
+                };
+                if let Some(kind) = kind {
+                    injector.push(ScriptedFault {
+                        op: IoOp::Read,
+                        kind,
+                    });
+                }
+            }
+            consume(source)
+        };
+        let entry = store.disk_source(&app, &key).expect("the entry opens");
+        let reopen = || store.disk_source(&app, &key).map(StoreSource::Disk);
+        let (out, _) =
+            store.read_recovering(&app, &key, StoreSource::Disk(entry), reopen, scripted);
+        assert_eq!(&out, clean, "{label}: bit-identical to a clean read");
+        assert_eq!(injector.pending_script(), 0, "{label}: the fault fired");
+
+        let after = store.health();
+        let counts = (
+            after.retries - before.retries,
+            after.quarantines - before.quarantines,
+            after.regenerations - before.regenerations,
+        );
+        let expected = match fault {
+            MidReadFault::Transient => (1, 0, 0),
+            MidReadFault::Permission => (0, 0, 1),
+            MidReadFault::Corrupt => (0, 1, 1),
+        };
+        assert_eq!(
+            counts, expected,
+            "{label}: (retries, quarantines, regenerations)"
+        );
+        assert_eq!(
+            path.exists(),
+            fault != MidReadFault::Corrupt,
+            "{label}: only content errors move the entry aside"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mid_read_faults_recover_by_kind_for_every_consumer() {
+        let cfg = RunnerConfig::fast();
+        let total = cfg.warmup_instructions + cfg.measure_instructions;
+        let expected = TraceGenerator::new(spec::m88ksim(), cfg.trace_seed).generate(total);
+        let simulate = |source: &mut StoreSource| {
+            let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).expect("base");
+            let result = Simulator::new(CpuConfig::base_out_of_order()).run_warm_measure(
+                source,
+                cfg.warmup_instructions,
+                cfg.measure_instructions,
+                &mut hierarchy,
+                &mut NoopHook,
+            );
+            (result, hierarchy.snapshot())
+        };
+        let clean_records = expected.records().to_vec();
+        let clean_sim = simulate(&mut StoreSource::Resident(expected.cursor()));
+        for fault in [
+            MidReadFault::Transient,
+            MidReadFault::Permission,
+            MidReadFault::Corrupt,
+        ] {
+            let label = format!("{fault:?}").to_lowercase();
+            assert_mid_read_recovery(fault, &format!("{label}-drain"), drain, &clean_records);
+            assert_mid_read_recovery(fault, &format!("{label}-sim"), simulate, &clean_sim);
+        }
     }
 
     #[test]

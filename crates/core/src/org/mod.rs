@@ -54,6 +54,17 @@ impl Organization {
     pub fn needs_resizing_tag_bits(&self) -> bool {
         matches!(self, Organization::SelectiveSets | Organization::Hybrid)
     }
+
+    /// Extra tag bits charged on every access to `cache` under this
+    /// organization: the cache's resizing tag bits when the organization
+    /// needs them, zero otherwise.
+    pub(crate) fn tag_bits(&self, cache: &CacheConfig) -> u32 {
+        if self.needs_resizing_tag_bits() {
+            cache.resizing_tag_bits()
+        } else {
+            0
+        }
+    }
 }
 
 impl std::fmt::Display for Organization {
@@ -114,6 +125,16 @@ mod tests {
         assert!(!Organization::SelectiveWays.needs_resizing_tag_bits());
         assert!(Organization::SelectiveSets.needs_resizing_tag_bits());
         assert!(Organization::Hybrid.needs_resizing_tag_bits());
+    }
+
+    #[test]
+    fn tag_bits_are_the_cache_resizing_bits_only_where_needed() {
+        let config = CacheConfig::l1_default(32 * 1024, 4);
+        assert!(config.resizing_tag_bits() > 0);
+        assert_eq!(Organization::SelectiveWays.tag_bits(&config), 0);
+        for org in [Organization::SelectiveSets, Organization::Hybrid] {
+            assert_eq!(org.tag_bits(&config), config.resizing_tag_bits(), "{org}");
+        }
     }
 
     #[test]

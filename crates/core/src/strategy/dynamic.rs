@@ -97,6 +97,14 @@ impl DynamicParams {
         Self::candidates_with_bounds(interval_accesses, base_miss_ratio, &snapped)
     }
 
+    /// The non-resizable cache's miss count per interval of
+    /// `interval_accesses` at `base_miss_ratio` (floored at a 10⁻⁴ ratio),
+    /// rounded up: the anchor the profiling candidates scale their
+    /// miss-bounds from, and the sweep service's default miss-bound.
+    pub(crate) fn interval_misses(interval_accesses: u64, base_miss_ratio: f64) -> f64 {
+        (base_miss_ratio.max(1e-4) * interval_accesses as f64).ceil()
+    }
+
     /// Profiling candidates over an explicit set of size-bounds.
     ///
     /// The paper extracts both the miss-bound and the size-bound offline
@@ -109,7 +117,7 @@ impl DynamicParams {
         base_miss_ratio: f64,
         size_bounds: &[u64],
     ) -> Vec<DynamicParams> {
-        let base_misses = (base_miss_ratio.max(1e-4) * interval_accesses as f64).ceil();
+        let base_misses = Self::interval_misses(interval_accesses, base_miss_ratio);
         let mut bounds: Vec<u64> = size_bounds.to_vec();
         bounds.sort_unstable();
         bounds.dedup();

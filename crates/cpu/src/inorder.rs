@@ -6,13 +6,13 @@
 //! and the serial issue loop runs over the lanes. See [`crate::lanes`].
 
 use rescache_cache::MemoryHierarchy;
-use rescache_trace::{kind, Trace, TraceSource};
+use rescache_trace::{kind, TraceSource};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
 use crate::config::CpuConfig;
 use crate::fetch::FetchUnit;
-use crate::hook::{NoopHook, SimHook};
+use crate::hook::SimHook;
 use crate::lanes::{
     producer_ready, LaneBatch, COMPLETION_RING, ICACHE_FLAG, KIND_MASK, LANE_BATCH,
 };
@@ -42,50 +42,16 @@ impl InOrderEngine {
         &self.config
     }
 
-    /// Replays `trace` against `hierarchy` with no observer hook.
+    /// Consumes `source` chunk by chunk against `hierarchy`, invoking `hook`
+    /// after every committed instruction — the engine's one run entry.
     ///
-    /// This monomorphizes the engine loop over [`NoopHook`] and the
-    /// materialized [`rescache_trace::TraceCursor`] source, so plain
-    /// (non-resizing) simulations pay no per-instruction virtual call and
-    /// run over one contiguous record slice.
-    pub fn run(&self, trace: &Trace, hierarchy: &mut MemoryHierarchy) -> SimResult {
-        self.run_impl(&mut trace.cursor(), hierarchy, &mut NoopHook)
-    }
-
-    /// Replays `trace` against `hierarchy`, invoking `hook` after every
-    /// committed instruction.
-    pub fn run_with_hook(
-        &self,
-        trace: &Trace,
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut dyn SimHook,
-    ) -> SimResult {
-        self.run_impl(&mut trace.cursor(), hierarchy, hook)
-    }
-
-    /// Consumes `source` chunk by chunk against `hierarchy` with no observer
-    /// hook — the streaming twin of [`InOrderEngine::run`]: a generator-backed
-    /// source simulates without ever materializing the full trace.
-    pub fn run_source<S: TraceSource>(
-        &self,
-        source: &mut S,
-        hierarchy: &mut MemoryHierarchy,
-    ) -> SimResult {
-        self.run_impl(source, hierarchy, &mut NoopHook)
-    }
-
-    /// Consumes `source` chunk by chunk, invoking `hook` after every
-    /// committed instruction.
-    pub fn run_source_with_hook<S: TraceSource>(
-        &self,
-        source: &mut S,
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut dyn SimHook,
-    ) -> SimResult {
-        self.run_impl(source, hierarchy, hook)
-    }
-
-    fn run_impl<S: TraceSource, H: SimHook + ?Sized>(
+    /// The loop monomorphizes over both the source and the hook: a
+    /// materialized trace (`&mut trace.cursor()`) runs over one contiguous
+    /// record slice, a generator-backed source simulates without ever
+    /// materializing the full trace, and [`crate::NoopHook`] compiles the
+    /// hook call away, so plain (non-resizing) simulations pay no
+    /// per-instruction virtual call.
+    pub fn run_source<S: TraceSource, H: SimHook + ?Sized>(
         &self,
         source: &mut S,
         hierarchy: &mut MemoryHierarchy,
@@ -214,12 +180,17 @@ impl InOrderEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hook::NoopHook;
     use rescache_cache::HierarchyConfig;
-    use rescache_trace::{spec, InstrRecord, Op, TraceGenerator};
+    use rescache_trace::{spec, InstrRecord, Op, Trace, TraceGenerator};
 
     fn run_trace(trace: &Trace) -> (SimResult, MemoryHierarchy) {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let result = InOrderEngine::new(CpuConfig::base_in_order()).run(trace, &mut hierarchy);
+        let result = InOrderEngine::new(CpuConfig::base_in_order()).run_source(
+            &mut trace.cursor(),
+            &mut hierarchy,
+            &mut NoopHook,
+        );
         (result, hierarchy)
     }
 
@@ -317,8 +288,8 @@ mod tests {
         let trace = TraceGenerator::new(spec::ammp(), 1).generate(1_000);
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let mut hook = Counter(0);
-        InOrderEngine::new(CpuConfig::base_in_order()).run_with_hook(
-            &trace,
+        InOrderEngine::new(CpuConfig::base_in_order()).run_source(
+            &mut trace.cursor(),
             &mut hierarchy,
             &mut hook,
         );

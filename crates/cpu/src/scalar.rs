@@ -33,7 +33,7 @@ use crate::result::{LatencyStats, SimResult};
 use crate::rob::ReorderBuffer;
 
 /// Dispatches to the scalar reference loop of the configuration's engine —
-/// the reference twin of `Simulator::run_source_with_hook`.
+/// the reference twin of `Simulator::run_source`.
 pub fn run_engine_reference<S: TraceSource, H: SimHook + ?Sized>(
     cfg: &CpuConfig,
     source: &mut S,

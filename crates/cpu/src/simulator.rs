@@ -4,7 +4,7 @@ use rescache_cache::MemoryHierarchy;
 use rescache_trace::{Trace, TraceSource};
 
 use crate::config::{CpuConfig, EngineKind};
-use crate::hook::SimHook;
+use crate::hook::{NoopHook, SimHook};
 use crate::inorder::InOrderEngine;
 use crate::ooo::OutOfOrderEngine;
 use crate::result::SimResult;
@@ -44,122 +44,62 @@ impl Simulator {
         &self.config
     }
 
-    /// Replays `trace` against `hierarchy` with no observer hook.
-    ///
-    /// Dispatches to the engines' monomorphized no-hook entry points, so
-    /// plain (non-resizing) simulations pay no per-instruction virtual call
-    /// — this is the path every static sweep run takes.
+    /// Replays `trace` against `hierarchy` with no observer hook: a
+    /// [`Simulator::run_source`] over the trace's cursor and the no-op hook.
     pub fn run(&self, trace: &Trace, hierarchy: &mut MemoryHierarchy) -> SimResult {
-        match self.config.engine {
-            EngineKind::InOrderBlocking => InOrderEngine::new(self.config).run(trace, hierarchy),
-            EngineKind::OutOfOrderNonBlocking => {
-                OutOfOrderEngine::new(self.config).run(trace, hierarchy)
-            }
-        }
+        self.run_source(&mut trace.cursor(), hierarchy, &mut NoopHook)
     }
 
-    /// Replays `trace` against `hierarchy`, invoking `hook` after every
-    /// committed instruction.
-    pub fn run_with_hook(
-        &self,
-        trace: &Trace,
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut dyn SimHook,
-    ) -> SimResult {
-        match self.config.engine {
-            EngineKind::InOrderBlocking => {
-                InOrderEngine::new(self.config).run_with_hook(trace, hierarchy, hook)
-            }
-            EngineKind::OutOfOrderNonBlocking => {
-                OutOfOrderEngine::new(self.config).run_with_hook(trace, hierarchy, hook)
-            }
-        }
-    }
-
-    /// Consumes `source` chunk by chunk against `hierarchy` with no observer
-    /// hook — the streaming twin of [`Simulator::run`]. With a
+    /// Consumes `source` chunk by chunk against `hierarchy` on the configured
+    /// engine, invoking `hook` after every committed instruction. With a
     /// [`rescache_trace::TraceStream`] source, generation and simulation
-    /// interleave per chunk and only one chunk buffer is ever resident.
-    pub fn run_source<S: TraceSource>(
+    /// interleave per chunk and only one chunk buffer is ever resident; with
+    /// [`NoopHook`] the engine loops pay no per-instruction virtual call —
+    /// the path every static sweep run takes.
+    pub fn run_source<S: TraceSource, H: SimHook + ?Sized>(
         &self,
         source: &mut S,
         hierarchy: &mut MemoryHierarchy,
+        hook: &mut H,
     ) -> SimResult {
         match self.config.engine {
             EngineKind::InOrderBlocking => {
-                InOrderEngine::new(self.config).run_source(source, hierarchy)
+                InOrderEngine::new(self.config).run_source(source, hierarchy, hook)
             }
             EngineKind::OutOfOrderNonBlocking => {
-                OutOfOrderEngine::new(self.config).run_source(source, hierarchy)
+                OutOfOrderEngine::new(self.config).run_source(source, hierarchy, hook)
             }
         }
     }
 
-    /// Consumes `source` chunk by chunk, invoking `hook` after every
-    /// committed instruction.
-    pub fn run_source_with_hook<S: TraceSource>(
-        &self,
-        source: &mut S,
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut dyn SimHook,
-    ) -> SimResult {
-        match self.config.engine {
-            EngineKind::InOrderBlocking => {
-                InOrderEngine::new(self.config).run_source_with_hook(source, hierarchy, hook)
-            }
-            EngineKind::OutOfOrderNonBlocking => {
-                OutOfOrderEngine::new(self.config).run_source_with_hook(source, hierarchy, hook)
-            }
-        }
-    }
-
-    /// The experiment sequence over one source on the configured engine with
-    /// no observer hook: runs the next `warm` records (the warm-up region),
-    /// resets the hierarchy statistics, then runs the following `measure`
-    /// records and returns that region's result.
+    /// The experiment sequence over one source on the configured engine:
+    /// runs the next `warm` records (the warm-up region), resets the
+    /// hierarchy statistics, then runs the following `measure` records and
+    /// returns that region's result. `hook` sees every committed instruction
+    /// of both regions, and its state carries across the boundary — this is
+    /// how the dynamic resizing controller rides an experiment.
     ///
     /// Each region is a fresh engine invocation (pipeline, predictor, window
-    /// and fetch state restart; cache state carries over), exactly as the
-    /// materialized two-trace path behaves — so a streamed warm/measure run
-    /// is bit-identical to splitting the trace up front (asserted by
-    /// `tests/dynamic_streaming_equivalence.rs`). With a
+    /// and fetch state restart; cache state carries over), exactly as two
+    /// separate [`Simulator::run`] calls over pre-split traces behave — so a
+    /// streamed warm/measure run is bit-identical to splitting the trace up
+    /// front (asserted by `tests/dynamic_streaming_equivalence.rs`). With a
     /// [`rescache_trace::TraceStream`] or an on-disk
-    /// [`rescache_trace::TraceFileSource`] only one chunk buffer is resident,
-    /// and like [`Simulator::run_source`] the engine loops monomorphize over
-    /// the no-op hook — no per-instruction virtual call.
-    pub fn run_warm_measure<S: TraceSource>(
+    /// [`rescache_trace::TraceFileSource`] only one chunk buffer is resident.
+    pub fn run_warm_measure<S: TraceSource, H: SimHook + ?Sized>(
         &self,
         source: &mut S,
         warm: usize,
         measure: usize,
         hierarchy: &mut MemoryHierarchy,
+        hook: &mut H,
     ) -> SimResult {
         let start = source.position();
         source.split_at(start + warm);
-        self.run_source(source, hierarchy);
+        self.run_source(source, hierarchy, hook);
         hierarchy.reset_stats();
         source.split_at(start + warm + measure);
-        self.run_source(source, hierarchy)
-    }
-
-    /// [`Simulator::run_warm_measure`] with `hook` invoked after every
-    /// committed instruction of both regions (hook state carries across the
-    /// warm/measure boundary — this is how the dynamic resizing controller
-    /// rides a streamed experiment).
-    pub fn run_warm_measure_with_hook<S: TraceSource>(
-        &self,
-        source: &mut S,
-        warm: usize,
-        measure: usize,
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut dyn SimHook,
-    ) -> SimResult {
-        let start = source.position();
-        source.split_at(start + warm);
-        self.run_source_with_hook(source, hierarchy, hook);
-        hierarchy.reset_stats();
-        source.split_at(start + warm + measure);
-        self.run_source_with_hook(source, hierarchy, hook)
+        self.run_source(source, hierarchy, hook)
     }
 }
 
@@ -185,7 +125,6 @@ mod tests {
 
     #[test]
     fn warm_measure_split_matches_the_two_trace_sequence() {
-        use crate::hook::NoopHook;
         let warm = 3_000;
         let measure = 9_000;
         let generator = TraceGenerator::new(spec::su2cor(), 5);
@@ -202,17 +141,15 @@ mod tests {
 
             let mut stream = generator.stream(warm + measure);
             let mut h_stream = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-            let streamed = sim.run_warm_measure(&mut stream, warm, measure, &mut h_stream);
+            let streamed =
+                sim.run_warm_measure(&mut stream, warm, measure, &mut h_stream, &mut NoopHook);
 
             let mut stream = generator.stream(warm + measure);
             let mut h_hook = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-            let hooked = sim.run_warm_measure_with_hook(
-                &mut stream,
-                warm,
-                measure,
-                &mut h_hook,
-                &mut NoopHook,
-            );
+            // The same entry through a type-erased hook, as a caller holding
+            // only a `dyn SimHook` would drive it.
+            let hook: &mut dyn SimHook = &mut NoopHook;
+            let hooked = sim.run_warm_measure(&mut stream, warm, measure, &mut h_hook, hook);
 
             assert_eq!(materialized, streamed, "{config:?}");
             assert_eq!(materialized, hooked, "{config:?}");

@@ -64,7 +64,7 @@ fn run_both<S: TraceSource + Clone>(
     };
     let run_batched = |src: &mut S, hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
         let sim = Simulator::new(config);
-        sim.run_warm_measure_with_hook(src, warm, measure, hierarchy, hook)
+        sim.run_warm_measure(src, warm, measure, hierarchy, hook)
     };
 
     let mut batched_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();

@@ -328,7 +328,7 @@ impl<R: Read> ChunkedTraceReader<R> {
 /// (a truncated or corrupted store entry) is recorded in
 /// [`TraceFileSource::fault`] and the source reports exhaustion; callers
 /// that must be robust check the fault after the run and fall back to
-/// regeneration (as the experiment runner does).
+/// regeneration (as the experiment trace store does).
 #[derive(Debug)]
 pub struct TraceFileSource {
     path: std::path::PathBuf,

@@ -28,12 +28,18 @@ fn main() {
         let generator = TraceGenerator::new(profile, 42);
 
         let mut ooo_h = MemoryHierarchy::new(HierarchyConfig::base()).expect("base hierarchy");
-        let ooo = Simulator::new(CpuConfig::base_out_of_order())
-            .run_source(&mut generator.stream(instructions), &mut ooo_h);
+        let ooo = Simulator::new(CpuConfig::base_out_of_order()).run_source(
+            &mut generator.stream(instructions),
+            &mut ooo_h,
+            &mut NoopHook,
+        );
 
         let mut ino_h = MemoryHierarchy::new(HierarchyConfig::base()).expect("base hierarchy");
-        let ino = Simulator::new(CpuConfig::base_in_order())
-            .run_source(&mut generator.stream(instructions), &mut ino_h);
+        let ino = Simulator::new(CpuConfig::base_in_order()).run_source(
+            &mut generator.stream(instructions),
+            &mut ino_h,
+            &mut NoopHook,
+        );
 
         println!(
             "{:<16} {:>8.2} {:>8.2} {:>8.1}% {:>8.1}% {:>8.1}%  {}",

@@ -60,7 +60,7 @@ pub mod prelude {
         CachePoint, ConfigSpace, CoreError, DynamicController, DynamicParams, Organization,
         ResizableCacheSide, ResizeDecision, StaticSearch, SystemConfig,
     };
-    pub use rescache_cpu::{CpuConfig, EngineKind, SimHook, SimResult, Simulator};
+    pub use rescache_cpu::{CpuConfig, EngineKind, NoopHook, SimHook, SimResult, Simulator};
     pub use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel};
     pub use rescache_trace::{
         spec, AppProfile, Trace, TraceGenerator, TraceSource, TraceStream, WorkloadRegistry,

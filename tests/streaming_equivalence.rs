@@ -24,7 +24,7 @@ fn assert_equivalent(profile: &rescache_trace::AppProfile, seed: u64, instructio
 
         let mut stream = generator.stream(instructions);
         let mut h_stream = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let streamed = sim.run_source(&mut stream, &mut h_stream);
+        let streamed = sim.run_source(&mut stream, &mut h_stream, &mut NoopHook);
 
         let name = profile.name;
         assert_eq!(materialized, streamed, "{name} ({config:?}): SimResult");
@@ -67,7 +67,7 @@ fn trace_cursor_source_matches_direct_run() {
         let mut h2 = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let direct = sim.run(&trace, &mut h1);
         let mut cursor = trace.cursor();
-        let via_source = sim.run_source(&mut cursor, &mut h2);
+        let via_source = sim.run_source(&mut cursor, &mut h2, &mut NoopHook);
         assert_eq!(direct, via_source);
         assert_eq!(h1.snapshot(), h2.snapshot());
     }
@@ -91,12 +91,12 @@ fn streaming_respects_hooks() {
     let trace = generator.generate(10_000);
     let mut h1 = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
     let mut log1 = CommitLog(Vec::new());
-    sim.run_with_hook(&trace, &mut h1, &mut log1);
+    sim.run_source(&mut trace.cursor(), &mut h1, &mut log1);
 
     let mut stream = generator.stream(10_000);
     let mut h2 = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
     let mut log2 = CommitLog(Vec::new());
-    sim.run_source_with_hook(&mut stream, &mut h2, &mut log2);
+    sim.run_source(&mut stream, &mut h2, &mut log2);
 
     assert_eq!(log1.0, log2.0);
     assert!(!log1.0.is_empty());
