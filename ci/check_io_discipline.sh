@@ -17,7 +17,10 @@ for file in \
     crates/trace/src/faults.rs \
     crates/core/src/experiment/trace_store.rs \
     crates/core/src/experiment/shared_tier.rs \
-    crates/core/src/experiment/server.rs \
+    crates/core/src/experiment/server/mod.rs \
+    crates/core/src/experiment/server/protocol.rs \
+    crates/core/src/experiment/server/connection.rs \
+    crates/core/src/experiment/server/dispatch.rs \
     crates/core/src/json.rs \
     crates/core/src/knobs.rs
 do

@@ -2,105 +2,16 @@
 //! the i-cache, on the in-order/blocking and out-of-order/non-blocking
 //! processor configurations.
 
-use rescache_bench::{all_apps, bench_runner, print_header, timed};
-use rescache_core::experiment::{format_table, mean, static_vs_dynamic, StrategyRow};
-use rescache_core::{Organization, ResizableCacheSide, SystemConfig};
-
-fn print_rows(rows: &[StrategyRow], label: &str) {
-    let mut table = Vec::new();
-    for r in rows {
-        table.push(vec![
-            r.app.clone(),
-            format!("{:.0}", r.static_size_reduction),
-            format!("{:.0}", r.dynamic_size_reduction),
-            format!("{:.1}", r.static_edp_reduction),
-            format!("{:.1}", r.dynamic_edp_reduction),
-            format!("{}", r.dynamic_resizes),
-        ]);
-    }
-    table.push(vec![
-        "AVG.".to_string(),
-        format!(
-            "{:.0}",
-            mean(
-                &rows
-                    .iter()
-                    .map(|r| r.static_size_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        format!(
-            "{:.0}",
-            mean(
-                &rows
-                    .iter()
-                    .map(|r| r.dynamic_size_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        format!(
-            "{:.1}",
-            mean(
-                &rows
-                    .iter()
-                    .map(|r| r.static_edp_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        format!(
-            "{:.1}",
-            mean(
-                &rows
-                    .iter()
-                    .map(|r| r.dynamic_edp_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        String::new(),
-    ]);
-    println!("{label}");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "application",
-                "size red. % (static)",
-                "size red. % (dynamic)",
-                "EDP red. % (static)",
-                "EDP red. % (dynamic)",
-                "resizes",
-            ],
-            &table
-        )
-    );
-}
+use rescache_core::ResizableCacheSide;
 
 fn main() {
-    print_header(
+    rescache_bench::strategy_figure(
+        ResizableCacheSide::Instruction,
         "Figure 8 — i-cache resizing in two processor configurations",
-        "Static vs. miss-ratio-based dynamic selective-sets resizing of the 32K 2-way i-cache.",
+        &[
+            "Paper reference: in-order static 16 % vs dynamic 18 %; out-of-order static 11 % vs dynamic 15 %.",
+            "For the i-cache, dynamic's advantage is larger on the out-of-order configuration,",
+            "where i-cache misses are more exposed to performance.",
+        ],
     );
-    let runner = bench_runner();
-    let apps = all_apps();
-    let side = ResizableCacheSide::Instruction;
-    let org = Organization::SelectiveSets;
-
-    let in_order = timed("(a) in-order issue, blocking d-cache", || {
-        static_vs_dynamic(&runner, &apps, &SystemConfig::in_order(), org, side)
-            .expect("selective-sets applies to the 2-way i-cache")
-    });
-    print_rows(&in_order, "(a) In-order issue engine with blocking d-cache");
-
-    let out_of_order = timed("(b) out-of-order issue, non-blocking d-cache", || {
-        static_vs_dynamic(&runner, &apps, &SystemConfig::base(), org, side)
-            .expect("selective-sets applies to the 2-way i-cache")
-    });
-    print_rows(
-        &out_of_order,
-        "(b) Out-of-order issue engine with non-blocking d-cache",
-    );
-
-    println!("Paper reference: in-order static 16 % vs dynamic 18 %; out-of-order static 11 % vs dynamic 15 %.");
-    println!("For the i-cache, dynamic's advantage is larger on the out-of-order configuration,");
-    println!("where i-cache misses are more exposed to performance.");
 }

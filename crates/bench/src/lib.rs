@@ -6,13 +6,16 @@
 //! configuration (the paper's, with the `RESCACHE_*` knobs of
 //! [`rescache_core::Knobs`] applied; a malformed knob stops the bench before
 //! any work, with exit status 2), the full application list, a tiny
-//! stopwatch for reporting how long a sweep took, and the median/min/max
-//! summary the throughput harness reports its timing samples with.
+//! stopwatch for reporting how long a sweep took, the median/min/max
+//! summary the throughput harness reports its timing samples with, and the
+//! one function behind Figures 7 and 8.
 
 use std::time::Instant;
 
-use rescache_core::experiment::{Runner, RunnerConfig};
-use rescache_core::Knobs;
+use rescache_core::experiment::{
+    format_table, mean, static_vs_dynamic, Runner, RunnerConfig, StrategyRow,
+};
+use rescache_core::{Knobs, Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
 /// The configuration every figure bench runs: the paper-quality
@@ -71,6 +74,83 @@ pub fn timed<T>(label: &str, body: impl FnOnce() -> T) -> T {
         start.elapsed().as_secs_f64()
     );
     value
+}
+
+/// Figures 7 and 8: static vs. miss-ratio-based dynamic selective-sets
+/// resizing of `side`'s cache, on the in-order/blocking and
+/// out-of-order/non-blocking configurations. Prints the header `title`, one
+/// table per configuration, then the paper's `reference` lines.
+pub fn strategy_figure(side: ResizableCacheSide, title: &str, reference: &[&str]) {
+    print_header(
+        title,
+        &format!(
+            "Static vs. miss-ratio-based dynamic selective-sets resizing of the 32K 2-way {side}."
+        ),
+    );
+    let runner = bench_runner();
+    let apps = all_apps();
+    let applies = format!("selective-sets applies to the 2-way {side}");
+    let configurations = [
+        (
+            "(a) in-order issue, blocking d-cache",
+            "(a) In-order issue engine with blocking d-cache",
+            SystemConfig::in_order(),
+        ),
+        (
+            "(b) out-of-order issue, non-blocking d-cache",
+            "(b) Out-of-order issue engine with non-blocking d-cache",
+            SystemConfig::base(),
+        ),
+    ];
+    for (stage, label, system) in configurations {
+        let rows = timed(stage, || {
+            static_vs_dynamic(&runner, &apps, &system, Organization::SelectiveSets, side)
+                .expect(&applies)
+        });
+        print_strategy_rows(&rows, label);
+    }
+    for line in reference {
+        println!("{line}");
+    }
+}
+
+/// One Figure 7/8 table: a row per application, then the averages.
+fn print_strategy_rows(rows: &[StrategyRow], label: &str) {
+    let avg = |field: fn(&StrategyRow) -> f64| mean(&rows.iter().map(field).collect::<Vec<_>>());
+    let mut table = Vec::new();
+    for r in rows {
+        table.push(vec![
+            r.app.clone(),
+            format!("{:.0}", r.static_size_reduction),
+            format!("{:.0}", r.dynamic_size_reduction),
+            format!("{:.1}", r.static_edp_reduction),
+            format!("{:.1}", r.dynamic_edp_reduction),
+            format!("{}", r.dynamic_resizes),
+        ]);
+    }
+    table.push(vec![
+        "AVG.".to_string(),
+        format!("{:.0}", avg(|r| r.static_size_reduction)),
+        format!("{:.0}", avg(|r| r.dynamic_size_reduction)),
+        format!("{:.1}", avg(|r| r.static_edp_reduction)),
+        format!("{:.1}", avg(|r| r.dynamic_edp_reduction)),
+        String::new(),
+    ]);
+    println!("{label}");
+    println!(
+        "{}",
+        format_table(
+            &[
+                "application",
+                "size red. % (static)",
+                "size red. % (dynamic)",
+                "EDP red. % (static)",
+                "EDP red. % (dynamic)",
+                "resizes",
+            ],
+            &table
+        )
+    );
 }
 
 /// Median, minimum and maximum of a set of timing samples: how the

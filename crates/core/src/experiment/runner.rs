@@ -136,6 +136,37 @@ pub struct RunSetup {
     pub dynamic: Option<(ResizableCacheSide, ConfigSpace, DynamicParams)>,
 }
 
+impl RunSetup {
+    /// A dynamic controller on `side` over `space`, charged the space's
+    /// resizing tag bits on that side's accesses.
+    pub(crate) fn dynamic(
+        side: ResizableCacheSide,
+        space: ConfigSpace,
+        params: DynamicParams,
+    ) -> Self {
+        let tag_bits = space.organization().tag_bits(space.config());
+        let mut setup = Self::default();
+        match side {
+            ResizableCacheSide::Data => setup.d_tag_bits = tag_bits,
+            ResizableCacheSide::Instruction => setup.i_tag_bits = tag_bits,
+        }
+        setup.dynamic = Some((side, space, params));
+        setup
+    }
+}
+
+/// The first of the lowest-scoring `(key, measurement)` pairs under
+/// `objective` (`None` when `evaluated` is empty).
+pub(crate) fn best_under<T: Copy>(
+    evaluated: &[(T, Measurement)],
+    objective: Objective,
+) -> Option<(T, Measurement)> {
+    evaluated
+        .iter()
+        .min_by(|a, b| a.1.score(objective).total_cmp(&b.1.score(objective)))
+        .copied()
+}
+
 /// Summary of the best configuration found for one application.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestSummary {
@@ -647,15 +678,7 @@ impl Runner {
             (*point, measurement)
         });
 
-        let objective = self.config.objective;
-        let (best_point, best_measurement) = evaluated
-            .iter()
-            .min_by(|a, b| {
-                a.1.score(objective)
-                    .partial_cmp(&b.1.score(objective))
-                    .expect("objective scores are finite")
-            })
-            .copied()
+        let (best_point, best_measurement) = best_under(&evaluated, self.config.objective)
             .expect("config spaces offer at least two points");
 
         let best = self.summarise(&base, Some(best_point), best_measurement, side, system);
@@ -715,9 +738,7 @@ impl Runner {
         side: ResizableCacheSide,
         size_bounds: &[u64],
     ) -> Result<DynamicOutcome, CoreError> {
-        let cache_cfg = side.config_of(&system.hierarchy);
-        let space = ConfigSpace::enumerate(cache_cfg, organization)?;
-        let tag_bits = organization.tag_bits(&cache_cfg);
+        let space = ConfigSpace::enumerate(side.config_of(&system.hierarchy), organization)?;
 
         // The baseline also seeds the store: on a cold key with a
         // persistence directory this generates the entry straight to disk,
@@ -739,27 +760,12 @@ impl Runner {
         // Parameter candidates are independent simulations over the shared
         // trace; sweep them in parallel like the static points.
         let candidates: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {
-            let mut setup = RunSetup {
-                dynamic: Some((side, space.clone(), *p)),
-                ..RunSetup::default()
-            };
-            match side {
-                ResizableCacheSide::Data => setup.d_tag_bits = tag_bits,
-                ResizableCacheSide::Instruction => setup.i_tag_bits = tag_bits,
-            }
+            let setup = RunSetup::dynamic(side, space.clone(), *p);
             (*p, self.run_dynamic(app, system, &setup))
         });
 
-        let objective = self.config.objective;
-        let (_, best_measurement) = candidates
-            .iter()
-            .min_by(|a, b| {
-                a.1.score(objective)
-                    .partial_cmp(&b.1.score(objective))
-                    .expect("objective scores are finite")
-            })
-            .copied()
-            .expect("at least one dynamic candidate");
+        let (_, best_measurement) =
+            best_under(&candidates, self.config.objective).expect("at least one dynamic candidate");
 
         let best = self.summarise(&base, None, best_measurement, side, system);
         Ok(DynamicOutcome {

@@ -17,8 +17,9 @@
 //!   (Figure 9's additivity result).
 //!
 //! The [`experiment`] module contains one driver per table/figure of the
-//! paper; the `rescache-bench` crate turns each into a `cargo bench` target
-//! and `EXPERIMENTS.md` records paper-vs-measured values.
+//! paper; the `rescache-bench` crate turns each into a `cargo bench` target,
+//! and each figure bench (`fig4_*` to `fig9_*`) ends with "Paper reference"
+//! lines that give the paper's values for its measured rows.
 //!
 //! # Quick start
 //!

@@ -78,139 +78,132 @@ fn demo() -> std::io::Result<()> {
     let (_handle, join) = server.spawn()?;
     println!("demo server on {addr}");
 
-    let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    exchange(&mut writer, &mut reader, r#"{"req":"ping","id":1}"#)?;
-    exchange(
-        &mut writer,
-        &mut reader,
-        r#"{"req":"point","id":2,"app":"gcc"}"#,
-    )?;
+    let mut client = Client::connect(addr)?;
+    client.exchange(r#"{"req":"ping","id":1}"#)?;
+    client.exchange(r#"{"req":"point","id":2,"app":"gcc"}"#)?;
 
     // A sweep streams one result line per point, then a "done" summary.
-    writeln!(
-        writer,
-        r#"{{"req":"sweep","id":3,"app":"gcc","org":"selective_sets"}}"#
-    )?;
-    println!(r#"> {{"req":"sweep","id":3,"app":"gcc","org":"selective_sets"}}"#);
-    loop {
-        line.clear();
-        reader.read_line(&mut line)?;
-        println!("< {}", line.trim_end());
-        let response = Json::parse(line.trim_end()).expect("server speaks valid JSON");
-        if response.get("kind").and_then(Json::as_str) == Some("result") {
-            // Every result line carries the latency-domain block.
-            assert!(
-                response.get("latency").is_some(),
-                "result lines render the latency block"
-            );
-        }
-        if response.get("kind").and_then(Json::as_str) == Some("done") {
-            break;
-        }
+    let sweep = client.stream(r#"{"req":"sweep","id":3,"app":"gcc","org":"selective_sets"}"#)?;
+    assert_eq!(kind(sweep.last().expect("a terminal line")), "done");
+    for response in sweep.iter().filter(|r| kind(r) == "result") {
+        // Every result line carries the latency-domain block.
+        assert!(
+            response.get("latency").is_some(),
+            "result lines render the latency block"
+        );
     }
 
     // The same sweep re-ranked latency-first: the measurements coalesce on
     // the tier's memos (no re-simulation), only the "done" ranking changes.
-    writeln!(
-        writer,
-        r#"{{"req":"sweep","id":4,"app":"gcc","org":"selective_sets","objective":"delay"}}"#
+    let delay = client.stream(
+        r#"{"req":"sweep","id":4,"app":"gcc","org":"selective_sets","objective":"delay"}"#,
     )?;
-    println!(
-        r#"> {{"req":"sweep","id":4,"app":"gcc","org":"selective_sets","objective":"delay"}}"#
+    let done = delay.last().expect("a terminal line");
+    assert_eq!(kind(done), "done");
+    assert_eq!(
+        done.get("objective").and_then(Json::as_str),
+        Some("delay"),
+        "the done summary names the objective that ranked it"
     );
-    loop {
-        line.clear();
-        reader.read_line(&mut line)?;
-        println!("< {}", line.trim_end());
-        let response = Json::parse(line.trim_end()).expect("server speaks valid JSON");
-        if response.get("kind").and_then(Json::as_str) == Some("done") {
-            assert_eq!(
-                response.get("objective").and_then(Json::as_str),
-                Some("delay"),
-                "the done summary names the objective that ranked it"
-            );
-            break;
-        }
-    }
 
     // A cancelled sweep: the cancel rides the same pipe right behind the
     // sweep, so the server consumes it before streaming and parks the
     // shared cursor — only the in-flight point finishes. A fresh app keeps
     // the points unmemoized, so the single worker cannot outrun the cancel.
-    let sweep_then_cancel = concat!(
+    let cancelled = client.stream(concat!(
         r#"{"req":"sweep","id":5,"app":"vortex","org":"selective_sets"}"#,
         "\n",
         r#"{"req":"cancel","id":5}"#
+    ))?;
+    assert!(
+        cancelled.iter().all(|r| kind(r) != "done"),
+        "the pipelined cancel reaches the server before the sweep finishes"
     );
-    writeln!(writer, "{sweep_then_cancel}")?;
-    println!(r#"> {{"req":"sweep","id":5,"app":"vortex","org":"selective_sets"}}"#);
-    println!(r#"> {{"req":"cancel","id":5}}"#);
-    loop {
-        line.clear();
-        reader.read_line(&mut line)?;
-        println!("< {}", line.trim_end());
-        let response = Json::parse(line.trim_end()).expect("server speaks valid JSON");
-        assert_ne!(
-            response.get("kind").and_then(Json::as_str),
-            Some("done"),
-            "the pipelined cancel reaches the server before the sweep finishes"
-        );
-        if response.get("kind").and_then(Json::as_str) == Some("cancelled") {
-            let points = response.get("points").and_then(Json::as_u64).unwrap_or(0);
-            let space = response
-                .get("space_points")
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            assert!(
-                points < space,
-                "a cancelled sweep evaluates fewer points than the space \
-                 ({points} of {space})"
-            );
-            break;
-        }
-    }
+    let last = cancelled.last().expect("a terminal line");
+    assert_eq!(kind(last), "cancelled");
+    let points = last.get("points").and_then(Json::as_u64).unwrap_or(0);
+    let space = last.get("space_points").and_then(Json::as_u64).unwrap_or(0);
+    assert!(
+        points < space,
+        "a cancelled sweep evaluates fewer points than the space \
+         ({points} of {space})"
+    );
 
     // A dynamic run streams one line per resize decision, then a done line
     // matching what the in-process `Runner::run_dynamic` would report.
-    writeln!(writer, r#"{{"req":"dynamic","id":6,"app":"gcc"}}"#)?;
-    println!(r#"> {{"req":"dynamic","id":6,"app":"gcc"}}"#);
-    loop {
-        line.clear();
-        reader.read_line(&mut line)?;
-        println!("< {}", line.trim_end());
-        let response = Json::parse(line.trim_end()).expect("server speaks valid JSON");
-        if response.get("kind").and_then(Json::as_str) == Some("done") {
-            assert!(
-                response.get("params").is_some() && response.get("decisions").is_some(),
-                "the dynamic done line reports the controller parameters"
-            );
-            break;
-        }
-    }
+    let dynamic = client.stream(r#"{"req":"dynamic","id":6,"app":"gcc"}"#)?;
+    let done = dynamic.last().expect("a terminal line");
+    assert_eq!(kind(done), "done");
+    assert!(
+        done.get("params").is_some() && done.get("decisions").is_some(),
+        "the dynamic done line reports the controller parameters"
+    );
 
-    exchange(&mut writer, &mut reader, r#"{"req":"health","id":7}"#)?;
-    let bye = exchange(&mut writer, &mut reader, r#"{"req":"shutdown","id":8}"#)?;
-    assert_eq!(bye.get("kind").and_then(Json::as_str), Some("bye"));
-    drop(writer);
+    client.exchange(r#"{"req":"health","id":7}"#)?;
+    let bye = client.exchange(r#"{"req":"shutdown","id":8}"#)?;
+    assert_eq!(kind(&bye), "bye");
+    drop(client);
 
     join.join().expect("server thread exits cleanly");
     println!("server drained; demo complete.");
     Ok(())
 }
 
-/// Sends one request line, prints and parses the one-line response.
-fn exchange(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    request: &str,
-) -> std::io::Result<Json> {
-    writeln!(writer, "{request}")?;
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    println!("> {request}");
-    println!("< {}", line.trim_end());
-    Ok(Json::parse(line.trim_end()).expect("server speaks valid JSON"))
+/// The demo's side of one connection.
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    fn connect(addr: std::net::SocketAddr) -> std::io::Result<Self> {
+        let writer = TcpStream::connect(addr)?;
+        let reader = BufReader::new(writer.try_clone()?);
+        Ok(Self { reader, writer })
+    }
+
+    /// Sends `request` (one or more lines), echoing it.
+    fn send(&mut self, request: &str) -> std::io::Result<()> {
+        writeln!(self.writer, "{request}")?;
+        for line in request.lines() {
+            println!("> {line}");
+        }
+        Ok(())
+    }
+
+    /// Reads, prints and parses one response line.
+    fn recv(&mut self) -> std::io::Result<Json> {
+        let mut line = String::new();
+        self.reader.read_line(&mut line)?;
+        println!("< {}", line.trim_end());
+        Ok(Json::parse(line.trim_end()).expect("server speaks valid JSON"))
+    }
+
+    /// Sends one request line and returns its one-line response.
+    fn exchange(&mut self, request: &str) -> std::io::Result<Json> {
+        self.send(request)?;
+        self.recv()
+    }
+
+    /// Sends `request`, then reads response lines until the stream ends: a
+    /// `done` or `cancelled` line, or a refusal. Returns every line read,
+    /// the terminal one last.
+    fn stream(&mut self, request: &str) -> std::io::Result<Vec<Json>> {
+        self.send(request)?;
+        let mut responses = Vec::new();
+        loop {
+            let response = self.recv()?;
+            let last = matches!(kind(&response), "done" | "cancelled")
+                || response.get("ok").and_then(Json::as_bool) != Some(true);
+            responses.push(response);
+            if last {
+                return Ok(responses);
+            }
+        }
+    }
+}
+
+/// A response line's `kind` (empty when absent).
+fn kind(response: &Json) -> &str {
+    response.get("kind").and_then(Json::as_str).unwrap_or("")
 }

@@ -228,27 +228,77 @@ fn malformed_and_oversized_lines_get_typed_errors_and_the_connection_survives() 
     let (addr, handle, join) = spawn_server(tier);
     let mut client = Client::connect(addr);
 
-    for (bad, expect) in [
-        ("this is not json", "malformed request"),
-        (r#"{"no_req":true}"#, "missing \"req\""),
-        (r#"{"req":"frobnicate"}"#, "unknown request"),
-        (r#"{"req":"point","id":1}"#, "missing \"app\""),
+    for (bad, expect, code) in [
+        ("this is not json", "malformed request", None),
+        (r#"{"no_req":true}"#, "missing \"req\"", None),
+        (r#"{"req":"frobnicate"}"#, "unknown request", None),
+        (r#"{"req":"point","id":1}"#, "missing \"app\"", None),
         (
             r#"{"req":"point","app":"no_such_app"}"#,
             "unknown application",
+            None,
         ),
         (
             r#"{"req":"point","app":"ammp","sets":7,"ways":2}"#,
             "not offered",
+            None,
         ),
         (
             r#"{"req":"point","app":"ammp","sets":64}"#,
             "both \"sets\" and \"ways\"",
+            None,
         ),
         (
             r#"{"req":"sweep","app":"ammp","org":"bogus"}"#,
             "unknown org",
+            None,
         ),
+        (
+            r#"{"req":"point","id":2,"app":"ammp","sets":"64","ways":2}"#,
+            "must be non-negative integers",
+            None,
+        ),
+        (
+            r#"{"req":"point","id":3,"app":"ammp","sets":64,"ways":2.5}"#,
+            "must be non-negative integers",
+            None,
+        ),
+        (
+            r#"{"req":"point","id":4,"app":"ammp","sets":64,"ways":4294967296}"#,
+            "exceeds the supported maximum",
+            Some("out_of_range"),
+        ),
+        (
+            r#"{"req":"dynamic","id":5,"app":"ammp","interval":"fast"}"#,
+            "\"interval\" must be a non-negative integer",
+            None,
+        ),
+        (
+            r#"{"req":"dynamic","id":6,"app":"ammp","miss_bound":-1}"#,
+            "\"miss_bound\" must be a non-negative integer",
+            None,
+        ),
+        (
+            r#"{"req":"dynamic","id":7,"app":"ammp","size_bound":1.5}"#,
+            "\"size_bound\" must be a non-negative integer",
+            None,
+        ),
+        (
+            r#"{"req":"point","id":8,"app":"ammp","system":"bogus"}"#,
+            "unknown system",
+            None,
+        ),
+        (
+            r#"{"req":"dynamic","id":9,"app":"ammp","side":"bogus"}"#,
+            "unknown side",
+            None,
+        ),
+        (
+            r#"{"req":"sweep","id":"ten","app":"ammp","objective":"bogus"}"#,
+            "unknown objective",
+            None,
+        ),
+        (r#"{"req":"cancel","id":11}"#, "no sweep in flight", None),
     ] {
         let response = client.request(bad);
         assert_eq!(
@@ -261,6 +311,17 @@ fn malformed_and_oversized_lines_get_typed_errors_and_the_connection_survives() 
             .and_then(Json::as_str)
             .expect("typed error");
         assert!(error.contains(expect), "{bad} -> {error}");
+        // The request's id is echoed; a line that is not JSON has none.
+        let id = Json::parse(bad)
+            .ok()
+            .and_then(|request| request.get("id").cloned())
+            .unwrap_or(Json::Null);
+        assert_eq!(response.get("id"), Some(&id), "{bad} -> {response:?}");
+        assert_eq!(
+            response.get("code").and_then(Json::as_str),
+            code,
+            "{bad} -> {response:?}"
+        );
     }
 
     // An oversized line (beyond the 64 KiB cap) is answered and skipped
