@@ -406,14 +406,14 @@ fn main() {
 /// carries no serde dependency).
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/11\",\n");
+    out.push_str("  \"schema\": \"rescache-sim-throughput/12\",\n");
     // The streamed dynamic stage's shared-tier recovery counters. All-zero
     // with `"degraded": false` on a healthy machine; anything else flags a
     // run whose numbers were taken while the store was fighting its disk.
     if let Some(h) = health {
         out.push_str(&format!(
-            "  \"store_health\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \"regenerations\": {}, \"retries\": {}, \"quarantines\": {}, \"lock_steals\": {}, \"warnings\": {}, \"degraded\": {}}},\n",
-            h.hits, h.misses, h.coalesced, h.evictions, h.regenerations, h.retries, h.quarantines, h.lock_steals, h.warnings, h.degraded
+            "  \"store_health\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \"regenerations\": {}, \"retries\": {}, \"quarantines\": {}, \"warnings\": {}, \"degraded\": {}}},\n",
+            h.hits, h.misses, h.coalesced, h.evictions, h.regenerations, h.retries, h.quarantines, h.warnings, h.degraded
         ));
     }
     out.push_str(&format!(

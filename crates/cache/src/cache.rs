@@ -24,7 +24,7 @@ const FRAME_ADDR_MASK: u64 = FRAME_VALID - 1;
 struct Frame {
     /// `block_addr | FRAME_VALID | FRAME_DIRTY` packed together.
     word: u64,
-    /// Replacement stamp: last-use time for LRU, fill time for FIFO.
+    /// Replacement stamp: the frame's last-use time.
     stamp: u64,
 }
 
@@ -149,7 +149,7 @@ pub struct Cache {
     /// Per-frame aggregate-delay cost (fill latency plus delayed-hit stall
     /// cycles accrued while resident), parallel to `frames`. Allocated only
     /// when the policy weighs delay ([`ReplacementPolicy::tracks_delay`]);
-    /// empty otherwise, so the LRU/FIFO/random fast paths touch nothing.
+    /// empty otherwise, so the LRU fast path touches nothing.
     costs: Vec<u64>,
     stats: CacheStats,
 }
@@ -274,7 +274,6 @@ impl Cache {
         let enabled_ways = self.enabled_ways as usize;
         let write = kind == AccessKind::Write;
         let clock = self.clock;
-        let touch_on_hit = self.policy.touches_on_hit();
         let base = index * self.ways;
         let row = &mut self.frames[base..base + enabled_ways];
         let want = Frame::match_word(block_addr);
@@ -282,9 +281,7 @@ impl Cache {
         for frame in row {
             // One masked compare covers the valid bit and the tag.
             if frame.word & !FRAME_DIRTY == want {
-                if touch_on_hit {
-                    frame.stamp = clock;
-                }
+                frame.stamp = clock;
                 // `write` follows simulated data; OR-ing avoids an
                 // unpredictable host branch on the hot hit path.
                 frame.word |= u64::from(write) << 63;
@@ -330,8 +327,6 @@ impl Cache {
         let index = self.set_index(block_addr);
         let enabled_ways = self.enabled_ways as usize;
         let clock = self.clock;
-        let touch_on_hit = self.policy.touches_on_hit();
-        let policy = self.policy;
         let base = index * self.ways;
         let row = &mut self.frames[base..base + enabled_ways];
 
@@ -339,16 +334,14 @@ impl Cache {
         // oldest-stamp cases together: if the block is already resident (e.g.
         // filled by a racing access in the same cycle) its state is updated
         // in place, otherwise an invalid frame is preferred and the oldest
-        // stamp (first occurrence on ties) is the LRU/FIFO victim.
+        // stamp (first occurrence on ties) is the LRU victim.
         let mut victim_way = 0usize;
         let mut oldest_stamp = u64::MAX;
         let mut invalid_way = None;
         for (way, frame) in row.iter_mut().enumerate() {
             if frame.valid() {
                 if frame.block_addr() == block_addr {
-                    if touch_on_hit {
-                        frame.stamp = clock;
-                    }
+                    frame.stamp = clock;
                     frame.word |= u64::from(dirty) << 63;
                     return None;
                 }
@@ -362,9 +355,8 @@ impl Cache {
         }
         let victim_way = match invalid_way {
             Some(way) => way,
-            None => match policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => victim_way,
-                ReplacementPolicy::Random => ReplacementPolicy::random_index(clock, row.len()),
+            None => match self.policy {
+                ReplacementPolicy::Lru => victim_way,
                 ReplacementPolicy::LruMad => {
                     // Minimum aggregate delay: evict the resident block whose
                     // accrued fetch-plus-stall cost is lowest; the LRU stamp

@@ -16,7 +16,7 @@
 //! # Crate map
 //!
 //! * [`config`] — [`CacheConfig`] and derived geometry.
-//! * [`replacement`] — LRU / FIFO / random replacement policies.
+//! * [`replacement`] — LRU and LRU-MAD replacement policies.
 //! * [`cache`] — the resizable [`Cache`], its accesses and resize operations
 //!   (sets are rows of one flat, packed frame buffer).
 //! * [`stats`] — access and resize statistics, split per enabled geometry.

@@ -6,10 +6,6 @@ pub enum ReplacementPolicy {
     /// Evict the least recently used block (the paper's baseline).
     #[default]
     Lru,
-    /// Evict the oldest filled block.
-    Fifo,
-    /// Evict a pseudo-random block (xorshift over the access counter).
-    Random,
     /// LRU with minimum-aggregate-delay victim choice ("LRU-MAD", after the
     /// delayed-hits line of work): among the resident blocks, evict the one
     /// whose accrued fetch-plus-delayed-hit cost is lowest — it is the
@@ -18,55 +14,10 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Returns `true` if the policy updates its stamp on every hit (the
-    /// LRU-ordered policies) as opposed to only on fill (FIFO/random).
-    pub fn touches_on_hit(&self) -> bool {
-        matches!(self, ReplacementPolicy::Lru | ReplacementPolicy::LruMad)
-    }
-
     /// Returns `true` if the policy weighs per-frame aggregate-delay costs
     /// (and thus needs the cache to maintain them).
     pub fn tracks_delay(&self) -> bool {
         matches!(self, ReplacementPolicy::LruMad)
-    }
-
-    /// The pseudo-random way index used by [`ReplacementPolicy::Random`].
-    ///
-    /// The mixed counter is reduced to `0..ways` with a widening multiply
-    /// (`(x * ways) >> 64`) instead of `x % ways`: the modulo mapped the
-    /// extra `2^64 mod ways` values onto the low ways, biasing them, and
-    /// cost a hardware divide on the fill path. The LRU/FIFO victim is the
-    /// oldest-stamp frame, chosen by the single-pass scan in `Cache::fill`;
-    /// this is the random policy's counterpart.
-    #[inline]
-    pub fn random_index(counter: u64, ways: usize) -> usize {
-        let mut x = counter.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x1234_5678;
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        ((u128::from(x) * ways as u128) >> 64) as usize
-    }
-
-    /// The policy's lower-case tag, as accepted by
-    /// [`ReplacementPolicy::from_tag`] and used in JSON renderings.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Fifo => "fifo",
-            ReplacementPolicy::Random => "random",
-            ReplacementPolicy::LruMad => "lru_mad",
-        }
-    }
-
-    /// Parses a policy tag (`lru`, `fifo`, `random`, `lru_mad`).
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "lru" => Some(ReplacementPolicy::Lru),
-            "fifo" => Some(ReplacementPolicy::Fifo),
-            "random" => Some(ReplacementPolicy::Random),
-            "lru_mad" => Some(ReplacementPolicy::LruMad),
-            _ => None,
-        }
     }
 }
 
@@ -75,76 +26,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn touch_on_hit_is_lru_ordered_only() {
-        assert!(ReplacementPolicy::Lru.touches_on_hit());
-        assert!(ReplacementPolicy::LruMad.touches_on_hit());
-        assert!(!ReplacementPolicy::Fifo.touches_on_hit());
-        assert!(!ReplacementPolicy::Random.touches_on_hit());
-    }
-
-    #[test]
     fn only_lru_mad_tracks_delay() {
         assert!(ReplacementPolicy::LruMad.tracks_delay());
         assert!(!ReplacementPolicy::Lru.tracks_delay());
-        assert!(!ReplacementPolicy::Fifo.tracks_delay());
-        assert!(!ReplacementPolicy::Random.tracks_delay());
-    }
-
-    #[test]
-    fn random_is_in_range_and_deterministic() {
-        for counter in 0..100 {
-            let v = ReplacementPolicy::random_index(counter, 4);
-            assert!(v < 4);
-            assert_eq!(v, ReplacementPolicy::random_index(counter, 4));
-        }
-        // Pin the widening-multiply mapping itself: the range reduction is
-        // part of every Random-policy simulation result, so a silent change
-        // here would unpin downstream goldens.
-        let first: Vec<usize> = (0..8)
-            .map(|c| ReplacementPolicy::random_index(c, 4))
-            .collect();
-        assert_eq!(first, vec![0, 0, 1, 3, 2, 0, 2, 0]);
-        // Non-power-of-two way counts exercise the bias the modulo had.
-        let three: Vec<usize> = (0..8)
-            .map(|c| ReplacementPolicy::random_index(c, 3))
-            .collect();
-        assert_eq!(three, vec![0, 0, 0, 2, 1, 0, 1, 0]);
-    }
-
-    #[test]
-    fn random_spreads_over_ways() {
-        let mut seen = [false; 4];
-        for counter in 0..200 {
-            seen[ReplacementPolicy::random_index(counter, 4)] = true;
-        }
-        assert!(seen.iter().all(|s| *s));
-    }
-
-    #[test]
-    fn random_reduction_is_unbiased_across_buckets() {
-        // With the widening multiply, 3 ways split the mixed 64-bit space
-        // into three equal thirds; over many counters the counts must be
-        // close to uniform (the old `% 3` was biased by 2^64 mod 3 = 1).
-        let mut counts = [0u32; 3];
-        for counter in 0..30_000 {
-            counts[ReplacementPolicy::random_index(counter, 3)] += 1;
-        }
-        for c in counts {
-            assert!((9_000..11_000).contains(&c), "skewed bucket: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn tags_round_trip() {
-        for p in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-            ReplacementPolicy::LruMad,
-        ] {
-            assert_eq!(ReplacementPolicy::from_tag(p.tag()), Some(p));
-        }
-        assert_eq!(ReplacementPolicy::from_tag("mru"), None);
     }
 
     #[test]

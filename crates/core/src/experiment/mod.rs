@@ -34,9 +34,6 @@ pub use runner::{
     BestSummary, DynamicOutcome, Measurement, RunSetup, Runner, RunnerConfig, StaticOutcome,
 };
 pub use server::{ServeConfig, ServerHandle, SweepServer};
-pub use shared_tier::{
-    EntryLockGuard, HealthCounters, LockOutcome, LockParams, Memo, SharedTier, StoreHealth,
-    DEFAULT_RESIDENT_CAP,
-};
+pub use shared_tier::{HealthCounters, Memo, SharedTier, StoreHealth, DEFAULT_RESIDENT_CAP};
 pub use strategy_cmp::{static_vs_dynamic, StrategyRow};
 pub use trace_store::{StoreSource, StoreSourceKind, TraceStore};

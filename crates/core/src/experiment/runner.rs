@@ -877,6 +877,60 @@ mod tests {
         assert!(slowdown < 1.06, "slowdown {slowdown}");
     }
 
+    /// A synthetic measurement: only energy and cycles feed a score.
+    fn measured(energy_pj: f64, cycles: u64) -> Measurement {
+        Measurement {
+            cycles,
+            ipc: 1.0,
+            energy_pj,
+            breakdown: EnergyBreakdown::default(),
+            l1d_mean_bytes: 0.0,
+            l1i_mean_bytes: 0.0,
+            l1d_miss_ratio: 0.0,
+            l1i_miss_ratio: 0.0,
+            l1d_resizes: 0,
+            l1i_resizes: 0,
+            latency: LatencyStats::default(),
+        }
+    }
+
+    #[test]
+    fn best_under_picks_the_minimum() {
+        // The minimum wins wherever it sits.
+        let evaluated = [5, 3, 1, 4].map(|c| (c, measured(1.0, c)));
+        assert_eq!(
+            best_under(&evaluated, Objective::Delay).map(|b| b.0),
+            Some(1)
+        );
+        assert_eq!(best_under::<u64>(&[], Objective::Edp), None);
+    }
+
+    #[test]
+    fn best_under_ties_keep_the_first_point() {
+        // Equal scores keep the first point: the largest cache, since
+        // configuration spaces list the full size first.
+        let tied = [32, 16, 8, 4].map(|kib| (kib, measured(2.0, 1_000)));
+        assert_eq!(best_under(&tied, Objective::Edp).map(|b| b.0), Some(32));
+    }
+
+    #[test]
+    fn best_under_reranks_the_same_measurements_by_objective() {
+        // Smaller caches spend less energy but more cycles: EDP trades the
+        // slowdown for the saving, pure delay keeps the full size, and the
+        // EDP score is the energy-delay product bit for bit.
+        let sized = [32u32, 16, 8, 4].map(|kib| {
+            let cycles = 1_000_000 + 50_000 * u64::from(32 / kib);
+            (kib, measured(f64::from(kib), cycles))
+        });
+        let edp = best_under(&sized, Objective::Edp).expect("non-empty");
+        let delay = best_under(&sized, Objective::Delay).expect("non-empty");
+        assert_eq!((edp.0, delay.0), (4, 32));
+        assert_eq!(
+            edp.1.score(Objective::Edp).to_bits(),
+            edp.1.energy_delay().product().to_bits()
+        );
+    }
+
     #[test]
     fn static_best_finds_a_saving_for_ammp() {
         let r = runner();

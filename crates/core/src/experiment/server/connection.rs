@@ -6,8 +6,6 @@ use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use rescache_cache::ReplacementPolicy;
-
 use super::dispatch::dispatch;
 use super::protocol::error_line;
 use super::{ServeConfig, ServerHandle, MAX_LINE_BYTES, SHUTDOWN_POLL};
@@ -117,7 +115,6 @@ pub(super) struct Conn<'a> {
     pending: VecDeque<String>,
     accepted: usize,
     pub(super) config: &'a ServeConfig,
-    pub(super) policy: ReplacementPolicy,
     pub(super) handle: &'a ServerHandle,
 }
 
@@ -127,7 +124,6 @@ impl<'a> Conn<'a> {
     pub(super) fn new(
         stream: TcpStream,
         config: &'a ServeConfig,
-        policy: ReplacementPolicy,
         handle: &'a ServerHandle,
     ) -> std::io::Result<Self> {
         // Reads poll so a shutdown drains even past idle clients; the
@@ -140,7 +136,6 @@ impl<'a> Conn<'a> {
             pending: VecDeque::new(),
             accepted: 0,
             config,
-            policy,
             handle,
         })
     }
@@ -236,11 +231,10 @@ pub(super) fn serve_connection(
     runner: &Runner,
     stream: TcpStream,
     config: &ServeConfig,
-    policy: ReplacementPolicy,
     handle: &ServerHandle,
 ) -> std::io::Result<()> {
     let health = runner.trace_store().tier().health();
-    let mut conn = Conn::new(stream, config, policy, handle)?;
+    let mut conn = Conn::new(stream, config, handle)?;
     loop {
         // Lines pipelined during a sweep were admitted when the sweep's
         // poll read them; they go first, in arrival order.

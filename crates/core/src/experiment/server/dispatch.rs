@@ -49,7 +49,7 @@ fn serve(runner: &Runner, request: &Json, id: &Json, conn: &mut Conn) -> Result<
             return Ok(Flow::Shutdown);
         }
         verb @ ("point" | "sweep" | "dynamic") => {
-            let target = parse_target(request, runner.config().objective, conn.policy)?;
+            let target = parse_target(request, runner.config().objective)?;
             match verb {
                 "point" => {
                     // One simulation (the baseline when `sets`/`ways` are

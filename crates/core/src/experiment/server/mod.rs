@@ -31,8 +31,10 @@
 //!   **one** simulation, observable as
 //!   [`StoreHealth`](crate::experiment::StoreHealth) `coalesced`/`hits`
 //!   (`StoreHealth::result_cache_hit_rate` is the service's headline
-//!   metric). Several server *processes* can share one tier too, through
-//!   the store's `RESCACHE_TRACE_DIR` entry locks;
+//!   metric). Several server *processes* can share one
+//!   `RESCACHE_TRACE_DIR` store too: each save renames a whole file into
+//!   place, so a cold entry two processes both generate is written twice
+//!   but never read torn;
 //! * malformed, oversized or unserviceable request lines get typed error
 //!   responses on the same connection — never a panic, never a silent
 //!   disconnect — and a per-connection request quota
@@ -76,8 +78,7 @@
 //! `kind:"done"` summary names the objective that ranked its best point. For `dynamic`, the objective
 //! also steers the controller's interval signal (a latency-first objective
 //! counts delayed hits as upsizing pressure). Every simulated system uses
-//! the d-cache replacement policy `RESCACHE_POLICY` names, resolved once when
-//! the server binds; the policy is part of every memo key.
+//! the paper's LRU replacement.
 //!
 //! # Layers
 //!
@@ -94,11 +95,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rescache_cache::ReplacementPolicy;
-
 use crate::experiment::parallel::effective_workers;
 use crate::experiment::runner::Runner;
-use crate::knobs::Knobs;
 use connection::serve_connection;
 
 /// Cap on one request line. Real requests are under 200 bytes; the cap
@@ -195,31 +193,23 @@ pub struct SweepServer {
     listener: TcpListener,
     runner: Runner,
     config: ServeConfig,
-    policy: ReplacementPolicy,
     shutdown: Arc<AtomicBool>,
     connections: Arc<AtomicUsize>,
 }
 
 impl SweepServer {
     /// Binds the service (resolving an ephemeral port if `addr` asked for
-    /// one) without accepting yet. The d-cache replacement policy of every
-    /// simulated system is the `RESCACHE_POLICY` knob, resolved here once.
+    /// one) without accepting yet.
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable, and an
-    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error carrying the
-    /// typed knob error if a runtime knob is malformed.
+    /// Returns the bind error if the address is unavailable.
     pub fn bind(runner: Runner, config: ServeConfig) -> std::io::Result<Self> {
-        let policy = Knobs::resolved()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
-            .policy;
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Self {
             listener,
             runner,
             config,
-            policy,
             shutdown: Arc::new(AtomicBool::new(false)),
             connections: Arc::new(AtomicUsize::new(0)),
         })
@@ -279,7 +269,6 @@ impl SweepServer {
                 Ok(stream) => {
                     let runner = self.runner.clone();
                     let config = self.config.clone();
-                    let policy = self.policy;
                     let handle = handle.clone();
                     // Counted up front (not in the thread) so the gauge
                     // never under-reports a connection that was accepted
@@ -297,8 +286,7 @@ impl SweepServer {
                             }
                         }
                         let _open = Open(gauge);
-                        if let Err(e) = serve_connection(&runner, stream, &config, policy, &handle)
-                        {
+                        if let Err(e) = serve_connection(&runner, stream, &config, &handle) {
                             // A vanished client is normal server life, not a
                             // server failure.
                             eprintln!("rescache-serve: connection ended: {e}");
@@ -407,7 +395,7 @@ mod tests {
             shutdown: Arc::new(AtomicBool::new(false)),
             connections: Arc::new(AtomicUsize::new(0)),
         };
-        let mut conn = Conn::new(stream, &config, ReplacementPolicy::default(), &handle).unwrap();
+        let mut conn = Conn::new(stream, &config, &handle).unwrap();
 
         // A quiet connection answers every poll at once.
         let start = Instant::now();
@@ -500,24 +488,21 @@ mod tests {
     #[test]
     fn parse_target_resolves_defaults_and_rejects_unknowns() {
         let ok = Json::parse(r#"{"req":"sweep","app":"ammp"}"#).unwrap();
-        let target =
-            parse_target(&ok, Objective::Edp, ReplacementPolicy::Lru).expect("defaults apply");
+        let target = parse_target(&ok, Objective::Edp).expect("defaults apply");
         assert_eq!(target.app.name, "ammp");
         assert_eq!(target.organization, Organization::SelectiveSets);
         assert_eq!(target.side, ResizableCacheSide::Data);
         assert_eq!(target.objective, Objective::Edp);
         // The runner's configured objective is the default the request
         // inherits when it names none.
-        let target =
-            parse_target(&ok, Objective::Delay, ReplacementPolicy::Lru).expect("defaults apply");
+        let target = parse_target(&ok, Objective::Delay).expect("defaults apply");
         assert_eq!(target.objective, Objective::Delay);
 
         let scenario = Json::parse(
             r#"{"app":"pointer_chase","org":"hybrid","side":"instruction","system":"in_order","objective":"ed2p"}"#,
         )
         .unwrap();
-        let target = parse_target(&scenario, Objective::Edp, ReplacementPolicy::Lru)
-            .expect("registry workloads resolve");
+        let target = parse_target(&scenario, Objective::Edp).expect("registry workloads resolve");
         assert_eq!(target.app.name, "pointer_chase");
         assert_eq!(target.organization, Organization::Hybrid);
         assert_eq!(target.side, ResizableCacheSide::Instruction);
@@ -532,31 +517,7 @@ mod tests {
             r#"{"app":"ammp","objective":"bogus"}"#,
         ] {
             let request = Json::parse(bad).unwrap();
-            assert!(
-                parse_target(&request, Objective::Edp, ReplacementPolicy::Lru).is_err(),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_target_applies_the_servers_policy_to_both_systems() {
-        for system in ["base", "in_order"] {
-            let request = Json::parse(&format!(r#"{{"app":"gcc","system":"{system}"}}"#)).unwrap();
-            let target = parse_target(&request, Objective::Edp, ReplacementPolicy::LruMad)
-                .expect("valid target");
-            assert_eq!(
-                target.system.hierarchy.l1d_policy,
-                ReplacementPolicy::LruMad,
-                "{system}"
-            );
-            let target = parse_target(&request, Objective::Edp, ReplacementPolicy::default())
-                .expect("valid target");
-            assert_eq!(
-                target.system.hierarchy.l1d_policy,
-                ReplacementPolicy::Lru,
-                "{system}"
-            );
+            assert!(parse_target(&request, Objective::Edp).is_err(), "{bad}");
         }
     }
 }

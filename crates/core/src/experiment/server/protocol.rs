@@ -2,7 +2,6 @@
 //! lines. Nothing here touches a socket or runs a simulation; every `ok`
 //! line goes through [`ok_line`] and every refusal through [`error_line`].
 
-use rescache_cache::ReplacementPolicy;
 use rescache_energy::Objective;
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
@@ -62,13 +61,7 @@ pub(super) struct Target {
 /// Resolves a request's simulation target, refusing anything
 /// unresolvable. `default_objective` is the runner's configured objective;
 /// a request's `"objective"` field overrides it for that request only.
-/// `policy` is the server's d-cache replacement policy; it lands in the
-/// hierarchy config and so in every memo key.
-pub(super) fn parse_target(
-    request: &Json,
-    default_objective: Objective,
-    policy: ReplacementPolicy,
-) -> Result<Target, Stop> {
+pub(super) fn parse_target(request: &Json, default_objective: Objective) -> Result<Target, Stop> {
     let name = request
         .get("app")
         .and_then(Json::as_str)
@@ -79,12 +72,11 @@ pub(super) fn parse_target(
     let unknown = |field: &str, tag: &str, want: &str| {
         Stop::refuse(format!("unknown {field} {tag:?} (want {want})"))
     };
-    let mut system = match request.get("system").and_then(Json::as_str) {
+    let system = match request.get("system").and_then(Json::as_str) {
         None | Some("base") => SystemConfig::base(),
         Some("in_order") => SystemConfig::in_order(),
         Some(other) => return Err(unknown("system", other, "base or in_order")),
     };
-    system.hierarchy.l1d_policy = policy;
     let organization = match request.get("org").and_then(Json::as_str) {
         None | Some("selective_sets") => Organization::SelectiveSets,
         Some("selective_ways") => Organization::SelectiveWays,
@@ -250,7 +242,6 @@ pub(super) fn health_line(id: &Json, health: &StoreHealth, open_connections: usi
             ("regenerations", Json::Num(health.regenerations as f64)),
             ("retries", Json::Num(health.retries as f64)),
             ("quarantines", Json::Num(health.quarantines as f64)),
-            ("lock_steals", Json::Num(health.lock_steals as f64)),
             ("warnings", Json::Num(health.warnings as f64)),
             ("degraded", Json::Bool(health.degraded)),
             ("result_cache_hit_rate", hit_rate),

@@ -1,7 +1,7 @@
 //! The shared store/memo tier: one concurrency-safe handle holding every
 //! cross-runner cache — generated traces, streaming-persist markers, memoized
-//! static simulations — plus the fault policy, health accounting, degraded
-//! mode and the cross-process entry lock they all share.
+//! static simulations — plus the fault policy, health accounting and
+//! degraded mode they all share.
 //!
 //! This is the ROADMAP's named prereq for the sweep server: any number of
 //! [`Runner`](crate::experiment::Runner) instances (or server connections)
@@ -16,24 +16,22 @@
 //!   recover — the map's values are write-once `OnceLock`s) and a panicked
 //!   `OnceLock` initializer leaves the slot empty for the next caller.
 //! * **[`HealthCounters`] / [`StoreHealth`]** — every recovery is counted
-//!   (hits, misses, regenerations, retries, quarantines, lock steals,
-//!   warnings, degraded flag), so "the store survived" is observable in
+//!   (hits, misses, regenerations, retries, quarantines, warnings,
+//!   degraded flag), so "the store survived" is observable in
 //!   tests and in the bench JSON rather than anecdotal.
 //! * **degraded mode** — after a disk-full or unwritable-directory failure
 //!   the tier drops to in-memory-only operation ([`SharedTier::active_dir`]
 //!   returns `None`) with a one-time warning, instead of hammering a dead
 //!   disk on every request.
-//! * **[`SharedTier::lock_entry`]** — a cross-process advisory lock file
-//!   (`<entry>.lock`) with a stale-lock timeout, so two *processes* sharing
-//!   `RESCACHE_TRACE_DIR` don't both generate the same cold entry; liveness
-//!   wins over deduplication (a deadline expiry proceeds unlocked, and a
-//!   crashed writer's stale lock is stolen).
+//!
+//! Two *processes* sharing one store directory need no lock: every save
+//! writes a per-writer temp file and renames it into place, so a cold entry
+//! generated by both is written twice but never seen torn.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant, SystemTime};
 
 use rescache_trace::IoPolicy;
 
@@ -117,7 +115,6 @@ pub struct HealthCounters {
     regenerations: AtomicU64,
     retries: AtomicU64,
     quarantines: AtomicU64,
-    lock_steals: AtomicU64,
     warnings: AtomicU64,
     evictions: AtomicU64,
     requests: AtomicU64,
@@ -152,11 +149,6 @@ impl HealthCounters {
     /// A corrupt entry renamed to its `.corrupt` sidecar.
     pub fn note_quarantine(&self) {
         self.quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A stale cross-process lock stolen from a crashed writer.
-    pub fn note_lock_steal(&self) {
-        self.lock_steals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One warning printed (warnings are also counted so tests can assert
@@ -210,7 +202,6 @@ impl HealthCounters {
             regenerations: self.regenerations.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             quarantines: self.quarantines.load(Ordering::Relaxed),
-            lock_steals: self.lock_steals.load(Ordering::Relaxed),
             warnings: self.warnings.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
@@ -235,8 +226,6 @@ pub struct StoreHealth {
     pub retries: u64,
     /// Corrupt entries quarantined to `.corrupt` sidecars.
     pub quarantines: u64,
-    /// Stale cross-process locks stolen from crashed writers.
-    pub lock_steals: u64,
     /// Warnings printed.
     pub warnings: u64,
     /// Resident full traces evicted by the resident cap.
@@ -264,59 +253,6 @@ impl StoreHealth {
     }
 }
 
-/// Timing knobs of the cross-process entry lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LockParams {
-    /// A lock file older than this is considered abandoned by a crashed
-    /// writer and is stolen.
-    pub stale_after: Duration,
-    /// Sleep between acquisition attempts while another writer holds the
-    /// lock.
-    pub poll: Duration,
-    /// Total time a waiter spends before giving up and proceeding unlocked
-    /// (liveness beats cross-process deduplication).
-    pub deadline: Duration,
-}
-
-impl Default for LockParams {
-    fn default() -> Self {
-        Self {
-            stale_after: Duration::from_secs(10),
-            poll: Duration::from_millis(25),
-            deadline: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Outcome of one [`SharedTier::lock_entry`] attempt.
-#[derive(Debug)]
-pub enum LockOutcome {
-    /// This caller holds the lock and must generate the entry; the lock file
-    /// is removed when the guard drops.
-    Acquired(EntryLockGuard),
-    /// The entry appeared while waiting (another writer finished): read it
-    /// instead of generating.
-    EntryAppeared,
-    /// The deadline expired with the lock still held: proceed without the
-    /// lock — duplicate cross-process work is acceptable, a hang is not.
-    Unlocked,
-}
-
-/// Holder of one acquired cross-process entry lock; dropping it releases
-/// (removes) the lock file. The removal is best-effort and un-policed: a
-/// failure merely leaves a stale lock, which the next waiter steals after
-/// [`LockParams::stale_after`].
-#[derive(Debug)]
-pub struct EntryLockGuard {
-    path: PathBuf,
-}
-
-impl Drop for EntryLockGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 /// The shared store/memo tier (see the module documentation). Clones share
 /// everything — maps, policy, health, degraded flag — which is what makes
 /// one tier safely servable to any number of runner instances and threads.
@@ -337,7 +273,6 @@ pub struct SharedTier {
     pub(crate) trace_lru: Arc<Mutex<TraceLru>>,
     policy: IoPolicy,
     dir: Option<PathBuf>,
-    lock: LockParams,
     resident_cap: usize,
     health: Arc<HealthCounters>,
 }
@@ -368,16 +303,9 @@ impl SharedTier {
             trace_lru: Arc::default(),
             policy,
             dir,
-            lock: LockParams::default(),
             resident_cap: DEFAULT_RESIDENT_CAP,
             health: Arc::default(),
         }
-    }
-
-    /// This tier with the given lock timings (tests shrink them).
-    pub fn with_lock_params(mut self, lock: LockParams) -> Self {
-        self.lock = lock;
-        self
     }
 
     /// This tier with the given cap on resident full traces (clamped to at
@@ -439,100 +367,12 @@ impl SharedTier {
             );
         }
     }
-
-    /// Acquires the cross-process advisory lock for `entry` (a `.lock`
-    /// sibling file), so two processes sharing a store directory don't both
-    /// generate the same cold entry. See [`LockOutcome`] for the three ways
-    /// this resolves; a stale lock (older than [`LockParams::stale_after`])
-    /// is stolen and counted in [`StoreHealth::lock_steals`].
-    pub fn lock_entry(&self, entry: &Path) -> LockOutcome {
-        let lock_path = Self::lock_path(entry);
-        let start = Instant::now();
-        loop {
-            match self.policy.create_new(&lock_path) {
-                Ok(_) => {
-                    let guard = EntryLockGuard { path: lock_path };
-                    // Recheck after acquiring: the writer we waited on may
-                    // have committed the entry between our existence probe
-                    // and its lock release.
-                    if entry.exists() {
-                        return LockOutcome::EntryAppeared;
-                    }
-                    return LockOutcome::Acquired(guard);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if entry.exists() {
-                        return LockOutcome::EntryAppeared;
-                    }
-                    if self.lock_is_stale(&lock_path) {
-                        // Best-effort steal; losing the race to another
-                        // stealer just means the next create_new attempt
-                        // resolves it.
-                        if std::fs::remove_file(&lock_path).is_ok() {
-                            self.health.note_lock_steal();
-                        }
-                        continue;
-                    }
-                }
-                Err(_) => {
-                    // Injected or real trouble creating the lock file: fall
-                    // through to the deadline check and retry — the lock is
-                    // an optimization, never a correctness requirement.
-                }
-            }
-            if start.elapsed() >= self.lock.deadline {
-                return LockOutcome::Unlocked;
-            }
-            std::thread::sleep(self.lock.poll);
-        }
-    }
-
-    /// Whether the lock file's mtime marks it abandoned. An unreadable mtime
-    /// (racing removal, filesystem without mtimes) reads as fresh — waiting
-    /// is safe, the deadline bounds it. An mtime *in the future* by more than
-    /// `stale_after` also reads as stale: that lock was planted under clock
-    /// skew (writer on a fast-running clock, or an NTP step after a crash)
-    /// and can never *age* past the threshold from here, so treating it as
-    /// fresh would make every accessor eat the full deadline on every access,
-    /// forever. Small future skew (within `stale_after`) stays fresh — a live
-    /// writer a few ticks ahead of us must not lose its lock.
-    fn lock_is_stale(&self, lock_path: &Path) -> bool {
-        let Ok(modified) = std::fs::metadata(lock_path).and_then(|m| m.modified()) else {
-            return false;
-        };
-        match SystemTime::now().duration_since(modified) {
-            Ok(age) => age > self.lock.stale_after,
-            Err(skew) => skew.duration() > self.lock.stale_after,
-        }
-    }
-
-    /// The lock-file sibling of a store entry (`<file>.lock`).
-    fn lock_path(entry: &Path) -> PathBuf {
-        let mut name = entry.as_os_str().to_os_string();
-        name.push(".lock");
-        PathBuf::from(name)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rescache-tier-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
-
-    fn fast_locks() -> LockParams {
-        LockParams {
-            stale_after: Duration::from_millis(50),
-            poll: Duration::from_millis(5),
-            deadline: Duration::from_millis(200),
-        }
-    }
 
     #[test]
     fn memo_single_flights_and_shares() {
@@ -603,7 +443,6 @@ mod tests {
         h.note_regeneration();
         h.note_retry();
         h.note_quarantine();
-        h.note_lock_steal();
         assert!(tier.active_dir().is_some());
 
         // Degrading latches, warns exactly once, and disables the dir.
@@ -614,7 +453,7 @@ mod tests {
             (snap.hits, snap.misses, snap.regenerations, snap.retries),
             (2, 1, 1, 1)
         );
-        assert_eq!((snap.quarantines, snap.lock_steals), (1, 1));
+        assert_eq!(snap.quarantines, 1);
         assert_eq!(snap.warnings, 1, "one-time warning");
         assert!(snap.degraded);
         assert!(tier.active_dir().is_none(), "degraded mode disables disk");
@@ -622,139 +461,6 @@ mod tests {
 
         // Clones share the health block and the degraded flag.
         assert!(tier.clone().health_snapshot().degraded);
-    }
-
-    #[test]
-    fn lock_entry_acquires_releases_and_rechecks() {
-        let dir = temp_dir("lock");
-        let entry = dir.join("entry.rctrace");
-        let tier =
-            SharedTier::new(Some(dir.clone()), IoPolicy::none()).with_lock_params(fast_locks());
-
-        let lock_file = dir.join("entry.rctrace.lock");
-        let outcome = tier.lock_entry(&entry);
-        assert!(matches!(outcome, LockOutcome::Acquired(_)));
-        assert!(lock_file.exists(), "the lock file is held");
-        drop(outcome);
-        assert!(!lock_file.exists(), "dropping the guard releases the lock");
-
-        // With the entry already present, acquisition short-circuits to
-        // EntryAppeared (post-acquire recheck) and holds no lock.
-        std::fs::write(&entry, b"present").expect("plant entry");
-        assert!(matches!(
-            tier.lock_entry(&entry),
-            LockOutcome::EntryAppeared
-        ));
-        assert!(!lock_file.exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn waiter_sees_the_entry_appear_under_a_held_lock() {
-        let dir = temp_dir("lock-appear");
-        let entry = dir.join("entry.rctrace");
-        let lock_file = dir.join("entry.rctrace.lock");
-        let tier =
-            SharedTier::new(Some(dir.clone()), IoPolicy::none()).with_lock_params(fast_locks());
-
-        // Another "process" holds the lock and commits the entry while we
-        // wait: the waiter must serve the entry, not steal or expire.
-        std::fs::write(&lock_file, b"").expect("foreign lock");
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(20));
-                std::fs::write(&entry, b"committed").expect("commit entry");
-            });
-            assert!(matches!(
-                tier.lock_entry(&entry),
-                LockOutcome::EntryAppeared
-            ));
-        });
-        assert_eq!(tier.health_snapshot().lock_steals, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stale_lock_is_stolen_fresh_lock_expires_to_unlocked() {
-        let dir = temp_dir("lock-stale");
-        let entry = dir.join("entry.rctrace");
-        let lock_file = dir.join("entry.rctrace.lock");
-        let tier =
-            SharedTier::new(Some(dir.clone()), IoPolicy::none()).with_lock_params(fast_locks());
-
-        // A crashed writer's lock: backdate its mtime past stale_after.
-        let file = std::fs::File::create(&lock_file).expect("plant stale lock");
-        file.set_modified(std::time::SystemTime::now() - Duration::from_secs(60))
-            .expect("backdate lock");
-        drop(file);
-        let outcome = tier.lock_entry(&entry);
-        assert!(matches!(outcome, LockOutcome::Acquired(_)), "{outcome:?}");
-        assert_eq!(tier.health_snapshot().lock_steals, 1);
-        drop(outcome);
-
-        // A *fresh* foreign lock with no entry forthcoming: the waiter gives
-        // up at the deadline and proceeds unlocked. (Staleness is pushed out
-        // of reach so the deadline, not the steal, resolves the wait.)
-        let patient = tier.clone().with_lock_params(LockParams {
-            stale_after: Duration::from_secs(60),
-            poll: Duration::from_millis(5),
-            deadline: Duration::from_millis(100),
-        });
-        std::fs::write(&lock_file, b"").expect("fresh foreign lock");
-        let started = Instant::now();
-        assert!(matches!(patient.lock_entry(&entry), LockOutcome::Unlocked));
-        assert!(started.elapsed() >= Duration::from_millis(100));
-        assert_eq!(tier.health_snapshot().lock_steals, 1, "no steal this time");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn future_dated_lock_from_clock_skew_is_stolen() {
-        // Regression: a crashed writer can leave a lock whose mtime is in
-        // the *future* (clock skew, NTP step). `SystemTime::elapsed()` errors
-        // on such a timestamp, and the old code read the error as "fresh" —
-        // so the lock could never age past stale_after and every accessor ate
-        // the full deadline on every access, forever. A future mtime beyond
-        // stale_after must be stolen like any other abandoned lock.
-        let dir = temp_dir("lock-future");
-        let entry = dir.join("entry.rctrace");
-        let lock_file = dir.join("entry.rctrace.lock");
-        let tier =
-            SharedTier::new(Some(dir.clone()), IoPolicy::none()).with_lock_params(fast_locks());
-
-        let file = std::fs::File::create(&lock_file).expect("plant skewed lock");
-        file.set_modified(SystemTime::now() + Duration::from_secs(60))
-            .expect("future-date lock");
-        drop(file);
-        let started = Instant::now();
-        let outcome = tier.lock_entry(&entry);
-        assert!(matches!(outcome, LockOutcome::Acquired(_)), "{outcome:?}");
-        assert_eq!(tier.health_snapshot().lock_steals, 1, "stolen, not waited");
-        assert!(
-            started.elapsed() < fast_locks().deadline,
-            "resolved by stealing, not by deadline expiry"
-        );
-        drop(outcome);
-
-        // Future skew *within* stale_after is a live writer whose clock runs
-        // slightly ahead: its lock must be honored until the deadline, not
-        // stolen.
-        let patient = tier.clone().with_lock_params(LockParams {
-            stale_after: Duration::from_secs(60),
-            poll: Duration::from_millis(5),
-            deadline: Duration::from_millis(100),
-        });
-        let file = std::fs::File::create(&lock_file).expect("plant near lock");
-        file.set_modified(SystemTime::now() + Duration::from_secs(30))
-            .expect("slightly-future lock");
-        drop(file);
-        assert!(matches!(patient.lock_entry(&entry), LockOutcome::Unlocked));
-        assert_eq!(
-            tier.health_snapshot().lock_steals,
-            1,
-            "near-future lock was honored (deadline expiry, no second steal)"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -46,9 +46,12 @@
 //!   in-memory-only degraded mode with a one-time warning (see
 //!   [`SharedTier::degrade`]); generation proceeds, persistence stops.
 //!
-//! The memo maps, fault policy, health counters and cross-process entry
-//! lock all live in the [`SharedTier`] the store wraps, so any number of
-//! runners and threads share one coherent cache-and-recovery state.
+//! The memo maps, fault policy and health counters all live in the
+//! [`SharedTier`] the store wraps, so any number of runners and threads
+//! share one coherent cache-and-recovery state. Single flight is per
+//! process; writers in different processes (or a materializing and a
+//! streaming writer of one key) need no lock, because every save writes a
+//! per-writer temp file and renames it into place.
 
 use std::path::{Path, PathBuf};
 use std::sync::PoisonError;
@@ -59,7 +62,7 @@ use rescache_trace::{
 };
 
 use crate::experiment::runner::RunnerConfig;
-use crate::experiment::shared_tier::{LockOutcome, SharedTier, StoreHealth};
+use crate::experiment::shared_tier::{SharedTier, StoreHealth};
 
 /// Key identifying one (warm, measure) trace request: application name,
 /// profile fingerprint, seed, warm-up length, measured length. The
@@ -360,9 +363,10 @@ impl TraceStore {
                 return StoreSource::Disk(source);
             }
             // Cold key: persist a streaming-generated entry (once per
-            // process — parallel sweeps block on the one writer, and the
-            // cross-process entry lock keeps sibling *processes* off it too)
-            // and replay it from disk. Nothing is ever fully resident.
+            // process — parallel sweeps block on the one writer; a sibling
+            // *process* may write it too, and the atomic rename makes that
+            // harmless) and replay it from disk. Nothing is ever fully
+            // resident.
             if self.ensure_persisted(app, &key) {
                 if let Some(source) = self.disk_source(app, &key) {
                     return StoreSource::Disk(source);
@@ -663,10 +667,14 @@ impl TraceStore {
     }
 
     /// The store's one persist routine, for a generator stream and a
-    /// resident cursor alike: probes the store directory, takes the
-    /// cross-process entry lock, runs `on_write`, then saves a fresh
-    /// `records()` source per attempt (bounded transient retry) and
-    /// classifies a failure. Returns whether the entry now exists.
+    /// resident cursor alike: probes the store directory, runs `on_write`,
+    /// then saves a fresh `records()` source per attempt (bounded transient
+    /// retry) and classifies a failure. Returns whether the entry now exists.
+    ///
+    /// No lock is taken: the codec writes a per-writer temp file and renames
+    /// it into place, so two writers of one entry (a `source` and a `fetch`
+    /// racing in this process, or two processes sharing the directory) each
+    /// commit a whole file and neither exposes a torn one.
     fn persist<S: TraceSource>(
         &self,
         path: &Path,
@@ -679,14 +687,6 @@ impl TraceStore {
                 return false;
             }
         }
-        let _guard = match self.tier.lock_entry(path) {
-            LockOutcome::Acquired(guard) => Some(guard),
-            // Another process committed the entry while we waited.
-            LockOutcome::EntryAppeared => return true,
-            // Liveness over cross-process dedup: write without the lock
-            // (atomic_save makes the duplicate harmless).
-            LockOutcome::Unlocked => None,
-        };
         on_write();
         let policy = self.tier.policy();
         let saved = policy.retrying(
@@ -943,6 +943,43 @@ mod tests {
         assert_eq!(source.kind(), StoreSourceKind::Disk);
         assert_eq!(drain(&mut source), reference.records());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn racing_stream_and_materialize_persists_of_one_key_leave_one_whole_entry() {
+        // A streamed `source` and a materializing `fetch` single-flight on
+        // different memos, so on a cold key both persist the same entry. No
+        // lock orders them: each save renames its own temp file into place.
+        let cfg = RunnerConfig::fast();
+        let total = cfg.warmup_instructions + cfg.measure_instructions;
+        let reference = TraceGenerator::new(spec::gcc(), cfg.trace_seed).generate(total);
+        for round in 0..4 {
+            let (store, dir) = temp_store(&format!("race-{round}"));
+            let (streamed, fetched) = std::thread::scope(|scope| {
+                let streamed = scope.spawn(|| drain(&mut store.source(&spec::gcc(), &cfg)));
+                let fetched = scope.spawn(|| {
+                    let (warm, measure) = store.fetch(&spec::gcc(), &cfg);
+                    [warm.records(), measure.records()].concat()
+                });
+                (
+                    streamed.join().expect("source thread"),
+                    fetched.join().expect("fetch thread"),
+                )
+            });
+            assert_eq!(streamed, reference.records(), "round {round}: source");
+            assert_eq!(fetched, reference.records(), "round {round}: fetch");
+
+            let entry = entry_path(&dir);
+            let name = entry.file_name().expect("file name").to_string_lossy();
+            assert!(
+                name.ends_with(ENTRY_SUFFIX),
+                "round {round}: debris left in the store: {name}"
+            );
+            let mut fresh = TraceStore::with_dir(Some(dir.clone())).source(&spec::gcc(), &cfg);
+            assert_eq!(fresh.kind(), StoreSourceKind::Disk, "round {round}");
+            assert_eq!(drain(&mut fresh), reference.records(), "round {round}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

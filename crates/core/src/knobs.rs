@@ -5,7 +5,7 @@
 //! never touch the process environment — and [`Knobs::resolved`] applies it
 //! to the real environment once per process. A malformed value (not an
 //! unsigned integer, `0` where only a positive count makes sense, an unknown
-//! policy or objective tag, a fault spec [`FaultSpec::parse`] rejects, or a
+//! objective tag, a fault spec [`FaultSpec::parse`] rejects, or a
 //! set-but-empty value) is a [`CoreError::InvalidParameter`] naming the
 //! variable; nothing is silently defaulted.
 //!
@@ -20,7 +20,6 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
-use rescache_cache::ReplacementPolicy;
 use rescache_energy::Objective;
 use rescache_trace::{FaultInjector, FaultSpec, IoPolicy};
 
@@ -44,9 +43,6 @@ pub struct Knobs {
     /// `RESCACHE_OBJECTIVE`: the searches' objective (`edp`, `ed2p`,
     /// `delay`).
     pub objective: Option<Objective>,
-    /// `RESCACHE_POLICY`: the sweep service's d-cache replacement policy
-    /// (`lru`, `fifo`, `random`, `lru_mad`; LRU when unset).
-    pub policy: ReplacementPolicy,
     /// `RESCACHE_THREADS`: parallel-sweep worker count (positive; capped
     /// at 512 when resolved; host parallelism when unset).
     pub threads: Option<usize>,
@@ -83,13 +79,6 @@ impl Knobs {
                 Objective::from_tag,
                 "edp, ed2p or delay",
             )?,
-            policy: vars
-                .tag(
-                    "RESCACHE_POLICY",
-                    ReplacementPolicy::from_tag,
-                    "lru, fifo, random or lru_mad",
-                )?
-                .unwrap_or_default(),
             threads: vars.positive("RESCACHE_THREADS")?,
             trace_dir: vars.value("RESCACHE_TRACE_DIR")?.map(PathBuf::from),
             resident_traces: vars.positive("RESCACHE_RESIDENT_TRACES")?,
@@ -243,7 +232,6 @@ mod tests {
             seed: None,
             interval: None,
             objective: None,
-            policy: ReplacementPolicy::Lru,
             threads: None,
             trace_dir: None,
             resident_traces: None,
@@ -259,7 +247,7 @@ mod tests {
             knobs
         };
         // (variable, valid setting, what it parses to, malformed settings)
-        let table: [(&str, &str, Knobs, &[&str]); 12] = [
+        let table: [(&str, &str, Knobs, &[&str]); 11] = [
             (
                 "RESCACHE_WARMUP",
                 "5000",
@@ -289,12 +277,6 @@ mod tests {
                 "ed2p",
                 with(&|k| k.objective = Some(Objective::Ed2p)),
                 &["", "mips", "EDP"],
-            ),
-            (
-                "RESCACHE_POLICY",
-                "lru_mad",
-                with(&|k| k.policy = ReplacementPolicy::LruMad),
-                &["", "lru-mad", "mru"],
             ),
             (
                 "RESCACHE_THREADS",

@@ -10,8 +10,8 @@
 //!   ways), [`Organization::SelectiveSets`] (mask off sets, keeping
 //!   associativity), and the paper's proposed [`Organization::Hybrid`] which
 //!   offers the union of both size spectra (Table 1).
-//! * **Strategies** — [`strategy::StaticSearch`] (one profiled size per
-//!   application) and [`strategy::DynamicController`] (the miss-ratio-based
+//! * **Strategies** — [`experiment::Runner::static_best`] (one profiled size
+//!   per application) and [`strategy::DynamicController`] (the miss-ratio-based
 //!   interval controller with a miss-bound and size-bound).
 //! * **Scope** — resizing the d-cache, the i-cache, or both at once
 //!   (Figure 9's additivity result).
@@ -57,5 +57,5 @@ pub use error::CoreError;
 pub use experiment::{Runner, RunnerConfig};
 pub use knobs::Knobs;
 pub use org::{CachePoint, ConfigSpace, Organization};
-pub use strategy::{DynamicController, DynamicParams, ResizeDecision, StaticSearch};
+pub use strategy::{DynamicController, DynamicParams, ResizeDecision};
 pub use system::{ResizableCacheSide, SystemConfig};

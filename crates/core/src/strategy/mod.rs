@@ -1,8 +1,9 @@
 //! Resizing strategies: *when* the cache changes size.
 //!
-//! * [`StaticSearch`] — the static strategy of Albonesi's proposal: one size
-//!   per application, chosen offline by profiling every offered configuration
-//!   and keeping the one with the lowest processor energy-delay product.
+//! * The static strategy of Albonesi's proposal — one size per application,
+//!   chosen offline by profiling every offered configuration and keeping the
+//!   one with the lowest processor energy-delay product — is
+//!   [`Runner::static_best`](crate::experiment::Runner::static_best).
 //! * [`DynamicController`] — the miss-ratio-based dynamic strategy of Yang et
 //!   al.: the cache is monitored in fixed-length intervals of accesses; a
 //!   miss counter compared against a profiled **miss-bound** decides whether
@@ -10,7 +11,5 @@
 //!   floor.
 
 pub mod dynamic;
-pub mod static_search;
 
 pub use dynamic::{DynamicController, DynamicParams, ResizeDecision};
-pub use static_search::{StaticSearch, StaticSearchResult};

@@ -77,12 +77,6 @@ impl SystemConfig {
             hierarchy: HierarchyConfig::with_l1(size_bytes, associativity),
         }
     }
-
-    /// Returns a copy with the in-order/blocking processor.
-    pub fn into_in_order(mut self) -> Self {
-        self.cpu = CpuConfig::base_in_order();
-        self
-    }
 }
 
 impl Default for SystemConfig {
@@ -110,10 +104,6 @@ mod tests {
     fn in_order_variant() {
         assert_eq!(
             SystemConfig::in_order().cpu.engine,
-            EngineKind::InOrderBlocking
-        );
-        assert_eq!(
-            SystemConfig::base().into_in_order().cpu.engine,
             EngineKind::InOrderBlocking
         );
     }

@@ -79,7 +79,6 @@ pub struct EnergyModel {
     l1i: CacheEnergyModel,
     l1d: CacheEnergyModel,
     l2: CacheEnergyModel,
-    include_leakage: bool,
 }
 
 impl EnergyModel {
@@ -101,31 +100,12 @@ impl EnergyModel {
             l1d: CacheEnergyModel::new(config.l1d, PrechargePolicy::AllEnabled, tech)
                 .with_extra_tag_bits(overhead.l1d_bits),
             l2: CacheEnergyModel::new(config.l2, PrechargePolicy::AccessedOnly, tech),
-            include_leakage: true,
         }
-    }
-
-    /// Overrides the processor energy parameters.
-    pub fn with_params(mut self, params: ProcessorEnergyParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Enables or disables leakage accounting (the paper focuses on switching
-    /// energy; leakage is kept small but non-zero by default).
-    pub fn with_leakage(mut self, include: bool) -> Self {
-        self.include_leakage = include;
-        self
     }
 
     /// The L1 d-cache energy model.
     pub fn l1d_model(&self) -> &CacheEnergyModel {
         &self.l1d
-    }
-
-    /// The L1 i-cache energy model.
-    pub fn l1i_model(&self) -> &CacheEnergyModel {
-        &self.l1i
     }
 
     /// Computes the per-structure energy of one simulation.
@@ -173,13 +153,11 @@ impl EnergyModel {
 
         let memory_pj = snapshot.stats.memory_accesses as f64 * p.memory_access_pj;
 
-        let leakage_pj = if self.include_leakage {
-            self.l1i.leakage_energy_pj(&snapshot.l1i, result.cycles)
-                + self.l1d.leakage_energy_pj(&snapshot.l1d, result.cycles)
-                + self.l2.leakage_energy_pj(&snapshot.l2, result.cycles)
-        } else {
-            0.0
-        };
+        // The paper focuses on switching energy; leakage is small but
+        // always charged.
+        let leakage_pj = self.l1i.leakage_energy_pj(&snapshot.l1i, result.cycles)
+            + self.l1d.leakage_energy_pj(&snapshot.l1d, result.cycles)
+            + self.l2.leakage_energy_pj(&snapshot.l2, result.cycles);
 
         EnergyBreakdown {
             l1i_pj,
@@ -221,7 +199,20 @@ mod tests {
         assert!(b.l2_pj > 0.0);
         assert!(b.core_pj > 0.0);
         assert!(b.clock_pj > 0.0);
+        assert!(b.leakage_pj > 0.0);
         assert!(b.total_pj() > b.l1d_pj);
+    }
+
+    #[test]
+    fn leakage_adds_to_the_total() {
+        let (result, hierarchy) = simulate("ammp", 10_000);
+        let model = EnergyModel::for_hierarchy(&HierarchyConfig::base());
+        let b = model.breakdown(&result, &hierarchy);
+        let dynamic_only = EnergyBreakdown {
+            leakage_pj: 0.0,
+            ..b
+        };
+        assert!(b.total_pj() > dynamic_only.total_pj());
     }
 
     #[test]
@@ -249,18 +240,6 @@ mod tests {
             (0.10..=0.24).contains(&i_mean),
             "mean i-cache energy fraction {i_mean} outside the calibration band"
         );
-    }
-
-    #[test]
-    fn leakage_toggle_changes_total() {
-        let (result, hierarchy) = simulate("ammp", 10_000);
-        let with = EnergyModel::for_hierarchy(&HierarchyConfig::base());
-        let without = EnergyModel::for_hierarchy(&HierarchyConfig::base()).with_leakage(false);
-        assert!(
-            with.breakdown(&result, &hierarchy).total_pj()
-                > without.breakdown(&result, &hierarchy).total_pj()
-        );
-        assert_eq!(without.breakdown(&result, &hierarchy).leakage_pj, 0.0);
     }
 
     #[test]

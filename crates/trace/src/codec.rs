@@ -30,9 +30,14 @@
 //! There is one save and one open, both routing every filesystem operation
 //! through an [`IoPolicy`]: [`save_source`] drains any [`TraceSource`] to a
 //! file atomically without holding the full record array, and
-//! [`TraceFileSource::open_with`] replays a file chunk by chunk (including
-//! serving only a leading prefix of a longer file), with one decoded chunk
-//! resident.
+//! [`TraceFileSource::open_with`] replays a file chunk by chunk (or only a
+//! leading prefix of it), with one decoded chunk resident. The experiment
+//! trace store keys entries by their exact total and always replays a whole
+//! file.
+//!
+//! The atomic save writes a temp file unique to the writer and renames it
+//! into place, so any number of threads or processes may save one path at
+//! once: the path holds one writer's whole file, never a torn mix.
 
 use std::fmt;
 use std::fs::File;
@@ -318,11 +323,11 @@ impl<R: Read> ChunkedTraceReader<R> {
 /// A [`TraceSource`] replaying a persisted trace chunk by chunk from disk,
 /// keeping one decoded chunk resident — and serving it as sub-slices of the
 /// reader's decode buffer, so records reach the engines in one decode pass
-/// with no staging copy. Opening with a `take` shorter than the file is
-/// chunk-granular prefix serving — decoding stops with the chunk that
+/// with no staging copy. Opening with a `take` shorter than the file serves
+/// only that prefix, chunk-granular — decoding stops with the chunk that
 /// covers the request, so corruption *beyond* the prefix is never even
-/// read; this is how the experiment trace store serves a short trace
-/// request from a longer persisted entry.
+/// read. The experiment trace store does not use prefixes: it opens each
+/// entry for exactly the total the entry was saved with.
 ///
 /// The pull interface has no error channel, so a decode failure mid-stream
 /// (a truncated or corrupted store entry) is recorded in

@@ -403,13 +403,6 @@ impl IoPolicy {
         File::create(path)
     }
 
-    /// Creates a file that must not yet exist ([`IoOp::Open`]) — the
-    /// advisory-lock acquisition primitive.
-    pub fn create_new(&self, path: &Path) -> io::Result<File> {
-        self.check(IoOp::Open)?;
-        File::options().write(true).create_new(true).open(path)
-    }
-
     /// Renames a file ([`IoOp::Rename`]).
     pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.check(IoOp::Rename)?;

@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use rescache_core::{
         CachePoint, ConfigSpace, CoreError, DynamicController, DynamicParams, Organization,
-        ResizableCacheSide, ResizeDecision, StaticSearch, SystemConfig,
+        ResizableCacheSide, ResizeDecision, SystemConfig,
     };
     pub use rescache_cpu::{CpuConfig, EngineKind, NoopHook, SimHook, SimResult, Simulator};
     pub use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel};

@@ -886,7 +886,7 @@ fn multi_process_servers_share_one_store() {
     std::fs::create_dir_all(&dir).expect("create shared store directory");
 
     // Two *processes* (not threads) serving over one RESCACHE_TRACE_DIR,
-    // coordinated only through the store's entry locks.
+    // sharing entries only through the store's atomic saves.
     let exe = std::env::current_exe().expect("test binary path");
     let port_file = |i: usize| {
         std::env::temp_dir().join(format!(
