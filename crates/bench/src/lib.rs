@@ -19,8 +19,8 @@ use rescache_core::{Knobs, Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
 /// The configuration every figure bench runs: the paper-quality
-/// configuration with the length, seed, interval and objective knobs
-/// applied (see [`knobs`]).
+/// configuration with the length, seed and interval knobs applied (see
+/// [`knobs`]).
 pub fn bench_config() -> RunnerConfig {
     knobs().runner_config(RunnerConfig::paper())
 }

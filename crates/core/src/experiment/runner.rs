@@ -31,14 +31,6 @@ pub struct RunnerConfig {
     /// format, so this field has one value; it stays because the standalone
     /// benchmark (`perfbench/src/layers.rs`) reads it.
     pub trace_format: TraceFormat,
-    /// The scalar objective the best-configuration searches minimise and the
-    /// dynamic controller steers by. EDP (the default) reproduces the paper;
-    /// the latency-first objectives re-rank the same measurements and fold
-    /// delayed hits into the controller's interval signal. Not part of the
-    /// simulation memo key: only *static* runs are memoized, and like the
-    /// tag-bit overheads the objective never changes what a static
-    /// simulation measures — only which measurement a search keeps.
-    pub objective: Objective,
 }
 
 impl RunnerConfig {
@@ -50,7 +42,6 @@ impl RunnerConfig {
             trace_seed: 42,
             dynamic_interval: 8_192,
             trace_format: TraceFormat::default(),
-            objective: Objective::Edp,
         }
     }
 
@@ -62,14 +53,7 @@ impl RunnerConfig {
             trace_seed: 42,
             dynamic_interval: 256,
             trace_format: TraceFormat::default(),
-            objective: Objective::Edp,
         }
-    }
-
-    /// Returns this configuration with the given search objective.
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
     }
 }
 
@@ -113,7 +97,8 @@ impl Measurement {
         EnergyDelay::new(self.energy_pj, self.cycles)
     }
 
-    /// This measurement's score under `objective` (smaller is better).
+    /// This measurement's score under `objective` (smaller is better); the
+    /// searches rank by [`EnergyDelay::product`] directly.
     pub fn score(&self, objective: Objective) -> f64 {
         objective.score(&self.energy_delay())
     }
@@ -155,15 +140,13 @@ impl RunSetup {
     }
 }
 
-/// The first of the lowest-scoring `(key, measurement)` pairs under
-/// `objective` (`None` when `evaluated` is empty).
-pub(crate) fn best_under<T: Copy>(
-    evaluated: &[(T, Measurement)],
-    objective: Objective,
-) -> Option<(T, Measurement)> {
+/// The first of the `(key, measurement)` pairs with the lowest energy-delay
+/// product (`None` when `evaluated` is empty).
+pub(crate) fn best_under<T: Copy>(evaluated: &[(T, Measurement)]) -> Option<(T, Measurement)> {
+    let edp = |m: &Measurement| m.energy_delay().product();
     evaluated
         .iter()
-        .min_by(|a, b| a.1.score(objective).total_cmp(&b.1.score(objective)))
+        .min_by(|a, b| edp(&a.1).total_cmp(&edp(&b.1)))
         .copied()
 }
 
@@ -195,7 +178,7 @@ pub struct StaticOutcome {
     pub base: Measurement,
     /// Every offered point and its measurement, largest point first.
     pub evaluated: Vec<(CachePoint, Measurement)>,
-    /// The minimum-objective choice (EDP under the default objective).
+    /// The minimum-EDP choice.
     pub best: BestSummary,
 }
 
@@ -208,7 +191,7 @@ pub struct DynamicOutcome {
     pub base: Measurement,
     /// Every candidate parameter set and its measurement.
     pub candidates: Vec<(DynamicParams, Measurement)>,
-    /// The minimum-objective choice (EDP under the default objective).
+    /// The minimum-EDP choice.
     pub best: BestSummary,
 }
 
@@ -323,7 +306,8 @@ impl Runner {
                 &mut NoopHook,
             ),
             Some((side, space, params)) => {
-                let mut controller = self.controller(side, space, params);
+                let mut controller = DynamicController::new(side, space, params)
+                    .expect("dynamic parameters validated by the caller");
                 Self::simulate(
                     &mut source,
                     regions,
@@ -343,18 +327,6 @@ impl Runner {
             self.config.warmup_instructions,
             self.config.measure_instructions,
         )
-    }
-
-    /// A fresh dynamic controller steering by this runner's objective.
-    fn controller(
-        &self,
-        side: ResizableCacheSide,
-        space: ConfigSpace,
-        params: DynamicParams,
-    ) -> DynamicController {
-        DynamicController::new(side, space, params)
-            .expect("dynamic parameters validated by the caller")
-            .with_objective(self.config.objective)
     }
 
     /// The one experiment sequence every run takes: build a hierarchy with
@@ -600,7 +572,8 @@ impl Runner {
         let sim = self.store.replay(app, &self.config, |source| {
             // A fresh controller per attempt: a retried run must not see the
             // aborted attempt's interval state.
-            let mut controller = self.controller(side, space.clone(), params);
+            let mut controller = DynamicController::new(side, space.clone(), params)
+                .expect("dynamic parameters validated by the caller");
             if let Some(sink) = sink {
                 controller = controller.with_decision_sink(sink.clone());
             }
@@ -678,8 +651,8 @@ impl Runner {
             (*point, measurement)
         });
 
-        let (best_point, best_measurement) = best_under(&evaluated, self.config.objective)
-            .expect("config spaces offer at least two points");
+        let (best_point, best_measurement) =
+            best_under(&evaluated).expect("config spaces offer at least two points");
 
         let best = self.summarise(&base, Some(best_point), best_measurement, side, system);
         Ok(StaticOutcome {
@@ -751,7 +724,7 @@ impl Runner {
 
         // Candidates over the requested bounds, snapped to offered
         // capacities (unreachable floors would waste or break simulations).
-        let params = DynamicParams::candidates_for_space(
+        let params = DynamicParams::candidates(
             self.config.dynamic_interval,
             base_miss_ratio,
             &space,
@@ -765,7 +738,7 @@ impl Runner {
         });
 
         let (_, best_measurement) =
-            best_under(&candidates, self.config.objective).expect("at least one dynamic candidate");
+            best_under(&candidates).expect("at least one dynamic candidate");
 
         let best = self.summarise(&base, None, best_measurement, side, system);
         Ok(DynamicOutcome {
@@ -898,11 +871,8 @@ mod tests {
     fn best_under_picks_the_minimum() {
         // The minimum wins wherever it sits.
         let evaluated = [5, 3, 1, 4].map(|c| (c, measured(1.0, c)));
-        assert_eq!(
-            best_under(&evaluated, Objective::Delay).map(|b| b.0),
-            Some(1)
-        );
-        assert_eq!(best_under::<u64>(&[], Objective::Edp), None);
+        assert_eq!(best_under(&evaluated).map(|b| b.0), Some(1));
+        assert_eq!(best_under::<u64>(&[]), None);
     }
 
     #[test]
@@ -910,25 +880,22 @@ mod tests {
         // Equal scores keep the first point: the largest cache, since
         // configuration spaces list the full size first.
         let tied = [32, 16, 8, 4].map(|kib| (kib, measured(2.0, 1_000)));
-        assert_eq!(best_under(&tied, Objective::Edp).map(|b| b.0), Some(32));
+        assert_eq!(best_under(&tied).map(|b| b.0), Some(32));
     }
 
     #[test]
-    fn best_under_reranks_the_same_measurements_by_objective() {
-        // Smaller caches spend less energy but more cycles: EDP trades the
-        // slowdown for the saving, pure delay keeps the full size, and the
-        // EDP score is the energy-delay product bit for bit.
+    fn best_under_ranks_by_the_energy_delay_product() {
+        // Smaller caches spend less energy but more cycles: the
+        // energy-delay product trades the slowdown for the saving, so the
+        // smallest cache wins although the full size is the fastest.
         let sized = [32u32, 16, 8, 4].map(|kib| {
             let cycles = 1_000_000 + 50_000 * u64::from(32 / kib);
             (kib, measured(f64::from(kib), cycles))
         });
-        let edp = best_under(&sized, Objective::Edp).expect("non-empty");
-        let delay = best_under(&sized, Objective::Delay).expect("non-empty");
-        assert_eq!((edp.0, delay.0), (4, 32));
-        assert_eq!(
-            edp.1.score(Objective::Edp).to_bits(),
-            edp.1.energy_delay().product().to_bits()
-        );
+        let (kib, best) = best_under(&sized).expect("non-empty");
+        assert_eq!(kib, 4);
+        let edp = |m: &Measurement| m.energy_delay().product();
+        assert!(sized.iter().all(|(_, m)| edp(&best) <= edp(m)));
     }
 
     #[test]

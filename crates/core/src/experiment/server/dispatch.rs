@@ -49,7 +49,7 @@ fn serve(runner: &Runner, request: &Json, id: &Json, conn: &mut Conn) -> Result<
             return Ok(Flow::Shutdown);
         }
         verb @ ("point" | "sweep" | "dynamic") => {
-            let target = parse_target(request, runner.config().objective)?;
+            let target = parse_target(request)?;
             match verb {
                 "point" => {
                     // One simulation (the baseline when `sets`/`ways` are
@@ -102,7 +102,7 @@ fn run_point(runner: &Runner, target: &Target, point: Option<CachePoint>) -> Mea
 /// threads sharing one atomic cursor, streams each `kind:"result"` line as
 /// its simulation completes (coalescing with every concurrent request
 /// through the tier memos), then writes the `kind:"done"` summary with the
-/// best point under the request's objective (EDP by default).
+/// minimum-EDP point.
 ///
 /// Before each result line the connection is polled without waiting (see
 /// `Conn::poll_line`): a `cancel` naming this sweep's id stops the shared
@@ -181,9 +181,9 @@ fn serve_sweep(runner: &Runner, id: &Json, target: &Target, conn: &mut Conn) -> 
             Ok(Flow::Continue)
         }
         None => {
-            let best = best_under(&evaluated, target.objective)
+            let best = best_under(&evaluated)
                 .ok_or_else(|| Stop::refuse("configuration space was empty"))?;
-            let done = sweep_done_line(id, evaluated.len(), target.objective, best, &base);
+            let done = sweep_done_line(id, evaluated.len(), best, &base);
             conn.send(&done)?;
             Ok(Flow::Continue)
         }
@@ -234,28 +234,16 @@ fn serve_dynamic(
     let params = DynamicParams::new(interval, miss_bound, size_bound)
         .map_err(|e| Stop::out_of_range(e.to_string()))?;
     let setup = RunSetup::dynamic(target.side, space, params);
-    // The controller steers by the runner's configured objective; a
-    // per-request objective therefore runs through a runner clone over the
-    // *same* store (traces still shared, health still aggregated).
-    let observer = if target.objective == runner.config().objective {
-        runner.clone()
-    } else {
-        Runner::with_store(
-            runner.config().with_objective(target.objective),
-            runner.trace_store().clone(),
-        )
-    };
 
     let (tx, rx) = mpsc::channel::<ResizeDecision>();
     let mut decisions = 0u64;
     let mut write_error: Option<std::io::Error> = None;
     let outcome = std::thread::scope(|scope| {
-        let observer = &observer;
         let setup = &setup;
         let sim = scope.spawn(move || {
             // `tx` moves in and drops when the run completes, which is what
             // ends the drain loop below.
-            observer.run_dynamic_observed(&target.app, &target.system, setup, Some(&tx))
+            runner.run_dynamic_observed(&target.app, &target.system, setup, Some(&tx))
         });
         for decision in &rx {
             if write_error.is_some() {

@@ -55,17 +55,15 @@
 //! | `{"req":"ping"}` | `{"ok":true,"kind":"pong"}` |
 //! | `{"req":"health"}` | one `kind:"health"` line with the tier's [`StoreHealth`](crate::experiment::StoreHealth) counters plus the server's open-connection count |
 //! | `{"req":"point","app":"ammp","sets":64,"ways":2}` | one `kind:"result"` line with the measurement |
-//! | `{"req":"sweep","app":"ammp","org":"selective_sets"}` | one `kind:"result"` line per point *as each completes*, then a `kind:"done"` summary with the objective's best point |
+//! | `{"req":"sweep","app":"ammp","org":"selective_sets"}` | one `kind:"result"` line per point *as each completes*, then a `kind:"done"` summary with the minimum-EDP point |
 //! | `{"req":"cancel","id":3}` | stops the in-flight sweep with that id on this connection; the sweep answers with a `kind:"cancelled"` line counting the points actually evaluated |
 //! | `{"req":"dynamic","app":"ammp"}` | `kind:"resize"` lines streamed as the controller decides, then a `kind:"done"` line with the dynamic measurement |
 //! | `{"req":"shutdown"}` | `{"ok":true,"kind":"bye"}`, then the whole server drains and exits |
 //!
 //! `point`, `sweep` and `dynamic` accept optional `"system"` (`"base"`
 //! default, `"in_order"`), `"side"` (`"data"` default, `"instruction"`),
-//! `"org"` (`"selective_sets"` default, `"selective_ways"`, `"hybrid"`) and
-//! `"objective"` (`"edp"`, `"ed2p"`, `"delay"`; defaults to the runner's
-//! configured objective); `point`
-//! omitting `sets`/`ways` measures the full-size baseline. `dynamic`
+//! `"org"` (`"selective_sets"` default, `"selective_ways"`, `"hybrid"`);
+//! `point` omitting `sets`/`ways` measures the full-size baseline. `dynamic`
 //! additionally accepts `"interval"` (accesses; defaults to the runner's
 //! `dynamic_interval`), `"miss_bound"` (defaults to the baseline's
 //! per-interval miss count, as the profiling candidates derive it) and
@@ -73,12 +71,13 @@
 //! smallest). Applications resolve through
 //! [`spec::profile`](rescache_trace::spec::profile) first, then the
 //! [`WorkloadRegistry`](rescache_trace::WorkloadRegistry) scenario names.
-//! Every `kind:"result"` line carries a `"latency"` block (delayed-hit
-//! counts and mean stall cycles) next to the energy numbers, and a sweep's
-//! `kind:"done"` summary names the objective that ranked its best point. For `dynamic`, the objective
-//! also steers the controller's interval signal (a latency-first objective
-//! counts delayed hits as upsizing pressure). Every simulated system uses
-//! the paper's LRU replacement.
+//! A simulation request carrying any other field is refused with
+//! `unknown field "<key>"`. Every configuration is ranked by its
+//! energy-delay product: a sweep's `kind:"done"` summary names the
+//! minimum-EDP point and its `best_score` (that EDP). Every `kind:"result"`
+//! line carries a `"latency"` block (delayed-hit counts and mean stall
+//! cycles) next to the energy numbers. Every simulated system uses the
+//! paper's LRU replacement.
 //!
 //! # Layers
 //!
@@ -323,10 +322,8 @@ impl SweepServer {
 mod tests {
     use std::io::{BufRead, Write};
 
-    use rescache_energy::Objective;
-
     use super::connection::{Conn, LineOutcome, LineReader};
-    use super::protocol::parse_target;
+    use super::protocol::{parse_target, Stop};
     use super::*;
     use crate::json::Json;
     use crate::org::Organization;
@@ -488,25 +485,20 @@ mod tests {
     #[test]
     fn parse_target_resolves_defaults_and_rejects_unknowns() {
         let ok = Json::parse(r#"{"req":"sweep","app":"ammp"}"#).unwrap();
-        let target = parse_target(&ok, Objective::Edp).expect("defaults apply");
+        let target = parse_target(&ok).expect("defaults apply");
         assert_eq!(target.app.name, "ammp");
         assert_eq!(target.organization, Organization::SelectiveSets);
         assert_eq!(target.side, ResizableCacheSide::Data);
-        assert_eq!(target.objective, Objective::Edp);
-        // The runner's configured objective is the default the request
-        // inherits when it names none.
-        let target = parse_target(&ok, Objective::Delay).expect("defaults apply");
-        assert_eq!(target.objective, Objective::Delay);
 
+        // Every listed field is accepted, whichever verb reads it.
         let scenario = Json::parse(
-            r#"{"app":"pointer_chase","org":"hybrid","side":"instruction","system":"in_order","objective":"ed2p"}"#,
+            r#"{"req":"dynamic","id":7,"app":"pointer_chase","org":"hybrid","side":"instruction","system":"in_order","sets":64,"ways":2,"interval":512,"miss_bound":3,"size_bound":4096}"#,
         )
         .unwrap();
-        let target = parse_target(&scenario, Objective::Edp).expect("registry workloads resolve");
+        let target = parse_target(&scenario).expect("registry workloads resolve");
         assert_eq!(target.app.name, "pointer_chase");
         assert_eq!(target.organization, Organization::Hybrid);
         assert_eq!(target.side, ResizableCacheSide::Instruction);
-        assert_eq!(target.objective, Objective::Ed2p);
 
         for bad in [
             r#"{"req":"sweep"}"#,
@@ -515,9 +507,17 @@ mod tests {
             r#"{"app":"ammp","side":"bogus"}"#,
             r#"{"app":"ammp","system":"bogus"}"#,
             r#"{"app":"ammp","objective":"bogus"}"#,
+            r#"{"app":"ammp","objective":"edp"}"#,
         ] {
             let request = Json::parse(bad).unwrap();
-            assert!(parse_target(&request, Objective::Edp).is_err(), "{bad}");
+            assert!(parse_target(&request).is_err(), "{bad}");
+        }
+        let request = Json::parse(r#"{"app":"ammp","objective":"edp"}"#).unwrap();
+        match parse_target(&request) {
+            Err(Stop::Refuse { message, .. }) => {
+                assert_eq!(message, r#"unknown field "objective""#)
+            }
+            _ => panic!("an unknown field is refused by name"),
         }
     }
 }

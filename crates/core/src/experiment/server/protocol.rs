@@ -2,7 +2,6 @@
 //! lines. Nothing here touches a socket or runs a simulation; every `ok`
 //! line goes through [`ok_line`] and every refusal through [`error_line`].
 
-use rescache_energy::Objective;
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
 use crate::experiment::runner::Measurement;
@@ -55,13 +54,34 @@ pub(super) struct Target {
     pub(super) system: SystemConfig,
     pub(super) organization: Organization,
     pub(super) side: ResizableCacheSide,
-    pub(super) objective: Objective,
 }
 
-/// Resolves a request's simulation target, refusing anything
-/// unresolvable. `default_objective` is the runner's configured objective;
-/// a request's `"objective"` field overrides it for that request only.
-pub(super) fn parse_target(request: &Json, default_objective: Objective) -> Result<Target, Stop> {
+/// Every field a simulation request (`point`, `sweep`, `dynamic`) may carry.
+const TARGET_FIELDS: [&str; 11] = [
+    "req",
+    "id",
+    "app",
+    "system",
+    "org",
+    "side",
+    "sets",
+    "ways",
+    "interval",
+    "miss_bound",
+    "size_bound",
+];
+
+/// Resolves a request's simulation target, refusing any field outside
+/// [`TARGET_FIELDS`] and anything unresolvable.
+pub(super) fn parse_target(request: &Json) -> Result<Target, Stop> {
+    if let Json::Obj(pairs) = request {
+        if let Some((key, _)) = pairs
+            .iter()
+            .find(|(k, _)| !TARGET_FIELDS.contains(&k.as_str()))
+        {
+            return Err(Stop::refuse(format!("unknown field {key:?}")));
+        }
+    }
     let name = request
         .get("app")
         .and_then(Json::as_str)
@@ -91,17 +111,11 @@ pub(super) fn parse_target(request: &Json, default_objective: Objective) -> Resu
         Some("instruction") => ResizableCacheSide::Instruction,
         Some(other) => return Err(unknown("side", other, "data or instruction")),
     };
-    let objective = match request.get("objective").and_then(Json::as_str) {
-        None => default_objective,
-        Some(tag) => Objective::from_tag(tag)
-            .ok_or_else(|| unknown("objective", tag, "edp, ed2p or delay"))?,
-    };
     Ok(Target {
         app,
         system,
         organization,
         side,
-        objective,
     })
 }
 
@@ -249,13 +263,12 @@ pub(super) fn health_line(id: &Json, health: &StoreHealth, open_connections: usi
     )
 }
 
-/// A finished sweep's `kind:"done"` summary: the best of `points`
-/// evaluated points under `objective`, and its EDP reduction against the
-/// full-size `base`.
+/// A finished sweep's `kind:"done"` summary: the minimum-EDP point of
+/// `points` evaluated points, and its EDP reduction against the full-size
+/// `base`.
 pub(super) fn sweep_done_line(
     id: &Json,
     points: usize,
-    objective: Objective,
     (best_point, best): (CachePoint, Measurement),
     base: &Measurement,
 ) -> Json {
@@ -265,9 +278,8 @@ pub(super) fn sweep_done_line(
         "done",
         [
             ("points", Json::Num(points as f64)),
-            ("objective", Json::Str(objective.tag().into())),
             ("best", point_json(best_point)),
-            ("best_score", Json::Num(best.score(objective))),
+            ("best_score", Json::Num(best.energy_delay().product())),
             ("edp_reduction_percent", Json::Num(reduction)),
         ],
     )
@@ -323,14 +335,12 @@ pub(super) fn dynamic_done_line(
         id,
         "done",
         [
-            ("objective", Json::Str(target.objective.tag().into())),
             ("resizes", Json::Num(resizes as f64)),
             ("decisions", Json::Num(decisions as f64)),
             ("cycles", Json::Num(m.cycles as f64)),
             ("ipc", Json::Num(m.ipc)),
             ("energy_pj", Json::Num(m.energy_pj)),
             ("edp", Json::Num(m.energy_delay().product())),
-            ("score", Json::Num(m.score(target.objective))),
             ("mean_bytes", Json::Num(mean_bytes)),
             ("edp_reduction_percent", Json::Num(reduction)),
             (

@@ -4,9 +4,8 @@
 //! Parsing is pure — [`Knobs::parse`] takes a lookup function, so tests
 //! never touch the process environment — and [`Knobs::resolved`] applies it
 //! to the real environment once per process. A malformed value (not an
-//! unsigned integer, `0` where only a positive count makes sense, an unknown
-//! objective tag, a fault spec [`FaultSpec::parse`] rejects, or a
-//! set-but-empty value) is a [`CoreError::InvalidParameter`] naming the
+//! unsigned integer, `0` where only a positive count makes sense, a fault
+//! spec [`FaultSpec::parse`] rejects, or a set-but-empty value) is a [`CoreError::InvalidParameter`] naming the
 //! variable; nothing is silently defaulted.
 //!
 //! Entry points that can report errors (the figure benches, the `serve`
@@ -20,7 +19,6 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
-use rescache_energy::Objective;
 use rescache_trace::{FaultInjector, FaultSpec, IoPolicy};
 
 use crate::error::CoreError;
@@ -40,9 +38,6 @@ pub struct Knobs {
     /// `RESCACHE_INTERVAL`: dynamic-controller interval in cache accesses
     /// (positive).
     pub interval: Option<u64>,
-    /// `RESCACHE_OBJECTIVE`: the searches' objective (`edp`, `ed2p`,
-    /// `delay`).
-    pub objective: Option<Objective>,
     /// `RESCACHE_THREADS`: parallel-sweep worker count (positive; capped
     /// at 512 when resolved; host parallelism when unset).
     pub threads: Option<usize>,
@@ -74,11 +69,6 @@ impl Knobs {
             measure: vars.number("RESCACHE_MEASURE")?,
             seed: vars.number("RESCACHE_SEED")?,
             interval: vars.positive("RESCACHE_INTERVAL")?,
-            objective: vars.tag(
-                "RESCACHE_OBJECTIVE",
-                Objective::from_tag,
-                "edp, ed2p or delay",
-            )?,
             threads: vars.positive("RESCACHE_THREADS")?,
             trace_dir: vars.value("RESCACHE_TRACE_DIR")?.map(PathBuf::from),
             resident_traces: vars.positive("RESCACHE_RESIDENT_TRACES")?,
@@ -108,15 +98,13 @@ impl Knobs {
             .map_err(Clone::clone)
     }
 
-    /// `base` with the set length, seed, interval and objective knobs
-    /// applied.
+    /// `base` with the set length, seed and interval knobs applied.
     pub fn runner_config(&self, base: RunnerConfig) -> RunnerConfig {
         RunnerConfig {
             warmup_instructions: self.warmup.unwrap_or(base.warmup_instructions),
             measure_instructions: self.measure.unwrap_or(base.measure_instructions),
             trace_seed: self.seed.unwrap_or(base.trace_seed),
             dynamic_interval: self.interval.unwrap_or(base.dynamic_interval),
-            objective: self.objective.unwrap_or(base.objective),
             ..base
         }
     }
@@ -199,17 +187,6 @@ impl<F: Fn(&str) -> Option<String>> Vars<F> {
             n => Ok(n),
         }
     }
-
-    fn tag<T>(
-        &self,
-        name: &'static str,
-        from_tag: fn(&str) -> Option<T>,
-        want: &str,
-    ) -> Result<Option<T>, CoreError> {
-        self.get(name, |v| {
-            from_tag(v).ok_or_else(|| format!("unknown {v:?} (want {want})"))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +208,6 @@ mod tests {
             measure: None,
             seed: None,
             interval: None,
-            objective: None,
             threads: None,
             trace_dir: None,
             resident_traces: None,
@@ -247,7 +223,7 @@ mod tests {
             knobs
         };
         // (variable, valid setting, what it parses to, malformed settings)
-        let table: [(&str, &str, Knobs, &[&str]); 11] = [
+        let table: [(&str, &str, Knobs, &[&str]); 10] = [
             (
                 "RESCACHE_WARMUP",
                 "5000",
@@ -271,12 +247,6 @@ mod tests {
                 "512",
                 with(&|k| k.interval = Some(512)),
                 &["", "0", "abc"],
-            ),
-            (
-                "RESCACHE_OBJECTIVE",
-                "ed2p",
-                with(&|k| k.objective = Some(Objective::Ed2p)),
-                &["", "mips", "EDP"],
             ),
             (
                 "RESCACHE_THREADS",
@@ -356,14 +326,11 @@ mod tests {
     fn runner_config_applies_only_the_set_knobs() {
         let base = RunnerConfig::fast();
         assert_eq!(parse(&[]).expect("defaults").runner_config(base), base);
-        let knobs = parse(&[
-            ("RESCACHE_MEASURE", "1234"),
-            ("RESCACHE_OBJECTIVE", "delay"),
-        ])
-        .expect("valid knobs");
+        let knobs = parse(&[("RESCACHE_MEASURE", "1234"), ("RESCACHE_INTERVAL", "512")])
+            .expect("valid knobs");
         let config = knobs.runner_config(base);
         assert_eq!(config.measure_instructions, 1234);
-        assert_eq!(config.objective, Objective::Delay);
+        assert_eq!(config.dynamic_interval, 512);
         assert_eq!(config.warmup_instructions, base.warmup_instructions);
         assert_eq!(config.trace_seed, base.trace_seed);
     }

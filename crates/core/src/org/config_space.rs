@@ -155,7 +155,7 @@ impl ConfigSpace {
     /// that fall between the same pair of offered sizes behave identically —
     /// and a bound above the full capacity would be rejected outright by
     /// [`crate::strategy::DynamicController::new`]; snapping makes both
-    /// cases explicit (see `DynamicParams::candidates_for_space`).
+    /// cases explicit (see `DynamicParams::candidates`).
     pub fn snap_size_bound(&self, bytes: u64) -> u64 {
         self.sizes_bytes()[self.index_of_at_least(bytes)]
     }

@@ -4,7 +4,6 @@ use std::sync::mpsc;
 
 use rescache_cache::MemoryHierarchy;
 use rescache_cpu::SimHook;
-use rescache_energy::Objective;
 
 use crate::error::CoreError;
 use crate::org::{CachePoint, ConfigSpace};
@@ -53,50 +52,6 @@ impl DynamicParams {
         })
     }
 
-    /// Profiling candidates derived from the behaviour of the full-size
-    /// cache: miss-bounds at several multiples of the observed miss rate,
-    /// with the size floor at the smallest offered size.
-    ///
-    /// `base_miss_ratio` is the miss ratio of the non-resizable cache;
-    /// multiplying by the interval length turns it into a per-interval miss
-    /// count.
-    pub fn candidates(
-        interval_accesses: u64,
-        base_miss_ratio: f64,
-        space: &ConfigSpace,
-    ) -> Vec<DynamicParams> {
-        Self::candidates_for_space(
-            interval_accesses,
-            base_miss_ratio,
-            space,
-            &[space.min_bytes()],
-        )
-    }
-
-    /// Profiling candidates over requested size-bounds, validated against
-    /// the organization's offered configuration space.
-    ///
-    /// Every requested bound is snapped to the capacity the controller would
-    /// actually floor at ([`ConfigSpace::snap_size_bound`]): a bound between
-    /// two offered sizes rounds up to the next offered size, and a bound
-    /// beyond the full capacity clamps to the full size, instead of silently
-    /// sweeping an unreachable floor (which previously either duplicated a
-    /// neighbouring candidate's simulation or made [`DynamicController::new`]
-    /// reject the parameters outright). Bounds that snap to the same
-    /// capacity collapse to one candidate.
-    pub fn candidates_for_space(
-        interval_accesses: u64,
-        base_miss_ratio: f64,
-        space: &ConfigSpace,
-        size_bounds: &[u64],
-    ) -> Vec<DynamicParams> {
-        let snapped: Vec<u64> = size_bounds
-            .iter()
-            .map(|b| space.snap_size_bound(*b))
-            .collect();
-        Self::candidates_with_bounds(interval_accesses, base_miss_ratio, &snapped)
-    }
-
     /// The non-resizable cache's miss count per interval of
     /// `interval_accesses` at `base_miss_ratio` (floored at a 10⁻⁴ ratio),
     /// rounded up: the anchor the profiling candidates scale their
@@ -105,20 +60,30 @@ impl DynamicParams {
         (base_miss_ratio.max(1e-4) * interval_accesses as f64).ceil()
     }
 
-    /// Profiling candidates over an explicit set of size-bounds.
+    /// Profiling candidates: every requested size-bound crossed with
+    /// miss-bounds at several multiples of the full-size cache's observed
+    /// per-interval miss count.
     ///
-    /// The paper extracts both the miss-bound and the size-bound offline
-    /// through profiling; the experiment runner passes size-bounds derived
-    /// from the static profiling result (the static best size, half of it,
-    /// and the smallest offered size) so the dynamic controller is not forced
-    /// to oscillate around sizes the application cannot live with.
-    pub fn candidates_with_bounds(
+    /// The paper extracts both bounds offline through profiling; the
+    /// experiment runner passes size-bounds derived from the static
+    /// profiling result (the static best size, half of it, and the smallest
+    /// offered size). Each bound is first snapped to the capacity the
+    /// controller would actually floor at ([`ConfigSpace::snap_size_bound`]):
+    /// a bound between two offered sizes rounds up to the next offered size
+    /// and a bound beyond the full capacity clamps to the full size, so no
+    /// candidate sweeps an unreachable floor. Bounds that snap to the same
+    /// capacity collapse to one.
+    pub fn candidates(
         interval_accesses: u64,
         base_miss_ratio: f64,
+        space: &ConfigSpace,
         size_bounds: &[u64],
     ) -> Vec<DynamicParams> {
         let base_misses = Self::interval_misses(interval_accesses, base_miss_ratio);
-        let mut bounds: Vec<u64> = size_bounds.to_vec();
+        let mut bounds: Vec<u64> = size_bounds
+            .iter()
+            .map(|b| space.snap_size_bound(*b))
+            .collect();
         bounds.sort_unstable();
         bounds.dedup();
         let mut candidates = Vec::new();
@@ -146,8 +111,7 @@ pub struct ResizeDecision {
     /// Cache accesses observed (since the last statistics reset) when the
     /// decision fired.
     pub accesses: u64,
-    /// The interval's signal count (misses under EDP; misses plus data-side
-    /// delayed hits under the latency objectives).
+    /// The interval's miss count.
     pub interval_signal: u64,
     /// The miss-bound the signal was compared against.
     pub miss_bound: u64,
@@ -170,11 +134,10 @@ pub struct DynamicController {
     side: ResizableCacheSide,
     space: ConfigSpace,
     params: DynamicParams,
-    objective: Objective,
     current: usize,
     min_index: usize,
     last_accesses: u64,
-    last_signal: u64,
+    last_misses: u64,
     resizes: u64,
     sink: Option<mpsc::Sender<ResizeDecision>>,
 }
@@ -207,27 +170,13 @@ impl DynamicController {
             side,
             space,
             params,
-            objective: Objective::Edp,
             current: 0,
             min_index,
             last_accesses: 0,
-            last_signal: 0,
+            last_misses: 0,
             resizes: 0,
             sink: None,
         })
-    }
-
-    /// Returns this controller steering by `objective`.
-    ///
-    /// Under the default EDP objective the interval signal is the cache's
-    /// miss count, exactly as before the objective existed. Under the
-    /// latency-first objectives (ED²P, delay) delayed hits on the data side
-    /// count into the signal too: a merged miss still stalls the pipeline
-    /// for its remaining fill latency, so a latency-minded controller treats
-    /// it as pressure to upsize.
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
     }
 
     /// Returns this controller streaming every resize it performs into
@@ -256,20 +205,13 @@ impl DynamicController {
         self.params
     }
 
-    /// The interval signal pair: (accesses, signal). The signal is plain
-    /// misses under EDP — bit-identical to the pre-objective controller —
-    /// and misses plus data-side delayed hits under the latency objectives.
+    /// The interval signal pair: (accesses, misses) of the resized cache.
     fn cache_counters(&self, hierarchy: &MemoryHierarchy) -> (u64, u64) {
         let stats = match self.side {
             ResizableCacheSide::Data => hierarchy.l1d().stats(),
             ResizableCacheSide::Instruction => hierarchy.l1i().stats(),
         };
-        let delayed = match (self.objective, self.side) {
-            (Objective::Edp, _) => 0,
-            (_, ResizableCacheSide::Data) => hierarchy.stats().delayed_hits,
-            (_, ResizableCacheSide::Instruction) => 0,
-        };
-        (stats.accesses, stats.misses() + delayed)
+        (stats.accesses, stats.misses())
     }
 
     fn apply_point(&mut self, index: usize, hierarchy: &mut MemoryHierarchy) {
@@ -286,19 +228,19 @@ impl DynamicController {
 
 impl SimHook for DynamicController {
     fn post_commit(&mut self, _committed: u64, _cycle: u64, hierarchy: &mut MemoryHierarchy) {
-        let (accesses, signal) = self.cache_counters(hierarchy);
+        let (accesses, misses) = self.cache_counters(hierarchy);
         if accesses < self.last_accesses {
             // Statistics were reset (end of warm-up): re-anchor the interval.
             self.last_accesses = accesses;
-            self.last_signal = signal;
+            self.last_misses = misses;
             return;
         }
         if accesses - self.last_accesses < self.params.interval_accesses {
             return;
         }
-        let interval_misses = signal - self.last_signal;
+        let interval_misses = misses - self.last_misses;
         self.last_accesses = accesses;
-        self.last_signal = signal;
+        self.last_misses = misses;
 
         let target = if interval_misses > self.params.miss_bound {
             self.current.saturating_sub(1)
@@ -424,8 +366,8 @@ mod tests {
     #[test]
     fn candidates_scale_with_the_observed_miss_ratio() {
         let s = space();
-        let low = DynamicParams::candidates(1000, 0.01, &s);
-        let high = DynamicParams::candidates(1000, 0.2, &s);
+        let low = DynamicParams::candidates(1000, 0.01, &s, &[s.min_bytes()]);
+        let high = DynamicParams::candidates(1000, 0.2, &s, &[s.min_bytes()]);
         assert_eq!(low.len(), 5);
         assert!(high[1].miss_bound > low[1].miss_bound);
         assert!(low.iter().all(|p| p.size_bound_bytes == s.min_bytes()));
@@ -434,7 +376,7 @@ mod tests {
 
     #[test]
     fn candidates_with_bounds_cover_the_cross_product() {
-        let c = DynamicParams::candidates_with_bounds(1000, 0.05, &[4 * 1024, 16 * 1024, 4 * 1024]);
+        let c = DynamicParams::candidates(1000, 0.05, &space(), &[4 * 1024, 16 * 1024, 4 * 1024]);
         // Duplicate bounds collapse: 2 bounds x 5 miss factors.
         assert_eq!(c.len(), 10);
         assert!(c.iter().any(|p| p.size_bound_bytes == 4 * 1024));
@@ -448,12 +390,7 @@ mod tests {
         // construction fail, and in-between bounds duplicated the
         // neighbouring candidate's simulation under a different label.
         let s = space(); // selective-sets 32K 2-way: 32/16/8/4/2 KiB
-        let c = DynamicParams::candidates_for_space(
-            1000,
-            0.05,
-            &s,
-            &[64 * 1024, 5 * 1024, 8 * 1024, 1],
-        );
+        let c = DynamicParams::candidates(1000, 0.05, &s, &[64 * 1024, 5 * 1024, 8 * 1024, 1]);
         // 64K clamps to 32K, 5K rounds up to 8K (collapsing with the
         // explicit 8K), 1 floors at the smallest offered 2K: 3 distinct
         // bounds x 5 miss factors.

@@ -67,54 +67,24 @@ impl EnergyDelay {
     }
 }
 
-/// The scalar objective an experiment minimises when ranking configurations.
+/// The scalar an experiment minimises when ranking configurations: the
+/// energy-delay product, the paper's metric and the only ranking.
 ///
-/// The paper's searches minimise the energy-delay product; the latency-first
-/// objectives let the same searches weigh execution time more heavily (ED²P)
-/// or exclusively (pure delay). Selection order can change; simulation
-/// results never do — the objective only scores points that were already
-/// measured.
+/// A one-variant remnant kept because the benchmark's reference checker
+/// scores points through it; new code ranks by [`EnergyDelay::product`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Objective {
-    /// Energy × delay (the paper's metric, and the default).
+    /// Energy × delay.
     #[default]
     Edp,
-    /// Energy × delay²: latency-weighted, still energy-aware.
-    Ed2p,
-    /// Delay alone: pure performance, energy ignored.
-    Delay,
 }
 
 impl Objective {
     /// The score this objective assigns to a measured point (smaller is
-    /// better). For [`Objective::Edp`] this is exactly
-    /// [`EnergyDelay::product`], so EDP-ranked searches are bit-identical to
-    /// the pre-objective code.
+    /// better): exactly [`EnergyDelay::product`].
     pub fn score(&self, point: &EnergyDelay) -> f64 {
         match self {
             Objective::Edp => point.product(),
-            Objective::Ed2p => point.product() * point.cycles as f64,
-            Objective::Delay => point.cycles as f64,
-        }
-    }
-
-    /// The objective's lower-case tag, as accepted by
-    /// [`Objective::from_tag`] and used in JSON renderings.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Objective::Edp => "edp",
-            Objective::Ed2p => "ed2p",
-            Objective::Delay => "delay",
-        }
-    }
-
-    /// Parses an objective tag (`edp`, `ed2p`, `delay`).
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "edp" => Some(Objective::Edp),
-            "ed2p" => Some(Objective::Ed2p),
-            "delay" => Some(Objective::Delay),
-            _ => None,
         }
     }
 }
@@ -167,26 +137,5 @@ mod tests {
     fn edp_score_equals_the_product() {
         let p = EnergyDelay::new(123.5, 777);
         assert_eq!(Objective::Edp.score(&p).to_bits(), p.product().to_bits());
-    }
-
-    #[test]
-    fn objectives_rank_points_differently() {
-        // A slow-but-frugal point vs a fast-but-hungry one: EDP prefers the
-        // frugal point, delay prefers the fast one, ED²P sides with delay
-        // here because the cycle gap is squared.
-        let frugal = EnergyDelay::new(50.0, 2000);
-        let fast = EnergyDelay::new(200.0, 700);
-        assert!(Objective::Edp.score(&frugal) < Objective::Edp.score(&fast));
-        assert!(Objective::Delay.score(&fast) < Objective::Delay.score(&frugal));
-        assert!(Objective::Ed2p.score(&fast) < Objective::Ed2p.score(&frugal));
-    }
-
-    #[test]
-    fn objective_tags_round_trip() {
-        for o in [Objective::Edp, Objective::Ed2p, Objective::Delay] {
-            assert_eq!(Objective::from_tag(o.tag()), Some(o));
-        }
-        assert_eq!(Objective::from_tag("mips"), None);
-        assert_eq!(Objective::default(), Objective::Edp);
     }
 }

@@ -18,10 +18,8 @@
 //! ```
 //!
 //! Or run the self-contained demo — an ephemeral server plus a scripted
-//! client exercising ping, a point, a streamed sweep (once under the
-//! default EDP objective, once re-ranked latency-first with
-//! `"objective":"delay"`), a cancelled sweep, a streamed `dynamic` run,
-//! health and shutdown:
+//! client exercising ping, a point, a streamed sweep, a cancelled sweep, a
+//! streamed `dynamic` run, health and shutdown:
 //!
 //! ```text
 //! cargo run --release --example serve -- --demo
@@ -92,19 +90,6 @@ fn demo() -> std::io::Result<()> {
             "result lines render the latency block"
         );
     }
-
-    // The same sweep re-ranked latency-first: the measurements coalesce on
-    // the tier's memos (no re-simulation), only the "done" ranking changes.
-    let delay = client.stream(
-        r#"{"req":"sweep","id":4,"app":"gcc","org":"selective_sets","objective":"delay"}"#,
-    )?;
-    let done = delay.last().expect("a terminal line");
-    assert_eq!(kind(done), "done");
-    assert_eq!(
-        done.get("objective").and_then(Json::as_str),
-        Some("delay"),
-        "the done summary names the objective that ranked it"
-    );
 
     // A cancelled sweep: the cancel rides the same pipe right behind the
     // sweep, so the server consumes it before streaming and parks the

@@ -2,7 +2,7 @@
 //!
 //! The delayed-hit classification, the MSHR issue timestamps, the fused
 //! `lookup_retire` pass and the LRU-MAD machinery were all added under the
-//! rule that **with the default policy (LRU) and the default objective
+//! rule that **with the default policy (LRU) and the energy-delay ranking
 //! (EDP) nothing observable changes**. These goldens were captured on the
 //! pre-refactor tree (warmup 6k / measure 18k, seed 42, interval 256) for
 //! four registry workloads on both engines, across a base run, a statically

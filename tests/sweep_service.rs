@@ -184,12 +184,20 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
                     r#"{{"req":"sweep","id":{id},"app":"ammp","org":"selective_sets","side":"data"}}"#
                 ));
                 let mut results = 0;
+                // Each result line's (point, edp): the done line's summary
+                // must agree with them.
+                let mut edps: Vec<(Json, f64)> = Vec::new();
                 loop {
                     let response = client.recv();
                     assert!(is_ok(&response), "{response:?}");
                     assert_eq!(response.get("id").and_then(Json::as_u64), Some(id as u64));
                     match kind(&response) {
-                        "result" => results += 1,
+                        "result" => {
+                            results += 1;
+                            let point = response.get("point").expect("result names its point");
+                            let edp = response.get("edp").and_then(Json::as_f64);
+                            edps.push((point.clone(), edp.expect("result carries its edp")));
+                        }
                         "done" => {
                             assert_eq!(
                                 response.get("points").and_then(Json::as_u64),
@@ -197,6 +205,17 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
                             );
                             let best = response.get("best").expect("done carries best point");
                             assert!(best.get("sets").and_then(Json::as_u64).is_some());
+                            let min_edp = edps.iter().map(|(_, e)| *e).fold(f64::INFINITY, f64::min);
+                            assert_eq!(
+                                response.get("best_score").and_then(Json::as_f64),
+                                Some(min_edp),
+                                "best_score is the sweep's minimum EDP: {response:?}"
+                            );
+                            assert!(
+                                edps.iter().any(|(p, e)| p == best && *e == min_edp),
+                                "best names a minimum-EDP point: {response:?}"
+                            );
+                            assert!(response.get("objective").is_none(), "{response:?}");
                             break;
                         }
                         other => panic!("unexpected response kind {other:?}: {response:?}"),
@@ -295,7 +314,7 @@ fn malformed_and_oversized_lines_get_typed_errors_and_the_connection_survives() 
         ),
         (
             r#"{"req":"sweep","id":"ten","app":"ammp","objective":"bogus"}"#,
-            "unknown objective",
+            "unknown field \"objective\"",
             None,
         ),
         (r#"{"req":"cancel","id":11}"#, "no sweep in flight", None),
