@@ -1,10 +1,11 @@
-//! Ablation studies on the design choices called out in DESIGN.md:
+//! Ablation studies of three design choices:
 //!
-//! * subarray size (the resizing granule),
-//! * the dynamic controller's interval length,
-//! * the flush cost of selective-sets resizing (by comparing resize counts
-//!   and the L2 traffic they generate),
-//! * leakage accounting on/off.
+//! * subarray size (the resizing granule), against the static
+//!   selective-sets d-cache saving,
+//! * the dynamic controller's interval length, against the dynamic saving
+//!   and the measured resize count,
+//! * the number of configurations each organization offers per
+//!   associativity.
 
 use rescache_bench::{all_apps, bench_config, bench_runner, print_header, timed};
 use rescache_cache::CacheConfig;
@@ -68,7 +69,7 @@ fn interval_sweep(apps: &[AppProfile], interval: u64) -> (f64, f64) {
 fn main() {
     print_header(
         "Ablations — subarray size, controller interval, offered-point counts",
-        "Design-choice sensitivity studies backing the discussion in DESIGN.md.",
+        "Sensitivity of the savings to the resizing granule and the controller interval.",
     );
     let runner = bench_runner();
     // A subset of applications keeps the ablation sweep affordable while

@@ -14,7 +14,7 @@
 //!
 //! Run with `cargo bench --bench sim_throughput`. Every stage reports the
 //! median, minimum and maximum of [`SAMPLES`] timed repetitions. The
-//! store-backed stages (`trace_store_load`, `dyn_streamed`) work in a
+//! store-backed stages (`trace_store_load`, `dyn_run`) work in a
 //! `rescache-bench-<stage>-<pid>` directory under the system temp directory
 //! and remove it afterwards.
 
@@ -297,16 +297,11 @@ fn bench_policy_pair() -> Vec<EngineResult> {
 }
 
 /// One dynamic-controller run (warm-up + measured region with the miss-ratio
-/// resizing hook attached), either through the classic materialized path
-/// (`Runner::run` over pre-split traces) or through the streamed store path
-/// (`Runner::run_dynamic` replaying a persisted entry chunk by chunk, with
-/// no full-length trace resident). The pair tracks what the streamed dynamic
-/// pipeline costs/saves against the in-memory replay rate.
-fn bench_dynamic(
-    name: &'static str,
-    streamed: bool,
-    health_out: &mut Option<StoreHealth>,
-) -> EngineResult {
+/// resizing hook attached) through `Runner::run_dynamic`, on a runner whose
+/// store persists to a scratch directory: the path every dynamic experiment
+/// takes. The untimed first call generates and persists the entry; the
+/// timed repetitions replay the resident trace.
+fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> EngineResult {
     let warm_len = 20_000;
     let measure_len = 80_000;
     let cfg = RunnerConfig {
@@ -316,13 +311,9 @@ fn bench_dynamic(
         dynamic_interval: 1_024,
         ..RunnerConfig::paper()
     };
-    // The materialized baseline replays resident traces; only the streamed
-    // variant needs a store directory.
-    let dir = streamed.then(|| scratch_dir(name));
-    if let Some(dir) = &dir {
-        std::fs::remove_dir_all(dir).ok();
-    }
-    let store = TraceStore::with_dir(dir.clone());
+    let dir = scratch_dir(name);
+    std::fs::remove_dir_all(&dir).ok();
+    let store = TraceStore::with_dir(Some(dir.clone()));
     let tier = store.tier().clone();
     let runner = Runner::with_store(cfg, store);
     let app = spec::su2cor();
@@ -338,25 +329,15 @@ fn bench_dynamic(
         d_tag_bits: 4,
         ..RunSetup::default()
     };
-    // `measure`'s untimed warm-up call populates the store (generate-to-disk
-    // for the streamed variant, materialize-and-memoize for the baseline),
-    // so the timed repetitions measure steady-state replay.
     let result = measure(name, (warm_len + measure_len) as u64, move || {
-        let m = if streamed {
-            runner.run_dynamic(&app, &system, &setup)
-        } else {
-            let (warm_trace, measure_trace) = runner.trace(&app);
-            runner.run(&warm_trace, &measure_trace, &system, &setup)
-        };
+        let m = runner.run_dynamic(&app, &system, &setup);
         m.l1d_resizes + m.cycles
     });
-    // The streamed stage's tier health goes into the JSON record: a bench
-    // run that quietly retried, regenerated or degraded is not measuring
-    // what it claims to measure.
+    // The stage's tier health goes into the JSON record: a bench run that
+    // quietly retried, regenerated or degraded is not measuring what it
+    // claims to measure.
     *health_out = Some(tier.health_snapshot());
-    if let Some(dir) = &dir {
-        std::fs::remove_dir_all(dir).ok();
-    }
+    std::fs::remove_dir_all(&dir).ok();
     result
 }
 
@@ -371,8 +352,8 @@ fn main() {
     println!("(median [min, max] seconds over {SAMPLES} timed repetitions per stage)");
     println!();
 
-    // Captured by the last store-backed dynamic stage (the streamed one):
-    // the shared tier's recovery counters for the whole bench run.
+    // Captured by the store-backed dynamic stage: its shared tier's
+    // recovery counters.
     let mut store_health = None;
     // Stages are pushed one at a time rather than built as one `vec![...]`
     // literal: materializing a dozen stage results as macro temporaries
@@ -387,8 +368,7 @@ fn main() {
     results.push(bench_engine("out_of_order", CpuConfig::base_out_of_order()));
     results.push(bench_gen_plus_first_sim("gen_first_sim_split", false));
     results.push(bench_gen_plus_first_sim("gen_first_sim_fused", true));
-    results.push(bench_dynamic("dyn_materialized", false, &mut store_health));
-    results.push(bench_dynamic("dyn_streamed", true, &mut store_health));
+    results.push(bench_dynamic("dyn_run", &mut store_health));
     results.extend(bench_workloads());
     results.extend(bench_policy_pair());
 
@@ -407,7 +387,7 @@ fn main() {
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"rescache-sim-throughput/12\",\n");
-    // The streamed dynamic stage's shared-tier recovery counters. All-zero
+    // The dynamic stage's shared-tier recovery counters. All-zero
     // with `"degraded": false` on a healthy machine; anything else flags a
     // run whose numbers were taken while the store was fighting its disk.
     if let Some(h) = health {

@@ -16,7 +16,7 @@ use rescache_core::experiment::{
     format_table, mean, static_vs_dynamic, Runner, RunnerConfig, StrategyRow,
 };
 use rescache_core::{Knobs, Organization, ResizableCacheSide, SystemConfig};
-use rescache_trace::{spec, AppProfile, WorkloadRegistry};
+use rescache_trace::{spec, AppProfile};
 
 /// The configuration every figure bench runs: the paper-quality
 /// configuration with the length, seed and interval knobs applied (see
@@ -43,13 +43,6 @@ pub fn bench_runner() -> Runner {
 /// The twelve applications of the paper's evaluation.
 pub fn all_apps() -> Vec<AppProfile> {
     spec::all_profiles()
-}
-
-/// The scenario workloads of the registry (see
-/// [`rescache_trace::workload`]): what the non-figure benches enumerate
-/// instead of hand-rolled profiles.
-pub fn registry_workloads() -> Vec<AppProfile> {
-    WorkloadRegistry::builtin().profiles()
 }
 
 /// Prints a standard header for a figure bench.
@@ -236,12 +229,5 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn spread_of_no_samples_panics() {
         Spread::of(&[]);
-    }
-
-    #[test]
-    fn registry_workloads_are_available() {
-        let workloads = registry_workloads();
-        assert!(workloads.len() >= 8);
-        assert!(workloads.iter().any(|p| p.name == "nominal"));
     }
 }

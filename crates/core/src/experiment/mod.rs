@@ -36,4 +36,4 @@ pub use runner::{
 pub use server::{ServeConfig, ServerHandle, SweepServer};
 pub use shared_tier::{HealthCounters, Memo, SharedTier, StoreHealth, DEFAULT_RESIDENT_CAP};
 pub use strategy_cmp::{static_vs_dynamic, StrategyRow};
-pub use trace_store::{StoreSource, StoreSourceKind, TraceStore};
+pub use trace_store::TraceStore;

@@ -4,7 +4,7 @@
 use rescache_cache::{HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::{LatencyStats, NoopHook, SimHook, SimResult, Simulator};
 use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel, Objective, ResizingTagOverhead};
-use rescache_trace::{AppProfile, Trace, TraceFormat, TraceSource};
+use rescache_trace::{AppProfile, Trace, TraceFormat};
 
 use crate::error::CoreError;
 use crate::experiment::parallel::parallel_map;
@@ -285,7 +285,7 @@ impl Runner {
 
     /// Runs one simulation, uncached: warm-up over `warm`, statistics reset,
     /// measured region over `measure`. The two halves of a
-    /// [`Runner::trace`] rejoin copy-free into the one source the run reads.
+    /// [`Runner::trace`] rejoin copy-free into the one trace the run reads.
     pub fn run(
         &self,
         warm: &Trace,
@@ -293,29 +293,15 @@ impl Runner {
         system: &SystemConfig,
         setup: &RunSetup,
     ) -> Measurement {
-        let mut source = warm.join(measure).cursor();
+        let trace = warm.join(measure);
         let regions = (warm.len(), measure.len());
         let (d_static, i_static) = (setup.d_static, setup.i_static);
         let sim = match setup.dynamic.clone() {
-            None => Self::simulate(
-                &mut source,
-                regions,
-                system,
-                d_static,
-                i_static,
-                &mut NoopHook,
-            ),
+            None => Self::simulate(&trace, regions, system, d_static, i_static, &mut NoopHook),
             Some((side, space, params)) => {
                 let mut controller = DynamicController::new(side, space, params)
                     .expect("dynamic parameters validated by the caller");
-                Self::simulate(
-                    &mut source,
-                    regions,
-                    system,
-                    d_static,
-                    i_static,
-                    &mut controller,
-                )
+                Self::simulate(&trace, regions, system, d_static, i_static, &mut controller)
             }
         };
         Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
@@ -332,18 +318,17 @@ impl Runner {
     /// The one experiment sequence every run takes: build a hierarchy with
     /// the static points applied (flush writebacks noted, as a real pre-run
     /// resize would), then warm-up, statistics reset and measured region over
-    /// one source, `regions` giving the two record counts. `hook` — the
-    /// dynamic controller, or [`NoopHook`] for a static run — sees every
-    /// commit of both regions.
+    /// one cursor over `trace`, `regions` giving the two record counts.
+    /// `hook` — the dynamic controller, or [`NoopHook`] for a static run —
+    /// sees every commit of both regions.
     ///
-    /// The uncached [`Runner::run`], the memoized static path (over the
-    /// resident trace or a store-served stream) and the streamed dynamic
-    /// path all come through here, which is what guarantees the memo key's
-    /// "static run is a pure function of (trace, system, geometry)"
-    /// invariant: every source of the same records yields the same bits
-    /// (asserted by `tests/dynamic_streaming_equivalence.rs`).
-    fn simulate<S: TraceSource, H: SimHook + ?Sized>(
-        source: &mut S,
+    /// The uncached [`Runner::run`], the memoized static path and the
+    /// dynamic path all come through here, which is what guarantees the memo
+    /// key's "static run is a pure function of (trace, system, geometry)"
+    /// invariant: the same records yield the same bits (asserted by
+    /// `tests/dynamic_streaming_equivalence.rs`).
+    fn simulate<H: SimHook + ?Sized>(
+        trace: &Trace,
         (warm, measure): (usize, usize),
         system: &SystemConfig,
         d_static: Option<CachePoint>,
@@ -361,7 +346,7 @@ impl Runner {
             hierarchy.note_resize_flush_writebacks(effect.dirty_writebacks);
         }
         let result = Simulator::new(system.cpu).run_warm_measure(
-            source,
+            &mut trace.cursor(),
             warm,
             measure,
             &mut hierarchy,
@@ -426,9 +411,43 @@ impl Runner {
         d_tag_bits: u32,
         i_tag_bits: u32,
     ) -> Measurement {
-        self.run_static_impl(
-            app, system, d_static, i_static, d_tag_bits, i_tag_bits, false,
-        )
+        let normalize = |cfg: rescache_cache::CacheConfig, point: Option<CachePoint>| match point {
+            Some(p) => (p.sets, p.ways),
+            None => (cfg.num_sets(), cfg.associativity),
+        };
+        let key: SimKey = (
+            self.trace_key(app),
+            *system,
+            normalize(system.hierarchy.l1d, d_static),
+            normalize(system.hierarchy.l1i, i_static),
+        );
+        let tier = self.store.tier();
+        let slot = tier.sims.slot(key);
+        let warm_hit = slot.get().is_some();
+        if warm_hit {
+            tier.health().note_hit();
+        }
+        let mut ran = false;
+        let sim = slot.get_or_init(|| {
+            ran = true;
+            tier.health().note_miss();
+            Self::simulate(
+                &self.store.fetch_full(app, &self.config),
+                self.regions(),
+                system,
+                d_static,
+                i_static,
+                &mut NoopHook,
+            )
+        });
+        if !warm_hit && !ran {
+            // The slot was cold when we looked, yet our initializer never
+            // ran: we blocked on a sibling's in-flight simulation and shared
+            // its result — the coalescing the sweep service's dedup
+            // guarantee is asserted on.
+            tier.health().note_coalesced();
+        }
+        Self::price(sim, system, d_tag_bits, i_tag_bits)
     }
 
     /// Runs (or reuses) the static simulation of `point` on `side` alone,
@@ -453,83 +472,12 @@ impl Runner {
         }
     }
 
-    /// [`Runner::run_static`] with a choice of how a memo *miss* obtains its
-    /// records: `streamed = false` materializes the shared trace (right for
-    /// static sweeps, which replay it for every geometry), `streamed = true`
-    /// pulls a store source (right when the caller — the dynamic experiments
-    /// — wants nothing fully resident). Both initializers are bit-identical,
-    /// so the memoized result is the same whichever call populates it.
-    #[allow(clippy::too_many_arguments)]
-    fn run_static_impl(
-        &self,
-        app: &AppProfile,
-        system: &SystemConfig,
-        d_static: Option<CachePoint>,
-        i_static: Option<CachePoint>,
-        d_tag_bits: u32,
-        i_tag_bits: u32,
-        streamed: bool,
-    ) -> Measurement {
-        let normalize = |cfg: rescache_cache::CacheConfig, point: Option<CachePoint>| match point {
-            Some(p) => (p.sets, p.ways),
-            None => (cfg.num_sets(), cfg.associativity),
-        };
-        let key: SimKey = (
-            self.trace_key(app),
-            *system,
-            normalize(system.hierarchy.l1d, d_static),
-            normalize(system.hierarchy.l1i, i_static),
-        );
-        let tier = self.store.tier();
-        let slot = tier.sims.slot(key);
-        let warm_hit = slot.get().is_some();
-        if warm_hit {
-            tier.health().note_hit();
-        }
-        let mut ran = false;
-        let sim = slot.get_or_init(|| {
-            ran = true;
-            tier.health().note_miss();
-            let regions = self.regions();
-            if streamed {
-                self.store.replay(app, &self.config, |source| {
-                    Self::simulate(source, regions, system, d_static, i_static, &mut NoopHook)
-                })
-            } else {
-                let full = self.store.fetch_full(app, &self.config);
-                Self::simulate(
-                    &mut full.cursor(),
-                    regions,
-                    system,
-                    d_static,
-                    i_static,
-                    &mut NoopHook,
-                )
-            }
-        });
-        if !warm_hit && !ran {
-            // The slot was cold when we looked, yet our initializer never
-            // ran: we blocked on a sibling's in-flight simulation and shared
-            // its result — the coalescing the sweep service's dedup
-            // guarantee is asserted on.
-            tier.health().note_coalesced();
-        }
-        Self::price(sim, system, d_tag_bits, i_tag_bits)
-    }
-
-    /// Runs one simulation of `setup` with the records pulled from the trace
-    /// store as a stream: the streamed twin of [`Runner::run`], and the path
-    /// every dynamic-controller experiment takes.
-    ///
-    /// The warm and measured regions come from **one** store-served source —
-    /// a resident cursor when the trace is already materialized in this
-    /// process, a chunk-by-chunk on-disk reader when the store persists to a
-    /// directory (nothing fully resident; the measure region's stream
-    /// continues straight out of the warm prefix's chunks), or a resumable
-    /// generator otherwise. Results are bit-identical to the materialized
-    /// path (asserted by `tests/dynamic_streaming_equivalence.rs`). A static
-    /// setup (no controller) delegates to the memoized [`Runner::run_static`]
-    /// with a streaming initializer.
+    /// Runs one simulation of `setup` over the store's resident trace of
+    /// `app`: the store-backed twin of [`Runner::run`], and the path every
+    /// dynamic-controller experiment takes. Results are bit-identical to
+    /// [`Runner::run`] over the same records (asserted by
+    /// `tests/dynamic_streaming_equivalence.rs`). A static setup (no
+    /// controller) is the memoized [`Runner::run_static`].
     pub fn run_dynamic(
         &self,
         app: &AppProfile,
@@ -542,14 +490,11 @@ impl Runner {
     /// [`Runner::run_dynamic`] with an optional decision sink: every resize
     /// the controller performs is streamed into `sink` as a
     /// [`ResizeDecision`] while the simulation runs — the hook the sweep
-    /// service's `dynamic` verb forwards interval decisions through.
-    ///
-    /// If a store fault forces a retry, the retried attempt streams into the
-    /// same sink from a *fresh* controller (dynamic runs are not memoized;
-    /// the attempt that completes is the one whose decisions are
-    /// authoritative, and it always re-anchors from the full-size point).
-    /// Observation never perturbs the measurement: the returned
-    /// [`Measurement`] is bit-identical with or without a sink.
+    /// service's `dynamic` verb forwards interval decisions through. The
+    /// store reads the whole trace before the run starts, so the sink sees
+    /// exactly the decisions of one run. Observation never perturbs the
+    /// measurement: the returned [`Measurement`] is bit-identical with or
+    /// without a sink.
     pub fn run_dynamic_observed(
         &self,
         app: &AppProfile,
@@ -558,45 +503,34 @@ impl Runner {
         sink: Option<&std::sync::mpsc::Sender<ResizeDecision>>,
     ) -> Measurement {
         let Some((side, space, params)) = setup.dynamic.clone() else {
-            return self.run_static_impl(
+            return self.run_static(
                 app,
                 system,
                 setup.d_static,
                 setup.i_static,
                 setup.d_tag_bits,
                 setup.i_tag_bits,
-                true,
             );
         };
-        let regions = self.regions();
-        let sim = self.store.replay(app, &self.config, |source| {
-            // A fresh controller per attempt: a retried run must not see the
-            // aborted attempt's interval state.
-            let mut controller = DynamicController::new(side, space.clone(), params)
-                .expect("dynamic parameters validated by the caller");
-            if let Some(sink) = sink {
-                controller = controller.with_decision_sink(sink.clone());
-            }
-            Self::simulate(
-                source,
-                regions,
-                system,
-                setup.d_static,
-                setup.i_static,
-                &mut controller,
-            )
-        });
+        let mut controller = DynamicController::new(side, space, params)
+            .expect("dynamic parameters validated by the caller");
+        if let Some(sink) = sink {
+            controller = controller.with_decision_sink(sink.clone());
+        }
+        let sim = Self::simulate(
+            &self.store.fetch_full(app, &self.config),
+            self.regions(),
+            system,
+            setup.d_static,
+            setup.i_static,
+            &mut controller,
+        );
         Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
     }
 
     /// The trace-store key of an application under this runner's config.
     fn trace_key(&self, app: &AppProfile) -> TraceKey {
         TraceStore::key(app, &self.config)
-    }
-
-    /// Runs the non-resizable baseline (full-size caches, no tag overhead).
-    pub fn baseline(&self, warm: &Trace, measure: &Trace, system: &SystemConfig) -> Measurement {
-        self.run(warm, measure, system, &RunSetup::default())
     }
 
     fn summarise(
@@ -692,13 +626,8 @@ impl Runner {
     }
 
     /// Dynamic resizing with explicit size-bound candidates (see
-    /// [`Runner::dynamic_best`]).
-    ///
-    /// The whole sweep is streamed: the baseline (on a memo miss) and every
-    /// candidate pull their records from the trace store as chunked sources,
-    /// so a store with a persistence directory runs the sweep with no
-    /// materialized full-length trace — one chunk buffer per in-flight
-    /// simulation.
+    /// [`Runner::dynamic_best`]). The baseline and every candidate replay
+    /// the store's one resident trace of `app`.
     ///
     /// # Errors
     ///
@@ -713,10 +642,7 @@ impl Runner {
     ) -> Result<DynamicOutcome, CoreError> {
         let space = ConfigSpace::enumerate(side.config_of(&system.hierarchy), organization)?;
 
-        // The baseline also seeds the store: on a cold key with a
-        // persistence directory this generates the entry straight to disk,
-        // so the parallel candidate sweep below replays it chunk by chunk.
-        let base = self.run_static_impl(app, system, None, None, 0, 0, true);
+        let base = self.run_point(app, system, organization, side, None);
         let base_miss_ratio = match side {
             ResizableCacheSide::Data => base.l1d_miss_ratio,
             ResizableCacheSide::Instruction => base.l1i_miss_ratio,
@@ -823,7 +749,7 @@ mod tests {
     fn baseline_measurement_is_sane() {
         let r = runner();
         let (warm, measure) = r.trace(&spec::m88ksim());
-        let m = r.baseline(&warm, &measure, &SystemConfig::base());
+        let m = r.run(&warm, &measure, &SystemConfig::base(), &RunSetup::default());
         assert!(m.cycles > 0);
         assert!(m.energy_pj > 0.0);
         assert_eq!(m.l1d_mean_bytes, 32.0 * 1024.0);
@@ -836,7 +762,7 @@ mod tests {
         let r = runner();
         let (warm, measure) = r.trace(&spec::ammp());
         let system = SystemConfig::base();
-        let base = r.baseline(&warm, &measure, &system);
+        let base = r.run(&warm, &measure, &system, &RunSetup::default());
         let setup = RunSetup {
             d_static: Some(CachePoint { sets: 64, ways: 2 }), // 4 KiB
             d_tag_bits: 4,

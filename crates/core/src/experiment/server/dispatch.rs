@@ -197,14 +197,12 @@ fn serve_sweep(runner: &Runner, id: &Json, target: &Target, conn: &mut Conn) -> 
 ///
 /// Dynamic runs are not memoized (the controller's trajectory is the whole
 /// point), so every `dynamic` request simulates; only the *trace* is shared
-/// through the tier. If a store fault forces the streamed source to retry,
-/// the retried attempt streams from a fresh controller into the same
-/// connection. The two counters in the `done` line differ on purpose:
-/// `decisions` counts every line streamed over the whole run (warm-up
-/// included, retries included), while `resizes` is the measurement's
-/// measured-region count — a run that settles at its size floor during
-/// warm-up streams decisions but reports zero measured resizes, exactly as
-/// the in-process [`Runner::run_dynamic`] would.
+/// through the tier. The two counters in the `done` line differ on purpose:
+/// `decisions` counts every line streamed over the one run (warm-up
+/// included), while `resizes` is the measurement's measured-region count —
+/// a run that settles at its size floor during warm-up streams decisions
+/// but reports zero measured resizes, exactly as the in-process
+/// [`Runner::run_dynamic`] would.
 fn serve_dynamic(
     runner: &Runner,
     request: &Json,

@@ -1,7 +1,7 @@
 //! The shared store/memo tier: one concurrency-safe handle holding every
-//! cross-runner cache — generated traces, streaming-persist markers, memoized
-//! static simulations — plus the fault policy, health accounting and
-//! degraded mode they all share.
+//! cross-runner cache — resident generated traces and memoized static
+//! simulations — plus the fault policy, health accounting and degraded mode
+//! they all share.
 //!
 //! This is the ROADMAP's named prereq for the sweep server: any number of
 //! [`Runner`](crate::experiment::Runner) instances (or server connections)
@@ -261,9 +261,6 @@ pub struct SharedTier {
     /// Full generated traces, keyed by the trace store's
     /// `(name, fingerprint, seed, total)`.
     pub(crate) traces: Memo<crate::experiment::trace_store::StoreKey, rescache_trace::Trace>,
-    /// Once-per-process streaming persists (value: whether the entry is now
-    /// on disk).
-    pub(crate) persists: Memo<crate::experiment::trace_store::StoreKey, bool>,
     /// Memoized static simulations, keyed by the runner's
     /// `(trace key, system, geometries)`.
     pub(crate) sims: Memo<crate::experiment::runner::SimKey, crate::experiment::runner::StaticSim>,
@@ -298,7 +295,6 @@ impl SharedTier {
     pub fn new(dir: Option<PathBuf>, policy: IoPolicy) -> Self {
         Self {
             traces: Memo::default(),
-            persists: Memo::default(),
             sims: Memo::default(),
             trace_lru: Arc::default(),
             policy,
@@ -363,7 +359,7 @@ impl SharedTier {
             self.health.note_warning();
             eprintln!(
                 "rescache: trace store degrading to in-memory-only operation ({why}); \
-                 subsequent traces stream without persistence"
+                 subsequent traces are kept in memory only"
             );
         }
     }

@@ -1,6 +1,5 @@
 //! The shared trace store: once-per-key generation, copy-free in-process
-//! sharing, optional on-disk persistence, and streamed (never-materialized)
-//! serving for replay-once consumers.
+//! sharing, and optional on-disk persistence.
 //!
 //! Every experiment replays the same `(application, seed, lengths)` trace
 //! under many cache configurations, and trace generation is the slowest
@@ -12,19 +11,11 @@
 //! generated trace with the [`rescache_trace::codec`] so later processes of a
 //! multi-app/multi-seed campaign replay from disk instead of regenerating.
 //!
-//! Two access patterns get two serving modes:
-//!
-//! * [`TraceStore::fetch`] **materializes** (and memoizes) the full trace —
-//!   right for the static sweeps, whose memoized simulations replay the same
-//!   records dozens of times per process.
-//! * [`TraceStore::source`] serves a **pull-based [`TraceSource`]** without
-//!   materializing when it can: a copy-free cursor if the trace is already
-//!   resident, otherwise a chunk-by-chunk on-disk reader
-//!   ([`rescache_trace::TraceFileSource`]), otherwise (directory configured
-//!   but entry missing) a streaming generate-to-disk followed by on-disk
-//!   replay. Only when no directory is configured does it fall back to the
-//!   materialized path. This is what lets the dynamic-controller experiments
-//!   run with a single chunk buffer resident.
+//! There is one way to get records: [`TraceStore::fetch`] materializes (and
+//! memoizes) the full trace — loading a persisted entry whole, or generating
+//! the trace and persisting it — and every static or dynamic run replays a
+//! cursor over that resident buffer. An entry is decoded once per process,
+//! not once per run.
 //!
 //! Entries, resident and persisted, are keyed by *total* length and served
 //! only for that exact key: two warm/measure splits of the same total share
@@ -49,16 +40,15 @@
 //! The memo maps, fault policy and health counters all live in the
 //! [`SharedTier`] the store wraps, so any number of runners and threads
 //! share one coherent cache-and-recovery state. Single flight is per
-//! process; writers in different processes (or a materializing and a
-//! streaming writer of one key) need no lock, because every save writes a
-//! per-writer temp file and renames it into place.
+//! process; writers in different processes need no lock, because every save
+//! writes a per-writer temp file and renames it into place.
 
 use std::path::{Path, PathBuf};
 use std::sync::PoisonError;
 
 use rescache_trace::{
-    codec, is_transient, AppProfile, InstrRecord, IoPolicy, Trace, TraceCursor, TraceFileSource,
-    TraceFormat, TraceGenerator, TraceSource, TraceStream,
+    codec, is_transient, AppProfile, InstrRecord, IoPolicy, Trace, TraceFileSource, TraceFormat,
+    TraceGenerator, TraceSource,
 };
 
 use crate::experiment::runner::RunnerConfig;
@@ -89,104 +79,6 @@ const ENTRY_SUFFIX: &str = TraceFormat::V3.file_suffix();
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     tier: SharedTier,
-}
-
-/// How a [`StoreSource`] produces its records (observable so tests and
-/// benches can assert which path a run took).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreSourceKind {
-    /// A copy-free cursor over a trace materialized in this process.
-    Resident,
-    /// A chunk-by-chunk decoder over a persisted entry; one chunk resident.
-    Disk,
-    /// A resumable generator stream; one chunk resident, records are
-    /// produced on the fly.
-    Generated,
-}
-
-/// A [`TraceSource`] served by [`TraceStore::source`]: one of the three
-/// producers behind a single monomorphizable type. The generator variant is
-/// boxed: a `TraceStream` carries the whole expansion state (~0.7 KB), and
-/// one `StoreSource` exists per in-flight simulation, not per record.
-#[derive(Debug)]
-pub enum StoreSource {
-    /// See [`StoreSourceKind::Resident`].
-    Resident(TraceCursor),
-    /// See [`StoreSourceKind::Disk`].
-    Disk(TraceFileSource),
-    /// See [`StoreSourceKind::Generated`].
-    Generated(Box<TraceStream>),
-}
-
-impl StoreSource {
-    /// Which producer is behind this source.
-    pub fn kind(&self) -> StoreSourceKind {
-        match self {
-            StoreSource::Resident(_) => StoreSourceKind::Resident,
-            StoreSource::Disk(_) => StoreSourceKind::Disk,
-            StoreSource::Generated(_) => StoreSourceKind::Generated,
-        }
-    }
-
-    /// The decode fault that interrupted an on-disk source, if any: a faulted
-    /// source under-delivered, and the consuming simulation must be retried
-    /// from another producer (the store's recovery loop regenerates).
-    pub fn fault(&self) -> Option<&codec::CodecError> {
-        match self {
-            StoreSource::Disk(d) => d.fault(),
-            _ => None,
-        }
-    }
-}
-
-impl TraceSource for StoreSource {
-    fn name(&self) -> &str {
-        match self {
-            StoreSource::Resident(s) => s.name(),
-            StoreSource::Disk(s) => s.name(),
-            StoreSource::Generated(s) => s.name(),
-        }
-    }
-
-    fn total_records(&self) -> usize {
-        match self {
-            StoreSource::Resident(s) => s.total_records(),
-            StoreSource::Disk(s) => s.total_records(),
-            StoreSource::Generated(s) => s.total_records(),
-        }
-    }
-
-    fn next_chunk(&mut self) -> &[InstrRecord] {
-        match self {
-            StoreSource::Resident(s) => s.next_chunk(),
-            StoreSource::Disk(s) => s.next_chunk(),
-            StoreSource::Generated(s) => s.next_chunk(),
-        }
-    }
-
-    fn position(&self) -> usize {
-        match self {
-            StoreSource::Resident(s) => s.position(),
-            StoreSource::Disk(s) => s.position(),
-            StoreSource::Generated(s) => s.position(),
-        }
-    }
-
-    fn split_at(&mut self, at: usize) {
-        match self {
-            StoreSource::Resident(s) => s.split_at(at),
-            StoreSource::Disk(s) => s.split_at(at),
-            StoreSource::Generated(s) => s.split_at(at),
-        }
-    }
-
-    fn skip(&mut self, n: usize) {
-        match self {
-            StoreSource::Resident(s) => s.skip(n),
-            StoreSource::Disk(s) => s.skip(n),
-            StoreSource::Generated(s) => s.skip(n),
-        }
-    }
 }
 
 impl TraceStore {
@@ -240,9 +132,8 @@ impl TraceStore {
         )
     }
 
-    /// Number of full traces currently materialized in this process — the
-    /// observable the streamed experiment paths are measured against ("no
-    /// materialized full-length trace" means this stays at zero).
+    /// Number of full traces currently materialized in this process (bounded
+    /// by the tier's [`resident_cap`](SharedTier::resident_cap)).
     pub fn resident_full_traces(&self) -> usize {
         self.tier.traces.initialized_count()
     }
@@ -255,7 +146,8 @@ impl TraceStore {
     }
 
     /// Returns the full (warm + measure) trace for an application,
-    /// materializing at most once per `(application, seed, total)`.
+    /// materializing at most once per `(application, seed, total)`: the
+    /// buffer every run replays a cursor over.
     pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
         let slot = self.tier.traces.slot(key);
@@ -340,59 +232,6 @@ impl TraceStore {
             let keep: std::collections::HashSet<StoreKey> = resident_keys.into_iter().collect();
             lru.last_use.retain(|k, _| keep.contains(k));
         }
-    }
-
-    /// Serves the full (warm + measure) record sequence as a pull-based
-    /// source, preferring producers that keep at most one chunk resident
-    /// (see the module documentation for the exact policy).
-    pub fn source(&self, app: &AppProfile, config: &RunnerConfig) -> StoreSource {
-        let key = Self::store_key(app, config);
-        let total = key.3;
-
-        // Already materialized in this process: replaying the resident
-        // buffer is free.
-        if let Some(full) = self.resident(&key) {
-            self.tier.health().note_hit();
-            self.note_resident_use(&key);
-            return StoreSource::Resident(full.cursor());
-        }
-
-        if self.tier.active_dir().is_some() {
-            if let Some(source) = self.disk_source(app, &key) {
-                self.tier.health().note_hit();
-                return StoreSource::Disk(source);
-            }
-            // Cold key: persist a streaming-generated entry (once per
-            // process — parallel sweeps block on the one writer; a sibling
-            // *process* may write it too, and the atomic rename makes that
-            // harmless) and replay it from disk. Nothing is ever fully
-            // resident.
-            if self.ensure_persisted(app, &key) {
-                if let Some(source) = self.disk_source(app, &key) {
-                    return StoreSource::Disk(source);
-                }
-            }
-            // The directory is unusable (degraded mode has latched, or the
-            // freshly persisted entry immediately failed to read back):
-            // generate on the fly rather than fail — still nothing
-            // materialized.
-            self.tier.health().note_miss();
-            return StoreSource::Generated(Box::new(
-                TraceGenerator::new(app.clone(), key.2).stream(total),
-            ));
-        }
-
-        // In-memory-only store (by configuration or degraded): replay-heavy
-        // consumers dominate here, so materialize once (memoized, shared)
-        // and serve cursors.
-        StoreSource::Resident(self.fetch_full(app, config).cursor())
-    }
-
-    /// The full trace materialized for exactly `key`, if resident.
-    fn resident(&self, key: &StoreKey) -> Option<Trace> {
-        self.tier
-            .traces
-            .with_map(|map| map.get(key).and_then(|slot| slot.get()).cloned())
     }
 
     /// Opens a chunked on-disk source over `key`'s entry, if a usable
@@ -497,97 +336,53 @@ impl TraceStore {
         }
     }
 
-    /// Runs `consume` over the full record sequence [`TraceStore::source`]
-    /// serves, recovering mid-read (see [`TraceStore::read_recovering`]) so
-    /// the result always covers every record. `consume` must build any
-    /// per-run state itself: a retry invokes it afresh.
-    pub(crate) fn replay<T>(
-        &self,
-        app: &AppProfile,
-        config: &RunnerConfig,
-        consume: impl FnMut(&mut StoreSource) -> T,
-    ) -> T {
-        let first = self.source(app, config);
-        let reopen = || Some(self.source(app, config));
-        self.read_recovering(app, &Self::store_key(app, config), first, reopen, consume)
-            .0
-    }
-
-    /// The store's one mid-read recovery loop: runs `consume` over `source`
-    /// (afresh on every attempt) and returns its result with the kind of
-    /// source that delivered it. A read is complete when the source recorded
-    /// no fault and delivered every record — a bad entry must degrade to
-    /// regeneration, never to a silently short read. A transient I/O error
-    /// retries over `reopen`'s source (bounded, with backoff). Any other
-    /// shortfall regenerates from a generator stream and forgets the persist
-    /// memo, so a later [`TraceStore::source`] re-probes the disk; only a
-    /// codec content error quarantines the entry first — an I/O error,
-    /// persistent or not, cannot prove the file is bad.
-    fn read_recovering<T>(
+    /// The store's one mid-read recovery loop: drains `entry` and returns its
+    /// records if the read is complete — no fault recorded and every record
+    /// delivered; a bad entry must degrade to regeneration, never to a
+    /// silently short read. A transient I/O error retries over a reopened
+    /// entry (bounded, with backoff). Any other shortfall counts a
+    /// regeneration and returns `None`; only a codec content error
+    /// quarantines the entry first — an I/O error, persistent or not, cannot
+    /// prove the file is bad.
+    fn read_entry(
         &self,
         app: &AppProfile,
         key: &StoreKey,
-        mut source: StoreSource,
-        mut reopen: impl FnMut() -> Option<StoreSource>,
-        mut consume: impl FnMut(&mut StoreSource) -> T,
-    ) -> (T, StoreSourceKind) {
+        mut entry: TraceFileSource,
+    ) -> Option<Vec<InstrRecord>> {
         let health = self.tier.health();
         let mut attempt = 1;
         loop {
-            let out = consume(&mut source);
-            let fault = source.fault();
-            if fault.is_none() && source.position() == source.total_records() {
-                return (out, source.kind());
+            let records = drain(&mut entry);
+            let fault = entry.fault();
+            if fault.is_none() && entry.position() == entry.total_records() {
+                return Some(records);
             }
             let transient = matches!(fault, Some(codec::CodecError::Io(e)) if is_transient(e));
             if transient && attempt < IoPolicy::ATTEMPTS {
                 health.note_retry();
                 std::thread::sleep(IoPolicy::BACKOFF * attempt);
                 attempt += 1;
-                if let Some(reopened) = reopen() {
-                    source = reopened;
+                if let Some(reopened) = self.disk_source(app, key) {
+                    entry = reopened;
                     continue;
                 }
             }
             eprintln!(
-                "rescache: store-served read of {} fell short ({}); regenerating",
+                "rescache: store read of {} fell short ({}); regenerating",
                 app.name,
-                fault.map_or_else(|| "short stream".into(), |e| e.to_string()),
+                fault.map_or_else(|| "short read".into(), |e| e.to_string()),
             );
-            let content = fault.is_some_and(|e| !matches!(e, codec::CodecError::Io(_)));
-            if let StoreSource::Disk(file) = &source {
-                let path = file.path().to_path_buf();
-                drop(source);
-                if content {
-                    // Keep the evidence as a `.corrupt` sidecar; the entry's
-                    // path is free for a fresh persist.
-                    self.quarantine_entry(&path);
-                }
+            if fault.is_some_and(|e| !matches!(e, codec::CodecError::Io(_))) {
+                // Keep the evidence as a `.corrupt` sidecar; the entry's
+                // path is free for a fresh persist.
+                let path = entry.path().to_path_buf();
+                drop(entry);
+                self.quarantine_entry(&path);
             }
-            self.tier.persists.remove(key);
             health.note_regeneration();
-            let mut stream = StoreSource::Generated(Box::new(
-                TraceGenerator::new(app.clone(), key.2).stream(key.3),
-            ));
-            return (consume(&mut stream), StoreSourceKind::Generated);
+            return None;
         }
-    }
-
-    /// Persists the keyed trace by draining a generator stream to disk (no
-    /// materialization), once per process — and, via the cross-process entry
-    /// lock, once per *store directory* when sibling processes race on the
-    /// same cold key. Returns whether an entry exists.
-    fn ensure_persisted(&self, app: &AppProfile, key: &StoreKey) -> bool {
-        let Some(path) = self.entry_path(key) else {
-            return false;
-        };
-        *self.tier.persists.slot(*key).get_or_init(|| {
-            self.persist(
-                &path,
-                || self.tier.health().note_miss(),
-                || TraceGenerator::new(app.clone(), key.2).stream(key.3),
-            )
-        })
     }
 
     /// Probes (and creates) the store directory. A failure here — after the
@@ -630,7 +425,7 @@ impl TraceStore {
         } else {
             self.tier.health().note_warning();
             eprintln!(
-                "rescache: could not persist trace to {} ({e}); streaming in-memory",
+                "rescache: could not persist trace to {} ({e}); keeping it in memory only",
                 path.display()
             );
         }
@@ -639,66 +434,44 @@ impl TraceStore {
     /// Loads the keyed full trace from disk if possible, otherwise generates
     /// it (and persists the result, best-effort). Every landing is counted:
     /// a disk serve is a hit, a clean cold generation a miss, a generation
-    /// forced by a bad entry a regeneration.
+    /// forced by a bad entry a regeneration (counted by the read).
     fn load_or_generate(&self, app: &AppProfile, key: &StoreKey) -> Trace {
-        let full = match self.disk_source(app, key) {
-            // One disk-serving policy for both access modes: this path only
-            // drains what the recovery loop serves.
+        match self.disk_source(app, key) {
             Some(entry) => {
-                let reopen = || self.disk_source(app, key).map(StoreSource::Disk);
-                let (records, kind) =
-                    self.read_recovering(app, key, StoreSource::Disk(entry), reopen, drain);
-                let full = Trace::new(app.name, records);
-                if kind == StoreSourceKind::Disk {
+                if let Some(records) = self.read_entry(app, key, entry) {
                     self.tier.health().note_hit();
-                    return full;
+                    return Trace::new(app.name, records);
                 }
-                full
             }
-            None => {
-                self.tier.health().note_miss();
-                TraceGenerator::new(app.clone(), key.2).generate(key.3)
-            }
-        };
+            None => self.tier.health().note_miss(),
+        }
+        let full = TraceGenerator::new(app.clone(), key.2).generate(key.3);
         if let Some(path) = self.entry_path(key) {
-            self.persist(&path, || {}, || full.cursor());
+            self.persist(&path, &full);
         }
         full
     }
 
-    /// The store's one persist routine, for a generator stream and a
-    /// resident cursor alike: probes the store directory, runs `on_write`,
-    /// then saves a fresh `records()` source per attempt (bounded transient
-    /// retry) and classifies a failure. Returns whether the entry now exists.
+    /// The store's one persist routine: probes the store directory, then
+    /// saves `trace` (bounded transient retry) and classifies a failure.
     ///
     /// No lock is taken: the codec writes a per-writer temp file and renames
-    /// it into place, so two writers of one entry (a `source` and a `fetch`
-    /// racing in this process, or two processes sharing the directory) each
-    /// commit a whole file and neither exposes a torn one.
-    fn persist<S: TraceSource>(
-        &self,
-        path: &Path,
-        on_write: impl FnOnce(),
-        mut records: impl FnMut() -> S,
-    ) -> bool {
+    /// it into place, so two writers of one entry (two processes sharing the
+    /// directory) each commit a whole file and neither exposes a torn one.
+    fn persist(&self, path: &Path, trace: &Trace) {
         if let Some(parent) = path.parent() {
             if self.dir_unusable(parent) {
                 // Degraded mode just latched, with its one-time warning.
-                return false;
+                return;
             }
         }
-        on_write();
         let policy = self.tier.policy();
         let saved = policy.retrying(
             || self.tier.health().note_retry(),
-            || codec::save_source(path, &mut records(), policy),
+            || codec::save_source(path, &mut trace.cursor(), policy),
         );
-        match saved {
-            Ok(()) => true,
-            Err(e) => {
-                self.note_persist_failure(path, &e);
-                false
-            }
+        if let Err(e) = saved {
+            self.note_persist_failure(path, &e);
         }
     }
 
@@ -856,10 +629,15 @@ mod tests {
             "{name}: the longer entry is untouched"
         );
 
-        // The streamed path replays the shorter total's own entry.
-        let mut source = TraceStore::with_dir(Some(dir.clone())).source(app, &short);
-        assert_eq!(source.kind(), StoreSourceKind::Disk, "{name}");
-        assert_eq!(drain(&mut source), expected.records(), "{name}");
+        // Another fresh store loads the shorter total's own entry from disk.
+        let reload = TraceStore::with_dir(Some(dir.clone()));
+        let (w, m) = reload.fetch(app, &short);
+        assert_eq!(
+            [w.records(), m.records()].concat(),
+            expected.records(),
+            "{name}"
+        );
+        assert_eq!((reload.health().hits, reload.health().misses), (1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -881,8 +659,7 @@ mod tests {
     fn entry_whose_header_disagrees_with_its_name_is_quarantined() {
         // A file whose header promises more records than its *name* claims
         // is foreign or stale: serving any of it would silently diverge.
-        // Both the materialized and the streamed paths must quarantine it
-        // and regenerate instead.
+        // The store must quarantine it and regenerate instead.
         let (_, dir) = temp_store("mislabel");
         std::fs::create_dir_all(&dir).expect("create dir");
         let cfg = RunnerConfig::fast();
@@ -899,7 +676,7 @@ mod tests {
 
         let expected = TraceGenerator::new(spec::gcc(), cfg.trace_seed).generate(short_total);
 
-        // Materialized path regenerates (and overwrites the bad entry).
+        // The fetch regenerates and persists a fresh entry.
         let fresh = TraceStore::with_dir(Some(dir.clone()));
         let (w, m) = fresh.fetch(&spec::gcc(), &short);
         assert_eq!(
@@ -911,63 +688,45 @@ mod tests {
             &expected.records()[short.warmup_instructions..]
         );
 
-        // Streamed path on a separate planted copy: must not serve the
-        // mislabeled header either.
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("recreate dir");
-        codec::save_trace(&dir.join(&short_name), &long_trace).expect("plant again");
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let mut source = fresh.source(&spec::gcc(), &short);
-        assert_eq!(drain(&mut source), expected.records());
-        assert!(source.fault().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        let health = fresh.health();
+        assert_eq!((health.quarantines, health.misses), (1, 1), "{health:?}");
+        let mut sidecar = dir.join(&short_name).into_os_string();
+        sidecar.push(".corrupt");
+        assert!(PathBuf::from(sidecar).exists(), "no .corrupt sidecar");
 
-    #[test]
-    fn source_prefers_disk_and_never_materializes_with_a_dir() {
-        let (store, dir) = temp_store("source");
-        let cfg = RunnerConfig::fast();
-        let total = cfg.warmup_instructions + cfg.measure_instructions;
-        let reference = TraceGenerator::new(spec::su2cor(), cfg.trace_seed).generate(total);
-
-        // Cold key with a directory: generate-to-disk, then serve from disk.
-        let mut source = store.source(&spec::su2cor(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Disk);
-        assert_eq!(source.total_records(), total);
-        assert_eq!(drain(&mut source), reference.records());
-        assert_eq!(store.resident_full_traces(), 0, "nothing materialized");
-        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 1);
-
-        // Second source replays the persisted entry.
-        let mut source = store.source(&spec::su2cor(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Disk);
-        assert_eq!(drain(&mut source), reference.records());
+        // The fresh entry is honest: another store serves it from disk.
+        let again = TraceStore::with_dir(Some(dir.clone()));
+        let (w, m) = again.fetch(&spec::gcc(), &short);
+        assert_eq!([w.records(), m.records()].concat(), expected.records());
+        assert_eq!((again.health().hits, again.health().quarantines), (1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn racing_stream_and_materialize_persists_of_one_key_leave_one_whole_entry() {
-        // A streamed `source` and a materializing `fetch` single-flight on
-        // different memos, so on a cold key both persist the same entry. No
-        // lock orders them: each save renames its own temp file into place.
+    fn racing_persists_of_one_key_leave_one_whole_entry() {
+        // Two stores over one directory (as two processes would be) race on
+        // a cold key: each generates and persists the same entry. No lock
+        // orders them: each save renames its own temp file into place.
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let reference = TraceGenerator::new(spec::gcc(), cfg.trace_seed).generate(total);
+        let fetch_all = |store: &TraceStore| {
+            let (warm, measure) = store.fetch(&spec::gcc(), &cfg);
+            [warm.records(), measure.records()].concat()
+        };
         for round in 0..4 {
-            let (store, dir) = temp_store(&format!("race-{round}"));
-            let (streamed, fetched) = std::thread::scope(|scope| {
-                let streamed = scope.spawn(|| drain(&mut store.source(&spec::gcc(), &cfg)));
-                let fetched = scope.spawn(|| {
-                    let (warm, measure) = store.fetch(&spec::gcc(), &cfg);
-                    [warm.records(), measure.records()].concat()
-                });
+            let (first, dir) = temp_store(&format!("race-{round}"));
+            let second = TraceStore::with_dir(Some(dir.clone()));
+            let (a, b) = std::thread::scope(|scope| {
+                let a = scope.spawn(|| fetch_all(&first));
+                let b = scope.spawn(|| fetch_all(&second));
                 (
-                    streamed.join().expect("source thread"),
-                    fetched.join().expect("fetch thread"),
+                    a.join().expect("first store"),
+                    b.join().expect("second store"),
                 )
             });
-            assert_eq!(streamed, reference.records(), "round {round}: source");
-            assert_eq!(fetched, reference.records(), "round {round}: fetch");
+            assert_eq!(a, reference.records(), "round {round}: first");
+            assert_eq!(b, reference.records(), "round {round}: second");
 
             let entry = entry_path(&dir);
             let name = entry.file_name().expect("file name").to_string_lossy();
@@ -975,9 +734,9 @@ mod tests {
                 name.ends_with(ENTRY_SUFFIX),
                 "round {round}: debris left in the store: {name}"
             );
-            let mut fresh = TraceStore::with_dir(Some(dir.clone())).source(&spec::gcc(), &cfg);
-            assert_eq!(fresh.kind(), StoreSourceKind::Disk, "round {round}");
-            assert_eq!(drain(&mut fresh), reference.records(), "round {round}");
+            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            assert_eq!(fetch_all(&fresh), reference.records(), "round {round}");
+            assert_eq!(fresh.health().hits, 1, "round {round}: served from disk");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -988,20 +747,22 @@ mod tests {
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
 
-        // In-memory-only store: the source materializes once and replays.
-        let mut source = store.source(&spec::ammp(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Resident);
-        assert_eq!(drain(&mut source).len(), total);
+        // In-memory-only store: the trace materializes once and every later
+        // fetch replays the same resident buffer.
+        let first = store.fetch_full(&spec::ammp(), &cfg);
+        assert_eq!(first.len(), total);
+        let again = store.fetch_full(&spec::ammp(), &cfg);
+        assert_eq!(first.records().as_ptr(), again.records().as_ptr());
         assert_eq!(store.resident_full_traces(), 1);
+        assert_eq!((store.health().misses, store.health().hits), (1, 1));
 
         // A shorter total is a key of its own: it materializes its own
         // trace rather than viewing the longer one.
         let mut short = cfg;
         short.measure_instructions /= 2;
-        let source = store.source(&spec::ammp(), &short);
-        assert_eq!(source.kind(), StoreSourceKind::Resident);
+        let shorter = store.fetch_full(&spec::ammp(), &short);
         assert_eq!(
-            source.total_records(),
+            shorter.len(),
             short.warmup_instructions + short.measure_instructions
         );
         assert_eq!(store.resident_full_traces(), 2);
@@ -1013,8 +774,7 @@ mod tests {
         // written by an older build): `RCTRACE1`/`RCTRACE2` headers (no
         // flags byte, raw 12-byte records) and an `RCTRACE3` header with the
         // raw layout's flags 0. Each is rejected typed, quarantined to a
-        // `.corrupt` sidecar, and the request regenerates the honest bits —
-        // for both the materialized and the streamed access modes.
+        // `.corrupt` sidecar, and the request regenerates the honest bits.
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let app = spec::m88ksim();
@@ -1038,35 +798,29 @@ mod tests {
             ("v2", old_entry(b"RCTRACE2", None)),
             ("raw", old_entry(b"RCTRACE3", Some(0))),
         ] {
-            for streamed in [false, true] {
-                std::fs::remove_dir_all(&dir).ok();
-                std::fs::create_dir_all(&dir).expect("create dir");
-                std::fs::write(&path, &bytes).expect("plant old entry");
-                let err = TraceFileSource::open(&path, None).unwrap_err();
-                let typed = match label {
-                    "v1" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'1' }),
-                    "v2" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'2' }),
-                    _ => matches!(err, codec::CodecError::UnsupportedFlags { flags: 0 }),
-                };
-                assert!(typed, "{label}: {err}");
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).expect("create dir");
+            std::fs::write(&path, &bytes).expect("plant old entry");
+            let err = TraceFileSource::open(&path, None).unwrap_err();
+            let typed = match label {
+                "v1" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'1' }),
+                "v2" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'2' }),
+                _ => matches!(err, codec::CodecError::UnsupportedFlags { flags: 0 }),
+            };
+            assert!(typed, "{label}: {err}");
 
-                let fresh = TraceStore::with_dir(Some(dir.clone()));
-                let records = if streamed {
-                    let mut source = fresh.source(&app, &cfg);
-                    let records = drain(&mut source);
-                    assert!(source.fault().is_none(), "{label}");
-                    records
-                } else {
-                    let (w, m) = fresh.fetch(&app, &cfg);
-                    [w.records(), m.records()].concat()
-                };
-                assert_eq!(records, expected.records(), "{label} streamed={streamed}");
-                assert_eq!(fresh.health().quarantines, 1, "{label} streamed={streamed}");
-                assert!(
-                    PathBuf::from(&sidecar).exists(),
-                    "{label} streamed={streamed}: no .corrupt sidecar"
-                );
-            }
+            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            let (w, m) = fresh.fetch(&app, &cfg);
+            assert_eq!(
+                [w.records(), m.records()].concat(),
+                expected.records(),
+                "{label}"
+            );
+            assert_eq!(fresh.health().quarantines, 1, "{label}");
+            assert!(
+                PathBuf::from(&sidecar).exists(),
+                "{label}: no .corrupt sidecar"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1102,10 +856,8 @@ mod tests {
         let store = TraceStore::with_dir(Some(dir.clone()));
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
-        let mut source = store.source(&spec::vpr(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Generated);
-        assert_eq!(drain(&mut source).len(), total);
-        assert_eq!(store.resident_full_traces(), 0);
+        assert_eq!(store.fetch_full(&spec::vpr(), &cfg).len(), total);
+        assert_eq!(store.health().misses, 1);
 
         // The unusable directory latched degraded mode with its one-time
         // warning; later requests go straight to in-memory operation (no
@@ -1113,9 +865,8 @@ mod tests {
         let health = store.health();
         assert!(health.degraded, "{health:?}");
         assert_eq!(health.warnings, 1, "{health:?}");
-        let mut source = store.source(&spec::ammp(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Resident);
-        assert_eq!(drain(&mut source).len(), total);
+        assert_eq!(store.fetch_full(&spec::ammp(), &cfg).len(), total);
+        assert_eq!(store.resident_full_traces(), 2);
         assert_eq!(store.health().warnings, 1, "warning fires exactly once");
         std::fs::remove_file(&dir).ok();
     }
@@ -1143,20 +894,24 @@ mod tests {
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let reference = TraceGenerator::new(spec::vpr(), cfg.trace_seed).generate(total);
 
-        let mut source = store.source(&spec::vpr(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Generated);
-        assert_eq!(drain(&mut source), reference.records());
+        assert_eq!(
+            store.fetch_full(&spec::vpr(), &cfg).records(),
+            reference.records()
+        );
 
         let health = store.health();
         assert!(health.degraded, "disk-full must latch degraded: {health:?}");
         assert_eq!(health.warnings, 1, "{health:?}");
 
-        // Degraded mode: later sources are resident (in-memory fallback),
-        // no new warnings, and the directory holds no committed entries
-        // (the aborted temp file was cleaned up).
-        let mut source = store.source(&spec::vpr(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Resident);
-        assert_eq!(drain(&mut source), reference.records());
+        // Degraded mode: the trace stays resident, a new key generates in
+        // memory without touching the directory, no new warnings, and the
+        // directory holds no committed entries (the aborted temp file was
+        // cleaned up).
+        assert_eq!(
+            store.fetch_full(&spec::vpr(), &cfg).records(),
+            reference.records()
+        );
+        assert_eq!(store.fetch_full(&spec::ammp(), &cfg).len(), total);
         assert_eq!(store.health().warnings, 1, "warning fires exactly once");
         assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -1179,9 +934,7 @@ mod tests {
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
 
-        let mut source = store.source(&spec::vpr(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Generated);
-        assert_eq!(drain(&mut source).len(), total);
+        assert_eq!(store.fetch_full(&spec::vpr(), &cfg).len(), total);
         assert_eq!(injector.pending_script(), 0, "all three attempts faulted");
 
         let health = store.health();
@@ -1192,13 +945,14 @@ mod tests {
         assert_eq!(health.warnings, 1, "{health:?}");
         assert!(health.retries >= 2, "{health:?}");
 
-        // The directory is still live: the next key persists and serves
-        // from disk.
-        let mut source = store.source(&spec::ammp(), &cfg);
-        assert_eq!(source.kind(), StoreSourceKind::Disk);
-        assert_eq!(drain(&mut source).len(), total);
+        // The directory is still live: the next key persists, and a fresh
+        // store serves it from disk.
+        assert_eq!(store.fetch_full(&spec::ammp(), &cfg).len(), total);
         assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 1);
         assert!(!store.health().degraded);
+        let fresh = TraceStore::with_dir(Some(dir.clone()));
+        assert_eq!(fresh.fetch_full(&spec::ammp(), &cfg).len(), total);
+        assert_eq!((fresh.health().hits, fresh.health().misses), (1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1215,22 +969,24 @@ mod tests {
         Corrupt,
     }
 
-    /// Reads a freshly persisted `m88ksim` entry through the recovery loop
-    /// with `consume`, injecting `fault` from the consumer's first call, and
-    /// checks the result against `clean` and the health counters against
-    /// the fault model.
+    /// Reads a freshly persisted `m88ksim` entry through the recovery loop,
+    /// injecting `fault` after the entry has opened, and checks the read and
+    /// the health counters against the fault model. Then every consumer of
+    /// the store's trace must see the clean bits: the fetched records equal
+    /// `clean`, and `simulate` over them equals `clean_sim`.
     fn assert_mid_read_recovery<T: PartialEq + std::fmt::Debug>(
         fault: MidReadFault,
-        label: &str,
-        mut consume: impl FnMut(&mut StoreSource) -> T,
-        clean: &T,
+        clean: &Trace,
+        simulate: impl Fn(&Trace) -> T,
+        clean_sim: &T,
     ) {
         use std::io::{Seek, SeekFrom, Write};
+        let label = format!("{fault:?}").to_lowercase();
         let injector = Arc::new(FaultInjector::default());
-        let (store, dir) = injected_store(&format!("midread-{label}"), injector.clone());
+        let (writer, dir) = injected_store(&format!("midread-{label}"), injector.clone());
         let (app, cfg) = (spec::m88ksim(), RunnerConfig::fast());
         let key = TraceStore::store_key(&app, &cfg);
-        assert_eq!(store.source(&app, &cfg).kind(), StoreSourceKind::Disk);
+        writer.fetch(&app, &cfg);
         let path = entry_path(&dir);
         // The second chunk's header sits past the first chunk's payload,
         // beyond anything the open's buffered header read has pulled in.
@@ -1240,45 +996,42 @@ mod tests {
             u32::from_le_bytes(bytes[first_chunk + 4..first_chunk + 8].try_into().unwrap());
         let second_chunk = (first_chunk + 8) as u64 + u64::from(first_len);
 
-        let before = store.health();
-        let mut first_call = true;
-        let scripted = |source: &mut StoreSource| {
-            if std::mem::take(&mut first_call) {
-                let kind = match fault {
-                    MidReadFault::Transient => Some(FaultKind::Transient),
-                    MidReadFault::Permission => Some(FaultKind::PermissionDenied),
-                    MidReadFault::Corrupt => {
-                        let mut file = std::fs::OpenOptions::new()
-                            .write(true)
-                            .open(&path)
-                            .expect("open entry for writing");
-                        file.seek(SeekFrom::Start(second_chunk + 4)).expect("seek");
-                        file.write_all(&u32::MAX.to_le_bytes()).expect("corrupt");
-                        None
-                    }
-                };
-                if let Some(kind) = kind {
-                    injector.push(ScriptedFault {
-                        op: IoOp::Read,
-                        kind,
-                    });
-                }
-            }
-            consume(source)
-        };
+        // A second store over the same directory and injector: nothing of
+        // the entry is resident there.
+        let store = TraceStore::with_tier(SharedTier::new(
+            Some(dir.clone()),
+            IoPolicy::with_injector(injector.clone()),
+        ));
         let entry = store.disk_source(&app, &key).expect("the entry opens");
-        let reopen = || store.disk_source(&app, &key).map(StoreSource::Disk);
-        let (out, _) =
-            store.read_recovering(&app, &key, StoreSource::Disk(entry), reopen, scripted);
-        assert_eq!(&out, clean, "{label}: bit-identical to a clean read");
+        let kind = match fault {
+            MidReadFault::Transient => Some(FaultKind::Transient),
+            MidReadFault::Permission => Some(FaultKind::PermissionDenied),
+            MidReadFault::Corrupt => {
+                let mut file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .expect("open entry for writing");
+                file.seek(SeekFrom::Start(second_chunk + 4)).expect("seek");
+                file.write_all(&u32::MAX.to_le_bytes()).expect("corrupt");
+                None
+            }
+        };
+        if let Some(kind) = kind {
+            injector.push(ScriptedFault {
+                op: IoOp::Read,
+                kind,
+            });
+        }
+        let read = store.read_entry(&app, &key, entry);
+        assert_eq!(
+            read.as_deref(),
+            (fault == MidReadFault::Transient).then_some(clean.records()),
+            "{label}: a complete read is bit-identical; any other is refused"
+        );
         assert_eq!(injector.pending_script(), 0, "{label}: the fault fired");
 
-        let after = store.health();
-        let counts = (
-            after.retries - before.retries,
-            after.quarantines - before.quarantines,
-            after.regenerations - before.regenerations,
-        );
+        let health = store.health();
+        let counts = (health.retries, health.quarantines, health.regenerations);
         let expected = match fault {
             MidReadFault::Transient => (1, 0, 0),
             MidReadFault::Permission => (0, 0, 1),
@@ -1293,6 +1046,10 @@ mod tests {
             fault != MidReadFault::Corrupt,
             "{label}: only content errors move the entry aside"
         );
+
+        let served = store.fetch_full(&app, &cfg);
+        assert_eq!(served.records(), clean.records(), "{label}: fetched");
+        assert_eq!(&simulate(&served), clean_sim, "{label}: simulated");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1301,10 +1058,10 @@ mod tests {
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let expected = TraceGenerator::new(spec::m88ksim(), cfg.trace_seed).generate(total);
-        let simulate = |source: &mut StoreSource| {
+        let simulate = |trace: &Trace| {
             let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).expect("base");
             let result = Simulator::new(CpuConfig::base_out_of_order()).run_warm_measure(
-                source,
+                &mut trace.cursor(),
                 cfg.warmup_instructions,
                 cfg.measure_instructions,
                 &mut hierarchy,
@@ -1312,16 +1069,13 @@ mod tests {
             );
             (result, hierarchy.snapshot())
         };
-        let clean_records = expected.records().to_vec();
-        let clean_sim = simulate(&mut StoreSource::Resident(expected.cursor()));
+        let clean_sim = simulate(&expected);
         for fault in [
             MidReadFault::Transient,
             MidReadFault::Permission,
             MidReadFault::Corrupt,
         ] {
-            let label = format!("{fault:?}").to_lowercase();
-            assert_mid_read_recovery(fault, &format!("{label}-drain"), drain, &clean_records);
-            assert_mid_read_recovery(fault, &format!("{label}-sim"), simulate, &clean_sim);
+            assert_mid_read_recovery(fault, &expected, simulate, &clean_sim);
         }
     }
 

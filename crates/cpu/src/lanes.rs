@@ -25,19 +25,13 @@
 //! traffic. The dispatch lane keeps the batching win — classification and
 //! accounting off the serial chain — at one byte per record.
 //!
-//! The batch width equals [`CHUNK_RECORDS`], so a streamed source's chunks
-//! (the dynamic-controller path included) map one-to-one onto batches with no
-//! extra buffering; a materialized cursor's whole-window chunk is simply
-//! sub-sliced into batch-width pieces. Batch boundaries are invisible to the
-//! timing loop: results are bit-identical whatever the chunking (pinned by
-//! `tests/batch_boundaries.rs` against the scalar reference engines in
-//! [`crate::scalar`]).
-//!
-//! On the store-serve path the chunk slices handed to [`LaneBatch::decode`]
-//! alias the codec's own decode buffer: a v3 compressed entry is expanded
-//! delta-compressed chunk by chunk straight into that buffer, and the file
-//! source serves sub-slices of it with no intermediate record `Vec` between
-//! disk bytes and this front end.
+//! The batch width equals [`CHUNK_RECORDS`], so a streamed source's chunks (a
+//! generator stream's, or an on-disk entry's) map one-to-one onto batches
+//! with no extra buffering; a materialized cursor's whole-window chunk — what
+//! every experiment run replays — is simply sub-sliced into batch-width
+//! pieces. Batch boundaries are invisible to the timing loop: results are
+//! bit-identical whatever the chunking (pinned by `tests/batch_boundaries.rs`
+//! against the scalar reference engines in [`crate::scalar`]).
 
 use rescache_trace::{kind, InstrRecord, CHUNK_RECORDS};
 

@@ -34,17 +34,6 @@ impl Technology {
             leak_pj_per_kb_cycle: 0.01,
         }
     }
-
-    /// Scales all dynamic-energy terms by `factor` (used by ablation benches
-    /// to explore voltage scaling; energy scales with V²).
-    pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive");
-        self.bitline_pj_per_kb *= factor;
-        self.sense_pj_per_bit *= factor;
-        self.decode_pj_per_bit *= factor;
-        self.leak_pj_per_kb_cycle *= factor;
-        self
-    }
 }
 
 impl Default for Technology {
@@ -63,19 +52,5 @@ mod tests {
         assert_eq!(t.feature_nm, 180.0);
         assert!(t.vdd > 1.0);
         assert!(t.bitline_pj_per_kb > 0.0);
-    }
-
-    #[test]
-    fn scaling_multiplies_dynamic_terms() {
-        let base = Technology::default();
-        let scaled = base.scaled(0.5);
-        assert!((scaled.bitline_pj_per_kb - base.bitline_pj_per_kb * 0.5).abs() < 1e-12);
-        assert!((scaled.sense_pj_per_bit - base.sense_pj_per_bit * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_scale_panics() {
-        let _ = Technology::default().scaled(0.0);
     }
 }

@@ -481,19 +481,6 @@ impl TraceSource for TraceFileSource {
     fn split_at(&mut self, at: usize) {
         self.fence = at.clamp(self.pos, self.take);
     }
-
-    fn skip(&mut self, n: usize) {
-        let target = self.pos.saturating_add(n).min(self.take);
-        while self.pos < target && self.fault.is_none() {
-            if self.chunk_pos >= self.chunk_len && !self.refill() {
-                break;
-            }
-            let step = (self.chunk_len - self.chunk_pos).min(target - self.pos);
-            self.chunk_pos += step;
-            self.pos += step;
-        }
-        self.fence = self.fence.max(self.pos);
-    }
 }
 
 /// `read_exact` that maps an early end-of-file to [`CodecError::Truncated`]
@@ -913,11 +900,6 @@ mod tests {
         src.split_at(take);
         records.extend(drain(&mut src));
         assert_eq!(records, &trace.records()[..take]);
-
-        // skip() drops records and keeps delivering the right suffix.
-        let mut src = TraceFileSource::open(&path, None).expect("open for skip");
-        src.skip(split);
-        assert_eq!(src.next_chunk()[0], trace.records()[split]);
 
         // A request longer than the file is rejected at open time.
         assert!(matches!(

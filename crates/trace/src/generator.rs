@@ -193,16 +193,6 @@ impl TraceSource for TraceStream {
     fn split_at(&mut self, at: usize) {
         self.fence = (at as u64).clamp(self.pos, self.total);
     }
-
-    fn skip(&mut self, n: usize) {
-        // A generator cannot jump: the RNG sub-streams and walk state advance
-        // per record, so skipped records are produced and discarded.
-        let n = (n as u64).min(self.total - self.pos);
-        for _ in 0..n {
-            let _ = self.step();
-        }
-        self.fence = self.fence.max(self.pos);
-    }
 }
 
 /// Stable FNV-1a hash of the application name, used to decorrelate seeds
@@ -306,31 +296,6 @@ mod tests {
             records.extend_from_slice(chunk);
         }
         assert_eq!(records, reference.records());
-    }
-
-    #[test]
-    fn stream_skip_advances_the_generator_state() {
-        let n = 5_000;
-        let skip = 1_234;
-        let generator = TraceGenerator::new(spec::gcc(), 4);
-        let reference = generator.generate(n);
-
-        let mut stream = generator.stream(n);
-        stream.skip(skip);
-        assert_eq!(stream.position(), skip);
-        let mut records = Vec::new();
-        loop {
-            let chunk = stream.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        assert_eq!(records, &reference.records()[skip..]);
-        // Skipping past the end clamps and stays exhausted.
-        stream.skip(10);
-        assert_eq!(stream.position(), n);
-        assert!(stream.next_chunk().is_empty());
     }
 
     #[test]

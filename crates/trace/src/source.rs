@@ -27,8 +27,7 @@
 //! fences delivery at an absolute record index — once [`TraceSource::position`]
 //! reaches the fence, `next_chunk` reports exhaustion — and a later
 //! `split_at` further out resumes delivery exactly where the previous region
-//! stopped, even mid-chunk. [`TraceSource::skip`] advances past records
-//! without delivering them. Both work across chunk boundaries for every
+//! stopped, even mid-chunk. This works across chunk boundaries for every
 //! implementation (property-tested in `tests/source_split_properties.rs`).
 
 use crate::record::InstrRecord;
@@ -61,7 +60,7 @@ pub trait TraceSource {
     /// (or the current split region) is exhausted.
     fn next_chunk(&mut self) -> &[InstrRecord];
 
-    /// Number of records delivered (or skipped) so far.
+    /// Number of records delivered so far.
     fn position(&self) -> usize;
 
     /// Fences delivery at absolute record index `at`, clamped into
@@ -71,12 +70,6 @@ pub trait TraceSource {
     /// fenced position — the warm/measure split of an experiment is
     /// `split_at(warm)`, drain, then `split_at(warm + measure)`, drain.
     fn split_at(&mut self, at: usize);
-
-    /// Advances past the next `n` records (clamped to the end of the source)
-    /// without delivering them, moving the fence along if it would fall
-    /// behind. For a materialized cursor this is O(1); a generator still
-    /// advances its internal state record by record.
-    fn skip(&mut self, n: usize);
 }
 
 /// A [`TraceSource`] over a materialized [`Trace`] window.
@@ -127,11 +120,6 @@ impl TraceSource for TraceCursor {
 
     fn split_at(&mut self, at: usize) {
         self.fence = at.clamp(self.pos, self.trace.len());
-    }
-
-    fn skip(&mut self, n: usize) {
-        self.pos = self.pos.saturating_add(n).min(self.trace.len());
-        self.fence = self.fence.max(self.pos);
     }
 }
 
@@ -193,23 +181,6 @@ mod tests {
         assert_eq!(cursor.next_chunk().len(), 3);
         // A fence behind the position clamps up to it (empty region).
         cursor.split_at(0);
-        assert!(cursor.next_chunk().is_empty());
-    }
-
-    #[test]
-    fn cursor_skip_drops_records_and_drags_the_fence() {
-        let trace = sample();
-        let mut cursor = TraceCursor::new(trace.clone());
-        cursor.split_at(1);
-        cursor.skip(2);
-        assert_eq!(cursor.position(), 2);
-        // The fence (1) fell behind the skipped-to position and moved up.
-        assert!(cursor.next_chunk().is_empty());
-        cursor.split_at(3);
-        assert_eq!(cursor.next_chunk(), &trace.records()[2..]);
-        // Skipping past the end clamps.
-        cursor.skip(10);
-        assert_eq!(cursor.position(), 3);
         assert!(cursor.next_chunk().is_empty());
     }
 }

@@ -60,12 +60,6 @@ impl WorkingSetSpec {
         self
     }
 
-    /// Overrides the alias spacing between segments.
-    pub fn with_alias_spacing(mut self, spacing: u64) -> Self {
-        self.alias_spacing = spacing.max(64);
-        self
-    }
-
     /// Size in bytes of each segment.
     pub fn segment_bytes(&self) -> u64 {
         (self.bytes / u64::from(self.conflict_ways.max(1))).max(64)
@@ -205,17 +199,8 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let ws = WorkingSetSpec::uniform(1024)
-            .at_base(0x5000_0000)
-            .with_alias_spacing(4096);
+        let ws = WorkingSetSpec::uniform(1024).at_base(0x5000_0000);
         assert_eq!(ws.base, 0x5000_0000);
-        assert_eq!(ws.alias_spacing, 4096);
-        assert_eq!(
-            WorkingSetSpec::uniform(1024)
-                .with_alias_spacing(1)
-                .alias_spacing,
-            64
-        );
     }
 
     #[test]

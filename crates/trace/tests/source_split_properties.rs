@@ -3,7 +3,7 @@
 //! 8 Ki (± 1), or arbitrary positions — draining the regions of a split
 //! source concatenates to exactly the unsplit source's record sequence, for
 //! every implementation (materialized cursor, resumable generator stream,
-//! and on-disk chunk reader), and `skip` drops exactly the records it names.
+//! and on-disk chunk reader).
 
 use rescache_testutil::{check_cases, TestRng};
 use rescache_trace::codec::TraceFileSource;
@@ -112,79 +112,6 @@ fn split_regions_concatenate_to_the_unsplit_sequence() {
         std::fs::remove_file(&path).ok();
     });
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn skip_then_drain_equals_the_suffix() {
-    let dir = std::env::temp_dir().join(format!("rescache-skip-prop-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    check_cases(16, |rng| {
-        let total = rng.range_usize(1, 2 * CHUNK_RECORDS + 100);
-        let skip = rng.below_usize(total + 2); // may exceed the total
-        let generator = TraceGenerator::new(spec::compress(), rng.below(1 << 20));
-        let reference = generator.generate(total);
-        let expected = &reference.records()[skip.min(total)..];
-
-        let mut cursor = reference.cursor();
-        cursor.skip(skip);
-        let mut records = Vec::new();
-        drain_region(&mut cursor, &mut records);
-        assert_eq!(records, expected, "cursor skip {skip} of {total}");
-
-        let mut stream = generator.stream(total);
-        stream.skip(skip);
-        let mut records = Vec::new();
-        drain_region(&mut stream, &mut records);
-        assert_eq!(records, expected, "stream skip {skip} of {total}");
-
-        let path = dir.join(format!("skip-{total}-{skip}.rctrace"));
-        rescache_trace::codec::save_trace(&path, &reference).expect("persist case");
-        let mut file = TraceFileSource::open(&path, None).expect("open case");
-        file.skip(skip);
-        let mut records = Vec::new();
-        drain_region(&mut file, &mut records);
-        assert_eq!(records, expected, "file skip {skip} of {total}");
-        std::fs::remove_file(&path).ok();
-    });
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn interleaved_skip_and_split_stay_consistent() {
-    // Mix the two motions: skip some records, fence a region, drain, repeat.
-    check_cases(12, |rng| {
-        let total = rng.range_usize(CHUNK_RECORDS, 2 * CHUNK_RECORDS + 50);
-        let generator = TraceGenerator::new(spec::vpr(), rng.below(1 << 16));
-        let reference = generator.generate(total);
-
-        let mut stream = generator.stream(total);
-        let mut cursor = reference.cursor();
-        let mut expected: Vec<InstrRecord> = Vec::new();
-        let mut pos = 0usize;
-        while pos < total {
-            if rng.bool() {
-                let n = rng.below_usize(CHUNK_RECORDS / 2);
-                stream.skip(n);
-                cursor.skip(n);
-                pos = (pos + n).min(total);
-            } else {
-                let to = (pos + rng.below_usize(CHUNK_RECORDS)).min(total);
-                stream.split_at(to);
-                cursor.split_at(to);
-                expected.extend_from_slice(&reference.records()[pos..to]);
-                let mut got_stream = Vec::new();
-                drain_region(&mut stream, &mut got_stream);
-                let mut got_cursor = Vec::new();
-                drain_region(&mut cursor, &mut got_cursor);
-                assert_eq!(got_stream, &reference.records()[pos..to]);
-                assert_eq!(got_cursor, &reference.records()[pos..to]);
-                pos = to;
-            }
-            assert_eq!(stream.position(), pos);
-            assert_eq!(cursor.position(), pos);
-        }
-    });
 }
 
 /// The trait's whole-trace default: a source with no splits at all is the

@@ -2,9 +2,9 @@
 //! controller) resizing strategies on the two processor configurations of the
 //! paper, for one application with a periodically varying working set.
 //!
-//! The dynamic candidate sweep streams its records from the trace store:
-//! with `RESCACHE_TRACE_DIR` set, every controller run replays the persisted
-//! entry chunk by chunk and no full-length trace is ever materialized.
+//! The static search and every dynamic candidate replay one resident trace
+//! from the trace store; with `RESCACHE_TRACE_DIR` set, that trace is loaded
+//! from (or persisted to) the store directory.
 //!
 //! Run with: `cargo run --release --example static_vs_dynamic`
 

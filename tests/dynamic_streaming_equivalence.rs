@@ -1,17 +1,17 @@
-//! Differential harness for the streamed dynamic-resizing pipeline: a
-//! dynamic-controller run whose records are pulled chunk by chunk from the
-//! trace store (resident cursor, on-disk reader, or resumable generator)
-//! must be **bit-identical** to the classic path that materializes the warm
-//! and measured traces first — same [`SimResult`], same resize counts, same
-//! hierarchy snapshots, same energy breakdowns — on both engines, across
-//! registry workloads and controller parameter candidates.
+//! Differential harness for the store-backed dynamic-resizing path: a
+//! dynamic-controller run by `Runner::run_dynamic` over its trace store's
+//! resident trace (in memory, or loaded from and persisted to a store
+//! directory) must be **bit-identical** to `Runner::run` over the warm and
+//! measured traces of an independent in-memory runner — same timing, same
+//! resize counts, same energy breakdowns — on both engines, across registry
+//! workloads and controller parameter candidates.
 //!
-//! The store-backed variants additionally assert the memory contract: with a
-//! persistence directory configured, the whole dynamic sweep leaves **zero**
-//! full-length traces materialized (only chunk buffers were resident).
+//! The store-backed variants also assert the memory contract: however many
+//! candidates a sweep runs, the store keeps **one** resident trace per
+//! application.
 
 use rescache::prelude::*;
-use rescache_core::experiment::{Measurement, RunSetup, StoreSourceKind};
+use rescache_core::experiment::{Measurement, RunSetup};
 use rescache_trace::WorkloadRegistry;
 use std::path::PathBuf;
 
@@ -45,44 +45,43 @@ fn candidate_params(space: &ConfigSpace, interval: u64) -> Vec<DynamicParams> {
 /// Asserts every observable of the two measurements is identical (not merely
 /// close): timing, activity-derived energy breakdown, mean sizes, miss
 /// ratios and resize counts.
-fn assert_identical(label: &str, materialized: &Measurement, streamed: &Measurement) {
+fn assert_identical(label: &str, expected: &Measurement, got: &Measurement) {
     assert_eq!(
-        materialized, streamed,
-        "{label}: streamed dynamic run diverged from the materialized path"
+        expected, got,
+        "{label}: store-backed dynamic run diverged from the reference run"
     );
     // Measurement's PartialEq covers every field, but spell out the ones the
-    // issue names so a divergence pinpoints itself.
-    assert_eq!(materialized.cycles, streamed.cycles, "{label}: cycles");
+    // differentials care about so a divergence pinpoints itself.
+    assert_eq!(expected.cycles, got.cycles, "{label}: cycles");
     assert_eq!(
-        materialized.breakdown, streamed.breakdown,
+        expected.breakdown, got.breakdown,
         "{label}: energy breakdown"
     );
     assert_eq!(
-        (materialized.l1d_resizes, materialized.l1i_resizes),
-        (streamed.l1d_resizes, streamed.l1i_resizes),
+        (expected.l1d_resizes, expected.l1i_resizes),
+        (got.l1d_resizes, got.l1i_resizes),
         "{label}: resize counts"
     );
 }
 
 /// The core differential: for one (profile, system) pair, run every
-/// candidate through the materialized `Runner::run` path and the streamed
-/// `Runner::run_dynamic` path and require equality. `store_dir` selects the
-/// store mode (None = in-memory, Some = persisted chunk streaming). Returns
-/// the total resizes observed so callers can assert controller activity
-/// where the workload makes it deterministic.
+/// candidate through `Runner::run` on the reference runner's traces and
+/// through the store-backed `Runner::run_dynamic` and require equality.
+/// `store_dir` selects the store mode (None = in-memory, Some = persisted).
+/// Returns the total resizes observed so callers can assert controller
+/// activity where the workload makes it deterministic.
 fn assert_dynamic_equivalence(
     profile: &AppProfile,
     system: &SystemConfig,
     store_dir: Option<PathBuf>,
-    expect_no_materialization: bool,
 ) -> u64 {
     let cfg = fast_config();
-    // Reference runner: plain in-memory store, classic materialized path.
+    // Reference runner: plain in-memory store, uncached `Runner::run`.
     let reference = Runner::new(cfg);
     let (warm, measure) = reference.trace(profile);
 
-    // Streamed runner: its own store in the requested mode.
-    let streamed_runner = Runner::with_store(cfg, TraceStore::with_dir(store_dir));
+    // Store-backed runner: its own store in the requested mode.
+    let store_runner = Runner::with_store(cfg, TraceStore::with_dir(store_dir));
 
     let space = ConfigSpace::enumerate(
         ResizableCacheSide::Data.config_of(&system.hierarchy),
@@ -97,24 +96,22 @@ fn assert_dynamic_equivalence(
             d_tag_bits: 4,
             ..RunSetup::default()
         };
-        let materialized = reference.run(&warm, &measure, system, &setup);
-        let streamed = streamed_runner.run_dynamic(profile, system, &setup);
+        let expected = reference.run(&warm, &measure, system, &setup);
+        let got = store_runner.run_dynamic(profile, system, &setup);
         let label = format!(
             "{} / {:?} / miss_bound {} size_bound {}",
             profile.name, system.cpu.engine, params.miss_bound, params.size_bound_bytes
         );
-        assert_identical(&label, &materialized, &streamed);
-        resizes += streamed.l1d_resizes;
+        assert_identical(&label, &expected, &got);
+        resizes += got.l1d_resizes;
     }
 
-    if expect_no_materialization {
-        assert_eq!(
-            streamed_runner.trace_store().resident_full_traces(),
-            0,
-            "{}: a store-backed dynamic run must keep no full trace resident",
-            profile.name
-        );
-    }
+    assert_eq!(
+        store_runner.trace_store().resident_full_traces(),
+        1,
+        "{}: every candidate replays the one resident trace",
+        profile.name
+    );
     resizes
 }
 
@@ -134,7 +131,7 @@ fn registry_workloads_match_across_engines_with_a_persistent_store() {
                 std::process::id()
             ));
             std::fs::remove_dir_all(&dir).ok();
-            let resizes = assert_dynamic_equivalence(&profile, &system, Some(dir.clone()), true);
+            let resizes = assert_dynamic_equivalence(&profile, &system, Some(dir.clone()));
             if name == "nominal" || name == "phase_flip" {
                 assert!(
                     resizes > 0,
@@ -148,28 +145,28 @@ fn registry_workloads_match_across_engines_with_a_persistent_store() {
 
 #[test]
 fn paper_profiles_match_with_an_in_memory_store() {
-    // The in-memory store serves resident cursors instead of disk chunks:
-    // same contract, different source kind.
+    // The in-memory store generates the trace instead of loading and
+    // persisting it: same contract.
     for profile in [spec::su2cor(), spec::compress()] {
         for system in engines() {
-            assert_dynamic_equivalence(&profile, &system, None, false);
+            assert_dynamic_equivalence(&profile, &system, None);
         }
     }
 }
 
 #[test]
-fn full_dynamic_sweep_is_identical_and_unmaterialized_with_a_store_dir() {
+fn full_dynamic_sweep_is_identical_with_a_store_dir() {
     // End-to-end: `dynamic_best_with_size_bounds` (baseline + snapped
-    // candidate sweep, all streamed) must equal the same sweep run by a
-    // reference runner, and with a persistence directory it must finish with
-    // zero materialized traces.
+    // candidate sweep) over a store with a persistence directory must equal
+    // the same sweep run by an in-memory reference runner, and it must
+    // finish with one resident trace and one persisted entry.
     let cfg = fast_config();
     let app = spec::su2cor();
     let dir = std::env::temp_dir().join(format!("rescache-dyneq-sweep-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     let reference = Runner::new(cfg);
-    let streamed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
     for system in engines() {
         let expected = reference
             .dynamic_best(
@@ -179,7 +176,7 @@ fn full_dynamic_sweep_is_identical_and_unmaterialized_with_a_store_dir() {
                 ResizableCacheSide::Data,
             )
             .expect("sweep runs");
-        let got = streamed
+        let got = backed
             .dynamic_best(
                 &app,
                 &system,
@@ -207,29 +204,27 @@ fn full_dynamic_sweep_is_identical_and_unmaterialized_with_a_store_dir() {
         );
     }
     assert_eq!(
-        streamed.trace_store().resident_full_traces(),
-        0,
-        "the whole dynamic sweep ran without materializing a trace"
+        backed.trace_store().resident_full_traces(),
+        1,
+        "the whole dynamic sweep replayed one resident trace"
     );
+    assert_eq!(std::fs::read_dir(&dir).expect("store dir").count(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
-    // Corrupt the persisted entry after it is written: the chunked reader
-    // faults mid-run, and the runner must fall back to regeneration and
-    // still produce the exact materialized-path result.
+    // Corrupt the persisted entry after it is written: a fresh store's
+    // load faults mid-read, and the run must fall back to regeneration and
+    // still produce the exact in-memory result.
     let cfg = fast_config();
     let app = spec::m88ksim();
     let system = SystemConfig::base();
     let dir = std::env::temp_dir().join(format!("rescache-dyneq-corrupt-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let streamed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
-    // Populate the entry (and prove the store really serves from disk).
-    let probe = streamed.trace_store().source(&app, &cfg);
-    assert_eq!(probe.kind(), StoreSourceKind::Disk);
-    drop(probe);
+    // Populate the entry.
+    TraceStore::with_dir(Some(dir.clone())).fetch(&app, &cfg);
     let entry = std::fs::read_dir(&dir)
         .expect("store dir")
         .next()
@@ -237,7 +232,7 @@ fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
         .expect("entry")
         .path();
     let mut bytes = std::fs::read(&entry).expect("read entry");
-    // Wreck the *second* chunk's directory entry so the fault hits mid-run.
+    // Wreck the *second* chunk's directory entry so the fault hits mid-read.
     // v3 compressed container: magic(8) + flags(1) + name_len(4) + name +
     // count(8), then per chunk [len u32][byte_len u32][payload].
     assert_eq!(&bytes[..8], b"RCTRACE3");
@@ -267,24 +262,27 @@ fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
     let reference = Runner::new(cfg);
     let (warm, measure) = reference.trace(&app);
     let expected = reference.run(&warm, &measure, &system, &setup);
-    let got = streamed.run_dynamic(&app, &system, &setup);
+    let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let got = backed.run_dynamic(&app, &system, &setup);
     assert_identical("corrupt-entry fallback", &expected, &got);
+    let health = backed.trace_store().health();
+    assert_eq!((health.quarantines, health.regenerations), (1, 1));
 
-    // The fallback also invalidates the corrupt entry, so the store
-    // self-heals: the next run replays a fresh on-disk entry fault-free
-    // instead of paying the doomed partial replay forever.
-    let healed = streamed.trace_store().source(&app, &cfg);
-    assert_eq!(healed.kind(), StoreSourceKind::Disk);
-    drop(healed);
-    let again = streamed.run_dynamic(&app, &system, &setup);
+    // The fallback also quarantines the corrupt entry and persists a fresh
+    // one, so the store self-heals: a new store loads it from disk
+    // fault-free instead of paying the doomed partial read forever.
+    let healed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let again = healed.run_dynamic(&app, &system, &setup);
     assert_identical("healed entry", &expected, &again);
+    let health = healed.trace_store().health();
+    assert_eq!((health.hits, health.quarantines), (1, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn static_setups_also_stream_identically() {
-    // run_dynamic with no controller delegates to the memoized static path
-    // with a streaming initializer: still bit-identical.
+    // run_dynamic with no controller delegates to the memoized static path:
+    // still bit-identical.
     let cfg = fast_config();
     let app = spec::ammp();
     let system = SystemConfig::base();
@@ -292,7 +290,7 @@ fn static_setups_also_stream_identically() {
     std::fs::remove_dir_all(&dir).ok();
 
     let reference = Runner::new(cfg);
-    let streamed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
     let setup = RunSetup {
         d_static: Some(CachePoint { sets: 64, ways: 2 }),
         d_tag_bits: 4,
@@ -300,8 +298,8 @@ fn static_setups_also_stream_identically() {
     };
     let (warm, measure) = reference.trace(&app);
     let expected = reference.run(&warm, &measure, &system, &setup);
-    let got = streamed.run_dynamic(&app, &system, &setup);
-    assert_identical("streamed static", &expected, &got);
-    assert_eq!(streamed.trace_store().resident_full_traces(), 0);
+    let got = backed.run_dynamic(&app, &system, &setup);
+    assert_identical("store-backed static", &expected, &got);
+    assert_eq!(backed.trace_store().resident_full_traces(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -35,7 +35,7 @@ fn dynamic_controller_downsizes_an_oversized_cache() {
         ..RunSetup::default()
     };
     let resized = r.run(&warm, &measure, &system, &setup);
-    let base = r.baseline(&warm, &measure, &system);
+    let base = r.run(&warm, &measure, &system, &RunSetup::default());
     assert!(
         resized.l1d_mean_bytes < 12.0 * 1024.0,
         "the controller should ride well below the full 32 KiB, got {:.1} KiB",
@@ -96,7 +96,7 @@ fn static_points_on_both_sides_compose() {
     let m = r.run(&warm, &measure, &system, &setup);
     assert_eq!(m.l1d_mean_bytes, 4.0 * 1024.0);
     assert_eq!(m.l1i_mean_bytes, 8.0 * 1024.0);
-    let base = r.baseline(&warm, &measure, &system);
+    let base = r.run(&warm, &measure, &system, &RunSetup::default());
     assert!(m.breakdown.l1d_pj < base.breakdown.l1d_pj);
     assert!(m.breakdown.l1i_pj < base.breakdown.l1i_pj);
 }

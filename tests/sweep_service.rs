@@ -20,11 +20,12 @@
 //!   with a typed `quota_exhausted` error once exceeded, counting the lines
 //!   a client sends while a sweep streams too.
 //! * **Dynamic verb** — a `dynamic` request streams the controller's resize
-//!   decisions and its done line matches the in-process
-//!   `Runner::run_dynamic` bit-for-bit.
+//!   decisions, one line per decision of the in-process
+//!   `Runner::run_dynamic_observed`, and its done line matches that run
+//!   bit-for-bit.
 //! * **Multi-process** — N server *processes* sharing one
-//!   `RESCACHE_TRACE_DIR` share trace generation through the store's entry
-//!   locks and agree bit-for-bit.
+//!   `RESCACHE_TRACE_DIR` share persisted trace entries and agree
+//!   bit-for-bit.
 //! * **Shutdown** — a `shutdown` request drains the server cleanly, even
 //!   when the server was bound to a wildcard address with no clients.
 
@@ -35,6 +36,7 @@ use std::time::{Duration, Instant};
 use rescache::prelude::*;
 use rescache_core::experiment::{RunSetup, ServeConfig, SharedTier, SweepServer};
 use rescache_core::json::Json;
+use rescache_core::ResizeDecision;
 use rescache_trace::{FaultInjector, FaultSpec, IoPolicy};
 
 fn service_config() -> RunnerConfig {
@@ -790,20 +792,22 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
             .and_then(Json::as_u64),
         "{done:?}"
     );
+    let geometry = |p: &Json| {
+        (
+            p.get("sets").and_then(Json::as_u64).expect("sets"),
+            p.get("ways").and_then(Json::as_u64).expect("ways"),
+        )
+    };
+    let accesses = |line: &Json| {
+        line.get("accesses")
+            .and_then(Json::as_u64)
+            .expect("interval boundary")
+    };
     let mut last_accesses = 0;
     for line in &resize_lines {
-        let accesses = line
-            .get("accesses")
-            .and_then(Json::as_u64)
-            .expect("interval boundary");
+        let accesses = accesses(line);
         assert!(accesses > last_accesses, "decisions arrive in order");
         last_accesses = accesses;
-        let geometry = |p: &Json| {
-            (
-                p.get("sets").and_then(Json::as_u64).expect("sets"),
-                p.get("ways").and_then(Json::as_u64).expect("ways"),
-            )
-        };
         let from = geometry(line.get("from").expect("from"));
         let to = geometry(line.get("to").expect("to"));
         assert_ne!(from, to, "a resize changes the geometry: {line:?}");
@@ -838,11 +842,37 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
         ..RunSetup::default()
     };
     let reference = Runner::new(service_config());
-    let expected = reference.run_dynamic(
+    let (tx, rx) = std::sync::mpsc::channel::<ResizeDecision>();
+    let expected = reference.run_dynamic_observed(
         &spec::profile("gcc").expect("gcc is a spec profile"),
         &system,
         &setup,
+        Some(&tx),
     );
+    drop(tx);
+    // `decisions` has one meaning: the decisions of the one run, each
+    // streamed as exactly one resize line.
+    let observed: Vec<ResizeDecision> = rx.iter().collect();
+    assert_eq!(
+        done.get("decisions").and_then(Json::as_u64),
+        Some(observed.len() as u64),
+        "{done:?}"
+    );
+    assert_eq!(resize_lines.len(), observed.len());
+    for (line, decision) in resize_lines.iter().zip(&observed) {
+        let point = |p: CachePoint| (p.sets, u64::from(p.ways));
+        assert_eq!(accesses(line), decision.accesses, "{line:?}");
+        assert_eq!(
+            geometry(line.get("from").expect("from")),
+            point(decision.from),
+            "{line:?}"
+        );
+        assert_eq!(
+            geometry(line.get("to").expect("to")),
+            point(decision.to),
+            "{line:?}"
+        );
+    }
     assert_eq!(
         done.get("cycles").and_then(Json::as_u64),
         Some(expected.cycles),
