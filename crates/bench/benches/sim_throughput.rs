@@ -1,9 +1,8 @@
 //! Throughput harness for the simulation substrate itself: measures simulated
 //! instructions (or cache accesses) per wall-clock second for the stages every
 //! experiment runs through — trace generation and store replay, the cache
-//! access path, the two execution engines, the dynamic controller, one engine
-//! run per registry workload and the replacement-policy pair — and records the
-//! numbers in `BENCH_sim_throughput.json` at the workspace root so successive
+//! access path, the two execution engines, the dynamic controller and one
+//! engine run per registry workload — and records the numbers in `BENCH_sim_throughput.json` at the workspace root so successive
 //! performance PRs have a tracked trajectory.
 //!
 //! Unlike the figure benches (which reproduce the paper's *results*), this
@@ -22,10 +21,10 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use rescache_bench::{knobs, Spread};
-use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy, ReplacementPolicy};
+use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
 use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
-use rescache_cpu::{CpuConfig, LatencyStats, NoopHook, Simulator};
+use rescache_cpu::{CpuConfig, NoopHook, Simulator};
 use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, TraceSource, WorkloadRegistry};
 
 /// Timed repetitions per stage (after one untimed warm-up).
@@ -46,10 +45,6 @@ struct EngineResult {
     /// `trace_store_load`, the stage whose whole point is the disk format.
     store_bytes: Option<u64>,
     compression_ratio: Option<f64>,
-    /// Latency-domain counters from the stage's last engine run; `Some`
-    /// only for the replacement-policy pair, whose whole point is the
-    /// delayed-hit stall profile rather than raw MIPS.
-    latency: Option<LatencyStats>,
 }
 
 /// A per-stage scratch store directory under the system temp directory,
@@ -84,7 +79,6 @@ fn measure(name: &'static str, items: u64, mut body: impl FnMut() -> u64) -> Eng
         mips,
         store_bytes: None,
         compression_ratio: None,
-        latency: None,
     }
 }
 
@@ -245,57 +239,6 @@ fn bench_workloads() -> Vec<EngineResult> {
         .collect()
 }
 
-/// The replacement-policy headline pair: one delayed-hit-heavy registry
-/// workload simulated under baseline LRU and under latency-aware LRU-MAD,
-/// back to back in the same process. The interesting output is not MIPS but
-/// the latency block each entry carries — mean delayed-hit stall cycles under
-/// `lru` vs `lru_mad` compare *within the run*, so the pair's ratio is
-/// host-drift-free even on a shared 1-core container.
-///
-/// The pair runs `conflict_storm` against a conflict-prone 4K 2-way L1
-/// (not the 32K base): delayed hits in this model come from a line being
-/// evicted while its fill is still in flight, which the base geometry
-/// almost never does. Under that pressure MAD's victim scan evicts the
-/// lines whose outstanding fills are cheapest, so the merges that remain
-/// land close to completion — the *mean* stall per delayed hit drops well
-/// below LRU's even though MAD admits more (cheap) merges.
-fn bench_policy_pair() -> Vec<EngineResult> {
-    let n = 500_000;
-    let registry = WorkloadRegistry::builtin();
-    let spec = registry
-        .get("conflict_storm")
-        .expect("conflict_storm is a builtin workload");
-    let profile = spec.profile();
-    [
-        ("policy_lru", ReplacementPolicy::Lru),
-        ("policy_lru_mad", ReplacementPolicy::LruMad),
-    ]
-    .into_iter()
-    .map(|(label, policy)| {
-        let config = CpuConfig::base_out_of_order();
-        let profile = profile.clone();
-        let mut latency = LatencyStats::default();
-        let mut result = measure(label, n as u64, || {
-            let mut h =
-                MemoryHierarchy::new(HierarchyConfig::with_l1(4 * 1024, 2).with_l1d_policy(policy))
-                    .unwrap();
-            let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
-            let r = Simulator::new(config).run_source(&mut stream, &mut h, &mut NoopHook);
-            latency = r.latency;
-            r.instructions
-        });
-        println!(
-            "{:<24} {:>10} delayed hits   {:>9.3} mean stall cycles",
-            format!("  ({label})"),
-            latency.delayed_hits,
-            latency.mean_delayed_hit_cycles()
-        );
-        result.latency = Some(latency);
-        result
-    })
-    .collect()
-}
-
 /// One dynamic-controller run (warm-up + measured region with the miss-ratio
 /// resizing hook attached) through `Runner::run_dynamic`, on a runner whose
 /// store persists to a scratch directory: the path every dynamic experiment
@@ -370,7 +313,6 @@ fn main() {
     results.push(bench_gen_plus_first_sim("gen_first_sim_fused", true));
     results.push(bench_dynamic("dyn_run", &mut store_health));
     results.extend(bench_workloads());
-    results.extend(bench_policy_pair());
 
     let json = render_json(&results, store_health);
     let out_path = concat!(
@@ -386,7 +328,7 @@ fn main() {
 /// carries no serde dependency).
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/12\",\n");
+    out.push_str("  \"schema\": \"rescache-sim-throughput/13\",\n");
     // The dynamic stage's shared-tier recovery counters. All-zero
     // with `"degraded": false` on a healthy machine; anything else flags a
     // run whose numbers were taken while the store was fighting its disk.
@@ -409,17 +351,6 @@ fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String 
         if let (Some(bytes), Some(ratio)) = (r.store_bytes, r.compression_ratio) {
             extra.push_str(&format!(
                 ", \"store_bytes\": {bytes}, \"compression_ratio\": {ratio:.3}"
-            ));
-        }
-        if let Some(lat) = r.latency {
-            extra.push_str(&format!(
-                ", \"latency\": {{\"delayed_hits\": {}, \"delayed_hit_cycles\": {}, \"mean_delayed_hit_cycles\": {:.4}, \"d_primary_misses\": {}, \"d_miss_cycles\": {}, \"mean_miss_cycles\": {:.4}}}",
-                lat.delayed_hits,
-                lat.delayed_hit_cycles,
-                lat.mean_delayed_hit_cycles(),
-                lat.d_primary_misses,
-                lat.d_miss_cycles,
-                lat.mean_miss_cycles()
             ));
         }
         out.push_str(&format!(

@@ -2,7 +2,6 @@
 //! paper's flush semantics.
 
 use crate::config::{CacheConfig, CacheConfigError};
-use crate::replacement::ReplacementPolicy;
 use crate::stats::CacheStats;
 
 /// Valid bit of a packed frame word.
@@ -123,7 +122,6 @@ impl ResizeEffect {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    policy: ReplacementPolicy,
     /// The tag store as one contiguous buffer: set `s` occupies
     /// `frames[s * associativity ..][.. associativity]`.
     ///
@@ -146,11 +144,6 @@ pub struct Cache {
     /// accesses per run).
     set_mask: u64,
     clock: u64,
-    /// Per-frame aggregate-delay cost (fill latency plus delayed-hit stall
-    /// cycles accrued while resident), parallel to `frames`. Allocated only
-    /// when the policy weighs delay ([`ReplacementPolicy::tracks_delay`]);
-    /// empty otherwise, so the LRU fast path touches nothing.
-    costs: Vec<u64>,
     stats: CacheStats,
 }
 
@@ -162,30 +155,11 @@ impl Cache {
     /// Returns an error if the configuration is invalid
     /// (see [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Result<Self, CacheConfigError> {
-        Self::with_policy(config, ReplacementPolicy::Lru)
-    }
-
-    /// Creates a cache with the given replacement policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the configuration is invalid.
-    pub fn with_policy(
-        config: CacheConfig,
-        policy: ReplacementPolicy,
-    ) -> Result<Self, CacheConfigError> {
         config.validate()?;
         let ways = config.associativity as usize;
-        let frame_count = config.num_sets() as usize * ways;
-        let frames = vec![Frame::default(); frame_count];
-        let costs = if policy.tracks_delay() {
-            vec![0u64; frame_count]
-        } else {
-            Vec::new()
-        };
+        let frames = vec![Frame::default(); config.num_sets() as usize * ways];
         Ok(Self {
             config,
-            policy,
             frames,
             ways,
             enabled_sets: config.num_sets(),
@@ -193,7 +167,6 @@ impl Cache {
             block_shift: config.block_bytes.trailing_zeros(),
             set_mask: config.num_sets() - 1,
             clock: 0,
-            costs,
             stats: CacheStats::new(config.num_sets(), config.associativity),
         })
     }
@@ -201,11 +174,6 @@ impl Cache {
     /// The static configuration of this cache.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// The replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Number of currently enabled sets.
@@ -307,21 +275,9 @@ impl Cache {
     /// Fills the block containing `addr`, evicting a victim if necessary.
     ///
     /// `dirty` marks the freshly filled block as modified (used when a store
-    /// misses and write-allocates). Equivalent to [`Cache::fill_costed`]
-    /// with a zero fetch cost.
+    /// misses and write-allocates).
     #[inline]
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Eviction> {
-        self.fill_costed(addr, dirty, 0)
-    }
-
-    /// [`Cache::fill`] with the fetch latency the fill paid, in cycles.
-    ///
-    /// Under a delay-weighing policy ([`ReplacementPolicy::LruMad`]) the
-    /// cost seeds the frame's aggregate-delay counter — a block that was
-    /// expensive to fetch is expensive to lose — and delayed-hit stalls
-    /// accrue onto it via [`Cache::note_delay`]. Other policies ignore it.
-    #[inline]
-    pub fn fill_costed(&mut self, addr: u64, dirty: bool, cost: u64) -> Option<Eviction> {
         self.clock += 1;
         let block_addr = self.block_addr(addr);
         let index = self.set_index(block_addr);
@@ -353,30 +309,7 @@ impl Cache {
                 invalid_way = Some(way);
             }
         }
-        let victim_way = match invalid_way {
-            Some(way) => way,
-            None => match self.policy {
-                ReplacementPolicy::Lru => victim_way,
-                ReplacementPolicy::LruMad => {
-                    // Minimum aggregate delay: evict the resident block whose
-                    // accrued fetch-plus-stall cost is lowest; the LRU stamp
-                    // breaks ties (equal-cost sets degrade to plain LRU).
-                    let row_costs = &self.costs[base..base + enabled_ways];
-                    let mut best = victim_way;
-                    let mut best_key = (u64::MAX, u64::MAX);
-                    for (way, frame) in row.iter().enumerate() {
-                        let key = (row_costs[way], frame.stamp);
-                        if key < best_key {
-                            best_key = key;
-                            best = way;
-                        }
-                    }
-                    best
-                }
-            },
-        };
-
-        let victim = &mut row[victim_way];
+        let victim = &mut row[invalid_way.unwrap_or(victim_way)];
         let eviction = if victim.valid() {
             Some(Eviction {
                 block_addr: victim.block_addr(),
@@ -386,9 +319,6 @@ impl Cache {
             None
         };
         victim.fill(block_addr, dirty, clock);
-        if !self.costs.is_empty() {
-            self.costs[base + victim_way] = cost;
-        }
         self.stats.record_fill();
         if let Some(e) = &eviction {
             if e.dirty {
@@ -396,30 +326,6 @@ impl Cache {
             }
         }
         eviction
-    }
-
-    /// Accrues `cycles` of delayed-hit stall onto the resident block
-    /// containing `addr`, if present.
-    ///
-    /// The engines call this when a secondary miss merges into an in-flight
-    /// fill: the stall the merge pays is aggregate delay attributable to the
-    /// block, which is exactly what the LRU-MAD victim scan weighs. A no-op
-    /// under policies that do not track delay.
-    pub fn note_delay(&mut self, addr: u64, cycles: u64) {
-        if self.costs.is_empty() {
-            return;
-        }
-        let block_addr = self.block_addr(addr);
-        let index = self.set_index(block_addr);
-        let base = index * self.ways;
-        let want = Frame::match_word(block_addr);
-        let enabled = self.enabled_ways as usize;
-        for (way, frame) in self.frames[base..base + enabled].iter().enumerate() {
-            if frame.word & !FRAME_DIRTY == want {
-                self.costs[base + way] = self.costs[base + way].saturating_add(cycles);
-                return;
-            }
-        }
     }
 
     /// Invalidates the block containing `addr` if present, returning whether
@@ -785,68 +691,6 @@ mod tests {
         assert!(c.invalidate(0x80));
         assert!(!c.invalidate(0x80), "already gone");
         assert!(!c.contains(0x80));
-    }
-
-    fn mad_cache(size_kib: u64, assoc: u32) -> Cache {
-        Cache::with_policy(
-            CacheConfig::l1_default(size_kib * 1024, assoc),
-            ReplacementPolicy::LruMad,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn lru_mad_evicts_the_cheapest_block() {
-        let mut c = mad_cache(32, 2);
-        let a = 0x1000u64;
-        let b = a + 16 * 1024;
-        let d = a + 32 * 1024;
-        // `a` was expensive to fetch (memory), `b` cheap (L2): MAD keeps `a`
-        // even though `a` is the least recently used.
-        c.fill_costed(a, false, 113);
-        c.fill_costed(b, false, 13);
-        let evicted = c.fill_costed(d, false, 113).unwrap();
-        assert_eq!(evicted.block_addr, b / 32, "cheapest block is the victim");
-        assert!(c.contains(a));
-        assert!(!c.contains(b));
-    }
-
-    #[test]
-    fn lru_mad_note_delay_protects_a_block() {
-        let mut c = mad_cache(32, 2);
-        let a = 0x1000u64;
-        let b = a + 16 * 1024;
-        let d = a + 32 * 1024;
-        c.fill_costed(a, false, 13);
-        c.fill_costed(b, false, 13);
-        // Equal costs tie-break by LRU stamp (a is older), but delayed-hit
-        // stall accrued on `a` makes `b` the cheaper victim.
-        c.note_delay(a, 40);
-        let evicted = c.fill_costed(d, false, 113).unwrap();
-        assert_eq!(evicted.block_addr, b / 32);
-        assert!(c.contains(a), "delay-accruing block survives");
-    }
-
-    #[test]
-    fn lru_mad_with_equal_costs_degrades_to_lru() {
-        let mut c = mad_cache(32, 2);
-        let a = 0x1000u64;
-        let b = a + 16 * 1024;
-        let d = a + 32 * 1024;
-        c.fill_costed(a, false, 13);
-        c.fill_costed(b, false, 13);
-        assert!(c.access_read(a).hit, "touch refreshes a's stamp");
-        let evicted = c.fill_costed(d, false, 13).unwrap();
-        assert_eq!(evicted.block_addr, b / 32, "ties evict the LRU block");
-    }
-
-    #[test]
-    fn note_delay_is_a_noop_without_a_delay_policy() {
-        let mut c = cache(32, 2);
-        c.fill(0x1000, false);
-        c.note_delay(0x1000, 100);
-        c.note_delay(0x9999_0000, 5); // absent block: also a no-op
-        assert!(c.contains(0x1000));
     }
 
     #[test]

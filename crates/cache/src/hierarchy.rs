@@ -3,7 +3,6 @@
 
 use crate::cache::Cache;
 use crate::config::{CacheConfig, CacheConfigError};
-use crate::replacement::ReplacementPolicy;
 use crate::writeback::WritebackBuffer;
 
 /// Configuration of the whole hierarchy.
@@ -15,11 +14,6 @@ pub struct HierarchyConfig {
     pub l1d: CacheConfig,
     /// Unified L2 configuration.
     pub l2: CacheConfig,
-    /// Replacement policy of the L1 data cache (LRU in the paper's base
-    /// system; [`ReplacementPolicy::LruMad`] weighs aggregate delay). Part
-    /// of this `Hash`/`Eq` config, so memoized simulations keyed by a
-    /// system configuration never cross-serve between policies.
-    pub l1d_policy: ReplacementPolicy,
     /// Fixed portion of the memory access latency in cycles (80 in Table 2).
     pub memory_base_latency: u64,
     /// Additional cycles per 8 bytes transferred (5 in Table 2).
@@ -36,7 +30,6 @@ impl HierarchyConfig {
             l1i: CacheConfig::l1_default(32 * 1024, 2),
             l1d: CacheConfig::l1_default(32 * 1024, 2),
             l2: CacheConfig::l2_default(),
-            l1d_policy: ReplacementPolicy::Lru,
             memory_base_latency: 80,
             memory_per_8_bytes: 5,
             writeback_entries: 8,
@@ -50,12 +43,6 @@ impl HierarchyConfig {
             l1d: CacheConfig::l1_default(size_bytes, associativity),
             ..Self::base()
         }
-    }
-
-    /// This configuration with the given d-cache replacement policy.
-    pub fn with_l1d_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.l1d_policy = policy;
-        self
     }
 
     /// Latency in cycles of a main-memory access for one L2 block.
@@ -84,24 +71,27 @@ pub struct AccessResult {
 impl AccessResult {
     /// Classifies this access in the latency domain, given what the MSHR
     /// file knew at `cycle`: the completion cycle of an in-flight fill
-    /// covering the block (`outstanding`), if any.
+    /// covering the block (`outstanding`), if any. The non-blocking engine
+    /// prices every load by this rule.
     ///
-    /// A miss that merges into an in-flight fill is a **delayed hit**: it
-    /// pays the fill's *remaining* latency (at least one cycle — the merge
-    /// itself takes a cycle), not zero and not the full miss penalty. That
-    /// remaining-latency pricing matches the engines' merge rule
-    /// (`outstanding.max(cycle + 1)`), so the classification is exactly the
-    /// cost the schedule already charges.
+    /// Any access to a block whose fill is still in flight is a **delayed
+    /// hit**, whether the tag array already holds the block (the hierarchy
+    /// fills lines at access time, so a hit can find its data not yet
+    /// arrived) or the line was evicted mid-fill (a secondary miss). It
+    /// pays the fill's *remaining* latency, floored at the L1 hit latency
+    /// on a tag hit and at the one-cycle merge on a secondary miss — the
+    /// SimpleScalar-class `max(hit_latency, ready - now)`.
     #[inline]
     pub fn classify(&self, outstanding: Option<u64>, cycle: u64) -> AccessClass {
-        if self.l1_hit {
-            AccessClass::Hit
-        } else if let Some(ready) = outstanding {
-            AccessClass::DelayedHit {
-                remaining: ready.max(cycle + 1) - cycle,
+        match outstanding {
+            Some(ready) => {
+                let floor = if self.l1_hit { self.latency } else { 1 };
+                AccessClass::DelayedHit {
+                    remaining: ready.max(cycle + floor) - cycle,
+                }
             }
-        } else {
-            AccessClass::PrimaryMiss
+            None if self.l1_hit => AccessClass::Hit,
+            None => AccessClass::PrimaryMiss,
         }
     }
 }
@@ -110,11 +100,15 @@ impl AccessResult {
 /// [`AccessResult::classify`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessClass {
-    /// The block was resident: the access pays the L1 hit latency.
+    /// The block was resident and its data present: the access pays the L1
+    /// hit latency.
     Hit,
-    /// The block is in flight: the access pays the fill's remaining cycles.
+    /// The block's fill is in flight: the access pays the fill's remaining
+    /// cycles.
     DelayedHit {
-        /// Remaining cycles until the in-flight fill completes (≥ 1).
+        /// Cycles until the access completes: the fill's remaining latency,
+        /// at least the hit latency on a tag hit and at least one cycle on
+        /// a secondary miss.
         remaining: u64,
     },
     /// The block was neither resident nor in flight: a full miss.
@@ -132,7 +126,8 @@ pub struct HierarchyStats {
     pub writeback_stall_cycles: u64,
     /// Blocks written to the L2 because a resize flushed dirty L1 blocks.
     pub resize_flush_writebacks: u64,
-    /// Data accesses that merged into an in-flight fill (delayed hits).
+    /// Data accesses that found their block's fill still in flight
+    /// (delayed hits).
     pub delayed_hits: u64,
     /// Total remaining-latency cycles those delayed hits paid.
     pub delayed_hit_cycles: u64,
@@ -180,7 +175,7 @@ impl MemoryHierarchy {
     pub fn new(config: HierarchyConfig) -> Result<Self, CacheConfigError> {
         Ok(Self {
             l1i: Cache::new(config.l1i)?,
-            l1d: Cache::with_policy(config.l1d, config.l1d_policy)?,
+            l1d: Cache::new(config.l1d)?,
             l2: Cache::new(config.l2)?,
             writeback: WritebackBuffer::new(config.writeback_entries),
             stats: HierarchyStats::default(),
@@ -287,7 +282,7 @@ impl MemoryHierarchy {
         }
         let (beyond, l2_hit) = self.refill_from_l2(addr, cycle);
         let mut latency = l1_latency + beyond;
-        if let Some(eviction) = self.l1d.fill_costed(addr, write, beyond) {
+        if let Some(eviction) = self.l1d.fill(addr, write) {
             if eviction.dirty {
                 latency += self.push_writeback(eviction.block_addr, cycle);
             }
@@ -299,18 +294,12 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Records a delayed hit: a data access at `addr` that merged into an
-    /// in-flight fill and paid `remaining` cycles of its latency.
-    ///
-    /// Besides the hierarchy-level counters, the stall accrues onto the
-    /// block's aggregate-delay cost when the d-cache policy weighs delay
-    /// (the LRU-MAD victim scan), closing the loop between the engines'
-    /// MSHR merges and replacement.
+    /// Records a delayed hit: a data access that found its block's fill
+    /// still in flight and paid `remaining` cycles of its latency.
     #[inline]
-    pub fn note_delayed_hit(&mut self, addr: u64, remaining: u64) {
+    pub fn note_delayed_hit(&mut self, remaining: u64) {
         self.stats.delayed_hits += 1;
         self.stats.delayed_hit_cycles += remaining;
-        self.l1d.note_delay(addr, remaining);
     }
 
     /// Reads a block from the L2 (refilling it from memory on an L2 miss).
@@ -456,19 +445,25 @@ mod tests {
             hit.classify(Some(5), 10),
             AccessClass::DelayedHit { remaining: 1 }
         );
-        h.note_delayed_hit(0x50_0000, 30);
-        h.note_delayed_hit(0x50_0000, 1);
+        // A tag hit on a block whose fill is still in flight waits for the
+        // fill too, but never completes faster than a plain hit.
+        assert_eq!(
+            miss.classify(Some(40), 10),
+            AccessClass::DelayedHit { remaining: 30 }
+        );
+        let slow_hit = AccessResult {
+            latency: 3,
+            l1_hit: true,
+            l2_hit: false,
+        };
+        assert_eq!(
+            slow_hit.classify(Some(11), 10),
+            AccessClass::DelayedHit { remaining: 3 }
+        );
+        h.note_delayed_hit(30);
+        h.note_delayed_hit(1);
         assert_eq!(h.stats().delayed_hits, 2);
         assert_eq!(h.stats().delayed_hit_cycles, 31);
-    }
-
-    #[test]
-    fn lru_mad_policy_flows_into_the_d_cache() {
-        let config = HierarchyConfig::base().with_l1d_policy(ReplacementPolicy::LruMad);
-        let h = MemoryHierarchy::new(config).unwrap();
-        assert_eq!(h.l1d().policy(), ReplacementPolicy::LruMad);
-        assert_eq!(h.l1i().policy(), ReplacementPolicy::Lru);
-        assert_eq!(h.l2().policy(), ReplacementPolicy::Lru);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! # Crate map
 //!
 //! * [`config`] — [`CacheConfig`] and derived geometry.
-//! * [`replacement`] — LRU and LRU-MAD replacement policies.
 //! * [`cache`] — the resizable [`Cache`], its accesses and resize operations
 //!   (sets are rows of one flat, packed frame buffer).
 //! * [`stats`] — access and resize statistics, split per enabled geometry.
@@ -42,7 +41,6 @@ pub mod cache;
 pub mod config;
 pub mod hierarchy;
 pub mod mshr;
-pub mod replacement;
 pub mod stats;
 pub mod writeback;
 
@@ -52,6 +50,5 @@ pub use hierarchy::{
     AccessClass, AccessResult, HierarchyConfig, HierarchySnapshot, HierarchyStats, MemoryHierarchy,
 };
 pub use mshr::{MshrFile, MshrHit};
-pub use replacement::ReplacementPolicy;
 pub use stats::{CacheStats, GeometrySlice};
 pub use writeback::WritebackBuffer;

@@ -1,9 +1,10 @@
 //! Miss-status holding registers (MSHRs) for non-blocking caches.
 //!
 //! The out-of-order configuration of the paper uses a non-blocking d-cache:
-//! multiple misses may be outstanding, and secondary misses to a block that
-//! is already being fetched merge into the existing entry. The MSHR file
-//! bounds that concurrency (8 entries in the paper's base configuration).
+//! multiple misses may be outstanding, and any later load to a block that
+//! is already being fetched (a tag hit whose data has not arrived, or a
+//! secondary miss) waits on the existing entry. The MSHR file bounds that
+//! concurrency (8 entries in the paper's base configuration).
 
 /// One outstanding miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,8 +17,9 @@ struct MshrEntry {
     ready_cycle: u64,
 }
 
-/// An outstanding miss found by [`MshrFile::lookup_retire`]: a secondary
-/// miss to this block is a *delayed hit* that completes at `ready_cycle`.
+/// An outstanding miss found by [`MshrFile::lookup_retire`]: a load to
+/// this block is a *delayed hit* that completes no earlier than
+/// `ready_cycle`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MshrHit {
     /// Cycle the covering primary miss was issued.
@@ -62,26 +64,13 @@ impl MshrFile {
         self.entries.len() >= self.capacity
     }
 
-    /// Returns the completion cycle of an outstanding miss covering
-    /// `block_addr`, if any (a secondary miss merges into it).
-    #[inline]
-    pub fn lookup(&self, block_addr: u64) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| e.block_addr == block_addr)
-            .map(|e| e.ready_cycle)
-    }
-
     /// Looks up an outstanding miss covering `block_addr` at `cycle`,
     /// retiring every entry whose fill has completed in the same pass.
     ///
-    /// The engines used to pay two linear scans per access — a
-    /// `retire_completed` sweep and then a `lookup` over the survivors —
-    /// and, worse, a caller that looked up *before* retiring could see a
-    /// full file of already-expired entries and take the structural-hazard
-    /// stall path for free capacity. Fusing the two makes the single scan
-    /// both the retirement and the merge check, so capacity is always
-    /// current by construction.
+    /// One scan is both the retirement and the merge check, so capacity is
+    /// always current by construction: a caller that looked up *before*
+    /// retiring could see a full file of already-expired entries and take
+    /// the structural-hazard stall path for free capacity.
     #[inline]
     pub fn lookup_retire(&mut self, block_addr: u64, cycle: u64) -> Option<MshrHit> {
         let mut found = None;
@@ -154,8 +143,9 @@ mod tests {
     fn secondary_miss_merges() {
         let mut m = MshrFile::new(4);
         m.allocate(7, 30, 42);
-        assert_eq!(m.lookup(7), Some(42));
-        assert_eq!(m.lookup(8), None);
+        assert_eq!(m.lookup_retire(7, 35).map(|hit| hit.ready_cycle), Some(42));
+        assert_eq!(m.lookup_retire(8, 35), None);
+        assert_eq!(m.outstanding(), 1, "a lookup does not consume the entry");
     }
 
     #[test]
@@ -165,8 +155,8 @@ mod tests {
         m.allocate(2, 0, 20);
         m.retire_completed(15);
         assert_eq!(m.outstanding(), 1);
-        assert_eq!(m.lookup(1), None);
-        assert_eq!(m.lookup(2), Some(20));
+        assert_eq!(m.lookup_retire(1, 15), None);
+        assert_eq!(m.lookup_retire(2, 15).map(|hit| hit.ready_cycle), Some(20));
         assert_eq!(m.earliest_completion(), Some(20));
     }
 
@@ -186,7 +176,7 @@ mod tests {
             }
         );
         assert_eq!(m.outstanding(), 1, "completed entry retired in the pass");
-        assert_eq!(m.lookup(1), None);
+        assert_eq!(m.lookup_retire(1, 15), None);
     }
 
     #[test]

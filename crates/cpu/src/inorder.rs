@@ -140,10 +140,7 @@ impl InOrderEngine {
                         } else {
                             // Blocking cache: the whole pipeline waits for
                             // the fill.
-                            latency.d_primary_misses += 1;
-                            latency.d_miss_cycles += access.latency;
-                            latency.l2_hit_fills += u64::from(access.l2_hit);
-                            latency.memory_fills += u64::from(!access.l2_hit);
+                            latency.note_primary_miss(access.latency, access.l2_hit);
                             cycle += access.latency;
                             issued_this_cycle = 0;
                             cycle

@@ -11,7 +11,7 @@
 //! per-record reference implementation the batch pipeline is
 //! differentially tested against.
 
-use rescache_cache::{MemoryHierarchy, MshrFile};
+use rescache_cache::{AccessClass, MemoryHierarchy, MshrFile};
 use rescache_trace::{kind, TraceSource};
 
 use crate::activity::ActivityCounters;
@@ -171,51 +171,39 @@ impl OutOfOrderEngine {
                     } else if lane_kind == kind::LOAD {
                         let addr = u64::from(rec.addr_raw());
                         let access = hierarchy.access_data(addr, false, ready);
-                        let finish = if access.l1_hit {
-                            // Retire on every load, hit or miss: `ready` is
-                            // not monotone across loads (dependency delays can
-                            // push a hit's `ready` past a later miss's), so
-                            // retiring only on misses would let a later,
-                            // earlier-`ready` miss merge with an entry an
-                            // intervening hit would have retired. Misses
-                            // retire inside `lookup_retire`; hits pay this
-                            // one predictable branch.
-                            mshr.retire_completed(ready);
-                            ready + access.latency
-                        } else {
-                            let block = addr >> block_shift;
-                            if let Some(hit) = mshr.lookup_retire(block, ready) {
-                                // Secondary miss: merge with the in-flight
-                                // fill — a delayed hit, priced at the fill's
-                                // remaining latency (at least the one-cycle
-                                // merge).
-                                let finish = hit.ready_cycle.max(ready + 1);
-                                let remaining = finish - ready;
+                        // Every load looks the block up in the MSHR file,
+                        // hit or miss: a tag hit may find its fill still in
+                        // flight (the hierarchy fills lines at access time),
+                        // and the same pass retires completed entries.
+                        // `ready` is not monotone across loads, so retiring
+                        // only on misses would let a later, earlier-`ready`
+                        // miss merge with an entry an intervening hit would
+                        // have retired.
+                        let block = addr >> block_shift;
+                        let fill = mshr.lookup_retire(block, ready);
+                        let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
+                            AccessClass::Hit => ready + access.latency,
+                            AccessClass::DelayedHit { remaining } => {
                                 latency.delayed_hits += 1;
                                 latency.delayed_hit_cycles += remaining;
-                                hierarchy.note_delayed_hit(addr, remaining);
-                                finish
-                            } else if mshr.is_full() {
-                                // All MSHRs busy: the miss waits for one to free.
-                                let free_at = mshr
-                                    .earliest_completion()
-                                    .expect("full MSHR file is non-empty");
-                                mshr.retire_completed(free_at);
-                                let start = free_at.max(ready);
+                                hierarchy.note_delayed_hit(remaining);
+                                ready + remaining
+                            }
+                            AccessClass::PrimaryMiss => {
+                                let start = if mshr.is_full() {
+                                    // All MSHRs busy: the miss waits for one
+                                    // to free.
+                                    let free_at = mshr
+                                        .earliest_completion()
+                                        .expect("full MSHR file is non-empty");
+                                    mshr.retire_completed(free_at);
+                                    free_at.max(ready)
+                                } else {
+                                    ready
+                                };
                                 let finish = start + access.latency;
                                 mshr.allocate(block, start, finish);
-                                latency.d_primary_misses += 1;
-                                latency.d_miss_cycles += access.latency;
-                                latency.l2_hit_fills += u64::from(access.l2_hit);
-                                latency.memory_fills += u64::from(!access.l2_hit);
-                                finish
-                            } else {
-                                let finish = ready + access.latency;
-                                mshr.allocate(block, ready, finish);
-                                latency.d_primary_misses += 1;
-                                latency.d_miss_cycles += access.latency;
-                                latency.l2_hit_fills += u64::from(access.l2_hit);
-                                latency.memory_fills += u64::from(!access.l2_hit);
+                                latency.note_primary_miss(access.latency, access.l2_hit);
                                 finish
                             }
                         };
@@ -227,10 +215,10 @@ impl OutOfOrderEngine {
                         if !access.l1_hit {
                             // A store miss starts a fill too, but the pipeline
                             // only ever pays the capped write-buffer latency.
-                            latency.d_primary_misses += 1;
-                            latency.d_miss_cycles += access.latency.min(store_latency_cap);
-                            latency.l2_hit_fills += u64::from(access.l2_hit);
-                            latency.memory_fills += u64::from(!access.l2_hit);
+                            latency.note_primary_miss(
+                                access.latency.min(store_latency_cap),
+                                access.l2_hit,
+                            );
                         }
                         let finish = ready + access.latency.min(store_latency_cap);
                         finish + lsq.reserve_delay(ready, finish)
@@ -310,6 +298,36 @@ mod tests {
             })
             .collect();
         Trace::new("overlap", records)
+    }
+
+    /// Two independent loads to one block in one fetch group: the first
+    /// misses and starts the fill, the second hits the freshly allocated
+    /// line while that fill is still in flight.
+    fn hit_under_fill_trace() -> Trace {
+        Trace::new(
+            "hit-under-fill",
+            vec![
+                InstrRecord::new(0x40_0000, Op::Load(0x100_0000)),
+                InstrRecord::new(0x40_0004, Op::Load(0x100_0008)),
+            ],
+        )
+    }
+
+    #[test]
+    fn a_hit_on_an_in_flight_fill_waits_for_the_fill() {
+        let (result, hierarchy) = run_ooo(&hit_under_fill_trace());
+        let latency = result.latency;
+        assert_eq!(latency.d_primary_misses, 1);
+        assert_eq!(latency.delayed_hits, 1, "the second load is a delayed hit");
+        // Both loads are ready in the same cycle, so the second finishes no
+        // earlier than the first's fill: it waits out the whole miss.
+        assert_eq!(latency.delayed_hit_cycles, latency.d_miss_cycles);
+        assert_eq!(hierarchy.stats().delayed_hits, 1);
+        assert_eq!(
+            run_inorder(&hit_under_fill_trace()).latency.delayed_hits,
+            0,
+            "a blocking cache has no fill in flight"
+        );
     }
 
     #[test]

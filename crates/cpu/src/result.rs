@@ -12,7 +12,8 @@ use crate::branch::BranchStats;
 /// [`SimResult`] stays `Copy + Eq`; means are derived by methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyStats {
-    /// Loads that merged with an in-flight fill (secondary misses).
+    /// Loads to a block whose fill was still in flight: tag hits whose data
+    /// had not arrived, and secondary misses that merged with the fill.
     pub delayed_hits: u64,
     /// Total stall cycles those delayed hits paid (remaining fill latency).
     pub delayed_hit_cycles: u64,
@@ -28,6 +29,16 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// Counts one primary miss that paid `cycles` and filled from the L2
+    /// (`l2_hit`) or from memory.
+    #[inline]
+    pub fn note_primary_miss(&mut self, cycles: u64, l2_hit: bool) {
+        self.d_primary_misses += 1;
+        self.d_miss_cycles += cycles;
+        self.l2_hit_fills += u64::from(l2_hit);
+        self.memory_fills += u64::from(!l2_hit);
+    }
+
     /// Mean stall cycles per delayed hit.
     pub fn mean_delayed_hit_cycles(&self) -> f64 {
         if self.delayed_hits == 0 {

@@ -19,7 +19,7 @@
 
 #![doc(hidden)]
 
-use rescache_cache::{MemoryHierarchy, MshrFile};
+use rescache_cache::{AccessClass, MemoryHierarchy, MshrFile};
 use rescache_trace::{Op, TraceSource};
 
 use crate::activity::ActivityCounters;
@@ -123,38 +123,29 @@ pub fn run_ooo_reference<S: TraceSource, H: SimHook + ?Sized>(
                 Op::Load(addr) => {
                     mem_ops += 1;
                     let access = hierarchy.access_data(addr, false, ready);
-                    let finish = if access.l1_hit {
-                        mshr.retire_completed(ready);
-                        ready + access.latency
-                    } else {
-                        let block = addr >> block_shift;
-                        if let Some(hit) = mshr.lookup_retire(block, ready) {
-                            let finish = hit.ready_cycle.max(ready + 1);
-                            let remaining = finish - ready;
+                    let block = addr >> block_shift;
+                    let fill = mshr.lookup_retire(block, ready);
+                    let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
+                        AccessClass::Hit => ready + access.latency,
+                        AccessClass::DelayedHit { remaining } => {
                             latency.delayed_hits += 1;
                             latency.delayed_hit_cycles += remaining;
-                            hierarchy.note_delayed_hit(addr, remaining);
-                            finish
-                        } else if mshr.is_full() {
-                            let free_at = mshr
-                                .earliest_completion()
-                                .expect("full MSHR file is non-empty");
-                            mshr.retire_completed(free_at);
-                            let start = free_at.max(ready);
+                            hierarchy.note_delayed_hit(remaining);
+                            ready + remaining
+                        }
+                        AccessClass::PrimaryMiss => {
+                            let start = if mshr.is_full() {
+                                let free_at = mshr
+                                    .earliest_completion()
+                                    .expect("full MSHR file is non-empty");
+                                mshr.retire_completed(free_at);
+                                free_at.max(ready)
+                            } else {
+                                ready
+                            };
                             let finish = start + access.latency;
                             mshr.allocate(block, start, finish);
-                            latency.d_primary_misses += 1;
-                            latency.d_miss_cycles += access.latency;
-                            latency.l2_hit_fills += u64::from(access.l2_hit);
-                            latency.memory_fills += u64::from(!access.l2_hit);
-                            finish
-                        } else {
-                            let finish = ready + access.latency;
-                            mshr.allocate(block, ready, finish);
-                            latency.d_primary_misses += 1;
-                            latency.d_miss_cycles += access.latency;
-                            latency.l2_hit_fills += u64::from(access.l2_hit);
-                            latency.memory_fills += u64::from(!access.l2_hit);
+                            latency.note_primary_miss(access.latency, access.l2_hit);
                             finish
                         }
                     };
@@ -165,10 +156,10 @@ pub fn run_ooo_reference<S: TraceSource, H: SimHook + ?Sized>(
                     mem_ops += 1;
                     let access = hierarchy.access_data(addr, true, ready);
                     if !access.l1_hit {
-                        latency.d_primary_misses += 1;
-                        latency.d_miss_cycles += access.latency.min(store_latency_cap);
-                        latency.l2_hit_fills += u64::from(access.l2_hit);
-                        latency.memory_fills += u64::from(!access.l2_hit);
+                        latency.note_primary_miss(
+                            access.latency.min(store_latency_cap),
+                            access.l2_hit,
+                        );
                     }
                     let finish = ready + access.latency.min(store_latency_cap);
                     let available = lsq.reserve(ready, finish);
@@ -275,10 +266,7 @@ pub fn run_inorder_reference<S: TraceSource, H: SimHook + ?Sized>(
                     if access.l1_hit {
                         cycle + access.latency
                     } else {
-                        latency.d_primary_misses += 1;
-                        latency.d_miss_cycles += access.latency;
-                        latency.l2_hit_fills += u64::from(access.l2_hit);
-                        latency.memory_fills += u64::from(!access.l2_hit);
+                        latency.note_primary_miss(access.latency, access.l2_hit);
                         cycle += access.latency;
                         issued_this_cycle = 0;
                         cycle
@@ -315,5 +303,40 @@ pub fn run_inorder_reference<S: TraceSource, H: SimHook + ?Sized>(
         ),
         branch: predictor.stats(),
         latency,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hook::NoopHook;
+    use rescache_cache::HierarchyConfig;
+    use rescache_trace::{InstrRecord, Trace};
+
+    #[test]
+    fn reference_prices_a_hit_on_an_in_flight_fill() {
+        // Two independent loads to one block in one fetch group: the second
+        // hits the line the first is still filling.
+        let trace = Trace::new(
+            "hit-under-fill",
+            vec![
+                InstrRecord::new(0x40_0000, Op::Load(0x100_0000)),
+                InstrRecord::new(0x40_0004, Op::Load(0x100_0008)),
+            ],
+        );
+        let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
+        let result = run_ooo_reference(
+            &CpuConfig::base_out_of_order(),
+            &mut trace.cursor(),
+            &mut hierarchy,
+            &mut NoopHook,
+        );
+        let latency = result.latency;
+        assert_eq!(latency.d_primary_misses, 1);
+        assert_eq!(latency.delayed_hits, 1, "the second load is a delayed hit");
+        assert_eq!(
+            latency.delayed_hit_cycles, latency.d_miss_cycles,
+            "the second load finishes no earlier than the fill"
+        );
     }
 }

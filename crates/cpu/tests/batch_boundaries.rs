@@ -11,7 +11,7 @@
 
 use rescache_cache::{HierarchyConfig, HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::hook::{NoopHook, SimHook};
-use rescache_cpu::{scalar, CpuConfig, SimResult, Simulator, LANE_BATCH};
+use rescache_cpu::{scalar, CpuConfig, EngineKind, SimResult, Simulator, LANE_BATCH};
 use rescache_testutil::{check_cases, TestRng};
 use rescache_trace::{spec, TraceGenerator, TraceSource, CHUNK_RECORDS};
 
@@ -233,6 +233,17 @@ fn latency_parity_is_not_vacuous() {
             "every primary miss fills from exactly one level (engine {:?})",
             config.engine
         );
+        // gcc's misses overlap on the non-blocking engine, so loads land on
+        // blocks whose fill is still in flight: the delayed-hit branch runs
+        // and the parity below covers it. A blocking cache never has one.
+        assert_eq!(
+            latency.delayed_hits > 0,
+            config.engine == EngineKind::OutOfOrderNonBlocking,
+            "delayed hits: {} (engine {:?})",
+            latency.delayed_hits,
+            config.engine
+        );
+        assert!(latency.delayed_hit_cycles >= latency.delayed_hits);
         assert_eq!(latency, reference.0.latency);
     }
 }
