@@ -24,7 +24,7 @@ use rescache_bench::{knobs, Spread};
 use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
 use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
-use rescache_cpu::{CpuConfig, NoopHook, Simulator};
+use rescache_cpu::{CpuConfig, Simulator};
 use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, TraceSource, WorkloadRegistry};
 
 /// Timed repetitions per stage (after one untimed warm-up).
@@ -89,40 +89,19 @@ fn bench_trace_gen() -> EngineResult {
     })
 }
 
-/// Chunked generation through the `TraceSource` pull interface: the same
-/// record sequence as `trace_gen`, but only one `CHUNK_RECORDS` buffer ever
-/// resident — the rate a streaming (fused generate-and-simulate) run feeds
-/// its engine at.
-fn bench_trace_gen_streaming() -> EngineResult {
-    let n = 250_000;
-    measure("trace_gen_streaming", n as u64, || {
-        let mut stream = TraceGenerator::new(spec::gcc(), 7).stream(n);
-        let mut records = 0u64;
-        loop {
-            let chunk = stream.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records += chunk.len() as u64;
-        }
-        records
-    })
-}
-
-/// Replaying a persisted trace from the on-disk store (the cross-process
-/// reuse path `RESCACHE_TRACE_DIR` enables): the store-serve path decodes
-/// each chunk straight into a resident buffer the engine batch lanes read
-/// from, so the stage drains `TraceFileSource` chunk by chunk — it never
-/// materializes a whole-trace `Vec<InstrRecord>`.
+/// Decoding a persisted trace from the on-disk store (the cross-process
+/// reuse path `RESCACHE_TRACE_DIR` enables): the stage drains
+/// `TraceFileSource` chunk by chunk, the decode the store runs before
+/// copying each chunk into an entry's resident buffer.
 fn bench_trace_store_load() -> EngineResult {
     let n = 250_000;
     let dir = scratch_dir("store-load");
     std::fs::create_dir_all(&dir).expect("create bench store dir");
     let path = dir.join("gcc.rctrace");
     let policy = IoPolicy::none();
-    codec::save_source(
+    codec::save_with(
         &path,
-        &mut TraceGenerator::new(spec::gcc(), 7).stream(n),
+        &TraceGenerator::new(spec::gcc(), 7).generate(n),
         &policy,
     )
     .expect("persist bench trace");
@@ -191,31 +170,20 @@ fn bench_engine(name: &'static str, config: CpuConfig) -> EngineResult {
 }
 
 /// The cold-start ("trace-limited") stage every sweep pays once per
-/// application: generate a fresh trace and simulate it for the first time.
-/// `fused: false` is the pre-streaming pipeline (materialize, then replay);
-/// `fused: true` interleaves generation and simulation per chunk through
-/// `run_source`, with only one chunk buffer resident.
-fn bench_gen_plus_first_sim(name: &'static str, fused: bool) -> EngineResult {
+/// application: generate a fresh trace, then simulate it for the first time.
+fn bench_gen_plus_first_sim() -> EngineResult {
     let n = 100_000;
     let config = CpuConfig::base_out_of_order();
-    measure(name, n as u64, move || {
+    measure("gen_first_sim", n as u64, move || {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let generator = TraceGenerator::new(spec::m88ksim(), 3);
-        if fused {
-            let mut stream = generator.stream(n);
-            Simulator::new(config)
-                .run_source(&mut stream, &mut h, &mut NoopHook)
-                .instructions
-        } else {
-            let trace = generator.generate(n);
-            Simulator::new(config).run(&trace, &mut h).instructions
-        }
+        let trace = TraceGenerator::new(spec::m88ksim(), 3).generate(n);
+        Simulator::new(config).run(&trace, &mut h).instructions
     })
 }
 
-/// One out-of-order engine run per registry workload, fed through the
-/// streaming source: tracks how the engine responds to each scenario's
-/// stress pattern.
+/// One out-of-order engine run per registry workload, each repetition
+/// generating the workload's trace and then running it: tracks how the
+/// engine responds to each scenario's stress pattern.
 fn bench_workloads() -> Vec<EngineResult> {
     let n = 100_000;
     WorkloadRegistry::builtin()
@@ -230,10 +198,8 @@ fn bench_workloads() -> Vec<EngineResult> {
             let label: &'static str = Box::leak(format!("wl_{}", spec.name).into_boxed_str());
             measure(label, n as u64, move || {
                 let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-                let mut stream = TraceGenerator::new(profile.clone(), 3).stream(n);
-                Simulator::new(config)
-                    .run_source(&mut stream, &mut h, &mut NoopHook)
-                    .instructions
+                let trace = TraceGenerator::new(profile.clone(), 3).generate(n);
+                Simulator::new(config).run(&trace, &mut h).instructions
             })
         })
         .collect()
@@ -303,14 +269,12 @@ fn main() {
     // perturbed the store-load stage's measured time by ~1.5x run over run.
     let mut results = Vec::new();
     results.push(bench_trace_gen());
-    results.push(bench_trace_gen_streaming());
     results.push(bench_trace_store_load());
     results.push(bench_hit_stream());
     results.push(bench_evict_stream());
     results.push(bench_engine("in_order", CpuConfig::base_in_order()));
     results.push(bench_engine("out_of_order", CpuConfig::base_out_of_order()));
-    results.push(bench_gen_plus_first_sim("gen_first_sim_split", false));
-    results.push(bench_gen_plus_first_sim("gen_first_sim_fused", true));
+    results.push(bench_gen_plus_first_sim());
     results.push(bench_dynamic("dyn_run", &mut store_health));
     results.extend(bench_workloads());
 
@@ -328,7 +292,7 @@ fn main() {
 /// carries no serde dependency).
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/13\",\n");
+    out.push_str("  \"schema\": \"rescache-sim-throughput/14\",\n");
     // The dynamic stage's shared-tier recovery counters. All-zero
     // with `"degraded": false` on a healthy machine; anything else flags a
     // run whose numbers were taken while the store was fighting its disk.

@@ -318,7 +318,7 @@ impl Runner {
     /// The one experiment sequence every run takes: build a hierarchy with
     /// the static points applied (flush writebacks noted, as a real pre-run
     /// resize would), then warm-up, statistics reset and measured region over
-    /// one cursor over `trace`, `regions` giving the two record counts.
+    /// `trace`'s record slice, `regions` giving the two record counts.
     /// `hook` — the dynamic controller, or [`NoopHook`] for a static run —
     /// sees every commit of both regions.
     ///
@@ -346,7 +346,7 @@ impl Runner {
             hierarchy.note_resize_flush_writebacks(effect.dirty_writebacks);
         }
         let result = Simulator::new(system.cpu).run_warm_measure(
-            &mut trace.cursor(),
+            trace.records(),
             warm,
             measure,
             &mut hierarchy,
@@ -622,12 +622,18 @@ impl Runner {
             organization,
             side,
             &[full / 8, full / 4, full / 2],
+            None,
         )
     }
 
     /// Dynamic resizing with explicit size-bound candidates (see
     /// [`Runner::dynamic_best`]). The baseline and every candidate replay
     /// the store's one resident trace of `app`.
+    ///
+    /// `static_anchor` (the static best size, in bytes) adds one more
+    /// candidate: floor at that size, with a miss-bound no interval reaches.
+    /// That controller settles at the anchor and never upsizes, so the best
+    /// dynamic candidate is never worse than static resizing at the anchor.
     ///
     /// # Errors
     ///
@@ -639,6 +645,7 @@ impl Runner {
         organization: Organization,
         side: ResizableCacheSide,
         size_bounds: &[u64],
+        static_anchor: Option<u64>,
     ) -> Result<DynamicOutcome, CoreError> {
         let space = ConfigSpace::enumerate(side.config_of(&system.hierarchy), organization)?;
 
@@ -650,12 +657,19 @@ impl Runner {
 
         // Candidates over the requested bounds, snapped to offered
         // capacities (unreachable floors would waste or break simulations).
-        let params = DynamicParams::candidates(
+        let mut params = DynamicParams::candidates(
             self.config.dynamic_interval,
             base_miss_ratio,
             &space,
             size_bounds,
         );
+        if let Some(anchor) = static_anchor {
+            params.push(DynamicParams {
+                interval_accesses: self.config.dynamic_interval,
+                miss_bound: u64::MAX,
+                size_bound_bytes: space.snap_size_bound(anchor),
+            });
+        }
         // Parameter candidates are independent simulations over the shared
         // trace; sweep them in parallel like the static points.
         let candidates: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {

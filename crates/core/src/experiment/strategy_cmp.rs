@@ -56,8 +56,9 @@ pub fn static_vs_dynamic(
         // paper's: offer the static best size, half of it, a quarter, and the
         // smallest offered size (the `1` floor). The runner snaps each bound
         // to an offered capacity and collapses duplicates, so fractions that
-        // fall between (or below) offered sizes never waste a simulation —
-        // and the candidate sweep itself streams from the trace store.
+        // fall between (or below) offered sizes never waste a simulation.
+        // The static best size also anchors one never-upsizing candidate,
+        // so dynamic resizing can always match static.
         let full = side.config_of(&system.hierarchy).size_bytes;
         let static_best_bytes = static_outcome
             .best
@@ -70,8 +71,14 @@ pub fn static_vs_dynamic(
             static_best_bytes / 4,
             1,
         ];
-        let dynamic_outcome =
-            runner.dynamic_best_with_size_bounds(app, system, organization, side, &bounds)?;
+        let dynamic_outcome = runner.dynamic_best_with_size_bounds(
+            app,
+            system,
+            organization,
+            side,
+            &bounds,
+            Some(static_best_bytes),
+        )?;
         let dynamic_resizes = match side {
             ResizableCacheSide::Data => dynamic_outcome.best.measurement.l1d_resizes,
             ResizableCacheSide::Instruction => dynamic_outcome.best.measurement.l1i_resizes,

@@ -13,9 +13,9 @@
 //!
 //! There is one way to get records: [`TraceStore::fetch`] materializes (and
 //! memoizes) the full trace — loading a persisted entry whole, or generating
-//! the trace and persisting it — and every static or dynamic run replays a
-//! cursor over that resident buffer. An entry is decoded once per process,
-//! not once per run.
+//! the trace and persisting it — and every static or dynamic run replays
+//! that resident buffer's record slice. A persisted entry is decoded chunk
+//! by chunk into the buffer once per process, not once per run.
 //!
 //! Entries, resident and persisted, are keyed by *total* length and served
 //! only for that exact key: two warm/measure splits of the same total share
@@ -147,7 +147,7 @@ impl TraceStore {
 
     /// Returns the full (warm + measure) trace for an application,
     /// materializing at most once per `(application, seed, total)`: the
-    /// buffer every run replays a cursor over.
+    /// buffer whose records every run replays.
     pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
         let slot = self.tier.traces.slot(key);
@@ -355,7 +355,7 @@ impl TraceStore {
         loop {
             let records = drain(&mut entry);
             let fault = entry.fault();
-            if fault.is_none() && entry.position() == entry.total_records() {
+            if fault.is_none() && records.len() == entry.file_records() {
                 return Some(records);
             }
             let transient = matches!(fault, Some(codec::CodecError::Io(e)) if is_transient(e));
@@ -468,7 +468,7 @@ impl TraceStore {
         let policy = self.tier.policy();
         let saved = policy.retrying(
             || self.tier.health().note_retry(),
-            || codec::save_source(path, &mut trace.cursor(), policy),
+            || codec::save_with(path, trace, policy),
         );
         if let Err(e) = saved {
             self.note_persist_failure(path, &e);
@@ -491,10 +491,11 @@ impl TraceStore {
     }
 }
 
-/// Drains `source` into one buffer sized up front for its whole record
-/// count: a grown-and-copied second buffer would show in peak RSS.
-fn drain<S: TraceSource>(source: &mut S) -> Vec<InstrRecord> {
-    let mut records = Vec::with_capacity(source.total_records());
+/// Decodes `source` chunk by chunk into one buffer sized up front for its
+/// whole record count: a grown-and-copied second buffer would show in peak
+/// RSS.
+fn drain(source: &mut TraceFileSource) -> Vec<InstrRecord> {
+    let mut records = Vec::with_capacity(source.file_records());
     loop {
         let chunk = source.next_chunk();
         if chunk.is_empty() {
@@ -1061,7 +1062,7 @@ mod tests {
         let simulate = |trace: &Trace| {
             let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).expect("base");
             let result = Simulator::new(CpuConfig::base_out_of_order()).run_warm_measure(
-                &mut trace.cursor(),
+                trace.records(),
                 cfg.warmup_instructions,
                 cfg.measure_instructions,
                 &mut hierarchy,

@@ -1,12 +1,13 @@
 //! The in-order issue engine with a blocking data cache.
 //!
 //! Like the out-of-order engine, this runs as a two-stage batch pipeline:
-//! [`LaneBatch::decode`] transposes each incoming chunk into
-//! struct-of-arrays lanes (one shared decode front end for both engines),
-//! and the serial issue loop runs over the lanes. See [`crate::lanes`].
+//! [`LaneBatch::decode`] turns each [`LANE_BATCH`]-record sub-slice of the
+//! records into a dispatch lane (one shared decode front end for both
+//! engines), and the serial issue loop zips the records with that lane. See
+//! [`crate::lanes`].
 
 use rescache_cache::MemoryHierarchy;
-use rescache_trace::{kind, TraceSource};
+use rescache_trace::{kind, InstrRecord};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
@@ -42,18 +43,15 @@ impl InOrderEngine {
         &self.config
     }
 
-    /// Consumes `source` chunk by chunk against `hierarchy`, invoking `hook`
-    /// after every committed instruction — the engine's one run entry.
+    /// Replays `records` against `hierarchy`, invoking `hook` after every
+    /// committed instruction — the engine's one run entry.
     ///
-    /// The loop monomorphizes over both the source and the hook: a
-    /// materialized trace (`&mut trace.cursor()`) runs over one contiguous
-    /// record slice, a generator-backed source simulates without ever
-    /// materializing the full trace, and [`crate::NoopHook`] compiles the
-    /// hook call away, so plain (non-resizing) simulations pay no
+    /// The loop monomorphizes over the hook: [`crate::NoopHook`] compiles
+    /// the hook call away, so plain (non-resizing) simulations pay no
     /// per-instruction virtual call.
-    pub fn run_source<S: TraceSource, H: SimHook + ?Sized>(
+    pub fn run<H: SimHook + ?Sized>(
         &self,
-        source: &mut S,
+        records: &[InstrRecord],
         hierarchy: &mut MemoryHierarchy,
         hook: &mut H,
     ) -> SimResult {
@@ -81,80 +79,75 @@ impl InOrderEngine {
         let mut latency = LatencyStats::default();
 
         let mut idx: usize = 0;
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            // Streamed chunks are at most one batch wide; a materialized
-            // cursor's whole-window chunk is sub-sliced into batches here.
-            for records in chunk.chunks(LANE_BATCH) {
-                lanes.decode(records, &mut fetch);
-                let totals = lanes.totals();
-                fp_ops += totals.fp_ops;
-                mem_ops += totals.mem_ops;
-                branches += totals.branches;
-                regfile_reads += totals.regfile_reads;
-                for (rec, &flags) in records.iter().zip(lanes.dispatch()) {
-                    let lane_kind = flags & KIND_MASK;
-                    // Width wrap and dependency waits resolve through selects
-                    // where possible: both follow simulated data, so host
-                    // branches here are unpredictable (this loop head runs
-                    // once per instruction).
-                    let wrap = issued_this_cycle >= cfg.issue_width;
-                    cycle += u64::from(wrap);
-                    if wrap {
-                        issued_this_cycle = 0;
-                    }
-
-                    if flags & ICACHE_FLAG != 0 {
-                        let fetch_stall = fetch.access(rec.pc(), cycle, hierarchy);
-                        if fetch_stall > 0 {
-                            cycle += fetch_stall;
-                            issued_this_cycle = 0;
-                        }
-                    }
-
-                    // In-order issue: wait for both producers to have completed.
-                    let dep_ready = producer_ready(&completion, idx, rec.dep1())
-                        .max(producer_ready(&completion, idx, rec.dep2()));
-                    let waited = dep_ready > cycle;
-                    cycle = cycle.max(dep_ready);
-                    if waited {
-                        issued_this_cycle = 0;
-                    }
-
-                    let complete = if lane_kind >= kind::BRANCH_NOT_TAKEN {
-                        let taken = lane_kind == kind::BRANCH_TAKEN;
-                        let correct = predictor.resolve(rec.pc(), taken);
-                        if !correct {
-                            cycle += cfg.mispredict_penalty;
-                            issued_this_cycle = 0;
-                        }
-                        cycle + cfg.int_latency
-                    } else if lane_kind >= kind::LOAD {
-                        let write = lane_kind == kind::STORE;
-                        let access = hierarchy.access_data(u64::from(rec.addr_raw()), write, cycle);
-                        if access.l1_hit {
-                            cycle + access.latency
-                        } else {
-                            // Blocking cache: the whole pipeline waits for
-                            // the fill.
-                            latency.note_primary_miss(access.latency, access.l2_hit);
-                            cycle += access.latency;
-                            issued_this_cycle = 0;
-                            cycle
-                        }
-                    } else {
-                        cycle + alu_latency[usize::from(lane_kind)]
-                    };
-
-                    completion[idx % COMPLETION_RING] = complete;
-                    max_completion = max_completion.max(complete);
-                    issued_this_cycle += 1;
-                    idx += 1;
-                    hook.post_commit(idx as u64, cycle, hierarchy);
+        for batch in records.chunks(LANE_BATCH) {
+            lanes.decode(batch, &mut fetch);
+            let totals = lanes.totals();
+            fp_ops += totals.fp_ops;
+            mem_ops += totals.mem_ops;
+            branches += totals.branches;
+            regfile_reads += totals.regfile_reads;
+            for (rec, &flags) in batch.iter().zip(lanes.dispatch()) {
+                let lane_kind = flags & KIND_MASK;
+                // Width wrap and dependency waits resolve through selects
+                // where possible: both follow simulated data, so host
+                // branches here are unpredictable (this loop head runs
+                // once per instruction).
+                let wrap = issued_this_cycle >= cfg.issue_width;
+                cycle += u64::from(wrap);
+                if wrap {
+                    issued_this_cycle = 0;
                 }
+
+                if flags & ICACHE_FLAG != 0 {
+                    let fetch_stall = fetch.access(rec.pc(), cycle, hierarchy);
+                    if fetch_stall > 0 {
+                        cycle += fetch_stall;
+                        issued_this_cycle = 0;
+                    }
+                }
+
+                // In-order issue: wait for both producers to have completed.
+                let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+                    &completion,
+                    idx,
+                    rec.dep2(),
+                ));
+                let waited = dep_ready > cycle;
+                cycle = cycle.max(dep_ready);
+                if waited {
+                    issued_this_cycle = 0;
+                }
+
+                let complete = if lane_kind >= kind::BRANCH_NOT_TAKEN {
+                    let taken = lane_kind == kind::BRANCH_TAKEN;
+                    let correct = predictor.resolve(rec.pc(), taken);
+                    if !correct {
+                        cycle += cfg.mispredict_penalty;
+                        issued_this_cycle = 0;
+                    }
+                    cycle + cfg.int_latency
+                } else if lane_kind >= kind::LOAD {
+                    let write = lane_kind == kind::STORE;
+                    let access = hierarchy.access_data(u64::from(rec.addr_raw()), write, cycle);
+                    if access.l1_hit {
+                        cycle + access.latency
+                    } else {
+                        // Blocking cache: the whole pipeline waits for
+                        // the fill.
+                        latency.note_primary_miss(access.latency, access.l2_hit);
+                        cycle += access.latency;
+                        issued_this_cycle = 0;
+                        cycle
+                    }
+                } else {
+                    cycle + alu_latency[usize::from(lane_kind)]
+                };
+
+                completion[idx % COMPLETION_RING] = complete;
+                max_completion = max_completion.max(complete);
+                issued_this_cycle += 1;
+                idx += 1;
+                hook.post_commit(idx as u64, cycle, hierarchy);
             }
         }
 
@@ -179,12 +172,12 @@ mod tests {
     use super::*;
     use crate::hook::NoopHook;
     use rescache_cache::HierarchyConfig;
-    use rescache_trace::{spec, InstrRecord, Op, Trace, TraceGenerator};
+    use rescache_trace::{spec, Op, Trace, TraceGenerator};
 
     fn run_trace(trace: &Trace) -> (SimResult, MemoryHierarchy) {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let result = InOrderEngine::new(CpuConfig::base_in_order()).run_source(
-            &mut trace.cursor(),
+        let result = InOrderEngine::new(CpuConfig::base_in_order()).run(
+            trace.records(),
             &mut hierarchy,
             &mut NoopHook,
         );
@@ -285,8 +278,8 @@ mod tests {
         let trace = TraceGenerator::new(spec::ammp(), 1).generate(1_000);
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let mut hook = Counter(0);
-        InOrderEngine::new(CpuConfig::base_in_order()).run_source(
-            &mut trace.cursor(),
+        InOrderEngine::new(CpuConfig::base_in_order()).run(
+            trace.records(),
             &mut hierarchy,
             &mut hook,
         );

@@ -1,7 +1,8 @@
 //! The batched decode front end shared by both execution engines.
 //!
-//! Both engines consume a [`rescache_trace::TraceSource`] whose chunks carry
-//! packed [`InstrRecord`]s. The timing loops are serial by nature — every
+//! Both engines replay one resident slice of packed [`InstrRecord`]s (a
+//! trace's records, or the warm-up or measured index range of them). The
+//! timing loops are serial by nature — every
 //! instruction's dispatch cycle depends on its predecessor's — but a share of
 //! the per-record work is *not* serial: classifying the operation, counting
 //! activity (FP/memory/branch populations and register-file reads), and
@@ -25,21 +26,20 @@
 //! traffic. The dispatch lane keeps the batching win — classification and
 //! accounting off the serial chain — at one byte per record.
 //!
-//! The batch width equals [`CHUNK_RECORDS`], so a streamed source's chunks (a
-//! generator stream's, or an on-disk entry's) map one-to-one onto batches
-//! with no extra buffering; a materialized cursor's whole-window chunk — what
-//! every experiment run replays — is simply sub-sliced into batch-width
-//! pieces. Batch boundaries are invisible to the timing loop: results are
-//! bit-identical whatever the chunking (pinned by `tests/batch_boundaries.rs`
-//! against the scalar reference engines in [`crate::scalar`]).
+//! Each engine sub-slices its records into [`LANE_BATCH`]-record batches
+//! and decodes one batch at a time into a reused lane buffer. Batch
+//! boundaries are invisible to the timing loop: results are bit-identical
+//! wherever a region starts or ends relative to them (pinned by
+//! `tests/batch_boundaries.rs` against the scalar reference engines in
+//! [`crate::scalar`]).
 
-use rescache_trace::{kind, InstrRecord, CHUNK_RECORDS};
+use rescache_trace::{kind, InstrRecord};
 
 use crate::fetch::FetchUnit;
 
-/// Records per decoded batch; equal to the streaming chunk size so streamed
-/// chunks decode one-to-one into batches.
-pub const LANE_BATCH: usize = CHUNK_RECORDS;
+/// Records per decoded batch: 8 Ki records keep the dispatch lane (8 KiB)
+/// and the batch's records (96 KiB) L2-resident on any host.
+pub const LANE_BATCH: usize = 8 * 1024;
 
 /// Bit set in a dispatch-lane byte when the instruction starts a new fetch
 /// group and must access the i-cache at its dispatch cycle.

@@ -1,7 +1,8 @@
 //! The out-of-order issue engine with a non-blocking data cache.
 //!
-//! The engine runs as a two-stage batch pipeline: for each incoming
-//! [`TraceSource`] chunk, [`LaneBatch::decode`] produces a one-byte
+//! The engine runs as a two-stage batch pipeline: for each
+//! [`LANE_BATCH`]-record sub-slice of the records, [`LaneBatch::decode`]
+//! produces a one-byte
 //! dispatch lane (raw operation tag + i-cache-access mark) and the batch's
 //! activity totals, and the serial issue/complete/retire recurrence then
 //! zips the packed records with that lane — the per-record classification
@@ -12,7 +13,7 @@
 //! differentially tested against.
 
 use rescache_cache::{AccessClass, MemoryHierarchy, MshrFile};
-use rescache_trace::{kind, TraceSource};
+use rescache_trace::{kind, InstrRecord};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
@@ -57,19 +58,16 @@ impl OutOfOrderEngine {
         &self.config
     }
 
-    /// Consumes `source` chunk by chunk against `hierarchy`, invoking `hook`
-    /// after every dispatched-and-eventually-committed instruction — the
-    /// engine's one run entry.
+    /// Replays `records` against `hierarchy`, invoking `hook` after every
+    /// dispatched-and-eventually-committed instruction — the engine's one
+    /// run entry.
     ///
-    /// The loop monomorphizes over both the source and the hook: a
-    /// materialized trace (`&mut trace.cursor()`) runs over one contiguous
-    /// record slice, a generator-backed source simulates without ever
-    /// materializing the full trace, and [`crate::NoopHook`] compiles the
-    /// hook call away, so plain (non-resizing) simulations pay no
+    /// The loop monomorphizes over the hook: [`crate::NoopHook`] compiles
+    /// the hook call away, so plain (non-resizing) simulations pay no
     /// per-instruction virtual call.
-    pub fn run_source<S: TraceSource, H: SimHook + ?Sized>(
+    pub fn run<H: SimHook + ?Sized>(
         &self,
-        source: &mut S,
+        records: &[InstrRecord],
         hierarchy: &mut MemoryHierarchy,
         hook: &mut H,
     ) -> SimResult {
@@ -100,138 +98,133 @@ impl OutOfOrderEngine {
         let mut latency = LatencyStats::default();
 
         let mut idx: usize = 0;
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            // Streamed chunks are at most one batch wide; a materialized
-            // cursor's whole-window chunk is sub-sliced into batches here.
-            for records in chunk.chunks(LANE_BATCH) {
-                lanes.decode(records, &mut fetch);
-                let totals = lanes.totals();
-                fp_ops += totals.fp_ops;
-                mem_ops += totals.mem_ops;
-                branches += totals.branches;
-                regfile_reads += totals.regfile_reads;
-                for (rec, &flags) in records.iter().zip(lanes.dispatch()) {
-                    let lane_kind = flags & KIND_MASK;
-                    // Width wrap and misprediction redirects resolve through
-                    // selects: both follow simulated data, so host branches
-                    // here are unpredictable (this loop head runs once per
-                    // instruction).
-                    let wrap = dispatched_this_cycle >= cfg.issue_width;
-                    dispatch_cycle += u64::from(wrap);
-                    if wrap {
-                        dispatched_this_cycle = 0;
-                    }
-                    let redirected = dispatch_cycle < fetch_resume_cycle;
-                    dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
-                    if redirected {
-                        dispatched_this_cycle = 0;
-                    }
-
-                    // Instruction fetch: the group decision was precomputed in
-                    // the decode pass; misses stall dispatch directly.
-                    if flags & ICACHE_FLAG != 0 {
-                        let fetch_stall = fetch.access(rec.pc(), dispatch_cycle, hierarchy);
-                        if fetch_stall > 0 {
-                            dispatch_cycle += fetch_stall;
-                            dispatched_this_cycle = 0;
-                        }
-                    }
-
-                    // Window space: a full ROB forces the oldest instruction
-                    // to commit before this one can dispatch.
-                    if let Some(commit_cycle) = rob.commit_if_full() {
-                        last_forced_commit = last_forced_commit.max(commit_cycle);
-                        let bumped = commit_cycle > dispatch_cycle;
-                        dispatch_cycle = dispatch_cycle.max(commit_cycle);
-                        if bumped {
-                            dispatched_this_cycle = 0;
-                        }
-                    }
-
-                    // Operands become ready when both producers have completed.
-                    let dep_ready = producer_ready(&completion, idx, rec.dep1())
-                        .max(producer_ready(&completion, idx, rec.dep2()));
-                    let ready = dispatch_cycle.max(dep_ready);
-
-                    let complete = if lane_kind >= kind::BRANCH_NOT_TAKEN {
-                        let taken = lane_kind == kind::BRANCH_TAKEN;
-                        let correct = predictor.resolve(rec.pc(), taken);
-                        let finish = ready + cfg.int_latency;
-                        if !correct {
-                            // Fetch resumes only after the branch resolves and
-                            // the front end refills.
-                            fetch_resume_cycle =
-                                fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
-                        }
-                        finish
-                    } else if lane_kind == kind::LOAD {
-                        let addr = u64::from(rec.addr_raw());
-                        let access = hierarchy.access_data(addr, false, ready);
-                        // Every load looks the block up in the MSHR file,
-                        // hit or miss: a tag hit may find its fill still in
-                        // flight (the hierarchy fills lines at access time),
-                        // and the same pass retires completed entries.
-                        // `ready` is not monotone across loads, so retiring
-                        // only on misses would let a later, earlier-`ready`
-                        // miss merge with an entry an intervening hit would
-                        // have retired.
-                        let block = addr >> block_shift;
-                        let fill = mshr.lookup_retire(block, ready);
-                        let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
-                            AccessClass::Hit => ready + access.latency,
-                            AccessClass::DelayedHit { remaining } => {
-                                latency.delayed_hits += 1;
-                                latency.delayed_hit_cycles += remaining;
-                                hierarchy.note_delayed_hit(remaining);
-                                ready + remaining
-                            }
-                            AccessClass::PrimaryMiss => {
-                                let start = if mshr.is_full() {
-                                    // All MSHRs busy: the miss waits for one
-                                    // to free.
-                                    let free_at = mshr
-                                        .earliest_completion()
-                                        .expect("full MSHR file is non-empty");
-                                    mshr.retire_completed(free_at);
-                                    free_at.max(ready)
-                                } else {
-                                    ready
-                                };
-                                let finish = start + access.latency;
-                                mshr.allocate(block, start, finish);
-                                latency.note_primary_miss(access.latency, access.l2_hit);
-                                finish
-                            }
-                        };
-                        finish + lsq.reserve_delay(ready, finish)
-                    } else if lane_kind == kind::STORE {
-                        // Stores update the cache but retire through the write
-                        // buffer: the pipeline only pays the L1 access.
-                        let access = hierarchy.access_data(u64::from(rec.addr_raw()), true, ready);
-                        if !access.l1_hit {
-                            // A store miss starts a fill too, but the pipeline
-                            // only ever pays the capped write-buffer latency.
-                            latency.note_primary_miss(
-                                access.latency.min(store_latency_cap),
-                                access.l2_hit,
-                            );
-                        }
-                        let finish = ready + access.latency.min(store_latency_cap);
-                        finish + lsq.reserve_delay(ready, finish)
-                    } else {
-                        ready + alu_latency[usize::from(lane_kind)]
-                    };
-
-                    rob.dispatch(complete);
-                    completion[idx % COMPLETION_RING] = complete;
-                    dispatched_this_cycle += 1;
-                    idx += 1;
-                    hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
+        for batch in records.chunks(LANE_BATCH) {
+            lanes.decode(batch, &mut fetch);
+            let totals = lanes.totals();
+            fp_ops += totals.fp_ops;
+            mem_ops += totals.mem_ops;
+            branches += totals.branches;
+            regfile_reads += totals.regfile_reads;
+            for (rec, &flags) in batch.iter().zip(lanes.dispatch()) {
+                let lane_kind = flags & KIND_MASK;
+                // Width wrap and misprediction redirects resolve through
+                // selects: both follow simulated data, so host branches
+                // here are unpredictable (this loop head runs once per
+                // instruction).
+                let wrap = dispatched_this_cycle >= cfg.issue_width;
+                dispatch_cycle += u64::from(wrap);
+                if wrap {
+                    dispatched_this_cycle = 0;
                 }
+                let redirected = dispatch_cycle < fetch_resume_cycle;
+                dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
+                if redirected {
+                    dispatched_this_cycle = 0;
+                }
+
+                // Instruction fetch: the group decision was precomputed in
+                // the decode pass; misses stall dispatch directly.
+                if flags & ICACHE_FLAG != 0 {
+                    let fetch_stall = fetch.access(rec.pc(), dispatch_cycle, hierarchy);
+                    if fetch_stall > 0 {
+                        dispatch_cycle += fetch_stall;
+                        dispatched_this_cycle = 0;
+                    }
+                }
+
+                // Window space: a full ROB forces the oldest instruction
+                // to commit before this one can dispatch.
+                if let Some(commit_cycle) = rob.commit_if_full() {
+                    last_forced_commit = last_forced_commit.max(commit_cycle);
+                    let bumped = commit_cycle > dispatch_cycle;
+                    dispatch_cycle = dispatch_cycle.max(commit_cycle);
+                    if bumped {
+                        dispatched_this_cycle = 0;
+                    }
+                }
+
+                // Operands become ready when both producers have completed.
+                let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+                    &completion,
+                    idx,
+                    rec.dep2(),
+                ));
+                let ready = dispatch_cycle.max(dep_ready);
+
+                let complete = if lane_kind >= kind::BRANCH_NOT_TAKEN {
+                    let taken = lane_kind == kind::BRANCH_TAKEN;
+                    let correct = predictor.resolve(rec.pc(), taken);
+                    let finish = ready + cfg.int_latency;
+                    if !correct {
+                        // Fetch resumes only after the branch resolves and
+                        // the front end refills.
+                        fetch_resume_cycle =
+                            fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
+                    }
+                    finish
+                } else if lane_kind == kind::LOAD {
+                    let addr = u64::from(rec.addr_raw());
+                    let access = hierarchy.access_data(addr, false, ready);
+                    // Every load looks the block up in the MSHR file,
+                    // hit or miss: a tag hit may find its fill still in
+                    // flight (the hierarchy fills lines at access time),
+                    // and the same pass retires completed entries.
+                    // `ready` is not monotone across loads, so retiring
+                    // only on misses would let a later, earlier-`ready`
+                    // miss merge with an entry an intervening hit would
+                    // have retired.
+                    let block = addr >> block_shift;
+                    let fill = mshr.lookup_retire(block, ready);
+                    let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
+                        AccessClass::Hit => ready + access.latency,
+                        AccessClass::DelayedHit { remaining } => {
+                            latency.delayed_hits += 1;
+                            latency.delayed_hit_cycles += remaining;
+                            hierarchy.note_delayed_hit(remaining);
+                            ready + remaining
+                        }
+                        AccessClass::PrimaryMiss => {
+                            let start = if mshr.is_full() {
+                                // All MSHRs busy: the miss waits for one
+                                // to free.
+                                let free_at = mshr
+                                    .earliest_completion()
+                                    .expect("full MSHR file is non-empty");
+                                mshr.retire_completed(free_at);
+                                free_at.max(ready)
+                            } else {
+                                ready
+                            };
+                            let finish = start + access.latency;
+                            mshr.allocate(block, start, finish);
+                            latency.note_primary_miss(access.latency, access.l2_hit);
+                            finish
+                        }
+                    };
+                    finish + lsq.reserve_delay(ready, finish)
+                } else if lane_kind == kind::STORE {
+                    // Stores update the cache but retire through the write
+                    // buffer: the pipeline only pays the L1 access.
+                    let access = hierarchy.access_data(u64::from(rec.addr_raw()), true, ready);
+                    if !access.l1_hit {
+                        // A store miss starts a fill too, but the pipeline
+                        // only ever pays the capped write-buffer latency.
+                        latency.note_primary_miss(
+                            access.latency.min(store_latency_cap),
+                            access.l2_hit,
+                        );
+                    }
+                    let finish = ready + access.latency.min(store_latency_cap);
+                    finish + lsq.reserve_delay(ready, finish)
+                } else {
+                    ready + alu_latency[usize::from(lane_kind)]
+                };
+
+                rob.dispatch(complete);
+                completion[idx % COMPLETION_RING] = complete;
+                dispatched_this_cycle += 1;
+                idx += 1;
+                hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
             }
         }
 
@@ -259,12 +252,12 @@ mod tests {
     use crate::hook::NoopHook;
     use crate::inorder::InOrderEngine;
     use rescache_cache::HierarchyConfig;
-    use rescache_trace::{spec, InstrRecord, Op, Trace, TraceGenerator};
+    use rescache_trace::{spec, Op, Trace, TraceGenerator};
 
     fn run_ooo(trace: &Trace) -> (SimResult, MemoryHierarchy) {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let result = OutOfOrderEngine::new(CpuConfig::base_out_of_order()).run_source(
-            &mut trace.cursor(),
+        let result = OutOfOrderEngine::new(CpuConfig::base_out_of_order()).run(
+            trace.records(),
             &mut hierarchy,
             &mut NoopHook,
         );
@@ -273,8 +266,8 @@ mod tests {
 
     fn run_inorder(trace: &Trace) -> SimResult {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        InOrderEngine::new(CpuConfig::base_in_order()).run_source(
-            &mut trace.cursor(),
+        InOrderEngine::new(CpuConfig::base_in_order()).run(
+            trace.records(),
             &mut hierarchy,
             &mut NoopHook,
         )
@@ -446,7 +439,7 @@ mod tests {
             ..CpuConfig::base_out_of_order()
         };
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        OutOfOrderEngine::new(config).run_source(&mut trace.cursor(), &mut hierarchy, &mut NoopHook)
+        OutOfOrderEngine::new(config).run(trace.records(), &mut hierarchy, &mut NoopHook)
     }
 
     #[test]
@@ -495,8 +488,8 @@ mod tests {
         let trace = TraceGenerator::new(spec::vpr(), 2).generate(2_000);
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let mut hook = Counter(0);
-        OutOfOrderEngine::new(CpuConfig::base_out_of_order()).run_source(
-            &mut trace.cursor(),
+        OutOfOrderEngine::new(CpuConfig::base_out_of_order()).run(
+            trace.records(),
             &mut hierarchy,
             &mut hook,
         );

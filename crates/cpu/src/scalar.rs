@@ -1,11 +1,11 @@
 //! Scalar (per-record) reference implementations of both engines.
 //!
 //! These are the pre-batching engine loops, kept verbatim as differential
-//! oracles: they consume records one at a time straight from the source
-//! chunks, with no struct-of-arrays decode, no precomputed fetch-group
-//! marks and no batched activity totals. The batched pipelines in
-//! [`crate::ooo`] and [`crate::inorder`] are required to be bit-identical to
-//! these loops on every source, chunking and split plan — asserted by the
+//! oracles: they walk the record slice one record at a time, with no
+//! dispatch-lane decode, no precomputed fetch-group marks and no batched
+//! activity totals. The batched pipelines in [`crate::ooo`] and
+//! [`crate::inorder`] are required to be bit-identical to these loops on
+//! every warm/measure split plan, hooked and unhooked — asserted by the
 //! `batch_boundaries` property tests — so any divergence localizes a bug to
 //! the batching layer.
 //!
@@ -20,7 +20,7 @@
 #![doc(hidden)]
 
 use rescache_cache::{AccessClass, MemoryHierarchy, MshrFile};
-use rescache_trace::{Op, TraceSource};
+use rescache_trace::{InstrRecord, Op};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
@@ -33,23 +33,24 @@ use crate::result::{LatencyStats, SimResult};
 use crate::rob::ReorderBuffer;
 
 /// Dispatches to the scalar reference loop of the configuration's engine —
-/// the reference twin of `Simulator::run_source`.
-pub fn run_engine_reference<S: TraceSource, H: SimHook + ?Sized>(
+/// the reference twin of one engine run (`InOrderEngine::run` or
+/// `OutOfOrderEngine::run`).
+pub fn run_engine_reference<H: SimHook + ?Sized>(
     cfg: &CpuConfig,
-    source: &mut S,
+    records: &[InstrRecord],
     hierarchy: &mut MemoryHierarchy,
     hook: &mut H,
 ) -> SimResult {
     match cfg.engine {
-        EngineKind::InOrderBlocking => run_inorder_reference(cfg, source, hierarchy, hook),
-        EngineKind::OutOfOrderNonBlocking => run_ooo_reference(cfg, source, hierarchy, hook),
+        EngineKind::InOrderBlocking => run_inorder_reference(cfg, records, hierarchy, hook),
+        EngineKind::OutOfOrderNonBlocking => run_ooo_reference(cfg, records, hierarchy, hook),
     }
 }
 
 /// Per-record reference of the out-of-order engine loop.
-pub fn run_ooo_reference<S: TraceSource, H: SimHook + ?Sized>(
+pub fn run_ooo_reference<H: SimHook + ?Sized>(
     cfg: &CpuConfig,
-    source: &mut S,
+    records: &[InstrRecord],
     hierarchy: &mut MemoryHierarchy,
     hook: &mut H,
 ) -> SimResult {
@@ -72,117 +73,107 @@ pub fn run_ooo_reference<S: TraceSource, H: SimHook + ?Sized>(
     let mut latency = LatencyStats::default();
 
     let mut idx: usize = 0;
-    loop {
-        let chunk = source.next_chunk();
-        if chunk.is_empty() {
-            break;
+    for rec in records {
+        let wrap = dispatched_this_cycle >= cfg.issue_width;
+        dispatch_cycle += u64::from(wrap);
+        if wrap {
+            dispatched_this_cycle = 0;
         }
-        for rec in chunk {
-            let wrap = dispatched_this_cycle >= cfg.issue_width;
-            dispatch_cycle += u64::from(wrap);
-            if wrap {
-                dispatched_this_cycle = 0;
-            }
-            let redirected = dispatch_cycle < fetch_resume_cycle;
-            dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
-            if redirected {
-                dispatched_this_cycle = 0;
-            }
-
-            let fetch_stall = fetch.fetch(rec.pc(), dispatch_cycle, hierarchy);
-            if fetch_stall > 0 {
-                dispatch_cycle += fetch_stall;
-                dispatched_this_cycle = 0;
-            }
-
-            if rob.is_full() {
-                let commit_cycle = rob.commit_oldest().expect("full ROB is non-empty");
-                last_forced_commit = last_forced_commit.max(commit_cycle);
-                let bumped = commit_cycle > dispatch_cycle;
-                dispatch_cycle = dispatch_cycle.max(commit_cycle);
-                if bumped {
-                    dispatched_this_cycle = 0;
-                }
-            }
-
-            regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
-
-            let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
-                &completion,
-                idx,
-                rec.dep2(),
-            ));
-            let ready = dispatch_cycle.max(dep_ready);
-
-            let complete = match rec.op() {
-                Op::Int => ready + cfg.int_latency,
-                Op::Fp => {
-                    fp_ops += 1;
-                    ready + cfg.fp_latency
-                }
-                Op::Load(addr) => {
-                    mem_ops += 1;
-                    let access = hierarchy.access_data(addr, false, ready);
-                    let block = addr >> block_shift;
-                    let fill = mshr.lookup_retire(block, ready);
-                    let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
-                        AccessClass::Hit => ready + access.latency,
-                        AccessClass::DelayedHit { remaining } => {
-                            latency.delayed_hits += 1;
-                            latency.delayed_hit_cycles += remaining;
-                            hierarchy.note_delayed_hit(remaining);
-                            ready + remaining
-                        }
-                        AccessClass::PrimaryMiss => {
-                            let start = if mshr.is_full() {
-                                let free_at = mshr
-                                    .earliest_completion()
-                                    .expect("full MSHR file is non-empty");
-                                mshr.retire_completed(free_at);
-                                free_at.max(ready)
-                            } else {
-                                ready
-                            };
-                            let finish = start + access.latency;
-                            mshr.allocate(block, start, finish);
-                            latency.note_primary_miss(access.latency, access.l2_hit);
-                            finish
-                        }
-                    };
-                    let available = lsq.reserve(ready, finish);
-                    finish + available.saturating_sub(ready)
-                }
-                Op::Store(addr) => {
-                    mem_ops += 1;
-                    let access = hierarchy.access_data(addr, true, ready);
-                    if !access.l1_hit {
-                        latency.note_primary_miss(
-                            access.latency.min(store_latency_cap),
-                            access.l2_hit,
-                        );
-                    }
-                    let finish = ready + access.latency.min(store_latency_cap);
-                    let available = lsq.reserve(ready, finish);
-                    finish + available.saturating_sub(ready)
-                }
-                Op::Branch { taken } => {
-                    branches += 1;
-                    let correct = predictor.resolve(rec.pc(), taken);
-                    let finish = ready + cfg.int_latency;
-                    if !correct {
-                        fetch_resume_cycle =
-                            fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
-                    }
-                    finish
-                }
-            };
-
-            rob.dispatch(complete);
-            completion[idx % COMPLETION_RING] = complete;
-            dispatched_this_cycle += 1;
-            idx += 1;
-            hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
+        let redirected = dispatch_cycle < fetch_resume_cycle;
+        dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
+        if redirected {
+            dispatched_this_cycle = 0;
         }
+
+        let fetch_stall = fetch.fetch(rec.pc(), dispatch_cycle, hierarchy);
+        if fetch_stall > 0 {
+            dispatch_cycle += fetch_stall;
+            dispatched_this_cycle = 0;
+        }
+
+        if rob.is_full() {
+            let commit_cycle = rob.commit_oldest().expect("full ROB is non-empty");
+            last_forced_commit = last_forced_commit.max(commit_cycle);
+            let bumped = commit_cycle > dispatch_cycle;
+            dispatch_cycle = dispatch_cycle.max(commit_cycle);
+            if bumped {
+                dispatched_this_cycle = 0;
+            }
+        }
+
+        regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
+
+        let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+            &completion,
+            idx,
+            rec.dep2(),
+        ));
+        let ready = dispatch_cycle.max(dep_ready);
+
+        let complete = match rec.op() {
+            Op::Int => ready + cfg.int_latency,
+            Op::Fp => {
+                fp_ops += 1;
+                ready + cfg.fp_latency
+            }
+            Op::Load(addr) => {
+                mem_ops += 1;
+                let access = hierarchy.access_data(addr, false, ready);
+                let block = addr >> block_shift;
+                let fill = mshr.lookup_retire(block, ready);
+                let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
+                    AccessClass::Hit => ready + access.latency,
+                    AccessClass::DelayedHit { remaining } => {
+                        latency.delayed_hits += 1;
+                        latency.delayed_hit_cycles += remaining;
+                        hierarchy.note_delayed_hit(remaining);
+                        ready + remaining
+                    }
+                    AccessClass::PrimaryMiss => {
+                        let start = if mshr.is_full() {
+                            let free_at = mshr
+                                .earliest_completion()
+                                .expect("full MSHR file is non-empty");
+                            mshr.retire_completed(free_at);
+                            free_at.max(ready)
+                        } else {
+                            ready
+                        };
+                        let finish = start + access.latency;
+                        mshr.allocate(block, start, finish);
+                        latency.note_primary_miss(access.latency, access.l2_hit);
+                        finish
+                    }
+                };
+                let available = lsq.reserve(ready, finish);
+                finish + available.saturating_sub(ready)
+            }
+            Op::Store(addr) => {
+                mem_ops += 1;
+                let access = hierarchy.access_data(addr, true, ready);
+                if !access.l1_hit {
+                    latency.note_primary_miss(access.latency.min(store_latency_cap), access.l2_hit);
+                }
+                let finish = ready + access.latency.min(store_latency_cap);
+                let available = lsq.reserve(ready, finish);
+                finish + available.saturating_sub(ready)
+            }
+            Op::Branch { taken } => {
+                branches += 1;
+                let correct = predictor.resolve(rec.pc(), taken);
+                let finish = ready + cfg.int_latency;
+                if !correct {
+                    fetch_resume_cycle = fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
+                }
+                finish
+            }
+        };
+
+        rob.dispatch(complete);
+        completion[idx % COMPLETION_RING] = complete;
+        dispatched_this_cycle += 1;
+        idx += 1;
+        hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
     }
 
     let drained = rob.drain();
@@ -203,9 +194,9 @@ pub fn run_ooo_reference<S: TraceSource, H: SimHook + ?Sized>(
 }
 
 /// Per-record reference of the in-order engine loop.
-pub fn run_inorder_reference<S: TraceSource, H: SimHook + ?Sized>(
+pub fn run_inorder_reference<H: SimHook + ?Sized>(
     cfg: &CpuConfig,
-    source: &mut S,
+    records: &[InstrRecord],
     hierarchy: &mut MemoryHierarchy,
     hook: &mut H,
 ) -> SimResult {
@@ -222,73 +213,67 @@ pub fn run_inorder_reference<S: TraceSource, H: SimHook + ?Sized>(
     let mut latency = LatencyStats::default();
 
     let mut idx: usize = 0;
-    loop {
-        let chunk = source.next_chunk();
-        if chunk.is_empty() {
-            break;
+    for rec in records {
+        let wrap = issued_this_cycle >= cfg.issue_width;
+        cycle += u64::from(wrap);
+        if wrap {
+            issued_this_cycle = 0;
         }
-        for rec in chunk {
-            let wrap = issued_this_cycle >= cfg.issue_width;
-            cycle += u64::from(wrap);
-            if wrap {
-                issued_this_cycle = 0;
-            }
 
-            let fetch_stall = fetch.fetch(rec.pc(), cycle, hierarchy);
-            if fetch_stall > 0 {
-                cycle += fetch_stall;
-                issued_this_cycle = 0;
-            }
-
-            let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
-                &completion,
-                idx,
-                rec.dep2(),
-            ));
-            let waited = dep_ready > cycle;
-            cycle = cycle.max(dep_ready);
-            if waited {
-                issued_this_cycle = 0;
-            }
-
-            regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
-
-            let complete = match rec.op() {
-                Op::Int => cycle + cfg.int_latency,
-                Op::Fp => {
-                    fp_ops += 1;
-                    cycle + cfg.fp_latency
-                }
-                Op::Load(addr) | Op::Store(addr) => {
-                    mem_ops += 1;
-                    let write = rec.op().is_store();
-                    let access = hierarchy.access_data(addr, write, cycle);
-                    if access.l1_hit {
-                        cycle + access.latency
-                    } else {
-                        latency.note_primary_miss(access.latency, access.l2_hit);
-                        cycle += access.latency;
-                        issued_this_cycle = 0;
-                        cycle
-                    }
-                }
-                Op::Branch { taken } => {
-                    branches += 1;
-                    let correct = predictor.resolve(rec.pc(), taken);
-                    if !correct {
-                        cycle += cfg.mispredict_penalty;
-                        issued_this_cycle = 0;
-                    }
-                    cycle + cfg.int_latency
-                }
-            };
-
-            completion[idx % COMPLETION_RING] = complete;
-            max_completion = max_completion.max(complete);
-            issued_this_cycle += 1;
-            idx += 1;
-            hook.post_commit(idx as u64, cycle, hierarchy);
+        let fetch_stall = fetch.fetch(rec.pc(), cycle, hierarchy);
+        if fetch_stall > 0 {
+            cycle += fetch_stall;
+            issued_this_cycle = 0;
         }
+
+        let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+            &completion,
+            idx,
+            rec.dep2(),
+        ));
+        let waited = dep_ready > cycle;
+        cycle = cycle.max(dep_ready);
+        if waited {
+            issued_this_cycle = 0;
+        }
+
+        regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
+
+        let complete = match rec.op() {
+            Op::Int => cycle + cfg.int_latency,
+            Op::Fp => {
+                fp_ops += 1;
+                cycle + cfg.fp_latency
+            }
+            Op::Load(addr) | Op::Store(addr) => {
+                mem_ops += 1;
+                let write = rec.op().is_store();
+                let access = hierarchy.access_data(addr, write, cycle);
+                if access.l1_hit {
+                    cycle + access.latency
+                } else {
+                    latency.note_primary_miss(access.latency, access.l2_hit);
+                    cycle += access.latency;
+                    issued_this_cycle = 0;
+                    cycle
+                }
+            }
+            Op::Branch { taken } => {
+                branches += 1;
+                let correct = predictor.resolve(rec.pc(), taken);
+                if !correct {
+                    cycle += cfg.mispredict_penalty;
+                    issued_this_cycle = 0;
+                }
+                cycle + cfg.int_latency
+            }
+        };
+
+        completion[idx % COMPLETION_RING] = complete;
+        max_completion = max_completion.max(complete);
+        issued_this_cycle += 1;
+        idx += 1;
+        hook.post_commit(idx as u64, cycle, hierarchy);
     }
 
     SimResult {
@@ -311,7 +296,7 @@ mod tests {
     use super::*;
     use crate::hook::NoopHook;
     use rescache_cache::HierarchyConfig;
-    use rescache_trace::{InstrRecord, Trace};
+    use rescache_trace::Trace;
 
     #[test]
     fn reference_prices_a_hit_on_an_in_flight_fill() {
@@ -327,7 +312,7 @@ mod tests {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let result = run_ooo_reference(
             &CpuConfig::base_out_of_order(),
-            &mut trace.cursor(),
+            trace.records(),
             &mut hierarchy,
             &mut NoopHook,
         );

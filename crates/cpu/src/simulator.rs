@@ -1,7 +1,12 @@
-//! The [`Simulator`] facade: picks the engine named by the configuration.
+//! The [`Simulator`] facade: picks the engine named by the configuration
+//! and runs it over a record slice.
+//!
+//! Records reach an engine as one resident slice (a [`Trace`]'s records);
+//! the experiment's warm-up and measured regions are index ranges into it
+//! ([`Simulator::run_warm_measure`]).
 
 use rescache_cache::MemoryHierarchy;
-use rescache_trace::{Trace, TraceSource};
+use rescache_trace::{InstrRecord, Trace};
 
 use crate::config::{CpuConfig, EngineKind};
 use crate::hook::{NoopHook, SimHook};
@@ -44,62 +49,56 @@ impl Simulator {
         &self.config
     }
 
-    /// Replays `trace` against `hierarchy` with no observer hook: a
-    /// [`Simulator::run_source`] over the trace's cursor and the no-op hook.
+    /// Replays `trace` against `hierarchy` with no observer hook.
     pub fn run(&self, trace: &Trace, hierarchy: &mut MemoryHierarchy) -> SimResult {
-        self.run_source(&mut trace.cursor(), hierarchy, &mut NoopHook)
+        self.run_hooked(trace.records(), hierarchy, &mut NoopHook)
     }
 
-    /// Consumes `source` chunk by chunk against `hierarchy` on the configured
-    /// engine, invoking `hook` after every committed instruction. With a
-    /// [`rescache_trace::TraceStream`] source, generation and simulation
-    /// interleave per chunk and only one chunk buffer is ever resident; with
-    /// [`NoopHook`] the engine loops pay no per-instruction virtual call —
-    /// the path every static sweep run takes.
-    pub fn run_source<S: TraceSource, H: SimHook + ?Sized>(
+    /// One engine invocation over `records`, with `hook` invoked after every
+    /// committed instruction. With [`NoopHook`] the engine loops pay no
+    /// per-instruction virtual call — the path every static sweep run takes.
+    fn run_hooked<H: SimHook + ?Sized>(
         &self,
-        source: &mut S,
+        records: &[InstrRecord],
         hierarchy: &mut MemoryHierarchy,
         hook: &mut H,
     ) -> SimResult {
         match self.config.engine {
             EngineKind::InOrderBlocking => {
-                InOrderEngine::new(self.config).run_source(source, hierarchy, hook)
+                InOrderEngine::new(self.config).run(records, hierarchy, hook)
             }
             EngineKind::OutOfOrderNonBlocking => {
-                OutOfOrderEngine::new(self.config).run_source(source, hierarchy, hook)
+                OutOfOrderEngine::new(self.config).run(records, hierarchy, hook)
             }
         }
     }
 
-    /// The experiment sequence over one source on the configured engine:
-    /// runs the next `warm` records (the warm-up region), resets the
-    /// hierarchy statistics, then runs the following `measure` records and
+    /// The experiment sequence over one record slice on the configured
+    /// engine: runs `records[..warm]` (the warm-up region), resets the
+    /// hierarchy statistics, then runs `records[warm..warm + measure]` and
     /// returns that region's result. `hook` sees every committed instruction
     /// of both regions, and its state carries across the boundary — this is
     /// how the dynamic resizing controller rides an experiment.
     ///
     /// Each region is a fresh engine invocation (pipeline, predictor, window
     /// and fetch state restart; cache state carries over), exactly as two
-    /// separate [`Simulator::run`] calls over pre-split traces behave — so a
-    /// streamed warm/measure run is bit-identical to splitting the trace up
-    /// front (asserted by `tests/dynamic_streaming_equivalence.rs`). With a
-    /// [`rescache_trace::TraceStream`] or an on-disk
-    /// [`rescache_trace::TraceFileSource`] only one chunk buffer is resident.
-    pub fn run_warm_measure<S: TraceSource, H: SimHook + ?Sized>(
+    /// separate [`Simulator::run`] calls over pre-split traces behave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm + measure` exceeds `records.len()`.
+    pub fn run_warm_measure<H: SimHook + ?Sized>(
         &self,
-        source: &mut S,
+        records: &[InstrRecord],
         warm: usize,
         measure: usize,
         hierarchy: &mut MemoryHierarchy,
         hook: &mut H,
     ) -> SimResult {
-        let start = source.position();
-        source.split_at(start + warm);
-        self.run_source(source, hierarchy, hook);
+        let (warm_records, rest) = records.split_at(warm);
+        self.run_hooked(warm_records, hierarchy, hook);
         hierarchy.reset_stats();
-        source.split_at(start + warm + measure);
-        self.run_source(source, hierarchy, hook)
+        self.run_hooked(&rest[..measure], hierarchy, hook)
     }
 }
 
@@ -127,8 +126,7 @@ mod tests {
     fn warm_measure_split_matches_the_two_trace_sequence() {
         let warm = 3_000;
         let measure = 9_000;
-        let generator = TraceGenerator::new(spec::su2cor(), 5);
-        let full = generator.generate(warm + measure);
+        let full = TraceGenerator::new(spec::su2cor(), 5).generate(warm + measure);
         let (warm_trace, measure_trace) = full.split_at(warm);
 
         for config in [CpuConfig::base_in_order(), CpuConfig::base_out_of_order()] {
@@ -139,21 +137,19 @@ mod tests {
             h_mat.reset_stats();
             let materialized = sim.run(&measure_trace, &mut h_mat);
 
-            let mut stream = generator.stream(warm + measure);
-            let mut h_stream = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-            let streamed =
-                sim.run_warm_measure(&mut stream, warm, measure, &mut h_stream, &mut NoopHook);
+            let mut h_slice = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
+            let sliced =
+                sim.run_warm_measure(full.records(), warm, measure, &mut h_slice, &mut NoopHook);
 
-            let mut stream = generator.stream(warm + measure);
             let mut h_hook = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
             // The same entry through a type-erased hook, as a caller holding
             // only a `dyn SimHook` would drive it.
             let hook: &mut dyn SimHook = &mut NoopHook;
-            let hooked = sim.run_warm_measure(&mut stream, warm, measure, &mut h_hook, hook);
+            let hooked = sim.run_warm_measure(full.records(), warm, measure, &mut h_hook, hook);
 
-            assert_eq!(materialized, streamed, "{config:?}");
+            assert_eq!(materialized, sliced, "{config:?}");
             assert_eq!(materialized, hooked, "{config:?}");
-            assert_eq!(h_mat.snapshot(), h_stream.snapshot(), "{config:?}");
+            assert_eq!(h_mat.snapshot(), h_slice.snapshot(), "{config:?}");
             assert_eq!(h_mat.snapshot(), h_hook.snapshot(), "{config:?}");
         }
     }

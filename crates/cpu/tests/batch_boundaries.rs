@@ -1,19 +1,18 @@
 //! Differential property tests for the batched engine pipeline: the
-//! struct-of-arrays issue/complete loops in `rescache_cpu::{ooo, inorder}`
+//! dispatch-lane issue/complete loops in `rescache_cpu::{ooo, inorder}`
 //! must be bit-identical to the scalar per-record reference loops in
-//! `rescache_cpu::scalar` — for every source kind, every warm/measure split
-//! plan (0, batch ± 1 == chunk ± 1, full length, arbitrary), and with the
-//! observer hook attached.
+//! `rescache_cpu::scalar` — for every warm/measure split plan (0, 1,
+//! batch ± 1, full length, arbitrary), with and without the observer hook.
 //!
-//! The batch width equals the streaming chunk width, so the `LANE_BATCH ± 1`
-//! split points exercised here are simultaneously the chunk-boundary cases
-//! the issue calls out.
+//! The batched side runs `Simulator::run_warm_measure` over the whole
+//! record slice; the scalar side slices the two regions itself, so an
+//! off-by-one in either the batch sub-slicing or the region split shows.
 
 use rescache_cache::{HierarchyConfig, HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::hook::{NoopHook, SimHook};
 use rescache_cpu::{scalar, CpuConfig, EngineKind, SimResult, Simulator, LANE_BATCH};
 use rescache_testutil::{check_cases, TestRng};
-use rescache_trace::{spec, TraceGenerator, TraceSource, CHUNK_RECORDS};
+use rescache_trace::{spec, InstrRecord, Op, TraceGenerator};
 
 /// A hook that folds every observation into a checksum, so hook-visible
 /// divergence (call count, committed index, or the cycle passed) is caught
@@ -45,42 +44,33 @@ impl SimHook for ChecksumHook {
 type Outcome = (SimResult, HierarchySnapshot, u64, u64);
 
 /// Runs the batched engine and the scalar reference over identical fresh
-/// hierarchies and sources, through the same warm/measure split plan, and
-/// returns both outcomes.
-fn run_both<S: TraceSource + Clone>(
+/// hierarchies and the same records, through the same warm/measure split
+/// plan, and returns both outcomes.
+fn run_both(
     config: CpuConfig,
-    source: &S,
+    records: &[InstrRecord],
     warm: usize,
     measure: usize,
     hooked: bool,
 ) -> (Outcome, Outcome) {
-    let run_scalar = |src: &mut S, hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
-        let start = src.position();
-        src.split_at(start + warm);
-        scalar::run_engine_reference(&config, src, hierarchy, hook);
+    let run_scalar = |hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
+        scalar::run_engine_reference(&config, &records[..warm], hierarchy, hook);
         hierarchy.reset_stats();
-        src.split_at(start + warm + measure);
-        scalar::run_engine_reference(&config, src, hierarchy, hook)
+        scalar::run_engine_reference(&config, &records[warm..warm + measure], hierarchy, hook)
     };
-    let run_batched = |src: &mut S, hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
+    let run_batched = |hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
         let sim = Simulator::new(config);
-        sim.run_warm_measure(src, warm, measure, hierarchy, hook)
+        sim.run_warm_measure(records, warm, measure, hierarchy, hook)
     };
 
     let mut batched_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
     let mut scalar_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-    let mut batched_source = source.clone();
-    let mut scalar_source = source.clone();
 
     if hooked {
         let mut batched_hook = ChecksumHook::new();
         let mut scalar_hook = ChecksumHook::new();
-        let batched = run_batched(
-            &mut batched_source,
-            &mut batched_hierarchy,
-            &mut batched_hook,
-        );
-        let scalar = run_scalar(&mut scalar_source, &mut scalar_hierarchy, &mut scalar_hook);
+        let batched = run_batched(&mut batched_hierarchy, &mut batched_hook);
+        let scalar = run_scalar(&mut scalar_hierarchy, &mut scalar_hook);
         (
             (
                 batched,
@@ -96,8 +86,8 @@ fn run_both<S: TraceSource + Clone>(
             ),
         )
     } else {
-        let batched = run_batched(&mut batched_source, &mut batched_hierarchy, &mut NoopHook);
-        let scalar = run_scalar(&mut scalar_source, &mut scalar_hierarchy, &mut NoopHook);
+        let batched = run_batched(&mut batched_hierarchy, &mut NoopHook);
+        let scalar = run_scalar(&mut scalar_hierarchy, &mut NoopHook);
         (
             (batched, batched_hierarchy.snapshot(), 0, 0),
             (scalar, scalar_hierarchy.snapshot(), 0, 0),
@@ -105,13 +95,9 @@ fn run_both<S: TraceSource + Clone>(
     }
 }
 
-/// The boundary-sensitive warm lengths the issue names: 0, batch ± 1 (which
-/// equals chunk ± 1), the exact batch width, twice it, and the full trace.
+/// The boundary-sensitive warm lengths: 0, 1, batch ± 1, the exact batch
+/// width, twice it, and the full trace (less one, and whole).
 fn boundary_warm_lengths(total: usize) -> Vec<usize> {
-    assert_eq!(
-        LANE_BATCH, CHUNK_RECORDS,
-        "batch width is defined to match the streaming chunk width"
-    );
     vec![
         0,
         1,
@@ -130,12 +116,11 @@ fn assert_equivalent(
     warm: usize,
     measure: usize,
     hooked: bool,
-    source_label: &str,
     outcome: (Outcome, Outcome),
 ) {
     let (batched, reference) = outcome;
     let label = format!(
-        "{profile_name}/{source_label} engine={:?} warm={warm} measure={measure} hooked={hooked}",
+        "{profile_name} engine={:?} warm={warm} measure={measure} hooked={hooked}",
         config.engine
     );
     // Asserted before the whole-struct comparison so a latency-accounting
@@ -168,8 +153,7 @@ fn batched_ooo_and_inorder_match_scalar_reference_at_batch_boundaries() {
                     warm,
                     measure,
                     hooked,
-                    "cursor",
-                    run_both(config, &trace.cursor(), warm, measure, hooked),
+                    run_both(config, trace.records(), warm, measure, hooked),
                 );
             }
         }
@@ -177,25 +161,31 @@ fn batched_ooo_and_inorder_match_scalar_reference_at_batch_boundaries() {
 }
 
 #[test]
-fn batched_engines_match_scalar_reference_on_streamed_sources() {
-    // The streamed generator delivers true CHUNK_RECORDS-wide chunks, so this
-    // exercises the one-batch-per-chunk path (plus a trailing short chunk).
-    let total = LANE_BATCH + LANE_BATCH / 2;
-    let generator = TraceGenerator::new(spec::su2cor(), 7);
+fn dependency_chains_across_batch_boundaries_match_scalar_reference() {
+    // Every record depends on the one or two before it, and every fourth is
+    // a load that misses: any record that reads the wrong producer at a
+    // batch boundary shifts the run's cycles.
+    let total = 2 * LANE_BATCH + 5;
+    let records: Vec<InstrRecord> = (0..total as u64)
+        .map(|i| {
+            let op = if i % 4 == 0 {
+                Op::Load(0x100_0000 + i * 4096)
+            } else {
+                Op::Fp
+            };
+            InstrRecord::with_deps(0x40_0000 + (i % 64) * 4, op, 1, 2)
+        })
+        .collect();
     for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
-        for warm in [0, 1, LANE_BATCH - 1, LANE_BATCH, LANE_BATCH + 1, total] {
-            let measure = total - warm;
-            for hooked in [false, true] {
-                assert_equivalent(
-                    config,
-                    "su2cor",
-                    warm,
-                    measure,
-                    hooked,
-                    "stream",
-                    run_both(config, &generator.stream(total), warm, measure, hooked),
-                );
-            }
+        for &warm in &boundary_warm_lengths(total) {
+            assert_equivalent(
+                config,
+                "chain",
+                warm,
+                total - warm,
+                false,
+                run_both(config, &records, warm, total - warm, false),
+            );
         }
     }
 }
@@ -211,7 +201,7 @@ fn latency_parity_is_not_vacuous() {
     for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
         let (batched, reference) = run_both(
             config,
-            &trace.cursor(),
+            trace.records(),
             LANE_BATCH / 2,
             total - LANE_BATCH / 2,
             false,
@@ -255,11 +245,11 @@ fn batched_engines_match_scalar_reference_on_arbitrary_splits() {
         let profile = profiles[rng.below_usize(profiles.len())].clone();
         let total = LANE_BATCH + rng.below_usize(2 * LANE_BATCH);
         let warm = rng.below_usize(total + 1);
-        let measure = total - warm;
+        // The measured region may stop short of the trace's end.
+        let measure = rng.below_usize(total - warm + 1);
         let seed = rng.next_u64();
         let name = profile.name;
-        let generator = TraceGenerator::new(profile, seed);
-        let trace = generator.generate(total);
+        let trace = TraceGenerator::new(profile, seed).generate(total);
         let config = if rng.below(2) == 0 {
             CpuConfig::base_out_of_order()
         } else {
@@ -272,17 +262,7 @@ fn batched_engines_match_scalar_reference_on_arbitrary_splits() {
             warm,
             measure,
             hooked,
-            "cursor",
-            run_both(config, &trace.cursor(), warm, measure, hooked),
-        );
-        assert_equivalent(
-            config,
-            name,
-            warm,
-            measure,
-            hooked,
-            "stream",
-            run_both(config, &generator.stream(total), warm, measure, hooked),
+            run_both(config, trace.records(), warm, measure, hooked),
         );
     });
 }

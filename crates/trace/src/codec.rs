@@ -28,12 +28,14 @@
 //! is [`CodecError::UnsupportedFlags`].
 //!
 //! There is one save and one open, both routing every filesystem operation
-//! through an [`IoPolicy`]: [`save_source`] drains any [`TraceSource`] to a
-//! file atomically without holding the full record array, and
-//! [`TraceFileSource::open_with`] replays a file chunk by chunk (or only a
-//! leading prefix of it), with one decoded chunk resident. The experiment
-//! trace store keys entries by their exact total and always replays a whole
-//! file.
+//! through an [`IoPolicy`]: [`save_with`] writes a resident [`Trace`] to a
+//! file atomically, framing its records into [`CHUNK_RECORDS`]-record
+//! chunks, and [`TraceFileSource::open_with`] decodes a file chunk by chunk
+//! (or only a leading prefix of it), with one decoded chunk resident. The
+//! experiment trace store keys entries by their exact total, always reads a
+//! whole file, and copies each decoded chunk into the entry's resident
+//! record buffer. [`save_trace`] and [`TraceFileSource::open`] are the
+//! unpoliced wrappers.
 //!
 //! The atomic save writes a temp file unique to the writer and renames it
 //! into place, so any number of threads or processes may save one path at
@@ -169,19 +171,17 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// Writes `source` to `w` in the format described at module level, chunk by
-/// chunk. Oversized producer chunks (a materialized cursor yields its whole
-/// window as one chunk) are re-framed to the [`CHUNK_RECORDS`] bound.
+/// Writes `trace` to `w` in the format described at module level, framed
+/// into [`CHUNK_RECORDS`]-record chunks.
 ///
 /// # Errors
 ///
 /// Besides writer errors, returns `InvalidInput` for a name over
 /// [`MAX_NAME_BYTES`] or a record the payload cannot represent (see
 /// [`UnencodableRecord`]) — a reader would reject such a file, so it must
-/// never be produced — and `InvalidData` if the source delivers fewer
-/// records than [`TraceSource::total_records`] promised.
-fn write_source<W: Write, S: TraceSource>(w: &mut W, source: &mut S) -> io::Result<()> {
-    let name = source.name().as_bytes().to_vec();
+/// never be produced.
+fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
+    let name = trace.name().as_bytes();
     if name.len() as u64 > u64::from(MAX_NAME_BYTES) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -191,35 +191,20 @@ fn write_source<W: Write, S: TraceSource>(w: &mut W, source: &mut S) -> io::Resu
             ),
         ));
     }
-    let promised = source.total_records() as u64;
     w.write_all(&TraceFormat::V3.magic())?;
     w.write_all(&[FLAGS])?;
     w.write_all(&(name.len() as u32).to_le_bytes())?;
-    w.write_all(&name)?;
-    w.write_all(&promised.to_le_bytes())?;
+    w.write_all(name)?;
+    w.write_all(&(trace.len() as u64).to_le_bytes())?;
 
-    let mut written = 0u64;
     let mut payload = Vec::new();
-    loop {
-        let chunk = source.next_chunk();
-        if chunk.is_empty() {
-            break;
-        }
-        for frame in chunk.chunks(CHUNK_RECORDS) {
-            payload.clear();
-            compress::encode_chunk(frame, &mut payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            w.write_all(&(frame.len() as u32).to_le_bytes())?;
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&payload)?;
-            written += frame.len() as u64;
-        }
-    }
-    if written != promised {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("source promised {promised} records but delivered {written}"),
-        ));
+    for frame in trace.records().chunks(CHUNK_RECORDS) {
+        payload.clear();
+        compress::encode_chunk(frame, &mut payload)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        w.write_all(&(frame.len() as u32).to_le_bytes())?;
+        w.write_all(&(payload.len() as u32).to_le_bytes())?;
+        w.write_all(&payload)?;
     }
     Ok(())
 }
@@ -320,14 +305,13 @@ impl<R: Read> ChunkedTraceReader<R> {
     }
 }
 
-/// A [`TraceSource`] replaying a persisted trace chunk by chunk from disk,
-/// keeping one decoded chunk resident — and serving it as sub-slices of the
-/// reader's decode buffer, so records reach the engines in one decode pass
-/// with no staging copy. Opening with a `take` shorter than the file serves
-/// only that prefix, chunk-granular — decoding stops with the chunk that
-/// covers the request, so corruption *beyond* the prefix is never even
-/// read. The experiment trace store does not use prefixes: it opens each
-/// entry for exactly the total the entry was saved with.
+/// A [`TraceSource`] decoding a persisted trace chunk by chunk from disk,
+/// keeping one decoded chunk resident and serving it straight from the
+/// reader's decode buffer. Opening with a `take` shorter than the file
+/// serves only that prefix — decoding stops with the chunk that covers the
+/// request, so corruption *beyond* the prefix is never even read. The
+/// experiment trace store does not use prefixes: it opens each entry for
+/// exactly the total the entry was saved with.
 ///
 /// The pull interface has no error channel, so a decode failure mid-stream
 /// (a truncated or corrupted store entry) is recorded in
@@ -341,14 +325,8 @@ pub struct TraceFileSource {
     /// Records of the file this source serves (a prefix of the file when the
     /// entry is longer than the request).
     take: usize,
+    /// Records delivered so far.
     pos: usize,
-    fence: usize,
-    /// Extent and cursor into the reader's current decoded chunk: the source
-    /// serves sub-slices of the reader's buffer directly, so records flow
-    /// from the decode buffer to the consumer without a second staging
-    /// copy.
-    chunk_len: usize,
-    chunk_pos: usize,
     fault: Option<CodecError>,
 }
 
@@ -393,9 +371,6 @@ impl TraceFileSource {
             reader,
             take,
             pos: 0,
-            fence: take,
-            chunk_len: 0,
-            chunk_pos: 0,
             fault: None,
         })
     }
@@ -406,8 +381,13 @@ impl TraceFileSource {
         &self.path
     }
 
+    /// The application name the file's header carries.
+    pub fn name(&self) -> &str {
+        &self.reader.name
+    }
+
     /// The record count the file's header promises — the whole entry, not
-    /// the served prefix ([`TraceSource::total_records`] reports `take`).
+    /// the served prefix.
     /// Store-layer callers compare this against the count implied by the
     /// entry's key to reject foreign or stale files.
     pub fn file_records(&self) -> usize {
@@ -420,66 +400,32 @@ impl TraceFileSource {
     pub fn fault(&self) -> Option<&CodecError> {
         self.fault.as_ref()
     }
+}
 
-    /// Advances the reader to its next decoded chunk (no copy — the records
-    /// stay in the reader's buffer); false on fault/end.
-    fn refill(&mut self) -> bool {
-        match self.reader.next_chunk() {
+impl TraceSource for TraceFileSource {
+    fn next_chunk(&mut self) -> &[InstrRecord] {
+        if self.fault.is_some() || self.pos >= self.take {
+            return &[];
+        }
+        let (start, end) = match self.reader.next_chunk() {
+            // `take` was validated against the header, so running dry early
+            // means the file lied; record it as truncation.
             Ok([]) => {
-                // `take` was validated against the header, so running dry
-                // early means the file lied; record it as truncation.
                 self.fault = Some(CodecError::Truncated {
                     expected: self.take as u64,
                     got: self.pos as u64,
                 });
-                false
+                return &[];
             }
-            Ok(chunk) => {
-                self.chunk_len = chunk.len();
-                self.chunk_pos = 0;
-                true
-            }
+            // A chunk that straddles the prefix end is served up to it.
+            Ok(chunk) => (self.pos, (self.pos + chunk.len()).min(self.take)),
             Err(e) => {
                 self.fault = Some(e);
-                false
+                return &[];
             }
-        }
-    }
-}
-
-impl TraceSource for TraceFileSource {
-    fn name(&self) -> &str {
-        &self.reader.name
-    }
-
-    fn total_records(&self) -> usize {
-        self.take
-    }
-
-    fn next_chunk(&mut self) -> &[InstrRecord] {
-        let limit = self.fence.min(self.take);
-        if self.fault.is_some() || self.pos >= limit {
-            return &[];
-        }
-        if self.chunk_pos >= self.chunk_len && !self.refill() {
-            return &[];
-        }
-        // A file chunk that straddles the fence (or the prefix end) is
-        // delivered piecewise: the remainder stays staged for the next
-        // region, which is what makes the split chunk-boundary-agnostic.
-        let n = (self.chunk_len - self.chunk_pos).min(limit - self.pos);
-        let start = self.chunk_pos;
-        self.chunk_pos += n;
-        self.pos += n;
-        &self.reader.buf[start..start + n]
-    }
-
-    fn position(&self) -> usize {
-        self.pos
-    }
-
-    fn split_at(&mut self, at: usize) {
-        self.fence = at.clamp(self.pos, self.take);
+        };
+        self.pos = end;
+        &self.reader.buf[..end - start]
     }
 }
 
@@ -500,19 +446,18 @@ fn read_exact_or_truncated<R: Read>(
     })
 }
 
-/// [`save_source`] of a materialized trace (through its cursor) without
-/// fault injection. Kept as a one-line wrapper because the standalone
-/// benchmark (`perfbench/src/layers.rs`) compiles against it.
+/// [`save_with`] without fault injection. Kept as a one-line wrapper
+/// because the standalone benchmark (`perfbench/src/layers.rs`) compiles
+/// against it.
 ///
 /// # Errors
 ///
-/// As [`save_source`].
+/// As [`save_with`].
 pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    save_source(path, &mut trace.cursor(), &IoPolicy::none())
+    save_with(path, trace, &IoPolicy::none())
 }
 
-/// Drains `source` to `path` atomically, chunk by chunk, without ever
-/// materializing the full record array. The write goes to a same-directory
+/// Writes `trace` to `path` atomically. The write goes to a same-directory
 /// temporary file that is renamed into place, so concurrent writers —
 /// processes *or* threads — sharing a trace store never expose a
 /// half-written file at the final path. The create, every buffered write
@@ -524,15 +469,9 @@ pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
 /// # Errors
 ///
 /// Besides writer errors and whatever `policy` injects, returns
-/// `InvalidData` if the source delivers fewer records than
-/// [`TraceSource::total_records`] promised (the partial file is discarded,
-/// never renamed into place), and `InvalidInput` for an over-long name or
-/// an unencodable record.
-pub fn save_source<S: TraceSource>(
-    path: &Path,
-    source: &mut S,
-    policy: &IoPolicy,
-) -> io::Result<()> {
+/// `InvalidInput` for an over-long name or an unencodable record (the
+/// partial file is discarded, never renamed into place).
+pub fn save_with(path: &Path, trace: &Trace, policy: &IoPolicy) -> io::Result<()> {
     // The temporary name must be unique per writer, not just per process:
     // two threads saving the same store entry would otherwise share the
     // temporary file and could rename a half-rewritten inode into place.
@@ -541,7 +480,7 @@ pub fn save_source<S: TraceSource>(
     let tmp = path.with_extension(format!("tmp.{}.{writer}", std::process::id()));
     let result = (|| {
         let mut w = BufWriter::new(policy.writer(policy.create(&tmp)?));
-        match write_source(&mut w, source).and_then(|()| w.flush()) {
+        match write_trace(&mut w, trace).and_then(|()| w.flush()) {
             Ok(()) => policy.rename(&tmp, path),
             Err(e) => {
                 // Discard the buffered tail: `BufWriter`'s drop would
@@ -570,7 +509,7 @@ mod tests {
 
     fn encode(trace: &Trace) -> Vec<u8> {
         let mut bytes = Vec::new();
-        write_source(&mut bytes, &mut trace.cursor()).expect("vec writes cannot fail");
+        write_trace(&mut bytes, trace).expect("vec writes cannot fail");
         bytes
     }
 
@@ -763,7 +702,7 @@ mod tests {
             vec![InstrRecord::new(0x400, Op::Int)],
         );
         let mut bytes = Vec::new();
-        let err = write_source(&mut bytes, &mut trace.cursor()).unwrap_err();
+        let err = write_trace(&mut bytes, &trace).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
 
         // Through the atomic save, nothing lands at the path.
@@ -883,23 +822,15 @@ mod tests {
         // Whole-file replay.
         let mut src = TraceFileSource::open(&path, None).expect("open");
         assert_eq!(src.name(), trace.name());
-        assert_eq!(src.total_records(), trace.len());
         assert_eq!(src.file_records(), trace.len());
         assert_eq!(drain(&mut src), trace.records());
         assert!(src.fault().is_none());
 
-        // Prefix serving plus a split point that lands mid-chunk: the two
-        // regions concatenate to the exact prefix.
+        // A prefix that ends mid-chunk serves exactly the prefix.
         let take = CHUNK_RECORDS + 300;
-        let split = CHUNK_RECORDS / 2 + 3;
         let mut src = TraceFileSource::open(&path, Some(take)).expect("open prefix");
-        assert_eq!(src.total_records(), take);
-        src.split_at(split);
-        let mut records = drain(&mut src);
-        assert_eq!(src.position(), split);
-        src.split_at(take);
-        records.extend(drain(&mut src));
-        assert_eq!(records, &trace.records()[..take]);
+        assert_eq!(drain(&mut src), &trace.records()[..take]);
+        assert!(src.fault().is_none());
 
         // A request longer than the file is rejected at open time.
         assert!(matches!(
@@ -936,35 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn save_source_streams_a_generator_to_the_identical_file_contents() {
-        let dir = temp_dir("savesrc");
-        let n = CHUNK_RECORDS + 999;
-        let generator = TraceGenerator::new(spec::compress(), 11);
-
-        let streamed_path = dir.join("streamed.rctrace");
-        let mut stream = generator.stream(n);
-        save_source(&streamed_path, &mut stream, &IoPolicy::none()).expect("stream to disk");
-
-        let materialized_path = dir.join("materialized.rctrace");
-        save_trace(&materialized_path, &generator.generate(n)).expect("save");
-
-        assert_eq!(
-            std::fs::read(&streamed_path).expect("streamed bytes"),
-            std::fs::read(&materialized_path).expect("materialized bytes"),
-            "byte-identical persistence either way"
-        );
-
-        // An under-delivering source (fenced short) must not produce a file.
-        let missing = dir.join("underdelivered.rctrace");
-        let mut fenced = generator.stream(n);
-        fenced.split_at(100);
-        let err = save_source(&missing, &mut fenced, &IoPolicy::none()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(!missing.exists(), "partial file never renamed into place");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn injected_faults_surface_through_the_policed_codec_paths() {
         use crate::faults::{FaultInjector, FaultKind, IoOp, ScriptedFault};
         use std::sync::Arc;
@@ -972,7 +874,7 @@ mod tests {
         let dir = temp_dir("inject");
         let path = dir.join("entry.rctrace");
         let trace = sample(2 * CHUNK_RECORDS);
-        let save = |policy: &IoPolicy| save_source(&path, &mut trace.cursor(), policy);
+        let save = |policy: &IoPolicy| save_with(&path, &trace, policy);
 
         // A write fault aborts the save and leaves no file (and no debris at
         // the final path).

@@ -1,5 +1,5 @@
-//! The [`TraceGenerator`]: expands an [`AppProfile`] into records, either as
-//! a materialized [`Trace`] or as a resumable chunked [`TraceStream`].
+//! The [`TraceGenerator`]: expands an [`AppProfile`] into a materialized
+//! [`Trace`], one record at a time straight into the trace's buffer.
 
 use crate::address::AddressStream;
 use crate::code::CodeStream;
@@ -10,7 +10,6 @@ use crate::phase::ScheduleCursor;
 use crate::profile::AppProfile;
 use crate::record::{InstrRecord, Op};
 use crate::rng::Prng;
-use crate::source::{TraceSource, CHUNK_RECORDS};
 use crate::trace::Trace;
 
 /// Deterministically expands an application profile into a dynamic
@@ -18,10 +17,7 @@ use crate::trace::Trace;
 ///
 /// The same `(profile, seed, length)` triple always produces the same trace,
 /// which lets an experiment generate each application once and replay it under
-/// every cache configuration. [`TraceGenerator::generate`] materializes the
-/// whole trace; [`TraceGenerator::stream`] returns a resumable
-/// [`TraceStream`] that produces the identical record sequence chunk by
-/// chunk, for consumers that never need the full trace resident at once.
+/// every cache configuration.
 ///
 /// # Examples
 ///
@@ -58,70 +54,22 @@ impl TraceGenerator {
 
     /// Generates a trace of `instructions` dynamic instructions.
     pub fn generate(&self, instructions: usize) -> Trace {
-        // Drive the stream's single-record step directly into the final
-        // vector: same record sequence as pulling chunks, without staging
-        // each chunk through the stream's internal buffer.
-        let mut stream = self.stream(instructions);
+        let mut state = GenState::new(&self.profile, self.seed, instructions);
         let mut records = Vec::with_capacity(instructions);
         for _ in 0..instructions {
-            let record = stream.step();
+            let record = state.step();
             records.push(record);
         }
         Trace::new(self.profile.name, records)
     }
-
-    /// Returns a resumable stream over the same `instructions`-long record
-    /// sequence [`TraceGenerator::generate`] would materialize.
-    ///
-    /// The stream carries the full generator state (code walk, address walk,
-    /// RNG sub-streams, phase-schedule cursors) between chunks, so pulling
-    /// all of its chunks performs exactly the work of one `generate` call
-    /// while keeping only [`CHUNK_RECORDS`] records resident.
-    pub fn stream(&self, instructions: usize) -> TraceStream {
-        let mut rng = Prng::new(self.seed ^ hash_name(self.profile.name));
-        let mut code_shape = self.profile.code.shape;
-        code_shape.data_dep_branch_prob = self.profile.branch.data_dependent_fraction;
-
-        let code = CodeStream::new(code_shape, rng.fork(1));
-        let data = AddressStream::new(
-            self.profile.data.access_mix,
-            self.profile.data.stride,
-            rng.fork(2),
-        );
-        let mix_rng = rng.fork(3);
-        let ilp_rng = rng.fork(4);
-
-        TraceStream {
-            ilp: self.profile.ilp.sampler(),
-            // Zero-f64 classification: the cumulative thresholds are hoisted
-            // out of the per-record loop here, exactly as the distance
-            // sampler hoists its table.
-            mix_thresholds: self.profile.mix.thresholds(),
-            profile: self.profile.clone(),
-            total: instructions as u64,
-            pos: 0,
-            fence: instructions as u64,
-            code,
-            data,
-            mix_rng,
-            ilp_rng,
-            code_cursor: ScheduleCursor::new(),
-            data_cursor: ScheduleCursor::new(),
-            buf: Vec::with_capacity(CHUNK_RECORDS.min(instructions)),
-        }
-    }
 }
 
-/// A resumable, chunked producer of one application's record sequence (see
-/// [`TraceGenerator::stream`]).
-#[derive(Debug, Clone)]
-pub struct TraceStream {
-    profile: AppProfile,
+/// The generator's walk state between records: code walk, address walk,
+/// RNG sub-streams and phase-schedule cursors.
+struct GenState<'a> {
+    profile: &'a AppProfile,
     total: u64,
     pos: u64,
-    /// Absolute record index delivery is fenced at (see
-    /// [`TraceSource::split_at`]).
-    fence: u64,
     code: CodeStream,
     data: AddressStream,
     mix_rng: Prng,
@@ -131,10 +79,37 @@ pub struct TraceStream {
     mix_thresholds: MixThresholds,
     code_cursor: ScheduleCursor,
     data_cursor: ScheduleCursor,
-    buf: Vec<InstrRecord>,
 }
 
-impl TraceStream {
+impl<'a> GenState<'a> {
+    fn new(profile: &'a AppProfile, seed: u64, instructions: usize) -> Self {
+        let mut rng = Prng::new(seed ^ hash_name(profile.name));
+        let mut code_shape = profile.code.shape;
+        code_shape.data_dep_branch_prob = profile.branch.data_dependent_fraction;
+
+        let code = CodeStream::new(code_shape, rng.fork(1));
+        let data = AddressStream::new(profile.data.access_mix, profile.data.stride, rng.fork(2));
+        let mix_rng = rng.fork(3);
+        let ilp_rng = rng.fork(4);
+
+        Self {
+            ilp: profile.ilp.sampler(),
+            // Zero-f64 classification: the cumulative thresholds are hoisted
+            // out of the per-record loop here, exactly as the distance
+            // sampler hoists its table.
+            mix_thresholds: profile.mix.thresholds(),
+            profile,
+            total: instructions as u64,
+            pos: 0,
+            code,
+            data,
+            mix_rng,
+            ilp_rng,
+            code_cursor: ScheduleCursor::new(),
+            data_cursor: ScheduleCursor::new(),
+        }
+    }
+
     /// Generates the next record; the caller guarantees `pos < total`.
     #[inline]
     fn step(&mut self) -> InstrRecord {
@@ -163,35 +138,6 @@ impl TraceStream {
         let (dep1, dep2) = self.ilp.sample(&mut self.ilp_rng);
         self.pos = i + 1;
         InstrRecord::with_deps(step.pc, op, dep1, dep2)
-    }
-}
-
-impl TraceSource for TraceStream {
-    fn name(&self) -> &str {
-        self.profile.name
-    }
-
-    fn total_records(&self) -> usize {
-        self.total as usize
-    }
-
-    fn next_chunk(&mut self) -> &[InstrRecord] {
-        let remaining = self.fence - self.pos;
-        let n = (CHUNK_RECORDS as u64).min(remaining) as usize;
-        self.buf.clear();
-        for _ in 0..n {
-            let record = self.step();
-            self.buf.push(record);
-        }
-        &self.buf
-    }
-
-    fn position(&self) -> usize {
-        self.pos as usize
-    }
-
-    fn split_at(&mut self, at: usize) {
-        self.fence = (at as u64).clamp(self.pos, self.total);
     }
 }
 
@@ -231,71 +177,6 @@ mod tests {
         let a = TraceGenerator::new(spec::gcc(), 7).generate(2_000);
         let b = TraceGenerator::new(spec::vpr(), 7).generate(2_000);
         assert_ne!(a.records(), b.records());
-    }
-
-    #[test]
-    fn stream_matches_generate_record_for_record() {
-        // Cover all three schedule kinds (constant, sequence, periodic) and a
-        // length that is not a chunk multiple.
-        for profile in [spec::ammp(), spec::gcc(), spec::su2cor()] {
-            let name = profile.name;
-            let n = 2 * CHUNK_RECORDS + 777;
-            let generator = TraceGenerator::new(profile, 5);
-            let materialized = generator.generate(n);
-            let mut stream = generator.stream(n);
-            let mut streamed = Vec::with_capacity(n);
-            loop {
-                let chunk = stream.next_chunk();
-                if chunk.is_empty() {
-                    break;
-                }
-                assert!(chunk.len() <= CHUNK_RECORDS, "{name}: oversized chunk");
-                streamed.extend_from_slice(chunk);
-            }
-            assert_eq!(stream.position(), n, "{name}");
-            assert_eq!(streamed, materialized.records(), "{name}");
-            // Exhausted streams keep returning empty chunks.
-            assert!(stream.next_chunk().is_empty(), "{name}");
-        }
-    }
-
-    #[test]
-    fn stream_reports_identity() {
-        let stream = TraceGenerator::new(spec::vpr(), 3).stream(100);
-        assert_eq!(stream.name(), "vpr");
-        assert_eq!(stream.total_records(), 100);
-    }
-
-    #[test]
-    fn stream_split_resumes_mid_chunk() {
-        // A split point that is neither 0 nor a chunk multiple: the fenced
-        // stream must deliver the identical concatenated sequence.
-        let n = CHUNK_RECORDS + 500;
-        let split = CHUNK_RECORDS / 2 + 7;
-        let generator = TraceGenerator::new(spec::su2cor(), 11);
-        let reference = generator.generate(n);
-
-        let mut stream = generator.stream(n);
-        stream.split_at(split);
-        let mut records = Vec::with_capacity(n);
-        loop {
-            let chunk = stream.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        assert_eq!(records.len(), split);
-        assert_eq!(stream.position(), split);
-        stream.split_at(n);
-        loop {
-            let chunk = stream.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        assert_eq!(records, reference.records());
     }
 
     #[test]

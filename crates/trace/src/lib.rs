@@ -17,9 +17,11 @@
 //! * [`format`] — the [`TraceFormat`]: the one generation algorithm and
 //!   on-disk container.
 //! * [`trace`] — the [`Trace`] container and [`TraceStats`] summary.
-//! * [`source`] — [`TraceSource`]: pull-based chunked record delivery.
+//! * [`source`] — [`CHUNK_RECORDS`] and [`TraceSource`], the pull interface
+//!   of the chunked store reader.
 //! * [`codec`] — binary persistence for traces: one container of
-//!   length-prefixed, delta-compressed chunks.
+//!   length-prefixed, delta-compressed chunks, saved from a [`Trace`] and
+//!   decoded chunk by chunk.
 //! * [`faults`] — [`IoPolicy`]: injectable filesystem I/O with deterministic
 //!   fault injection (`RESCACHE_FAULTS`) for recovery-path testing.
 //! * [`rng`] — a small deterministic pseudo-random number generator.
@@ -33,8 +35,10 @@
 //! * [`profile`] — [`AppProfile`]: everything needed to generate one app.
 //! * [`spec`] — the twelve SPEC-like application profiles used by the paper.
 //! * [`workload`] — [`WorkloadRegistry`]: named scenario workloads.
-//! * [`generator`] — [`TraceGenerator`]: expands a profile into a [`Trace`]
-//!   or a resumable chunked [`TraceStream`].
+//! * [`generator`] — [`TraceGenerator`]: expands a profile into a [`Trace`].
+//!
+//! Every consumer replays a resident [`Trace`]: the engines take its record
+//! slice, and warm-up and measured regions are index ranges into it.
 //!
 //! # Example
 //!
@@ -79,14 +83,14 @@ pub use faults::{
     is_disk_full, is_transient, FaultInjector, FaultKind, FaultSpec, IoOp, IoPolicy, ScriptedFault,
 };
 pub use format::TraceFormat;
-pub use generator::{TraceGenerator, TraceStream};
+pub use generator::TraceGenerator;
 pub use ilp::{DistanceSampler, DistanceTable, IlpBehavior, MAX_DISTANCE};
 pub use mix::{InstructionMix, MixClass, MixThresholds};
 pub use phase::{Phase, PhaseSchedule, ScheduleCursor, ScheduleKind};
 pub use profile::{AppProfile, CodeBehavior, DataBehavior};
 pub use record::{kind, InstrRecord, Op};
 pub use rng::{chance_bits, Prng};
-pub use source::{TraceCursor, TraceSource, CHUNK_RECORDS};
+pub use source::{TraceSource, CHUNK_RECORDS};
 pub use trace::{Trace, TraceStats};
 pub use working_set::WorkingSetSpec;
 pub use workload::{WorkloadRegistry, WorkloadSpec};

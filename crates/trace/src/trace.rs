@@ -110,13 +110,6 @@ impl Trace {
         self.records().iter()
     }
 
-    /// Returns a [`crate::TraceCursor`] over (a copy-free clone of) this
-    /// trace window — the materialized implementation of
-    /// [`crate::TraceSource`].
-    pub fn cursor(&self) -> crate::TraceCursor {
-        crate::TraceCursor::new(self.clone())
-    }
-
     /// Computes summary statistics over the whole trace.
     pub fn stats(&self) -> TraceStats {
         let mut stats = TraceStats::default();

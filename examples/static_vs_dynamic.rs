@@ -35,6 +35,7 @@ fn report(
             static_best_bytes / 4,
             1,
         ],
+        Some(static_best_bytes),
     )?;
     println!("{label}:");
     println!(

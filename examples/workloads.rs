@@ -1,9 +1,7 @@
-//! Tour of the workload registry: stream every registered scenario through
+//! Tour of the workload registry: run every registered scenario through
 //! both execution engines and print how each stress pattern lands.
 //!
-//! Each workload is simulated through the streaming path
-//! ([`Simulator::run_source`] over a [`TraceStream`]), so no trace is ever
-//! materialized — generation and simulation interleave chunk by chunk.
+//! Each workload's trace is generated once and replayed by both engines.
 //!
 //! Run with: `cargo run --release --example workloads`
 
@@ -13,7 +11,7 @@ fn main() {
     let instructions = 200_000;
     let registry = WorkloadRegistry::builtin();
     println!(
-        "{} registered workloads, {} instructions each (streamed, nothing materialized):",
+        "{} registered workloads, {} instructions each (one trace per workload, both engines):",
         registry.len(),
         instructions
     );
@@ -24,22 +22,13 @@ fn main() {
     );
 
     for spec in registry.specs() {
-        let profile = spec.profile();
-        let generator = TraceGenerator::new(profile, 42);
+        let trace = TraceGenerator::new(spec.profile(), 42).generate(instructions);
 
         let mut ooo_h = MemoryHierarchy::new(HierarchyConfig::base()).expect("base hierarchy");
-        let ooo = Simulator::new(CpuConfig::base_out_of_order()).run_source(
-            &mut generator.stream(instructions),
-            &mut ooo_h,
-            &mut NoopHook,
-        );
+        let ooo = Simulator::new(CpuConfig::base_out_of_order()).run(&trace, &mut ooo_h);
 
         let mut ino_h = MemoryHierarchy::new(HierarchyConfig::base()).expect("base hierarchy");
-        let ino = Simulator::new(CpuConfig::base_in_order()).run_source(
-            &mut generator.stream(instructions),
-            &mut ino_h,
-            &mut NoopHook,
-        );
+        let ino = Simulator::new(CpuConfig::base_in_order()).run(&trace, &mut ino_h);
 
         println!(
             "{:<16} {:>8.2} {:>8.2} {:>8.1}% {:>8.1}% {:>8.1}%  {}",

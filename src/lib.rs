@@ -62,7 +62,5 @@ pub mod prelude {
     };
     pub use rescache_cpu::{CpuConfig, EngineKind, NoopHook, SimHook, SimResult, Simulator};
     pub use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel};
-    pub use rescache_trace::{
-        spec, AppProfile, Trace, TraceGenerator, TraceSource, TraceStream, WorkloadRegistry,
-    };
+    pub use rescache_trace::{spec, AppProfile, Trace, TraceGenerator, WorkloadRegistry};
 }
