@@ -240,8 +240,12 @@ impl MemoryHierarchy {
     }
 
     /// Fetches the block containing `pc` through the instruction path.
+    ///
+    /// `_cycle` mirrors [`MemoryHierarchy::access_data`]'s signature: an
+    /// instruction fill never writes back, so its latency does not depend on
+    /// when it happens.
     #[inline]
-    pub fn access_instruction(&mut self, pc: u64, cycle: u64) -> AccessResult {
+    pub fn access_instruction(&mut self, pc: u64, _cycle: u64) -> AccessResult {
         let l1_latency = self.config.l1i.hit_latency;
         if self.l1i.access_read(pc).hit {
             return AccessResult {
@@ -250,7 +254,7 @@ impl MemoryHierarchy {
                 l2_hit: false,
             };
         }
-        let (beyond, l2_hit) = self.refill_from_l2(pc, cycle);
+        let (beyond, l2_hit) = self.refill_from_l2(pc);
         // Instruction blocks are never dirty, so the L1I fill cannot produce
         // a writeback.
         self.l1i.fill(pc, false);
@@ -280,7 +284,7 @@ impl MemoryHierarchy {
                 l2_hit: false,
             };
         }
-        let (beyond, l2_hit) = self.refill_from_l2(addr, cycle);
+        let (beyond, l2_hit) = self.refill_from_l2(addr);
         let mut latency = l1_latency + beyond;
         if let Some(eviction) = self.l1d.fill(addr, write) {
             if eviction.dirty {
@@ -304,22 +308,20 @@ impl MemoryHierarchy {
 
     /// Reads a block from the L2 (refilling it from memory on an L2 miss).
     /// Returns the latency beyond the L1 and whether the L2 hit.
-    fn refill_from_l2(&mut self, addr: u64, _cycle: u64) -> (u64, bool) {
+    fn refill_from_l2(&mut self, addr: u64) -> (u64, bool) {
         let l2_latency = self.config.l2.hit_latency;
         if self.l2.access_read(addr).hit {
             return (l2_latency, true);
         }
-        let mut latency = l2_latency + self.config.memory_latency();
         self.stats.memory_accesses += 1;
         if let Some(eviction) = self.l2.fill(addr, false) {
             if eviction.dirty {
                 // Dirty L2 victims drain to memory in the background; charge
                 // the access for energy purposes but not for latency.
                 self.stats.memory_accesses += 1;
-                latency += 0;
             }
         }
-        (latency, false)
+        (l2_latency + self.config.memory_latency(), false)
     }
 
     /// Pushes a dirty L1D victim into the write-back buffer and performs the

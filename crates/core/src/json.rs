@@ -103,11 +103,11 @@ impl Json {
     }
 
     /// The numeric value as a non-negative integer, if this is a number
-    /// holding one exactly (rejects negatives, fractions and magnitudes
-    /// beyond 2^53, where `f64` stops being exact).
+    /// holding one exactly (rejects negatives, fractions and magnitudes from
+    /// 2^53 up, where `f64` stops being exact: `2^53 + 1` parses as `2^53`).
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n) {
+        if n.fract() == 0.0 && (0.0..9_007_199_254_740_992.0).contains(&n) {
             Some(n as u64)
         } else {
             None
@@ -389,18 +389,31 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
+    /// Consumes a run of ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Scans one number by the RFC 8259 grammar before handing the text to
+    /// `f64::from_str`, which alone would also take `01`, `1.` and `1.e5`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        if int_digits == 0 || (leading_zero && int_digits > 1) {
+            return Err(self.err("invalid number"));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -408,8 +421,8 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -524,6 +537,32 @@ mod tests {
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1e300).as_u64(), None);
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "01", "-01", "00", "1.", "1.e5", "-", "-.5", ".5", "1e", "1e+", "+1",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} is not a JSON number");
+        }
+        for (good, n) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("2e-1", 0.2),
+        ] {
+            assert_eq!(Json::parse(good).unwrap(), Json::Num(n), "{good}");
+        }
+        // 2^53 + 1 parses to 2^53; neither is an exact wire integer.
+        let above = Json::parse("9007199254740993").unwrap();
+        assert_eq!(above.as_u64(), None);
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), None);
+        assert_eq!(
+            Json::Num(9_007_199_254_740_991.0).as_u64(),
+            Some(9_007_199_254_740_991)
+        );
     }
 
     #[test]

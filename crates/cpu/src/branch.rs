@@ -1,17 +1,6 @@
-//! Branch predictors: bimodal, gshare, and the combining predictor of the
-//! paper's base configuration (Table 2: "combination").
-
-/// Which predictor organisation to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PredictorKind {
-    /// Per-PC two-bit saturating counters.
-    Bimodal,
-    /// Global-history XOR PC indexed two-bit counters.
-    Gshare,
-    /// A chooser selects between a bimodal and a gshare component.
-    #[default]
-    Combining,
-}
+//! The branch predictor of the paper's base configuration (Table 2:
+//! "combination"): a chooser selects between a bimodal and a gshare
+//! component.
 
 /// Prediction accuracy statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +42,9 @@ fn counter_update(counter: &mut u8, taken: bool) {
     *counter = if taken { up } else { down };
 }
 
-/// A branch direction predictor.
+/// The combining branch direction predictor: per-PC two-bit bimodal
+/// counters, global-history XOR PC indexed two-bit gshare counters, and a
+/// per-PC chooser between them.
 ///
 /// The counter tables are fixed-size boxed arrays rather than `Vec`s: every
 /// index is masked with `TABLE_SIZE - 1` before use, so with the length
@@ -62,7 +53,6 @@ fn counter_update(counter: &mut u8, taken: bool) {
 /// branch and performs up to four table reads and three writes.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
-    kind: PredictorKind,
     bimodal: Box<[u8; TABLE_SIZE]>,
     gshare: Box<[u8; TABLE_SIZE]>,
     chooser: Box<[u8; TABLE_SIZE]>,
@@ -71,10 +61,9 @@ pub struct BranchPredictor {
 }
 
 impl BranchPredictor {
-    /// Creates a predictor of the given kind with 2K-entry tables.
-    pub fn new(kind: PredictorKind) -> Self {
+    /// Creates a predictor with 2K-entry tables.
+    pub fn new() -> Self {
         Self {
-            kind,
             bimodal: Box::new([2; TABLE_SIZE]),
             gshare: Box::new([2; TABLE_SIZE]),
             chooser: Box::new([2; TABLE_SIZE]),
@@ -91,22 +80,6 @@ impl BranchPredictor {
         (((pc >> 2) ^ self.history) as usize) & (TABLE_SIZE - 1)
     }
 
-    /// Predicts the direction of the branch at `pc`.
-    pub fn predict(&self, pc: u64) -> bool {
-        match self.kind {
-            PredictorKind::Bimodal => counter_predict(self.bimodal[self.bimodal_index(pc)]),
-            PredictorKind::Gshare => counter_predict(self.gshare[self.gshare_index(pc)]),
-            PredictorKind::Combining => {
-                let use_gshare = counter_predict(self.chooser[self.bimodal_index(pc)]);
-                if use_gshare {
-                    counter_predict(self.gshare[self.gshare_index(pc)])
-                } else {
-                    counter_predict(self.bimodal[self.bimodal_index(pc)])
-                }
-            }
-        }
-    }
-
     /// Resolves the branch at `pc`: predicts, updates all tables and
     /// statistics, and returns whether the prediction was correct.
     pub fn resolve(&mut self, pc: u64, taken: bool) -> bool {
@@ -114,19 +87,10 @@ impl BranchPredictor {
         let gshare_idx = self.gshare_index(pc);
         let bimodal_pred = counter_predict(self.bimodal[bimodal_idx]);
         let gshare_pred = counter_predict(self.gshare[gshare_idx]);
-        // Combine from the component predictions already read rather than
-        // re-reading the tables through `predict` (this runs once per
-        // conditional branch of every simulation).
-        let prediction = match self.kind {
-            PredictorKind::Bimodal => bimodal_pred,
-            PredictorKind::Gshare => gshare_pred,
-            PredictorKind::Combining => {
-                if counter_predict(self.chooser[bimodal_idx]) {
-                    gshare_pred
-                } else {
-                    bimodal_pred
-                }
-            }
+        let prediction = if counter_predict(self.chooser[bimodal_idx]) {
+            gshare_pred
+        } else {
+            bimodal_pred
         };
 
         // Chooser learns which component was right (only when they disagree).
@@ -158,7 +122,7 @@ impl BranchPredictor {
 
 impl Default for BranchPredictor {
     fn default() -> Self {
-        Self::new(PredictorKind::Combining)
+        Self::new()
     }
 }
 
@@ -168,17 +132,22 @@ mod tests {
 
     #[test]
     fn learns_always_taken_branch() {
-        let mut p = BranchPredictor::new(PredictorKind::Bimodal);
+        let mut p = BranchPredictor::new();
         for _ in 0..100 {
             p.resolve(0x400, true);
         }
-        assert!(p.predict(0x400));
+        assert!(
+            p.resolve(0x400, true),
+            "a trained taken branch predicts taken"
+        );
         assert!(p.stats().mispredict_ratio() < 0.1);
     }
 
     #[test]
     fn learns_alternating_pattern_with_gshare() {
-        let mut p = BranchPredictor::new(PredictorKind::Gshare);
+        // Bimodal counters always miss an alternating branch; the chooser
+        // must hand it to the gshare component.
+        let mut p = BranchPredictor::new();
         let mut taken = false;
         // Warm up, then measure.
         for _ in 0..200 {
@@ -193,14 +162,14 @@ mod tests {
         let after = p.stats().mispredictions;
         assert!(
             after - before < 20,
-            "gshare should capture an alternating pattern, got {} extra misses",
+            "the gshare component should capture an alternating pattern, got {} extra misses",
             after - before
         );
     }
 
     #[test]
     fn combining_tracks_best_component() {
-        let mut p = BranchPredictor::new(PredictorKind::Combining);
+        let mut p = BranchPredictor::new();
         // Loop-style branch: taken 15 times, then not taken, repeatedly.
         let mut misses = 0;
         for i in 0..1600 {
@@ -244,12 +213,15 @@ mod tests {
 
     #[test]
     fn different_pcs_use_different_entries() {
-        let mut p = BranchPredictor::new(PredictorKind::Bimodal);
+        let mut p = BranchPredictor::new();
         for _ in 0..50 {
             p.resolve(0x400, true);
             p.resolve(0x404, false);
         }
-        assert!(p.predict(0x400));
-        assert!(!p.predict(0x404));
+        assert!(p.resolve(0x400, true), "0x400 keeps its taken training");
+        assert!(
+            p.resolve(0x404, false),
+            "0x404 keeps its not-taken training"
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! The fetch front end shared by both engines: accesses the i-cache once per
+//! The fetch front end shared by both engines: each engine calls
+//! [`FetchUnit::fetch`] once per record, which accesses the i-cache once per
 //! fetch group and reports stall cycles on i-cache misses.
 
 use rescache_cache::MemoryHierarchy;
@@ -53,46 +54,25 @@ impl FetchUnit {
     ///
     /// Returns the number of stall cycles fetch imposes on the pipeline
     /// (zero when the instruction comes from the current fetch group or the
-    /// access hits in the L1 i-cache).
-    #[inline]
-    pub fn fetch(&mut self, pc: u64, cycle: u64, hierarchy: &mut MemoryHierarchy) -> u64 {
-        if self.advance_group(pc) {
-            self.access(pc, cycle, hierarchy)
-        } else {
-            0
-        }
-    }
-
-    /// Advances the fetch-group tracking for the instruction at `pc` and
-    /// returns `true` when it starts a new fetch group (and therefore needs
-    /// an i-cache access via [`FetchUnit::access`]).
-    ///
-    /// Group boundaries are a pure function of the PC stream and the fetch
-    /// width — no cache or cycle state is consulted — which is what lets the
-    /// struct-of-arrays front end (`crate::lanes`) precompute an
-    /// access-needed lane for a whole record batch before the timing loop
-    /// runs.
+    /// access hits in the L1 i-cache). Forced inline: both engines call this
+    /// once per record, and the common case is the group check alone.
     #[inline(always)]
-    pub fn advance_group(&mut self, pc: u64) -> bool {
+    pub fn fetch(&mut self, pc: u64, cycle: u64, hierarchy: &mut MemoryHierarchy) -> u64 {
         let block = pc >> self.block_shift;
         if self.last_block == block && self.delivered_in_group < self.fetch_width {
             self.delivered_in_group += 1;
-            false
+            0
         } else {
             self.last_block = block;
             self.delivered_in_group = 1;
-            true
+            Self::access(pc, cycle, hierarchy)
         }
     }
 
     /// Performs the i-cache access that starts a fetch group and returns the
     /// stall cycles it imposes (zero on an L1 i-cache hit).
-    ///
-    /// Callers pair this with [`FetchUnit::advance_group`]: the group
-    /// decision is PC-pure and may run ahead of time, while the access itself
-    /// must happen in program order at the dispatching instruction's cycle.
     #[inline]
-    pub fn access(&self, pc: u64, cycle: u64, hierarchy: &mut MemoryHierarchy) -> u64 {
+    fn access(pc: u64, cycle: u64, hierarchy: &mut MemoryHierarchy) -> u64 {
         let result = hierarchy.access_instruction(pc, cycle);
         if result.l1_hit {
             0
@@ -164,28 +144,5 @@ mod tests {
     #[should_panic(expected = "fetch width")]
     fn zero_width_panics() {
         let _ = FetchUnit::new(32, 0);
-    }
-
-    #[test]
-    fn advance_group_precomputed_matches_interleaved_fetch() {
-        // The group decision is PC-pure: precomputing it for a whole batch
-        // (as the lane decode does) marks exactly the fetches that would
-        // access the i-cache when interleaved with timing.
-        let pcs: Vec<u64> = [
-            0x40_0000, 0x40_0004, 0x40_0008, 0x40_000C, 0x40_0010, // overrun
-            0x40_0020, 0x50_0000, 0x50_0004, 0x40_0020, // jumps back
-        ]
-        .into();
-        let mut precompute = FetchUnit::new(32, 4);
-        let marks: Vec<bool> = pcs.iter().map(|&pc| precompute.advance_group(pc)).collect();
-
-        let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let mut interleaved = FetchUnit::new(32, 4);
-        for (i, &pc) in pcs.iter().enumerate() {
-            let before = h.l1i().stats().accesses;
-            interleaved.fetch(pc, i as u64, &mut h);
-            let accessed = h.l1i().stats().accesses > before;
-            assert_eq!(accessed, marks[i], "instruction {i} at {pc:#x}");
-        }
     }
 }

@@ -1,22 +1,21 @@
 //! The in-order issue engine with a blocking data cache.
 //!
-//! Like the out-of-order engine, this runs as a two-stage batch pipeline:
-//! [`LaneBatch::decode`] turns each [`LANE_BATCH`]-record sub-slice of the
-//! records into a dispatch lane (one shared decode front end for both
-//! engines), and the serial issue loop zips the records with that lane. See
-//! [`crate::lanes`].
+//! [`InOrderEngine::run`] is one loop over the record slice: each record is
+//! fetched through the [`FetchUnit`], waits for its producers in the
+//! completion ring, and dispatches on its one-byte kind tag. The loop counts
+//! the four activity totals as it goes and expands them into the full
+//! counter set once at the end. [`crate::scalar`] holds the `Op`-matching
+//! oracle this loop is differentially tested against.
 
 use rescache_cache::MemoryHierarchy;
 use rescache_trace::{kind, InstrRecord};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
+use crate::completion::{producer_ready, COMPLETION_RING};
 use crate::config::CpuConfig;
 use crate::fetch::FetchUnit;
 use crate::hook::SimHook;
-use crate::lanes::{
-    producer_ready, LaneBatch, COMPLETION_RING, ICACHE_FLAG, KIND_MASK, LANE_BATCH,
-};
 use crate::result::{LatencyStats, SimResult};
 
 /// In-order, width-limited issue with a blocking d-cache: every data-cache
@@ -61,14 +60,13 @@ impl InOrderEngine {
         let mut completion = [0u64; COMPLETION_RING];
         let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, cfg.issue_width);
         let mut predictor = BranchPredictor::default();
-        let mut lanes = LaneBatch::new();
         let mut max_completion: u64 = 0;
         // The ALU classes (the most common pair) resolve their latency by a
         // two-entry table indexed with the kind tag instead of a branch.
         let alu_latency = [cfg.int_latency, cfg.fp_latency];
-        // Activity totals are accumulated per decoded batch (see
-        // `LaneBatch::totals`) and expanded into the full counter set once at
-        // the end (see `ActivityCounters::from_run_totals`).
+        // Only four activity totals are counted per instruction, without a
+        // branch; the full counter set follows from them (see
+        // `ActivityCounters::from_run_totals`).
         let mut fp_ops: u64 = 0;
         let mut mem_ops: u64 = 0;
         let mut branches: u64 = 0;
@@ -79,76 +77,68 @@ impl InOrderEngine {
         let mut latency = LatencyStats::default();
 
         let mut idx: usize = 0;
-        for batch in records.chunks(LANE_BATCH) {
-            lanes.decode(batch, &mut fetch);
-            let totals = lanes.totals();
-            fp_ops += totals.fp_ops;
-            mem_ops += totals.mem_ops;
-            branches += totals.branches;
-            regfile_reads += totals.regfile_reads;
-            for (rec, &flags) in batch.iter().zip(lanes.dispatch()) {
-                let lane_kind = flags & KIND_MASK;
-                // Width wrap and dependency waits resolve through selects
-                // where possible: both follow simulated data, so host
-                // branches here are unpredictable (this loop head runs
-                // once per instruction).
-                let wrap = issued_this_cycle >= cfg.issue_width;
-                cycle += u64::from(wrap);
-                if wrap {
-                    issued_this_cycle = 0;
-                }
+        for rec in records {
+            let k = rec.kind_tag();
+            fp_ops += u64::from(k == kind::FP);
+            mem_ops += u64::from(k == kind::LOAD || k == kind::STORE);
+            branches += u64::from(k >= kind::BRANCH_NOT_TAKEN);
+            regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
 
-                if flags & ICACHE_FLAG != 0 {
-                    let fetch_stall = fetch.access(rec.pc(), cycle, hierarchy);
-                    if fetch_stall > 0 {
-                        cycle += fetch_stall;
-                        issued_this_cycle = 0;
-                    }
-                }
-
-                // In-order issue: wait for both producers to have completed.
-                let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
-                    &completion,
-                    idx,
-                    rec.dep2(),
-                ));
-                let waited = dep_ready > cycle;
-                cycle = cycle.max(dep_ready);
-                if waited {
-                    issued_this_cycle = 0;
-                }
-
-                let complete = if lane_kind >= kind::BRANCH_NOT_TAKEN {
-                    let taken = lane_kind == kind::BRANCH_TAKEN;
-                    let correct = predictor.resolve(rec.pc(), taken);
-                    if !correct {
-                        cycle += cfg.mispredict_penalty;
-                        issued_this_cycle = 0;
-                    }
-                    cycle + cfg.int_latency
-                } else if lane_kind >= kind::LOAD {
-                    let write = lane_kind == kind::STORE;
-                    let access = hierarchy.access_data(u64::from(rec.addr_raw()), write, cycle);
-                    if access.l1_hit {
-                        cycle + access.latency
-                    } else {
-                        // Blocking cache: the whole pipeline waits for
-                        // the fill.
-                        latency.note_primary_miss(access.latency, access.l2_hit);
-                        cycle += access.latency;
-                        issued_this_cycle = 0;
-                        cycle
-                    }
-                } else {
-                    cycle + alu_latency[usize::from(lane_kind)]
-                };
-
-                completion[idx % COMPLETION_RING] = complete;
-                max_completion = max_completion.max(complete);
-                issued_this_cycle += 1;
-                idx += 1;
-                hook.post_commit(idx as u64, cycle, hierarchy);
+            // Width wrap and dependency waits resolve through selects where
+            // possible: both follow simulated data, so host branches here
+            // are unpredictable (this loop head runs once per instruction).
+            let wrap = issued_this_cycle >= cfg.issue_width;
+            cycle += u64::from(wrap);
+            if wrap {
+                issued_this_cycle = 0;
             }
+
+            let fetch_stall = fetch.fetch(rec.pc(), cycle, hierarchy);
+            if fetch_stall > 0 {
+                cycle += fetch_stall;
+                issued_this_cycle = 0;
+            }
+
+            // In-order issue: wait for both producers to have completed.
+            let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+                &completion,
+                idx,
+                rec.dep2(),
+            ));
+            let waited = dep_ready > cycle;
+            cycle = cycle.max(dep_ready);
+            if waited {
+                issued_this_cycle = 0;
+            }
+
+            let complete = if k >= kind::BRANCH_NOT_TAKEN {
+                let correct = predictor.resolve(rec.pc(), k == kind::BRANCH_TAKEN);
+                if !correct {
+                    cycle += cfg.mispredict_penalty;
+                    issued_this_cycle = 0;
+                }
+                cycle + cfg.int_latency
+            } else if k >= kind::LOAD {
+                let write = k == kind::STORE;
+                let access = hierarchy.access_data(u64::from(rec.addr_raw()), write, cycle);
+                if access.l1_hit {
+                    cycle + access.latency
+                } else {
+                    // Blocking cache: the whole pipeline waits for the fill.
+                    latency.note_primary_miss(access.latency, access.l2_hit);
+                    cycle += access.latency;
+                    issued_this_cycle = 0;
+                    cycle
+                }
+            } else {
+                cycle + alu_latency[usize::from(k)]
+            };
+
+            completion[idx % COMPLETION_RING] = complete;
+            max_completion = max_completion.max(complete);
+            issued_this_cycle += 1;
+            idx += 1;
+            hook.post_commit(idx as u64, cycle, hierarchy);
         }
 
         SimResult {

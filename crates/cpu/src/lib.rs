@@ -12,11 +12,16 @@
 //!   d-cache misses largely overlap with independent work, i-cache misses
 //!   stall fetch and are exposed.
 //!
-//! Both engines are trace-driven: they replay a [`rescache_trace::Trace`]
-//! against a [`rescache_cache::MemoryHierarchy`], produce a cycle count and
-//! per-structure [`ActivityCounters`] for the energy model, and invoke a
-//! [`SimHook`] after every committed instruction so that resizing controllers
-//! (in `rescache-core`) can observe and resize the caches mid-run.
+//! Both engines are trace-driven: each is one loop over a resident slice of
+//! a [`rescache_trace::Trace`]'s records, replayed against a
+//! [`rescache_cache::MemoryHierarchy`]. Per record the loop fetches through
+//! the shared [`FetchUnit`] and dispatches on the record's one-byte kind tag.
+//! A run produces a cycle count and per-structure [`ActivityCounters`] for
+//! the energy model, and invokes a [`SimHook`] after every committed
+//! instruction so that resizing controllers (in `rescache-core`) can observe
+//! and resize the caches mid-run. The hidden `scalar` module keeps the
+//! `Op`-matching oracle loops both engines are differentially tested
+//! against.
 //!
 //! # Example
 //!
@@ -37,11 +42,11 @@
 
 pub mod activity;
 pub mod branch;
+mod completion;
 pub mod config;
 pub mod fetch;
 pub mod hook;
 pub mod inorder;
-pub mod lanes;
 pub mod lsq;
 pub mod ooo;
 pub mod result;
@@ -50,12 +55,12 @@ pub mod scalar;
 pub mod simulator;
 
 pub use activity::ActivityCounters;
-pub use branch::{BranchPredictor, BranchStats, PredictorKind};
+pub use branch::{BranchPredictor, BranchStats};
+pub use completion::COMPLETION_RING;
 pub use config::{CpuConfig, EngineKind};
 pub use fetch::FetchUnit;
 pub use hook::{NoopHook, SimHook};
 pub use inorder::InOrderEngine;
-pub use lanes::{BatchTotals, LaneBatch, COMPLETION_RING, LANE_BATCH};
 pub use lsq::LoadStoreQueue;
 pub use ooo::OutOfOrderEngine;
 pub use result::{LatencyStats, SimResult};

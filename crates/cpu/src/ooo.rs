@@ -1,28 +1,22 @@
 //! The out-of-order issue engine with a non-blocking data cache.
 //!
-//! The engine runs as a two-stage batch pipeline: for each
-//! [`LANE_BATCH`]-record sub-slice of the records, [`LaneBatch::decode`]
-//! produces a one-byte
-//! dispatch lane (raw operation tag + i-cache-access mark) and the batch's
-//! activity totals, and the serial issue/complete/retire recurrence then
-//! zips the packed records with that lane — the per-record classification
-//! work is hoisted, while the record stream itself stays in its dense
-//! 12-byte layout (a full multi-lane transpose measured slower; see
-//! [`crate::lanes`] for the rationale). [`crate::scalar`] holds the
-//! per-record reference implementation the batch pipeline is
-//! differentially tested against.
+//! [`OutOfOrderEngine::run`] is one loop over the record slice: each record
+//! is fetched through the [`FetchUnit`], takes a ROB slot (committing the
+//! oldest entry when the window is full), reads its producers from the
+//! completion ring and dispatches on its one-byte kind tag. The loop counts
+//! the four activity totals as it goes and expands them into the full
+//! counter set once at the end. [`crate::scalar`] holds the `Op`-matching
+//! oracle this loop is differentially tested against.
 
 use rescache_cache::{AccessClass, MemoryHierarchy, MshrFile};
 use rescache_trace::{kind, InstrRecord};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
+use crate::completion::{producer_ready, COMPLETION_RING};
 use crate::config::CpuConfig;
 use crate::fetch::FetchUnit;
 use crate::hook::SimHook;
-use crate::lanes::{
-    producer_ready, LaneBatch, COMPLETION_RING, ICACHE_FLAG, KIND_MASK, LANE_BATCH,
-};
 use crate::lsq::LoadStoreQueue;
 use crate::result::{LatencyStats, SimResult};
 use crate::rob::ReorderBuffer;
@@ -81,16 +75,15 @@ impl OutOfOrderEngine {
         let mut mshr = MshrFile::new(cfg.mshr_entries);
         let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, cfg.issue_width);
         let mut predictor = BranchPredictor::default();
-        let mut lanes = LaneBatch::new();
         let mut last_forced_commit: u64 = 0;
         let block_shift = hierarchy.config().l1d.block_bytes.max(1).trailing_zeros();
         let store_latency_cap = hierarchy.config().l1d.hit_latency + 1;
         // The ALU classes (the most common pair) resolve their latency by a
         // two-entry table indexed with the kind tag instead of a branch.
         let alu_latency = [cfg.int_latency, cfg.fp_latency];
-        // Activity totals are accumulated per decoded batch (see
-        // `LaneBatch::totals`) and expanded into the full counter set once at
-        // the end (see `ActivityCounters::from_run_totals`).
+        // Only four activity totals are counted per instruction, without a
+        // branch; the full counter set follows from them (see
+        // `ActivityCounters::from_run_totals`).
         let mut fp_ops: u64 = 0;
         let mut mem_ops: u64 = 0;
         let mut branches: u64 = 0;
@@ -98,134 +91,120 @@ impl OutOfOrderEngine {
         let mut latency = LatencyStats::default();
 
         let mut idx: usize = 0;
-        for batch in records.chunks(LANE_BATCH) {
-            lanes.decode(batch, &mut fetch);
-            let totals = lanes.totals();
-            fp_ops += totals.fp_ops;
-            mem_ops += totals.mem_ops;
-            branches += totals.branches;
-            regfile_reads += totals.regfile_reads;
-            for (rec, &flags) in batch.iter().zip(lanes.dispatch()) {
-                let lane_kind = flags & KIND_MASK;
-                // Width wrap and misprediction redirects resolve through
-                // selects: both follow simulated data, so host branches
-                // here are unpredictable (this loop head runs once per
-                // instruction).
-                let wrap = dispatched_this_cycle >= cfg.issue_width;
-                dispatch_cycle += u64::from(wrap);
-                if wrap {
-                    dispatched_this_cycle = 0;
-                }
-                let redirected = dispatch_cycle < fetch_resume_cycle;
-                dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
-                if redirected {
-                    dispatched_this_cycle = 0;
-                }
+        for rec in records {
+            let k = rec.kind_tag();
+            fp_ops += u64::from(k == kind::FP);
+            mem_ops += u64::from(k == kind::LOAD || k == kind::STORE);
+            branches += u64::from(k >= kind::BRANCH_NOT_TAKEN);
+            regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
 
-                // Instruction fetch: the group decision was precomputed in
-                // the decode pass; misses stall dispatch directly.
-                if flags & ICACHE_FLAG != 0 {
-                    let fetch_stall = fetch.access(rec.pc(), dispatch_cycle, hierarchy);
-                    if fetch_stall > 0 {
-                        dispatch_cycle += fetch_stall;
-                        dispatched_this_cycle = 0;
-                    }
-                }
-
-                // Window space: a full ROB forces the oldest instruction
-                // to commit before this one can dispatch.
-                if let Some(commit_cycle) = rob.commit_if_full() {
-                    last_forced_commit = last_forced_commit.max(commit_cycle);
-                    let bumped = commit_cycle > dispatch_cycle;
-                    dispatch_cycle = dispatch_cycle.max(commit_cycle);
-                    if bumped {
-                        dispatched_this_cycle = 0;
-                    }
-                }
-
-                // Operands become ready when both producers have completed.
-                let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
-                    &completion,
-                    idx,
-                    rec.dep2(),
-                ));
-                let ready = dispatch_cycle.max(dep_ready);
-
-                let complete = if lane_kind >= kind::BRANCH_NOT_TAKEN {
-                    let taken = lane_kind == kind::BRANCH_TAKEN;
-                    let correct = predictor.resolve(rec.pc(), taken);
-                    let finish = ready + cfg.int_latency;
-                    if !correct {
-                        // Fetch resumes only after the branch resolves and
-                        // the front end refills.
-                        fetch_resume_cycle =
-                            fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
-                    }
-                    finish
-                } else if lane_kind == kind::LOAD {
-                    let addr = u64::from(rec.addr_raw());
-                    let access = hierarchy.access_data(addr, false, ready);
-                    // Every load looks the block up in the MSHR file,
-                    // hit or miss: a tag hit may find its fill still in
-                    // flight (the hierarchy fills lines at access time),
-                    // and the same pass retires completed entries.
-                    // `ready` is not monotone across loads, so retiring
-                    // only on misses would let a later, earlier-`ready`
-                    // miss merge with an entry an intervening hit would
-                    // have retired.
-                    let block = addr >> block_shift;
-                    let fill = mshr.lookup_retire(block, ready);
-                    let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
-                        AccessClass::Hit => ready + access.latency,
-                        AccessClass::DelayedHit { remaining } => {
-                            latency.delayed_hits += 1;
-                            latency.delayed_hit_cycles += remaining;
-                            hierarchy.note_delayed_hit(remaining);
-                            ready + remaining
-                        }
-                        AccessClass::PrimaryMiss => {
-                            let start = if mshr.is_full() {
-                                // All MSHRs busy: the miss waits for one
-                                // to free.
-                                let free_at = mshr
-                                    .earliest_completion()
-                                    .expect("full MSHR file is non-empty");
-                                mshr.retire_completed(free_at);
-                                free_at.max(ready)
-                            } else {
-                                ready
-                            };
-                            let finish = start + access.latency;
-                            mshr.allocate(block, start, finish);
-                            latency.note_primary_miss(access.latency, access.l2_hit);
-                            finish
-                        }
-                    };
-                    finish + lsq.reserve_delay(ready, finish)
-                } else if lane_kind == kind::STORE {
-                    // Stores update the cache but retire through the write
-                    // buffer: the pipeline only pays the L1 access.
-                    let access = hierarchy.access_data(u64::from(rec.addr_raw()), true, ready);
-                    if !access.l1_hit {
-                        // A store miss starts a fill too, but the pipeline
-                        // only ever pays the capped write-buffer latency.
-                        latency.note_primary_miss(
-                            access.latency.min(store_latency_cap),
-                            access.l2_hit,
-                        );
-                    }
-                    let finish = ready + access.latency.min(store_latency_cap);
-                    finish + lsq.reserve_delay(ready, finish)
-                } else {
-                    ready + alu_latency[usize::from(lane_kind)]
-                };
-
-                rob.dispatch(complete);
-                completion[idx % COMPLETION_RING] = complete;
-                dispatched_this_cycle += 1;
-                idx += 1;
-                hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
+            // Width wrap and misprediction redirects resolve through selects:
+            // both follow simulated data, so host branches here are
+            // unpredictable (this loop head runs once per instruction).
+            let wrap = dispatched_this_cycle >= cfg.issue_width;
+            dispatch_cycle += u64::from(wrap);
+            if wrap {
+                dispatched_this_cycle = 0;
             }
+            let redirected = dispatch_cycle < fetch_resume_cycle;
+            dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
+            if redirected {
+                dispatched_this_cycle = 0;
+            }
+
+            // Instruction fetch: i-cache misses stall dispatch directly.
+            let fetch_stall = fetch.fetch(rec.pc(), dispatch_cycle, hierarchy);
+            if fetch_stall > 0 {
+                dispatch_cycle += fetch_stall;
+                dispatched_this_cycle = 0;
+            }
+
+            // Window space: a full ROB forces the oldest instruction to
+            // commit before this one can dispatch.
+            if let Some(commit_cycle) = rob.commit_if_full() {
+                last_forced_commit = last_forced_commit.max(commit_cycle);
+                let bumped = commit_cycle > dispatch_cycle;
+                dispatch_cycle = dispatch_cycle.max(commit_cycle);
+                if bumped {
+                    dispatched_this_cycle = 0;
+                }
+            }
+
+            // Operands become ready when both producers have completed.
+            let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+                &completion,
+                idx,
+                rec.dep2(),
+            ));
+            let ready = dispatch_cycle.max(dep_ready);
+
+            let complete = if k >= kind::BRANCH_NOT_TAKEN {
+                let correct = predictor.resolve(rec.pc(), k == kind::BRANCH_TAKEN);
+                let finish = ready + cfg.int_latency;
+                if !correct {
+                    // Fetch resumes only after the branch resolves and the
+                    // front end refills.
+                    fetch_resume_cycle = fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
+                }
+                finish
+            } else if k == kind::LOAD {
+                let addr = u64::from(rec.addr_raw());
+                let access = hierarchy.access_data(addr, false, ready);
+                // Every load looks the block up in the MSHR file, hit or
+                // miss: a tag hit may find its fill still in flight (the
+                // hierarchy fills lines at access time), and the same pass
+                // retires completed entries. `ready` is not monotone across
+                // loads, so retiring only on misses would let a later,
+                // earlier-`ready` miss merge with an entry an intervening hit
+                // would have retired.
+                let block = addr >> block_shift;
+                let fill = mshr.lookup_retire(block, ready);
+                let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
+                    AccessClass::Hit => ready + access.latency,
+                    AccessClass::DelayedHit { remaining } => {
+                        latency.delayed_hits += 1;
+                        latency.delayed_hit_cycles += remaining;
+                        hierarchy.note_delayed_hit(remaining);
+                        ready + remaining
+                    }
+                    AccessClass::PrimaryMiss => {
+                        let start = if mshr.is_full() {
+                            // All MSHRs busy: the miss waits for one to free.
+                            let free_at = mshr
+                                .earliest_completion()
+                                .expect("full MSHR file is non-empty");
+                            mshr.retire_completed(free_at);
+                            free_at.max(ready)
+                        } else {
+                            ready
+                        };
+                        let finish = start + access.latency;
+                        mshr.allocate(block, start, finish);
+                        latency.note_primary_miss(access.latency, access.l2_hit);
+                        finish
+                    }
+                };
+                finish + lsq.reserve_delay(ready, finish)
+            } else if k == kind::STORE {
+                // Stores update the cache but retire through the write
+                // buffer: the pipeline only pays the L1 access.
+                let access = hierarchy.access_data(u64::from(rec.addr_raw()), true, ready);
+                if !access.l1_hit {
+                    // A store miss starts a fill too, but the pipeline only
+                    // ever pays the capped write-buffer latency.
+                    latency.note_primary_miss(access.latency.min(store_latency_cap), access.l2_hit);
+                }
+                let finish = ready + access.latency.min(store_latency_cap);
+                finish + lsq.reserve_delay(ready, finish)
+            } else {
+                ready + alu_latency[usize::from(k)]
+            };
+
+            rob.dispatch(complete);
+            completion[idx % COMPLETION_RING] = complete;
+            dispatched_this_cycle += 1;
+            idx += 1;
+            hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
         }
 
         let drained = rob.drain();

@@ -1,18 +1,22 @@
-//! Scalar (per-record) reference implementations of both engines.
+//! Scalar reference implementations of both engines, kept verbatim as
+//! differential oracles.
 //!
-//! These are the pre-batching engine loops, kept verbatim as differential
-//! oracles: they walk the record slice one record at a time, with no
-//! dispatch-lane decode, no precomputed fetch-group marks and no batched
-//! activity totals. The batched pipelines in [`crate::ooo`] and
-//! [`crate::inorder`] are required to be bit-identical to these loops on
-//! every warm/measure split plan, hooked and unhooked — asserted by the
-//! `batch_boundaries` property tests — so any divergence localizes a bug to
-//! the batching layer.
+//! Like the engines, these walk the record slice one record at a time; they
+//! differ in how they spell each step. The oracles match on the
+//! materialized [`Op`] where the engines dispatch on the raw kind tag with
+//! an ALU-latency table, count each activity total in its `Op` arm, and
+//! commit and price the ROB and LSQ through the unfused
+//! `is_full`/`commit_oldest` and `reserve` calls where the engines use
+//! `commit_if_full` and `reserve_delay`. The engines in [`crate::ooo`] and
+//! [`crate::inorder`] must be bit-identical to these loops — result, final
+//! hierarchy snapshot and every hook observation — on every warm/measure
+//! split plan, hooked and unhooked (`tests/engine_oracle.rs`), so a
+//! divergence localizes a bug to that spelling.
 //!
 //! Both references share the engines' building blocks ([`FetchUnit`],
-//! [`ReorderBuffer`], [`LoadStoreQueue`], [`BranchPredictor`],
-//! [`producer_ready`]) on purpose: the differential pins the *batch
-//! restructuring*, not the microarchitectural model.
+//! [`ReorderBuffer`], [`LoadStoreQueue`], [`BranchPredictor`] and the
+//! completion ring) on purpose: the differential pins the engine loops, not
+//! the microarchitectural model.
 //!
 //! This module is not part of the supported API surface; it exists for the
 //! test suite and is hidden from documentation.
@@ -24,10 +28,10 @@ use rescache_trace::{InstrRecord, Op};
 
 use crate::activity::ActivityCounters;
 use crate::branch::BranchPredictor;
+use crate::completion::{producer_ready, COMPLETION_RING};
 use crate::config::{CpuConfig, EngineKind};
 use crate::fetch::FetchUnit;
 use crate::hook::SimHook;
-use crate::lanes::{producer_ready, COMPLETION_RING};
 use crate::lsq::LoadStoreQueue;
 use crate::result::{LatencyStats, SimResult};
 use crate::rob::ReorderBuffer;

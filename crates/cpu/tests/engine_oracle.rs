@@ -1,18 +1,23 @@
-//! Differential property tests for the batched engine pipeline: the
-//! dispatch-lane issue/complete loops in `rescache_cpu::{ooo, inorder}`
-//! must be bit-identical to the scalar per-record reference loops in
-//! `rescache_cpu::scalar` — for every warm/measure split plan (0, 1,
-//! batch ± 1, full length, arbitrary), with and without the observer hook.
+//! Differential property tests for the engines: the kind-tag loops in
+//! `rescache_cpu::{ooo, inorder}` must be bit-identical to the `Op`-matching
+//! oracle loops in `rescache_cpu::scalar` — in the result, the final
+//! hierarchy snapshot and every hook observation — for every warm/measure
+//! split plan (0, 1, the landmarks around 8 Ki and 16 Ki records, full
+//! length, arbitrary), with and without the observer hook.
 //!
-//! The batched side runs `Simulator::run_warm_measure` over the whole
-//! record slice; the scalar side slices the two regions itself, so an
-//! off-by-one in either the batch sub-slicing or the region split shows.
+//! The engine side runs `Simulator::run_warm_measure` over the whole record
+//! slice; the oracle side slices the two regions itself, so an off-by-one in
+//! the region split shows.
 
 use rescache_cache::{HierarchyConfig, HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::hook::{NoopHook, SimHook};
-use rescache_cpu::{scalar, CpuConfig, EngineKind, SimResult, Simulator, LANE_BATCH};
+use rescache_cpu::{scalar, CpuConfig, EngineKind, SimResult, Simulator};
 use rescache_testutil::{check_cases, TestRng};
 use rescache_trace::{spec, InstrRecord, Op, TraceGenerator};
+
+/// The split landmark: 8 Ki records. The warm lengths below sit on and
+/// around its multiples.
+const LANDMARK: usize = 8 * 1024;
 
 /// A hook that folds every observation into a checksum, so hook-visible
 /// divergence (call count, committed index, or the cycle passed) is caught
@@ -43,9 +48,9 @@ impl SimHook for ChecksumHook {
 /// final hierarchy snapshot, and the hook's call count and digest.
 type Outcome = (SimResult, HierarchySnapshot, u64, u64);
 
-/// Runs the batched engine and the scalar reference over identical fresh
-/// hierarchies and the same records, through the same warm/measure split
-/// plan, and returns both outcomes.
+/// Runs the engine and the oracle over identical fresh hierarchies and the
+/// same records, through the same warm/measure split plan, and returns both
+/// outcomes.
 fn run_both(
     config: CpuConfig,
     records: &[InstrRecord],
@@ -53,58 +58,58 @@ fn run_both(
     measure: usize,
     hooked: bool,
 ) -> (Outcome, Outcome) {
-    let run_scalar = |hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
+    let run_oracle = |hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
         scalar::run_engine_reference(&config, &records[..warm], hierarchy, hook);
         hierarchy.reset_stats();
         scalar::run_engine_reference(&config, &records[warm..warm + measure], hierarchy, hook)
     };
-    let run_batched = |hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
+    let run_engine = |hierarchy: &mut MemoryHierarchy, hook: &mut dyn SimHook| {
         let sim = Simulator::new(config);
         sim.run_warm_measure(records, warm, measure, hierarchy, hook)
     };
 
-    let mut batched_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-    let mut scalar_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
+    let mut engine_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
+    let mut oracle_hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
 
     if hooked {
-        let mut batched_hook = ChecksumHook::new();
-        let mut scalar_hook = ChecksumHook::new();
-        let batched = run_batched(&mut batched_hierarchy, &mut batched_hook);
-        let scalar = run_scalar(&mut scalar_hierarchy, &mut scalar_hook);
+        let mut engine_hook = ChecksumHook::new();
+        let mut oracle_hook = ChecksumHook::new();
+        let engine = run_engine(&mut engine_hierarchy, &mut engine_hook);
+        let oracle = run_oracle(&mut oracle_hierarchy, &mut oracle_hook);
         (
             (
-                batched,
-                batched_hierarchy.snapshot(),
-                batched_hook.calls,
-                batched_hook.digest,
+                engine,
+                engine_hierarchy.snapshot(),
+                engine_hook.calls,
+                engine_hook.digest,
             ),
             (
-                scalar,
-                scalar_hierarchy.snapshot(),
-                scalar_hook.calls,
-                scalar_hook.digest,
+                oracle,
+                oracle_hierarchy.snapshot(),
+                oracle_hook.calls,
+                oracle_hook.digest,
             ),
         )
     } else {
-        let batched = run_batched(&mut batched_hierarchy, &mut NoopHook);
-        let scalar = run_scalar(&mut scalar_hierarchy, &mut NoopHook);
+        let engine = run_engine(&mut engine_hierarchy, &mut NoopHook);
+        let oracle = run_oracle(&mut oracle_hierarchy, &mut NoopHook);
         (
-            (batched, batched_hierarchy.snapshot(), 0, 0),
-            (scalar, scalar_hierarchy.snapshot(), 0, 0),
+            (engine, engine_hierarchy.snapshot(), 0, 0),
+            (oracle, oracle_hierarchy.snapshot(), 0, 0),
         )
     }
 }
 
-/// The boundary-sensitive warm lengths: 0, 1, batch ± 1, the exact batch
-/// width, twice it, and the full trace (less one, and whole).
-fn boundary_warm_lengths(total: usize) -> Vec<usize> {
+/// The landmark warm lengths: 0, 1, the landmark ± 1, the landmark itself,
+/// twice it, and the full trace (less one, and whole).
+fn landmark_warm_lengths(total: usize) -> Vec<usize> {
     vec![
         0,
         1,
-        LANE_BATCH - 1,
-        LANE_BATCH,
-        LANE_BATCH + 1,
-        2 * LANE_BATCH,
+        LANDMARK - 1,
+        LANDMARK,
+        LANDMARK + 1,
+        2 * LANDMARK,
         total.saturating_sub(1),
         total,
     ]
@@ -118,33 +123,33 @@ fn assert_equivalent(
     hooked: bool,
     outcome: (Outcome, Outcome),
 ) {
-    let (batched, reference) = outcome;
+    let (engine, reference) = outcome;
     let label = format!(
         "{profile_name} engine={:?} warm={warm} measure={measure} hooked={hooked}",
         config.engine
     );
     // Asserted before the whole-struct comparison so a latency-accounting
-    // divergence is named as such: the lanes path and the scalar oracle must
-    // count delayed hits, primary misses and their cycles identically at
-    // every split point.
+    // divergence is named as such: the engine and the oracle must count
+    // delayed hits, primary misses and their cycles identically at every
+    // split point.
     assert_eq!(
-        batched.0.latency, reference.0.latency,
+        engine.0.latency, reference.0.latency,
         "LatencyStats diverged: {label}"
     );
-    assert_eq!(batched.0, reference.0, "SimResult diverged: {label}");
-    assert_eq!(batched.1, reference.1, "snapshot diverged: {label}");
-    assert_eq!(batched.2, reference.2, "hook call count diverged: {label}");
-    assert_eq!(batched.3, reference.3, "hook digest diverged: {label}");
+    assert_eq!(engine.0, reference.0, "SimResult diverged: {label}");
+    assert_eq!(engine.1, reference.1, "snapshot diverged: {label}");
+    assert_eq!(engine.2, reference.2, "hook call count diverged: {label}");
+    assert_eq!(engine.3, reference.3, "hook digest diverged: {label}");
 }
 
 #[test]
-fn batched_ooo_and_inorder_match_scalar_reference_at_batch_boundaries() {
-    // Long enough that every boundary warm length leaves a measured region
-    // crossing at least one further batch boundary.
-    let total = 2 * LANE_BATCH + 2 * LANE_BATCH / 3;
+fn both_engines_match_oracle_at_landmark_splits_hooked_and_unhooked() {
+    // Long enough that every landmark warm length leaves a measured region
+    // crossing at least one further landmark.
+    let total = 2 * LANDMARK + 2 * LANDMARK / 3;
     let trace = TraceGenerator::new(spec::gcc(), 23).generate(total);
     for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
-        for &warm in &boundary_warm_lengths(total) {
+        for &warm in &landmark_warm_lengths(total) {
             let measure = total - warm;
             for hooked in [false, true] {
                 assert_equivalent(
@@ -161,11 +166,11 @@ fn batched_ooo_and_inorder_match_scalar_reference_at_batch_boundaries() {
 }
 
 #[test]
-fn dependency_chains_across_batch_boundaries_match_scalar_reference() {
+fn dependency_chains_across_the_warm_measure_split_match_oracle() {
     // Every record depends on the one or two before it, and every fourth is
-    // a load that misses: any record that reads the wrong producer at a
-    // batch boundary shifts the run's cycles.
-    let total = 2 * LANE_BATCH + 5;
+    // a load that misses: any record that reads the wrong producer across
+    // the warm/measure split shifts the run's cycles.
+    let total = 2 * LANDMARK + 5;
     let records: Vec<InstrRecord> = (0..total as u64)
         .map(|i| {
             let op = if i % 4 == 0 {
@@ -177,7 +182,7 @@ fn dependency_chains_across_batch_boundaries_match_scalar_reference() {
         })
         .collect();
     for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
-        for &warm in &boundary_warm_lengths(total) {
+        for &warm in &landmark_warm_lengths(total) {
             assert_equivalent(
                 config,
                 "chain",
@@ -196,17 +201,17 @@ fn latency_parity_is_not_vacuous() {
     // path accounted anything; pin that a missy profile actually produces
     // nonzero latency counters in the measured region under both engines,
     // and that the means derive from those counters.
-    let total = 2 * LANE_BATCH;
+    let total = 2 * LANDMARK;
     let trace = TraceGenerator::new(spec::gcc(), 23).generate(total);
     for config in [CpuConfig::base_out_of_order(), CpuConfig::base_in_order()] {
-        let (batched, reference) = run_both(
+        let (engine, reference) = run_both(
             config,
             trace.records(),
-            LANE_BATCH / 2,
-            total - LANE_BATCH / 2,
+            LANDMARK / 2,
+            total - LANDMARK / 2,
             false,
         );
-        let latency = batched.0.latency;
+        let latency = engine.0.latency;
         assert!(
             latency.d_primary_misses > 0,
             "gcc must miss in the measured region (engine {:?})",
@@ -239,11 +244,11 @@ fn latency_parity_is_not_vacuous() {
 }
 
 #[test]
-fn batched_engines_match_scalar_reference_on_arbitrary_splits() {
+fn both_engines_match_oracle_on_arbitrary_splits_and_seeds() {
     let profiles = [spec::ammp(), spec::vortex(), spec::swim()];
     check_cases(12, |rng: &mut TestRng| {
         let profile = profiles[rng.below_usize(profiles.len())].clone();
-        let total = LANE_BATCH + rng.below_usize(2 * LANE_BATCH);
+        let total = LANDMARK + rng.below_usize(2 * LANDMARK);
         let warm = rng.below_usize(total + 1);
         // The measured region may stop short of the trace's end.
         let measure = rng.below_usize(total - warm + 1);

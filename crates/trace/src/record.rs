@@ -53,9 +53,9 @@ impl Op {
 /// Raw operation-class tags of the packed record encoding.
 ///
 /// These are the values [`InstrRecord::kind_tag`] returns and the on-disk
-/// codec stores. Batched consumers (the struct-of-arrays engine front end in
-/// `rescache-cpu`) dispatch on the tag directly instead of re-materializing
-/// an [`Op`], so the ordering is part of the stable encoding: ALU classes
+/// codec stores. The engines in `rescache-cpu` dispatch on the tag directly
+/// instead of re-materializing an [`Op`], so the ordering is part of the
+/// stable encoding: ALU classes
 /// first (`INT`, `FP`), then memory (`LOAD`, `STORE`), then branches with the
 /// taken direction in the low bit.
 pub mod kind {
@@ -161,9 +161,8 @@ impl InstrRecord {
 
     /// Raw operation-class tag (one of the [`kind`] constants).
     ///
-    /// This is the struct-of-arrays view of [`InstrRecord::op`]: batched
-    /// consumers copy the tag into a kind lane and dispatch on it without
-    /// materializing an [`Op`].
+    /// The engines dispatch on this byte directly: it carries the same
+    /// class as [`InstrRecord::op`] without materializing an [`Op`].
     #[inline(always)]
     pub fn kind_tag(&self) -> u8 {
         self.kind
