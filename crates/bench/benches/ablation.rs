@@ -3,13 +3,13 @@
 //! * subarray size (the resizing granule), against the static
 //!   selective-sets d-cache saving,
 //! * the dynamic controller's interval length, against the dynamic saving
-//!   and the measured resize count,
+//!   and the measured resize count of the Figure 7 comparison,
 //! * the number of configurations each organization offers per
 //!   associativity.
 
-use rescache_bench::{all_apps, bench_config, bench_runner, print_header, timed};
+use rescache_bench::{all_apps, bench_runner, print_header, timed};
 use rescache_cache::CacheConfig;
-use rescache_core::experiment::{format_table, mean, Runner};
+use rescache_core::experiment::{format_table, mean, static_vs_dynamic, Runner, StrategyRow};
 use rescache_core::org::ConfigSpace;
 use rescache_core::{Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::AppProfile;
@@ -38,31 +38,25 @@ fn subarray_sweep(runner: &Runner, apps: &[AppProfile], subarray_bytes: u64) -> 
 }
 
 /// Mean dynamic energy-delay reduction and resize count for one controller
-/// interval length.
-fn interval_sweep(apps: &[AppProfile], interval: u64) -> (f64, f64) {
-    let mut cfg = bench_config();
+/// interval length, from the Figure 7 comparison (in-order processor,
+/// selective-sets d-cache). The runner shares `runner`'s store, so the
+/// static searches, which do not depend on the interval, run once.
+fn interval_sweep(runner: &Runner, apps: &[AppProfile], interval: u64) -> (f64, f64) {
+    let mut cfg = *runner.config();
     cfg.dynamic_interval = interval;
-    let runner = Runner::new(cfg);
-    let results: Vec<(f64, f64)> = apps
-        .iter()
-        .map(|app| {
-            let outcome = runner
-                .dynamic_best(
-                    app,
-                    &SystemConfig::in_order(),
-                    Organization::SelectiveSets,
-                    ResizableCacheSide::Data,
-                )
-                .expect("selective-sets applies");
-            (
-                outcome.best.edp_reduction_percent,
-                outcome.best.measurement.l1d_resizes as f64,
-            )
-        })
-        .collect();
+    let runner = Runner::with_store(cfg, runner.trace_store().clone());
+    let rows = static_vs_dynamic(
+        &runner,
+        apps,
+        &SystemConfig::in_order(),
+        Organization::SelectiveSets,
+        ResizableCacheSide::Data,
+    )
+    .expect("selective-sets applies");
+    let avg = |field: fn(&StrategyRow) -> f64| mean(&rows.iter().map(field).collect::<Vec<_>>());
     (
-        mean(&results.iter().map(|r| r.0).collect::<Vec<_>>()),
-        mean(&results.iter().map(|r| r.1).collect::<Vec<_>>()),
+        avg(|r| r.dynamic_edp_reduction),
+        avg(|r| r.dynamic_resizes as f64),
     )
 }
 
@@ -110,7 +104,7 @@ fn main() {
     let mut rows = Vec::new();
     for interval in [1024u64, 4096, 16384] {
         let (reduction, resizes) = timed(&format!("interval {interval} accesses"), || {
-            interval_sweep(&apps, interval)
+            interval_sweep(&runner, &apps, interval)
         });
         rows.push(vec![
             format!("{interval}"),

@@ -1,55 +1,20 @@
 //! Figure 4: processor energy-delay reduction of static selective-ways vs.
 //! selective-sets resizing, for 2/4/8/16-way 32K L1 d- and i-caches.
 
-use rescache_bench::{all_apps, bench_runner, print_header, timed};
-use rescache_core::experiment::{format_table, organization_vs_associativity};
-use rescache_core::{Organization, ResizableCacheSide};
+use rescache_core::Organization;
 
 fn main() {
-    print_header(
+    rescache_bench::org_assoc_figure(
         "Figure 4 — resizable cache organizations and energy-delay reductions",
-        "Mean reduction (%) in processor energy-delay across the 12 applications, static resizing, base out-of-order processor.",
+        &[Organization::SelectiveWays, Organization::SelectiveSets],
+        &[
+            "associativity",
+            "selective-ways EDP red. %",
+            "selective-sets EDP red. %",
+        ],
+        &[
+            "Paper reference (d-cache): ways 5/8/11/15 %, sets 9/11/9/6 % for 2/4/8/16-way.",
+            "Paper reference (i-cache): ways 6/10/13/17 %, sets 11/12/11/8 %.",
+        ],
     );
-    let runner = bench_runner();
-    let apps = all_apps();
-    let orgs = [Organization::SelectiveWays, Organization::SelectiveSets];
-    let assocs = [2u32, 4, 8, 16];
-
-    for side in ResizableCacheSide::ALL {
-        let label = match side {
-            ResizableCacheSide::Data => "(a) D-Cache",
-            ResizableCacheSide::Instruction => "(b) I-Cache",
-        };
-        let points = timed(label, || {
-            organization_vs_associativity(&runner, &apps, &assocs, &orgs, side)
-                .expect("all combinations in Figure 4 are applicable")
-        });
-        let mut rows = Vec::new();
-        for assoc in assocs {
-            let mut row = vec![format!("{assoc}-way")];
-            for org in orgs {
-                let value = points
-                    .iter()
-                    .find(|p| p.associativity == assoc && p.organization == org)
-                    .map(|p| format!("{:.1}", p.mean_edp_reduction))
-                    .unwrap_or_else(|| "n/a".to_string());
-                row.push(value);
-            }
-            rows.push(row);
-        }
-        println!("{label}");
-        println!(
-            "{}",
-            format_table(
-                &[
-                    "associativity",
-                    "selective-ways EDP red. %",
-                    "selective-sets EDP red. %"
-                ],
-                &rows
-            )
-        );
-    }
-    println!("Paper reference (d-cache): ways 5/8/11/15 %, sets 9/11/9/6 % for 2/4/8/16-way.");
-    println!("Paper reference (i-cache): ways 6/10/13/17 %, sets 11/12/11/8 %.");
 }

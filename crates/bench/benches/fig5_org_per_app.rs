@@ -33,52 +33,21 @@ fn print_side(rows: &[PerAppOrgRow], label: &str) {
             format!("{:.1}", sets.edp_reduction),
         ]);
     }
-    let ways_rows: Vec<&PerAppOrgRow> = rows
-        .iter()
-        .filter(|r| r.organization == Organization::SelectiveWays)
-        .collect();
-    let sets_rows: Vec<&PerAppOrgRow> = rows
-        .iter()
-        .filter(|r| r.organization == Organization::SelectiveSets)
-        .collect();
+    let avg = |org: Organization, field: fn(&PerAppOrgRow) -> f64| {
+        let values: Vec<f64> = rows
+            .iter()
+            .filter(|r| r.organization == org)
+            .map(field)
+            .collect();
+        mean(&values)
+    };
+    let (ways, sets) = (Organization::SelectiveWays, Organization::SelectiveSets);
     table.push(vec![
         "AVG.".to_string(),
-        format!(
-            "{:.0}",
-            mean(
-                &ways_rows
-                    .iter()
-                    .map(|r| r.size_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        format!(
-            "{:.0}",
-            mean(
-                &sets_rows
-                    .iter()
-                    .map(|r| r.size_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        format!(
-            "{:.1}",
-            mean(
-                &ways_rows
-                    .iter()
-                    .map(|r| r.edp_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
-        format!(
-            "{:.1}",
-            mean(
-                &sets_rows
-                    .iter()
-                    .map(|r| r.edp_reduction)
-                    .collect::<Vec<_>>()
-            )
-        ),
+        format!("{:.0}", avg(ways, |r| r.size_reduction)),
+        format!("{:.0}", avg(sets, |r| r.size_reduction)),
+        format!("{:.1}", avg(ways, |r| r.edp_reduction)),
+        format!("{:.1}", avg(sets, |r| r.edp_reduction)),
     ]);
     println!("{label}");
     println!(

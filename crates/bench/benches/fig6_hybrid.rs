@@ -1,54 +1,21 @@
 //! Figure 6: effectiveness of the hybrid selective-sets-and-ways
 //! organization across associativities, against both single organizations.
 
-use rescache_bench::{all_apps, bench_runner, print_header, timed};
-use rescache_core::experiment::format_table;
-use rescache_core::experiment::hybrid::{by_associativity, hybrid_effectiveness};
-use rescache_core::ResizableCacheSide;
+use rescache_core::Organization;
 
 fn main() {
-    print_header(
+    rescache_bench::org_assoc_figure(
         "Figure 6 — effectiveness of hybrid organizations",
-        "Mean reduction (%) in processor energy-delay across the 12 applications, static resizing, base out-of-order processor.",
+        &Organization::ALL,
+        &[
+            "associativity",
+            "ways EDP red. %",
+            "sets EDP red. %",
+            "hybrid EDP red. %",
+        ],
+        &[
+            "Paper reference (d-cache hybrid): 9/12/13/15 % for 2/4/8/16-way;",
+            "(i-cache hybrid): 11/13/14/17 %. Hybrid always >= max(ways, sets).",
+        ],
     );
-    let runner = bench_runner();
-    let apps = all_apps();
-    let assocs = [2u32, 4, 8, 16];
-
-    for side in ResizableCacheSide::ALL {
-        let label = match side {
-            ResizableCacheSide::Data => "(a) D-Cache",
-            ResizableCacheSide::Instruction => "(b) I-Cache",
-        };
-        let points = timed(label, || {
-            hybrid_effectiveness(&runner, &apps, &assocs, side)
-                .expect("all organizations apply at these associativities")
-        });
-        let rows: Vec<Vec<String>> = by_associativity(&points)
-            .into_iter()
-            .map(|(assoc, ways, sets, hybrid)| {
-                vec![
-                    format!("{assoc}-way"),
-                    format!("{ways:.1}"),
-                    format!("{sets:.1}"),
-                    format!("{hybrid:.1}"),
-                ]
-            })
-            .collect();
-        println!("{label}");
-        println!(
-            "{}",
-            format_table(
-                &[
-                    "associativity",
-                    "ways EDP red. %",
-                    "sets EDP red. %",
-                    "hybrid EDP red. %"
-                ],
-                &rows
-            )
-        );
-    }
-    println!("Paper reference (d-cache hybrid): 9/12/13/15 % for 2/4/8/16-way;");
-    println!("(i-cache hybrid): 11/13/14/17 %. Hybrid always >= max(ways, sets).");
 }

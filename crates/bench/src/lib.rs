@@ -7,13 +7,14 @@
 //! [`rescache_core::Knobs`] applied; a malformed knob stops the bench before
 //! any work, with exit status 2), the full application list, a tiny
 //! stopwatch for reporting how long a sweep took, the median/min/max
-//! summary the throughput harness reports its timing samples with, and the
-//! one function behind Figures 7 and 8.
+//! summary the throughput harness reports its timing samples with, the one
+//! function behind Figures 4 and 6, and the one behind Figures 7 and 8.
 
 use std::time::Instant;
 
 use rescache_core::experiment::{
-    format_table, mean, static_vs_dynamic, Runner, RunnerConfig, StrategyRow,
+    format_table, mean, organization_vs_associativity, static_vs_dynamic, Runner, RunnerConfig,
+    StrategyRow,
 };
 use rescache_core::{Knobs, Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::{spec, AppProfile};
@@ -67,6 +68,49 @@ pub fn timed<T>(label: &str, body: impl FnOnce() -> T) -> T {
         start.elapsed().as_secs_f64()
     );
     value
+}
+
+/// Figures 4 and 6: the mean energy-delay reduction of static resizing with
+/// each of `orgs`, on 2/4/8/16-way 32K L1 d- and i-caches of the base
+/// out-of-order processor. Prints the header `title`, one table per cache
+/// (columns `headers`: the associativity, then one per organization), then
+/// the paper's `reference` lines.
+pub fn org_assoc_figure(title: &str, orgs: &[Organization], headers: &[&str], reference: &[&str]) {
+    print_header(
+        title,
+        "Mean reduction (%) in processor energy-delay across the 12 applications, static resizing, base out-of-order processor.",
+    );
+    let runner = bench_runner();
+    let apps = all_apps();
+    let assocs = [2u32, 4, 8, 16];
+    for side in ResizableCacheSide::ALL {
+        let label = match side {
+            ResizableCacheSide::Data => "(a) D-Cache",
+            ResizableCacheSide::Instruction => "(b) I-Cache",
+        };
+        let points = timed(label, || {
+            organization_vs_associativity(&runner, &apps, &assocs, orgs, side)
+                .expect("every applicable organization enumerates its configuration space")
+        });
+        let mut rows = Vec::new();
+        for assoc in assocs {
+            let mut row = vec![format!("{assoc}-way")];
+            for &org in orgs {
+                let value = points
+                    .iter()
+                    .find(|p| p.associativity == assoc && p.organization == org)
+                    .map(|p| format!("{:.1}", p.mean_edp_reduction))
+                    .unwrap_or_else(|| "n/a".to_string());
+                row.push(value);
+            }
+            rows.push(row);
+        }
+        println!("{label}");
+        println!("{}", format_table(headers, &rows));
+    }
+    for line in reference {
+        println!("{line}");
+    }
 }
 
 /// Figures 7 and 8: static vs. miss-ratio-based dynamic selective-sets

@@ -7,13 +7,12 @@
 //! | Table 1 (hybrid size grid) | [`crate::org::hybrid_grid`] |
 //! | Figure 4 (orgs vs. associativity) | [`org_comparison::organization_vs_associativity`] |
 //! | Figure 5 (orgs per application, 4-way) | [`org_comparison::per_app_org_comparison`] |
-//! | Figure 6 (hybrid effectiveness) | [`hybrid::hybrid_effectiveness`] |
+//! | Figure 6 (hybrid effectiveness) | [`org_comparison::organization_vs_associativity`] over [`Organization::ALL`](crate::org::Organization::ALL) |
 //! | Figure 7 (d-cache static vs. dynamic) | [`strategy_cmp::static_vs_dynamic`] |
 //! | Figure 8 (i-cache static vs. dynamic) | [`strategy_cmp::static_vs_dynamic`] |
 //! | Figure 9 (resizing both L1s) | [`dual::dual_resizing`] |
 
 pub mod dual;
-pub mod hybrid;
 pub mod org_comparison;
 pub mod parallel;
 pub mod report;
@@ -24,7 +23,6 @@ pub mod strategy_cmp;
 pub mod trace_store;
 
 pub use dual::{dual_resizing, DualOutcome, DualRow};
-pub use hybrid::hybrid_effectiveness;
 pub use org_comparison::{
     organization_vs_associativity, per_app_org_comparison, OrgAssocPoint, PerAppOrgRow,
 };

@@ -1,5 +1,5 @@
-//! Drivers for Figures 4 and 5: static selective-ways versus selective-sets
-//! (and, via the same machinery, the hybrid organization of Figure 6).
+//! Drivers for Figures 4, 5 and 6: static selective-ways versus
+//! selective-sets, and (Figure 6) the hybrid organization against both.
 
 use rescache_trace::AppProfile;
 
@@ -195,6 +195,40 @@ mod tests {
             "selective-sets ({:.1}%) should beat selective-ways ({:.1}%) at 2-way",
             sets.mean_edp_reduction,
             ways.mean_edp_reduction
+        );
+    }
+
+    #[test]
+    fn hybrid_is_at_least_as_good_as_either_organization() {
+        let runner = tiny_runner();
+        let apps = vec![spec::ammp(), spec::compress()];
+        let points = organization_vs_associativity(
+            &runner,
+            &apps,
+            &[4],
+            &Organization::ALL,
+            ResizableCacheSide::Data,
+        )
+        .unwrap();
+        let edp = |org: Organization| {
+            points
+                .iter()
+                .find(|p| p.organization == org)
+                .map(|p| p.mean_edp_reduction)
+                .unwrap()
+        };
+        let (ways, sets, hybrid) = (
+            edp(Organization::SelectiveWays),
+            edp(Organization::SelectiveSets),
+            edp(Organization::Hybrid),
+        );
+        // The hybrid offers a superset of configurations, so with the same
+        // exhaustive static search it can only tie or win (allow a small
+        // tolerance for the extra tag-bit energy it pays relative to
+        // selective-ways).
+        assert!(
+            hybrid >= ways - 1.0 && hybrid >= sets - 1.0,
+            "hybrid {hybrid:.2}% must not lose to ways {ways:.2}% or sets {sets:.2}%"
         );
     }
 

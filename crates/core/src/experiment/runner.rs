@@ -104,14 +104,11 @@ impl Measurement {
     }
 }
 
-/// The cache setup of one run: static points, tag-bit overheads, and an
-/// optional dynamic controller on one side.
+/// The cache setup of a dynamic run: tag-bit overheads and an optional
+/// dynamic controller on one side. Static points are not part of a setup:
+/// they go through [`Runner::run_static`].
 #[derive(Debug, Clone, Default)]
 pub struct RunSetup {
-    /// Statically applied d-cache configuration (None = full size).
-    pub d_static: Option<CachePoint>,
-    /// Statically applied i-cache configuration (None = full size).
-    pub i_static: Option<CachePoint>,
     /// Extra tag bits charged on every d-cache access (selective-sets/hybrid).
     pub d_tag_bits: u32,
     /// Extra tag bits charged on every i-cache access (selective-sets/hybrid).
@@ -219,6 +216,12 @@ pub(crate) struct StaticSim {
 /// trace generation, cache warm-up and energy evaluation identically for
 /// every experiment.
 ///
+/// Each kind of run has one entry point — [`Runner::run_static`] for fixed
+/// L1 geometries, [`Runner::run_dynamic_observed`] for a dynamic controller
+/// — and each resizing strategy has one search: [`Runner::static_best`] and
+/// [`Runner::dynamic_best`], whose candidates are profiled from the static
+/// search.
+///
 /// The runner memoizes two pure, deterministic computations, keyed by their
 /// full inputs:
 ///
@@ -283,53 +286,21 @@ impl Runner {
         self.store.fetch(app, &self.config)
     }
 
-    /// Runs one simulation, uncached: warm-up over `warm`, statistics reset,
-    /// measured region over `measure`. The two halves of a
-    /// [`Runner::trace`] rejoin copy-free into the one trace the run reads.
-    pub fn run(
-        &self,
-        warm: &Trace,
-        measure: &Trace,
-        system: &SystemConfig,
-        setup: &RunSetup,
-    ) -> Measurement {
-        let trace = warm.join(measure);
-        let regions = (warm.len(), measure.len());
-        let (d_static, i_static) = (setup.d_static, setup.i_static);
-        let sim = match setup.dynamic.clone() {
-            None => Self::simulate(&trace, regions, system, d_static, i_static, &mut NoopHook),
-            Some((side, space, params)) => {
-                let mut controller = DynamicController::new(side, space, params)
-                    .expect("dynamic parameters validated by the caller");
-                Self::simulate(&trace, regions, system, d_static, i_static, &mut controller)
-            }
-        };
-        Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
-    }
-
-    /// The warm-up and measured record counts of this runner's experiments.
-    fn regions(&self) -> (usize, usize) {
-        (
-            self.config.warmup_instructions,
-            self.config.measure_instructions,
-        )
-    }
-
     /// The one experiment sequence every run takes: build a hierarchy with
     /// the static points applied (flush writebacks noted, as a real pre-run
     /// resize would), then warm-up, statistics reset and measured region over
-    /// `trace`'s record slice, `regions` giving the two record counts.
-    /// `hook` — the dynamic controller, or [`NoopHook`] for a static run —
-    /// sees every commit of both regions.
+    /// `app`'s resident trace, with this runner's region lengths. `hook` —
+    /// the dynamic controller, or [`NoopHook`] for a static run — sees every
+    /// commit of both regions.
     ///
-    /// The uncached [`Runner::run`], the memoized static path and the
-    /// dynamic path all come through here, which is what guarantees the memo
-    /// key's "static run is a pure function of (trace, system, geometry)"
-    /// invariant: the same records yield the same bits (asserted by
-    /// `tests/dynamic_streaming_equivalence.rs`).
+    /// The memoized static path and the dynamic path both come through here.
+    /// `tests/common/mod.rs` rebuilds the same sequence from the crates'
+    /// public parts without the runner, and `tests/trace_sharing.rs` and
+    /// `tests/store_equivalence.rs` require both paths to match it bit for
+    /// bit.
     fn simulate<H: SimHook + ?Sized>(
-        trace: &Trace,
-        (warm, measure): (usize, usize),
+        &self,
+        app: &AppProfile,
         system: &SystemConfig,
         d_static: Option<CachePoint>,
         i_static: Option<CachePoint>,
@@ -346,9 +317,9 @@ impl Runner {
             hierarchy.note_resize_flush_writebacks(effect.dirty_writebacks);
         }
         let result = Simulator::new(system.cpu).run_warm_measure(
-            trace.records(),
-            warm,
-            measure,
+            self.store.fetch_full(app, &self.config).records(),
+            self.config.warmup_instructions,
+            self.config.measure_instructions,
             &mut hierarchy,
             hook,
         );
@@ -431,14 +402,7 @@ impl Runner {
         let sim = slot.get_or_init(|| {
             ran = true;
             tier.health().note_miss();
-            Self::simulate(
-                &self.store.fetch_full(app, &self.config),
-                self.regions(),
-                system,
-                d_static,
-                i_static,
-                &mut NoopHook,
-            )
+            self.simulate(app, system, d_static, i_static, &mut NoopHook)
         });
         if !warm_hit && !ran {
             // The slot was cold when we looked, yet our initializer never
@@ -473,28 +437,17 @@ impl Runner {
     }
 
     /// Runs one simulation of `setup` over the store's resident trace of
-    /// `app`: the store-backed twin of [`Runner::run`], and the path every
-    /// dynamic-controller experiment takes. Results are bit-identical to
-    /// [`Runner::run`] over the same records (asserted by
-    /// `tests/dynamic_streaming_equivalence.rs`). A static setup (no
-    /// controller) is the memoized [`Runner::run_static`].
-    pub fn run_dynamic(
-        &self,
-        app: &AppProfile,
-        system: &SystemConfig,
-        setup: &RunSetup,
-    ) -> Measurement {
-        self.run_dynamic_observed(app, system, setup, None)
-    }
-
-    /// [`Runner::run_dynamic`] with an optional decision sink: every resize
-    /// the controller performs is streamed into `sink` as a
-    /// [`ResizeDecision`] while the simulation runs — the hook the sweep
-    /// service's `dynamic` verb forwards interval decisions through. The
-    /// store reads the whole trace before the run starts, so the sink sees
-    /// exactly the decisions of one run. Observation never perturbs the
-    /// measurement: the returned [`Measurement`] is bit-identical with or
-    /// without a sink.
+    /// `app`: the path every dynamic-controller experiment takes. A setup
+    /// without a controller is the memoized full-size [`Runner::run_static`]
+    /// priced with the setup's tag bits.
+    ///
+    /// With a decision sink, every resize the controller performs is
+    /// streamed into `sink` as a [`ResizeDecision`] while the simulation
+    /// runs — the hook the sweep service's `dynamic` verb forwards interval
+    /// decisions through. The store reads the whole trace before the run
+    /// starts, so the sink sees exactly the decisions of one run.
+    /// Observation never perturbs the measurement: the returned
+    /// [`Measurement`] is bit-identical with or without a sink.
     pub fn run_dynamic_observed(
         &self,
         app: &AppProfile,
@@ -503,28 +456,14 @@ impl Runner {
         sink: Option<&std::sync::mpsc::Sender<ResizeDecision>>,
     ) -> Measurement {
         let Some((side, space, params)) = setup.dynamic.clone() else {
-            return self.run_static(
-                app,
-                system,
-                setup.d_static,
-                setup.i_static,
-                setup.d_tag_bits,
-                setup.i_tag_bits,
-            );
+            return self.run_static(app, system, None, None, setup.d_tag_bits, setup.i_tag_bits);
         };
         let mut controller = DynamicController::new(side, space, params)
             .expect("dynamic parameters validated by the caller");
         if let Some(sink) = sink {
             controller = controller.with_decision_sink(sink.clone());
         }
-        let sim = Self::simulate(
-            &self.store.fetch_full(app, &self.config),
-            self.regions(),
-            system,
-            setup.d_static,
-            setup.i_static,
-            &mut controller,
-        );
+        let sim = self.simulate(app, system, None, None, &mut controller);
         Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
     }
 
@@ -600,10 +539,22 @@ impl Runner {
     /// Dynamic resizing: sweeps the profiled parameter candidates of the
     /// miss-ratio controller and keeps the best energy-delay product.
     ///
-    /// The size-bound candidates default to an eighth, a quarter and half of
-    /// the full capacity; use [`Runner::dynamic_best_with_size_bounds`] to
-    /// supply bounds derived from a static profiling pass (as the
-    /// strategy-comparison experiments do).
+    /// The paper extracts the controller's bounds offline through
+    /// profiling; here the profile is `static_best`, the static search of
+    /// the same application, system, organization and side. The size-bound
+    /// candidates are the static best size, half of it, a quarter, and the
+    /// smallest offered size (the `1` floor), each crossed with the
+    /// miss-bounds of [`DynamicParams::candidates`]. Bounds snap to offered
+    /// capacities and duplicates collapse, so fractions that fall between
+    /// (or below) offered sizes never waste a simulation.
+    ///
+    /// The static best size also anchors one more candidate: floor at that
+    /// size, with a miss-bound no interval reaches. That controller settles
+    /// at the anchor and never upsizes, so the best dynamic candidate is
+    /// never worse than static resizing at the anchor.
+    ///
+    /// The baseline is `static_best`'s, and every candidate replays the
+    /// store's one resident trace of `app`.
     ///
     /// # Errors
     ///
@@ -614,67 +565,43 @@ impl Runner {
         system: &SystemConfig,
         organization: Organization,
         side: ResizableCacheSide,
+        static_best: &StaticOutcome,
     ) -> Result<DynamicOutcome, CoreError> {
-        let full = side.config_of(&system.hierarchy).size_bytes;
-        self.dynamic_best_with_size_bounds(
-            app,
-            system,
-            organization,
-            side,
-            &[full / 8, full / 4, full / 2],
-            None,
-        )
-    }
-
-    /// Dynamic resizing with explicit size-bound candidates (see
-    /// [`Runner::dynamic_best`]). The baseline and every candidate replay
-    /// the store's one resident trace of `app`.
-    ///
-    /// `static_anchor` (the static best size, in bytes) adds one more
-    /// candidate: floor at that size, with a miss-bound no interval reaches.
-    /// That controller settles at the anchor and never upsizes, so the best
-    /// dynamic candidate is never worse than static resizing at the anchor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the organization is not applicable to the cache.
-    pub fn dynamic_best_with_size_bounds(
-        &self,
-        app: &AppProfile,
-        system: &SystemConfig,
-        organization: Organization,
-        side: ResizableCacheSide,
-        size_bounds: &[u64],
-        static_anchor: Option<u64>,
-    ) -> Result<DynamicOutcome, CoreError> {
-        let space = ConfigSpace::enumerate(side.config_of(&system.hierarchy), organization)?;
-
-        let base = self.run_point(app, system, organization, side, None);
+        let cache = side.config_of(&system.hierarchy);
+        let space = ConfigSpace::enumerate(cache, organization)?;
+        let base = static_best.base;
         let base_miss_ratio = match side {
             ResizableCacheSide::Data => base.l1d_miss_ratio,
             ResizableCacheSide::Instruction => base.l1i_miss_ratio,
         };
 
-        // Candidates over the requested bounds, snapped to offered
-        // capacities (unreachable floors would waste or break simulations).
+        let static_best_bytes = static_best
+            .best
+            .point
+            .map(|p| p.bytes(cache.block_bytes))
+            .unwrap_or(cache.size_bytes);
+        let bounds = [
+            static_best_bytes,
+            static_best_bytes / 2,
+            static_best_bytes / 4,
+            1,
+        ];
         let mut params = DynamicParams::candidates(
             self.config.dynamic_interval,
             base_miss_ratio,
             &space,
-            size_bounds,
+            &bounds,
         );
-        if let Some(anchor) = static_anchor {
-            params.push(DynamicParams {
-                interval_accesses: self.config.dynamic_interval,
-                miss_bound: u64::MAX,
-                size_bound_bytes: space.snap_size_bound(anchor),
-            });
-        }
+        params.push(DynamicParams {
+            interval_accesses: self.config.dynamic_interval,
+            miss_bound: u64::MAX,
+            size_bound_bytes: space.snap_size_bound(static_best_bytes),
+        });
         // Parameter candidates are independent simulations over the shared
         // trace; sweep them in parallel like the static points.
         let candidates: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {
             let setup = RunSetup::dynamic(side, space.clone(), *p);
-            (*p, self.run_dynamic(app, system, &setup))
+            (*p, self.run_dynamic_observed(app, system, &setup, None))
         });
 
         let (_, best_measurement) =
@@ -762,8 +689,7 @@ mod tests {
     #[test]
     fn baseline_measurement_is_sane() {
         let r = runner();
-        let (warm, measure) = r.trace(&spec::m88ksim());
-        let m = r.run(&warm, &measure, &SystemConfig::base(), &RunSetup::default());
+        let m = r.run_static(&spec::m88ksim(), &SystemConfig::base(), None, None, 0, 0);
         assert!(m.cycles > 0);
         assert!(m.energy_pj > 0.0);
         assert_eq!(m.l1d_mean_bytes, 32.0 * 1024.0);
@@ -774,15 +700,11 @@ mod tests {
     #[test]
     fn static_point_reduces_dcache_energy_for_small_working_sets() {
         let r = runner();
-        let (warm, measure) = r.trace(&spec::ammp());
+        let app = spec::ammp();
         let system = SystemConfig::base();
-        let base = r.run(&warm, &measure, &system, &RunSetup::default());
-        let setup = RunSetup {
-            d_static: Some(CachePoint { sets: 64, ways: 2 }), // 4 KiB
-            d_tag_bits: 4,
-            ..RunSetup::default()
-        };
-        let small = r.run(&warm, &measure, &system, &setup);
+        let base = r.run_static(&app, &system, None, None, 0, 0);
+        let point = CachePoint { sets: 64, ways: 2 }; // 4 KiB
+        let small = r.run_static(&app, &system, Some(point), None, 4, 0);
         assert!(small.breakdown.l1d_pj < base.breakdown.l1d_pj * 0.5);
         assert!(small.l1d_mean_bytes < 5.0 * 1024.0);
         // ammp's working set fits in 4K, so the slowdown must be small.
@@ -882,17 +804,17 @@ mod tests {
     #[test]
     fn dynamic_best_runs_and_reports_resizes() {
         let r = runner();
+        let (app, system) = (spec::su2cor(), SystemConfig::in_order());
+        let (org, side) = (Organization::SelectiveSets, ResizableCacheSide::Data);
+        let static_outcome = r.static_best(&app, &system, org, side).unwrap();
         let outcome = r
-            .dynamic_best(
-                &spec::su2cor(),
-                &SystemConfig::in_order(),
-                Organization::SelectiveSets,
-                ResizableCacheSide::Data,
-            )
+            .dynamic_best(&app, &system, org, side, &static_outcome)
             .unwrap();
-        // Three default size-bounds (an eighth, a quarter, half of the full
-        // size) times five miss-bound factors.
-        assert_eq!(outcome.candidates.len(), 15);
+        // The profiled candidates, then the static-anchored one.
+        let (anchor, profiled) = outcome.candidates.split_last().unwrap();
+        assert_eq!(anchor.0.miss_bound, u64::MAX);
+        assert!(profiled.iter().all(|(p, _)| p.miss_bound < u64::MAX));
+        assert_eq!(outcome.base, static_outcome.base);
         assert!(outcome.best.measurement.l1d_mean_bytes <= 32.0 * 1024.0);
         assert!(
             outcome.candidates.iter().any(|(_, m)| m.l1d_resizes > 0),

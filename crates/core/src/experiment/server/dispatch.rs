@@ -49,7 +49,7 @@ fn serve(runner: &Runner, request: &Json, id: &Json, conn: &mut Conn) -> Result<
             return Ok(Flow::Shutdown);
         }
         verb @ ("point" | "sweep" | "dynamic") => {
-            let target = parse_target(request)?;
+            let target = parse_target(request, verb)?;
             match verb {
                 "point" => {
                     // One simulation (the baseline when `sets`/`ways` are
@@ -202,7 +202,7 @@ fn serve_sweep(runner: &Runner, id: &Json, target: &Target, conn: &mut Conn) -> 
 /// included), while `resizes` is the measurement's measured-region count —
 /// a run that settles at its size floor during warm-up streams decisions
 /// but reports zero measured resizes, exactly as the in-process
-/// [`Runner::run_dynamic`] would.
+/// [`Runner::run_dynamic_observed`] would.
 fn serve_dynamic(
     runner: &Runner,
     request: &Json,

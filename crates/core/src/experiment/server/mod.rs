@@ -485,35 +485,41 @@ mod tests {
     #[test]
     fn parse_target_resolves_defaults_and_rejects_unknowns() {
         let ok = Json::parse(r#"{"req":"sweep","app":"ammp"}"#).unwrap();
-        let target = parse_target(&ok).expect("defaults apply");
+        let target = parse_target(&ok, "sweep").expect("defaults apply");
         assert_eq!(target.app.name, "ammp");
         assert_eq!(target.organization, Organization::SelectiveSets);
         assert_eq!(target.side, ResizableCacheSide::Data);
 
-        // Every listed field is accepted, whichever verb reads it.
+        // Every target field and every field of the verb is accepted.
         let scenario = Json::parse(
-            r#"{"req":"dynamic","id":7,"app":"pointer_chase","org":"hybrid","side":"instruction","system":"in_order","sets":64,"ways":2,"interval":512,"miss_bound":3,"size_bound":4096}"#,
+            r#"{"req":"dynamic","id":7,"app":"pointer_chase","org":"hybrid","side":"instruction","system":"in_order","interval":512,"miss_bound":3,"size_bound":4096}"#,
         )
         .unwrap();
-        let target = parse_target(&scenario).expect("registry workloads resolve");
+        let target = parse_target(&scenario, "dynamic").expect("registry workloads resolve");
         assert_eq!(target.app.name, "pointer_chase");
         assert_eq!(target.organization, Organization::Hybrid);
         assert_eq!(target.side, ResizableCacheSide::Instruction);
+        let point = Json::parse(r#"{"req":"point","app":"ammp","sets":64,"ways":2}"#).unwrap();
+        assert!(parse_target(&point, "point").is_ok());
 
         for bad in [
             r#"{"req":"sweep"}"#,
-            r#"{"app":"no_such_app"}"#,
-            r#"{"app":"ammp","org":"bogus"}"#,
-            r#"{"app":"ammp","side":"bogus"}"#,
-            r#"{"app":"ammp","system":"bogus"}"#,
-            r#"{"app":"ammp","objective":"bogus"}"#,
-            r#"{"app":"ammp","objective":"edp"}"#,
+            r#"{"req":"sweep","app":"no_such_app"}"#,
+            r#"{"req":"sweep","app":"ammp","org":"bogus"}"#,
+            r#"{"req":"sweep","app":"ammp","side":"bogus"}"#,
+            r#"{"req":"sweep","app":"ammp","system":"bogus"}"#,
+            r#"{"req":"sweep","app":"ammp","objective":"bogus"}"#,
+            r#"{"req":"sweep","app":"ammp","sets":64,"ways":2}"#,
+            r#"{"req":"point","app":"ammp","interval":512}"#,
+            r#"{"req":"point","app":"ammp","system":5}"#,
+            r#"{"req":"point","app":"ammp","app":"swim"}"#,
         ] {
             let request = Json::parse(bad).unwrap();
-            assert!(parse_target(&request).is_err(), "{bad}");
+            let verb = request.get("req").and_then(Json::as_str).unwrap();
+            assert!(parse_target(&request, verb).is_err(), "{bad}");
         }
         let request = Json::parse(r#"{"app":"ammp","objective":"edp"}"#).unwrap();
-        match parse_target(&request) {
+        match parse_target(&request, "sweep") {
             Err(Stop::Refuse { message, .. }) => {
                 assert_eq!(message, r#"unknown field "objective""#)
             }

@@ -56,30 +56,32 @@ pub(super) struct Target {
     pub(super) side: ResizableCacheSide,
 }
 
-/// Every field a simulation request (`point`, `sweep`, `dynamic`) may carry.
-const TARGET_FIELDS: [&str; 11] = [
-    "req",
-    "id",
-    "app",
-    "system",
-    "org",
-    "side",
-    "sets",
-    "ways",
-    "interval",
-    "miss_bound",
-    "size_bound",
-];
+/// The fields every simulation request (`point`, `sweep`, `dynamic`) may
+/// carry.
+const TARGET_FIELDS: [&str; 6] = ["req", "id", "app", "system", "org", "side"];
 
-/// Resolves a request's simulation target, refusing any field outside
-/// [`TARGET_FIELDS`] and anything unresolvable.
-pub(super) fn parse_target(request: &Json) -> Result<Target, Stop> {
+/// The fields `verb` accepts beyond [`TARGET_FIELDS`].
+fn verb_fields(verb: &str) -> &'static [&'static str] {
+    match verb {
+        "point" => &["sets", "ways"],
+        "dynamic" => &["interval", "miss_bound", "size_bound"],
+        _ => &[],
+    }
+}
+
+/// Resolves a `verb` request's simulation target. Refuses a field outside
+/// [`TARGET_FIELDS`] and the verb's own, a key given twice, a non-string
+/// tag, and anything unresolvable.
+pub(super) fn parse_target(request: &Json, verb: &str) -> Result<Target, Stop> {
+    let known = |key: &str| TARGET_FIELDS.contains(&key) || verb_fields(verb).contains(&key);
     if let Json::Obj(pairs) = request {
-        if let Some((key, _)) = pairs
-            .iter()
-            .find(|(k, _)| !TARGET_FIELDS.contains(&k.as_str()))
-        {
-            return Err(Stop::refuse(format!("unknown field {key:?}")));
+        for (i, (key, _)) in pairs.iter().enumerate() {
+            if !known(key) {
+                return Err(Stop::refuse(format!("unknown field {key:?}")));
+            }
+            if pairs[..i].iter().any(|(earlier, _)| earlier == key) {
+                return Err(Stop::refuse(format!("duplicate field {key:?}")));
+            }
         }
     }
     let name = request
@@ -89,15 +91,24 @@ pub(super) fn parse_target(request: &Json) -> Result<Target, Stop> {
     let app = spec::profile(name)
         .or_else(|| WorkloadRegistry::builtin().get(name).map(|w| w.profile()))
         .ok_or_else(|| Stop::refuse(format!("unknown application {name:?}")))?;
+    let tag = |field: &str| {
+        request
+            .get(field)
+            .map(|v| {
+                v.as_str()
+                    .ok_or_else(|| Stop::refuse(format!("\"{field}\" must be a string")))
+            })
+            .transpose()
+    };
     let unknown = |field: &str, tag: &str, want: &str| {
         Stop::refuse(format!("unknown {field} {tag:?} (want {want})"))
     };
-    let system = match request.get("system").and_then(Json::as_str) {
+    let system = match tag("system")? {
         None | Some("base") => SystemConfig::base(),
         Some("in_order") => SystemConfig::in_order(),
         Some(other) => return Err(unknown("system", other, "base or in_order")),
     };
-    let organization = match request.get("org").and_then(Json::as_str) {
+    let organization = match tag("org")? {
         None | Some("selective_sets") => Organization::SelectiveSets,
         Some("selective_ways") => Organization::SelectiveWays,
         Some("hybrid") => Organization::Hybrid,
@@ -106,7 +117,7 @@ pub(super) fn parse_target(request: &Json) -> Result<Target, Stop> {
             return Err(unknown("org", other, want));
         }
     };
-    let side = match request.get("side").and_then(Json::as_str) {
+    let side = match tag("side")? {
         None | Some("data") => ResizableCacheSide::Data,
         Some("instruction") => ResizableCacheSide::Instruction,
         Some(other) => return Err(unknown("side", other, "data or instruction")),

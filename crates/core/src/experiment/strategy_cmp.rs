@@ -33,7 +33,8 @@ pub struct StrategyRow {
 
 /// Figures 7 and 8: for every application, compares the best static and the
 /// best dynamic (miss-ratio based) selective-sets resizing of `side`, on the
-/// given processor configuration.
+/// given processor configuration. The dynamic candidates are profiled from
+/// the static search ([`Runner::dynamic_best`]).
 ///
 /// The paper uses 32K 2-way L1 caches and the selective-sets organization for
 /// this comparison (both organizations behave similarly here); `organization`
@@ -52,33 +53,8 @@ pub fn static_vs_dynamic(
     let in_order = matches!(system.cpu.engine, rescache_cpu::EngineKind::InOrderBlocking);
     let rows: Vec<Result<StrategyRow, CoreError>> = parallel_map(apps, |app| {
         let static_outcome = runner.static_best(app, system, organization, side)?;
-        // The dynamic controller's size-bound is profiled offline, like the
-        // paper's: offer the static best size, half of it, a quarter, and the
-        // smallest offered size (the `1` floor). The runner snaps each bound
-        // to an offered capacity and collapses duplicates, so fractions that
-        // fall between (or below) offered sizes never waste a simulation.
-        // The static best size also anchors one never-upsizing candidate,
-        // so dynamic resizing can always match static.
-        let full = side.config_of(&system.hierarchy).size_bytes;
-        let static_best_bytes = static_outcome
-            .best
-            .point
-            .map(|p| p.bytes(side.config_of(&system.hierarchy).block_bytes))
-            .unwrap_or(full);
-        let bounds = [
-            static_best_bytes,
-            static_best_bytes / 2,
-            static_best_bytes / 4,
-            1,
-        ];
-        let dynamic_outcome = runner.dynamic_best_with_size_bounds(
-            app,
-            system,
-            organization,
-            side,
-            &bounds,
-            Some(static_best_bytes),
-        )?;
+        let dynamic_outcome =
+            runner.dynamic_best(app, system, organization, side, &static_outcome)?;
         let dynamic_resizes = match side {
             ResizableCacheSide::Data => dynamic_outcome.best.measurement.l1d_resizes,
             ResizableCacheSide::Instruction => dynamic_outcome.best.measurement.l1i_resizes,

@@ -31,7 +31,7 @@ use crate::experiment::{RunnerConfig, SharedTier};
 pub struct Knobs {
     /// `RESCACHE_WARMUP`: warm-up instructions per run.
     pub warmup: Option<usize>,
-    /// `RESCACHE_MEASURE`: measured instructions per run.
+    /// `RESCACHE_MEASURE`: measured instructions per run (positive).
     pub measure: Option<usize>,
     /// `RESCACHE_SEED`: trace-generation seed.
     pub seed: Option<u64>,
@@ -66,7 +66,7 @@ impl Knobs {
         let vars = Vars(lookup);
         Ok(Self {
             warmup: vars.number("RESCACHE_WARMUP")?,
-            measure: vars.number("RESCACHE_MEASURE")?,
+            measure: vars.positive("RESCACHE_MEASURE")?,
             seed: vars.number("RESCACHE_SEED")?,
             interval: vars.positive("RESCACHE_INTERVAL")?,
             threads: vars.positive("RESCACHE_THREADS")?,
@@ -320,6 +320,23 @@ mod tests {
         .expect("valid knobs");
         assert_eq!(knobs.serve_quota, 0);
         assert_eq!(knobs.threads, Some(1_000_000));
+    }
+
+    #[test]
+    fn an_empty_measured_region_is_rejected() {
+        // Every configuration would measure nothing and tie, so a figure
+        // run at `RESCACHE_MEASURE=0` would print one meaningless row per
+        // application.
+        let err = parse(&[("RESCACHE_MEASURE", "0")]).expect_err("zero measured instructions");
+        assert_eq!(
+            err,
+            invalid("RESCACHE_MEASURE", "must be positive, not 0"),
+            "{err}"
+        );
+        assert!(
+            parse(&[("RESCACHE_WARMUP", "0")]).is_ok(),
+            "no warm-up is valid"
+        );
     }
 
     #[test]

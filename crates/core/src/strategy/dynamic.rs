@@ -64,10 +64,11 @@ impl DynamicParams {
     /// miss-bounds at several multiples of the full-size cache's observed
     /// per-interval miss count.
     ///
-    /// The paper extracts both bounds offline through profiling; the
-    /// experiment runner passes size-bounds derived from the static
-    /// profiling result (the static best size, half of it, and the smallest
-    /// offered size). Each bound is first snapped to the capacity the
+    /// The paper extracts both bounds offline through profiling;
+    /// [`Runner::dynamic_best`](crate::experiment::Runner::dynamic_best)
+    /// passes size-bounds derived from the static profiling result (the
+    /// static best size, half and a quarter of it, and the smallest offered
+    /// size). Each bound is first snapped to the capacity the
     /// controller would actually floor at ([`ConfigSpace::snap_size_bound`]):
     /// a bound between two offered sizes rounds up to the next offered size
     /// and a bound beyond the full capacity clamps to the full size, so no

@@ -92,19 +92,6 @@ impl Trace {
         (self.slice(0..mid), self.slice(mid..self.len))
     }
 
-    /// This trace followed by `next`, under this trace's name: a copy-free
-    /// view when `next` continues this window in the same buffer (the two
-    /// halves of a [`Trace::split_at`]), a fresh buffer otherwise.
-    pub fn join(&self, next: &Trace) -> Trace {
-        if Arc::ptr_eq(&self.records, &next.records) && self.start + self.len == next.start {
-            return Self {
-                len: self.len + next.len,
-                ..self.clone()
-            };
-        }
-        Trace::new(self.name(), [self.records(), next.records()].concat())
-    }
-
     /// Iterates over the records in dynamic program order.
     pub fn iter(&self) -> std::slice::Iter<'_, InstrRecord> {
         self.records().iter()
@@ -255,25 +242,6 @@ mod tests {
         assert_eq!(warm.records().as_ptr(), base);
         assert_eq!(measure.records().as_ptr(), base.wrapping_add(2));
         assert_eq!(measure.slice(1..3).records().as_ptr(), base.wrapping_add(3));
-    }
-
-    #[test]
-    fn join_rejoins_split_halves_copy_free_and_copies_otherwise() {
-        let t = sample();
-        let (warm, measure) = t.split_at(2);
-        let rejoined = warm.join(&measure);
-        assert_eq!(rejoined, t);
-        assert_eq!(rejoined.records().as_ptr(), t.records().as_ptr());
-        // Halves out of order, or from different buffers, are copied.
-        let swapped = measure.join(&warm);
-        assert_eq!(
-            swapped.records(),
-            [measure.records(), warm.records()].concat()
-        );
-        let owned = Trace::new("t", measure.records().to_vec());
-        let copied = warm.join(&owned);
-        assert_eq!(copied, t);
-        assert_ne!(copied.records().as_ptr(), t.records().as_ptr());
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn demo() -> std::io::Result<()> {
     );
 
     // A dynamic run streams one line per resize decision, then a done line
-    // matching what the in-process `Runner::run_dynamic` would report.
+    // matching what the in-process `Runner::run_dynamic_observed` would report.
     let dynamic = client.stream(r#"{"req":"dynamic","id":6,"app":"gcc"}"#)?;
     let done = dynamic.last().expect("a terminal line");
     assert_eq!(kind(done), "done");

@@ -2,9 +2,10 @@
 //! controller) resizing strategies on the two processor configurations of the
 //! paper, for one application with a periodically varying working set.
 //!
-//! The static search and every dynamic candidate replay one resident trace
-//! from the trace store; with `RESCACHE_TRACE_DIR` set, that trace is loaded
-//! from (or persisted to) the store directory.
+//! The dynamic candidates' bounds are profiled from the static search, as
+//! in the paper. The static search and every dynamic candidate replay one
+//! resident trace from the trace store; with `RESCACHE_TRACE_DIR` set, that
+//! trace is loaded from (or persisted to) the store directory.
 //!
 //! Run with: `cargo run --release --example static_vs_dynamic`
 
@@ -19,24 +20,7 @@ fn report(
     let side = ResizableCacheSide::Data;
     let org = Organization::SelectiveSets;
     let static_outcome = runner.static_best(app, system, org, side)?;
-    let static_best_bytes = static_outcome
-        .best
-        .point
-        .map(|p| p.bytes(32))
-        .unwrap_or(32 * 1024);
-    let dynamic_outcome = runner.dynamic_best_with_size_bounds(
-        app,
-        system,
-        org,
-        side,
-        &[
-            static_best_bytes,
-            static_best_bytes / 2,
-            static_best_bytes / 4,
-            1,
-        ],
-        Some(static_best_bytes),
-    )?;
+    let dynamic_outcome = runner.dynamic_best(app, system, org, side, &static_outcome)?;
     println!("{label}:");
     println!(
         "  static : best size {:>5.1} KiB, energy-delay reduction {:>5.1} %, slowdown {:>4.1} %",

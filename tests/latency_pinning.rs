@@ -83,11 +83,10 @@ fn defaults_are_bit_identical_to_the_pre_refactor_tree() {
             engine,
             "system/engine tag mismatch in the golden table"
         );
-        let (warm, measure) = runner.trace(&profile);
         let label = format!("{workload}/{engine}");
 
         // Base run: the unmodified hierarchy.
-        let base = runner.run(&warm, &measure, &system, &RunSetup::default());
+        let base = runner.run_static(&profile, &system, None, None, 0, 0);
         assert_eq!(base.cycles, golden.base_cycles, "{label}: base cycles");
         assert_eq!(
             base.energy_pj.to_bits(),
@@ -106,12 +105,8 @@ fn defaults_are_bit_identical_to_the_pre_refactor_tree() {
         );
 
         // Statically shrunk d-cache (64 sets x 2 ways, 4 extra tag bits).
-        let small_setup = RunSetup {
-            d_static: Some(CachePoint { sets: 64, ways: 2 }),
-            d_tag_bits: 4,
-            ..RunSetup::default()
-        };
-        let small = runner.run(&warm, &measure, &system, &small_setup);
+        let small_point = CachePoint { sets: 64, ways: 2 };
+        let small = runner.run_static(&profile, &system, Some(small_point), None, 4, 0);
         assert_eq!(small.cycles, golden.small_cycles, "{label}: small cycles");
         assert_eq!(
             small.energy_pj.to_bits(),
@@ -136,7 +131,7 @@ fn defaults_are_bit_identical_to_the_pre_refactor_tree() {
             d_tag_bits: 4,
             ..RunSetup::default()
         };
-        let dynamic = runner.run(&warm, &measure, &system, &dyn_setup);
+        let dynamic = runner.run_dynamic_observed(&profile, &system, &dyn_setup, None);
         assert_eq!(dynamic.cycles, golden.dyn_cycles, "{label}: dynamic cycles");
         assert_eq!(
             dynamic.energy_pj.to_bits(),

@@ -1,14 +1,18 @@
-//! Differential harness for the store-backed dynamic-resizing path: a
-//! dynamic-controller run by `Runner::run_dynamic` over its trace store's
-//! resident trace (in memory, or loaded from and persisted to a store
-//! directory) must be **bit-identical** to `Runner::run` over the warm and
-//! measured traces of an independent in-memory runner — same timing, same
-//! resize counts, same energy breakdowns — on both engines, across registry
-//! workloads and controller parameter candidates.
+//! Differential harness for the store-backed runner: a dynamic-controller
+//! run by `Runner::run_dynamic_observed` over its trace store's resident
+//! trace (in memory, or loaded from and persisted to a store directory) must
+//! be **bit-identical** to the independent oracle of `common/mod.rs` over a
+//! freshly generated trace — same timing, same resize counts, same energy
+//! breakdowns — on both engines, across registry workloads and controller
+//! parameter candidates. A whole dynamic sweep over a store directory must
+//! equal the same sweep over an in-memory store, and a static run through
+//! the store must equal the oracle too.
 //!
 //! The store-backed variants also assert the memory contract: however many
 //! candidates a sweep runs, the store keeps **one** resident trace per
 //! application.
+
+mod common;
 
 use rescache::prelude::*;
 use rescache_core::experiment::{Measurement, RunSetup};
@@ -48,7 +52,7 @@ fn candidate_params(space: &ConfigSpace, interval: u64) -> Vec<DynamicParams> {
 fn assert_identical(label: &str, expected: &Measurement, got: &Measurement) {
     assert_eq!(
         expected, got,
-        "{label}: store-backed dynamic run diverged from the reference run"
+        "{label}: store-backed run diverged from the oracle"
     );
     // Measurement's PartialEq covers every field, but spell out the ones the
     // differentials care about so a divergence pinpoints itself.
@@ -65,22 +69,18 @@ fn assert_identical(label: &str, expected: &Measurement, got: &Measurement) {
 }
 
 /// The core differential: for one (profile, system) pair, run every
-/// candidate through `Runner::run` on the reference runner's traces and
-/// through the store-backed `Runner::run_dynamic` and require equality.
-/// `store_dir` selects the store mode (None = in-memory, Some = persisted).
-/// Returns the total resizes observed so callers can assert controller
-/// activity where the workload makes it deterministic.
+/// candidate through the store-backed `Runner::run_dynamic_observed` and
+/// through the oracle, and require equality. `store_dir` selects the store
+/// mode (None = in-memory, Some = persisted). Returns the total resizes
+/// observed so callers can assert controller activity where the workload
+/// makes it deterministic.
 fn assert_dynamic_equivalence(
     profile: &AppProfile,
     system: &SystemConfig,
     store_dir: Option<PathBuf>,
 ) -> u64 {
     let cfg = fast_config();
-    // Reference runner: plain in-memory store, uncached `Runner::run`.
-    let reference = Runner::new(cfg);
-    let (warm, measure) = reference.trace(profile);
-
-    // Store-backed runner: its own store in the requested mode.
+    let trace = common::trace(profile, &cfg);
     let store_runner = Runner::with_store(cfg, TraceStore::with_dir(store_dir));
 
     let space = ConfigSpace::enumerate(
@@ -96,8 +96,8 @@ fn assert_dynamic_equivalence(
             d_tag_bits: 4,
             ..RunSetup::default()
         };
-        let expected = reference.run(&warm, &measure, system, &setup);
-        let got = store_runner.run_dynamic(profile, system, &setup);
+        let expected = common::measure(&trace, &cfg, system, (None, None), &setup);
+        let got = store_runner.run_dynamic_observed(profile, system, &setup, None);
         let label = format!(
             "{} / {:?} / miss_bound {} size_bound {}",
             profile.name, system.cpu.engine, params.miss_bound, params.size_bound_bytes
@@ -156,42 +156,44 @@ fn paper_profiles_match_with_an_in_memory_store() {
 
 #[test]
 fn full_dynamic_sweep_is_identical_with_a_store_dir() {
-    // End-to-end: `dynamic_best_with_size_bounds` (baseline + snapped
-    // candidate sweep) over a store with a persistence directory must equal
-    // the same sweep run by an in-memory reference runner, and it must
-    // finish with one resident trace and one persisted entry.
+    // End-to-end: `dynamic_best` (snapped candidates profiled from the
+    // static search) over a store with a persistence directory must equal
+    // the same sweep run by an in-memory reference runner, every candidate
+    // must equal the oracle, and the sweep must finish with one resident
+    // trace and one persisted entry.
     let cfg = fast_config();
     let app = spec::su2cor();
+    let trace = common::trace(&app, &cfg);
     let dir = std::env::temp_dir().join(format!("rescache-dyneq-sweep-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
     let reference = Runner::new(cfg);
     let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let (org, side) = (Organization::SelectiveSets, ResizableCacheSide::Data);
     for system in engines() {
-        let expected = reference
-            .dynamic_best(
-                &app,
-                &system,
-                Organization::SelectiveSets,
-                ResizableCacheSide::Data,
-            )
-            .expect("sweep runs");
-        let got = backed
-            .dynamic_best(
-                &app,
-                &system,
-                Organization::SelectiveSets,
-                ResizableCacheSide::Data,
-            )
-            .expect("sweep runs");
+        let sweep = |runner: &Runner| {
+            let static_outcome = runner
+                .static_best(&app, &system, org, side)
+                .expect("static search runs");
+            runner
+                .dynamic_best(&app, &system, org, side, &static_outcome)
+                .expect("sweep runs")
+        };
+        let expected = sweep(&reference);
+        let got = sweep(&backed);
         assert_eq!(expected.candidates.len(), got.candidates.len());
         for ((p_ref, m_ref), (p_got, m_got)) in expected.candidates.iter().zip(&got.candidates) {
             assert_eq!(p_ref, p_got);
-            assert_identical(
-                &format!("sweep {:?} {p_ref:?}", system.cpu.engine),
-                m_ref,
-                m_got,
-            );
+            let label = format!("sweep {:?} {p_ref:?}", system.cpu.engine);
+            assert_identical(&label, m_ref, m_got);
+            let space = ConfigSpace::enumerate(system.hierarchy.l1d, org).expect("space");
+            let setup = RunSetup {
+                dynamic: Some((side, space, *p_got)),
+                d_tag_bits: system.hierarchy.l1d.resizing_tag_bits(),
+                ..RunSetup::default()
+            };
+            let oracle = common::measure(&trace, &cfg, &system, (None, None), &setup);
+            assert_identical(&format!("{label} vs oracle"), &oracle, m_got);
         }
         assert_identical(
             &format!("sweep base {:?}", system.cpu.engine),
@@ -213,10 +215,10 @@ fn full_dynamic_sweep_is_identical_with_a_store_dir() {
 }
 
 #[test]
-fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
+fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
     // Corrupt the persisted entry after it is written: a fresh store's
     // load faults mid-read, and the run must fall back to regeneration and
-    // still produce the exact in-memory result.
+    // still produce the oracle's exact result.
     let cfg = fast_config();
     let app = spec::m88ksim();
     let system = SystemConfig::base();
@@ -259,11 +261,15 @@ fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
         ..RunSetup::default()
     };
 
-    let reference = Runner::new(cfg);
-    let (warm, measure) = reference.trace(&app);
-    let expected = reference.run(&warm, &measure, &system, &setup);
+    let expected = common::measure(
+        &common::trace(&app, &cfg),
+        &cfg,
+        &system,
+        (None, None),
+        &setup,
+    );
     let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
-    let got = backed.run_dynamic(&app, &system, &setup);
+    let got = backed.run_dynamic_observed(&app, &system, &setup, None);
     assert_identical("corrupt-entry fallback", &expected, &got);
     let health = backed.trace_store().health();
     assert_eq!((health.quarantines, health.regenerations), (1, 1));
@@ -272,7 +278,7 @@ fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
     // one, so the store self-heals: a new store loads it from disk
     // fault-free instead of paying the doomed partial read forever.
     let healed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
-    let again = healed.run_dynamic(&app, &system, &setup);
+    let again = healed.run_dynamic_observed(&app, &system, &setup, None);
     assert_identical("healed entry", &expected, &again);
     let health = healed.trace_store().health();
     assert_eq!((health.hits, health.quarantines), (1, 0));
@@ -280,26 +286,29 @@ fn streamed_dynamic_run_survives_a_corrupted_store_entry() {
 }
 
 #[test]
-fn static_setups_also_stream_identically() {
-    // run_dynamic with no controller delegates to the memoized static path:
-    // still bit-identical.
+fn static_setups_also_match_through_the_store() {
+    // A static point through the store-backed memo, and a setup with no
+    // controller through `run_dynamic_observed` (which delegates to the
+    // memoized full-size static path): both bit-identical to the oracle.
     let cfg = fast_config();
     let app = spec::ammp();
     let system = SystemConfig::base();
     let dir = std::env::temp_dir().join(format!("rescache-dyneq-static-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let reference = Runner::new(cfg);
+    let trace = common::trace(&app, &cfg);
     let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let point = CachePoint { sets: 64, ways: 2 };
     let setup = RunSetup {
-        d_static: Some(CachePoint { sets: 64, ways: 2 }),
         d_tag_bits: 4,
         ..RunSetup::default()
     };
-    let (warm, measure) = reference.trace(&app);
-    let expected = reference.run(&warm, &measure, &system, &setup);
-    let got = backed.run_dynamic(&app, &system, &setup);
+    let expected = common::measure(&trace, &cfg, &system, (Some(point), None), &setup);
+    let got = backed.run_static(&app, &system, Some(point), None, 4, 0);
     assert_identical("store-backed static", &expected, &got);
+    let expected = common::measure(&trace, &cfg, &system, (None, None), &setup);
+    let got = backed.run_dynamic_observed(&app, &system, &setup, None);
+    assert_identical("store-backed setup without a controller", &expected, &got);
     assert_eq!(backed.trace_store().resident_full_traces(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,7 +24,6 @@ fn dynamic_controller_downsizes_an_oversized_cache() {
     let system = SystemConfig::base();
     let app = spec::m88ksim(); // ~2.5 KiB working set in a 32 KiB cache
     let space = ConfigSpace::enumerate(system.hierarchy.l1d, Organization::SelectiveSets).unwrap();
-    let (warm, measure) = r.trace(&app);
     let setup = RunSetup {
         dynamic: Some((
             ResizableCacheSide::Data,
@@ -34,8 +33,8 @@ fn dynamic_controller_downsizes_an_oversized_cache() {
         d_tag_bits: 4,
         ..RunSetup::default()
     };
-    let resized = r.run(&warm, &measure, &system, &setup);
-    let base = r.run(&warm, &measure, &system, &RunSetup::default());
+    let resized = r.run_dynamic_observed(&app, &system, &setup, None);
+    let base = r.run_static(&app, &system, None, None, 0, 0);
     assert!(
         resized.l1d_mean_bytes < 12.0 * 1024.0,
         "the controller should ride well below the full 32 KiB, got {:.1} KiB",
@@ -59,7 +58,6 @@ fn controllers_only_touch_their_own_cache() {
     let system = SystemConfig::base();
     let app = spec::swim(); // tiny instruction footprint
     let space = ConfigSpace::enumerate(system.hierarchy.l1i, Organization::SelectiveSets).unwrap();
-    let (warm, measure) = r.trace(&app);
     let setup = RunSetup {
         dynamic: Some((
             ResizableCacheSide::Instruction,
@@ -69,7 +67,7 @@ fn controllers_only_touch_their_own_cache() {
         i_tag_bits: 4,
         ..RunSetup::default()
     };
-    let m = r.run(&warm, &measure, &system, &setup);
+    let m = r.run_dynamic_observed(&app, &system, &setup, None);
     assert!(m.l1i_mean_bytes < 16.0 * 1024.0, "i-cache should shrink");
     assert_eq!(
         m.l1d_mean_bytes,
@@ -85,18 +83,13 @@ fn controllers_only_touch_their_own_cache() {
 fn static_points_on_both_sides_compose() {
     let r = runner();
     let system = SystemConfig::base();
-    let (warm, measure) = r.trace(&spec::ammp());
-    let setup = RunSetup {
-        d_static: Some(CachePoint { sets: 64, ways: 2 }), // 4 KiB
-        i_static: Some(CachePoint { sets: 128, ways: 2 }), // 8 KiB
-        d_tag_bits: 4,
-        i_tag_bits: 4,
-        ..RunSetup::default()
-    };
-    let m = r.run(&warm, &measure, &system, &setup);
+    let app = spec::ammp();
+    let d_point = CachePoint { sets: 64, ways: 2 }; // 4 KiB
+    let i_point = CachePoint { sets: 128, ways: 2 }; // 8 KiB
+    let m = r.run_static(&app, &system, Some(d_point), Some(i_point), 4, 4);
     assert_eq!(m.l1d_mean_bytes, 4.0 * 1024.0);
     assert_eq!(m.l1i_mean_bytes, 8.0 * 1024.0);
-    let base = r.run(&warm, &measure, &system, &RunSetup::default());
+    let base = r.run_static(&app, &system, None, None, 0, 0);
     assert!(m.breakdown.l1d_pj < base.breakdown.l1d_pj);
     assert!(m.breakdown.l1i_pj < base.breakdown.l1i_pj);
 }
@@ -109,7 +102,6 @@ fn size_bound_is_never_violated() {
     let system = SystemConfig::base();
     let app = spec::compress();
     let space = ConfigSpace::enumerate(system.hierarchy.l1d, Organization::SelectiveSets).unwrap();
-    let (warm, measure) = r.trace(&app);
     let setup = RunSetup {
         dynamic: Some((
             ResizableCacheSide::Data,
@@ -119,7 +111,7 @@ fn size_bound_is_never_violated() {
         d_tag_bits: 4,
         ..RunSetup::default()
     };
-    let m = r.run(&warm, &measure, &system, &setup);
+    let m = r.run_dynamic_observed(&app, &system, &setup, None);
     assert!(
         m.l1d_mean_bytes >= 8.0 * 1024.0 - 1.0,
         "mean enabled size {:.1} KiB dipped below the 8 KiB size-bound",
@@ -133,18 +125,11 @@ fn size_bound_is_never_violated() {
 fn ways_and_sets_reach_the_same_capacity_differently() {
     let r = runner();
     let system = SystemConfig::with_l1(32 * 1024, 4);
-    let (warm, measure) = r.trace(&spec::ijpeg());
-    let ways_setup = RunSetup {
-        d_static: Some(CachePoint { sets: 256, ways: 2 }), // 16 KiB as 2-way
-        ..RunSetup::default()
-    };
-    let sets_setup = RunSetup {
-        d_static: Some(CachePoint { sets: 128, ways: 4 }), // 16 KiB as 4-way
-        d_tag_bits: 3,
-        ..RunSetup::default()
-    };
-    let ways = r.run(&warm, &measure, &system, &ways_setup);
-    let sets = r.run(&warm, &measure, &system, &sets_setup);
+    let app = spec::ijpeg();
+    let ways_point = CachePoint { sets: 256, ways: 2 }; // 16 KiB as 2-way
+    let sets_point = CachePoint { sets: 128, ways: 4 }; // 16 KiB as 4-way
+    let ways = r.run_static(&app, &system, Some(ways_point), None, 0, 0);
+    let sets = r.run_static(&app, &system, Some(sets_point), None, 3, 0);
     assert_eq!(ways.l1d_mean_bytes, 16.0 * 1024.0);
     assert_eq!(sets.l1d_mean_bytes, 16.0 * 1024.0);
     // ijpeg has conflict structure: keeping 4 ways at 16 KiB must not miss

@@ -320,6 +320,48 @@ fn malformed_and_oversized_lines_get_typed_errors_and_the_connection_survives() 
             None,
         ),
         (r#"{"req":"cancel","id":11}"#, "no sweep in flight", None),
+        // Each verb takes only the target fields and its own, a tag must be
+        // a string, and a key may appear once: none is defaulted or ignored.
+        (
+            r#"{"req":"sweep","app":"ammp","sets":64}"#,
+            "unknown field \"sets\"",
+            None,
+        ),
+        (
+            r#"{"req":"point","app":"ammp","interval":9}"#,
+            "unknown field \"interval\"",
+            None,
+        ),
+        (
+            r#"{"req":"dynamic","app":"ammp","ways":2}"#,
+            "unknown field \"ways\"",
+            None,
+        ),
+        (
+            r#"{"req":"point","app":"ammp","system":5}"#,
+            "\"system\" must be a string",
+            None,
+        ),
+        (
+            r#"{"req":"sweep","app":"ammp","org":true}"#,
+            "\"org\" must be a string",
+            None,
+        ),
+        (
+            r#"{"req":"dynamic","app":"ammp","side":null}"#,
+            "\"side\" must be a",
+            None,
+        ),
+        (
+            r#"{"req":"point","app":"ammp","app":"gcc"}"#,
+            "duplicate field \"app\"",
+            None,
+        ),
+        (
+            r#"{"req":"sweep","app":"ammp","org":"x","org":"y"}"#,
+            "duplicate field",
+            None,
+        ),
     ] {
         let response = client.request(bad);
         assert_eq!(

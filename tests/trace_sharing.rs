@@ -5,7 +5,10 @@
 //! and memoizes them per (application, seed, lengths); these tests pin down
 //! that sharing is purely an optimization: the shared views equal owned
 //! copies record-for-record, and measurements taken through the cached path
-//! equal measurements taken from independently generated traces.
+//! equal the independent oracle's (`common/mod.rs`) over independently
+//! generated traces.
+
+mod common;
 
 use rescache::core::experiment::{RunSetup, Runner, RunnerConfig, TraceStore};
 use rescache::core::{CachePoint, SystemConfig};
@@ -111,17 +114,20 @@ fn shared_traces_yield_identical_measurements() {
     let r = runner();
     let system = SystemConfig::base();
     let app = spec::m88ksim();
+    let point = CachePoint { sets: 128, ways: 2 };
 
-    let (warm, measure) = r.trace(&app);
-    let (owned_warm, owned_measure) = owned_regions(r.config(), &app);
-
-    let setup = RunSetup {
-        d_static: Some(CachePoint { sets: 128, ways: 2 }),
-        d_tag_bits: 2,
-        ..RunSetup::default()
-    };
-    let from_shared = r.run(&warm, &measure, &system, &setup);
-    let from_owned = r.run(&owned_warm, &owned_measure, &system, &setup);
+    let from_shared = r.run_static(&app, &system, Some(point), None, 2, 0);
+    let owned = common::trace(&app, r.config());
+    let from_owned = common::measure(
+        &owned,
+        r.config(),
+        &system,
+        (Some(point), None),
+        &RunSetup {
+            d_tag_bits: 2,
+            ..RunSetup::default()
+        },
+    );
     assert_eq!(
         from_shared, from_owned,
         "a shared trace view must measure identically to a fresh copy"
@@ -131,27 +137,41 @@ fn shared_traces_yield_identical_measurements() {
 #[test]
 fn memoized_static_runs_match_uncached_runs() {
     let r = runner();
-    let system = SystemConfig::base();
     let app = spec::su2cor();
-    let point = CachePoint { sets: 256, ways: 2 };
-
-    // Through the memoized path (twice: second hit comes from the cache).
-    let cached_first = r.run_static(&app, &system, Some(point), None, 4, 0);
-    let cached_second = r.run_static(&app, &system, Some(point), None, 4, 0);
-    assert_eq!(cached_first, cached_second);
-
-    // Through the generic uncached path with the same setup.
-    let (warm, measure) = r.trace(&app);
-    let setup = RunSetup {
-        d_static: Some(point),
-        d_tag_bits: 4,
-        ..RunSetup::default()
-    };
-    let uncached = r.run(&warm, &measure, &system, &setup);
-    assert_eq!(cached_first, uncached);
+    let trace = common::trace(&app, r.config());
+    let d_point = CachePoint { sets: 256, ways: 2 };
+    let i_point = CachePoint { sets: 128, ways: 2 };
+    // The baseline runs first: a memo keyed on less than both geometries
+    // would serve its simulation again for a resized point. Unequal d- and
+    // i-cache tag bits catch a pricing that mixes the two sides up.
+    let cases = [
+        (None, None, 0, 0),
+        (Some(d_point), None, 4, 0),
+        (None, Some(i_point), 0, 3),
+        (Some(d_point), Some(i_point), 4, 3),
+    ];
+    for system in [SystemConfig::in_order(), SystemConfig::base()] {
+        for (d, i, d_bits, i_bits) in cases {
+            let label = format!("{:?} d {d:?} i {i:?}", system.cpu.engine);
+            // Through the memoized path (twice: the second is a memo hit).
+            let cached_first = r.run_static(&app, &system, d, i, d_bits, i_bits);
+            let cached_second = r.run_static(&app, &system, d, i, d_bits, i_bits);
+            assert_eq!(cached_first, cached_second, "{label}");
+            // Through the oracle with the same setup.
+            let setup = RunSetup {
+                d_tag_bits: d_bits,
+                i_tag_bits: i_bits,
+                ..RunSetup::default()
+            };
+            let uncached = common::measure(&trace, r.config(), &system, (d, i), &setup);
+            assert_eq!(cached_first, uncached, "{label}");
+        }
+    }
 
     // Different tag bits share the simulation but price differently.
-    let repriced = r.run_static(&app, &system, Some(point), None, 0, 0);
-    assert_eq!(repriced.cycles, cached_first.cycles);
-    assert!(repriced.energy_pj < cached_first.energy_pj);
+    let system = SystemConfig::base();
+    let tagged = r.run_static(&app, &system, Some(d_point), None, 4, 0);
+    let repriced = r.run_static(&app, &system, Some(d_point), None, 0, 0);
+    assert_eq!(repriced.cycles, tagged.cycles);
+    assert!(repriced.energy_pj < tagged.energy_pj);
 }
