@@ -25,7 +25,7 @@ use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
 use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
 use rescache_cpu::{CpuConfig, Simulator};
-use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, TraceSource, WorkloadRegistry};
+use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, WorkloadRegistry};
 
 /// Timed repetitions per stage (after one untimed warm-up).
 const SAMPLES: usize = 21;
@@ -90,9 +90,8 @@ fn bench_trace_gen() -> EngineResult {
 }
 
 /// Decoding a persisted trace from the on-disk store (the cross-process
-/// reuse path `RESCACHE_TRACE_DIR` enables): the stage drains
-/// `TraceFileSource` chunk by chunk, the decode the store runs before
-/// copying each chunk into an entry's resident buffer.
+/// reuse path `RESCACHE_TRACE_DIR` enables): the stage times
+/// `codec::load_with`, the whole-entry load the store runs.
 fn bench_trace_store_load() -> EngineResult {
     let n = 250_000;
     let dir = scratch_dir("store-load");
@@ -107,17 +106,9 @@ fn bench_trace_store_load() -> EngineResult {
     .expect("persist bench trace");
     let store_bytes = std::fs::metadata(&path).expect("stat bench trace").len();
     let mut result = measure("trace_store_load", n as u64, || {
-        let mut source =
-            codec::TraceFileSource::open_with(&path, None, &policy).expect("open bench trace");
-        let mut records = 0u64;
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records += chunk.len() as u64;
-        }
-        records
+        codec::load_with(&path, &policy)
+            .expect("load bench trace")
+            .len() as u64
     });
     result.store_bytes = Some(store_bytes);
     // Ratio of the packed in-memory record (12 bytes) to what the entry

@@ -250,9 +250,9 @@ impl Runner {
     /// Creates a runner with empty trace and simulation caches over the
     /// store the [`Knobs`](crate::Knobs) configure: persisted under
     /// `RESCACHE_TRACE_DIR` when set, faults injected under
-    /// `RESCACHE_FAULTS`, resident traces capped by
-    /// `RESCACHE_RESIDENT_TRACES`. A malformed knob panics with its typed
-    /// error.
+    /// `RESCACHE_FAULTS`, resident traces capped at
+    /// [`DEFAULT_RESIDENT_CAP`](crate::experiment::DEFAULT_RESIDENT_CAP).
+    /// A malformed knob panics with its typed error.
     pub fn new(config: RunnerConfig) -> Self {
         Self::with_store(config, TraceStore::with_tier(knobs().shared_tier()))
     }

@@ -81,13 +81,8 @@ impl<K: std::hash::Hash + Eq, V> Memo<K, V> {
         Arc::clone(map.entry(key).or_default())
     }
 
-    /// Whether `key`'s slot exists and has been initialized.
-    pub fn initialized(&self, key: &K) -> bool {
-        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        map.get(key).is_some_and(|slot| slot.get().is_some())
-    }
-
-    /// Runs `f` over the slot map under the lock (used for prefix scans).
+    /// Runs `f` over the slot map under the lock (the resident-trace
+    /// eviction scan).
     pub fn with_map<R>(&self, f: impl FnOnce(&HashMap<K, Arc<OnceLock<V>>>) -> R) -> R {
         let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         f(&map)
@@ -388,8 +383,8 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::Relaxed), 1, "one computation per key");
         assert_eq!(memo.initialized_count(), 1);
-        assert!(memo.initialized(&7));
-        assert!(!memo.initialized(&8));
+        assert_eq!(memo.slot(7).get(), Some(&99));
+        assert_eq!(memo.slot(8).get(), None);
         memo.remove(&7);
         assert_eq!(memo.initialized_count(), 0);
     }
@@ -406,7 +401,6 @@ mod tests {
         }));
         assert!(result.is_err());
         // Every access path recovers instead of propagating the poison.
-        assert!(memo.initialized(&1));
         assert_eq!(memo.slot(1).get(), Some(&5));
         assert_eq!(memo.initialized_count(), 1);
         memo.remove(&1);
@@ -424,7 +418,11 @@ mod tests {
             slot.get_or_init(|| panic!("worker died mid-generation"));
         }));
         assert!(result.is_err());
-        assert!(!memo.initialized(&3), "the failed init left nothing behind");
+        assert_eq!(
+            memo.slot(3).get(),
+            None,
+            "the failed init left nothing behind"
+        );
         let v = *memo.slot(3).get_or_init(|| 42);
         assert_eq!(v, 42, "the sibling's retry succeeds");
     }
@@ -460,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_cap_builder_and_env_default() {
+    fn resident_cap_builder_and_default() {
         let tier = SharedTier::default();
         assert_eq!(tier.resident_cap(), DEFAULT_RESIDENT_CAP);
         assert_eq!(tier.with_resident_cap(3).resident_cap(), 3);

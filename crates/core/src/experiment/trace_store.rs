@@ -12,10 +12,10 @@
 //! multi-app/multi-seed campaign replay from disk instead of regenerating.
 //!
 //! There is one way to get records: [`TraceStore::fetch`] materializes (and
-//! memoizes) the full trace — loading a persisted entry whole, or generating
-//! the trace and persisting it — and every static or dynamic run replays
-//! that resident buffer's record slice. A persisted entry is decoded chunk
-//! by chunk into the buffer once per process, not once per run.
+//! memoizes) the full trace — loading a persisted entry whole with
+//! [`codec::load_with`], or generating the trace and persisting it — and
+//! every static or dynamic run replays that resident buffer's record slice.
+//! A persisted entry is loaded once per process, not once per run.
 //!
 //! Entries, resident and persisted, are keyed by *total* length and served
 //! only for that exact key: two warm/measure splits of the same total share
@@ -24,15 +24,16 @@
 //! deterministically via the [`rescache_trace::IoPolicy`] fault seam and
 //! accounted in [`StoreHealth`]):
 //!
-//! * a **missing** entry regenerates silently;
-//! * an **I/O** error falls back to regeneration — a transient one (see
-//!   [`rescache_trace::is_transient`]) after a bounded retry with backoff —
-//!   and never quarantines, at open or mid-read: nothing proves the file is
+//! * a **missing** entry generates silently (a miss);
+//! * every other failed load of an existing entry is a *regeneration*. The
+//!   load has one error channel, [`codec::CodecError`], and one bounded
+//!   retry with backoff around the whole load, so a transient fault (see
+//!   [`rescache_trace::is_transient`]) at open or mid-read reloads the
+//!   entry. An **I/O** error never quarantines: nothing proves the file is
 //!   bad;
-//! * a **corrupt, truncated, mislabeled or retired-format** entry is
-//!   *quarantined* — renamed to a `.corrupt` sidecar — before regeneration,
-//!   so repeated corruption is diagnosable on disk instead of silently
-//!   churned;
+//! * a **corrupt, truncated, mislabeled or retired-format** entry is also
+//!   *quarantined* — renamed to a `.corrupt` sidecar — so repeated
+//!   corruption is diagnosable on disk instead of silently churned;
 //! * a **disk-full or unwritable** directory latches the whole store into
 //!   in-memory-only degraded mode with a one-time warning (see
 //!   [`SharedTier::degrade`]); generation proceeds, persistence stops.
@@ -43,13 +44,11 @@
 //! process; writers in different processes need no lock, because every save
 //! writes a per-writer temp file and renames it into place.
 
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::PoisonError;
 
-use rescache_trace::{
-    codec, is_transient, AppProfile, InstrRecord, IoPolicy, Trace, TraceFileSource, TraceFormat,
-    TraceGenerator, TraceSource,
-};
+use rescache_trace::{codec, AppProfile, CodecError, IoPolicy, Trace, TraceFormat, TraceGenerator};
 
 use crate::experiment::runner::RunnerConfig;
 use crate::experiment::shared_tier::{SharedTier, StoreHealth};
@@ -234,74 +233,75 @@ impl TraceStore {
         }
     }
 
-    /// Opens a chunked on-disk source over `key`'s entry, if a usable
-    /// directory holds a valid one.
-    fn disk_source(&self, app: &AppProfile, key: &StoreKey) -> Option<TraceFileSource> {
-        self.open_entry(app, &self.entry_path(key)?, key.3)
-    }
-
-    /// Opens one entry of `total` records, validating the header (a
-    /// retired-format file surfaces as the codec's typed
-    /// [`codec::CodecError::UnsupportedVersion`] or
-    /// [`codec::CodecError::UnsupportedFlags`]) and the header's application
-    /// name and record count against what the *file name* promises — a
-    /// header that disagrees marks a foreign, stale or hash-colliding file,
-    /// which is quarantined, never served.
-    fn open_entry(&self, app: &AppProfile, path: &Path, total: usize) -> Option<TraceFileSource> {
+    /// Loads `key`'s persisted entry whole and counts how the request
+    /// lands: a served entry is a hit; no entry (no usable directory, or no
+    /// file) is a miss; an entry that exists but cannot be served is a
+    /// regeneration. One bounded retry covers the whole load, so a transient
+    /// fault at open or mid-read reloads the entry from the start. A codec
+    /// content error (corrupt, truncated or retired-format), or a header
+    /// whose application name or record count disagrees with the *file
+    /// name* (a foreign, stale or hash-colliding file), also quarantines the
+    /// entry; an I/O error cannot prove the file bad, so it never does.
+    fn load_entry(&self, app: &AppProfile, key: &StoreKey) -> Option<Trace> {
+        let health = self.tier.health();
+        let Some(path) = self.entry_path(key) else {
+            health.note_miss();
+            return None;
+        };
         let policy = self.tier.policy();
-        // A transient open failure gets the bounded retry; anything typed is
-        // decided immediately.
-        let opened = policy
+        let loaded = policy
             .retrying(
-                || self.tier.health().note_retry(),
-                || match TraceFileSource::open_with(path, Some(total), policy) {
-                    Err(codec::CodecError::Io(e)) => Err(e),
+                || health.note_retry(),
+                || match codec::load_with(&path, policy) {
+                    Err(CodecError::Io(e)) => Err(e),
                     typed => Ok(typed),
                 },
             )
-            .unwrap_or_else(|e| Err(codec::CodecError::Io(e)));
-        match opened {
-            Ok(source) if source.name() == app.name && source.file_records() == total => {
-                Some(source)
+            .unwrap_or_else(|e| Err(CodecError::Io(e)));
+        let quarantine = match loaded {
+            Ok(trace) if trace.name() == app.name && trace.len() == key.3 => {
+                health.note_hit();
+                return Some(trace);
             }
-            Ok(source) => {
-                // A header that disagrees with the file's own name marks a
-                // foreign, stale or hash-colliding file: a content problem,
-                // so it is quarantined like corruption.
-                eprintln!(
-                    "rescache: trace store entry {} is for {}/{} records, expected {}/{total}; quarantining",
-                    path.display(),
-                    source.name(),
-                    source.file_records(),
-                    app.name,
-                );
-                drop(source);
-                self.quarantine_entry(path);
-                None
+            Err(CodecError::Io(e))
+                if matches!(e.kind(), ErrorKind::NotFound | ErrorKind::NotADirectory) =>
+            {
+                health.note_miss();
+                return None;
             }
-            Err(codec::CodecError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(codec::CodecError::Io(e)) => {
-                // Retries exhausted or a persistent I/O error: the file may
-                // be perfectly fine, so no quarantine — fall back to
-                // regeneration for this request only.
+            Err(CodecError::Io(e)) => {
                 eprintln!(
                     "rescache: trace store entry {} unreadable ({e}); regenerating without it",
                     path.display()
                 );
-                None
+                false
+            }
+            Ok(trace) => {
+                eprintln!(
+                    "rescache: trace store entry {} is for {}/{} records, expected {}/{}; quarantining",
+                    path.display(),
+                    trace.name(),
+                    trace.len(),
+                    app.name,
+                    key.3,
+                );
+                true
             }
             Err(e) => {
-                // Typed content errors (bad magic, retired or unknown
-                // version or flags, bad name): provably not a servable
-                // entry.
                 eprintln!(
                     "rescache: trace store entry {} unreadable ({e}); quarantining",
                     path.display()
                 );
-                self.quarantine_entry(path);
-                None
+                true
             }
+        };
+        if quarantine {
+            // Keep the evidence as a `.corrupt` sidecar; the entry's path is
+            // free for a fresh persist.
+            self.quarantine_entry(&path);
         }
+        health.note_regeneration();
+        None
     }
 
     /// Renames a provably-bad entry to its `.corrupt` sidecar (so repeated
@@ -336,55 +336,6 @@ impl TraceStore {
         }
     }
 
-    /// The store's one mid-read recovery loop: drains `entry` and returns its
-    /// records if the read is complete — no fault recorded and every record
-    /// delivered; a bad entry must degrade to regeneration, never to a
-    /// silently short read. A transient I/O error retries over a reopened
-    /// entry (bounded, with backoff). Any other shortfall counts a
-    /// regeneration and returns `None`; only a codec content error
-    /// quarantines the entry first — an I/O error, persistent or not, cannot
-    /// prove the file is bad.
-    fn read_entry(
-        &self,
-        app: &AppProfile,
-        key: &StoreKey,
-        mut entry: TraceFileSource,
-    ) -> Option<Vec<InstrRecord>> {
-        let health = self.tier.health();
-        let mut attempt = 1;
-        loop {
-            let records = drain(&mut entry);
-            let fault = entry.fault();
-            if fault.is_none() && records.len() == entry.file_records() {
-                return Some(records);
-            }
-            let transient = matches!(fault, Some(codec::CodecError::Io(e)) if is_transient(e));
-            if transient && attempt < IoPolicy::ATTEMPTS {
-                health.note_retry();
-                std::thread::sleep(IoPolicy::BACKOFF * attempt);
-                attempt += 1;
-                if let Some(reopened) = self.disk_source(app, key) {
-                    entry = reopened;
-                    continue;
-                }
-            }
-            eprintln!(
-                "rescache: store read of {} fell short ({}); regenerating",
-                app.name,
-                fault.map_or_else(|| "short read".into(), |e| e.to_string()),
-            );
-            if fault.is_some_and(|e| !matches!(e, codec::CodecError::Io(_))) {
-                // Keep the evidence as a `.corrupt` sidecar; the entry's
-                // path is free for a fresh persist.
-                let path = entry.path().to_path_buf();
-                drop(entry);
-                self.quarantine_entry(&path);
-            }
-            health.note_regeneration();
-            return None;
-        }
-    }
-
     /// Probes (and creates) the store directory. A failure here — after the
     /// transient retries — means the directory cannot be written at all
     /// (occupied by a file, permission-denied, read-only filesystem), which
@@ -411,7 +362,6 @@ impl TraceStore {
     /// warning); anything else — e.g. exhausted transient retries — skips
     /// only this persist, with a per-site note.
     fn note_persist_failure(&self, path: &Path, e: &std::io::Error) {
-        use std::io::ErrorKind;
         let fatal = rescache_trace::is_disk_full(e)
             || matches!(
                 e.kind(),
@@ -432,18 +382,11 @@ impl TraceStore {
     }
 
     /// Loads the keyed full trace from disk if possible, otherwise generates
-    /// it (and persists the result, best-effort). Every landing is counted:
-    /// a disk serve is a hit, a clean cold generation a miss, a generation
-    /// forced by a bad entry a regeneration (counted by the read).
+    /// it (and persists the result, best-effort). [`TraceStore::load_entry`]
+    /// counts the landing.
     fn load_or_generate(&self, app: &AppProfile, key: &StoreKey) -> Trace {
-        match self.disk_source(app, key) {
-            Some(entry) => {
-                if let Some(records) = self.read_entry(app, key, entry) {
-                    self.tier.health().note_hit();
-                    return Trace::new(app.name, records);
-                }
-            }
-            None => self.tier.health().note_miss(),
+        if let Some(trace) = self.load_entry(app, key) {
+            return trace;
         }
         let full = TraceGenerator::new(app.clone(), key.2).generate(key.3);
         if let Some(path) = self.entry_path(key) {
@@ -489,21 +432,6 @@ impl TraceStore {
         let (name, fingerprint, seed, total) = key;
         format!("{name}-{fingerprint:016x}-s{seed}-t{total}{ENTRY_SUFFIX}")
     }
-}
-
-/// Decodes `source` chunk by chunk into one buffer sized up front for its
-/// whole record count: a grown-and-copied second buffer would show in peak
-/// RSS.
-fn drain(source: &mut TraceFileSource) -> Vec<InstrRecord> {
-    let mut records = Vec::with_capacity(source.file_records());
-    loop {
-        let chunk = source.next_chunk();
-        if chunk.is_empty() {
-            break;
-        }
-        records.extend_from_slice(chunk);
-    }
-    records
 }
 
 #[cfg(test)]
@@ -689,8 +617,14 @@ mod tests {
             &expected.records()[short.warmup_instructions..]
         );
 
+        // A mislabeled entry is a bad entry like any other: one
+        // regeneration, not a miss.
         let health = fresh.health();
-        assert_eq!((health.quarantines, health.misses), (1, 1), "{health:?}");
+        assert_eq!(
+            (health.quarantines, health.regenerations, health.misses),
+            (1, 1, 0),
+            "{health:?}"
+        );
         let mut sidecar = dir.join(&short_name).into_os_string();
         sidecar.push(".corrupt");
         assert!(PathBuf::from(sidecar).exists(), "no .corrupt sidecar");
@@ -802,11 +736,11 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).expect("create dir");
             std::fs::write(&path, &bytes).expect("plant old entry");
-            let err = TraceFileSource::open(&path, None).unwrap_err();
+            let err = codec::load(&path).unwrap_err();
             let typed = match label {
-                "v1" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'1' }),
-                "v2" => matches!(err, codec::CodecError::UnsupportedVersion { version: b'2' }),
-                _ => matches!(err, codec::CodecError::UnsupportedFlags { flags: 0 }),
+                "v1" => matches!(err, CodecError::UnsupportedVersion { version: b'1' }),
+                "v2" => matches!(err, CodecError::UnsupportedVersion { version: b'2' }),
+                _ => matches!(err, CodecError::UnsupportedFlags { flags: 0 }),
             };
             assert!(typed, "{label}: {err}");
 
@@ -957,10 +891,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// One mid-read fault, scripted after the store entry has opened.
+    /// One fault in a fresh store's load of a persisted entry.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum MidReadFault {
-        /// A transient read error: retried, the entry presumed fine.
+    enum LoadFault {
+        /// A transient error at open: the load is retried.
+        TransientOpen,
+        /// A transient read error: the load is retried, the entry presumed
+        /// fine.
         Transient,
         /// A persistent (permission-denied) read error: regenerated, but an
         /// I/O error proves nothing about the file, so no quarantine.
@@ -970,13 +907,13 @@ mod tests {
         Corrupt,
     }
 
-    /// Reads a freshly persisted `m88ksim` entry through the recovery loop,
-    /// injecting `fault` after the entry has opened, and checks the read and
-    /// the health counters against the fault model. Then every consumer of
-    /// the store's trace must see the clean bits: the fetched records equal
-    /// `clean`, and `simulate` over them equals `clean_sim`.
-    fn assert_mid_read_recovery<T: PartialEq + std::fmt::Debug>(
-        fault: MidReadFault,
+    /// Persists an `m88ksim` entry, then fetches it through a second store
+    /// whose load meets `fault`, and checks the health counters against the
+    /// fault model. Every consumer of the store's trace must see the clean
+    /// bits: the fetched records equal `clean`, and `simulate` over them
+    /// equals `clean_sim`.
+    fn assert_load_recovery<T: PartialEq + std::fmt::Debug>(
+        fault: LoadFault,
         clean: &Trace,
         simulate: impl Fn(&Trace) -> T,
         clean_sim: &T,
@@ -984,30 +921,27 @@ mod tests {
         use std::io::{Seek, SeekFrom, Write};
         let label = format!("{fault:?}").to_lowercase();
         let injector = Arc::new(FaultInjector::default());
-        let (writer, dir) = injected_store(&format!("midread-{label}"), injector.clone());
+        let (writer, dir) = injected_store(&format!("load-{label}"), injector.clone());
         let (app, cfg) = (spec::m88ksim(), RunnerConfig::fast());
-        let key = TraceStore::store_key(&app, &cfg);
         writer.fetch(&app, &cfg);
         let path = entry_path(&dir);
-        // The second chunk's header sits past the first chunk's payload,
-        // beyond anything the open's buffered header read has pulled in.
+        let mut sidecar = path.clone().into_os_string();
+        sidecar.push(".corrupt");
+        // The second chunk's header sits past the first chunk's payload.
         let bytes = std::fs::read(&path).expect("read entry");
         let first_chunk = 9 + 4 + app.name.len() + 8;
-        let first_len =
-            u32::from_le_bytes(bytes[first_chunk + 4..first_chunk + 8].try_into().unwrap());
+        let first_len = u32::from_le_bytes(
+            bytes[first_chunk + 4..first_chunk + 8]
+                .try_into()
+                .expect("4 bytes"),
+        );
         let second_chunk = (first_chunk + 8) as u64 + u64::from(first_len);
 
-        // A second store over the same directory and injector: nothing of
-        // the entry is resident there.
-        let store = TraceStore::with_tier(SharedTier::new(
-            Some(dir.clone()),
-            IoPolicy::with_injector(injector.clone()),
-        ));
-        let entry = store.disk_source(&app, &key).expect("the entry opens");
-        let kind = match fault {
-            MidReadFault::Transient => Some(FaultKind::Transient),
-            MidReadFault::Permission => Some(FaultKind::PermissionDenied),
-            MidReadFault::Corrupt => {
+        let scripted = match fault {
+            LoadFault::TransientOpen => Some((IoOp::Open, FaultKind::Transient)),
+            LoadFault::Transient => Some((IoOp::Read, FaultKind::Transient)),
+            LoadFault::Permission => Some((IoOp::Read, FaultKind::PermissionDenied)),
+            LoadFault::Corrupt => {
                 let mut file = std::fs::OpenOptions::new()
                     .write(true)
                     .open(&path)
@@ -1017,40 +951,43 @@ mod tests {
                 None
             }
         };
-        if let Some(kind) = kind {
-            injector.push(ScriptedFault {
-                op: IoOp::Read,
-                kind,
-            });
+        if let Some((op, kind)) = scripted {
+            injector.push(ScriptedFault { op, kind });
         }
-        let read = store.read_entry(&app, &key, entry);
-        assert_eq!(
-            read.as_deref(),
-            (fault == MidReadFault::Transient).then_some(clean.records()),
-            "{label}: a complete read is bit-identical; any other is refused"
-        );
+
+        // A second store over the same directory and injector: nothing of
+        // the entry is resident there.
+        let store = TraceStore::with_tier(SharedTier::new(
+            Some(dir.clone()),
+            IoPolicy::with_injector(injector.clone()),
+        ));
+        let served = store.fetch_full(&app, &cfg);
         assert_eq!(injector.pending_script(), 0, "{label}: the fault fired");
+        assert_eq!(served.records(), clean.records(), "{label}: fetched");
+        assert_eq!(&simulate(&served), clean_sim, "{label}: simulated");
 
         let health = store.health();
-        let counts = (health.retries, health.quarantines, health.regenerations);
+        let counts = (
+            health.retries,
+            health.quarantines,
+            health.regenerations,
+            health.hits,
+            health.misses,
+        );
         let expected = match fault {
-            MidReadFault::Transient => (1, 0, 0),
-            MidReadFault::Permission => (0, 0, 1),
-            MidReadFault::Corrupt => (0, 1, 1),
+            LoadFault::TransientOpen | LoadFault::Transient => (1, 0, 0, 1, 0),
+            LoadFault::Permission => (0, 0, 1, 0, 0),
+            LoadFault::Corrupt => (0, 1, 1, 0, 0),
         };
         assert_eq!(
             counts, expected,
-            "{label}: (retries, quarantines, regenerations)"
+            "{label}: (retries, quarantines, regenerations, hits, misses)"
         );
         assert_eq!(
-            path.exists(),
-            fault != MidReadFault::Corrupt,
+            PathBuf::from(sidecar).exists(),
+            fault == LoadFault::Corrupt,
             "{label}: only content errors move the entry aside"
         );
-
-        let served = store.fetch_full(&app, &cfg);
-        assert_eq!(served.records(), clean.records(), "{label}: fetched");
-        assert_eq!(&simulate(&served), clean_sim, "{label}: simulated");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1072,11 +1009,42 @@ mod tests {
         };
         let clean_sim = simulate(&expected);
         for fault in [
-            MidReadFault::Transient,
-            MidReadFault::Permission,
-            MidReadFault::Corrupt,
+            LoadFault::TransientOpen,
+            LoadFault::Transient,
+            LoadFault::Permission,
+            LoadFault::Corrupt,
         ] {
-            assert_mid_read_recovery(fault, &expected, simulate, &clean_sim);
+            assert_load_recovery(fault, &expected, simulate, &clean_sim);
+        }
+    }
+
+    #[test]
+    fn a_bad_entry_counts_one_regeneration_whether_its_header_or_body_is_bad() {
+        // A corrupt magic byte fails the load at the header, a cut tail
+        // fails it in the last chunk: both are the same kind of bad entry,
+        // so both count one quarantine, one regeneration and no miss.
+        let cfg = RunnerConfig::fast();
+        for label in ["header", "body"] {
+            let (store, dir) = temp_store(&format!("count-{label}"));
+            let (w1, m1) = store.fetch(&spec::gcc(), &cfg);
+            let path = entry_path(&dir);
+            let mut bytes = std::fs::read(&path).expect("read entry");
+            if label == "header" {
+                bytes[0] ^= 0xff;
+            } else {
+                bytes.truncate(bytes.len() - 5);
+            }
+            std::fs::write(&path, &bytes).expect("corrupt entry");
+
+            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            assert_eq!(fresh.fetch(&spec::gcc(), &cfg), (w1, m1), "{label}");
+            let health = fresh.health();
+            assert_eq!(
+                (health.quarantines, health.regenerations, health.misses),
+                (1, 1, 0),
+                "{label}: {health:?}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 

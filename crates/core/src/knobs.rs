@@ -44,8 +44,6 @@ pub struct Knobs {
     /// `RESCACHE_TRACE_DIR`: persistent trace-store directory (in-memory
     /// only when unset).
     pub trace_dir: Option<PathBuf>,
-    /// `RESCACHE_RESIDENT_TRACES`: cap on resident full traces (positive).
-    pub resident_traces: Option<usize>,
     /// `RESCACHE_FAULTS`: seeded fault-injection spec for store I/O.
     pub faults: Option<FaultSpec>,
     /// `RESCACHE_SERVE_ADDR`: the sweep service's bind address.
@@ -71,7 +69,6 @@ impl Knobs {
             interval: vars.positive("RESCACHE_INTERVAL")?,
             threads: vars.positive("RESCACHE_THREADS")?,
             trace_dir: vars.value("RESCACHE_TRACE_DIR")?.map(PathBuf::from),
-            resident_traces: vars.positive("RESCACHE_RESIDENT_TRACES")?,
             faults: vars.get("RESCACHE_FAULTS", FaultSpec::parse)?,
             serve_addr: vars
                 .value("RESCACHE_SERVE_ADDR")?
@@ -110,8 +107,7 @@ impl Knobs {
     }
 
     /// The shared tier the knobs configure: persistence under the trace
-    /// directory, a seeded injector for a non-quiet fault spec, and the
-    /// resident-trace cap.
+    /// directory and a seeded injector for a non-quiet fault spec.
     pub(crate) fn shared_tier(&self) -> SharedTier {
         let policy = match self.faults {
             Some(spec) if !spec.is_quiet() => {
@@ -119,11 +115,7 @@ impl Knobs {
             }
             _ => IoPolicy::none(),
         };
-        let tier = SharedTier::new(self.trace_dir.clone(), policy);
-        match self.resident_traces {
-            Some(cap) => tier.with_resident_cap(cap),
-            None => tier,
-        }
+        SharedTier::new(self.trace_dir.clone(), policy)
     }
 }
 
@@ -210,7 +202,6 @@ mod tests {
             interval: None,
             threads: None,
             trace_dir: None,
-            resident_traces: None,
             faults: None,
             serve_addr: DEFAULT_ADDR.to_string(),
             serve_quota: 0,
@@ -223,7 +214,7 @@ mod tests {
             knobs
         };
         // (variable, valid setting, what it parses to, malformed settings)
-        let table: [(&str, &str, Knobs, &[&str]); 10] = [
+        let table: [(&str, &str, Knobs, &[&str]); 9] = [
             (
                 "RESCACHE_WARMUP",
                 "5000",
@@ -259,12 +250,6 @@ mod tests {
                 "/var/cache/rescache",
                 with(&|k| k.trace_dir = Some("/var/cache/rescache".into())),
                 &["", " ", "/var/\u{FFFD}"],
-            ),
-            (
-                "RESCACHE_RESIDENT_TRACES",
-                "8",
-                with(&|k| k.resident_traces = Some(8)),
-                &["", "0", "many"],
             ),
             (
                 "RESCACHE_FAULTS",

@@ -4,8 +4,8 @@
 //! Trace generation is deterministic but not free (it is the slowest single
 //! stage of a cold sweep), so multi-process experiment campaigns persist
 //! generated traces under `RESCACHE_TRACE_DIR` and replay them from disk.
-//! There is one container, with delta-compressed chunks (see
-//! [`crate::compress`] internals for the per-record payload layout):
+//! There is one container, with delta-compressed chunks (the crate-private
+//! `compress` module holds the per-record payload layout):
 //!
 //! ```text
 //! magic      8 bytes   b"RCTRACE3"
@@ -27,27 +27,24 @@
 //! header with any other flags byte (including the retired raw layout's `0`)
 //! is [`CodecError::UnsupportedFlags`].
 //!
-//! There is one save and one open, both routing every filesystem operation
+//! There is one save and one load, both routing every filesystem operation
 //! through an [`IoPolicy`]: [`save_with`] writes a resident [`Trace`] to a
 //! file atomically, framing its records into [`CHUNK_RECORDS`]-record
-//! chunks, and [`TraceFileSource::open_with`] decodes a file chunk by chunk
-//! (or only a leading prefix of it), with one decoded chunk resident. The
-//! experiment trace store keys entries by their exact total, always reads a
-//! whole file, and copies each decoded chunk into the entry's resident
-//! record buffer. [`save_trace`] and [`TraceFileSource::open`] are the
-//! unpoliced wrappers.
+//! chunks, and [`load_with`] reads a file back whole, decoding each chunk
+//! straight into its slot of one record buffer. [`save_trace`] and [`load`]
+//! are the unpoliced wrappers. A load either returns the whole trace or a
+//! [`CodecError`]; there is no partial result to check afterwards.
 //!
 //! The atomic save writes a temp file unique to the writer and renames it
 //! into place, so any number of threads or processes may save one path at
 //! once: the path holds one writer's whole file, never a torn mix.
 
 use std::fmt;
-use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::compress;
-use crate::faults::{IoPolicy, PolicedRead};
+use crate::faults::IoPolicy;
 use crate::format::TraceFormat;
 use crate::record::InstrRecord;
 use crate::source::{TraceSource, CHUNK_RECORDS};
@@ -209,82 +206,65 @@ fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
     Ok(())
 }
 
-/// An incremental reader over the persisted trace format: the header is
-/// validated on construction, then [`ChunkedTraceReader::next_chunk`] decodes
-/// one chunk at a time into an internal buffer, so at most
-/// [`CHUNK_RECORDS`] decoded records are ever alive.
-#[derive(Debug)]
-struct ChunkedTraceReader<R: Read> {
-    r: R,
-    name: String,
-    total: u64,
-    delivered: u64,
-    buf: Vec<InstrRecord>,
-    raw: Vec<u8>,
-}
-
-impl<R: Read> ChunkedTraceReader<R> {
-    /// Reads and validates the stream header.
-    fn new(mut r: R) -> Result<Self, CodecError> {
-        let mut magic = [0u8; 8];
-        read_exact_or_truncated(&mut r, &mut magic, 0, 0)?;
-        if magic[..7] != MAGIC_PREFIX {
-            return Err(CodecError::BadMagic);
-        }
-        if magic != TraceFormat::V3.magic() {
-            return Err(CodecError::UnsupportedVersion { version: magic[7] });
-        }
-        let mut flags = [0u8; 1];
-        read_exact_or_truncated(&mut r, &mut flags, 0, 0)?;
-        if flags[0] != FLAGS {
-            return Err(CodecError::UnsupportedFlags { flags: flags[0] });
-        }
-
-        let mut len4 = [0u8; 4];
-        read_exact_or_truncated(&mut r, &mut len4, 0, 0)?;
-        let name_len = u32::from_le_bytes(len4);
-        if name_len > MAX_NAME_BYTES {
-            return Err(CodecError::BadName);
-        }
-        let mut name_bytes = vec![0u8; name_len as usize];
-        read_exact_or_truncated(&mut r, &mut name_bytes, 0, 0)?;
-        let name = String::from_utf8(name_bytes).map_err(|_| CodecError::BadName)?;
-
-        let mut len8 = [0u8; 8];
-        read_exact_or_truncated(&mut r, &mut len8, 0, 0)?;
-        let total = u64::from_le_bytes(len8);
-
-        Ok(Self {
-            r,
-            name,
-            total,
-            delivered: 0,
-            buf: Vec::new(),
-            raw: Vec::new(),
-        })
+/// Reads and validates the header: the application name and the record
+/// count the file promises.
+fn read_header<R: Read>(r: &mut R) -> Result<(String, u64), CodecError> {
+    let mut magic = [0u8; 8];
+    read_exact_or_truncated(r, &mut magic, 0, 0)?;
+    if magic[..7] != MAGIC_PREFIX {
+        return Err(CodecError::BadMagic);
+    }
+    if magic != TraceFormat::V3.magic() {
+        return Err(CodecError::UnsupportedVersion { version: magic[7] });
+    }
+    let mut flags = [0u8; 1];
+    read_exact_or_truncated(r, &mut flags, 0, 0)?;
+    if flags[0] != FLAGS {
+        return Err(CodecError::UnsupportedFlags { flags: flags[0] });
     }
 
-    /// Decodes the next chunk, or returns an empty slice once every promised
-    /// record has been delivered. The decode *overwrites* the buffer:
-    /// steady-state chunks are all the same length, so after the first chunk
-    /// the resize is a no-op and the decode writes straight over the last
-    /// chunk's records — a clear-then-grow cycle would re-zero the whole
-    /// buffer every chunk. The reader must not be used further after an
-    /// error.
-    fn next_chunk(&mut self) -> Result<&[InstrRecord], CodecError> {
-        let remaining = self.total - self.delivered;
-        if remaining == 0 {
-            self.buf.clear();
-            return Ok(&self.buf);
-        }
-        let (total, delivered) = (self.total, self.delivered);
-        let mut len4 = [0u8; 4];
-        read_exact_or_truncated(&mut self.r, &mut len4, total, delivered)?;
+    let mut len4 = [0u8; 4];
+    read_exact_or_truncated(r, &mut len4, 0, 0)?;
+    let name_len = u32::from_le_bytes(len4);
+    if name_len > MAX_NAME_BYTES {
+        return Err(CodecError::BadName);
+    }
+    let mut name_bytes = vec![0u8; name_len as usize];
+    read_exact_or_truncated(r, &mut name_bytes, 0, 0)?;
+    let name = String::from_utf8(name_bytes).map_err(|_| CodecError::BadName)?;
+
+    let mut len8 = [0u8; 8];
+    read_exact_or_truncated(r, &mut len8, 0, 0)?;
+    Ok((name, u64::from_le_bytes(len8)))
+}
+
+/// Decodes a whole trace image of `file_bytes` bytes from `r`. The record
+/// buffer is sized once, and every chunk decodes straight into its slot of
+/// it.
+fn decode_trace<R: Read>(mut r: R, file_bytes: u64) -> Result<Trace, CodecError> {
+    let (name, total) = read_header(&mut r)?;
+    // Every record takes at least `MIN_RECORD_BYTES` of payload, so a count
+    // the file cannot hold is a lie: reject it before trusting it for an
+    // allocation.
+    let capacity = usize::try_from(total)
+        .ok()
+        .filter(|_| total <= file_bytes / compress::MIN_RECORD_BYTES as u64)
+        .ok_or(CodecError::Truncated {
+            expected: total,
+            got: 0,
+        })?;
+    let mut records = Vec::with_capacity(capacity);
+    let mut raw = Vec::new();
+    let mut len4 = [0u8; 4];
+    while records.len() < capacity {
+        let got = records.len();
+        let remaining = (capacity - got) as u64;
+        read_exact_or_truncated(&mut r, &mut len4, total, got as u64)?;
         let len = u32::from_le_bytes(len4);
         if len == 0 || len as usize > CHUNK_RECORDS || u64::from(len) > remaining {
             return Err(CodecError::BadChunk { len, remaining });
         }
-        read_exact_or_truncated(&mut self.r, &mut len4, total, delivered)?;
+        read_exact_or_truncated(&mut r, &mut len4, total, got as u64)?;
         let byte_len = u32::from_le_bytes(len4);
         // The payload bounds are a structural invariant (3 layout and head
         // bytes plus two bounded delta fields per record); anything outside
@@ -296,136 +276,86 @@ impl<R: Read> ChunkedTraceReader<R> {
             return Err(CodecError::BadChunkBytes { len, byte_len });
         }
         let byte_len = byte_len as usize;
-        self.raw.resize(byte_len.max(self.raw.len()), 0);
-        read_exact_or_truncated(&mut self.r, &mut self.raw[..byte_len], total, delivered)?;
-        self.buf.resize(len as usize, InstrRecord::zeroed());
-        compress::decode_chunk_into(&self.raw[..byte_len], &mut self.buf)?;
-        self.delivered += u64::from(len);
-        Ok(&self.buf)
+        // Grow-only: a shorter chunk reuses the front of the buffer rather
+        // than re-zeroing it on the next longer one.
+        raw.resize(byte_len.max(raw.len()), 0);
+        read_exact_or_truncated(&mut r, &mut raw[..byte_len], total, got as u64)?;
+        records.resize(got + len as usize, InstrRecord::zeroed());
+        compress::decode_chunk_into(&raw[..byte_len], &mut records[got..])?;
     }
+    Ok(Trace::new(name, records))
 }
 
-/// A [`TraceSource`] decoding a persisted trace chunk by chunk from disk,
-/// keeping one decoded chunk resident and serving it straight from the
-/// reader's decode buffer. Opening with a `take` shorter than the file
-/// serves only that prefix — decoding stops with the chunk that covers the
-/// request, so corruption *beyond* the prefix is never even read. The
-/// experiment trace store does not use prefixes: it opens each entry for
-/// exactly the total the entry was saved with.
+/// [`load_with`] without fault injection.
 ///
-/// The pull interface has no error channel, so a decode failure mid-stream
-/// (a truncated or corrupted store entry) is recorded in
-/// [`TraceFileSource::fault`] and the source reports exhaustion; callers
-/// that must be robust check the fault after the run and fall back to
-/// regeneration (as the experiment trace store does).
+/// # Errors
+///
+/// As [`load_with`].
+pub fn load(path: &Path) -> Result<Trace, CodecError> {
+    load_with(path, &IoPolicy::none())
+}
+
+/// Loads the trace at `path` whole, with the open and every read routed
+/// through `policy`.
+///
+/// # Errors
+///
+/// Returns [`CodecError::Io`] if the file cannot be opened or read (or
+/// `policy` injects a fault), and a content error if the file is truncated,
+/// corrupt or of another format. Nothing of a failed load is returned.
+pub fn load_with(path: &Path, policy: &IoPolicy) -> Result<Trace, CodecError> {
+    let file = policy.open(path)?;
+    let file_bytes = file.metadata()?.len();
+    decode_trace(BufReader::new(policy.reader(file)), file_bytes)
+}
+
+/// A [`TraceSource`] over one loaded trace file. Kept only because the
+/// standalone benchmark (`perfbench/src/layers.rs`) compiles against it:
+/// [`TraceFileSource::open`] loads the file whole with [`load`], and the
+/// first [`TraceSource::next_chunk`] returns every record it serves.
 #[derive(Debug)]
 pub struct TraceFileSource {
-    path: std::path::PathBuf,
-    reader: ChunkedTraceReader<BufReader<PolicedRead<File>>>,
-    /// Records of the file this source serves (a prefix of the file when the
-    /// entry is longer than the request).
-    take: usize,
-    /// Records delivered so far.
-    pos: usize,
-    fault: Option<CodecError>,
+    trace: Trace,
+    served: bool,
 }
 
 impl TraceFileSource {
-    /// [`TraceFileSource::open_with`] without fault injection. Kept as a
-    /// one-line wrapper because the standalone benchmark
-    /// (`perfbench/src/layers.rs`) compiles against it.
+    /// Loads the trace at `path` and serves its first `take` records (`None`
+    /// = the whole file).
     ///
     /// # Errors
     ///
-    /// As [`TraceFileSource::open_with`].
+    /// As [`load`], and [`CodecError::Truncated`] if the file holds fewer
+    /// than `take` records.
     pub fn open(path: &Path, take: Option<usize>) -> Result<Self, CodecError> {
-        Self::open_with(path, take, &IoPolicy::none())
-    }
-
-    /// Opens the trace at `path`, serving its first `take` records (`None` =
-    /// the whole file), with the open and every subsequent read routed
-    /// through `policy`. A fault injected mid-stream surfaces through
-    /// [`TraceFileSource::fault`] exactly like real disk trouble.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] if the file cannot be opened, its header is
-    /// invalid, it promises fewer than `take` records, or `policy` injects a
-    /// fault.
-    pub fn open_with(
-        path: &Path,
-        take: Option<usize>,
-        policy: &IoPolicy,
-    ) -> Result<Self, CodecError> {
-        let file = policy.open(path)?;
-        let reader = ChunkedTraceReader::new(BufReader::new(policy.reader(file)))?;
-        let take = take.unwrap_or(reader.total as usize);
-        if (take as u64) > reader.total {
+        let trace = load(path)?;
+        let take = take.unwrap_or(trace.len());
+        if take > trace.len() {
             return Err(CodecError::Truncated {
                 expected: take as u64,
-                got: reader.total,
+                got: trace.len() as u64,
             });
         }
         Ok(Self {
-            path: path.to_path_buf(),
-            reader,
-            take,
-            pos: 0,
-            fault: None,
+            trace: trace.slice(0..take),
+            served: false,
         })
     }
 
-    /// The file this source replays (callers that detect a fault use it to
-    /// invalidate the entry).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The application name the file's header carries.
-    pub fn name(&self) -> &str {
-        &self.reader.name
-    }
-
-    /// The record count the file's header promises — the whole entry, not
-    /// the served prefix.
-    /// Store-layer callers compare this against the count implied by the
-    /// entry's key to reject foreign or stale files.
-    pub fn file_records(&self) -> usize {
-        self.reader.total as usize
-    }
-
-    /// The decode error that interrupted this source, if any. When a fault is
-    /// set the source under-delivers: the simulation that consumed it must be
-    /// discarded and retried from another producer.
+    /// Always `None`: a load error is returned by [`TraceFileSource::open`].
+    /// Kept only because the standalone benchmark checks it.
     pub fn fault(&self) -> Option<&CodecError> {
-        self.fault.as_ref()
+        None
     }
 }
 
 impl TraceSource for TraceFileSource {
     fn next_chunk(&mut self) -> &[InstrRecord] {
-        if self.fault.is_some() || self.pos >= self.take {
-            return &[];
+        if std::mem::replace(&mut self.served, true) {
+            &[]
+        } else {
+            self.trace.records()
         }
-        let (start, end) = match self.reader.next_chunk() {
-            // `take` was validated against the header, so running dry early
-            // means the file lied; record it as truncation.
-            Ok([]) => {
-                self.fault = Some(CodecError::Truncated {
-                    expected: self.take as u64,
-                    got: self.pos as u64,
-                });
-                return &[];
-            }
-            // A chunk that straddles the prefix end is served up to it.
-            Ok(chunk) => (self.pos, (self.pos + chunk.len()).min(self.take)),
-            Err(e) => {
-                self.fault = Some(e);
-                return &[];
-            }
-        };
-        self.pos = end;
-        &self.reader.buf[..end - start]
     }
 }
 
@@ -513,31 +443,9 @@ mod tests {
         bytes
     }
 
-    /// Decodes a whole in-memory image through the chunked reader.
+    /// Decodes a whole in-memory image, as a file load does.
     fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
-        let mut reader = ChunkedTraceReader::new(bytes)?;
-        let mut records = Vec::new();
-        loop {
-            let chunk = reader.next_chunk()?;
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        Ok(Trace::new(reader.name, records))
-    }
-
-    /// Drains a file source, returning its records and fault.
-    fn drain(source: &mut TraceFileSource) -> Vec<InstrRecord> {
-        let mut records = Vec::new();
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            records.extend_from_slice(chunk);
-        }
-        records
+        decode_trace(bytes, bytes.len() as u64)
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -607,7 +515,7 @@ mod tests {
         ] {
             let path = dir.join(format!("{tag}.rctrace"));
             std::fs::write(&path, &bytes).expect("plant old file");
-            let err = TraceFileSource::open(&path, None).unwrap_err();
+            let err = load(&path).unwrap_err();
             let expected = match tag {
                 "v1" => matches!(err, CodecError::UnsupportedVersion { version: b'1' }),
                 "v2" => matches!(err, CodecError::UnsupportedVersion { version: b'2' }),
@@ -624,17 +532,13 @@ mod tests {
         let path = dir.join("compress.rctrace");
         let trace = sample(5_000);
         save_trace(&path, &trace).expect("save");
-        let mut source = TraceFileSource::open(&path, None).expect("open");
-        assert_eq!(source.name(), trace.name());
-        assert_eq!(drain(&mut source), trace.records());
-        assert!(source.fault().is_none());
+        assert_eq!(load(&path).expect("load"), trace);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_file_is_an_error() {
-        let err =
-            TraceFileSource::open(Path::new("/nonexistent/rescache.rctrace"), None).unwrap_err();
+        let err = load(Path::new("/nonexistent/rescache.rctrace")).unwrap_err();
         assert!(
             matches!(&err, CodecError::Io(e) if e.kind() == io::ErrorKind::NotFound),
             "{err}"
@@ -729,10 +633,7 @@ mod tests {
                 scope.spawn(|| {
                     for _ in 0..8 {
                         save_trace(&path, &trace).expect("save");
-                        let mut source =
-                            TraceFileSource::open(&path, None).expect("open during races");
-                        assert_eq!(drain(&mut source), trace.records());
-                        assert!(source.fault().is_none());
+                        assert_eq!(load(&path).expect("load during races"), trace);
                     }
                 });
             }
@@ -753,84 +654,23 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reader_delivers_the_exact_sequence() {
-        let trace = sample(2 * CHUNK_RECORDS + 321);
-        let bytes = encode(&trace);
-        let mut reader = ChunkedTraceReader::new(bytes.as_slice()).expect("header");
-        assert_eq!(reader.name, trace.name());
-        assert_eq!(reader.total, trace.len() as u64);
-        let mut records = Vec::new();
-        loop {
-            let chunk = reader.next_chunk().expect("chunk");
-            if chunk.is_empty() {
-                break;
-            }
-            assert!(chunk.len() <= CHUNK_RECORDS);
-            records.extend_from_slice(chunk);
-        }
-        assert_eq!(records, trace.records());
-        assert_eq!(reader.delivered, trace.len() as u64);
-        // Exhausted readers keep returning empty chunks.
-        assert!(reader.next_chunk().expect("past end").is_empty());
-    }
-
-    #[test]
-    fn prefix_serving_is_chunk_granular() {
-        let dir = temp_dir("prefix");
-        let path = dir.join("compress.rctrace");
-        let trace = sample(2 * CHUNK_RECORDS + 100);
-        save_trace(&path, &trace).expect("save");
-
-        let drain_prefix = |n: usize| {
-            let mut source = TraceFileSource::open(&path, Some(n)).expect("open prefix");
-            let records = drain(&mut source);
-            assert!(source.fault().is_none(), "{:?}", source.fault());
-            records
-        };
-
-        // A mid-chunk prefix delivers exactly the requested records.
-        let n = CHUNK_RECORDS + 17;
-        assert_eq!(drain_prefix(n), &trace.records()[..n]);
-
-        // Corruption *beyond* the requested prefix is never read: set a
-        // reserved head bit in the last chunk and the prefix still serves
-        // cleanly...
-        let mut bytes = std::fs::read(&path).expect("read");
-        let last = *chunk_offsets(&bytes, trace.name().len())
-            .last()
-            .expect("chunks");
-        bytes[last + 10] |= 0x80;
-        std::fs::write(&path, &bytes).expect("corrupt tail");
-        assert_eq!(drain_prefix(n), &trace.records()[..n]);
-        // ... but a full replay now faults.
-        let mut source = TraceFileSource::open(&path, None).expect("open full");
-        drain(&mut source);
-        assert!(matches!(
-            source.fault(),
-            Some(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn file_source_replays_and_splits_across_chunk_boundaries() {
         let dir = temp_dir("fsrc");
         let path = dir.join("compress.rctrace");
         let trace = sample(2 * CHUNK_RECORDS + 50);
         save_trace(&path, &trace).expect("save");
+        let drain = |take: Option<usize>| {
+            let mut src = TraceFileSource::open(&path, take).expect("open");
+            let records = src.next_chunk().to_vec();
+            assert!(src.next_chunk().is_empty(), "one chunk holds every record");
+            assert!(src.fault().is_none());
+            records
+        };
 
-        // Whole-file replay.
-        let mut src = TraceFileSource::open(&path, None).expect("open");
-        assert_eq!(src.name(), trace.name());
-        assert_eq!(src.file_records(), trace.len());
-        assert_eq!(drain(&mut src), trace.records());
-        assert!(src.fault().is_none());
-
-        // A prefix that ends mid-chunk serves exactly the prefix.
+        // Whole-file replay, and a prefix that ends mid-chunk.
+        assert_eq!(drain(None), trace.records());
         let take = CHUNK_RECORDS + 300;
-        let mut src = TraceFileSource::open(&path, Some(take)).expect("open prefix");
-        assert_eq!(drain(&mut src), &trace.records()[..take]);
-        assert!(src.fault().is_none());
+        assert_eq!(drain(Some(take)), &trace.records()[..take]);
 
         // A request longer than the file is rejected at open time.
         assert!(matches!(
@@ -841,28 +681,51 @@ mod tests {
     }
 
     #[test]
-    fn file_source_records_a_fault_instead_of_panicking() {
+    fn a_corrupt_later_chunk_fails_the_whole_load() {
         let dir = temp_dir("fault");
         let path = dir.join("compress.rctrace");
-        let trace = sample(2 * CHUNK_RECORDS);
+        let trace = sample(2 * CHUNK_RECORDS + 100);
         save_trace(&path, &trace).expect("save");
+        let clean = std::fs::read(&path).expect("read");
+        let chunks = chunk_offsets(&clean, trace.name().len());
 
-        // Corrupt a record tag in the second chunk: the source delivers the
-        // first chunk, then faults and under-delivers.
-        let mut bytes = std::fs::read(&path).expect("read");
-        let second = chunk_offsets(&bytes, trace.name().len())[1];
-        bytes[second + 9] |= 0x07;
+        // A bad record tag in the second chunk: the intact first chunk is
+        // not handed out on its own; the load returns the typed error.
+        let mut bytes = clean.clone();
+        bytes[chunks[1] + 9] |= 0x07;
         std::fs::write(&path, &bytes).expect("corrupt");
-
-        let mut src = TraceFileSource::open(&path, None).expect("header is intact");
-        let delivered = drain(&mut src).len();
-        assert_eq!(delivered, CHUNK_RECORDS, "only the intact chunk arrives");
         assert!(matches!(
-            src.fault(),
-            Some(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+            load(&path),
+            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
         ));
-        // Once faulted, the source stays exhausted.
-        assert!(src.next_chunk().is_empty());
+
+        // Likewise a scribbled directory entry of the last chunk.
+        let mut bytes = clean;
+        let last = *chunks.last().expect("chunks");
+        bytes[last + 4..last + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("corrupt tail");
+        assert!(matches!(load(&path), Err(CodecError::BadChunkBytes { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_count_the_file_cannot_hold_is_a_typed_error() {
+        // A header promising 2^40 records over a file of a few hundred
+        // bytes must fail typed, never abort on an allocation.
+        let mut bytes = encode(&sample(100));
+        let count = 9 + 4 + "compress".len();
+        bytes[count..count + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(
+            decode(&bytes),
+            Err(CodecError::Truncated {
+                expected: 0x100_0000_0000,
+                got: 0
+            })
+        ));
+        let dir = temp_dir("huge");
+        let path = dir.join("compress.rctrace");
+        std::fs::write(&path, &bytes).expect("plant");
+        assert!(matches!(load(&path), Err(CodecError::Truncated { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -897,37 +760,22 @@ mod tests {
         assert!(crate::faults::is_disk_full(&err));
         assert!(!path.exists());
 
-        // With the script drained the same policy saves cleanly, and a read
-        // fault mid-replay surfaces as a recorded source fault — the same
-        // degradation path a truncated entry takes.
+        // With the script drained the same policy saves cleanly. A read
+        // fault or an open fault fails the load with CodecError::Io, and the
+        // next load through the same policy returns the whole trace.
         save(&policy).expect("clean save");
-        // Open first (the header read passes), then inject: the fault lands
-        // mid-replay rather than at open time.
-        let mut src = TraceFileSource::open_with(&path, None, &policy).expect("open");
-        injector.push(ScriptedFault {
-            op: IoOp::Read,
-            kind: FaultKind::Transient,
-        });
-        let delivered = drain(&mut src).len();
-        assert!(
-            delivered < trace.len(),
-            "the injected read cut replay short"
-        );
-        assert!(
-            matches!(src.fault(), Some(CodecError::Io(e)) if crate::faults::is_transient(e)),
-            "{:?}",
-            src.fault()
-        );
-
-        // An open fault is reported as CodecError::Io.
-        injector.push(ScriptedFault {
-            op: IoOp::Open,
-            kind: FaultKind::Transient,
-        });
-        assert!(matches!(
-            TraceFileSource::open_with(&path, None, &policy),
-            Err(CodecError::Io(_))
-        ));
+        for op in [IoOp::Read, IoOp::Open] {
+            injector.push(ScriptedFault {
+                op,
+                kind: FaultKind::Transient,
+            });
+            let err = load_with(&path, &policy).unwrap_err();
+            assert!(
+                matches!(&err, CodecError::Io(e) if crate::faults::is_transient(e)),
+                "{op}: {err}"
+            );
+            assert_eq!(load_with(&path, &policy).expect("clean load"), trace);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1025,43 +873,6 @@ mod tests {
             decode(&bytes),
             Err(CodecError::BadPayload(CorruptChunk::DeltaOutOfRange))
         ));
-    }
-
-    #[test]
-    fn v3_prefix_serving_never_reads_corruption_beyond_the_prefix() {
-        let dir = temp_dir("v3prefix");
-        let path = dir.join("compress.v3.rctrace");
-        let trace = sample(2 * CHUNK_RECORDS + 100);
-        save_trace(&path, &trace).expect("save");
-
-        // Scribble over the *last* chunk's directory entry.
-        let mut bytes = std::fs::read(&path).expect("read");
-        let last = *chunk_offsets(&bytes, trace.name().len())
-            .last()
-            .expect("chunks");
-        bytes[last + 4..last + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("corrupt tail");
-
-        // A prefix covered by the intact chunks serves cleanly...
-        let n = CHUNK_RECORDS + 17;
-        let mut source = TraceFileSource::open(&path, Some(n)).expect("open prefix");
-        assert_eq!(drain(&mut source), &trace.records()[..n]);
-        assert!(source.fault().is_none(), "{:?}", source.fault());
-
-        // ...while a full-file source faults mid-stream instead of
-        // panicking, after delivering every intact chunk.
-        let mut source = TraceFileSource::open(&path, None).expect("open full");
-        assert_eq!(
-            drain(&mut source).len(),
-            2 * CHUNK_RECORDS,
-            "intact chunks arrive"
-        );
-        assert!(matches!(
-            source.fault(),
-            Some(CodecError::BadChunkBytes { .. })
-        ));
-        assert!(source.next_chunk().is_empty(), "faulted source stays dry");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

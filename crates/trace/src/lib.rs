@@ -14,14 +14,14 @@
 //! # Crate map
 //!
 //! * [`record`] — the [`InstrRecord`]/[`Op`] trace record types.
-//! * [`format`] — the [`TraceFormat`]: the one generation algorithm and
+//! * [`format`](mod@format) — the [`TraceFormat`]: the one generation algorithm and
 //!   on-disk container.
 //! * [`trace`] — the [`Trace`] container and [`TraceStats`] summary.
-//! * [`source`] — [`CHUNK_RECORDS`] and [`TraceSource`], the pull interface
-//!   of the chunked store reader.
+//! * [`source`] — [`CHUNK_RECORDS`], the on-disk chunk size, and
+//!   [`TraceSource`], a pull interface kept for the standalone benchmark.
 //! * [`codec`] — binary persistence for traces: one container of
 //!   length-prefixed, delta-compressed chunks, saved from a [`Trace`] and
-//!   decoded chunk by chunk.
+//!   loaded back whole.
 //! * [`faults`] — [`IoPolicy`]: injectable filesystem I/O with deterministic
 //!   fault injection (`RESCACHE_FAULTS`) for recovery-path testing.
 //! * [`rng`] — a small deterministic pseudo-random number generator.
@@ -78,7 +78,7 @@ pub mod workload;
 pub use address::AddressStream;
 pub use branch::BranchBehavior;
 pub use code::CodeStream;
-pub use codec::{CodecError, CorruptChunk, TraceFileSource, UnencodableRecord};
+pub use codec::{CodecError, CorruptChunk, UnencodableRecord};
 pub use faults::{
     is_disk_full, is_transient, FaultInjector, FaultKind, FaultSpec, IoOp, IoPolicy, ScriptedFault,
 };

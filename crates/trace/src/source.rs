@@ -1,12 +1,11 @@
-//! The on-disk chunk size and [`TraceSource`], the pull interface of the
-//! chunked store reader.
+//! The on-disk chunk size and [`TraceSource`], a pull interface kept only
+//! for the standalone benchmark.
 //!
 //! Records reach the execution engines as one resident slice
-//! ([`Trace::records`](crate::Trace::records)); nothing streams into an
-//! engine. The one chunked producer left is
-//! [`TraceFileSource`](crate::codec::TraceFileSource), which decodes a
-//! persisted trace-store entry chunk by chunk so its reader can copy each
-//! chunk into the entry's resident record buffer.
+//! ([`Trace::records`](crate::Trace::records)), and a persisted trace is
+//! loaded whole ([`codec::load`](crate::codec::load)); nothing streams. The
+//! one implementor left is the benchmark's
+//! [`TraceFileSource`](crate::codec::TraceFileSource) shim.
 
 use crate::record::InstrRecord;
 
@@ -17,8 +16,9 @@ use crate::record::InstrRecord;
 /// enough to stay L2-resident on any host.
 pub const CHUNK_RECORDS: usize = 8 * 1024;
 
-/// A pull-based source of trace records, delivered in program order as
-/// chunks of at most [`CHUNK_RECORDS`] records.
+/// A pull-based source of trace records, delivered in program order. Kept
+/// only because the standalone benchmark (`perfbench/src/layers.rs`) reads
+/// a store entry through it.
 pub trait TraceSource {
     /// Returns the next chunk of records, or an empty slice once the source
     /// is exhausted (and on every call after that).

@@ -23,7 +23,7 @@
 
 use std::path::PathBuf;
 
-use rescache_trace::{codec, TraceFormat, TraceGenerator, TraceSource, WorkloadRegistry};
+use rescache_trace::{codec, TraceFormat, TraceGenerator, WorkloadRegistry};
 
 /// Length of every fixture trace: 1000 records, 12 KiB before compression.
 const FIXTURE_RECORDS: usize = 1000;
@@ -129,22 +129,9 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
         );
 
         // The fixture decodes, and the header carries the right identity.
-        let mut source = codec::TraceFileSource::open(&path, None)
-            .unwrap_or_else(|e| panic!("{workload} {format}: fixture failed to open: {e}"));
-        assert_eq!(source.name(), workload);
-        let mut decoded = 0;
-        loop {
-            let chunk = source.next_chunk();
-            if chunk.is_empty() {
-                break;
-            }
-            decoded += chunk.len();
-        }
-        assert!(
-            source.fault().is_none(),
-            "{workload} {format}: fixture failed to decode: {:?}",
-            source.fault()
-        );
-        assert_eq!(decoded, FIXTURE_RECORDS);
+        let decoded = codec::load(&path)
+            .unwrap_or_else(|e| panic!("{workload} {format}: fixture failed to load: {e}"));
+        assert_eq!(decoded.name(), workload);
+        assert_eq!(decoded.len(), FIXTURE_RECORDS);
     }
 }
