@@ -1019,16 +1019,18 @@ mod tests {
     }
 
     #[test]
-    fn a_bad_entry_counts_one_regeneration_whether_its_header_or_body_is_bad() {
-        // A corrupt magic byte fails the load at the header, a cut tail
-        // fails it in the last chunk: both are the same kind of bad entry,
-        // so both count one quarantine, one regeneration and no miss.
+    fn corrupt_entries_are_quarantined_to_a_sidecar_and_counted() {
         let cfg = RunnerConfig::fast();
         for label in ["header", "body"] {
-            let (store, dir) = temp_store(&format!("count-{label}"));
+            let (store, dir) = temp_store(&format!("quarantine-{label}"));
             let (w1, m1) = store.fetch(&spec::gcc(), &cfg);
             let path = entry_path(&dir);
             let mut bytes = std::fs::read(&path).expect("read entry");
+            // A broken magic fails the load at the header; a cut mid-record
+            // fails it in the last chunk with a typed `Truncated` error,
+            // provably corrupt (a random bit-flip could land in an address
+            // field and decode as a different-but-valid record, which no
+            // reader can detect).
             if label == "header" {
                 bytes[0] ^= 0xff;
             } else {
@@ -1036,65 +1038,44 @@ mod tests {
             }
             std::fs::write(&path, &bytes).expect("corrupt entry");
 
+            // A fresh store ("new process") trips on the corruption, moves
+            // the entry aside as a `.corrupt` sidecar, counts the quarantine
+            // and the forced regeneration — the same counts wherever the
+            // entry is bad, and no miss — and re-persists a healthy entry.
             let fresh = TraceStore::with_dir(Some(dir.clone()));
-            assert_eq!(fresh.fetch(&spec::gcc(), &cfg), (w1, m1), "{label}");
+            let (w2, m2) = fresh.fetch(&spec::gcc(), &cfg);
+            assert_eq!(
+                (w1, m1),
+                (w2.clone(), m2),
+                "{label}: regeneration reproduces the trace"
+            );
+
             let health = fresh.health();
             assert_eq!(
                 (health.quarantines, health.regenerations, health.misses),
                 (1, 1, 0),
                 "{label}: {health:?}"
             );
+            assert!(!health.degraded, "corruption is not a degradation");
+
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
+                .collect();
+            names.sort();
+            assert_eq!(names.len(), 2, "sidecar + fresh entry: {names:?}");
+            assert!(names[0].ends_with(".rctrace"), "{names:?}");
+            assert!(names[1].ends_with(".corrupt"), "{names:?}");
+
+            // The sidecar sits outside the entry-name grammar: another fresh
+            // store ignores it and serves the healthy entry with no further
+            // quarantines.
+            let again = TraceStore::with_dir(Some(dir.clone()));
+            let (w3, _) = again.fetch(&spec::gcc(), &cfg);
+            assert_eq!(w3, w2);
+            assert_eq!(again.health().quarantines, 0);
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    #[test]
-    fn corrupt_entries_are_quarantined_to_a_sidecar_and_counted() {
-        let (store, dir) = temp_store("quarantine");
-        let cfg = RunnerConfig::fast();
-        let (w1, m1) = store.fetch(&spec::gcc(), &cfg);
-        let path = entry_path(&dir);
-        let mut bytes = std::fs::read(&path).expect("read entry");
-        let len = bytes.len();
-        // Truncate mid-record: a typed `Truncated` error, provably corrupt
-        // (a random bit-flip could land in an address field and decode as a
-        // different-but-valid record, which no reader can detect).
-        bytes.truncate(len - 5);
-        std::fs::write(&path, &bytes).expect("truncate entry");
-
-        // A fresh store ("new process") trips on the corruption, moves the
-        // entry aside as a `.corrupt` sidecar, counts the quarantine and
-        // the forced regeneration, and re-persists a healthy entry.
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        let (w2, m2) = fresh.fetch(&spec::gcc(), &cfg);
-        assert_eq!(
-            (w1, m1),
-            (w2.clone(), m2),
-            "regeneration reproduces the trace"
-        );
-
-        let health = fresh.health();
-        assert_eq!(health.quarantines, 1, "{health:?}");
-        assert_eq!(health.regenerations, 1, "{health:?}");
-        assert!(!health.degraded, "corruption is not a degradation");
-
-        let mut names: Vec<_> = std::fs::read_dir(&dir)
-            .expect("dir")
-            .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
-            .collect();
-        names.sort();
-        assert_eq!(names.len(), 2, "sidecar + fresh entry: {names:?}");
-        assert!(names[0].ends_with(".rctrace"), "{names:?}");
-        assert!(names[1].ends_with(".corrupt"), "{names:?}");
-
-        // The sidecar sits outside the entry-name grammar: another fresh
-        // store ignores it and serves the healthy entry with no further
-        // quarantines.
-        let again = TraceStore::with_dir(Some(dir.clone()));
-        let (w3, _) = again.fetch(&spec::gcc(), &cfg);
-        assert_eq!(w3, w2);
-        assert_eq!(again.health().quarantines, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
