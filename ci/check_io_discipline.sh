@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # I/O discipline gate: the store/codec layers must never unwrap or expect
 # an I/O result — every filesystem failure has a typed recovery path
-# (retry, quarantine, or degradation to in-memory operation). This check
+# (a failed load regenerates, a failed save degrades the store to
+# in-memory operation). This check
 # scans the non-test region of each file (everything before the first
 # `#[cfg(test)]`) for `.unwrap()` / `.expect(`; poison-recovery idioms
 # such as `.unwrap_or_else(PoisonError::into_inner)` are intentionally
@@ -14,7 +15,6 @@ status=0
 for file in \
     crates/trace/src/codec.rs \
     crates/trace/src/compress.rs \
-    crates/trace/src/faults.rs \
     crates/core/src/experiment/trace_store.rs \
     crates/core/src/experiment/shared_tier.rs \
     crates/core/src/experiment/server/mod.rs \
@@ -38,7 +38,7 @@ do
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "check_io_discipline: FAILED — route the failure through IoPolicy retry/quarantine/degradation instead" >&2
+    echo "check_io_discipline: FAILED — return a typed error and let the store regenerate or degrade instead" >&2
 else
     echo "check_io_discipline: OK"
 fi

@@ -25,7 +25,7 @@ use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
 use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
 use rescache_cpu::{CpuConfig, Simulator};
-use rescache_trace::{codec, spec, IoPolicy, TraceGenerator, WorkloadRegistry};
+use rescache_trace::{codec, spec, TraceGenerator, WorkloadRegistry};
 
 /// Timed repetitions per stage (after one untimed warm-up).
 const SAMPLES: usize = 21;
@@ -91,24 +91,17 @@ fn bench_trace_gen() -> EngineResult {
 
 /// Decoding a persisted trace from the on-disk store (the cross-process
 /// reuse path `RESCACHE_TRACE_DIR` enables): the stage times
-/// `codec::load_with`, the whole-entry load the store runs.
+/// `codec::load`, the whole-entry load the store runs.
 fn bench_trace_store_load() -> EngineResult {
     let n = 250_000;
     let dir = scratch_dir("store-load");
     std::fs::create_dir_all(&dir).expect("create bench store dir");
     let path = dir.join("gcc.rctrace");
-    let policy = IoPolicy::none();
-    codec::save_with(
-        &path,
-        &TraceGenerator::new(spec::gcc(), 7).generate(n),
-        &policy,
-    )
-    .expect("persist bench trace");
+    codec::save_trace(&path, &TraceGenerator::new(spec::gcc(), 7).generate(n))
+        .expect("persist bench trace");
     let store_bytes = std::fs::metadata(&path).expect("stat bench trace").len();
     let mut result = measure("trace_store_load", n as u64, || {
-        codec::load_with(&path, &policy)
-            .expect("load bench trace")
-            .len() as u64
+        codec::load(&path).expect("load bench trace").len() as u64
     });
     result.store_bytes = Some(store_bytes);
     // Ratio of the packed in-memory record (12 bytes) to what the entry
@@ -253,7 +246,7 @@ fn main() {
     println!();
 
     // Captured by the store-backed dynamic stage: its shared tier's
-    // recovery counters.
+    // health counters.
     let mut store_health = None;
     // Stages are pushed one at a time rather than built as one `vec![...]`
     // literal: materializing a dozen stage results as macro temporaries
@@ -283,14 +276,15 @@ fn main() {
 /// carries no serde dependency).
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/14\",\n");
-    // The dynamic stage's shared-tier recovery counters. All-zero
-    // with `"degraded": false` on a healthy machine; anything else flags a
-    // run whose numbers were taken while the store was fighting its disk.
+    out.push_str("  \"schema\": \"rescache-sim-throughput/15\",\n");
+    // The dynamic stage's shared-tier health counters. `regenerations` and
+    // `warnings` read 0 with `"degraded": false` on a healthy machine;
+    // anything else flags a run whose numbers were taken while the store
+    // was fighting its disk.
     if let Some(h) = health {
         out.push_str(&format!(
-            "  \"store_health\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \"regenerations\": {}, \"retries\": {}, \"quarantines\": {}, \"warnings\": {}, \"degraded\": {}}},\n",
-            h.hits, h.misses, h.coalesced, h.evictions, h.regenerations, h.retries, h.quarantines, h.warnings, h.degraded
+            "  \"store_health\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \"regenerations\": {}, \"warnings\": {}, \"degraded\": {}}},\n",
+            h.hits, h.misses, h.coalesced, h.evictions, h.regenerations, h.warnings, h.degraded
         ));
     }
     out.push_str(&format!(

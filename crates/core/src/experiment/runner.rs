@@ -249,8 +249,7 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner with empty trace and simulation caches over the
     /// store the [`Knobs`](crate::Knobs) configure: persisted under
-    /// `RESCACHE_TRACE_DIR` when set, faults injected under
-    /// `RESCACHE_FAULTS`, resident traces capped at
+    /// `RESCACHE_TRACE_DIR` when set, resident traces capped at
     /// [`DEFAULT_RESIDENT_CAP`](crate::experiment::DEFAULT_RESIDENT_CAP).
     /// A malformed knob panics with its typed error.
     pub fn new(config: RunnerConfig) -> Self {

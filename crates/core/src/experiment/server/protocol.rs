@@ -265,8 +265,6 @@ pub(super) fn health_line(id: &Json, health: &StoreHealth, open_connections: usi
             ("served", Json::Num(health.served as f64)),
             ("evictions", Json::Num(health.evictions as f64)),
             ("regenerations", Json::Num(health.regenerations as f64)),
-            ("retries", Json::Num(health.retries as f64)),
-            ("quarantines", Json::Num(health.quarantines as f64)),
             ("warnings", Json::Num(health.warnings as f64)),
             ("degraded", Json::Bool(health.degraded)),
             ("result_cache_hit_rate", hit_rate),

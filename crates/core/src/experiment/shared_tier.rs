@@ -1,7 +1,7 @@
 //! The shared store/memo tier: one concurrency-safe handle holding every
 //! cross-runner cache — resident generated traces and memoized static
-//! simulations — plus the fault policy, health accounting and degraded mode
-//! they all share.
+//! simulations — plus the health accounting and degraded mode they all
+//! share.
 //!
 //! This is the ROADMAP's named prereq for the sweep server: any number of
 //! [`Runner`](crate::experiment::Runner) instances (or server connections)
@@ -15,14 +15,14 @@
 //!   permanently, because the outer mutex only guards slot lookup (safe to
 //!   recover — the map's values are write-once `OnceLock`s) and a panicked
 //!   `OnceLock` initializer leaves the slot empty for the next caller.
-//! * **[`HealthCounters`] / [`StoreHealth`]** — every recovery is counted
-//!   (hits, misses, regenerations, retries, quarantines, warnings,
-//!   degraded flag), so "the store survived" is observable in
-//!   tests and in the bench JSON rather than anecdotal.
-//! * **degraded mode** — after a disk-full or unwritable-directory failure
-//!   the tier drops to in-memory-only operation ([`SharedTier::active_dir`]
-//!   returns `None`) with a one-time warning, instead of hammering a dead
-//!   disk on every request.
+//! * **[`HealthCounters`] / [`StoreHealth`]** — every landing is counted
+//!   (hits, misses, regenerations, warnings, degraded flag), so "the store
+//!   survived" is observable in tests and in the bench JSON rather than
+//!   anecdotal.
+//! * **degraded mode** — after the first failed save (or an uncreatable
+//!   store directory) the tier drops to in-memory-only operation
+//!   ([`SharedTier::active_dir`] returns `None`) with a one-time warning,
+//!   instead of hammering a dead disk on every request.
 //!
 //! Two *processes* sharing one store directory need no lock: every save
 //! writes a per-writer temp file and renames it into place, so a cold entry
@@ -108,8 +108,6 @@ pub struct HealthCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     regenerations: AtomicU64,
-    retries: AtomicU64,
-    quarantines: AtomicU64,
     warnings: AtomicU64,
     evictions: AtomicU64,
     requests: AtomicU64,
@@ -130,20 +128,11 @@ impl HealthCounters {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A generation forced by a fault (corrupt entry, failed read, crashed
-    /// sibling) rather than by a cold key.
+    /// A generation forced by an existing entry that failed to load
+    /// (unreadable, corrupt, truncated, mislabeled or of a retired format)
+    /// rather than by a cold key.
     pub fn note_regeneration(&self) {
         self.regenerations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One transient-error retry absorbed by the bounded-backoff loop.
-    pub fn note_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A corrupt entry renamed to its `.corrupt` sidecar.
-    pub fn note_quarantine(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One warning printed (warnings are also counted so tests can assert
@@ -195,8 +184,6 @@ impl HealthCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             regenerations: self.regenerations.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
             warnings: self.warnings.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
@@ -215,12 +202,9 @@ pub struct StoreHealth {
     pub hits: u64,
     /// Cold single-flight generations/simulations.
     pub misses: u64,
-    /// Generations forced by faults rather than cold keys.
+    /// Generations forced by an existing entry that failed to load rather
+    /// than by cold keys.
     pub regenerations: u64,
-    /// Transient-error retries absorbed by bounded backoff.
-    pub retries: u64,
-    /// Corrupt entries quarantined to `.corrupt` sidecars.
-    pub quarantines: u64,
     /// Warnings printed.
     pub warnings: u64,
     /// Resident full traces evicted by the resident cap.
@@ -249,7 +233,7 @@ impl StoreHealth {
 }
 
 /// The shared store/memo tier (see the module documentation). Clones share
-/// everything — maps, policy, health, degraded flag — which is what makes
+/// everything — maps, health, degraded flag — which is what makes
 /// one tier safely servable to any number of runner instances and threads.
 #[derive(Debug, Clone)]
 pub struct SharedTier {
@@ -263,7 +247,6 @@ pub struct SharedTier {
     /// [`SharedTier::resident_cap`]). Lock ordering: this mutex is always
     /// taken *before* the `traces` map mutex, never inside it.
     pub(crate) trace_lru: Arc<Mutex<TraceLru>>,
-    policy: IoPolicy,
     dir: Option<PathBuf>,
     resident_cap: usize,
     health: Arc<HealthCounters>,
@@ -285,14 +268,14 @@ impl Default for SharedTier {
 }
 
 impl SharedTier {
-    /// A tier persisting to `dir` (`None` = in-memory only) with the given
-    /// I/O policy.
-    pub fn new(dir: Option<PathBuf>, policy: IoPolicy) -> Self {
+    /// A tier persisting to `dir` (`None` = in-memory only). The policy is
+    /// ignored: [`IoPolicy`] has only [`IoPolicy::none`], and the parameter
+    /// stays because the standalone benchmark builds its tier with it.
+    pub fn new(dir: Option<PathBuf>, _policy: IoPolicy) -> Self {
         Self {
             traces: Memo::default(),
             sims: Memo::default(),
             trace_lru: Arc::default(),
-            policy,
             dir,
             resident_cap: DEFAULT_RESIDENT_CAP,
             health: Arc::default(),
@@ -312,11 +295,6 @@ impl SharedTier {
     /// request re-reads from disk or regenerates, exactly like a cold key.
     pub fn resident_cap(&self) -> usize {
         self.resident_cap
-    }
-
-    /// The I/O policy every store/codec filesystem operation goes through.
-    pub fn policy(&self) -> &IoPolicy {
-        &self.policy
     }
 
     /// The configured persistence directory, degraded or not.
@@ -435,19 +413,13 @@ mod tests {
         h.note_hit();
         h.note_miss();
         h.note_regeneration();
-        h.note_retry();
-        h.note_quarantine();
         assert!(tier.active_dir().is_some());
 
         // Degrading latches, warns exactly once, and disables the dir.
-        tier.degrade("test disk-full");
+        tier.degrade("test save failure");
         tier.degrade("second call must be silent");
         let snap = tier.health_snapshot();
-        assert_eq!(
-            (snap.hits, snap.misses, snap.regenerations, snap.retries),
-            (2, 1, 1, 1)
-        );
-        assert_eq!(snap.quarantines, 1);
+        assert_eq!((snap.hits, snap.misses, snap.regenerations), (2, 1, 1));
         assert_eq!(snap.warnings, 1, "one-time warning");
         assert!(snap.degraded);
         assert!(tier.active_dir().is_none(), "degraded mode disables disk");

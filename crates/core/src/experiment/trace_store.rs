@@ -13,36 +13,30 @@
 //!
 //! There is one way to get records: [`TraceStore::fetch`] materializes (and
 //! memoizes) the full trace — loading a persisted entry whole with
-//! [`codec::load_with`], or generating the trace and persisting it — and
-//! every static or dynamic run replays that resident buffer's record slice.
-//! A persisted entry is loaded once per process, not once per run.
+//! [`codec::load`], or generating the trace and persisting it — and every
+//! static or dynamic run replays that resident buffer's record slice. A
+//! persisted entry is loaded once per process, not once per run.
 //!
 //! Entries, resident and persisted, are keyed by *total* length and served
 //! only for that exact key: two warm/measure splits of the same total share
 //! one entry, while a request for a different total gets its own. Disk
-//! entries are advisory, with typed recovery (all of it exercised
-//! deterministically via the [`rescache_trace::IoPolicy`] fault seam and
-//! accounted in [`StoreHealth`]):
+//! entries are advisory, with one failure rule each way (counted in
+//! [`StoreHealth`]):
 //!
-//! * a **missing** entry generates silently (a miss);
-//! * every other failed load of an existing entry is a *regeneration*. The
-//!   load has one error channel, [`codec::CodecError`], and one bounded
-//!   retry with backoff around the whole load, so a transient fault (see
-//!   [`rescache_trace::is_transient`]) at open or mid-read reloads the
-//!   entry. An **I/O** error never quarantines: nothing proves the file is
-//!   bad;
-//! * a **corrupt, truncated, mislabeled or retired-format** entry is also
-//!   *quarantined* — renamed to a `.corrupt` sidecar — so repeated
-//!   corruption is diagnosable on disk instead of silently churned;
-//! * a **disk-full or unwritable** directory latches the whole store into
-//!   in-memory-only degraded mode with a one-time warning (see
+//! * **load** — a *missing* entry generates silently (a miss). An existing
+//!   entry that fails to load for any reason — an I/O error, or a corrupt,
+//!   truncated, mislabeled or retired-format file — is one *regeneration*
+//!   with one warning naming the path and the error. The regeneration's
+//!   atomic save then replaces the bad file;
+//! * **save** — a failed directory creation or save latches the whole store
+//!   into in-memory-only degraded mode with a one-time warning (see
 //!   [`SharedTier::degrade`]); generation proceeds, persistence stops.
 //!
-//! The memo maps, fault policy and health counters all live in the
+//! The memo maps, health counters and degraded flag all live in the
 //! [`SharedTier`] the store wraps, so any number of runners and threads
-//! share one coherent cache-and-recovery state. Single flight is per
-//! process; writers in different processes need no lock, because every save
-//! writes a per-writer temp file and renames it into place.
+//! share one coherent cache state. Single flight is per process; writers in
+//! different processes need no lock, because every save writes a per-writer
+//! temp file and renames it into place.
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -71,7 +65,7 @@ pub(crate) type StoreKey = (&'static str, u64, u64, usize);
 const ENTRY_SUFFIX: &str = TraceFormat::V3.file_suffix();
 
 /// The store of generated traces (see the module documentation): a view
-/// over the [`SharedTier`] that holds the actual maps, policy and health.
+/// over the [`SharedTier`] that holds the actual maps and health.
 ///
 /// Clones share the tier, which is what lets the parallel sweeps fan out
 /// over applications without regenerating per-worker state.
@@ -82,14 +76,14 @@ pub struct TraceStore {
 
 impl TraceStore {
     /// Creates a store with an explicit persistence directory (`None` =
-    /// in-memory only) and no fault injection.
+    /// in-memory only).
     pub fn with_dir(dir: Option<PathBuf>) -> Self {
         Self::with_tier(SharedTier::new(dir, IoPolicy::none()))
     }
 
     /// Creates a store over an explicit shared tier — how multiple runners
-    /// (or server connections) share one set of memos, one fault policy and
-    /// one health block.
+    /// (or server connections) share one set of memos and one health
+    /// block.
     pub fn with_tier(tier: SharedTier) -> Self {
         Self { tier }
     }
@@ -217,48 +211,29 @@ impl TraceStore {
             let Some((victim_key, _)) = victim else {
                 break;
             };
+            // A stamp goes only with its evicted slot, so stamps never
+            // outnumber slots.
             self.tier.traces.remove(&victim_key);
             lru.last_use.remove(&victim_key);
             self.tier.health().note_eviction();
-        }
-        // Stamps for keys no longer resident (evicted above, or removed by
-        // other paths) must not accrete either.
-        let resident_keys: Vec<StoreKey> = self
-            .tier
-            .traces
-            .with_map(|map| map.keys().copied().collect());
-        if lru.last_use.len() > resident_keys.len() {
-            let keep: std::collections::HashSet<StoreKey> = resident_keys.into_iter().collect();
-            lru.last_use.retain(|k, _| keep.contains(k));
         }
     }
 
     /// Loads `key`'s persisted entry whole and counts how the request
     /// lands: a served entry is a hit; no entry (no usable directory, or no
-    /// file) is a miss; an entry that exists but cannot be served is a
-    /// regeneration. One bounded retry covers the whole load, so a transient
-    /// fault at open or mid-read reloads the entry from the start. A codec
-    /// content error (corrupt, truncated or retired-format), or a header
-    /// whose application name or record count disagrees with the *file
-    /// name* (a foreign, stale or hash-colliding file), also quarantines the
-    /// entry; an I/O error cannot prove the file bad, so it never does.
+    /// file) is a miss. An entry that exists but fails to load for any
+    /// reason — an I/O error, a codec content error (corrupt, truncated or
+    /// retired-format), or a header whose application name or record count
+    /// disagrees with the *file name* (a foreign, stale or hash-colliding
+    /// file) — is one regeneration with one warning; the regeneration's save
+    /// replaces the file.
     fn load_entry(&self, app: &AppProfile, key: &StoreKey) -> Option<Trace> {
         let health = self.tier.health();
         let Some(path) = self.entry_path(key) else {
             health.note_miss();
             return None;
         };
-        let policy = self.tier.policy();
-        let loaded = policy
-            .retrying(
-                || health.note_retry(),
-                || match codec::load_with(&path, policy) {
-                    Err(CodecError::Io(e)) => Err(e),
-                    typed => Ok(typed),
-                },
-            )
-            .unwrap_or_else(|e| Err(CodecError::Io(e)));
-        let quarantine = match loaded {
+        let why = match codec::load(&path) {
             Ok(trace) if trace.name() == app.name && trace.len() == key.3 => {
                 health.note_hit();
                 return Some(trace);
@@ -269,116 +244,22 @@ impl TraceStore {
                 health.note_miss();
                 return None;
             }
-            Err(CodecError::Io(e)) => {
-                eprintln!(
-                    "rescache: trace store entry {} unreadable ({e}); regenerating without it",
-                    path.display()
-                );
-                false
-            }
-            Ok(trace) => {
-                eprintln!(
-                    "rescache: trace store entry {} is for {}/{} records, expected {}/{}; quarantining",
-                    path.display(),
-                    trace.name(),
-                    trace.len(),
-                    app.name,
-                    key.3,
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!(
-                    "rescache: trace store entry {} unreadable ({e}); quarantining",
-                    path.display()
-                );
-                true
-            }
+            Ok(trace) => format!(
+                "it holds {}/{} records, expected {}/{}",
+                trace.name(),
+                trace.len(),
+                app.name,
+                key.3
+            ),
+            Err(e) => e.to_string(),
         };
-        if quarantine {
-            // Keep the evidence as a `.corrupt` sidecar; the entry's path is
-            // free for a fresh persist.
-            self.quarantine_entry(&path);
-        }
+        health.note_warning();
+        eprintln!(
+            "rescache: trace store entry {} unusable ({why}); regenerating it",
+            path.display()
+        );
         health.note_regeneration();
         None
-    }
-
-    /// Renames a provably-bad entry to its `.corrupt` sidecar (so repeated
-    /// corruption is diagnosable on disk) and counts the quarantine. If even
-    /// the rename fails, the entry is removed instead — the store must never
-    /// keep re-reading a corrupt file. The sidecar name is outside the
-    /// store's entry-name grammar, so the store never opens it.
-    fn quarantine_entry(&self, path: &Path) {
-        let mut sidecar = path.as_os_str().to_os_string();
-        sidecar.push(".corrupt");
-        let sidecar = PathBuf::from(sidecar);
-        let policy = self.tier.policy();
-        let renamed = policy.retrying(
-            || self.tier.health().note_retry(),
-            || policy.rename(path, &sidecar),
-        );
-        match renamed {
-            Ok(()) => self.tier.health().note_quarantine(),
-            Err(rename_err) => {
-                let removed = policy.retrying(
-                    || self.tier.health().note_retry(),
-                    || policy.remove_file(path),
-                );
-                match removed {
-                    Ok(()) => self.tier.health().note_quarantine(),
-                    Err(remove_err) => eprintln!(
-                        "rescache: could not quarantine {} (rename: {rename_err}; remove: {remove_err}); leaving in place",
-                        path.display()
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Probes (and creates) the store directory. A failure here — after the
-    /// transient retries — means the directory cannot be written at all
-    /// (occupied by a file, permission-denied, read-only filesystem), which
-    /// latches degraded mode directly. Returns whether the directory is
-    /// unusable.
-    fn dir_unusable(&self, dir: &Path) -> bool {
-        let policy = self.tier.policy();
-        let created = policy.retrying(
-            || self.tier.health().note_retry(),
-            || policy.create_dir_all(dir),
-        );
-        match created {
-            Ok(()) => false,
-            Err(e) => {
-                self.tier
-                    .degrade(&format!("store directory {} unusable: {e}", dir.display()));
-                true
-            }
-        }
-    }
-
-    /// Classifies one persist failure: disk-full and unwritable-directory
-    /// conditions latch store-wide degraded mode (with its one-time
-    /// warning); anything else — e.g. exhausted transient retries — skips
-    /// only this persist, with a per-site note.
-    fn note_persist_failure(&self, path: &Path, e: &std::io::Error) {
-        let fatal = rescache_trace::is_disk_full(e)
-            || matches!(
-                e.kind(),
-                ErrorKind::PermissionDenied
-                    | ErrorKind::NotADirectory
-                    | ErrorKind::ReadOnlyFilesystem
-            );
-        if fatal {
-            self.tier
-                .degrade(&format!("could not persist to {}: {e}", path.display()));
-        } else {
-            self.tier.health().note_warning();
-            eprintln!(
-                "rescache: could not persist trace to {} ({e}); keeping it in memory only",
-                path.display()
-            );
-        }
     }
 
     /// Loads the keyed full trace from disk if possible, otherwise generates
@@ -395,26 +276,21 @@ impl TraceStore {
         full
     }
 
-    /// The store's one persist routine: probes the store directory, then
-    /// saves `trace` (bounded transient retry) and classifies a failure.
+    /// The store's one persist routine: creates the store directory and
+    /// saves `trace`. Either failing latches degraded mode, with its
+    /// one-time warning.
     ///
     /// No lock is taken: the codec writes a per-writer temp file and renames
     /// it into place, so two writers of one entry (two processes sharing the
     /// directory) each commit a whole file and neither exposes a torn one.
     fn persist(&self, path: &Path, trace: &Trace) {
-        if let Some(parent) = path.parent() {
-            if self.dir_unusable(parent) {
-                // Degraded mode just latched, with its one-time warning.
-                return;
-            }
-        }
-        let policy = self.tier.policy();
-        let saved = policy.retrying(
-            || self.tier.health().note_retry(),
-            || codec::save_with(path, trace, policy),
-        );
+        let saved = path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| codec::save_trace(path, trace));
         if let Err(e) = saved {
-            self.note_persist_failure(path, &e);
+            self.tier
+                .degrade(&format!("could not persist to {}: {e}", path.display()));
         }
     }
 
@@ -439,8 +315,7 @@ mod tests {
     use super::*;
     use rescache_cache::{HierarchyConfig, MemoryHierarchy};
     use rescache_cpu::{CpuConfig, NoopHook, Simulator};
-    use rescache_trace::{spec, FaultInjector, FaultKind, IoOp, ScriptedFault};
-    use std::sync::Arc;
+    use rescache_trace::spec;
 
     fn temp_store(tag: &str) -> (TraceStore, PathBuf) {
         let dir = std::env::temp_dir().join(format!("rescache-store-{tag}-{}", std::process::id()));
@@ -585,10 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn entry_whose_header_disagrees_with_its_name_is_quarantined() {
+    fn entry_whose_header_disagrees_with_its_name_regenerates() {
         // A file whose header promises more records than its *name* claims
         // is foreign or stale: serving any of it would silently diverge.
-        // The store must quarantine it and regenerate instead.
+        // The store must regenerate instead.
         let (_, dir) = temp_store("mislabel");
         std::fs::create_dir_all(&dir).expect("create dir");
         let cfg = RunnerConfig::fast();
@@ -620,20 +495,14 @@ mod tests {
         // A mislabeled entry is a bad entry like any other: one
         // regeneration, not a miss.
         let health = fresh.health();
-        assert_eq!(
-            (health.quarantines, health.regenerations, health.misses),
-            (1, 1, 0),
-            "{health:?}"
-        );
-        let mut sidecar = dir.join(&short_name).into_os_string();
-        sidecar.push(".corrupt");
-        assert!(PathBuf::from(sidecar).exists(), "no .corrupt sidecar");
+        assert_eq!((health.regenerations, health.misses), (1, 0), "{health:?}");
 
-        // The fresh entry is honest: another store serves it from disk.
+        // The regeneration replaced the entry: another store serves it from
+        // disk.
         let again = TraceStore::with_dir(Some(dir.clone()));
         let (w, m) = again.fetch(&spec::gcc(), &short);
         assert_eq!([w.records(), m.records()].concat(), expected.records());
-        assert_eq!((again.health().hits, again.health().quarantines), (1, 0));
+        assert_eq!((again.health().hits, again.health().misses), (1, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -708,8 +577,8 @@ mod tests {
         // Plant each retired layout at a v3 entry's exact path (a store
         // written by an older build): `RCTRACE1`/`RCTRACE2` headers (no
         // flags byte, raw 12-byte records) and an `RCTRACE3` header with the
-        // raw layout's flags 0. Each is rejected typed, quarantined to a
-        // `.corrupt` sidecar, and the request regenerates the honest bits.
+        // raw layout's flags 0. Each is rejected typed, the request
+        // regenerates the honest bits, and their save replaces the file.
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let app = spec::m88ksim();
@@ -726,8 +595,6 @@ mod tests {
         };
         let (_, dir) = temp_store("mixed");
         let path = dir.join(TraceStore::file_name(&TraceStore::store_key(&app, &cfg)));
-        let mut sidecar = path.clone().into_os_string();
-        sidecar.push(".corrupt");
         for (label, bytes) in [
             ("v1", old_entry(b"RCTRACE1", None)),
             ("v2", old_entry(b"RCTRACE2", None)),
@@ -751,11 +618,8 @@ mod tests {
                 expected.records(),
                 "{label}"
             );
-            assert_eq!(fresh.health().quarantines, 1, "{label}");
-            assert!(
-                PathBuf::from(&sidecar).exists(),
-                "{label}: no .corrupt sidecar"
-            );
+            assert_eq!(fresh.health().regenerations, 1, "{label}");
+            assert_eq!(codec::load(&path).expect("replaced entry"), expected);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -806,110 +670,21 @@ mod tests {
         std::fs::remove_file(&dir).ok();
     }
 
-    /// Builds a store whose tier routes all I/O through `injector`.
-    fn injected_store(tag: &str, injector: Arc<FaultInjector>) -> (TraceStore, PathBuf) {
-        let dir =
-            std::env::temp_dir().join(format!("rescache-store-fault-{tag}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let tier = SharedTier::new(Some(dir.clone()), IoPolicy::with_injector(injector));
-        (TraceStore::with_tier(tier), dir)
-    }
-
-    #[test]
-    fn disk_full_mid_run_degrades_to_memory_with_one_warning() {
-        // The first persist write hits an injected disk-full error mid-run:
-        // the store must latch in-memory-only mode (one warning), keep
-        // serving bit-exact records, and stop touching the directory.
-        let injector = Arc::new(FaultInjector::scripted([ScriptedFault {
-            op: IoOp::Write,
-            kind: FaultKind::DiskFull,
-        }]));
-        let (store, dir) = injected_store("full", injector);
-        let cfg = RunnerConfig::fast();
-        let total = cfg.warmup_instructions + cfg.measure_instructions;
-        let reference = TraceGenerator::new(spec::vpr(), cfg.trace_seed).generate(total);
-
-        assert_eq!(
-            store.fetch_full(&spec::vpr(), &cfg).records(),
-            reference.records()
-        );
-
-        let health = store.health();
-        assert!(health.degraded, "disk-full must latch degraded: {health:?}");
-        assert_eq!(health.warnings, 1, "{health:?}");
-
-        // Degraded mode: the trace stays resident, a new key generates in
-        // memory without touching the directory, no new warnings, and the
-        // directory holds no committed entries (the aborted temp file was
-        // cleaned up).
-        assert_eq!(
-            store.fetch_full(&spec::vpr(), &cfg).records(),
-            reference.records()
-        );
-        assert_eq!(store.fetch_full(&spec::ammp(), &cfg).len(), total);
-        assert_eq!(store.health().warnings, 1, "warning fires exactly once");
-        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn exhausted_transient_write_faults_skip_one_persist_without_degrading() {
-        // Every attempt of the first persist fails with a transient error:
-        // the bounded retry runs out, that one persist is skipped with a
-        // per-site warning, but the store stays on disk — a different key
-        // persists fine afterwards.
-        let fault = ScriptedFault {
-            op: IoOp::Write,
-            kind: FaultKind::Transient,
-        };
-        let injector = Arc::new(FaultInjector::scripted(
-            [fault; IoPolicy::ATTEMPTS as usize],
-        ));
-        let (store, dir) = injected_store("transient", injector.clone());
-        let cfg = RunnerConfig::fast();
-        let total = cfg.warmup_instructions + cfg.measure_instructions;
-
-        assert_eq!(store.fetch_full(&spec::vpr(), &cfg).len(), total);
-        assert_eq!(injector.pending_script(), 0, "all three attempts faulted");
-
-        let health = store.health();
-        assert!(
-            !health.degraded,
-            "transient faults must not latch: {health:?}"
-        );
-        assert_eq!(health.warnings, 1, "{health:?}");
-        assert!(health.retries >= 2, "{health:?}");
-
-        // The directory is still live: the next key persists, and a fresh
-        // store serves it from disk.
-        assert_eq!(store.fetch_full(&spec::ammp(), &cfg).len(), total);
-        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 1);
-        assert!(!store.health().degraded);
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
-        assert_eq!(fresh.fetch_full(&spec::ammp(), &cfg).len(), total);
-        assert_eq!((fresh.health().hits, fresh.health().misses), (1, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// One fault in a fresh store's load of a persisted entry.
+    /// How a fresh store's load of a persisted entry fails.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum LoadFault {
-        /// A transient error at open: the load is retried.
-        TransientOpen,
-        /// A transient read error: the load is retried, the entry presumed
-        /// fine.
-        Transient,
-        /// A persistent (permission-denied) read error: regenerated, but an
-        /// I/O error proves nothing about the file, so no quarantine.
-        Permission,
+        /// A directory sits at the entry's path: opening it succeeds, the
+        /// first read fails with a real I/O error, and the save that would
+        /// replace it fails too.
+        Unreadable,
         /// Corrupt bytes in the second chunk's header: a codec content
-        /// error, quarantined and regenerated.
+        /// error, replaced by the regeneration's save.
         Corrupt,
     }
 
     /// Persists an `m88ksim` entry, then fetches it through a second store
     /// whose load meets `fault`, and checks the health counters against the
-    /// fault model. Every consumer of the store's trace must see the clean
+    /// failure rule. Every consumer of the store's trace must see the clean
     /// bits: the fetched records equal `clean`, and `simulate` over them
     /// equals `clean_sim`.
     fn assert_load_recovery<T: PartialEq + std::fmt::Debug>(
@@ -920,74 +695,58 @@ mod tests {
     ) {
         use std::io::{Seek, SeekFrom, Write};
         let label = format!("{fault:?}").to_lowercase();
-        let injector = Arc::new(FaultInjector::default());
-        let (writer, dir) = injected_store(&format!("load-{label}"), injector.clone());
+        let (writer, dir) = temp_store(&format!("load-{label}"));
         let (app, cfg) = (spec::m88ksim(), RunnerConfig::fast());
         writer.fetch(&app, &cfg);
         let path = entry_path(&dir);
-        let mut sidecar = path.clone().into_os_string();
-        sidecar.push(".corrupt");
-        // The second chunk's header sits past the first chunk's payload.
-        let bytes = std::fs::read(&path).expect("read entry");
-        let first_chunk = 9 + 4 + app.name.len() + 8;
-        let first_len = u32::from_le_bytes(
-            bytes[first_chunk + 4..first_chunk + 8]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        let second_chunk = (first_chunk + 8) as u64 + u64::from(first_len);
-
-        let scripted = match fault {
-            LoadFault::TransientOpen => Some((IoOp::Open, FaultKind::Transient)),
-            LoadFault::Transient => Some((IoOp::Read, FaultKind::Transient)),
-            LoadFault::Permission => Some((IoOp::Read, FaultKind::PermissionDenied)),
+        match fault {
+            LoadFault::Unreadable => {
+                std::fs::remove_file(&path).expect("remove entry");
+                std::fs::create_dir(&path).expect("directory at the entry path");
+            }
             LoadFault::Corrupt => {
+                // The second chunk's header sits past the first chunk's
+                // payload.
+                let bytes = std::fs::read(&path).expect("read entry");
+                let first_chunk = 9 + 4 + app.name.len() + 8;
+                let first_len = u32::from_le_bytes(
+                    bytes[first_chunk + 4..first_chunk + 8]
+                        .try_into()
+                        .expect("4 bytes"),
+                );
+                let second_chunk = (first_chunk + 8) as u64 + u64::from(first_len);
                 let mut file = std::fs::OpenOptions::new()
                     .write(true)
                     .open(&path)
                     .expect("open entry for writing");
                 file.seek(SeekFrom::Start(second_chunk + 4)).expect("seek");
                 file.write_all(&u32::MAX.to_le_bytes()).expect("corrupt");
-                None
             }
-        };
-        if let Some((op, kind)) = scripted {
-            injector.push(ScriptedFault { op, kind });
         }
 
-        // A second store over the same directory and injector: nothing of
-        // the entry is resident there.
-        let store = TraceStore::with_tier(SharedTier::new(
-            Some(dir.clone()),
-            IoPolicy::with_injector(injector.clone()),
-        ));
+        // A second store over the same directory: nothing of the entry is
+        // resident there.
+        let store = TraceStore::with_dir(Some(dir.clone()));
         let served = store.fetch_full(&app, &cfg);
-        assert_eq!(injector.pending_script(), 0, "{label}: the fault fired");
         assert_eq!(served.records(), clean.records(), "{label}: fetched");
         assert_eq!(&simulate(&served), clean_sim, "{label}: simulated");
 
+        // One regeneration either way. The corrupt file is replaced by the
+        // regeneration's save; nothing can replace a directory, so that save
+        // fails and latches degraded mode with its one-time warning.
         let health = store.health();
-        let counts = (
-            health.retries,
-            health.quarantines,
-            health.regenerations,
-            health.hits,
-            health.misses,
-        );
-        let expected = match fault {
-            LoadFault::TransientOpen | LoadFault::Transient => (1, 0, 0, 1, 0),
-            LoadFault::Permission => (0, 0, 1, 0, 0),
-            LoadFault::Corrupt => (0, 1, 1, 0, 0),
-        };
+        let unreadable = fault == LoadFault::Unreadable;
         assert_eq!(
-            counts, expected,
-            "{label}: (retries, quarantines, regenerations, hits, misses)"
+            (health.regenerations, health.hits, health.misses),
+            (1, 0, 0),
+            "{label}: {health:?}"
         );
-        assert_eq!(
-            PathBuf::from(sidecar).exists(),
-            fault == LoadFault::Corrupt,
-            "{label}: only content errors move the entry aside"
-        );
+        assert_eq!(health.degraded, unreadable, "{label}: {health:?}");
+        let warnings = if unreadable { 2 } else { 1 };
+        assert_eq!(health.warnings, warnings, "{label}: {health:?}");
+        if !unreadable {
+            assert_eq!(codec::load(&path).expect("replaced entry"), *clean);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1008,40 +767,36 @@ mod tests {
             (result, hierarchy.snapshot())
         };
         let clean_sim = simulate(&expected);
-        for fault in [
-            LoadFault::TransientOpen,
-            LoadFault::Transient,
-            LoadFault::Permission,
-            LoadFault::Corrupt,
-        ] {
+        for fault in [LoadFault::Unreadable, LoadFault::Corrupt] {
             assert_load_recovery(fault, &expected, simulate, &clean_sim);
         }
     }
 
     #[test]
-    fn corrupt_entries_are_quarantined_to_a_sidecar_and_counted() {
+    fn corrupt_entries_are_regenerated_once_and_replaced() {
+        // A broken magic fails the load at the header; a cut mid-record
+        // fails it in the last chunk with a typed `Truncated` error,
+        // provably corrupt (a random bit-flip could land in an address
+        // field and decode as a different-but-valid record, which no
+        // reader can detect); two whole images back to back would decode
+        // as the first, but the file is not that trace.
         let cfg = RunnerConfig::fast();
-        for label in ["header", "body"] {
-            let (store, dir) = temp_store(&format!("quarantine-{label}"));
+        for label in ["header", "body", "doubled"] {
+            let (store, dir) = temp_store(&format!("bad-{label}"));
             let (w1, m1) = store.fetch(&spec::gcc(), &cfg);
             let path = entry_path(&dir);
-            let mut bytes = std::fs::read(&path).expect("read entry");
-            // A broken magic fails the load at the header; a cut mid-record
-            // fails it in the last chunk with a typed `Truncated` error,
-            // provably corrupt (a random bit-flip could land in an address
-            // field and decode as a different-but-valid record, which no
-            // reader can detect).
-            if label == "header" {
-                bytes[0] ^= 0xff;
-            } else {
-                bytes.truncate(bytes.len() - 5);
+            let clean = std::fs::read(&path).expect("read entry");
+            let mut bytes = clean.clone();
+            match label {
+                "header" => bytes[0] ^= 0xff,
+                "body" => bytes.truncate(bytes.len() - 5),
+                _ => bytes.extend_from_within(..),
             }
-            std::fs::write(&path, &bytes).expect("corrupt entry");
+            std::fs::write(&path, &bytes).expect("damage entry");
 
-            // A fresh store ("new process") trips on the corruption, moves
-            // the entry aside as a `.corrupt` sidecar, counts the quarantine
-            // and the forced regeneration — the same counts wherever the
-            // entry is bad, and no miss — and re-persists a healthy entry.
+            // A fresh store ("new process") counts one regeneration, no
+            // hit and no miss, and its save replaces the entry with the
+            // clean image.
             let fresh = TraceStore::with_dir(Some(dir.clone()));
             let (w2, m2) = fresh.fetch(&spec::gcc(), &cfg);
             assert_eq!(
@@ -1049,31 +804,28 @@ mod tests {
                 (w2.clone(), m2),
                 "{label}: regeneration reproduces the trace"
             );
-
             let health = fresh.health();
             assert_eq!(
-                (health.quarantines, health.regenerations, health.misses),
-                (1, 1, 0),
+                (health.regenerations, health.hits, health.misses),
+                (1, 0, 0),
                 "{label}: {health:?}"
             );
-            assert!(!health.degraded, "corruption is not a degradation");
+            assert!(!health.degraded, "{label}: corruption is not a degradation");
+            assert_eq!(
+                std::fs::read(entry_path(&dir)).expect("reread entry"),
+                clean,
+                "{label}: the entry is replaced by a clean file"
+            );
 
-            let mut names: Vec<_> = std::fs::read_dir(&dir)
-                .expect("dir")
-                .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
-                .collect();
-            names.sort();
-            assert_eq!(names.len(), 2, "sidecar + fresh entry: {names:?}");
-            assert!(names[0].ends_with(".rctrace"), "{names:?}");
-            assert!(names[1].ends_with(".corrupt"), "{names:?}");
-
-            // The sidecar sits outside the entry-name grammar: another fresh
-            // store ignores it and serves the healthy entry with no further
-            // quarantines.
+            // Another fresh store serves the replaced entry from disk.
             let again = TraceStore::with_dir(Some(dir.clone()));
             let (w3, _) = again.fetch(&spec::gcc(), &cfg);
             assert_eq!(w3, w2);
-            assert_eq!(again.health().quarantines, 0);
+            assert_eq!(
+                (again.health().hits, again.health().regenerations),
+                (1, 0),
+                "{label}"
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -4,8 +4,8 @@
 //! Parsing is pure — [`Knobs::parse`] takes a lookup function, so tests
 //! never touch the process environment — and [`Knobs::resolved`] applies it
 //! to the real environment once per process. A malformed value (not an
-//! unsigned integer, `0` where only a positive count makes sense, a fault
-//! spec [`FaultSpec::parse`] rejects, or a set-but-empty value) is a [`CoreError::InvalidParameter`] naming the
+//! unsigned integer, `0` where only a positive count makes sense, or a
+//! set-but-empty value) is a [`CoreError::InvalidParameter`] naming the
 //! variable; nothing is silently defaulted.
 //!
 //! Entry points that can report errors (the figure benches, the `serve`
@@ -17,9 +17,9 @@
 
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use rescache_trace::{FaultInjector, FaultSpec, IoPolicy};
+use rescache_trace::IoPolicy;
 
 use crate::error::CoreError;
 use crate::experiment::server::DEFAULT_ADDR;
@@ -44,8 +44,6 @@ pub struct Knobs {
     /// `RESCACHE_TRACE_DIR`: persistent trace-store directory (in-memory
     /// only when unset).
     pub trace_dir: Option<PathBuf>,
-    /// `RESCACHE_FAULTS`: seeded fault-injection spec for store I/O.
-    pub faults: Option<FaultSpec>,
     /// `RESCACHE_SERVE_ADDR`: the sweep service's bind address.
     pub serve_addr: String,
     /// `RESCACHE_SERVE_QUOTA`: requests per connection (`0` = unlimited).
@@ -69,7 +67,6 @@ impl Knobs {
             interval: vars.positive("RESCACHE_INTERVAL")?,
             threads: vars.positive("RESCACHE_THREADS")?,
             trace_dir: vars.value("RESCACHE_TRACE_DIR")?.map(PathBuf::from),
-            faults: vars.get("RESCACHE_FAULTS", FaultSpec::parse)?,
             serve_addr: vars
                 .value("RESCACHE_SERVE_ADDR")?
                 .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
@@ -107,15 +104,9 @@ impl Knobs {
     }
 
     /// The shared tier the knobs configure: persistence under the trace
-    /// directory and a seeded injector for a non-quiet fault spec.
+    /// directory.
     pub(crate) fn shared_tier(&self) -> SharedTier {
-        let policy = match self.faults {
-            Some(spec) if !spec.is_quiet() => {
-                IoPolicy::with_injector(Arc::new(FaultInjector::seeded(spec)))
-            }
-            _ => IoPolicy::none(),
-        };
-        SharedTier::new(self.trace_dir.clone(), policy)
+        SharedTier::new(self.trace_dir.clone(), IoPolicy::none())
     }
 }
 
@@ -151,23 +142,13 @@ impl<F: Fn(&str) -> Option<String>> Vars<F> {
         }
     }
 
-    /// The value converted by `convert`, whose error text becomes the
-    /// detail of the typed error.
-    fn get<T>(
-        &self,
-        name: &'static str,
-        convert: impl FnOnce(&str) -> Result<T, String>,
-    ) -> Result<Option<T>, CoreError> {
-        self.value(name)?
-            .map(|v| convert(&v).map_err(|detail| invalid(name, detail)))
-            .transpose()
-    }
-
     fn number<T: FromStr>(&self, name: &'static str) -> Result<Option<T>, CoreError> {
-        self.get(name, |v| {
-            v.parse()
-                .map_err(|_| format!("{v:?} is not an unsigned integer"))
-        })
+        self.value(name)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| invalid(name, format!("{v:?} is not an unsigned integer")))
+            })
+            .transpose()
     }
 
     fn positive<T: FromStr + PartialEq + From<u8>>(
@@ -202,19 +183,17 @@ mod tests {
             interval: None,
             threads: None,
             trace_dir: None,
-            faults: None,
             serve_addr: DEFAULT_ADDR.to_string(),
             serve_quota: 0,
         };
         assert_eq!(parse(&[]), Ok(unset.clone()));
-        let faults = FaultSpec::parse("seed=17,read=0.01").expect("valid spec");
         let with = |set: &dyn Fn(&mut Knobs)| {
             let mut knobs = unset.clone();
             set(&mut knobs);
             knobs
         };
         // (variable, valid setting, what it parses to, malformed settings)
-        let table: [(&str, &str, Knobs, &[&str]); 9] = [
+        let table: [(&str, &str, Knobs, &[&str]); 8] = [
             (
                 "RESCACHE_WARMUP",
                 "5000",
@@ -250,12 +229,6 @@ mod tests {
                 "/var/cache/rescache",
                 with(&|k| k.trace_dir = Some("/var/cache/rescache".into())),
                 &["", " ", "/var/\u{FFFD}"],
-            ),
-            (
-                "RESCACHE_FAULTS",
-                "seed=17,read=0.01",
-                with(&|k| k.faults = Some(faults)),
-                &["", "read=2", "bogus=0.1", "read"],
             ),
             (
                 "RESCACHE_SERVE_ADDR",

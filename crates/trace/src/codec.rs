@@ -25,26 +25,26 @@
 //! rather than an aborted sweep. A file of a retired format (`RCTRACE1`,
 //! `RCTRACE2`) or an unknown one is [`CodecError::UnsupportedVersion`]; a
 //! header with any other flags byte (including the retired raw layout's `0`)
-//! is [`CodecError::UnsupportedFlags`].
+//! is [`CodecError::UnsupportedFlags`]. A file that goes on after its last
+//! promised chunk is [`CodecError::TrailingBytes`].
 //!
-//! There is one save and one load, both routing every filesystem operation
-//! through an [`IoPolicy`]: [`save_with`] writes a resident [`Trace`] to a
-//! file atomically, framing its records into [`CHUNK_RECORDS`]-record
-//! chunks, and [`load_with`] reads a file back whole, decoding each chunk
-//! straight into its slot of one record buffer. [`save_trace`] and [`load`]
-//! are the unpoliced wrappers. A load either returns the whole trace or a
-//! [`CodecError`]; there is no partial result to check afterwards.
+//! There is one save and one load: [`save_trace`] writes a resident
+//! [`Trace`] to a file atomically, framing its records into
+//! [`CHUNK_RECORDS`]-record chunks, and [`load`] reads a file back whole,
+//! decoding each chunk straight into its slot of one record buffer. A load
+//! either returns the whole trace or a [`CodecError`]; there is no partial
+//! result to check afterwards.
 //!
 //! The atomic save writes a temp file unique to the writer and renames it
 //! into place, so any number of threads or processes may save one path at
 //! once: the path holds one writer's whole file, never a torn mix.
 
 use std::fmt;
+use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::compress;
-use crate::faults::IoPolicy;
 use crate::format::TraceFormat;
 use crate::record::InstrRecord;
 use crate::source::{TraceSource, CHUNK_RECORDS};
@@ -111,6 +111,13 @@ pub enum CodecError {
         /// Records successfully decoded before the end of the file.
         got: u64,
     },
+    /// The file goes on after the last promised chunk (two images written
+    /// back to back, or a foreign tail): serving its first trace would hide
+    /// the damage.
+    TrailingBytes {
+        /// Bytes after the last chunk.
+        extra: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -141,6 +148,10 @@ impl fmt::Display for CodecError {
             CodecError::Truncated { expected, got } => write!(
                 f,
                 "trace file is truncated: expected {expected} records, decoded {got}"
+            ),
+            CodecError::TrailingBytes { extra } => write!(
+                f,
+                "trace file has {extra} bytes after its last promised chunk"
             ),
         }
     }
@@ -240,7 +251,7 @@ fn read_header<R: Read>(r: &mut R) -> Result<(String, u64), CodecError> {
 
 /// Decodes a whole trace image of `file_bytes` bytes from `r`. The record
 /// buffer is sized once, and every chunk decodes straight into its slot of
-/// it.
+/// it; the image must end with its last promised chunk.
 fn decode_trace<R: Read>(mut r: R, file_bytes: u64) -> Result<Trace, CodecError> {
     let (name, total) = read_header(&mut r)?;
     // Every record takes at least `MIN_RECORD_BYTES` of payload, so a count
@@ -283,30 +294,24 @@ fn decode_trace<R: Read>(mut r: R, file_bytes: u64) -> Result<Trace, CodecError>
         records.resize(got + len as usize, InstrRecord::zeroed());
         compress::decode_chunk_into(&raw[..byte_len], &mut records[got..])?;
     }
+    let extra = io::copy(&mut r, &mut io::sink())?;
+    if extra > 0 {
+        return Err(CodecError::TrailingBytes { extra });
+    }
     Ok(Trace::new(name, records))
 }
 
-/// [`load_with`] without fault injection.
+/// Loads the trace at `path` whole.
 ///
 /// # Errors
 ///
-/// As [`load_with`].
+/// Returns [`CodecError::Io`] if the file cannot be opened or read, and a
+/// content error if the file is truncated, corrupt, of another format or
+/// longer than its chunks. Nothing of a failed load is returned.
 pub fn load(path: &Path) -> Result<Trace, CodecError> {
-    load_with(path, &IoPolicy::none())
-}
-
-/// Loads the trace at `path` whole, with the open and every read routed
-/// through `policy`.
-///
-/// # Errors
-///
-/// Returns [`CodecError::Io`] if the file cannot be opened or read (or
-/// `policy` injects a fault), and a content error if the file is truncated,
-/// corrupt or of another format. Nothing of a failed load is returned.
-pub fn load_with(path: &Path, policy: &IoPolicy) -> Result<Trace, CodecError> {
-    let file = policy.open(path)?;
+    let file = File::open(path)?;
     let file_bytes = file.metadata()?.len();
-    decode_trace(BufReader::new(policy.reader(file)), file_bytes)
+    decode_trace(BufReader::new(file), file_bytes)
 }
 
 /// A [`TraceSource`] over one loaded trace file. Kept only because the
@@ -359,6 +364,19 @@ impl TraceSource for TraceFileSource {
     }
 }
 
+/// A policy with nothing to choose. Kept only because the standalone
+/// benchmark (`perfbench/src/serve.rs`) passes [`IoPolicy::none`] to the
+/// core crate's `SharedTier::new`: store I/O is plain filesystem calls.
+#[derive(Debug, Clone, Copy)]
+pub struct IoPolicy;
+
+impl IoPolicy {
+    /// The one policy.
+    pub fn none() -> Self {
+        Self
+    }
+}
+
 /// `read_exact` that maps an early end-of-file to [`CodecError::Truncated`]
 /// with the given progress context.
 fn read_exact_or_truncated<R: Read>(
@@ -376,32 +394,19 @@ fn read_exact_or_truncated<R: Read>(
     })
 }
 
-/// [`save_with`] without fault injection. Kept as a one-line wrapper
-/// because the standalone benchmark (`perfbench/src/layers.rs`) compiles
-/// against it.
-///
-/// # Errors
-///
-/// As [`save_with`].
-pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
-    save_with(path, trace, &IoPolicy::none())
-}
-
 /// Writes `trace` to `path` atomically. The write goes to a same-directory
 /// temporary file that is renamed into place, so concurrent writers —
 /// processes *or* threads — sharing a trace store never expose a
-/// half-written file at the final path. The create, every buffered write
-/// and the committing rename all go through `policy`; on any failure the
-/// temporary file is cleaned up (best effort, unpoliced — injecting on the
-/// cleanup of an already-failed save would only leave the same debris a
-/// crashed process leaves, which readers already ignore).
+/// half-written file at the final path. On any failure the temporary file
+/// is removed (best effort: a leftover is the same debris a crashed process
+/// leaves, which readers ignore).
 ///
 /// # Errors
 ///
-/// Besides writer errors and whatever `policy` injects, returns
-/// `InvalidInput` for an over-long name or an unencodable record (the
-/// partial file is discarded, never renamed into place).
-pub fn save_with(path: &Path, trace: &Trace, policy: &IoPolicy) -> io::Result<()> {
+/// Besides filesystem errors, returns `InvalidInput` for an over-long name
+/// or an unencodable record (the partial file is discarded, never renamed
+/// into place).
+pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
     // The temporary name must be unique per writer, not just per process:
     // two threads saving the same store entry would otherwise share the
     // temporary file and could rename a half-rewritten inode into place.
@@ -409,9 +414,9 @@ pub fn save_with(path: &Path, trace: &Trace, policy: &IoPolicy) -> io::Result<()
     let writer = WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{writer}", std::process::id()));
     let result = (|| {
-        let mut w = BufWriter::new(policy.writer(policy.create(&tmp)?));
+        let mut w = BufWriter::new(File::create(&tmp)?);
         match write_trace(&mut w, trace).and_then(|()| w.flush()) {
-            Ok(()) => policy.rename(&tmp, path),
+            Ok(()) => std::fs::rename(&tmp, path),
             Err(e) => {
                 // Discard the buffered tail: `BufWriter`'s drop would
                 // silently retry writing it to a file this function is
@@ -730,52 +735,31 @@ mod tests {
     }
 
     #[test]
-    fn injected_faults_surface_through_the_policed_codec_paths() {
-        use crate::faults::{FaultInjector, FaultKind, IoOp, ScriptedFault};
-        use std::sync::Arc;
-
-        let dir = temp_dir("inject");
-        let path = dir.join("entry.rctrace");
-        let trace = sample(2 * CHUNK_RECORDS);
-        let save = |policy: &IoPolicy| save_with(&path, &trace, policy);
-
-        // A write fault aborts the save and leaves no file (and no debris at
-        // the final path).
-        let injector = Arc::new(FaultInjector::scripted([ScriptedFault {
-            op: IoOp::Write,
-            kind: FaultKind::Transient,
-        }]));
-        let policy = IoPolicy::with_injector(Arc::clone(&injector));
-        let err = save(&policy).unwrap_err();
-        assert!(crate::faults::is_transient(&err));
-        assert!(!path.exists(), "failed save leaves nothing at the path");
-
-        // A rename fault likewise: the payload was fully written to the
-        // temporary file, but it is never committed.
-        injector.push(ScriptedFault {
-            op: IoOp::Rename,
-            kind: FaultKind::DiskFull,
-        });
-        let err = save(&policy).unwrap_err();
-        assert!(crate::faults::is_disk_full(&err));
-        assert!(!path.exists());
-
-        // With the script drained the same policy saves cleanly. A read
-        // fault or an open fault fails the load with CodecError::Io, and the
-        // next load through the same policy returns the whole trace.
-        save(&policy).expect("clean save");
-        for op in [IoOp::Read, IoOp::Open] {
-            injector.push(ScriptedFault {
-                op,
-                kind: FaultKind::Transient,
-            });
-            let err = load_with(&path, &policy).unwrap_err();
-            assert!(
-                matches!(&err, CodecError::Io(e) if crate::faults::is_transient(e)),
-                "{op}: {err}"
-            );
-            assert_eq!(load_with(&path, &policy).expect("clean load"), trace);
-        }
+    fn bytes_after_the_last_chunk_are_a_typed_error() {
+        // Two whole images back to back: the first is a valid trace, but the
+        // file is not it, so the load must not serve it.
+        let trace = TraceGenerator::new(spec::gcc(), 42).generate(10_000);
+        let image = encode(&trace);
+        let doubled = [image.as_slice(), image.as_slice()].concat();
+        let extra = image.len() as u64;
+        assert!(matches!(
+            decode(&doubled),
+            Err(CodecError::TrailingBytes { extra: e }) if e == extra
+        ));
+        let dir = temp_dir("doubled");
+        let path = dir.join("gcc.rctrace");
+        std::fs::write(&path, &doubled).expect("plant");
+        assert!(matches!(
+            load(&path),
+            Err(CodecError::TrailingBytes { extra: e }) if e == extra
+        ));
+        // One stray byte is enough.
+        let mut padded = image.clone();
+        padded.push(0);
+        assert!(matches!(
+            decode(&padded),
+            Err(CodecError::TrailingBytes { extra: 1 })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

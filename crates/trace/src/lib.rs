@@ -21,9 +21,8 @@
 //!   [`TraceSource`], a pull interface kept for the standalone benchmark.
 //! * [`codec`] — binary persistence for traces: one container of
 //!   length-prefixed, delta-compressed chunks, saved from a [`Trace`] and
-//!   loaded back whole.
-//! * [`faults`] — [`IoPolicy`]: injectable filesystem I/O with deterministic
-//!   fault injection (`RESCACHE_FAULTS`) for recovery-path testing.
+//!   loaded back whole, with one typed error ([`CodecError`]) for a file
+//!   that cannot be served.
 //! * [`rng`] — a small deterministic pseudo-random number generator.
 //! * [`phase`] — [`PhaseSchedule`]: how a working set evolves over time.
 //! * [`working_set`] — [`WorkingSetSpec`]: size, aliasing segments, locality.
@@ -60,7 +59,6 @@ pub mod branch;
 pub mod code;
 pub mod codec;
 mod compress;
-pub mod faults;
 pub mod format;
 pub mod generator;
 pub mod ilp;
@@ -78,10 +76,7 @@ pub mod workload;
 pub use address::AddressStream;
 pub use branch::BranchBehavior;
 pub use code::CodeStream;
-pub use codec::{CodecError, CorruptChunk, UnencodableRecord};
-pub use faults::{
-    is_disk_full, is_transient, FaultInjector, FaultKind, FaultSpec, IoOp, IoPolicy, ScriptedFault,
-};
+pub use codec::{CodecError, CorruptChunk, IoPolicy, UnencodableRecord};
 pub use format::TraceFormat;
 pub use generator::TraceGenerator;
 pub use ilp::{DistanceSampler, DistanceTable, IlpBehavior, MAX_DISTANCE};

@@ -272,16 +272,16 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
     let got = backed.run_dynamic_observed(&app, &system, &setup, None);
     assert_identical("corrupt-entry fallback", &expected, &got);
     let health = backed.trace_store().health();
-    assert_eq!((health.quarantines, health.regenerations), (1, 1));
+    assert_eq!((health.regenerations, health.misses), (1, 0));
 
-    // The fallback also quarantines the corrupt entry and persists a fresh
-    // one, so the store self-heals: a new store loads it from disk
-    // fault-free instead of paying the doomed partial read forever.
+    // The regeneration's save replaces the corrupt entry, so the store
+    // self-heals: a new store loads it from disk instead of paying the
+    // doomed partial read forever.
     let healed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
     let again = healed.run_dynamic_observed(&app, &system, &setup, None);
     assert_identical("healed entry", &expected, &again);
     let health = healed.trace_store().health();
-    assert_eq!((health.hits, health.quarantines), (1, 0));
+    assert_eq!((health.hits, health.regenerations), (1, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
 

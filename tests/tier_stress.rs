@@ -1,25 +1,21 @@
-//! Multi-threaded fault-injection stress for the shared store/memo tier.
+//! Multi-threaded stress for the shared store/memo tier.
 //!
 //! N worker threads share one [`SharedTier`] (one trace memo, one sim memo,
-//! one persistence directory, one fault injector) and each computes the full
-//! sweep of (application, setup) measurements. The contract under test:
+//! one persistence directory) and each computes the full sweep of
+//! (application, setup) measurements. The contract under test:
 //!
-//! * **Determinism** — with or without injected faults, every thread's every
-//!   measurement is bit-identical to a fault-free, single-threaded,
-//!   in-memory reference. Faults may cost retries, regenerations or
-//!   degradation to in-memory streaming; they must never change a result.
+//! * **Determinism** — whether the store directory works or not, every
+//!   thread's every measurement is bit-identical to a single-threaded,
+//!   in-memory reference. A directory that cannot be used costs
+//!   degradation to in-memory operation; it must never change a result.
 //! * **Single-flight** — the shared memos admit one generation per key; the
-//!   fault-free threaded sweep's miss count stays within the key-count
-//!   bound no matter how many threads race.
-//! * **No poisoning** — a worker that panics mid-generation (injected via a
-//!   scripted fault) must not wedge or poison the tier: sibling threads
-//!   complete with correct results and a later request regenerates cleanly.
+//!   threaded sweep's miss count stays within the key-count bound no matter
+//!   how many threads race.
 
 use rescache::prelude::*;
 use rescache_core::experiment::{Measurement, RunSetup, SharedTier};
-use rescache_trace::{FaultInjector, FaultKind, FaultSpec, IoOp, IoPolicy, ScriptedFault};
+use rescache_trace::IoPolicy;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 const THREADS: usize = 8;
 
@@ -127,7 +123,6 @@ fn fault_free_threaded_sweep_is_identical_and_single_flight() {
     );
     assert!(health.hits > 0, "threaded reuse must register hits");
     assert_eq!(health.regenerations, 0, "no faults, no regenerations");
-    assert_eq!(health.quarantines, 0, "no faults, no quarantines");
     assert!(!health.degraded, "no faults, no degradation");
     assert_eq!(
         std::fs::read_dir(&dir).expect("store dir").count(),
@@ -138,82 +133,27 @@ fn fault_free_threaded_sweep_is_identical_and_single_flight() {
 }
 
 #[test]
-fn seeded_faults_leave_the_threaded_sweep_bit_identical() {
+fn an_unusable_store_dir_leaves_the_threaded_sweep_bit_identical() {
     let cfg = stress_config();
     let expected = reference_sweep(cfg);
 
-    let dir = temp_dir("faulted");
-    let spec = FaultSpec::parse("seed=11,open=0.05,read=0.02,write=0.05,rename=0.05,full=0.01")
-        .expect("valid fault spec");
-    let injector = Arc::new(FaultInjector::seeded(spec));
-    let tier = SharedTier::new(Some(dir.clone()), IoPolicy::with_injector(injector.clone()));
+    // The store directory's path is a regular file: no entry can be read
+    // or created there.
+    let dir = temp_dir("occupied");
+    std::fs::write(&dir, b"occupied").expect("occupy the store path");
+    let tier = SharedTier::new(Some(dir.clone()), IoPolicy::none());
     let results = threaded_sweep(cfg, &tier);
     for (t, sweep) in results.iter().enumerate() {
         assert_eq!(
             sweep, &expected,
-            "thread {t} diverged under injected faults"
+            "thread {t} diverged over an unusable store"
         );
     }
-    assert!(
-        injector.injected() > 0,
-        "the stress run must actually exercise the fault paths"
-    );
-    // Recovery must be *accounted*, not silent: every injected fault lands
-    // in a health counter (retry, regeneration, quarantine, extra miss or
-    // degradation) rather than vanishing.
+    // The first save latched degraded mode with its one-time warning;
+    // every later request stayed in memory, however many threads raced.
     let health = tier.health_snapshot();
-    assert!(
-        health.retries + health.regenerations + health.misses + health.warnings > 0,
-        "injected faults left no recovery trace: {health:?}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_panicking_worker_does_not_poison_its_siblings() {
-    let cfg = stress_config();
-    let app = spec::ammp();
-    let reference = {
-        let runner = Runner::new(cfg);
-        runner.trace(&app)
-    };
-
-    let dir = temp_dir("panic");
-    let injector = Arc::new(FaultInjector::scripted([ScriptedFault {
-        op: IoOp::Write,
-        kind: FaultKind::Panic,
-    }]));
-    let tier = SharedTier::new(Some(dir.clone()), IoPolicy::with_injector(injector));
-    let store = TraceStore::with_tier(tier.clone());
-
-    // Whichever worker reaches the persist write first consumes the one
-    // scripted panic and dies inside the trace memo's initializer; the
-    // others must complete with the correct trace regardless.
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let store = store.clone();
-            let app = app.clone();
-            std::thread::spawn(move || store.fetch(&app, &cfg))
-        })
-        .collect();
-    let mut panicked = 0;
-    for handle in handles {
-        match handle.join() {
-            Ok(fetched) => assert_eq!(fetched, reference, "sibling served a wrong trace"),
-            Err(_) => panicked += 1,
-        }
-    }
-    assert_eq!(
-        panicked, 1,
-        "exactly one worker consumes the scripted panic"
-    );
-
-    // The tier survived the unwound initializer: a later fetch on the main
-    // thread is served (memoized by a sibling) and the store is not
-    // degraded or quarantining anything.
-    assert_eq!(store.fetch(&app, &cfg), reference);
-    let health = store.health();
-    assert!(!health.degraded, "a panic is not a degradation: {health:?}");
-    assert_eq!(health.quarantines, 0, "{health:?}");
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(health.degraded, "{health:?}");
+    assert_eq!(health.warnings, 1, "{health:?}");
+    assert_eq!(health.regenerations, 0, "{health:?}");
+    std::fs::remove_file(&dir).ok();
 }
