@@ -231,11 +231,15 @@ impl MemoryHierarchy {
     }
 
     /// Resets all statistics (cache-level and hierarchy-level), keeping
-    /// contents and geometry. Used after warm-up.
+    /// contents and geometry, and empties the write-back buffer. Used after
+    /// warm-up: this is the region boundary, where the next engine
+    /// invocation restarts its clock at cycle 1, so writebacks timed on the
+    /// previous region's clock must not hold buffer slots into the next.
     pub fn reset_stats(&mut self) {
         self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.l2.reset_stats();
+        self.writeback.clear();
         self.stats = HierarchyStats::default();
     }
 
@@ -476,6 +480,38 @@ mod tests {
         assert_eq!(h.stats().memory_accesses, 0);
         assert_eq!(h.l1d().stats().accesses, 0);
         assert!(h.l1d().contains(0x40_0000));
+    }
+
+    #[test]
+    fn reset_stats_frees_the_writeback_buffer_for_the_next_region() {
+        // A one-entry buffer holding a writeback timed late on the warm-up
+        // clock: once the region boundary passes, a dirty eviction early on
+        // the measured region's restarted clock must not wait for it.
+        let mut h = MemoryHierarchy::new(HierarchyConfig {
+            writeback_entries: 1,
+            ..HierarchyConfig::base()
+        })
+        .unwrap();
+        let dirty_eviction = |h: &mut MemoryHierarchy, base: u64, cycle: u64| {
+            // Three stores aliasing in one set of the 2-way L1D: the third
+            // evicts the dirty first.
+            for (i, addr) in [base, base + 16 * 1024, base + 32 * 1024]
+                .into_iter()
+                .enumerate()
+            {
+                h.access_data(addr, true, cycle + i as u64);
+            }
+        };
+        dirty_eviction(&mut h, 0x10_0000, 1_000_000);
+        assert_eq!(h.stats().l1d_writebacks_to_l2, 1);
+        h.reset_stats();
+        dirty_eviction(&mut h, 0x20_0040, 1);
+        assert_eq!(h.stats().l1d_writebacks_to_l2, 1);
+        assert_eq!(
+            h.stats().writeback_stall_cycles,
+            0,
+            "a warm-up writeback stalled the measured region"
+        );
     }
 
     #[test]

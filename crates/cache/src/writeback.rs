@@ -53,6 +53,14 @@ impl WritebackBuffer {
         self.full_stalls
     }
 
+    /// Forgets every in-flight writeback: the next push finds the buffer
+    /// empty. A region boundary calls this, because the next region's clock
+    /// restarts at cycle 1 and entries timed on the old clock would hold
+    /// their slots until the new clock caught up.
+    pub fn clear(&mut self) {
+        self.in_flight.clear();
+    }
+
     /// Retires every writeback that has completed by `cycle`.
     pub fn drain_completed(&mut self, cycle: u64) {
         self.in_flight.retain(|ready| *ready > cycle);
@@ -111,6 +119,15 @@ mod tests {
         wb.push(0, 12);
         assert_eq!(wb.push(20, 12), 0, "first writeback already completed");
         assert_eq!(wb.occupancy(), 1);
+    }
+
+    #[test]
+    fn clear_empties_the_buffer() {
+        let mut wb = WritebackBuffer::new(1);
+        wb.push(1_000, 12);
+        wb.clear();
+        assert_eq!(wb.occupancy(), 0);
+        assert_eq!(wb.push(1, 12), 0, "a cleared buffer has a free entry");
     }
 
     #[test]
