@@ -228,7 +228,7 @@ impl DynamicController {
 }
 
 impl SimHook for DynamicController {
-    fn post_commit(&mut self, _committed: u64, _cycle: u64, hierarchy: &mut MemoryHierarchy) {
+    fn post_commit(&mut self, _committed: u64, hierarchy: &mut MemoryHierarchy) {
         let (accesses, misses) = self.cache_counters(hierarchy);
         if accesses < self.last_accesses {
             // Statistics were reset (end of warm-up): re-anchor the interval.
@@ -301,7 +301,7 @@ mod tests {
             };
             hierarchy.access_data(addr, false, i);
         }
-        controller.post_commit(0, 0, hierarchy);
+        controller.post_commit(0, hierarchy);
     }
 
     #[test]
@@ -345,7 +345,7 @@ mod tests {
         // Fewer accesses than one interval: no decision yet.
         for i in 0..50u64 {
             h.access_data(0x100, false, i);
-            c.post_commit(i, i, &mut h);
+            c.post_commit(i, &mut h);
         }
         assert_eq!(c.resizes(), 0);
         assert_eq!(c.current_point().bytes(32), 32 * 1024);
@@ -360,7 +360,7 @@ mod tests {
         }
         let before = c.resizes();
         h.reset_stats();
-        c.post_commit(0, 0, &mut h);
+        c.post_commit(0, &mut h);
         assert_eq!(c.resizes(), before, "a reset must not trigger a resize");
     }
 
@@ -462,7 +462,7 @@ mod tests {
             for i in 0..100u64 {
                 h.access_instruction(0x40_0000, i);
             }
-            c.post_commit(0, 0, &mut h);
+            c.post_commit(0, &mut h);
         }
         assert!(h.l1i().enabled_bytes() < 32 * 1024);
         assert_eq!(h.l1d().enabled_bytes(), 32 * 1024, "d-cache untouched");

@@ -13,11 +13,16 @@ use rescache_cache::MemoryHierarchy;
 pub trait SimHook {
     /// Called after each committed instruction.
     ///
-    /// * `committed` — number of instructions committed so far (1-based).
-    /// * `cycle` — the engine's current cycle estimate.
+    /// * `committed` — number of instructions committed so far in this
+    ///   region (1-based).
     /// * `hierarchy` — the memory hierarchy, mutable so the hook may resize
     ///   the L1 caches.
-    fn post_commit(&mut self, committed: u64, cycle: u64, hierarchy: &mut MemoryHierarchy);
+    ///
+    /// There is no cycle argument: the functional warm-up of
+    /// [`crate::Simulator::run_warm_measure`] has no clock, and a hook sees
+    /// the same calls, in the same order and with the same cache state,
+    /// there as in a timed region.
+    fn post_commit(&mut self, committed: u64, hierarchy: &mut MemoryHierarchy);
 }
 
 /// A hook that does nothing (plain, non-resizing simulation).
@@ -25,7 +30,7 @@ pub trait SimHook {
 pub struct NoopHook;
 
 impl SimHook for NoopHook {
-    fn post_commit(&mut self, _committed: u64, _cycle: u64, _hierarchy: &mut MemoryHierarchy) {}
+    fn post_commit(&mut self, _committed: u64, _hierarchy: &mut MemoryHierarchy) {}
 }
 
 #[cfg(test)]
@@ -35,31 +40,25 @@ mod tests {
 
     struct CountingHook {
         calls: u64,
-        last_cycle: u64,
     }
 
     impl SimHook for CountingHook {
-        fn post_commit(&mut self, committed: u64, cycle: u64, _h: &mut MemoryHierarchy) {
+        fn post_commit(&mut self, committed: u64, _h: &mut MemoryHierarchy) {
             self.calls = committed;
-            self.last_cycle = cycle;
         }
     }
 
     #[test]
     fn hooks_receive_progress() {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let mut hook = CountingHook {
-            calls: 0,
-            last_cycle: 0,
-        };
-        hook.post_commit(10, 42, &mut h);
+        let mut hook = CountingHook { calls: 0 };
+        hook.post_commit(10, &mut h);
         assert_eq!(hook.calls, 10);
-        assert_eq!(hook.last_cycle, 42);
     }
 
     #[test]
     fn noop_hook_is_callable() {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        NoopHook.post_commit(1, 1, &mut h);
+        NoopHook.post_commit(1, &mut h);
     }
 }

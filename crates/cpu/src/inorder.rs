@@ -138,7 +138,7 @@ impl InOrderEngine {
             max_completion = max_completion.max(complete);
             issued_this_cycle += 1;
             idx += 1;
-            hook.post_commit(idx as u64, cycle, hierarchy);
+            hook.post_commit(idx as u64, hierarchy);
         }
 
         SimResult {
@@ -261,7 +261,7 @@ mod tests {
     fn hook_sees_every_commit() {
         struct Counter(u64);
         impl SimHook for Counter {
-            fn post_commit(&mut self, committed: u64, _c: u64, _h: &mut MemoryHierarchy) {
+            fn post_commit(&mut self, committed: u64, _h: &mut MemoryHierarchy) {
                 self.0 = committed;
             }
         }

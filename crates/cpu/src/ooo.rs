@@ -204,7 +204,7 @@ impl OutOfOrderEngine {
             completion[idx % COMPLETION_RING] = complete;
             dispatched_this_cycle += 1;
             idx += 1;
-            hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
+            hook.post_commit(idx as u64, hierarchy);
         }
 
         let drained = rob.drain();
@@ -459,7 +459,7 @@ mod tests {
     fn hook_called_once_per_instruction() {
         struct Counter(u64);
         impl SimHook for Counter {
-            fn post_commit(&mut self, committed: u64, _c: u64, _h: &mut MemoryHierarchy) {
+            fn post_commit(&mut self, committed: u64, _h: &mut MemoryHierarchy) {
                 assert_eq!(committed, self.0 + 1);
                 self.0 = committed;
             }

@@ -177,7 +177,7 @@ pub fn run_ooo_reference<H: SimHook + ?Sized>(
         completion[idx % COMPLETION_RING] = complete;
         dispatched_this_cycle += 1;
         idx += 1;
-        hook.post_commit(idx as u64, dispatch_cycle, hierarchy);
+        hook.post_commit(idx as u64, hierarchy);
     }
 
     let drained = rob.drain();
@@ -277,7 +277,7 @@ pub fn run_inorder_reference<H: SimHook + ?Sized>(
         max_completion = max_completion.max(complete);
         issued_this_cycle += 1;
         idx += 1;
-        hook.post_commit(idx as u64, cycle, hierarchy);
+        hook.post_commit(idx as u64, hierarchy);
     }
 
     SimResult {

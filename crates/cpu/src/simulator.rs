@@ -3,12 +3,15 @@
 //!
 //! Records reach an engine as one resident slice (a [`Trace`]'s records);
 //! the experiment's warm-up and measured regions are index ranges into it
-//! ([`Simulator::run_warm_measure`]).
+//! ([`Simulator::run_warm_measure`]). The warm-up region is replayed
+//! functionally, through the memory hierarchy alone; only the measured
+//! region runs on the timing engine.
 
 use rescache_cache::MemoryHierarchy;
-use rescache_trace::{InstrRecord, Trace};
+use rescache_trace::{kind, InstrRecord, Trace};
 
 use crate::config::{CpuConfig, EngineKind};
+use crate::fetch::FetchUnit;
 use crate::hook::{NoopHook, SimHook};
 use crate::inorder::InOrderEngine;
 use crate::ooo::OutOfOrderEngine;
@@ -74,15 +77,26 @@ impl Simulator {
     }
 
     /// The experiment sequence over one record slice on the configured
-    /// engine: runs `records[..warm]` (the warm-up region), resets the
-    /// hierarchy statistics, then runs `records[warm..warm + measure]` and
-    /// returns that region's result. `hook` sees every committed instruction
-    /// of both regions, and its state carries across the boundary — this is
-    /// how the dynamic resizing controller rides an experiment.
+    /// engine: warms the caches with `records[..warm]` (the warm-up
+    /// region), resets the hierarchy statistics, then times
+    /// `records[warm..warm + measure]` on the engine and returns that
+    /// region's result. `hook` sees every record of both regions, and its
+    /// state carries across the boundary — this is how the dynamic resizing
+    /// controller rides an experiment.
     ///
-    /// Each region is a fresh engine invocation (pipeline, predictor, window
-    /// and fetch state restart; cache state carries over), exactly as two
-    /// separate [`Simulator::run`] calls over pre-split traces behave.
+    /// The warm-up is *functional cache warming*: the records go through
+    /// the memory hierarchy alone, with no pipeline, predictor or clock.
+    /// Per record it makes the calls both engines make, in their order: a
+    /// [`FetchUnit`] i-cache access when a fetch group starts, the d-cache
+    /// access of a load or store, then `hook`'s
+    /// [`SimHook::post_commit`]. Under LRU, cache contents depend only on
+    /// that access sequence, so the caches, the resize decisions a
+    /// controller takes during warm-up and the measured result are
+    /// identical to timing the warm-up region on the engine first. The
+    /// measured region is a fresh engine invocation (pipeline, predictor,
+    /// window and fetch state restart; cache state carries over), and the
+    /// statistics reset also empties the write-back buffer, whose entries
+    /// are timed on the previous region's clock.
     ///
     /// # Panics
     ///
@@ -96,9 +110,32 @@ impl Simulator {
         hook: &mut H,
     ) -> SimResult {
         let (warm_records, rest) = records.split_at(warm);
-        self.run_hooked(warm_records, hierarchy, hook);
+        let measured = &rest[..measure];
+        self.warm_caches(warm_records, hierarchy, hook);
         hierarchy.reset_stats();
-        self.run_hooked(&rest[..measure], hierarchy, hook)
+        self.run_hooked(measured, hierarchy, hook)
+    }
+
+    /// Replays `records`' cache accesses and hook calls with no timing
+    /// model: the functional warm-up of [`Simulator::run_warm_measure`].
+    /// The write-back buffer is the one hierarchy part that reads a cycle;
+    /// the record index stands in for it, and the statistics reset that
+    /// follows empties the buffer.
+    fn warm_caches<H: SimHook + ?Sized>(
+        &self,
+        records: &[InstrRecord],
+        hierarchy: &mut MemoryHierarchy,
+        hook: &mut H,
+    ) {
+        let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, self.config.issue_width);
+        for (idx, rec) in (1u64..).zip(records) {
+            fetch.fetch(rec.pc(), idx, hierarchy);
+            let k = rec.kind_tag();
+            if k == kind::LOAD || k == kind::STORE {
+                hierarchy.access_data(u64::from(rec.addr_raw()), k == kind::STORE, idx);
+            }
+            hook.post_commit(idx, hierarchy);
+        }
     }
 }
 

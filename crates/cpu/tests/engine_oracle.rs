@@ -20,8 +20,8 @@ use rescache_trace::{spec, InstrRecord, Op, TraceGenerator};
 const LANDMARK: usize = 8 * 1024;
 
 /// A hook that folds every observation into a checksum, so hook-visible
-/// divergence (call count, committed index, or the cycle passed) is caught
-/// even where the final result would agree.
+/// divergence (call count or committed index) is caught even where the
+/// final result would agree.
 struct ChecksumHook {
     calls: u64,
     digest: u64,
@@ -37,10 +37,9 @@ impl ChecksumHook {
 }
 
 impl SimHook for ChecksumHook {
-    fn post_commit(&mut self, committed: u64, cycle: u64, _hierarchy: &mut MemoryHierarchy) {
+    fn post_commit(&mut self, committed: u64, _hierarchy: &mut MemoryHierarchy) {
         self.calls += 1;
-        self.digest =
-            (self.digest ^ committed ^ cycle.rotate_left(17)).wrapping_mul(0x100_0000_01b3);
+        self.digest = (self.digest ^ committed).wrapping_mul(0x100_0000_01b3);
     }
 }
 
