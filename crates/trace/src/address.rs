@@ -12,7 +12,7 @@
 //!   re-used (compulsory misses, e.g. `swim`'s large arrays).
 
 use crate::rng::{chance_bits, Prng};
-use crate::working_set::{ResolvedWorkingSet, WorkingSetSpec};
+use crate::working_set::{Location, ResolvedWorkingSet, WorkingSetSpec};
 
 /// Relative weights of the address-stream components.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,9 @@ impl Default for AccessMix {
 /// The stream caches the resolved geometry of the most recent working set
 /// (one address is drawn per memory instruction, and the working set only
 /// changes at phase boundaries), keeping the per-address cost to the random
-/// draw plus a few adds.
+/// draw plus a few adds. The sequential walk also keeps its cursor's
+/// [`Location`] up to date, so it divides only when it crosses a segment or
+/// wraps the working set.
 #[derive(Debug, Clone)]
 pub struct AddressStream {
     mix: AccessMix,
@@ -72,6 +74,8 @@ pub struct AddressStream {
     in_set_bits: u64,
     stride: u64,
     cursor: u64,
+    /// `resolved.locate(cursor)`, maintained incrementally.
+    walk: Location,
     stream_ptr: u64,
     /// Resolution of the working set the previous address used.
     resolved: ResolvedWorkingSet,
@@ -86,6 +90,7 @@ impl AddressStream {
     /// Creates an address stream with the given access mix and element stride
     /// (bytes between consecutive sequential accesses).
     pub fn new(mix: AccessMix, stride: u64, rng: Prng) -> Self {
+        let resolved = WorkingSetSpec::default().resolve();
         Self {
             mix,
             // The classification thresholds are hoisted out of the per-access
@@ -98,8 +103,9 @@ impl AddressStream {
             in_set_bits: chance_bits(mix.sequential + mix.random_in_set),
             stride: stride.max(1),
             cursor: 0,
+            walk: resolved.locate(0),
             stream_ptr: STREAM_BASE,
-            resolved: WorkingSetSpec::default().resolve(),
+            resolved,
             rng,
         }
     }
@@ -108,11 +114,16 @@ impl AddressStream {
     pub fn next_address(&mut self, ws: &WorkingSetSpec) -> u64 {
         if *ws != self.resolved.spec {
             self.resolved = ws.resolve();
+            self.walk = self.resolved.locate(self.cursor);
         }
         let r = self.rng.next_bits53();
         if r < self.sequential_bits {
-            self.cursor = self.cursor.wrapping_add(self.stride);
-            self.resolved.offset_to_address(self.cursor)
+            let (cursor, wrapped) = self.cursor.overflowing_add(self.stride);
+            self.cursor = cursor;
+            self.walk = self
+                .resolved
+                .advance(self.walk, self.stride, cursor, wrapped);
+            self.walk.address()
         } else if r < self.in_set_bits {
             let blocks = (ws.bytes / 64).max(1);
             let block = self.rng.below(blocks);

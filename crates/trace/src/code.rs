@@ -156,17 +156,16 @@ impl CodeStream {
             self.linear_pc
         } else {
             let global = self.region * self.shape.region_bytes + self.offset;
-            let pc = self.resolved.offset_to_address(global);
+            let at = self.resolved.locate(global);
+            let pc = at.address();
             // Steps after this one whose PC simply advances by one
             // instruction: until the mapped offset reaches the end of its
             // segment or the end of the footprint (region ends reset
             // `linear_left` below, so they need no accounting here).
             let bytes = self.resolved.spec.bytes;
             self.linear_left = if bytes > 0 {
-                let m = global % bytes;
-                let seg_bytes = self.resolved.segment_bytes();
-                let run_end = ((m / seg_bytes + 1) * seg_bytes).min(bytes);
-                (run_end - m - 1) / INSTR_BYTES
+                let segment_end = at.offset - at.within + self.resolved.segment_bytes();
+                (segment_end.min(bytes) - at.offset - 1) / INSTR_BYTES
             } else {
                 0
             };

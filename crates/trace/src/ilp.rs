@@ -188,8 +188,41 @@ impl DistanceSampler {
 
     /// Samples the `(dep1, dep2)` distances for one instruction. Each
     /// Bernoulli decision consumes exactly one [`Prng::next_u64`].
+    ///
+    /// The two Bernoulli outcomes are coin flips to the host's branch
+    /// predictor, so with a table the sample draws all four values it may
+    /// need (independence test, first distance, second-source test, second
+    /// distance) from a clone of `rng`, then selects the outcome and the
+    /// generator state after the values it actually consumed. The result
+    /// and the state of `rng` are those of [`DistanceSampler::sample_branchy`].
     #[inline]
     pub fn sample(&self, rng: &mut Prng) -> (u8, u8) {
+        let Some(table) = &self.table else {
+            return self.sample_branchy(rng);
+        };
+        let mut ahead = rng.clone();
+        let independent = ahead.next_u64() < self.independent_bits;
+        let after_one = ahead.clone();
+        let d1 = table.distance(ahead.next_u64());
+        let second = ahead.next_u64() < self.second_source_bits;
+        let after_three = ahead.clone();
+        let d2 = table.distance(ahead.next_u64());
+        *rng = if independent {
+            after_one
+        } else if second {
+            ahead
+        } else {
+            after_three
+        };
+        let d1 = if independent { 0 } else { d1 };
+        let d2 = if independent || !second { 0 } else { d2 };
+        (d1, d2)
+    }
+
+    /// The sample as a chain of draws, each taken only when needed: the
+    /// definition [`DistanceSampler::sample`] reproduces, and its path for
+    /// the constant distance (no table), which consumes fewer values.
+    pub fn sample_branchy(&self, rng: &mut Prng) -> (u8, u8) {
         if rng.next_u64() < self.independent_bits {
             return (0, 0);
         }
@@ -230,6 +263,32 @@ mod tests {
             let (d1, d2) = sampler.sample(&mut rng);
             assert!(d1 <= MAX_DISTANCE);
             assert!(d2 <= MAX_DISTANCE);
+        }
+    }
+
+    #[test]
+    fn sample_matches_the_branchy_chain_in_values_and_state() {
+        let behaviors = [
+            IlpBehavior::serial(),
+            IlpBehavior::parallel(),
+            IlpBehavior::moderate(),
+            IlpBehavior::new(1.0, 0.5, 0.2),
+            IlpBehavior::new(4.0, 0.0, 0.0),
+            IlpBehavior::new(4.0, 1.0, 0.0),
+            IlpBehavior::new(4.0, 0.5, 1.0),
+        ];
+        for behavior in behaviors {
+            let sampler = behavior.sampler();
+            let mut fast = Prng::new(5);
+            let mut reference = Prng::new(5);
+            for i in 0..20_000 {
+                assert_eq!(
+                    sampler.sample(&mut fast),
+                    sampler.sample_branchy(&mut reference),
+                    "{behavior:?} draw {i}"
+                );
+                assert_eq!(fast, reference, "{behavior:?} state after draw {i}");
+            }
         }
     }
 

@@ -98,11 +98,53 @@ impl WorkingSetSpec {
     /// streams cache one resolution per phase instead of paying the
     /// division chain per record.
     pub fn resolve(&self) -> ResolvedWorkingSet {
+        let seg_bytes = self.segment_bytes();
         ResolvedWorkingSet {
             spec: *self,
-            seg_bytes: self.segment_bytes(),
+            seg_bytes,
+            seg_divisor: Reciprocal::new(seg_bytes),
             stride: self.segment_stride(),
             ways: u64::from(self.conflict_ways.max(1)),
+        }
+    }
+}
+
+/// Exact division of a 32-bit dividend by a fixed divisor, as a multiply
+/// and a shift (Lemire, Kaser & Kurz, "Faster remainder by direct
+/// computation", 2019: with `m = ceil(2^64 / d)`, `(m * n) >> 64 == n / d`
+/// for every `n` and `d` below `2^32`). Dividends of 32 bits or more, and
+/// divisors the theorem does not cover, divide with `/`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Reciprocal {
+    divisor: u64,
+    /// `ceil(2^64 / divisor)`, or 0 when the divisor is 0, 1 or at least
+    /// `2^32`.
+    multiplier: u64,
+}
+
+impl Reciprocal {
+    fn new(divisor: u64) -> Self {
+        let multiplier = if (2..1 << 32).contains(&divisor) {
+            // For a divisor that does not divide 2^64 this is
+            // floor(2^64 / d) + 1; for a power of two it is 2^64 / d. Both
+            // are ceil(2^64 / d).
+            u64::MAX / divisor + 1
+        } else {
+            0
+        };
+        Self {
+            divisor,
+            multiplier,
+        }
+    }
+
+    /// `n / divisor`.
+    #[inline]
+    fn div(&self, n: u64) -> u64 {
+        if n >> 32 == 0 && self.multiplier != 0 {
+            ((u128::from(self.multiplier) * u128::from(n)) >> 64) as u64
+        } else {
+            n / self.divisor
         }
     }
 }
@@ -114,8 +156,29 @@ pub struct ResolvedWorkingSet {
     /// The specification this resolution was derived from.
     pub spec: WorkingSetSpec,
     seg_bytes: u64,
+    seg_divisor: Reciprocal,
     stride: u64,
     ways: u64,
+}
+
+/// Where an offset lands in a working set (see
+/// [`ResolvedWorkingSet::locate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Location {
+    /// The offset reduced into the working set (`offset % bytes`).
+    pub offset: u64,
+    /// Bytes from the start of the offset's segment.
+    pub within: u64,
+    /// Base address of the offset's segment.
+    pub segment_base: u64,
+}
+
+impl Location {
+    /// The byte address of the location.
+    #[inline]
+    pub fn address(&self) -> u64 {
+        self.segment_base + self.within
+    }
 }
 
 impl ResolvedWorkingSet {
@@ -128,15 +191,51 @@ impl ResolvedWorkingSet {
     /// addresses with the segment geometry amortized.
     #[inline]
     pub fn offset_to_address(&self, offset: u64) -> u64 {
-        let offset = if self.spec.bytes == 0 {
+        self.locate(offset).address()
+    }
+
+    /// The mapping of [`WorkingSetSpec::offset_to_address`], split into the
+    /// reduced offset, its place in its segment and the segment's base.
+    /// An offset already inside the working set skips the reduction, and
+    /// the segment index divides by a precomputed reciprocal.
+    #[inline]
+    pub fn locate(&self, offset: u64) -> Location {
+        let bytes = self.spec.bytes;
+        let offset = if offset < bytes {
+            offset
+        } else if bytes == 0 {
             0
         } else {
-            offset % self.spec.bytes.max(1)
+            offset % bytes
         };
-        let q = offset / self.seg_bytes;
-        let seg = q % self.ways;
-        let within = offset - q * self.seg_bytes;
-        self.spec.base + seg * self.stride + within
+        let q = self.seg_divisor.div(offset);
+        let seg = if q < self.ways { q } else { q % self.ways };
+        Location {
+            offset,
+            within: offset - q * self.seg_bytes,
+            segment_base: self.spec.base + seg * self.stride,
+        }
+    }
+
+    /// The location `step` bytes after `at`, where `offset` is the new raw
+    /// offset (`at`'s raw offset plus `step`, or its wrap-around if that
+    /// overflowed). While the step stays inside `at`'s segment and the
+    /// working set, this is two adds; otherwise (a segment crossing, a wrap
+    /// of the working set or of `u64`) it is [`ResolvedWorkingSet::locate`]
+    /// of `offset`.
+    #[inline]
+    pub fn advance(&self, at: Location, step: u64, offset: u64, wrapped: bool) -> Location {
+        let within = at.within.saturating_add(step);
+        let reduced = at.offset.saturating_add(step);
+        if within < self.seg_bytes && reduced < self.spec.bytes && !wrapped {
+            Location {
+                offset: reduced,
+                within,
+                segment_base: at.segment_base,
+            }
+        } else {
+            self.locate(offset)
+        }
     }
 }
 
@@ -207,6 +306,61 @@ mod tests {
     fn wraps_offsets_beyond_size() {
         let ws = WorkingSetSpec::uniform(1024);
         assert_eq!(ws.offset_to_address(0), ws.offset_to_address(1024));
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact() {
+        let mut divisors: Vec<u64> = vec![0, 1, 2, 3, 7, 64, 96, 3 * 1024, 5 * 1024 + 3];
+        divisors.extend([(1 << 31) - 1, 1 << 31, (1 << 32) - 1, 1 << 32, u64::MAX]);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            divisors.push((x >> (x % 64)).max(1));
+        }
+        for d in divisors.into_iter().filter(|&d| d > 0) {
+            let r = Reciprocal::new(d);
+            let mut dividends = vec![0, 1, d - 1, d, d.saturating_add(1), (1 << 32) - 1, 1 << 32];
+            dividends.push(u64::MAX);
+            dividends.extend((1..8).map(|k| d.saturating_mul(k).saturating_sub(1)));
+            for _ in 0..2_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                dividends.push(x >> 32);
+                dividends.push(x >> (x % 64));
+            }
+            for n in dividends {
+                assert_eq!(r.div(n), n / d, "{n} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn advancing_a_location_matches_locating_the_new_offset() {
+        let specs = [
+            WorkingSetSpec::uniform(4096),
+            WorkingSetSpec::conflicting(24 * 1024, 3),
+            WorkingSetSpec::conflicting(100 * 1000, 7),
+            WorkingSetSpec::conflicting(160 * 1024, 8).at_base(0x40_0000),
+            WorkingSetSpec::conflicting(200, 4),
+            WorkingSetSpec::uniform(0),
+        ];
+        for spec in specs {
+            let resolved = spec.resolve();
+            for step in [1u64, 8, 24, 64, 4096, 70_000] {
+                let mut raw = u64::MAX - 50 * step;
+                let mut at = resolved.locate(raw);
+                for _ in 0..20_000 {
+                    let (next, wrapped) = raw.overflowing_add(step);
+                    raw = next;
+                    at = resolved.advance(at, step, raw, wrapped);
+                    assert_eq!(at, resolved.locate(raw), "{spec:?} step {step} at {raw}");
+                    assert_eq!(at.address(), spec.offset_to_address(raw));
+                }
+            }
+        }
     }
 
     #[test]
