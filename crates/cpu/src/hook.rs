@@ -5,7 +5,9 @@
 //! fixed-length intervals measured in cache accesses and resizes it
 //! mid-execution. To keep the policy out of the processor model, the engines
 //! call a [`SimHook`] after every committed instruction with mutable access
-//! to the memory hierarchy; `rescache-core`'s controllers implement the trait.
+//! to the memory hierarchy, and the functional warm-up of
+//! [`crate::Simulator::run_warm_measure`] calls it after every warm-up
+//! record; `rescache-core`'s controllers implement the trait.
 
 use rescache_cache::MemoryHierarchy;
 

@@ -6,8 +6,10 @@
 //! length, arbitrary), with and without the observer hook.
 //!
 //! The engine side runs `Simulator::run_warm_measure` over the whole record
-//! slice; the oracle side slices the two regions itself, so an off-by-one in
-//! the region split shows.
+//! slice, which warms the caches functionally and times only the measured
+//! region; the oracle side slices the two regions itself and times both, so
+//! an off-by-one in the region split, or a warm-up that leaves other cache
+//! state or makes other hook calls, shows.
 
 use rescache_cache::{HierarchyConfig, HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::hook::{NoopHook, SimHook};

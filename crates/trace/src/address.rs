@@ -61,8 +61,8 @@ impl Default for AccessMix {
 /// (one address is drawn per memory instruction, and the working set only
 /// changes at phase boundaries), keeping the per-address cost to the random
 /// draw plus a few adds. The sequential walk also keeps its cursor's
-/// [`Location`] up to date, so it divides only when it crosses a segment or
-/// wraps the working set.
+/// reduced offset and segment position up to date, so it divides only when
+/// it crosses a segment or wraps the working set.
 #[derive(Debug, Clone)]
 pub struct AddressStream {
     mix: AccessMix,

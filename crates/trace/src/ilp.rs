@@ -194,7 +194,8 @@ impl DistanceSampler {
     /// need (independence test, first distance, second-source test, second
     /// distance) from a clone of `rng`, then selects the outcome and the
     /// generator state after the values it actually consumed. The result
-    /// and the state of `rng` are those of [`DistanceSampler::sample_branchy`].
+    /// and the state of `rng` are those of drawing each value only when it
+    /// is needed.
     #[inline]
     pub fn sample(&self, rng: &mut Prng) -> (u8, u8) {
         let Some(table) = &self.table else {
@@ -222,7 +223,7 @@ impl DistanceSampler {
     /// The sample as a chain of draws, each taken only when needed: the
     /// definition [`DistanceSampler::sample`] reproduces, and its path for
     /// the constant distance (no table), which consumes fewer values.
-    pub fn sample_branchy(&self, rng: &mut Prng) -> (u8, u8) {
+    fn sample_branchy(&self, rng: &mut Prng) -> (u8, u8) {
         if rng.next_u64() < self.independent_bits {
             return (0, 0);
         }

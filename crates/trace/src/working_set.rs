@@ -164,19 +164,19 @@ pub struct ResolvedWorkingSet {
 /// Where an offset lands in a working set (see
 /// [`ResolvedWorkingSet::locate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Location {
+pub(crate) struct Location {
     /// The offset reduced into the working set (`offset % bytes`).
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Bytes from the start of the offset's segment.
-    pub within: u64,
+    pub(crate) within: u64,
     /// Base address of the offset's segment.
-    pub segment_base: u64,
+    pub(crate) segment_base: u64,
 }
 
 impl Location {
     /// The byte address of the location.
     #[inline]
-    pub fn address(&self) -> u64 {
+    pub(crate) fn address(&self) -> u64 {
         self.segment_base + self.within
     }
 }
@@ -199,7 +199,7 @@ impl ResolvedWorkingSet {
     /// An offset already inside the working set skips the reduction, and
     /// the segment index divides by a precomputed reciprocal.
     #[inline]
-    pub fn locate(&self, offset: u64) -> Location {
+    pub(crate) fn locate(&self, offset: u64) -> Location {
         let bytes = self.spec.bytes;
         let offset = if offset < bytes {
             offset
@@ -224,7 +224,7 @@ impl ResolvedWorkingSet {
     /// of the working set or of `u64`) it is [`ResolvedWorkingSet::locate`]
     /// of `offset`.
     #[inline]
-    pub fn advance(&self, at: Location, step: u64, offset: u64, wrapped: bool) -> Location {
+    pub(crate) fn advance(&self, at: Location, step: u64, offset: u64, wrapped: bool) -> Location {
         let within = at.within.saturating_add(step);
         let reduced = at.offset.saturating_add(step);
         if within < self.seg_bytes && reduced < self.spec.bytes && !wrapped {
