@@ -22,7 +22,8 @@
 #   SEED      perfbench seeds, used in turn by successive pairs (default 1)
 #   SECONDS   perfbench run seconds (default 20)
 #   SCRATCH   work directory (default ${TMPDIR:-/tmp}/rescache-paired-ab);
-#             its parent/, change/ and results/ are replaced
+#             its results/ and both source trees are replaced, and a side's
+#             target directory is kept only while its revision is the same
 #   KINDS     "perfbench sim_throughput" (default), or either one alone
 set -eu
 
@@ -54,14 +55,22 @@ if [ "$pairs" -lt 5 ]; then
 fi
 
 repo=$(pwd)
-mkdir -p "$scratch"
-rm -rf "$scratch/parent" "$scratch/change" "$scratch/results"
+rm -rf "$scratch/results"
 mkdir -p "$scratch/results"
 for side in parent change; do
     eval rev=\$$side
+    sha=$(git -C "$repo" rev-parse "$rev")
+    # An archive stamps every file with its commit's time, so a target
+    # directory built from another revision could look newer than the
+    # sources and never rebuild: it is kept only for the same revision.
+    if [ "$(cat "$scratch/$side/rev" 2>/dev/null || true)" != "$sha" ]; then
+        rm -rf "$scratch/$side"
+    fi
+    rm -rf "$scratch/$side/tree"
     mkdir -p "$scratch/$side/tree"
-    git -C "$repo" archive "$rev" | tar -x -C "$scratch/$side/tree"
-    echo "paired_ab: $side = $(git -C "$repo" rev-parse --short "$rev")" >&2
+    git -C "$repo" archive "$sha" | tar -x -C "$scratch/$side/tree"
+    echo "$sha" > "$scratch/$side/rev"
+    echo "paired_ab: $side = $(git -C "$repo" rev-parse --short "$sha")" >&2
 done
 
 # Builds each side's binaries once, outside the timed runs.
