@@ -9,14 +9,16 @@
 //! SPEC profile and registry workload, on both engines, at full size, at the
 //! smallest selective-sets and selective-ways points and under one dynamic
 //! controller, the two must agree in the measured `SimResult`, the final
-//! hierarchy snapshot and every resize decision.
+//! hierarchy snapshot and every resize decision. A hand-built trace pins the
+//! order of the two accesses within a record, which the unified L2's LRU
+//! state can see.
 
 use std::sync::mpsc;
 
 use rescache::prelude::*;
 use rescache_cache::HierarchySnapshot;
 use rescache_cpu::{InOrderEngine, OutOfOrderEngine};
-use rescache_trace::InstrRecord;
+use rescache_trace::{InstrRecord, Op};
 
 const WARM: usize = 8_000;
 const MEASURE: usize = 4_000;
@@ -51,13 +53,15 @@ enum Setup {
 /// warm-up + measure sequence.
 type Outcome = (SimResult, HierarchySnapshot, Vec<ResizeDecision>);
 
-/// Runs `setup` over `records` with the functional warm-up (`functional`)
-/// or the timed reference. Also returns how many decisions the timed
-/// reference took during its warm-up (0 for the functional run, which
-/// cannot tell).
+/// Runs `setup` over `records`, the first `warm` of them the warm-up
+/// region and the rest the measured region, with the functional warm-up
+/// (`functional`) or the timed reference. Also returns how many decisions
+/// the timed reference took during its warm-up (0 for the functional run,
+/// which cannot tell).
 fn run(
     system: &SystemConfig,
     records: &[InstrRecord],
+    warm: usize,
     setup: &Setup,
     functional: bool,
 ) -> (Outcome, usize) {
@@ -82,12 +86,13 @@ fn run(
     };
     let mut seen = Vec::new();
     let result = if functional {
-        Simulator::new(system.cpu).run_warm_measure(records, WARM, MEASURE, &mut hierarchy, hook)
+        let measure = records.len() - warm;
+        Simulator::new(system.cpu).run_warm_measure(records, warm, measure, &mut hierarchy, hook)
     } else {
-        timed_region(system.cpu, &records[..WARM], &mut hierarchy, hook);
+        timed_region(system.cpu, &records[..warm], &mut hierarchy, hook);
         seen.extend(decisions.try_iter());
         hierarchy.reset_stats();
-        timed_region(system.cpu, &records[WARM..], &mut hierarchy, hook)
+        timed_region(system.cpu, &records[warm..], &mut hierarchy, hook)
     };
     let warmup_decisions = seen.len();
     seen.extend(decisions.try_iter());
@@ -150,8 +155,8 @@ fn functional_warmup_matches_the_timed_warmup_everywhere() {
         for system in [SystemConfig::base(), SystemConfig::in_order()] {
             for setup in &setups {
                 let label = format!("{} {:?} {setup:?}", profile.name, system.cpu.engine);
-                let (functional, _) = run(&system, trace.records(), setup, true);
-                let (timed, in_warmup) = run(&system, trace.records(), setup, false);
+                let (functional, _) = run(&system, trace.records(), WARM, setup, true);
+                let (timed, in_warmup) = run(&system, trace.records(), WARM, setup, false);
                 assert_eq!(functional.0, timed.0, "SimResult diverged: {label}");
                 assert_eq!(functional.1, timed.1, "snapshot diverged: {label}");
                 assert_eq!(functional.2, timed.2, "resize decisions diverged: {label}");
@@ -165,4 +170,34 @@ fn functional_warmup_matches_the_timed_warmup_everywhere() {
         warmup_decisions > 21 && decisions > warmup_decisions + 21,
         "{decisions} resize decisions, {warmup_decisions} of them in warm-ups"
     );
+}
+
+#[test]
+fn functional_warmup_keeps_the_access_order_within_a_record() {
+    // Every warm-up block below maps to L2 set 0 (4-way, sets 128 KiB
+    // apart). Records 1 and 2 each fetch a new code block and load a new
+    // data block; record 3 stays in record 2's fetch group and loads a
+    // fifth block, which evicts the set's least recently used line: `p1`
+    // when the fetch of record 1 came before its load, `a1` otherwise.
+    // The measured load of `a1` then hits in the L2 or goes to memory.
+    const SET_STRIDE: u64 = 128 * 1024;
+    let (p1, p2) = (0x40_0000, 0x40_0000 + SET_STRIDE);
+    let a = |k: u64| 0x1000_0000 + k * SET_STRIDE;
+    let records = [
+        InstrRecord::new(p1, Op::Load(a(0))),
+        InstrRecord::new(p2, Op::Load(a(1))),
+        InstrRecord::new(p2 + 4, Op::Load(a(2))),
+        InstrRecord::new(p1 + 0x40, Op::Load(a(0))),
+    ];
+    for system in [SystemConfig::base(), SystemConfig::in_order()] {
+        let (functional, _) = run(&system, &records, 3, &Setup::Static(None), true);
+        let (timed, _) = run(&system, &records, 3, &Setup::Static(None), false);
+        assert_eq!(functional, timed, "{:?}", system.cpu.engine);
+        assert_eq!(
+            (timed.1.l2.accesses, timed.1.l2.misses()),
+            (2, 1),
+            "the measured load of a1 hits in the L2 ({:?})",
+            system.cpu.engine
+        );
+    }
 }
