@@ -5,22 +5,22 @@
 # side gets its own cargo target directory there, and the repository's own
 # checkout and .git are not touched), builds them, then runs the two sides
 # in alternating pairs: the parent first in odd pairs, the change first in
-# even ones. Each pair runs `perfbench/run.py --trace 0` (unchanged) and
-# `cargo bench --bench sim_throughput` once per side. For every perfbench
-# end-to-end metric and every sim_throughput stage median it prints each
-# side's median and quartiles, the change/parent ratio (median, min and max
-# over the pairs) and how many pairs the change won.
+# even ones. Each pair runs `perfbench/run.py --trace 0` (unchanged) for
+# the checkout's BENCHMARK.json `run_seconds` and `cargo bench --bench
+# sim_throughput` once per side. For every perfbench end-to-end metric and
+# every sim_throughput stage median it prints each side's median and
+# quartiles, the change/parent ratio (median, min and max over the pairs)
+# and how many pairs the change won.
 #
 # Run from the repository root:
 #   sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD]
-#                      [-s "SEED ..."] [-t SECONDS] [-d SCRATCH] [-k KINDS]
+#                      [-s "SEED ..."] [-d SCRATCH] [-k KINDS]
 #
 #   PARENT    parent revision (default HEAD~1)
 #   CHANGE    changed revision (default HEAD)
 #   PAIRS     number of pairs, at least 5 (default 5)
 #   WORKLOAD  perfbench workload (default fig5_paper)
 #   SEED      perfbench seeds, used in turn by successive pairs (default 1)
-#   SECONDS   perfbench run seconds (default 20)
 #   SCRATCH   work directory (default ${TMPDIR:-/tmp}/rescache-paired-ab);
 #             its results/ and both source trees are replaced, and a side's
 #             target directory is kept only while its revision is the same
@@ -32,20 +32,18 @@ change=HEAD
 pairs=5
 workload=fig5_paper
 seeds=1
-seconds=20
 scratch=${TMPDIR:-/tmp}/rescache-paired-ab
 kinds="perfbench sim_throughput"
-while getopts p:c:n:w:s:t:d:k: opt; do
+while getopts p:c:n:w:s:d:k: opt; do
     case $opt in
         p) parent=$OPTARG ;;
         c) change=$OPTARG ;;
         n) pairs=$OPTARG ;;
         w) workload=$OPTARG ;;
         s) seeds=$OPTARG ;;
-        t) seconds=$OPTARG ;;
         d) scratch=$OPTARG ;;
         k) kinds=$OPTARG ;;
-        *) echo "usage: sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD] [-s SEEDS] [-t SECONDS] [-d SCRATCH] [-k KINDS]" >&2
+        *) echo "usage: sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD] [-s SEEDS] [-d SCRATCH] [-k KINDS]" >&2
            exit 2 ;;
     esac
 done
@@ -55,6 +53,8 @@ if [ "$pairs" -lt 5 ]; then
 fi
 
 repo=$(pwd)
+seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$repo/BENCHMARK.json")
 rm -rf "$scratch/results"
 mkdir -p "$scratch/results"
 for side in parent change; do
