@@ -60,12 +60,6 @@ impl Simulator {
     /// One engine invocation over `records`, with `hook` invoked after every
     /// committed instruction. With [`NoopHook`] the engine loops pay no
     /// per-instruction virtual call — the path every static sweep run takes.
-    ///
-    /// Kept out of line, so [`Simulator::run`] and
-    /// [`Simulator::run_warm_measure`] share one copy of each engine loop per
-    /// hook type rather than each inlining its own, whose code layout (and
-    /// speed) could differ from the other's.
-    #[inline(never)]
     fn run_hooked<H: SimHook + ?Sized>(
         &self,
         records: &[InstrRecord],
