@@ -102,49 +102,8 @@ impl WorkingSetSpec {
         ResolvedWorkingSet {
             spec: *self,
             seg_bytes,
-            seg_divisor: Reciprocal::new(seg_bytes),
             stride: self.segment_stride(),
             ways: u64::from(self.conflict_ways.max(1)),
-        }
-    }
-}
-
-/// Exact division of a 32-bit dividend by a fixed divisor, as a multiply
-/// and a shift (Lemire, Kaser & Kurz, "Faster remainder by direct
-/// computation", 2019: with `m = ceil(2^64 / d)`, `(m * n) >> 64 == n / d`
-/// for every `n` and `d` below `2^32`). Dividends of 32 bits or more, and
-/// divisors the theorem does not cover, divide with `/`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Reciprocal {
-    divisor: u64,
-    /// `ceil(2^64 / divisor)`, or 0 when the divisor is 0, 1 or at least
-    /// `2^32`.
-    multiplier: u64,
-}
-
-impl Reciprocal {
-    fn new(divisor: u64) -> Self {
-        let multiplier = if (2..1 << 32).contains(&divisor) {
-            // For a divisor that does not divide 2^64 this is
-            // floor(2^64 / d) + 1; for a power of two it is 2^64 / d. Both
-            // are ceil(2^64 / d).
-            u64::MAX / divisor + 1
-        } else {
-            0
-        };
-        Self {
-            divisor,
-            multiplier,
-        }
-    }
-
-    /// `n / divisor`.
-    #[inline]
-    fn div(&self, n: u64) -> u64 {
-        if n >> 32 == 0 && self.multiplier != 0 {
-            ((u128::from(self.multiplier) * u128::from(n)) >> 64) as u64
-        } else {
-            n / self.divisor
         }
     }
 }
@@ -156,7 +115,6 @@ pub struct ResolvedWorkingSet {
     /// The specification this resolution was derived from.
     pub spec: WorkingSetSpec,
     seg_bytes: u64,
-    seg_divisor: Reciprocal,
     stride: u64,
     ways: u64,
 }
@@ -196,8 +154,7 @@ impl ResolvedWorkingSet {
 
     /// The mapping of [`WorkingSetSpec::offset_to_address`], split into the
     /// reduced offset, its place in its segment and the segment's base.
-    /// An offset already inside the working set skips the reduction, and
-    /// the segment index divides by a precomputed reciprocal.
+    /// An offset already inside the working set skips the reduction.
     #[inline]
     pub(crate) fn locate(&self, offset: u64) -> Location {
         let bytes = self.spec.bytes;
@@ -208,7 +165,7 @@ impl ResolvedWorkingSet {
         } else {
             offset % bytes
         };
-        let q = self.seg_divisor.div(offset);
+        let q = offset / self.seg_bytes;
         let seg = if q < self.ways { q } else { q % self.ways };
         Location {
             offset,
@@ -306,35 +263,6 @@ mod tests {
     fn wraps_offsets_beyond_size() {
         let ws = WorkingSetSpec::uniform(1024);
         assert_eq!(ws.offset_to_address(0), ws.offset_to_address(1024));
-    }
-
-    #[test]
-    fn reciprocal_division_is_exact() {
-        let mut divisors: Vec<u64> = vec![0, 1, 2, 3, 7, 64, 96, 3 * 1024, 5 * 1024 + 3];
-        divisors.extend([(1 << 31) - 1, 1 << 31, (1 << 32) - 1, 1 << 32, u64::MAX]);
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            divisors.push((x >> (x % 64)).max(1));
-        }
-        for d in divisors.into_iter().filter(|&d| d > 0) {
-            let r = Reciprocal::new(d);
-            let mut dividends = vec![0, 1, d - 1, d, d.saturating_add(1), (1 << 32) - 1, 1 << 32];
-            dividends.push(u64::MAX);
-            dividends.extend((1..8).map(|k| d.saturating_mul(k).saturating_sub(1)));
-            for _ in 0..2_000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                dividends.push(x >> 32);
-                dividends.push(x >> (x % 64));
-            }
-            for n in dividends {
-                assert_eq!(r.div(n), n / d, "{n} / {d}");
-            }
-        }
     }
 
     #[test]
