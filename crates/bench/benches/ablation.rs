@@ -9,7 +9,7 @@
 
 use rescache_bench::{all_apps, bench_runner, print_header, timed};
 use rescache_cache::CacheConfig;
-use rescache_core::experiment::{format_table, mean, static_vs_dynamic, Runner, StrategyRow};
+use rescache_core::experiment::{format_table, mean, static_vs_dynamic, Runner};
 use rescache_core::org::ConfigSpace;
 use rescache_core::{Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::AppProfile;
@@ -45,19 +45,23 @@ fn interval_sweep(runner: &Runner, apps: &[AppProfile], interval: u64) -> (f64, 
     let mut cfg = *runner.config();
     cfg.dynamic_interval = interval;
     let runner = Runner::with_store(cfg, runner.trace_store().clone());
-    let rows = static_vs_dynamic(
+    let side = ResizableCacheSide::Data;
+    let pairs = static_vs_dynamic(
         &runner,
         apps,
         &SystemConfig::in_order(),
         Organization::SelectiveSets,
-        ResizableCacheSide::Data,
+        side,
     )
     .expect("selective-sets applies");
-    let avg = |field: fn(&StrategyRow) -> f64| mean(&rows.iter().map(field).collect::<Vec<_>>());
-    (
-        avg(|r| r.dynamic_edp_reduction),
-        avg(|r| r.dynamic_resizes as f64),
-    )
+    let (reductions, resizes): (Vec<f64>, Vec<f64>) = pairs
+        .iter()
+        .map(|(_, d)| {
+            let resizes = d.best.measurement.resizes(side) as f64;
+            (d.best.edp_reduction_percent, resizes)
+        })
+        .unzip();
+    (mean(&reductions), mean(&resizes))
 }
 
 fn main() {

@@ -2,8 +2,8 @@
 //! simultaneously (additivity of the savings), with static selective-sets on
 //! the base out-of-order system.
 
-use rescache_bench::{all_apps, bench_runner, print_header, timed};
-use rescache_core::experiment::{dual_resizing, format_table, mean};
+use rescache_bench::{all_apps, bench_runner, print_app_table, print_header, timed, Column};
+use rescache_core::experiment::dual_resizing;
 use rescache_core::{Organization, SystemConfig};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
     let runner = bench_runner();
     let apps = all_apps();
 
-    let rows = timed("dual resizing sweep", || {
+    let outcomes = timed("dual resizing sweep", || {
         dual_resizing(
             &runner,
             &apps,
@@ -24,72 +24,37 @@ fn main() {
         .expect("selective-sets applies to both 2-way L1s")
     });
 
-    let mut size_table = Vec::new();
-    let mut edp_table = Vec::new();
-    for (outcome, row) in &rows {
-        size_table.push(vec![
-            outcome.app.clone(),
-            format!("{:.0}", row.d_alone_size_reduction),
-            format!("{:.0}", row.i_alone_size_reduction),
-            format!("{:.0}", row.both_size_reduction),
-        ]);
-        edp_table.push(vec![
-            outcome.app.clone(),
-            format!("{:.1}", row.d_alone_edp_reduction),
-            format!("{:.1}", row.i_alone_edp_reduction),
-            format!("{:.1}", row.both_edp_reduction),
-            format!("{:.1}", row.stacked_edp_reduction()),
-            format!("{:.1}", row.both_slowdown),
-        ]);
-    }
-    let d_size: Vec<f64> = rows.iter().map(|(_, r)| r.d_alone_size_reduction).collect();
-    let i_size: Vec<f64> = rows.iter().map(|(_, r)| r.i_alone_size_reduction).collect();
-    let b_size: Vec<f64> = rows.iter().map(|(_, r)| r.both_size_reduction).collect();
-    size_table.push(vec![
-        "AVG.".into(),
-        format!("{:.0}", mean(&d_size)),
-        format!("{:.0}", mean(&i_size)),
-        format!("{:.0}", mean(&b_size)),
-    ]);
-    let d_edp: Vec<f64> = rows.iter().map(|(_, r)| r.d_alone_edp_reduction).collect();
-    let i_edp: Vec<f64> = rows.iter().map(|(_, r)| r.i_alone_edp_reduction).collect();
-    let b_edp: Vec<f64> = rows.iter().map(|(_, r)| r.both_edp_reduction).collect();
-    let s_edp: Vec<f64> = rows
+    let sizes: Vec<(&str, Vec<f64>)> = outcomes
         .iter()
-        .map(|(_, r)| r.stacked_edp_reduction())
+        .map(|o| (o.d_alone.app.as_str(), o.size_reductions().to_vec()))
         .collect();
-    let slow: Vec<f64> = rows.iter().map(|(_, r)| r.both_slowdown).collect();
-    edp_table.push(vec![
-        "AVG.".into(),
-        format!("{:.1}", mean(&d_edp)),
-        format!("{:.1}", mean(&i_edp)),
-        format!("{:.1}", mean(&b_edp)),
-        format!("{:.1}", mean(&s_edp)),
-        format!("{:.1}", mean(&slow)),
-    ]);
-
-    println!("(a) Cache size reduction (% of combined d+i capacity)");
-    println!(
-        "{}",
-        format_table(
-            &["application", "d-cache alone", "i-cache alone", "both"],
-            &size_table
-        )
+    print_app_table(
+        "(a) Cache size reduction (% of combined d+i capacity)",
+        &[
+            Column::averaged("d-cache alone", 0),
+            Column::averaged("i-cache alone", 0),
+            Column::averaged("both", 0),
+        ],
+        &sizes,
     );
-    println!("(b) Energy-delay reduction (%)");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "application",
-                "d-cache alone",
-                "i-cache alone",
-                "both together",
-                "d+i stacked",
-                "slowdown % (both)",
-            ],
-            &edp_table
-        )
+    let edps: Vec<(&str, Vec<f64>)> = outcomes
+        .iter()
+        .map(|o| {
+            let [d, i, both] = o.edp_reductions();
+            let values = vec![d, i, both, o.stacked_edp_reduction(), o.both_slowdown()];
+            (o.d_alone.app.as_str(), values)
+        })
+        .collect();
+    print_app_table(
+        "(b) Energy-delay reduction (%)",
+        &[
+            Column::averaged("d-cache alone", 1),
+            Column::averaged("i-cache alone", 1),
+            Column::averaged("both together", 1),
+            Column::averaged("d+i stacked", 1),
+            Column::averaged("slowdown % (both)", 1),
+        ],
+        &edps,
     );
     println!(
         "Paper reference: simultaneous resizing saves ~20 % of processor energy-delay on average,"

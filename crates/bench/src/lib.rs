@@ -8,13 +8,13 @@
 //! any work, with exit status 2), the full application list, a tiny
 //! stopwatch for reporting how long a sweep took, the median/min/max
 //! summary the throughput harness reports its timing samples with, the one
-//! function behind Figures 4 and 6, and the one behind Figures 7 and 8.
+//! function behind Figures 4 and 6, the one behind Figures 7 and 8, and the
+//! per-application table printer of Figures 5, 7, 8 and 9.
 
 use std::time::Instant;
 
 use rescache_core::experiment::{
-    format_table, mean, organization_vs_associativity, static_vs_dynamic, Runner, RunnerConfig,
-    StrategyRow,
+    format_table, mean, mean_edp_reduction, static_grid, static_vs_dynamic, Runner, RunnerConfig,
 };
 use rescache_core::{Knobs, Organization, ResizableCacheSide, SystemConfig};
 use rescache_trace::{spec, AppProfile};
@@ -84,22 +84,16 @@ pub fn org_assoc_figure(title: &str, orgs: &[Organization], headers: &[&str], re
     let apps = all_apps();
     let assocs = [2u32, 4, 8, 16];
     for side in ResizableCacheSide::ALL {
-        let label = match side {
-            ResizableCacheSide::Data => "(a) D-Cache",
-            ResizableCacheSide::Instruction => "(b) I-Cache",
-        };
-        let points = timed(label, || {
-            organization_vs_associativity(&runner, &apps, &assocs, orgs, side)
-                .expect("every applicable organization enumerates its configuration space")
-        });
+        let label = side_label(side);
+        let cells = timed(label, || static_grid(&runner, &apps, &assocs, orgs, side));
         let mut rows = Vec::new();
         for assoc in assocs {
             let mut row = vec![format!("{assoc}-way")];
             for &org in orgs {
-                let value = points
+                let value = cells
                     .iter()
-                    .find(|p| p.associativity == assoc && p.organization == org)
-                    .map(|p| format!("{:.1}", p.mean_edp_reduction))
+                    .find(|(a, o, _)| *a == assoc && *o == org)
+                    .map(|(_, _, outcomes)| format!("{:.1}", mean_edp_reduction(outcomes)))
                     .unwrap_or_else(|| "n/a".to_string());
                 row.push(value);
             }
@@ -110,6 +104,14 @@ pub fn org_assoc_figure(title: &str, orgs: &[Organization], headers: &[&str], re
     }
     for line in reference {
         println!("{line}");
+    }
+}
+
+/// The sub-figure label of one cache side: "(a) D-Cache" or "(b) I-Cache".
+pub fn side_label(side: ResizableCacheSide) -> &'static str {
+    match side {
+        ResizableCacheSide::Data => "(a) D-Cache",
+        ResizableCacheSide::Instruction => "(b) I-Cache",
     }
 }
 
@@ -139,55 +141,100 @@ pub fn strategy_figure(side: ResizableCacheSide, title: &str, reference: &[&str]
             SystemConfig::base(),
         ),
     ];
+    let columns = [
+        Column::averaged("size red. % (static)", 0),
+        Column::averaged("size red. % (dynamic)", 0),
+        Column::averaged("EDP red. % (static)", 1),
+        Column::averaged("EDP red. % (dynamic)", 1),
+        Column::unaveraged("resizes", 0),
+    ];
     for (stage, label, system) in configurations {
-        let rows = timed(stage, || {
+        let pairs = timed(stage, || {
             static_vs_dynamic(&runner, &apps, &system, Organization::SelectiveSets, side)
                 .expect(&applies)
         });
-        print_strategy_rows(&rows, label);
+        let rows: Vec<(&str, Vec<f64>)> = pairs
+            .iter()
+            .map(|(s, d)| {
+                let values = vec![
+                    s.best.size_reduction_percent,
+                    d.best.size_reduction_percent,
+                    s.best.edp_reduction_percent,
+                    d.best.edp_reduction_percent,
+                    d.best.measurement.resizes(side) as f64,
+                ];
+                (s.app.as_str(), values)
+            })
+            .collect();
+        print_app_table(label, &columns, &rows);
     }
     for line in reference {
         println!("{line}");
     }
 }
 
-/// One Figure 7/8 table: a row per application, then the averages.
-fn print_strategy_rows(rows: &[StrategyRow], label: &str) {
-    let avg = |field: fn(&StrategyRow) -> f64| mean(&rows.iter().map(field).collect::<Vec<_>>());
-    let mut table = Vec::new();
-    for r in rows {
-        table.push(vec![
-            r.app.clone(),
-            format!("{:.0}", r.static_size_reduction),
-            format!("{:.0}", r.dynamic_size_reduction),
-            format!("{:.1}", r.static_edp_reduction),
-            format!("{:.1}", r.dynamic_edp_reduction),
-            format!("{}", r.dynamic_resizes),
-        ]);
+/// One column of a per-application table (see [`print_app_table`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Column {
+    header: &'static str,
+    decimals: usize,
+    averaged: bool,
+}
+
+impl Column {
+    /// A column printed with `decimals` decimals whose `AVG.` cell is the
+    /// mean over the applications.
+    pub const fn averaged(header: &'static str, decimals: usize) -> Self {
+        Self {
+            header,
+            decimals,
+            averaged: true,
+        }
     }
-    table.push(vec![
-        "AVG.".to_string(),
-        format!("{:.0}", avg(|r| r.static_size_reduction)),
-        format!("{:.0}", avg(|r| r.dynamic_size_reduction)),
-        format!("{:.1}", avg(|r| r.static_edp_reduction)),
-        format!("{:.1}", avg(|r| r.dynamic_edp_reduction)),
-        String::new(),
-    ]);
-    println!("{label}");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "application",
-                "size red. % (static)",
-                "size red. % (dynamic)",
-                "EDP red. % (static)",
-                "EDP red. % (dynamic)",
-                "resizes",
-            ],
-            &table
-        )
+
+    /// A column whose `AVG.` cell stays empty, such as a count of resizes.
+    pub const fn unaveraged(header: &'static str, decimals: usize) -> Self {
+        Self {
+            header,
+            decimals,
+            averaged: false,
+        }
+    }
+}
+
+/// Prints `label`, then a table with an "application" column and
+/// `columns`: one row per `(application, values)`, where `values[i]` goes
+/// under `columns[i]`, then an `AVG.` row with the mean of every averaged
+/// column.
+pub fn print_app_table(label: &str, columns: &[Column], rows: &[(&str, Vec<f64>)]) {
+    let mut table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(app, values)| {
+            let cells = columns
+                .iter()
+                .zip(values)
+                .map(|(c, v)| format!("{v:.*}", c.decimals));
+            std::iter::once(app.to_string()).chain(cells).collect()
+        })
+        .collect();
+    let averages = columns.iter().enumerate().map(|(i, c)| {
+        if c.averaged {
+            let values: Vec<f64> = rows.iter().map(|(_, values)| values[i]).collect();
+            format!("{:.*}", c.decimals, mean(&values))
+        } else {
+            String::new()
+        }
+    });
+    table.push(
+        std::iter::once("AVG.".to_string())
+            .chain(averages)
+            .collect(),
     );
+    let headers: Vec<&str> = std::iter::once("application")
+        .chain(columns.iter().map(|c| c.header))
+        .collect();
+    println!("{label}");
+    println!("{}", format_table(&headers, &table));
 }
 
 /// Median, minimum and maximum of a set of timing samples: how the

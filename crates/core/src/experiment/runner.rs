@@ -102,6 +102,14 @@ impl Measurement {
     pub fn score(&self, objective: Objective) -> f64 {
         objective.score(&self.energy_delay())
     }
+
+    /// Resize operations of `side`'s cache during the measured region.
+    pub fn resizes(&self, side: ResizableCacheSide) -> u64 {
+        match side {
+            ResizableCacheSide::Data => self.l1d_resizes,
+            ResizableCacheSide::Instruction => self.l1i_resizes,
+        }
+    }
 }
 
 /// The cache setup of a dynamic run: tag-bit overheads and an optional

@@ -17,7 +17,7 @@ fn main() -> Result<(), CoreError> {
     });
     let apps = vec![spec::ammp(), spec::m88ksim(), spec::ijpeg(), spec::su2cor()];
 
-    let rows = dual_resizing(
+    let outcomes = dual_resizing(
         &runner,
         &apps,
         &SystemConfig::base(),
@@ -29,14 +29,15 @@ fn main() -> Result<(), CoreError> {
         "{:<10} {:>14} {:>14} {:>14} {:>12}",
         "app", "d-cache alone", "i-cache alone", "both", "d+i stacked"
     );
-    for (outcome, row) in &rows {
+    for outcome in &outcomes {
+        let [d, i, both] = outcome.edp_reductions();
         println!(
             "{:<10} {:>13.1}% {:>13.1}% {:>13.1}% {:>11.1}%",
-            outcome.app,
-            row.d_alone_edp_reduction,
-            row.i_alone_edp_reduction,
-            row.both_edp_reduction,
-            row.stacked_edp_reduction()
+            outcome.d_alone.app,
+            d,
+            i,
+            both,
+            outcome.stacked_edp_reduction()
         );
     }
     println!();

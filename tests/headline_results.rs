@@ -3,7 +3,8 @@
 //! `crates/bench`).
 
 use rescache::core::experiment::{
-    dual_resizing, organization_vs_associativity, static_vs_dynamic, Runner, RunnerConfig,
+    dual_resizing, mean_edp_reduction, static_grid, static_vs_dynamic, Runner, RunnerConfig,
+    StaticOutcome,
 };
 use rescache::prelude::*;
 use rescache::trace::AppProfile;
@@ -24,6 +25,16 @@ fn test_runner() -> Runner {
 
 fn small_ws_apps() -> Vec<AppProfile> {
     vec![spec::ammp(), spec::applu(), spec::m88ksim()]
+}
+
+/// The mean energy-delay reduction of `org`'s cell in a one-associativity
+/// grid.
+fn mean_edp(cells: &[(u32, Organization, Vec<StaticOutcome>)], org: Organization) -> f64 {
+    cells
+        .iter()
+        .find(|(_, o, _)| *o == org)
+        .map(|(_, _, outcomes)| mean_edp_reduction(outcomes))
+        .unwrap()
 }
 
 /// Claim 3 (Figures 7/8): dynamic resizing is never worse than static
@@ -47,7 +58,7 @@ fn dynamic_matches_or_beats_static_on_every_app_and_seed() {
             warmup_instructions: 50_000,
             ..test_config()
         });
-        let rows = static_vs_dynamic(
+        let pairs = static_vs_dynamic(
             &runner,
             &apps,
             &SystemConfig::in_order(),
@@ -55,14 +66,14 @@ fn dynamic_matches_or_beats_static_on_every_app_and_seed() {
             ResizableCacheSide::Instruction,
         )
         .unwrap();
-        assert_eq!(rows.len(), apps.len());
-        for row in rows {
+        assert_eq!(pairs.len(), apps.len());
+        for (s, d) in pairs {
             assert!(
-                row.dynamic_edp_reduction >= row.static_edp_reduction - 0.05,
+                d.best.edp_reduction_percent >= s.best.edp_reduction_percent - 0.05,
                 "{} (seed {seed}): dynamic {:.2} % below static {:.2} %",
-                row.app,
-                row.dynamic_edp_reduction,
-                row.static_edp_reduction
+                s.app,
+                d.best.edp_reduction_percent,
+                s.best.edp_reduction_percent
             );
         }
     }
@@ -75,27 +86,18 @@ fn dynamic_matches_or_beats_static_on_every_app_and_seed() {
 fn selective_sets_beats_selective_ways_at_two_way() {
     let runner = test_runner();
     let apps = small_ws_apps();
-    let points = organization_vs_associativity(
+    let cells = static_grid(
         &runner,
         &apps,
         &[2],
         &[Organization::SelectiveWays, Organization::SelectiveSets],
         ResizableCacheSide::Data,
-    )
-    .unwrap();
-    let ways = points
-        .iter()
-        .find(|p| p.organization == Organization::SelectiveWays)
-        .unwrap();
-    let sets = points
-        .iter()
-        .find(|p| p.organization == Organization::SelectiveSets)
-        .unwrap();
+    );
+    let ways = mean_edp(&cells, Organization::SelectiveWays);
+    let sets = mean_edp(&cells, Organization::SelectiveSets);
     assert!(
-        sets.mean_edp_reduction > ways.mean_edp_reduction + 1.0,
-        "selective-sets ({:.1} %) should clearly beat selective-ways ({:.1} %) at 2-way",
-        sets.mean_edp_reduction,
-        ways.mean_edp_reduction
+        sets > ways + 1.0,
+        "selective-sets ({sets:.1} %) should clearly beat selective-ways ({ways:.1} %) at 2-way"
     );
 }
 
@@ -105,27 +107,18 @@ fn selective_sets_beats_selective_ways_at_two_way() {
 fn selective_ways_beats_selective_sets_at_sixteen_way() {
     let runner = test_runner();
     let apps = small_ws_apps();
-    let points = organization_vs_associativity(
+    let cells = static_grid(
         &runner,
         &apps,
         &[16],
         &[Organization::SelectiveWays, Organization::SelectiveSets],
         ResizableCacheSide::Data,
-    )
-    .unwrap();
-    let ways = points
-        .iter()
-        .find(|p| p.organization == Organization::SelectiveWays)
-        .unwrap();
-    let sets = points
-        .iter()
-        .find(|p| p.organization == Organization::SelectiveSets)
-        .unwrap();
+    );
+    let ways = mean_edp(&cells, Organization::SelectiveWays);
+    let sets = mean_edp(&cells, Organization::SelectiveSets);
     assert!(
-        ways.mean_edp_reduction > sets.mean_edp_reduction,
-        "selective-ways ({:.1} %) should beat selective-sets ({:.1} %) at 16-way",
-        ways.mean_edp_reduction,
-        sets.mean_edp_reduction
+        ways > sets,
+        "selective-ways ({ways:.1} %) should beat selective-sets ({sets:.1} %) at 16-way"
     );
 }
 
@@ -136,21 +129,14 @@ fn hybrid_matches_or_beats_both_organizations() {
     let runner = test_runner();
     let apps = vec![spec::ammp(), spec::ijpeg(), spec::compress()];
     for assoc in [2u32, 4] {
-        let points = organization_vs_associativity(
+        let cells = static_grid(
             &runner,
             &apps,
             &[assoc],
             &Organization::ALL,
             ResizableCacheSide::Data,
-        )
-        .unwrap();
-        let get = |org: Organization| {
-            points
-                .iter()
-                .find(|p| p.organization == org)
-                .map(|p| p.mean_edp_reduction)
-                .unwrap()
-        };
+        );
+        let get = |org: Organization| mean_edp(&cells, org);
         let hybrid = get(Organization::Hybrid);
         let best_single = get(Organization::SelectiveWays).max(get(Organization::SelectiveSets));
         assert!(
@@ -166,34 +152,30 @@ fn hybrid_matches_or_beats_both_organizations() {
 fn dual_resizing_is_additive() {
     let runner = test_runner();
     let apps = small_ws_apps();
-    let rows = dual_resizing(
+    let outcomes = dual_resizing(
         &runner,
         &apps,
         &SystemConfig::base(),
         Organization::SelectiveSets,
     )
     .unwrap();
-    for (outcome, row) in &rows {
+    for outcome in &outcomes {
+        let app = &outcome.d_alone.app;
+        let [d, i, both] = outcome.edp_reductions();
         assert!(
-            row.both_edp_reduction
-                >= row.d_alone_edp_reduction.max(row.i_alone_edp_reduction) - 1.0,
-            "{}: both ({:.1} %) should beat either alone",
-            outcome.app,
-            row.both_edp_reduction
+            both >= d.max(i) - 1.0,
+            "{app}: both ({both:.1} %) should beat either alone"
         );
-        let stacked = row.stacked_edp_reduction();
+        let stacked = outcome.stacked_edp_reduction();
         assert!(
-            (row.both_edp_reduction - stacked).abs() <= 7.0,
-            "{}: combined saving {:.1} % should track the stacked sum {:.1} %",
-            outcome.app,
-            row.both_edp_reduction,
-            stacked
+            (both - stacked).abs() <= 7.0,
+            "{app}: combined saving {both:.1} % should track the stacked sum {stacked:.1} %"
         );
     }
     // Small-working-set applications should already show a sizeable combined
     // saving even at this reduced simulation scale.
     let mean_both: f64 =
-        rows.iter().map(|(_, r)| r.both_edp_reduction).sum::<f64>() / rows.len() as f64;
+        outcomes.iter().map(|o| o.edp_reductions()[2]).sum::<f64>() / outcomes.len() as f64;
     assert!(
         mean_both > 15.0,
         "combined d+i resizing for small-working-set apps should save well over 15 %, got {mean_both:.1} %"

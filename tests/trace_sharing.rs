@@ -1,8 +1,10 @@
 //! The copy-free, cached trace path produces byte-identical results to a
 //! freshly generated, owned trace.
 //!
-//! `Runner::trace` returns `Arc`-shared sub-slices of one generated buffer
-//! and memoizes them per (application, seed, lengths); these tests pin down
+//! `Runner::trace` returns `Arc`-shared sub-slices of one generated buffer,
+//! memoized per (application name, profile fingerprint, seed, total
+//! length), so configurations whose totals agree share one buffer and split
+//! it at fetch time; these tests pin down
 //! that sharing is purely an optimization: the shared views equal owned
 //! copies record-for-record, and measurements taken through the cached path
 //! equal the independent oracle's (`common/mod.rs`) over independently
