@@ -225,9 +225,14 @@ mod tests {
                 .collect();
             assert!(mean(&sizes) >= 0.0);
         }
+    }
 
+    #[test]
+    fn per_app_rows_cover_every_app_and_org() {
         // The Figure 5 shape: 4-way, both organizations, every app present
         // in input order.
+        let runner = grid_runner();
+        let orgs = [Organization::SelectiveWays, Organization::SelectiveSets];
         let apps = vec![spec::ammp(), spec::compress()];
         let cells = static_grid(&runner, &apps, &[4], &orgs, ResizableCacheSide::Data);
         assert_eq!(cells.len(), 2);
