@@ -7,10 +7,13 @@
 # in alternating pairs: the parent first in odd pairs, the change first in
 # even ones. Each pair runs `perfbench/run.py --trace 0` (unchanged) for
 # the checkout's BENCHMARK.json `run_seconds` and `cargo bench --bench
-# sim_throughput` once per side. For every perfbench end-to-end metric and
-# every sim_throughput stage median it prints each side's median and
-# quartiles, the change/parent ratio (median, min and max over the pairs)
-# and how many pairs the change won.
+# sim_throughput` once per side; the `figures` kind runs the Figure 7 and 8
+# benches (`fig7_dcache_strategy`, `fig8_icache_strategy`) at the caller's
+# RESCACHE_WARMUP/RESCACHE_MEASURE. For every perfbench end-to-end metric,
+# every sim_throughput stage median and every figure bench `completed in`
+# line it prints each side's median and quartiles, the change/parent ratio
+# (median, min and max over the pairs) and how many pairs the change won
+# and tied (a tie counts as neither).
 #
 # Run from the repository root:
 #   sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD]
@@ -24,7 +27,8 @@
 #   SCRATCH   work directory (default ${TMPDIR:-/tmp}/rescache-paired-ab);
 #             its results/ and both source trees are replaced, and a side's
 #             target directory is kept only while its revision is the same
-#   KINDS     "perfbench sim_throughput" (default), or either one alone
+#   KINDS     any of "perfbench sim_throughput figures" (default
+#             "perfbench sim_throughput")
 set -eu
 
 parent=HEAD~1
@@ -82,6 +86,8 @@ for side in parent change; do
             case $kind in
                 perfbench) cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml ;;
                 sim_throughput) cargo bench --offline --quiet --bench sim_throughput --no-run ;;
+                figures) cargo bench --offline --quiet --bench fig7_dcache_strategy \
+                    --bench fig8_icache_strategy --no-run ;;
                 *) echo "paired_ab: unknown kind $kind" >&2; exit 2 ;;
             esac
         done
@@ -102,6 +108,17 @@ run_side() {
                 sim_throughput)
                     cargo bench --offline --quiet --bench sim_throughput > /dev/null
                     cp BENCH_sim_throughput.json "$out" ;;
+                figures)
+                    # One "<bench>: <label><TAB><seconds>" line per
+                    # `completed in` line.
+                    for bench in fig7_dcache_strategy fig8_icache_strategy; do
+                        cargo bench --offline --quiet --bench "$bench" |
+                            sed -n "s/^\[\(.*\): completed in \([0-9.]*\) s\]\$/$bench: \1\t\2/p"
+                    done > "${out%.json}.tsv"
+                    if [ ! -s "${out%.json}.tsv" ]; then
+                        echo "paired_ab: the figure benches printed no completed-in line" >&2
+                        exit 1
+                    fi ;;
             esac
         done
     )
@@ -135,6 +152,9 @@ better = {m["name"]: m["better"] for m in json.load(open(benchmark))["end_to_end
 
 
 def load(side, kind, i):
+    if kind == "figures":
+        with open(os.path.join(results, f"{side}-figures-{i}.tsv")) as f:
+            return {name: float(secs) for name, secs in (line.rstrip("\n").split("\t") for line in f)}
     with open(os.path.join(results, f"{side}-{kind}-{i}.json")) as f:
         data = json.load(f)
     if kind == "perfbench":
@@ -151,7 +171,7 @@ def spread(values):
 
 for kind in kinds:
     runs = {side: [load(side, kind, i) for i in range(1, pairs + 1)] for side in ("parent", "change")}
-    print(f"== {kind}: {pairs} pairs; per side median [q1, q3]; change/parent ratio median (min, max); pairs won")
+    print(f"== {kind}: {pairs} pairs; per side median [q1, q3]; change/parent ratio median (min, max); pairs won and tied")
     if kind == "perfbench":
         for side, side_runs in runs.items():
             ok = sum(int(r.pop("correct")) for r in side_runs)
@@ -164,6 +184,7 @@ for kind in kinds:
         lower = better.get(name, "lower") == "lower"
         ratios = [c / p for p, c in zip(parent, change) if p]
         won = sum(1 for p, c in zip(parent, change) if (c < p if lower else c > p))
+        tied = sum(1 for p, c in zip(parent, change) if c == p)
         ratio = (
             f"{statistics.median(ratios):.4f} ({min(ratios):.4f}, {max(ratios):.4f})"
             if ratios
@@ -171,6 +192,6 @@ for kind in kinds:
         )
         print(
             f"{name:24} parent {spread(parent)}  change {spread(change)}  "
-            f"ratio {ratio}  won {won}/{pairs} ({'lower' if lower else 'higher'} is better)"
+            f"ratio {ratio}  won {won}/{pairs}, tied {tied} ({'lower' if lower else 'higher'} is better)"
         )
 EOF

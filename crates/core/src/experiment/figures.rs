@@ -1,6 +1,7 @@
 //! Drivers for Figures 4–9. Each returns the runner's own outcomes
 //! ([`StaticOutcome`], [`DynamicOutcome`], [`Measurement`]) in application
-//! order; the benches derive the plotted percentages from them.
+//! order; the benches derive the plotted percentages from them, and each
+//! search's `best.choice` names the point or parameters it chose.
 
 use rescache_trace::AppProfile;
 
@@ -164,8 +165,8 @@ pub fn dual_resizing(
         let both = runner.run_static(
             app,
             system,
-            d_alone.best.point,
-            i_alone.best.point,
+            Some(d_alone.best.choice),
+            Some(i_alone.best.choice),
             organization.tag_bits(&d_cfg),
             organization.tag_bits(&i_cfg),
         );

@@ -2,15 +2,22 @@
 //! (application, system, cache setup) into a [`Measurement`]. The figure
 //! drivers in [`figures`] return the runner's own outcomes.
 //!
-//! | Paper artefact | Driver |
-//! |---|---|
-//! | Table 1 (hybrid size grid) | [`crate::org::hybrid_grid`] |
-//! | Figure 4 (orgs vs. associativity) | [`figures::static_grid`] |
-//! | Figure 5 (orgs per application, 4-way) | [`figures::static_grid`] at `&[4]` |
-//! | Figure 6 (hybrid effectiveness) | [`figures::static_grid`] over [`Organization::ALL`](crate::org::Organization::ALL) |
-//! | Figure 7 (d-cache static vs. dynamic) | [`figures::static_vs_dynamic`] |
-//! | Figure 8 (i-cache static vs. dynamic) | [`figures::static_vs_dynamic`] |
-//! | Figure 9 (resizing both L1s) | [`figures::dual_resizing`] |
+//! Both resizing strategies are one profiled search, so both return a
+//! [`SearchOutcome`]: every evaluated candidate and the minimum-EDP
+//! `best`, whose `choice` names the winner — a
+//! [`CachePoint`](crate::org::CachePoint) in a [`StaticOutcome`], the
+//! controller's [`DynamicParams`](crate::strategy::DynamicParams) in a
+//! [`DynamicOutcome`].
+//!
+//! | Paper artefact | Driver | Outcome per application |
+//! |---|---|---|
+//! | Table 1 (hybrid size grid) | [`crate::org::hybrid_grid`] | — |
+//! | Figure 4 (orgs vs. associativity) | [`figures::static_grid`] | [`StaticOutcome`] per (associativity, organization) |
+//! | Figure 5 (orgs per application, 4-way) | [`figures::static_grid`] at `&[4]` | [`StaticOutcome`] per organization |
+//! | Figure 6 (hybrid effectiveness) | [`figures::static_grid`] over [`Organization::ALL`](crate::org::Organization::ALL) | [`StaticOutcome`] per (associativity, organization) |
+//! | Figure 7 (d-cache static vs. dynamic) | [`figures::static_vs_dynamic`] | ([`StaticOutcome`], [`DynamicOutcome`]) |
+//! | Figure 8 (i-cache static vs. dynamic) | [`figures::static_vs_dynamic`] | ([`StaticOutcome`], [`DynamicOutcome`]) |
+//! | Figure 9 (resizing both L1s) | [`figures::dual_resizing`] | [`DualOutcome`] |
 
 pub mod figures;
 pub mod parallel;
@@ -24,8 +31,9 @@ pub use figures::{dual_resizing, mean_edp_reduction, static_grid, static_vs_dyna
 pub use parallel::{effective_workers, parallel_map};
 pub use report::{format_table, mean};
 pub use runner::{
-    BestSummary, DynamicOutcome, Measurement, RunSetup, Runner, RunnerConfig, StaticOutcome,
+    BestSummary, DynamicOutcome, Measurement, RunSetup, Runner, RunnerConfig, SearchOutcome,
+    StaticOutcome,
 };
 pub use server::{ServeConfig, ServerHandle, SweepServer};
-pub use shared_tier::{HealthCounters, Memo, SharedTier, StoreHealth, DEFAULT_RESIDENT_CAP};
+pub use shared_tier::{SharedTier, StoreHealth, DEFAULT_RESIDENT_CAP};
 pub use trace_store::TraceStore;

@@ -1,6 +1,8 @@
 //! The shared experiment runner: simulates one application under one cache
 //! setup and reports energy, delay and cache-size statistics.
 
+use std::sync::Arc;
+
 use rescache_cache::{HierarchySnapshot, MemoryHierarchy};
 use rescache_cpu::{LatencyStats, NoopHook, SimHook, SimResult, Simulator};
 use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel, Objective, ResizingTagOverhead};
@@ -155,11 +157,12 @@ pub(crate) fn best_under<T: Copy>(evaluated: &[(T, Measurement)]) -> Option<(T, 
         .copied()
 }
 
-/// Summary of the best configuration found for one application.
+/// Summary of the best candidate found for one application.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BestSummary {
-    /// The chosen static point (None for dynamic resizing).
-    pub point: Option<CachePoint>,
+pub struct BestSummary<K> {
+    /// The chosen candidate: a static point, or dynamic controller
+    /// parameters.
+    pub choice: K,
     /// The measurement of the chosen configuration.
     pub measurement: Measurement,
     /// Reduction of the processor energy-delay product versus the
@@ -174,30 +177,65 @@ pub struct BestSummary {
     pub slowdown_percent: f64,
 }
 
-/// Outcome of a static-resizing search for one application.
+/// Outcome of one profiled search for one application: every evaluated
+/// candidate and the minimum-EDP choice. The static and dynamic strategies
+/// are the same search over different candidates ([`StaticOutcome`],
+/// [`DynamicOutcome`]).
 #[derive(Debug, Clone)]
-pub struct StaticOutcome {
+pub struct SearchOutcome<K> {
     /// Application name.
     pub app: String,
     /// The non-resizable baseline.
     pub base: Measurement,
-    /// Every offered point and its measurement, largest point first.
-    pub evaluated: Vec<(CachePoint, Measurement)>,
-    /// The minimum-EDP choice.
-    pub best: BestSummary,
+    /// Every candidate and its measurement, in search order (static
+    /// points largest first).
+    pub evaluated: Vec<(K, Measurement)>,
+    /// The minimum-EDP choice: the first evaluated candidate with the
+    /// lowest energy-delay product.
+    pub best: BestSummary<K>,
 }
 
-/// Outcome of a dynamic-resizing parameter sweep for one application.
-#[derive(Debug, Clone)]
-pub struct DynamicOutcome {
-    /// Application name.
-    pub app: String,
-    /// The non-resizable baseline.
-    pub base: Measurement,
-    /// Every candidate parameter set and its measurement.
-    pub candidates: Vec<(DynamicParams, Measurement)>,
-    /// The minimum-EDP choice.
-    pub best: BestSummary,
+/// Outcome of a static-resizing search: one candidate per offered point.
+pub type StaticOutcome = SearchOutcome<CachePoint>;
+
+/// Outcome of a dynamic-resizing parameter sweep: one candidate per
+/// controller parameter set.
+pub type DynamicOutcome = SearchOutcome<DynamicParams>;
+
+impl<K: Copy> SearchOutcome<K> {
+    /// Chooses the first minimum-EDP entry of `evaluated` and summarises it
+    /// against `base` on `side`'s cache of `system`.
+    fn new(
+        app: &AppProfile,
+        base: Measurement,
+        evaluated: Vec<(K, Measurement)>,
+        side: ResizableCacheSide,
+        system: &SystemConfig,
+    ) -> Self {
+        let (choice, measurement) =
+            best_under(&evaluated).expect("a search evaluates at least one candidate");
+        let base_ed = base.energy_delay();
+        let ed = measurement.energy_delay();
+        let full_bytes = side.config_of(&system.hierarchy).size_bytes as f64;
+        let mean_bytes = match side {
+            ResizableCacheSide::Data => measurement.l1d_mean_bytes,
+            ResizableCacheSide::Instruction => measurement.l1i_mean_bytes,
+        };
+        let best = BestSummary {
+            choice,
+            measurement,
+            edp_reduction_percent: ed.reduction_vs(&base_ed),
+            energy_reduction_percent: ed.energy_reduction_vs(&base_ed),
+            size_reduction_percent: (1.0 - mean_bytes / full_bytes) * 100.0,
+            slowdown_percent: ed.slowdown_vs(&base_ed),
+        };
+        Self {
+            app: app.name.to_string(),
+            base,
+            evaluated,
+            best,
+        }
+    }
 }
 
 /// Normalized enabled geometry of one L1 in a static run: (sets, ways).
@@ -400,25 +438,11 @@ impl Runner {
             normalize(system.hierarchy.l1i, i_static),
         );
         let tier = self.store.tier();
-        let slot = tier.sims.slot(key);
-        let warm_hit = slot.get().is_some();
-        if warm_hit {
-            tier.health().note_hit();
-        }
-        let mut ran = false;
-        let sim = slot.get_or_init(|| {
-            ran = true;
+        let sim = tier.sims.get_or_init(key, tier.health(), || {
             tier.health().note_miss();
-            self.simulate(app, system, d_static, i_static, &mut NoopHook)
+            Arc::new(self.simulate(app, system, d_static, i_static, &mut NoopHook))
         });
-        if !warm_hit && !ran {
-            // The slot was cold when we looked, yet our initializer never
-            // ran: we blocked on a sibling's in-flight simulation and shared
-            // its result — the coalescing the sweep service's dedup
-            // guarantee is asserted on.
-            tier.health().note_coalesced();
-        }
-        Self::price(sim, system, d_tag_bits, i_tag_bits)
+        Self::price(&sim, system, d_tag_bits, i_tag_bits)
     }
 
     /// Runs (or reuses) the static simulation of `point` on `side` alone,
@@ -479,31 +503,6 @@ impl Runner {
         TraceStore::key(app, &self.config)
     }
 
-    fn summarise(
-        &self,
-        base: &Measurement,
-        point: Option<CachePoint>,
-        measurement: Measurement,
-        side: ResizableCacheSide,
-        system: &SystemConfig,
-    ) -> BestSummary {
-        let base_ed = base.energy_delay();
-        let ed = measurement.energy_delay();
-        let full_bytes = side.config_of(&system.hierarchy).size_bytes as f64;
-        let mean_bytes = match side {
-            ResizableCacheSide::Data => measurement.l1d_mean_bytes,
-            ResizableCacheSide::Instruction => measurement.l1i_mean_bytes,
-        };
-        BestSummary {
-            point,
-            measurement,
-            edp_reduction_percent: ed.reduction_vs(&base_ed),
-            energy_reduction_percent: ed.energy_reduction_vs(&base_ed),
-            size_reduction_percent: (1.0 - mean_bytes / full_bytes) * 100.0,
-            slowdown_percent: ed.slowdown_vs(&base_ed),
-        }
-    }
-
     /// Static resizing: evaluates every configuration the organization
     /// offers for `side` and keeps the one with the lowest processor
     /// energy-delay product (the paper's profiling-based static strategy).
@@ -531,16 +530,7 @@ impl Runner {
             (*point, measurement)
         });
 
-        let (best_point, best_measurement) =
-            best_under(&evaluated).expect("config spaces offer at least two points");
-
-        let best = self.summarise(&base, Some(best_point), best_measurement, side, system);
-        Ok(StaticOutcome {
-            app: app.name.to_string(),
-            base,
-            evaluated,
-            best,
-        })
+        Ok(SearchOutcome::new(app, base, evaluated, side, system))
     }
 
     /// Dynamic resizing: sweeps the profiled parameter candidates of the
@@ -582,11 +572,7 @@ impl Runner {
             ResizableCacheSide::Instruction => base.l1i_miss_ratio,
         };
 
-        let static_best_bytes = static_best
-            .best
-            .point
-            .map(|p| p.bytes(cache.block_bytes))
-            .unwrap_or(cache.size_bytes);
+        let static_best_bytes = static_best.best.choice.bytes(cache.block_bytes);
         let bounds = [
             static_best_bytes,
             static_best_bytes / 2,
@@ -606,21 +592,11 @@ impl Runner {
         });
         // Parameter candidates are independent simulations over the shared
         // trace; sweep them in parallel like the static points.
-        let candidates: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {
+        let evaluated: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {
             let setup = RunSetup::dynamic(side, space.clone(), *p);
             (*p, self.run_dynamic_observed(app, system, &setup, None))
         });
-
-        let (_, best_measurement) =
-            best_under(&candidates).expect("at least one dynamic candidate");
-
-        let best = self.summarise(&base, None, best_measurement, side, system);
-        Ok(DynamicOutcome {
-            app: app.name.to_string(),
-            base,
-            candidates,
-            best,
-        })
+        Ok(SearchOutcome::new(app, base, evaluated, side, system))
     }
 }
 
@@ -768,6 +744,51 @@ mod tests {
     }
 
     #[test]
+    fn search_outcome_chooses_the_first_minimum_edp_entry() {
+        let (app, system, side) = (spec::ammp(), SystemConfig::base(), ResizableCacheSide::Data);
+        let base = measured(4.0, 1_000);
+
+        // Static points, largest first. Energy-delay products 3000, 2000,
+        // 2000, 2500: the 128-set point and the 64-set point tie at the
+        // minimum with different measurements, and the earlier one wins.
+        let point = |sets| CachePoint { sets, ways: 2 };
+        let statics = vec![
+            (point(256), measured(3.0, 1_000)),
+            (point(128), measured(2.0, 1_000)),
+            (point(64), measured(1.0, 2_000)),
+            (point(32), measured(2.5, 1_000)),
+        ];
+        let outcome = SearchOutcome::new(&app, base, statics.clone(), side, &system);
+        assert_eq!(outcome.best.choice, point(128));
+        assert_eq!(outcome.best.measurement, statics[1].1);
+        assert!((outcome.best.edp_reduction_percent - 50.0).abs() < 1e-9);
+        assert_eq!(outcome.evaluated, statics, "every entry kept, in order");
+        assert_eq!((outcome.app.as_str(), outcome.base), ("ammp", base));
+
+        // Dynamic parameters: the minimum is last once, then a full tie
+        // keeps the first candidate.
+        let params = |miss_bound| DynamicParams {
+            interval_accesses: 256,
+            miss_bound,
+            size_bound_bytes: 4_096,
+        };
+        let dynamics = vec![
+            (params(10), measured(2.0, 1_000)),
+            (params(20), measured(2.0, 1_000)),
+            (params(u64::MAX), measured(1.5, 1_000)),
+        ];
+        let outcome = SearchOutcome::new(&app, base, dynamics, side, &system);
+        assert_eq!(outcome.best.choice, params(u64::MAX));
+        let tied = vec![
+            (params(30), measured(2.0, 1_000)),
+            (params(10), measured(1.0, 2_000)),
+            (params(20), measured(2.0, 1_000)),
+        ];
+        let outcome = SearchOutcome::new(&app, base, tied, side, &system);
+        assert_eq!(outcome.best.choice, params(30));
+    }
+
+    #[test]
     fn static_best_finds_a_saving_for_ammp() {
         let r = runner();
         let outcome = r
@@ -785,7 +806,8 @@ mod tests {
             outcome.best.edp_reduction_percent
         );
         assert!(outcome.best.size_reduction_percent > 50.0);
-        assert!(outcome.best.point.is_some());
+        let chosen = (outcome.best.choice, outcome.best.measurement);
+        assert!(outcome.evaluated.contains(&chosen), "{chosen:?}");
     }
 
     #[test]
@@ -818,13 +840,13 @@ mod tests {
             .dynamic_best(&app, &system, org, side, &static_outcome)
             .unwrap();
         // The profiled candidates, then the static-anchored one.
-        let (anchor, profiled) = outcome.candidates.split_last().unwrap();
+        let (anchor, profiled) = outcome.evaluated.split_last().unwrap();
         assert_eq!(anchor.0.miss_bound, u64::MAX);
         assert!(profiled.iter().all(|(p, _)| p.miss_bound < u64::MAX));
         assert_eq!(outcome.base, static_outcome.base);
         assert!(outcome.best.measurement.l1d_mean_bytes <= 32.0 * 1024.0);
         assert!(
-            outcome.candidates.iter().any(|(_, m)| m.l1d_resizes > 0),
+            outcome.evaluated.iter().any(|(_, m)| m.l1d_resizes > 0),
             "at least one candidate should resize"
         );
     }

@@ -10,15 +10,21 @@
 //! exactly once per process. The tier is also where the robustness
 //! machinery lives:
 //!
-//! * **[`Memo`]** — the per-key `OnceLock` single-flight map, with *poison
-//!   recovery*: a worker that panics mid-generation poisons nothing
-//!   permanently, because the outer mutex only guards slot lookup (safe to
-//!   recover — the map's values are write-once `OnceLock`s) and a panicked
-//!   `OnceLock` initializer leaves the slot empty for the next caller.
-//! * **[`HealthCounters`] / [`StoreHealth`]** — every landing is counted
-//!   (hits, misses, regenerations, warnings, degraded flag), so "the store
-//!   survived" is observable in tests and in the bench JSON rather than
-//!   anecdotal.
+//! * **the memo** — one per-key `OnceLock` single-flight map per cache. Its
+//!   one lookup counts how each request lands (a warm slot is a hit, a
+//!   lookup that waited on a sibling's computation is coalesced, and the
+//!   computation counts its own miss or store load) and keeps each key's
+//!   recency stamp under the same lock, so the trace memo evicts its
+//!   least-recently-used traces beyond [`SharedTier::resident_cap`] with no
+//!   second lock to order. A worker that panics mid-generation poisons
+//!   nothing permanently: the mutex only guards slot lookup and stamps
+//!   (safe to recover — the map's values are write-once `OnceLock`s), and a
+//!   panicked `OnceLock` initializer leaves the slot empty for the next
+//!   caller.
+//! * **[`StoreHealth`]** — every landing is counted (hits, misses,
+//!   coalesced, regenerations, evictions, warnings, degraded flag), so "the
+//!   store survived" is observable in tests and in the bench JSON rather
+//!   than anecdotal.
 //! * **degraded mode** — after the first failed save (or an uncreatable
 //!   store directory) the tier drops to in-memory-only operation
 //!   ([`SharedTier::active_dir`] returns `None`) with a one-time warning,
@@ -29,9 +35,10 @@
 //! generated by both is written twice but never seen torn.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rescache_trace::IoPolicy;
 
@@ -41,70 +48,171 @@ use rescache_trace::IoPolicy;
 /// many distinct workloads.
 pub const DEFAULT_RESIDENT_CAP: usize = 64;
 
-/// A shared once-per-key memoization map: the outer mutex is held only to
-/// fetch or insert a slot, while the per-key [`OnceLock`] serializes
-/// (blocking) the single computation of that key's value.
+/// A shared once-per-key memoization map with its landing accounting and,
+/// when capped, least-recently-used eviction.
+///
+/// One mutex guards the slot map and the recency stamps; it is held only to
+/// fetch, stamp or evict slots, while each key's [`OnceLock`] serializes
+/// (blocking) the single computation of that key's value, so slow
+/// computations never serialize unrelated keys.
 ///
 /// Both layers tolerate a panicking computation. The mutex is recovered from
 /// poisoning (`PoisonError::into_inner`) — sound because the guarded state
-/// is only the slot map, whose values are write-once cells that are either
-/// fully initialized or untouched. A panicked initializer leaves its
-/// `OnceLock` empty, so the next caller for that key simply runs the
-/// computation again.
+/// is only the slot map and its stamps, whose values are write-once cells
+/// that are either fully initialized or untouched. A panicked initializer
+/// leaves its `OnceLock` empty, so the next caller for that key simply runs
+/// the computation again.
 #[derive(Debug)]
-pub struct Memo<K, V> {
-    map: Arc<Mutex<HashMap<K, Arc<OnceLock<V>>>>>,
+pub(crate) struct Memo<K, V> {
+    slots: Arc<Mutex<Slots<K, V>>>,
+    /// Most initialized slots kept after a computation lands (`usize::MAX`:
+    /// unbounded).
+    cap: usize,
+}
+
+/// The state behind a [`Memo`]'s mutex.
+#[derive(Debug)]
+struct Slots<K, V> {
+    map: HashMap<K, Slot<V>>,
+    /// Use clock: the stamp of the latest served lookup.
+    clock: u64,
+}
+
+/// One key's single-flight cell and recency stamp.
+#[derive(Debug)]
+struct Slot<V> {
+    cell: Arc<OnceLock<V>>,
+    /// Clock value of the latest lookup that served this key; 0 until its
+    /// first, so a never-stamped slot sorts oldest.
+    last_use: u64,
 }
 
 impl<K, V> Clone for Memo<K, V> {
     fn clone(&self) -> Self {
         Self {
-            map: Arc::clone(&self.map),
+            slots: Arc::clone(&self.slots),
+            cap: self.cap,
         }
     }
 }
 
 impl<K, V> Default for Memo<K, V> {
     fn default() -> Self {
-        Self {
-            map: Arc::default(),
-        }
+        Self::bounded(usize::MAX)
     }
 }
 
-impl<K: std::hash::Hash + Eq, V> Memo<K, V> {
-    /// Fetches (inserting if absent) the single-flight slot for `key`. The
-    /// caller runs `slot.get_or_init(..)` *outside* the map lock, so slow
-    /// computations never serialize unrelated keys.
-    pub fn slot(&self, key: K) -> Arc<OnceLock<V>> {
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(map.entry(key).or_default())
+impl<K, V> Memo<K, V> {
+    /// An empty memo keeping at most `cap` initialized slots.
+    pub(crate) fn bounded(cap: usize) -> Self {
+        Self {
+            slots: Arc::new(Mutex::new(Slots {
+                map: HashMap::new(),
+                clock: 0,
+            })),
+            cap,
+        }
     }
 
-    /// Runs `f` over the slot map under the lock (the resident-trace
-    /// eviction scan).
-    pub fn with_map<R>(&self, f: impl FnOnce(&HashMap<K, Arc<OnceLock<V>>>) -> R) -> R {
-        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&map)
-    }
-
-    /// Removes `key`'s slot, so the next request recomputes.
-    pub fn remove(&self, key: &K) {
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        map.remove(key);
+    fn lock(&self) -> MutexGuard<'_, Slots<K, V>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of slots holding an initialized value.
-    pub fn initialized_count(&self) -> usize {
-        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        map.values().filter(|slot| slot.get().is_some()).count()
+    pub(crate) fn initialized_count(&self) -> usize {
+        self.lock()
+            .map
+            .values()
+            .filter(|slot| slot.cell.get().is_some())
+            .count()
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
+    /// `key`'s value, computed by `init` at most once however many callers
+    /// race, with the landing counted in `health`: a warm slot is a hit and
+    /// a lookup that blocked on a sibling's computation is coalesced. The
+    /// lookup that runs `init` counts nothing itself — `init` counts its
+    /// own landing (a miss, or how a store entry loaded).
+    ///
+    /// Every served lookup stamps `key` as the most recently used. After a
+    /// computation lands, the least-recently-used initialized slots are
+    /// evicted (each counted in `health`) until at most the cap remain;
+    /// `key` itself and in-flight slots are never evicted.
+    pub(crate) fn get_or_init(
+        &self,
+        key: K,
+        health: &HealthCounters,
+        init: impl FnOnce() -> V,
+    ) -> V {
+        let cell = {
+            let mut guard = self.lock();
+            let slots = &mut *guard;
+            let slot = slots.map.entry(key.clone()).or_insert_with(|| Slot {
+                cell: Arc::default(),
+                last_use: 0,
+            });
+            if let Some(value) = slot.cell.get() {
+                slots.clock += 1;
+                slot.last_use = slots.clock;
+                health.note_hit();
+                return value.clone();
+            }
+            Arc::clone(&slot.cell)
+        };
+        let mut ran = false;
+        let value = cell
+            .get_or_init(|| {
+                ran = true;
+                init()
+            })
+            .clone();
+        if !ran {
+            health.note_coalesced();
+        }
+        self.lock().stamp_and_evict(&key, self.cap, health);
+        value
+    }
+}
+
+impl<K: Hash + Eq + Clone, V> Slots<K, V> {
+    /// Stamps `key` (if still present) as just used, then evicts the
+    /// least-recently-used initialized slots other than `key` until at most
+    /// `cap` initialized slots remain.
+    fn stamp_and_evict(&mut self, key: &K, cap: usize, health: &HealthCounters) {
+        self.clock += 1;
+        if let Some(slot) = self.map.get_mut(key) {
+            slot.last_use = self.clock;
+        }
+        while self.map.len() > cap {
+            let mut resident = 0usize;
+            let mut victim: Option<(&K, u64)> = None;
+            for (k, slot) in &self.map {
+                if slot.cell.get().is_none() {
+                    continue;
+                }
+                resident += 1;
+                if k != key && victim.is_none_or(|(_, oldest)| slot.last_use < oldest) {
+                    victim = Some((k, slot.last_use));
+                }
+            }
+            if resident <= cap {
+                break;
+            }
+            let Some((victim, _)) = victim else {
+                break;
+            };
+            let victim = victim.clone();
+            self.map.remove(&victim);
+            health.note_eviction();
+        }
     }
 }
 
 /// Live recovery counters of one shared tier (atomics: every recording site
 /// is on a concurrent path). Read via [`HealthCounters::snapshot`].
 #[derive(Debug, Default)]
-pub struct HealthCounters {
+pub(crate) struct HealthCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     regenerations: AtomicU64,
@@ -141,8 +249,8 @@ impl HealthCounters {
         self.warnings.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A resident full trace evicted by the [`SharedTier::resident_cap`]
-    /// bound.
+    /// A memo slot evicted by its cap: a resident full trace beyond
+    /// [`SharedTier::resident_cap`].
     pub fn note_eviction(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
@@ -152,7 +260,9 @@ impl HealthCounters {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One simulation result line served back to a sweep-service client.
+    /// One measurement a sweep-service request delivered: a `point`
+    /// request's result, each `sweep` result line, the full-size baseline
+    /// every `sweep` and `dynamic` request runs first, and a `dynamic` run.
     pub fn note_served(&self) {
         self.served.fetch_add(1, Ordering::Relaxed);
     }
@@ -194,7 +304,7 @@ impl HealthCounters {
     }
 }
 
-/// A point-in-time snapshot of a tier's [`HealthCounters`]: the observable
+/// A point-in-time snapshot of a tier's health counters: the observable
 /// the stress tests assert on and the bench JSON reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreHealth {
@@ -211,7 +321,9 @@ pub struct StoreHealth {
     pub evictions: u64,
     /// Protocol requests accepted by the sweep service.
     pub requests: u64,
-    /// Result lines served back to sweep-service clients.
+    /// Measurements sweep-service requests delivered: one per `point`
+    /// request, one per `sweep` result line plus the sweep's full-size
+    /// baseline, and two per `dynamic` request (baseline and run).
     pub served: u64,
     /// Requests that blocked on (and shared) a sibling's in-flight
     /// computation instead of running their own.
@@ -238,27 +350,16 @@ impl StoreHealth {
 #[derive(Debug, Clone)]
 pub struct SharedTier {
     /// Full generated traces, keyed by the trace store's
-    /// `(name, fingerprint, seed, total)`.
+    /// `(name, fingerprint, seed, total)` and capped at
+    /// [`SharedTier::resident_cap`].
     pub(crate) traces: Memo<crate::experiment::trace_store::StoreKey, rescache_trace::Trace>,
     /// Memoized static simulations, keyed by the runner's
-    /// `(trace key, system, geometries)`.
-    pub(crate) sims: Memo<crate::experiment::runner::SimKey, crate::experiment::runner::StaticSim>,
-    /// Recency stamps for the resident full-trace map (see
-    /// [`SharedTier::resident_cap`]). Lock ordering: this mutex is always
-    /// taken *before* the `traces` map mutex, never inside it.
-    pub(crate) trace_lru: Arc<Mutex<TraceLru>>,
+    /// `(trace key, system, geometries)`; shared so a lookup copies no
+    /// statistics.
+    pub(crate) sims:
+        Memo<crate::experiment::runner::SimKey, Arc<crate::experiment::runner::StaticSim>>,
     dir: Option<PathBuf>,
-    resident_cap: usize,
     health: Arc<HealthCounters>,
-}
-
-/// Recency bookkeeping for resident full traces: a monotonic use clock and
-/// each key's last-use stamp. Kept beside the `traces` [`Memo`] rather than
-/// inside it so eviction policy stays out of the single-flight machinery.
-#[derive(Debug, Default)]
-pub(crate) struct TraceLru {
-    pub(crate) clock: u64,
-    pub(crate) last_use: HashMap<crate::experiment::trace_store::StoreKey, u64>,
 }
 
 impl Default for SharedTier {
@@ -273,11 +374,9 @@ impl SharedTier {
     /// stays because the standalone benchmark builds its tier with it.
     pub fn new(dir: Option<PathBuf>, _policy: IoPolicy) -> Self {
         Self {
-            traces: Memo::default(),
+            traces: Memo::bounded(DEFAULT_RESIDENT_CAP),
             sims: Memo::default(),
-            trace_lru: Arc::default(),
             dir,
-            resident_cap: DEFAULT_RESIDENT_CAP,
             health: Arc::default(),
         }
     }
@@ -285,7 +384,7 @@ impl SharedTier {
     /// This tier with the given cap on resident full traces (clamped to at
     /// least 1 — the trace being served must stay resident).
     pub fn with_resident_cap(mut self, cap: usize) -> Self {
-        self.resident_cap = cap.max(1);
+        self.traces.cap = cap.max(1);
         self
     }
 
@@ -294,7 +393,7 @@ impl SharedTier {
     /// in [`StoreHealth::evictions`]). Evicted traces are not lost — the next
     /// request re-reads from disk or regenerates, exactly like a cold key.
     pub fn resident_cap(&self) -> usize {
-        self.resident_cap
+        self.traces.cap
     }
 
     /// The configured persistence directory, degraded or not.
@@ -315,7 +414,7 @@ impl SharedTier {
     }
 
     /// The tier's health counters (recording sites).
-    pub fn health(&self) -> &HealthCounters {
+    pub(crate) fn health(&self) -> &HealthCounters {
         &self.health
     }
 
@@ -343,15 +442,33 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// `memo`'s counted lookup of `key`, whose computation yields `value`.
+    fn fill(memo: &Memo<u32, u64>, health: &HealthCounters, key: u32, value: u64) -> u64 {
+        memo.get_or_init(key, health, || value)
+    }
+
+    /// The keys of `memo`'s initialized slots, sorted.
+    fn resident(memo: &Memo<u32, u64>) -> Vec<u32> {
+        let slots = memo.lock();
+        let mut keys: Vec<u32> = slots
+            .map
+            .iter()
+            .filter(|(_, slot)| slot.cell.get().is_some())
+            .map(|(k, _)| *k)
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
     #[test]
     fn memo_single_flights_and_shares() {
         let memo: Memo<u32, u64> = Memo::default();
+        let health = HealthCounters::default();
         let runs = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    let slot = memo.slot(7);
-                    let v = *slot.get_or_init(|| {
+                    let v = memo.get_or_init(7, &health, || {
                         runs.fetch_add(1, Ordering::Relaxed);
                         99
                     });
@@ -361,28 +478,46 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::Relaxed), 1, "one computation per key");
         assert_eq!(memo.initialized_count(), 1);
-        assert_eq!(memo.slot(7).get(), Some(&99));
-        assert_eq!(memo.slot(8).get(), None);
-        memo.remove(&7);
-        assert_eq!(memo.initialized_count(), 0);
+        // The seven lookups that did not compute landed warm or coalesced;
+        // the one that computed counted nothing itself.
+        let snap = health.snapshot();
+        assert_eq!(snap.hits + snap.coalesced, 7, "{snap:?}");
+        assert_eq!(snap.misses, 0, "{snap:?}");
+        assert_eq!(fill(&memo, &health, 7, 0), 99, "a warm slot is served");
+        assert_eq!(health.snapshot().hits, snap.hits + 1);
+        assert_eq!(fill(&memo, &health, 8, 5), 5, "another key computes");
+        assert_eq!(memo.initialized_count(), 2);
+    }
+
+    /// A key whose `Hash` panics for the value 666, so a lookup of it
+    /// panics while holding the map lock.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct PanicKey(u32);
+
+    impl Hash for PanicKey {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            assert_ne!(self.0, 666, "poison the map lock");
+            self.0.hash(state);
+        }
     }
 
     #[test]
     fn memo_recovers_from_a_poisoned_map_lock() {
-        let memo: Memo<u32, u64> = Memo::default();
-        let slot = memo.slot(1);
-        slot.set(5).expect("fresh slot");
-        // Poison the outer mutex by panicking while holding it.
-        let memo_ref = &memo;
+        let memo: Memo<PanicKey, u64> = Memo::bounded(1);
+        let health = HealthCounters::default();
+        assert_eq!(memo.get_or_init(PanicKey(1), &health, || 5), 5);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            memo_ref.with_map(|_| panic!("poison the map lock"));
+            memo.get_or_init(PanicKey(666), &health, || 0)
         }));
         assert!(result.is_err());
-        // Every access path recovers instead of propagating the poison.
-        assert_eq!(memo.slot(1).get(), Some(&5));
+        assert!(memo.slots.is_poisoned(), "the panic held the map lock");
+        // Every access path recovers instead of propagating the poison:
+        // lookup, stamping and eviction.
+        assert_eq!(memo.get_or_init(PanicKey(1), &health, || 0), 5);
         assert_eq!(memo.initialized_count(), 1);
-        memo.remove(&1);
-        assert_eq!(memo.initialized_count(), 0);
+        assert_eq!(memo.get_or_init(PanicKey(2), &health, || 6), 6);
+        assert_eq!(memo.initialized_count(), 1, "the cap of 1 evicted key 1");
+        assert_eq!(health.snapshot().evictions, 1);
     }
 
     #[test]
@@ -391,18 +526,82 @@ mod tests {
         // a permanently-wedged key: OnceLock's poison-tolerant initializer
         // lets the next caller run the computation again.
         let memo: Memo<u32, u64> = Memo::default();
-        let slot = memo.slot(3);
+        let health = HealthCounters::default();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slot.get_or_init(|| panic!("worker died mid-generation"));
+            memo.get_or_init(3, &health, || panic!("worker died mid-generation"))
         }));
         assert!(result.is_err());
         assert_eq!(
-            memo.slot(3).get(),
-            None,
+            memo.initialized_count(),
+            0,
             "the failed init left nothing behind"
         );
-        let v = *memo.slot(3).get_or_init(|| 42);
-        assert_eq!(v, 42, "the sibling's retry succeeds");
+        assert_eq!(
+            fill(&memo, &health, 3, 42),
+            42,
+            "the sibling's retry succeeds"
+        );
+    }
+
+    #[test]
+    fn memo_evicts_the_least_recently_used_initialized_slot() {
+        let memo: Memo<u32, u64> = Memo::bounded(2);
+        let health = HealthCounters::default();
+        fill(&memo, &health, 1, 10);
+        fill(&memo, &health, 2, 20);
+        // Serving key 1 again makes key 2 the least recently used.
+        assert_eq!(fill(&memo, &health, 1, 0), 10);
+        assert_eq!(health.snapshot().evictions, 0, "under the cap");
+        fill(&memo, &health, 3, 30);
+        assert_eq!(resident(&memo), [1, 3]);
+        assert_eq!(health.snapshot().evictions, 1);
+        // The evicted key computes again, evicting the next oldest (key 1).
+        assert_eq!(fill(&memo, &health, 2, 21), 21);
+        assert_eq!(resident(&memo), [2, 3]);
+        assert_eq!(health.snapshot().evictions, 2);
+    }
+
+    #[test]
+    fn memo_never_evicts_the_key_just_served_or_an_in_flight_slot() {
+        let memo: Memo<u32, u64> = Memo::bounded(2);
+        let health = HealthCounters::default();
+        // While key 1 computes, its slot is in flight: three nested keys
+        // land and evict among themselves, never key 1.
+        let v = memo.get_or_init(1, &health, || {
+            fill(&memo, &health, 2, 20);
+            fill(&memo, &health, 3, 30);
+            fill(&memo, &health, 4, 40);
+            assert_eq!(
+                resident(&memo),
+                [3, 4],
+                "key 2 went, in-flight key 1 stayed"
+            );
+            10
+        });
+        assert_eq!(v, 10);
+        // Key 1 landed last: it stays although its slot is the oldest, and
+        // the least recently used of the others (key 3) goes.
+        assert_eq!(resident(&memo), [1, 4]);
+        assert_eq!(health.snapshot().evictions, 2);
+    }
+
+    #[test]
+    fn memo_sorts_a_never_stamped_slot_oldest() {
+        let memo: Memo<u32, u64> = Memo::bounded(2);
+        let health = HealthCounters::default();
+        fill(&memo, &health, 1, 10);
+        // An initialized slot no lookup has stamped yet: what a computation
+        // that landed leaves until its lookup takes the lock again.
+        memo.lock().map.insert(
+            2,
+            Slot {
+                cell: Arc::new(OnceLock::from(20)),
+                last_use: 0,
+            },
+        );
+        fill(&memo, &health, 3, 30);
+        assert_eq!(resident(&memo), [1, 3], "the unstamped key 2 went first");
+        assert_eq!(health.snapshot().evictions, 1);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::PoisonError;
 
 use rescache_trace::{codec, AppProfile, CodecError, IoPolicy, Trace, TraceFormat, TraceGenerator};
 
@@ -140,83 +139,17 @@ impl TraceStore {
 
     /// Returns the full (warm + measure) trace for an application,
     /// materializing at most once per `(application, seed, total)`: the
-    /// buffer whose records every run replays.
+    /// buffer whose records every run replays. The tier's trace memo counts
+    /// a resident or shared landing and keeps at most
+    /// [`resident_cap`](SharedTier::resident_cap) traces resident, evicting
+    /// the least recently used; an evicted trace reloads from disk (or
+    /// regenerates) like any cold key. [`TraceStore::load_entry`] counts a
+    /// materialization.
     pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
-        let slot = self.tier.traces.slot(key);
-        if let Some(trace) = slot.get() {
-            self.tier.health().note_hit();
-            self.note_resident_use(&key);
-            return trace.clone();
-        }
-        let mut ran = false;
-        let trace = slot
-            .get_or_init(|| {
-                ran = true;
-                self.load_or_generate(app, &key)
-            })
-            .clone();
-        if !ran {
-            // Neither an initialized slot nor our own generation: we blocked
-            // on a sibling's in-flight initializer and shared its result.
-            self.tier.health().note_coalesced();
-        }
-        self.note_resident_use(&key);
-        trace
-    }
-
-    /// Stamps `key` as just-used in the resident-trace LRU, then evicts the
-    /// least-recently-used resident traces until the tier's
-    /// [`resident_cap`](SharedTier::resident_cap) holds. Called on every
-    /// materialized serve, so a long-lived server replaying many distinct
-    /// workloads keeps bounded memory instead of accreting every full trace
-    /// it ever touched; evicted entries reload from disk (or regenerate)
-    /// like any cold key. Lock ordering: the LRU mutex is taken first and
-    /// the `traces` map mutex only inside it, never the reverse.
-    fn note_resident_use(&self, key: &StoreKey) {
-        let cap = self.tier.resident_cap();
-        let mut lru = self
-            .tier
-            .trace_lru
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        lru.clock += 1;
-        let stamp = lru.clock;
-        lru.last_use.insert(*key, stamp);
-        loop {
-            // Victim scan: the initialized key (other than the one just
-            // served) with the oldest use stamp. A key with no stamp sorts
-            // oldest — it was resident before stamping began.
-            let (resident, victim) = self.tier.traces.with_map(|map| {
-                let mut resident = 0usize;
-                let mut victim: Option<(StoreKey, u64)> = None;
-                for (k, slot) in map.iter() {
-                    if slot.get().is_none() {
-                        continue;
-                    }
-                    resident += 1;
-                    if k == key {
-                        continue;
-                    }
-                    let at = lru.last_use.get(k).copied().unwrap_or(0);
-                    if victim.is_none_or(|(_, best)| at < best) {
-                        victim = Some((*k, at));
-                    }
-                }
-                (resident, victim)
-            });
-            if resident <= cap {
-                break;
-            }
-            let Some((victim_key, _)) = victim else {
-                break;
-            };
-            // A stamp goes only with its evicted slot, so stamps never
-            // outnumber slots.
-            self.tier.traces.remove(&victim_key);
-            lru.last_use.remove(&victim_key);
-            self.tier.health().note_eviction();
-        }
+        self.tier
+            .traces
+            .get_or_init(key, self.tier.health(), || self.load_or_generate(app, &key))
     }
 
     /// Loads `key`'s persisted entry whole and counts how the request
@@ -869,17 +802,6 @@ mod tests {
             misses_before + 1,
             "the evicted trace regenerates like a cold key"
         );
-        // The recency map must not leak either: it never tracks more keys
-        // than the map holds slots for.
-        let stamped = store
-            .tier()
-            .trace_lru
-            .lock()
-            .expect("lru lock")
-            .last_use
-            .len();
-        let slots = store.tier().traces.with_map(|m| m.len());
-        assert!(stamped <= slots, "{stamped} stamps for {slots} slots");
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn main() -> Result<(), CoreError> {
     }
     println!(
         "best point: {:?} -> {:.1} % energy-delay reduction with {:.1} % slowdown",
-        outcome.best.point, outcome.best.edp_reduction_percent, outcome.best.slowdown_percent
+        outcome.best.choice, outcome.best.edp_reduction_percent, outcome.best.slowdown_percent
     );
     Ok(())
 }

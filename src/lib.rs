@@ -33,8 +33,8 @@
 //!     ResizableCacheSide::Data,
 //! )?;
 //! println!(
-//!     "m88ksim: best d-cache size {:?}, energy-delay reduction {:.1} %",
-//!     outcome.best.point,
+//!     "m88ksim: best d-cache point {:?}, energy-delay reduction {:.1} %",
+//!     outcome.best.choice,
 //!     outcome.best.edp_reduction_percent
 //! );
 //! # Ok(())

@@ -70,7 +70,7 @@ fn resizes(m: &Measurement) -> String {
 }
 
 fn static_line(o: &StaticOutcome) -> String {
-    let point = o.best.point.expect("a static search chooses a point");
+    let point = o.best.choice;
     let hash = fnv1a(
         o.evaluated
             .iter()
@@ -89,15 +89,8 @@ fn static_line(o: &StaticOutcome) -> String {
 }
 
 fn dynamic_line(o: &DynamicOutcome) -> String {
-    // The first candidate with the lowest energy-delay product, the runner's
-    // choice.
-    let edp = |m: &Measurement| m.energy_delay().product();
-    let (chosen, _) = o
-        .candidates
-        .iter()
-        .min_by(|a, b| edp(&a.1).total_cmp(&edp(&b.1)))
-        .expect("at least one candidate");
-    let hash = fnv1a(o.candidates.iter().flat_map(|(p, m)| {
+    let chosen = o.best.choice;
+    let hash = fnv1a(o.evaluated.iter().flat_map(|(p, m)| {
         [
             p.interval_accesses,
             p.miss_bound,
@@ -115,7 +108,7 @@ fn dynamic_line(o: &DynamicOutcome) -> String {
         bits(&o.base),
         bits(&o.best.measurement),
         resizes(&o.best.measurement),
-        o.candidates.len(),
+        o.evaluated.len(),
     )
 }
 

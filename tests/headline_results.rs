@@ -226,7 +226,7 @@ fn experiment_pipeline_is_deterministic() {
             ResizableCacheSide::Data,
         )
         .unwrap();
-    assert_eq!(a.best.point, b.best.point);
+    assert_eq!(a.best.choice, b.best.choice);
     assert_eq!(a.base.cycles, b.base.cycles);
     assert_eq!(a.best.measurement.cycles, b.best.measurement.cycles);
     assert!((a.best.edp_reduction_percent - b.best.edp_reduction_percent).abs() < 1e-12);

@@ -181,8 +181,8 @@ fn full_dynamic_sweep_is_identical_with_a_store_dir() {
         };
         let expected = sweep(&reference);
         let got = sweep(&backed);
-        assert_eq!(expected.candidates.len(), got.candidates.len());
-        for ((p_ref, m_ref), (p_got, m_got)) in expected.candidates.iter().zip(&got.candidates) {
+        assert_eq!(expected.evaluated.len(), got.evaluated.len());
+        for ((p_ref, m_ref), (p_got, m_got)) in expected.evaluated.iter().zip(&got.evaluated) {
             assert_eq!(p_ref, p_got);
             let label = format!("sweep {:?} {p_ref:?}", system.cpu.engine);
             assert_identical(&label, m_ref, m_got);
