@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use rescache_bench::{knobs, Spread};
 use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
-use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, StoreHealth, TraceStore};
+use rescache_core::experiment::{RunSetup, Runner, RunnerConfig, SharedTier, StoreHealth};
 use rescache_core::{ConfigSpace, DynamicParams, Organization, ResizableCacheSide, SystemConfig};
 use rescache_cpu::{CpuConfig, Simulator};
 use rescache_trace::{codec, spec, TraceGenerator, WorkloadRegistry};
@@ -206,9 +206,8 @@ fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> En
     };
     let dir = scratch_dir(name);
     std::fs::remove_dir_all(&dir).ok();
-    let store = TraceStore::with_dir(Some(dir.clone()));
-    let tier = store.tier().clone();
-    let runner = Runner::with_store(cfg, store);
+    let tier = SharedTier::with_dir(Some(dir.clone()));
+    let runner = Runner::with_store(cfg, tier.clone());
     let app = spec::su2cor();
     let system = SystemConfig::base();
     let space = ConfigSpace::enumerate(
@@ -229,7 +228,7 @@ fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> En
     // The stage's tier health goes into the JSON record: a bench run that
     // quietly retried, regenerated or degraded is not measuring what it
     // claims to measure.
-    *health_out = Some(tier.health_snapshot());
+    *health_out = Some(tier.health());
     std::fs::remove_dir_all(&dir).ok();
     result
 }

@@ -7,7 +7,14 @@
 //! `best`, whose `choice` names the winner — a
 //! [`CachePoint`](crate::org::CachePoint) in a [`StaticOutcome`], the
 //! controller's [`DynamicParams`](crate::strategy::DynamicParams) in a
-//! [`DynamicOutcome`].
+//! [`DynamicOutcome`]. The static search is one function: the figure
+//! drivers collect it through [`Runner::static_best`], and the sweep
+//! service's `sweep` verb ([`server`]) streams each point of the same
+//! search as it completes and ends with its outcome.
+//!
+//! Every runner's traces and static simulations live in one [`SharedTier`]
+//! (the trace memo, the simulation memo and their health counters);
+//! [`TraceStore`] is another name for it.
 //!
 //! | Paper artefact | Driver | Outcome per application |
 //! |---|---|---|

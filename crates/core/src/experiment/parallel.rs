@@ -44,33 +44,37 @@ pub fn effective_workers() -> usize {
 }
 
 /// Applies `f` to every item, in parallel, preserving the input order of the
-/// results.
-///
-/// The closure runs on [`effective_workers`] worker threads (or fewer if
-/// there are fewer items); items are handed out through a shared counter, so
-/// uneven per-item cost balances naturally.
-///
-/// Result storage is lock-free: each worker accumulates `(index, value)`
-/// pairs in a local buffer and the buffers are merged when the workers are
-/// joined. The previous implementation funnelled every result through one
-/// `Mutex<Vec<Option<R>>>`, which serialized the workers of wide sweeps on
-/// result storage; with per-worker buffers the only shared write is the
-/// atomic item counter.
-///
-/// Calls nest safely (the figure drivers parallelize over applications while
-/// the runner parallelizes over configuration points): each call owns its
-/// worker scope, and a nested call simply adds threads that the OS scheduler
-/// multiplexes over the same cores.
+/// results: `parallel_map_on` over [`effective_workers`] threads.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers().min(items.len());
+    parallel_map_on(effective_workers(), items, f)
+}
+
+/// Applies `f` to every item on `workers` threads (or fewer if there are
+/// fewer items; one worker runs inline on the caller's thread), preserving
+/// the input order of the results.
+///
+/// Items are handed out through a shared counter, so uneven per-item cost
+/// balances naturally. Result storage is lock-free: each worker accumulates
+/// `(index, value)` pairs in a local buffer and the buffers are merged when
+/// the workers are joined, so the only shared write is the atomic item
+/// counter.
+///
+/// Calls nest safely (the figure drivers parallelize over applications while
+/// the runner parallelizes over configuration points): each call owns its
+/// worker scope, and a nested call simply adds threads that the OS scheduler
+/// multiplexes over the same cores.
+pub(crate) fn parallel_map_on<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -114,29 +118,54 @@ where
 mod tests {
     use super::*;
 
+    /// Worker counts each pool test runs at: one (inline on the caller's
+    /// thread) and more than `items` (capped at the item count).
+    fn worker_counts(items: usize) -> [usize; 2] {
+        [1, items + 3]
+    }
+
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        for workers in worker_counts(items.len()) {
+            let out = parallel_map_on(workers, &items, |x| x * 2);
+            assert_eq!(
+                out,
+                items.iter().map(|x| x * 2).collect::<Vec<_>>(),
+                "{workers} workers"
+            );
+        }
+        assert_eq!(parallel_map(&items, |x| x * 2)[99], 198);
     }
 
     #[test]
     fn empty_input_is_empty_output() {
         let items: Vec<u64> = vec![];
+        for workers in worker_counts(0) {
+            assert!(parallel_map_on(workers, &items, |x| *x).is_empty());
+        }
         assert!(parallel_map(&items, |x| *x).is_empty());
     }
 
     #[test]
     fn single_item_runs_inline() {
-        assert_eq!(parallel_map(&[7u64], |x| x + 1), vec![8]);
+        let caller = std::thread::current().id();
+        for workers in worker_counts(1) {
+            let out = parallel_map_on(workers, &[7u64], |x| {
+                assert_eq!(std::thread::current().id(), caller, "{workers} workers");
+                x + 1
+            });
+            assert_eq!(out, vec![8]);
+        }
     }
 
     #[test]
     fn handles_non_trivial_work() {
         let items: Vec<u64> = (0..32).collect();
-        let out = parallel_map(&items, |x| (0..=*x).sum::<u64>());
-        assert_eq!(out[31], 496);
+        for workers in worker_counts(items.len()) {
+            let out = parallel_map_on(workers, &items, |x| (0..=*x).sum::<u64>());
+            assert_eq!(out[31], 496, "{workers} workers");
+        }
     }
 
     #[test]
@@ -164,23 +193,32 @@ mod tests {
 
     #[test]
     fn workers_beyond_item_count_are_harmless() {
-        // `parallel_map` caps the fan-out at the item count, so a worker
-        // request far above it still computes every item exactly once.
+        // The pool caps the fan-out at the item count, so a worker request
+        // far above it still computes every item exactly once.
         let items: Vec<u64> = (0..3).collect();
-        let out = parallel_map(&items, |x| x + 1);
-        assert_eq!(out, vec![1, 2, 3]);
+        let calls = AtomicUsize::new(0);
+        for workers in worker_counts(items.len()) {
+            let out = parallel_map_on(workers, &items, |x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x + 1
+            });
+            assert_eq!(out, vec![1, 2, 3], "{workers} workers");
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 2 * items.len());
     }
 
     #[test]
     fn nested_calls_complete() {
         let outer: Vec<u64> = (0..8).collect();
-        let out = parallel_map(&outer, |x| {
-            let inner: Vec<u64> = (0..4).collect();
-            parallel_map(&inner, |y| x * 10 + y)
-                .into_iter()
-                .sum::<u64>()
-        });
-        assert_eq!(out[1], 10 + 11 + 12 + 13);
-        assert_eq!(out.len(), 8);
+        for workers in worker_counts(outer.len()) {
+            let out = parallel_map_on(workers, &outer, |x| {
+                let inner: Vec<u64> = (0..4).collect();
+                parallel_map_on(workers, &inner, |y| x * 10 + y)
+                    .into_iter()
+                    .sum::<u64>()
+            });
+            assert_eq!(out[1], 10 + 11 + 12 + 13, "{workers} workers");
+            assert_eq!(out.len(), 8);
+        }
     }
 }

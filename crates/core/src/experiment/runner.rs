@@ -1,6 +1,7 @@
 //! The shared experiment runner: simulates one application under one cache
 //! setup and reports energy, delay and cache-size statistics.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rescache_cache::{HierarchySnapshot, MemoryHierarchy};
@@ -9,8 +10,9 @@ use rescache_energy::{EnergyBreakdown, EnergyDelay, EnergyModel, Objective, Resi
 use rescache_trace::{AppProfile, Trace, TraceFormat};
 
 use crate::error::CoreError;
-use crate::experiment::parallel::parallel_map;
-use crate::experiment::trace_store::{TraceKey, TraceStore};
+use crate::experiment::parallel::{effective_workers, parallel_map, parallel_map_on};
+use crate::experiment::shared_tier::SharedTier;
+use crate::experiment::trace_store::TraceKey;
 use crate::knobs::knobs;
 use crate::org::{CachePoint, ConfigSpace, Organization};
 use crate::strategy::{DynamicController, DynamicParams, ResizeDecision};
@@ -149,7 +151,7 @@ impl RunSetup {
 
 /// The first of the `(key, measurement)` pairs with the lowest energy-delay
 /// product (`None` when `evaluated` is empty).
-pub(crate) fn best_under<T: Copy>(evaluated: &[(T, Measurement)]) -> Option<(T, Measurement)> {
+fn best_under<T: Copy>(evaluated: &[(T, Measurement)]) -> Option<(T, Measurement)> {
     let edp = |m: &Measurement| m.energy_delay().product();
     evaluated
         .iter()
@@ -273,7 +275,7 @@ pub(crate) struct StaticSim {
 ///
 /// * **traces** — `(profile, seed, lengths)` always expands to the same
 ///   record stream, and every configuration of an experiment replays it, so
-///   it is generated once and shared copy-free through the [`TraceStore`]
+///   it is generated once and shared copy-free through the [`SharedTier`]
 ///   (which also persists traces across processes when `RESCACHE_TRACE_DIR`
 ///   is set);
 /// * **static simulations** — a static run is a pure function of
@@ -282,32 +284,31 @@ pub(crate) struct StaticSim {
 ///   resizing-tag-bit accounting all share one simulation, and only the
 ///   (cheap) energy pricing is re-applied per arm.
 ///
-/// Clones of a runner share both caches — they live in the store's
-/// [`SharedTier`](crate::experiment::SharedTier) — which is what lets the
-/// parallel sweeps fan out over applications without regenerating per-worker
-/// state.
+/// Clones of a runner share both caches — they live in its [`SharedTier`] —
+/// which is what lets the parallel sweeps fan out over applications without
+/// regenerating per-worker state.
 #[derive(Debug, Clone)]
 pub struct Runner {
     config: RunnerConfig,
-    store: TraceStore,
+    tier: SharedTier,
 }
 
 impl Runner {
     /// Creates a runner with empty trace and simulation caches over the
-    /// store the [`Knobs`](crate::Knobs) configure: persisted under
+    /// tier the [`Knobs`](crate::Knobs) configure: persisted under
     /// `RESCACHE_TRACE_DIR` when set, resident traces capped at
     /// [`DEFAULT_RESIDENT_CAP`](crate::experiment::DEFAULT_RESIDENT_CAP).
     /// A malformed knob panics with its typed error.
     pub fn new(config: RunnerConfig) -> Self {
-        Self::with_store(config, TraceStore::with_tier(knobs().shared_tier()))
+        Self::with_store(config, SharedTier::with_dir(knobs().trace_dir.clone()))
     }
 
-    /// Creates a runner over an explicit trace store (tests and tools that
-    /// must control persistence; [`Runner::new`] follows the knobs).
-    /// The store's shared tier also carries the simulation memo, so two
-    /// runners over one store share simulations too.
-    pub fn with_store(config: RunnerConfig, store: TraceStore) -> Self {
-        Self { config, store }
+    /// Creates a runner over an explicit shared tier (tests and tools that
+    /// must control persistence; [`Runner::new`] follows the knobs). The
+    /// tier carries the simulation memo as well as the traces, so two
+    /// runners over one tier share simulations too.
+    pub fn with_store(config: RunnerConfig, tier: SharedTier) -> Self {
+        Self { config, tier }
     }
 
     /// The runner configuration.
@@ -315,9 +316,9 @@ impl Runner {
         &self.config
     }
 
-    /// The trace store backing this runner.
-    pub fn trace_store(&self) -> &TraceStore {
-        &self.store
+    /// The shared tier backing this runner.
+    pub fn trace_store(&self) -> &SharedTier {
+        &self.tier
     }
 
     /// Returns the warm-up and measurement traces for an application.
@@ -328,7 +329,7 @@ impl Runner {
     /// block on the one generation instead of duplicating it, while
     /// different applications generate in parallel.
     pub fn trace(&self, app: &AppProfile) -> (Trace, Trace) {
-        self.store.fetch(app, &self.config)
+        self.tier.fetch(app, &self.config)
     }
 
     /// The one experiment sequence every run takes: build a hierarchy with
@@ -362,7 +363,7 @@ impl Runner {
             hierarchy.note_resize_flush_writebacks(effect.dirty_writebacks);
         }
         let result = Simulator::new(system.cpu).run_warm_measure(
-            self.store.fetch_full(app, &self.config).records(),
+            self.tier.fetch_full(app, &self.config).records(),
             self.config.warmup_instructions,
             self.config.measure_instructions,
             &mut hierarchy,
@@ -437,9 +438,9 @@ impl Runner {
             normalize(system.hierarchy.l1d, d_static),
             normalize(system.hierarchy.l1i, i_static),
         );
-        let tier = self.store.tier();
-        let sim = tier.sims.get_or_init(key, tier.health(), || {
-            tier.health().note_miss();
+        let tier = &self.tier;
+        let sim = tier.sims.get_or_init(key, tier.counters(), || {
+            tier.counters().note_miss();
             Arc::new(self.simulate(app, system, d_static, i_static, &mut NoopHook))
         });
         Self::price(&sim, system, d_tag_bits, i_tag_bits)
@@ -500,7 +501,7 @@ impl Runner {
 
     /// The trace-store key of an application under this runner's config.
     fn trace_key(&self, app: &AppProfile) -> TraceKey {
-        TraceStore::key(app, &self.config)
+        SharedTier::key(app, &self.config)
     }
 
     /// Static resizing: evaluates every configuration the organization
@@ -518,17 +519,47 @@ impl Runner {
         organization: Organization,
         side: ResizableCacheSide,
     ) -> Result<StaticOutcome, CoreError> {
+        self.static_search(
+            app,
+            system,
+            organization,
+            side,
+            effective_workers(),
+            |_, _| true,
+        )
+    }
+
+    /// The static search behind [`Runner::static_best`] and the sweep
+    /// service: runs the full-size base, then every offered point over
+    /// `workers` threads (one runs inline; each point replays the shared
+    /// trace on its own hierarchy). The worker that finishes a point calls
+    /// `observe(point, &measurement)`; once it returns false no further
+    /// point starts, while points already running finish and are kept.
+    /// `evaluated` stays in space order, so ties resolve as in a full search.
+    pub(crate) fn static_search(
+        &self,
+        app: &AppProfile,
+        system: &SystemConfig,
+        organization: Organization,
+        side: ResizableCacheSide,
+        workers: usize,
+        observe: impl Fn(CachePoint, &Measurement) -> bool + Sync,
+    ) -> Result<StaticOutcome, CoreError> {
         let space = ConfigSpace::enumerate(side.config_of(&system.hierarchy), organization)?;
         let base = self.run_point(app, system, organization, side, None);
 
-        // Every point replays the same shared trace on an independent
-        // hierarchy, so the static search fans out over the available cores
-        // (the outer per-application loops of the figure drivers compose with
-        // this: the work-stealing pool is per `parallel_map` call).
-        let evaluated: Vec<(CachePoint, Measurement)> = parallel_map(space.points(), |point| {
+        let stopped = AtomicBool::new(false);
+        let evaluated = parallel_map_on(workers, space.points(), |point| {
+            if stopped.load(Ordering::Relaxed) {
+                return None;
+            }
             let measurement = self.run_point(app, system, organization, side, Some(*point));
-            (*point, measurement)
+            if !observe(*point, &measurement) {
+                stopped.store(true, Ordering::Relaxed);
+            }
+            Some((*point, measurement))
         });
+        let evaluated = evaluated.into_iter().flatten().collect();
 
         Ok(SearchOutcome::new(app, base, evaluated, side, system))
     }
@@ -808,6 +839,45 @@ mod tests {
         assert!(outcome.best.size_reduction_percent > 50.0);
         let chosen = (outcome.best.choice, outcome.best.measurement);
         assert!(outcome.evaluated.contains(&chosen), "{chosen:?}");
+    }
+
+    #[test]
+    fn static_search_stops_starting_points_once_observe_returns_false() {
+        let (app, system) = (spec::ammp(), SystemConfig::base());
+        let (org, side) = (Organization::SelectiveSets, ResizableCacheSide::Data);
+        let offered = ConfigSpace::enumerate(side.config_of(&system.hierarchy), org)
+            .unwrap()
+            .len();
+        assert_eq!(offered, 5);
+        // An observer that stops the search at the first point it sees.
+        let stop_at_first = |_: CachePoint, _: &Measurement| false;
+
+        // One worker runs inline: exactly the first point, measured as the
+        // full search measures it.
+        let r = runner();
+        let stopped = r
+            .static_search(&app, &system, org, side, 1, stop_at_first)
+            .unwrap();
+        let full = r.static_best(&app, &system, org, side).unwrap();
+        assert_eq!(stopped.evaluated, full.evaluated[..1]);
+        assert_eq!(stopped.base, full.base);
+
+        // Two workers on a cold tier: the point running beside the first
+        // finishes and is kept, and no further point starts.
+        let stopped = runner()
+            .static_search(&app, &system, org, side, 2, stop_at_first)
+            .unwrap();
+        let evaluated = stopped.evaluated.len();
+        assert!(
+            (1..offered).contains(&evaluated),
+            "{evaluated} of {offered}"
+        );
+        for (point, measurement) in &stopped.evaluated {
+            assert!(
+                full.evaluated.contains(&(*point, *measurement)),
+                "{point:?}"
+            );
+        }
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub(super) fn serve_connection(
     config: &ServeConfig,
     handle: &ServerHandle,
 ) -> std::io::Result<()> {
-    let health = runner.trace_store().tier().health();
+    let health = runner.trace_store().counters();
     let mut conn = Conn::new(stream, config, handle)?;
     loop {
         // Lines pipelined during a sweep were admitted when the sweep's

@@ -2,16 +2,14 @@
 //! handler returns `Result<Flow, Stop>`; [`dispatch`] writes the one
 //! `ok:false` line for a refusal.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, PoisonError};
 
 use super::connection::{poll_control, Conn, Flow, SweepEnd};
 use super::protocol::{
     cancelled_line, config_space, dynamic_done_line, error_line, health_line, ok_line, parse_point,
     parse_target, resize_line, result_line, sweep_done_line, u64_field, Stop, Target,
 };
-use super::SHUTDOWN_POLL;
-use crate::experiment::runner::{best_under, Measurement, RunSetup, Runner};
+use crate::experiment::runner::{Measurement, RunSetup, Runner};
 use crate::experiment::shared_tier::HealthCounters;
 use crate::json::Json;
 use crate::org::CachePoint;
@@ -41,7 +39,7 @@ fn serve(runner: &Runner, request: &Json, id: &Json, conn: &mut Conn) -> Result<
     match request.get("req").and_then(Json::as_str).unwrap_or("") {
         "ping" => conn.send(&ok_line(id, "pong", []))?,
         "health" => {
-            let health = runner.trace_store().tier().health_snapshot();
+            let health = runner.trace_store().health();
             conn.send(&health_line(id, &health, conn.handle.open_connections()))?;
         }
         "shutdown" => {
@@ -63,7 +61,7 @@ fn serve(runner: &Runner, request: &Json, id: &Json, conn: &mut Conn) -> Result<
                 _ => return serve_dynamic(runner, request, id, &target, conn),
             }
         }
-        // A matching cancel is consumed *inside* serve_sweep's poll loop;
+        // A matching cancel is consumed *inside* serve_sweep's poll;
         // reaching dispatch means nothing is in flight here.
         "cancel" => {
             return Err(Stop::refuse(
@@ -82,7 +80,7 @@ fn serve(runner: &Runner, request: &Json, id: &Json, conn: &mut Conn) -> Result<
 }
 
 fn health(runner: &Runner) -> &HealthCounters {
-    runner.trace_store().tier().health()
+    runner.trace_store().counters()
 }
 
 /// Runs one target point through the memoized runner. The point is already
@@ -98,93 +96,71 @@ fn run_point(runner: &Runner, target: &Target, point: Option<CachePoint>) -> Mea
     )
 }
 
-/// Serves a `sweep` request: shards the organization's points across worker
-/// threads sharing one atomic cursor, streams each `kind:"result"` line as
+/// Serves a `sweep` request: runs [`Runner::static_best`]'s own search over
+/// [`ServeConfig::workers`](super::ServeConfig::workers) threads (one runs
+/// inline on the connection thread), streams each `kind:"result"` line as
 /// its simulation completes (coalescing with every concurrent request
-/// through the tier memos), then writes the `kind:"done"` summary with the
-/// minimum-EDP point.
+/// through the tier memos), then writes the `kind:"done"` summary of the
+/// search's outcome, whose minimum-EDP point is the one `static_best` names.
 ///
-/// Before each result line the connection is polled without waiting (see
-/// `Conn::poll_line`): a `cancel` naming this sweep's id stops the shared
-/// cursor, so the workers finish only the points already in flight and the
-/// sweep answers with a `kind:"cancelled"` line counting what was
-/// evaluated. The client disconnecting, or sending a line past its quota,
-/// stops the cursor the same way and closes the connection.
+/// The worker that finishes a point takes the connection's lock and polls
+/// it without waiting (see `Conn::poll_line`) before writing the point's
+/// line: a `cancel` naming this sweep's id stops the search, so only the
+/// points already in flight finish, and the sweep answers with a
+/// `kind:"cancelled"` line counting what was evaluated. The client
+/// disconnecting, sending a line past its quota, or a server shutdown stops
+/// the search the same way and closes the connection.
 fn serve_sweep(runner: &Runner, id: &Json, target: &Target, conn: &mut Conn) -> Result<Flow, Stop> {
-    let space = config_space(target)?;
-    let points = space.points();
-    let base = run_point(runner, target, None);
-    health(runner).note_served();
+    let space_points = config_space(target)?.len();
+    let health = health(runner);
+    // The search runs the full-size baseline first.
+    health.note_served();
 
-    let (tx, rx) = mpsc::channel::<(CachePoint, Measurement)>();
-    let cursor = AtomicUsize::new(0);
-    let mut evaluated: Vec<(CachePoint, Measurement)> = Vec::with_capacity(points.len());
-    let mut end: Option<SweepEnd> = None;
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        for _ in 0..conn.config.workers.clamp(1, points.len().max(1)) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let measurement = run_point(runner, target, Some(*point));
-                if tx.send((*point, measurement)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Parking the cursor at the end of the space stops all future
-        // claims; workers finish only their in-flight point.
-        let stop_cursor = || cursor.store(points.len(), Ordering::Relaxed);
-        // Stream results in completion order; the done line carries the
-        // summary, so clients needing sweep order key on (sets, ways).
-        loop {
-            let result = match rx.recv_timeout(SHUTDOWN_POLL) {
-                Ok(result) => Some(result),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            if end.is_none() {
+    let workers = conn.config.workers;
+    let stream = Mutex::new((conn, None::<SweepEnd>));
+    let outcome = runner
+        .static_search(
+            &target.app,
+            &target.system,
+            target.organization,
+            target.side,
+            workers,
+            |point, measurement| {
+                // A poisoned lock means a worker panicked mid-write; that
+                // panic ends the connection, so start no further point.
+                let Ok(mut guard) = stream.lock() else {
+                    return false;
+                };
+                let (conn, end) = &mut *guard;
                 // A cancel racing a result must win: check the connection
                 // before writing the line.
-                end = poll_control(conn, health(runner), id);
+                if end.is_none() {
+                    *end = poll_control(conn, health, id);
+                }
                 if end.is_some() {
-                    stop_cursor();
+                    return false;
                 }
-            }
-            let Some((point, measurement)) = result else {
-                // A server shutdown mid-sweep also stops claiming new
-                // points (the done line reports what was evaluated).
-                if conn.handle.shutdown.load(Ordering::SeqCst) {
-                    stop_cursor();
+                health.note_served();
+                if let Err(e) = conn.send(&result_line(id, Some(point), measurement)) {
+                    *end = Some(SweepEnd::WriteFailed(e));
+                    return false;
                 }
-                continue;
-            };
-            evaluated.push((point, measurement));
-            if end.is_none() {
-                health(runner).note_served();
-                if let Err(e) = conn.send(&result_line(id, Some(point), &measurement)) {
-                    end = Some(SweepEnd::WriteFailed(e));
-                    stop_cursor();
-                }
-            }
-        }
-    });
+                true
+            },
+        )
+        .map_err(|e| Stop::refuse(format!("cannot enumerate configuration space: {e}")))?;
+    let (conn, end) = stream.into_inner().unwrap_or_else(PoisonError::into_inner);
     match end {
         Some(SweepEnd::WriteFailed(e)) => Err(Stop::Io(e)),
         // The client is gone or was refused; the in-flight results already
         // drained into the shared tier for the next client.
         Some(SweepEnd::Closed) => Ok(Flow::Close),
         Some(SweepEnd::Cancelled) => {
-            conn.send(&cancelled_line(id, evaluated.len(), points.len()))?;
+            conn.send(&cancelled_line(id, outcome.evaluated.len(), space_points))?;
             Ok(Flow::Continue)
         }
         None => {
-            let best = best_under(&evaluated)
-                .ok_or_else(|| Stop::refuse("configuration space was empty"))?;
-            let done = sweep_done_line(id, evaluated.len(), best, &base);
-            conn.send(&done)?;
+            conn.send(&sweep_done_line(id, &outcome))?;
             Ok(Flow::Continue)
         }
     }

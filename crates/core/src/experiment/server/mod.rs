@@ -11,8 +11,9 @@
 //!
 //! * every connection gets its own thread (finished threads are reaped each
 //!   accept, and the live count is reported in `health`), and a `sweep`
-//!   request shards its configuration space across [`effective_workers`]
-//!   worker threads, streaming each point's result line back as it
+//!   request runs [`Runner::static_best`]'s own search over
+//!   [`ServeConfig::workers`] threads (one worker runs inline on the
+//!   connection thread), streaming each point's result line back as it
 //!   completes;
 //! * a `dynamic` request runs the paper's miss-ratio resizing controller
 //!   over the wire: every resize the controller performs streams back as a
@@ -20,14 +21,15 @@
 //!   line carries the measurement;
 //! * a streaming sweep is cancellable mid-flight — an interleaved
 //!   `{"req":"cancel","id":...}` naming the sweep's id (or the client
-//!   disconnecting) stops the shared point cursor, so workers finish only
-//!   the points already in flight instead of computing the whole space.
-//!   The check for such lines before each result line is a non-blocking
-//!   read that never waits: a quiet client costs a streamed result one
-//!   empty read, not a timer tick;
+//!   disconnecting) stops the search: no further point starts, and only
+//!   the points already in flight finish. The worker that finishes a point
+//!   takes the connection's lock and checks it for such lines before the
+//!   point's line is written, with a non-blocking read that never waits: a
+//!   quiet client costs a streamed result one empty read, not a timer
+//!   tick;
 //! * identical in-flight requests — from one client or many — coalesce on
-//!   the tier's single-flight memos exactly the way `TraceStore`
-//!   single-flights generation: N clients asking for the same cold point run
+//!   the tier's single-flight memos, the same memos that single-flight
+//!   trace generation: N clients asking for the same cold point run
 //!   **one** simulation, observable as
 //!   [`StoreHealth`](crate::experiment::StoreHealth) `coalesced`/`hits`
 //!   (`StoreHealth::result_cache_hit_rate` is the service's headline
@@ -55,7 +57,7 @@
 //! | `{"req":"ping"}` | `{"ok":true,"kind":"pong"}` |
 //! | `{"req":"health"}` | one `kind:"health"` line with the tier's [`StoreHealth`](crate::experiment::StoreHealth) counters plus the server's open-connection count |
 //! | `{"req":"point","app":"ammp","sets":64,"ways":2}` | one `kind:"result"` line with the measurement |
-//! | `{"req":"sweep","app":"ammp","org":"selective_sets"}` | one `kind:"result"` line per point *as each completes*, then a `kind:"done"` summary with the minimum-EDP point |
+//! | `{"req":"sweep","app":"ammp","org":"selective_sets"}` | one `kind:"result"` line per point *as each completes*, then a `kind:"done"` summary of the search's outcome: the minimum-EDP point [`Runner::static_best`] chooses |
 //! | `{"req":"cancel","id":3}` | stops the in-flight sweep with that id on this connection; the sweep answers with a `kind:"cancelled"` line counting the points actually evaluated |
 //! | `{"req":"dynamic","app":"ammp"}` | `kind:"resize"` lines streamed as the controller decides, then a `kind:"done"` line with the dynamic measurement |
 //! | `{"req":"shutdown"}` | `{"ok":true,"kind":"bye"}`, then the whole server drains and exits |
@@ -119,7 +121,9 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 pub struct ServeConfig {
     /// Address to bind (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker threads a single sweep request shards its points across.
+    /// Worker threads a single sweep request runs its points on (one runs
+    /// them inline on the connection thread). Defaults to
+    /// [`effective_workers`].
     pub workers: usize,
     /// Requests one connection may make before it is closed with a typed
     /// `quota_exhausted` error; `0` means unlimited. Counts every request

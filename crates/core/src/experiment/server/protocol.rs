@@ -4,7 +4,7 @@
 
 use rescache_trace::{spec, AppProfile, WorkloadRegistry};
 
-use crate::experiment::runner::Measurement;
+use crate::experiment::runner::{Measurement, StaticOutcome};
 use crate::experiment::shared_tier::StoreHealth;
 use crate::json::{obj, Json};
 use crate::org::{CachePoint, ConfigSpace, Organization};
@@ -272,24 +272,25 @@ pub(super) fn health_line(id: &Json, health: &StoreHealth, open_connections: usi
     )
 }
 
-/// A finished sweep's `kind:"done"` summary: the minimum-EDP point of
-/// `points` evaluated points, and its EDP reduction against the full-size
-/// `base`.
-pub(super) fn sweep_done_line(
-    id: &Json,
-    points: usize,
-    (best_point, best): (CachePoint, Measurement),
-    base: &Measurement,
-) -> Json {
-    let reduction = best.energy_delay().reduction_vs(&base.energy_delay());
+/// A finished sweep's `kind:"done"` summary of the search's outcome: the
+/// number of evaluated points, the chosen minimum-EDP point and its EDP
+/// reduction against the full-size base.
+pub(super) fn sweep_done_line(id: &Json, outcome: &StaticOutcome) -> Json {
+    let best = &outcome.best;
     ok_line(
         id,
         "done",
         [
-            ("points", Json::Num(points as f64)),
-            ("best", point_json(best_point)),
-            ("best_score", Json::Num(best.energy_delay().product())),
-            ("edp_reduction_percent", Json::Num(reduction)),
+            ("points", Json::Num(outcome.evaluated.len() as f64)),
+            ("best", point_json(best.choice)),
+            (
+                "best_score",
+                Json::Num(best.measurement.energy_delay().product()),
+            ),
+            (
+                "edp_reduction_percent",
+                Json::Num(best.edp_reduction_percent),
+            ),
         ],
     )
 }

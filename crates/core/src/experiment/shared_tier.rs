@@ -1,7 +1,9 @@
 //! The shared store/memo tier: one concurrency-safe handle holding every
 //! cross-runner cache — resident generated traces and memoized static
 //! simulations — plus the health accounting and degraded mode they all
-//! share.
+//! share. The tier is also the trace store: trace acquisition and
+//! persistence are its methods in [`trace_store`](super::trace_store), and
+//! [`TraceStore`](super::TraceStore) is another name for it.
 //!
 //! This is the ROADMAP's named prereq for the sweep server: any number of
 //! [`Runner`](crate::experiment::Runner) instances (or server connections)
@@ -210,7 +212,7 @@ impl<K: Hash + Eq + Clone, V> Slots<K, V> {
 }
 
 /// Live recovery counters of one shared tier (atomics: every recording site
-/// is on a concurrent path). Read via [`HealthCounters::snapshot`].
+/// is on a concurrent path). Read via [`SharedTier::health`].
 #[derive(Debug, Default)]
 pub(crate) struct HealthCounters {
     hits: AtomicU64,
@@ -413,13 +415,13 @@ impl SharedTier {
         }
     }
 
-    /// The tier's health counters (recording sites).
-    pub(crate) fn health(&self) -> &HealthCounters {
+    /// The tier's live health counters (recording sites).
+    pub(crate) fn counters(&self) -> &HealthCounters {
         &self.health
     }
 
     /// A point-in-time snapshot of the tier's health.
-    pub fn health_snapshot(&self) -> StoreHealth {
+    pub fn health(&self) -> StoreHealth {
         self.health.snapshot()
     }
 
@@ -607,7 +609,7 @@ mod tests {
     #[test]
     fn health_counters_snapshot_and_degrade_once() {
         let tier = SharedTier::new(Some(PathBuf::from("/tmp/never-used")), IoPolicy::none());
-        let h = tier.health();
+        let h = tier.counters();
         h.note_hit();
         h.note_hit();
         h.note_miss();
@@ -617,7 +619,7 @@ mod tests {
         // Degrading latches, warns exactly once, and disables the dir.
         tier.degrade("test save failure");
         tier.degrade("second call must be silent");
-        let snap = tier.health_snapshot();
+        let snap = tier.health();
         assert_eq!((snap.hits, snap.misses, snap.regenerations), (2, 1, 1));
         assert_eq!(snap.warnings, 1, "one-time warning");
         assert!(snap.degraded);
@@ -625,7 +627,7 @@ mod tests {
         assert!(tier.dir().is_some(), "the raw dir is still reported");
 
         // Clones share the health block and the degraded flag.
-        assert!(tier.clone().health_snapshot().degraded);
+        assert!(tier.clone().health().degraded);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The shared trace store: once-per-key generation, copy-free in-process
-//! sharing, and optional on-disk persistence.
+//! The trace half of the [`SharedTier`]: once-per-key generation, copy-free
+//! in-process sharing, and optional on-disk persistence. This module is an
+//! `impl SharedTier` block; [`TraceStore`] is another name for the tier.
 //!
 //! Every experiment replays the same `(application, seed, lengths)` trace
 //! under many cache configurations, and trace generation is the slowest
@@ -11,7 +12,7 @@
 //! generated trace with the [`rescache_trace::codec`] so later processes of a
 //! multi-app/multi-seed campaign replay from disk instead of regenerating.
 //!
-//! There is one way to get records: [`TraceStore::fetch`] materializes (and
+//! There is one way to get records: [`SharedTier::fetch`] materializes (and
 //! memoizes) the full trace — loading a persisted entry whole with
 //! [`codec::load`], or generating the trace and persisting it — and every
 //! static or dynamic run replays that resident buffer's record slice. A
@@ -21,7 +22,7 @@
 //! only for that exact key: two warm/measure splits of the same total share
 //! one entry, while a request for a different total gets its own. Disk
 //! entries are advisory, with one failure rule each way (counted in
-//! [`StoreHealth`]):
+//! [`StoreHealth`](crate::experiment::StoreHealth)):
 //!
 //! * **load** — a *missing* entry generates silently (a miss). An existing
 //!   entry that fails to load for any reason — an I/O error, or a corrupt,
@@ -32,8 +33,8 @@
 //!   into in-memory-only degraded mode with a one-time warning (see
 //!   [`SharedTier::degrade`]); generation proceeds, persistence stops.
 //!
-//! The memo maps, health counters and degraded flag all live in the
-//! [`SharedTier`] the store wraps, so any number of runners and threads
+//! The trace memo sits beside the simulation memo, the health counters and
+//! the degraded flag in the one tier, so any number of runners and threads
 //! share one coherent cache state. Single flight is per process; writers in
 //! different processes need no lock, because every save writes a per-writer
 //! temp file and renames it into place.
@@ -44,7 +45,7 @@ use std::path::{Path, PathBuf};
 use rescache_trace::{codec, AppProfile, CodecError, IoPolicy, Trace, TraceFormat, TraceGenerator};
 
 use crate::experiment::runner::RunnerConfig;
-use crate::experiment::shared_tier::{SharedTier, StoreHealth};
+use crate::experiment::shared_tier::SharedTier;
 
 /// Key identifying one (warm, measure) trace request: application name,
 /// profile fingerprint, seed, warm-up length, measured length. The
@@ -63,44 +64,22 @@ pub(crate) type StoreKey = (&'static str, u64, u64, usize);
 /// File-name suffix of every store entry.
 const ENTRY_SUFFIX: &str = TraceFormat::V3.file_suffix();
 
-/// The store of generated traces (see the module documentation): a view
-/// over the [`SharedTier`] that holds the actual maps and health.
-///
-/// Clones share the tier, which is what lets the parallel sweeps fan out
-/// over applications without regenerating per-worker state.
-#[derive(Debug, Clone, Default)]
-pub struct TraceStore {
-    tier: SharedTier,
-}
+/// The store of generated traces: another name for the [`SharedTier`]. It
+/// stays only because the standalone benchmark (`perfbench/`) names it.
+pub type TraceStore = SharedTier;
 
-impl TraceStore {
-    /// Creates a store with an explicit persistence directory (`None` =
-    /// in-memory only).
+impl SharedTier {
+    /// A tier with an explicit persistence directory (`None` = in-memory
+    /// only).
     pub fn with_dir(dir: Option<PathBuf>) -> Self {
-        Self::with_tier(SharedTier::new(dir, IoPolicy::none()))
+        Self::new(dir, IoPolicy::none())
     }
 
-    /// Creates a store over an explicit shared tier — how multiple runners
-    /// (or server connections) share one set of memos and one health
-    /// block.
+    /// Returns `tier` unchanged. An identity shim: it stays only because the
+    /// standalone benchmark (`perfbench/src/serve.rs`) builds its store with
+    /// `TraceStore::with_tier`.
     pub fn with_tier(tier: SharedTier) -> Self {
-        Self { tier }
-    }
-
-    /// The shared tier backing this store.
-    pub fn tier(&self) -> &SharedTier {
-        &self.tier
-    }
-
-    /// A snapshot of the store's recovery counters.
-    pub fn health(&self) -> StoreHealth {
-        self.tier.health_snapshot()
-    }
-
-    /// The persistence directory, if any (reported even when degraded mode
-    /// has stopped the store from using it).
-    pub fn dir(&self) -> Option<&Path> {
-        self.tier.dir()
+        tier
     }
 
     /// The store key of an application under a runner configuration.
@@ -127,7 +106,7 @@ impl TraceStore {
     /// Number of full traces currently materialized in this process (bounded
     /// by the tier's [`resident_cap`](SharedTier::resident_cap)).
     pub fn resident_full_traces(&self) -> usize {
-        self.tier.traces.initialized_count()
+        self.traces.initialized_count()
     }
 
     /// Returns the warm-up and measurement traces for an application,
@@ -143,13 +122,12 @@ impl TraceStore {
     /// a resident or shared landing and keeps at most
     /// [`resident_cap`](SharedTier::resident_cap) traces resident, evicting
     /// the least recently used; an evicted trace reloads from disk (or
-    /// regenerates) like any cold key. [`TraceStore::load_entry`] counts a
+    /// regenerates) like any cold key. [`SharedTier::load_entry`] counts a
     /// materialization.
     pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
-        self.tier
-            .traces
-            .get_or_init(key, self.tier.health(), || self.load_or_generate(app, &key))
+        self.traces
+            .get_or_init(key, self.counters(), || self.load_or_generate(app, &key))
     }
 
     /// Loads `key`'s persisted entry whole and counts how the request
@@ -161,7 +139,7 @@ impl TraceStore {
     /// file) — is one regeneration with one warning; the regeneration's save
     /// replaces the file.
     fn load_entry(&self, app: &AppProfile, key: &StoreKey) -> Option<Trace> {
-        let health = self.tier.health();
+        let health = self.counters();
         let Some(path) = self.entry_path(key) else {
             health.note_miss();
             return None;
@@ -196,7 +174,7 @@ impl TraceStore {
     }
 
     /// Loads the keyed full trace from disk if possible, otherwise generates
-    /// it (and persists the result, best-effort). [`TraceStore::load_entry`]
+    /// it (and persists the result, best-effort). [`SharedTier::load_entry`]
     /// counts the landing.
     fn load_or_generate(&self, app: &AppProfile, key: &StoreKey) -> Trace {
         if let Some(trace) = self.load_entry(app, key) {
@@ -222,15 +200,14 @@ impl TraceStore {
             .map_or(Ok(()), std::fs::create_dir_all)
             .and_then(|()| codec::save_trace(path, trace));
         if let Err(e) = saved {
-            self.tier
-                .degrade(&format!("could not persist to {}: {e}", path.display()));
+            self.degrade(&format!("could not persist to {}: {e}", path.display()));
         }
     }
 
     /// The on-disk path of a key's exact-total entry, if a usable directory
     /// is configured (degraded mode reads as "no directory").
     fn entry_path(&self, key: &StoreKey) -> Option<PathBuf> {
-        self.tier.active_dir().map(|d| d.join(Self::file_name(key)))
+        self.active_dir().map(|d| d.join(Self::file_name(key)))
     }
 
     /// File name of a store entry: application name plus every key component
@@ -250,10 +227,10 @@ mod tests {
     use rescache_cpu::{CpuConfig, NoopHook, Simulator};
     use rescache_trace::spec;
 
-    fn temp_store(tag: &str) -> (TraceStore, PathBuf) {
+    fn temp_store(tag: &str) -> (SharedTier, PathBuf) {
         let dir = std::env::temp_dir().join(format!("rescache-store-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        (TraceStore::with_dir(Some(dir.clone())), dir)
+        (SharedTier::with_dir(Some(dir.clone())), dir)
     }
 
     fn entry_path(dir: &Path) -> PathBuf {
@@ -267,7 +244,7 @@ mod tests {
 
     #[test]
     fn memoizes_in_process() {
-        let store = TraceStore::with_dir(None);
+        let store = SharedTier::with_dir(None);
         let cfg = RunnerConfig::fast();
         let (w1, m1) = store.fetch(&spec::ammp(), &cfg);
         let (w2, m2) = store.fetch(&spec::ammp(), &cfg);
@@ -281,7 +258,7 @@ mod tests {
 
     #[test]
     fn same_total_different_split_shares_one_trace() {
-        let store = TraceStore::with_dir(None);
+        let store = SharedTier::with_dir(None);
         let cfg = RunnerConfig::fast();
         let mut shifted = cfg;
         shifted.warmup_instructions += 1_000;
@@ -306,7 +283,7 @@ mod tests {
         // file is actually read (the fetch falls back to regeneration).
         // Flipping a *payload* byte would not do: a compressed chunk can
         // decode a flipped varint byte to different-but-valid records.
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
+        let fresh = SharedTier::with_dir(Some(dir.clone()));
         let (_, m2) = fresh.fetch(&spec::m88ksim(), &cfg);
         assert_eq!(m1, m2);
 
@@ -314,7 +291,7 @@ mod tests {
         let first_chunk = 9 + 4 + "m88ksim".len() + 8;
         bytes[first_chunk + 4..first_chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).expect("corrupt entry");
-        let corrupted = TraceStore::with_dir(Some(dir.clone()));
+        let corrupted = SharedTier::with_dir(Some(dir.clone()));
         let (_, m3) = corrupted.fetch(&spec::m88ksim(), &cfg);
         assert_eq!(m1, m3, "regeneration must reproduce the trace");
         std::fs::remove_dir_all(&dir).ok();
@@ -348,7 +325,7 @@ mod tests {
         let long_path = entry_path(&dir);
         let long_bytes = std::fs::read(&long_path).expect("read long entry");
 
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
+        let fresh = SharedTier::with_dir(Some(dir.clone()));
         let (w, m) = fresh.fetch(app, &short);
         let expected = TraceGenerator::new(app.clone(), short.trace_seed).generate(short_total);
         assert_eq!(
@@ -357,7 +334,7 @@ mod tests {
             "{name}"
         );
         assert_eq!(fresh.health().misses, 1, "{name}: generated, not reused");
-        let short_path = dir.join(TraceStore::file_name(&TraceStore::store_key(app, &short)));
+        let short_path = dir.join(SharedTier::file_name(&SharedTier::store_key(app, &short)));
         assert!(short_path.exists(), "{name}: its own entry is written");
         assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 2, "{name}");
         assert_eq!(
@@ -367,7 +344,7 @@ mod tests {
         );
 
         // Another fresh store loads the shorter total's own entry from disk.
-        let reload = TraceStore::with_dir(Some(dir.clone()));
+        let reload = SharedTier::with_dir(Some(dir.clone()));
         let (w, m) = reload.fetch(app, &short);
         assert_eq!(
             [w.records(), m.records()].concat(),
@@ -406,7 +383,7 @@ mod tests {
         // Masquerade a long trace as the short entry (gcc's multi-phase
         // schedules scale with the total, so its prefix is not the short
         // trace).
-        let short_name = TraceStore::file_name(&TraceStore::store_key(&spec::gcc(), &short));
+        let short_name = SharedTier::file_name(&SharedTier::store_key(&spec::gcc(), &short));
         let long_trace = TraceGenerator::new(spec::gcc(), cfg.trace_seed)
             .generate(cfg.warmup_instructions + cfg.measure_instructions);
         codec::save_trace(&dir.join(&short_name), &long_trace).expect("plant mislabeled entry");
@@ -414,7 +391,7 @@ mod tests {
         let expected = TraceGenerator::new(spec::gcc(), cfg.trace_seed).generate(short_total);
 
         // The fetch regenerates and persists a fresh entry.
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
+        let fresh = SharedTier::with_dir(Some(dir.clone()));
         let (w, m) = fresh.fetch(&spec::gcc(), &short);
         assert_eq!(
             w.records(),
@@ -432,7 +409,7 @@ mod tests {
 
         // The regeneration replaced the entry: another store serves it from
         // disk.
-        let again = TraceStore::with_dir(Some(dir.clone()));
+        let again = SharedTier::with_dir(Some(dir.clone()));
         let (w, m) = again.fetch(&spec::gcc(), &short);
         assert_eq!([w.records(), m.records()].concat(), expected.records());
         assert_eq!((again.health().hits, again.health().misses), (1, 0));
@@ -447,13 +424,13 @@ mod tests {
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let reference = TraceGenerator::new(spec::gcc(), cfg.trace_seed).generate(total);
-        let fetch_all = |store: &TraceStore| {
+        let fetch_all = |store: &SharedTier| {
             let (warm, measure) = store.fetch(&spec::gcc(), &cfg);
             [warm.records(), measure.records()].concat()
         };
         for round in 0..4 {
             let (first, dir) = temp_store(&format!("race-{round}"));
-            let second = TraceStore::with_dir(Some(dir.clone()));
+            let second = SharedTier::with_dir(Some(dir.clone()));
             let (a, b) = std::thread::scope(|scope| {
                 let a = scope.spawn(|| fetch_all(&first));
                 let b = scope.spawn(|| fetch_all(&second));
@@ -471,7 +448,7 @@ mod tests {
                 name.ends_with(ENTRY_SUFFIX),
                 "round {round}: debris left in the store: {name}"
             );
-            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            let fresh = SharedTier::with_dir(Some(dir.clone()));
             assert_eq!(fetch_all(&fresh), reference.records(), "round {round}");
             assert_eq!(fresh.health().hits, 1, "round {round}: served from disk");
             std::fs::remove_dir_all(&dir).ok();
@@ -480,7 +457,7 @@ mod tests {
 
     #[test]
     fn source_serves_resident_traces_and_in_memory_stores() {
-        let store = TraceStore::with_dir(None);
+        let store = SharedTier::with_dir(None);
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
 
@@ -527,7 +504,7 @@ mod tests {
             bytes
         };
         let (_, dir) = temp_store("mixed");
-        let path = dir.join(TraceStore::file_name(&TraceStore::store_key(&app, &cfg)));
+        let path = dir.join(SharedTier::file_name(&SharedTier::store_key(&app, &cfg)));
         for (label, bytes) in [
             ("v1", old_entry(b"RCTRACE1", None)),
             ("v2", old_entry(b"RCTRACE2", None)),
@@ -544,7 +521,7 @@ mod tests {
             };
             assert!(typed, "{label}: {err}");
 
-            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            let fresh = SharedTier::with_dir(Some(dir.clone()));
             let (w, m) = fresh.fetch(&app, &cfg);
             assert_eq!(
                 [w.records(), m.records()].concat(),
@@ -570,7 +547,7 @@ mod tests {
         bytes[7] = b'9';
         std::fs::write(&path, &bytes).expect("future-version entry");
 
-        let fresh = TraceStore::with_dir(Some(dir.clone()));
+        let fresh = SharedTier::with_dir(Some(dir.clone()));
         let (w2, m2) = fresh.fetch(&spec::ammp(), &cfg);
         assert_eq!(w1, w2, "regeneration must reproduce the trace");
         assert_eq!(m1, m2);
@@ -585,7 +562,7 @@ mod tests {
         std::fs::remove_file(&dir).ok();
         // Make the "directory" a file so create_dir_all fails.
         std::fs::write(&dir, b"occupied").expect("occupy path");
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = SharedTier::with_dir(Some(dir.clone()));
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         assert_eq!(store.fetch_full(&spec::vpr(), &cfg).len(), total);
@@ -659,7 +636,7 @@ mod tests {
 
         // A second store over the same directory: nothing of the entry is
         // resident there.
-        let store = TraceStore::with_dir(Some(dir.clone()));
+        let store = SharedTier::with_dir(Some(dir.clone()));
         let served = store.fetch_full(&app, &cfg);
         assert_eq!(served.records(), clean.records(), "{label}: fetched");
         assert_eq!(&simulate(&served), clean_sim, "{label}: simulated");
@@ -730,7 +707,7 @@ mod tests {
             // A fresh store ("new process") counts one regeneration, no
             // hit and no miss, and its save replaces the entry with the
             // clean image.
-            let fresh = TraceStore::with_dir(Some(dir.clone()));
+            let fresh = SharedTier::with_dir(Some(dir.clone()));
             let (w2, m2) = fresh.fetch(&spec::gcc(), &cfg);
             assert_eq!(
                 (w1, m1),
@@ -751,7 +728,7 @@ mod tests {
             );
 
             // Another fresh store serves the replaced entry from disk.
-            let again = TraceStore::with_dir(Some(dir.clone()));
+            let again = SharedTier::with_dir(Some(dir.clone()));
             let (w3, _) = again.fetch(&spec::gcc(), &cfg);
             assert_eq!(w3, w2);
             assert_eq!(
@@ -769,8 +746,7 @@ mod tests {
         // bound — harmless in batch sweeps, a memory leak in a long-lived
         // server replaying many distinct workloads. With a cap of 2, a third
         // distinct trace must evict exactly the least-recently-used one.
-        let store =
-            TraceStore::with_tier(SharedTier::new(None, IoPolicy::none()).with_resident_cap(2));
+        let store = SharedTier::with_dir(None).with_resident_cap(2);
         let cfg = RunnerConfig::fast();
 
         let (w_ammp, _) = store.fetch(&spec::ammp(), &cfg);
@@ -811,9 +787,7 @@ mod tests {
         // cap a memory bound rather than a throughput cliff.
         let dir = std::env::temp_dir().join(format!("rescache-store-cap-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let store = TraceStore::with_tier(
-            SharedTier::new(Some(dir.clone()), IoPolicy::none()).with_resident_cap(1),
-        );
+        let store = SharedTier::with_dir(Some(dir.clone())).with_resident_cap(1);
         let cfg = RunnerConfig::fast();
 
         let (w1, m1) = store.fetch(&spec::ammp(), &cfg);

@@ -19,11 +19,9 @@ use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use rescache_trace::IoPolicy;
-
 use crate::error::CoreError;
 use crate::experiment::server::DEFAULT_ADDR;
-use crate::experiment::{RunnerConfig, SharedTier};
+use crate::experiment::RunnerConfig;
 
 /// Every runtime knob, parsed. A `None` field was unset: the consumer's own
 /// default applies.
@@ -101,12 +99,6 @@ impl Knobs {
             dynamic_interval: self.interval.unwrap_or(base.dynamic_interval),
             ..base
         }
-    }
-
-    /// The shared tier the knobs configure: persistence under the trace
-    /// directory.
-    pub(crate) fn shared_tier(&self) -> SharedTier {
-        SharedTier::new(self.trace_dir.clone(), IoPolicy::none())
     }
 }
 

@@ -64,8 +64,9 @@ fn demo() -> std::io::Result<()> {
         measure_instructions: 120_000,
         ..RunnerConfig::fast()
     });
-    // One worker keeps the cancelled-sweep exchange deterministic: after
-    // the cancel is consumed, at most the single in-flight point finishes.
+    // One worker runs a sweep inline on the connection thread, which keeps
+    // the cancelled-sweep exchange deterministic: the connection is read
+    // after each point, and no point starts once the cancel is consumed.
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -92,9 +93,9 @@ fn demo() -> std::io::Result<()> {
     }
 
     // A cancelled sweep: the cancel rides the same pipe right behind the
-    // sweep, so the server consumes it before streaming and parks the
-    // shared cursor — only the in-flight point finishes. A fresh app keeps
-    // the points unmemoized, so the single worker cannot outrun the cancel.
+    // sweep, so the server consumes it after an early point and stops the
+    // search — no further point starts. A fresh app keeps the points
+    // unmemoized, so the sweep cannot finish before the cancel arrives.
     let cancelled = client.stream(concat!(
         r#"{"req":"sweep","id":5,"app":"vortex","org":"selective_sets"}"#,
         "\n",

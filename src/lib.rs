@@ -54,7 +54,7 @@ pub use rescache_trace as trace;
 pub mod prelude {
     pub use rescache_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy};
     pub use rescache_core::experiment::{
-        Runner, RunnerConfig, ServeConfig, ServerHandle, SweepServer, TraceStore,
+        Runner, RunnerConfig, ServeConfig, ServerHandle, SharedTier, SweepServer,
     };
     pub use rescache_core::{
         CachePoint, ConfigSpace, CoreError, DynamicController, DynamicParams, Organization,

@@ -44,7 +44,7 @@ fn runner() -> Runner {
         dynamic_interval: 1_024,
         ..RunnerConfig::fast()
     };
-    Runner::with_store(config, TraceStore::with_dir(None))
+    Runner::with_store(config, SharedTier::with_dir(None))
 }
 
 /// FNV-1a over little-endian words.

@@ -81,7 +81,7 @@ fn assert_dynamic_equivalence(
 ) -> u64 {
     let cfg = fast_config();
     let trace = common::trace(profile, &cfg);
-    let store_runner = Runner::with_store(cfg, TraceStore::with_dir(store_dir));
+    let store_runner = Runner::with_store(cfg, SharedTier::with_dir(store_dir));
 
     let space = ConfigSpace::enumerate(
         ResizableCacheSide::Data.config_of(&system.hierarchy),
@@ -168,7 +168,7 @@ fn full_dynamic_sweep_is_identical_with_a_store_dir() {
     std::fs::remove_dir_all(&dir).ok();
 
     let reference = Runner::new(cfg);
-    let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let backed = Runner::with_store(cfg, SharedTier::with_dir(Some(dir.clone())));
     let (org, side) = (Organization::SelectiveSets, ResizableCacheSide::Data);
     for system in engines() {
         let sweep = |runner: &Runner| {
@@ -226,7 +226,7 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Populate the entry.
-    TraceStore::with_dir(Some(dir.clone())).fetch(&app, &cfg);
+    SharedTier::with_dir(Some(dir.clone())).fetch(&app, &cfg);
     let entry = std::fs::read_dir(&dir)
         .expect("store dir")
         .next()
@@ -268,7 +268,7 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
         (None, None),
         &setup,
     );
-    let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let backed = Runner::with_store(cfg, SharedTier::with_dir(Some(dir.clone())));
     let got = backed.run_dynamic_observed(&app, &system, &setup, None);
     assert_identical("corrupt-entry fallback", &expected, &got);
     let health = backed.trace_store().health();
@@ -277,7 +277,7 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
     // The regeneration's save replaces the corrupt entry, so the store
     // self-heals: a new store loads it from disk instead of paying the
     // doomed partial read forever.
-    let healed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let healed = Runner::with_store(cfg, SharedTier::with_dir(Some(dir.clone())));
     let again = healed.run_dynamic_observed(&app, &system, &setup, None);
     assert_identical("healed entry", &expected, &again);
     let health = healed.trace_store().health();
@@ -297,7 +297,7 @@ fn static_setups_also_match_through_the_store() {
     std::fs::remove_dir_all(&dir).ok();
 
     let trace = common::trace(&app, &cfg);
-    let backed = Runner::with_store(cfg, TraceStore::with_dir(Some(dir.clone())));
+    let backed = Runner::with_store(cfg, SharedTier::with_dir(Some(dir.clone())));
     let point = CachePoint { sets: 64, ways: 2 };
     let setup = RunSetup {
         d_tag_bits: 4,

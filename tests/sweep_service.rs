@@ -15,8 +15,8 @@
 //!   service keeps serving correct results while the store degrades to
 //!   in-memory operation.
 //! * **Cancellation** — a `cancel` naming an in-flight sweep (or the client
-//!   disconnecting mid-stream) stops the shared point cursor: provably
-//!   fewer points are evaluated than the space offers.
+//!   disconnecting mid-stream) stops the search: provably fewer points
+//!   are evaluated than the space offers.
 //! * **Quotas** — `ServeConfig::max_requests_per_conn` closes a connection
 //!   with a typed `quota_exhausted` error once exceeded, counting the lines
 //!   a client sends while a sweep streams too.
@@ -76,7 +76,7 @@ fn spawn_server_with(
     rescache_core::experiment::ServerHandle,
     std::thread::JoinHandle<()>,
 ) {
-    let runner = Runner::with_store(runner_config, TraceStore::with_tier(tier));
+    let runner = Runner::with_store(runner_config, tier);
     let server = SweepServer::bind(runner, config).expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr");
     let (handle, join) = server.spawn().expect("spawn server");
@@ -156,7 +156,7 @@ fn concurrent_point_requests_coalesce_to_one_simulation() {
         }
     });
 
-    let health = tier.health_snapshot();
+    let health = tier.health();
     // One trace generation + one simulation, no matter how many clients
     // raced: the single-flight memos coalesce everything else.
     assert_eq!(health.misses, 2, "{health:?}");
@@ -179,8 +179,8 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
     let points = selective_sets_points();
 
     const CLIENTS: usize = 3;
-    std::thread::scope(|scope| {
-        for id in 0..CLIENTS {
+    let done_lines: Vec<Json> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS).map(|id| {
             scope.spawn(move || {
                 let mut client = Client::connect(addr);
                 client.send(&format!(
@@ -190,7 +190,7 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
                 // Each result line's (point, edp): the done line's summary
                 // must agree with them.
                 let mut edps: Vec<(Json, f64)> = Vec::new();
-                loop {
+                let done = loop {
                     let response = client.recv();
                     assert!(is_ok(&response), "{response:?}");
                     assert_eq!(response.get("id").and_then(Json::as_u64), Some(id as u64));
@@ -219,17 +219,22 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
                                 "best names a minimum-EDP point: {response:?}"
                             );
                             assert!(response.get("objective").is_none(), "{response:?}");
-                            break;
+                            break response;
                         }
                         other => panic!("unexpected response kind {other:?}: {response:?}"),
                     }
-                }
+                };
                 assert_eq!(results, points, "one line per sweep point");
-            });
-        }
+                done
+            })
+        }).collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
     });
 
-    let health = tier.health_snapshot();
+    let health = tier.health();
     // Unique work across all clients: one trace generation plus one
     // simulation per point (the sweep's full-size baseline shares the
     // full point's memo key).
@@ -239,6 +244,44 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
     assert_eq!(health.served, (CLIENTS * (points + 1)) as u64, "{health:?}");
     let rate = health.result_cache_hit_rate().expect("lookups happened");
     assert!(rate > 0.5, "most lookups were shared: {health:?}");
+
+    // Every done line is the in-process static search's outcome, run on a
+    // runner over the same tier.
+    let outcome = Runner::with_store(service_config(), tier.clone())
+        .static_best(
+            &spec::ammp(),
+            &SystemConfig::base(),
+            Organization::SelectiveSets,
+            ResizableCacheSide::Data,
+        )
+        .expect("selective-sets applies to the base d-cache");
+    let best = &outcome.best;
+    for done in &done_lines {
+        let chosen = done.get("best").expect("done carries best point");
+        assert_eq!(
+            chosen.get("sets").and_then(Json::as_u64),
+            Some(best.choice.sets),
+            "{done:?}"
+        );
+        assert_eq!(
+            chosen.get("ways").and_then(Json::as_u64),
+            Some(u64::from(best.choice.ways)),
+            "{done:?}"
+        );
+        let bits = |key: &str| done.get(key).and_then(Json::as_f64).map(f64::to_bits);
+        let best_score = best.measurement.energy_delay().product();
+        assert_eq!(bits("best_score"), Some(best_score.to_bits()), "{done:?}");
+        assert_eq!(
+            bits("edp_reduction_percent"),
+            Some(best.edp_reduction_percent.to_bits()),
+            "{done:?}"
+        );
+        assert_eq!(
+            done.get("points").and_then(Json::as_u64),
+            Some(outcome.evaluated.len() as u64),
+            "{done:?}"
+        );
+    }
 
     handle.stop();
     join.join().expect("server thread exits cleanly");
@@ -471,7 +514,7 @@ fn sweep_service_survives_disk_faults_and_degrades_gracefully() {
     };
     assert_eq!(cycles_of(&results), cycles_of(&reference_results));
 
-    let health = faulty.health_snapshot();
+    let health = faulty.health();
     assert!(health.degraded, "{health:?}");
     assert_eq!(health.warnings, 1, "one-time warning: {health:?}");
 
@@ -553,7 +596,7 @@ fn request_quota_closes_the_connection_with_a_typed_error() {
         "connection closed after quota exhaustion, got {line:?}"
     );
     // The refused request still counted as a request.
-    assert_eq!(tier.health_snapshot().requests, 3);
+    assert_eq!(tier.health().requests, 3);
 
     // A fresh connection gets a fresh quota.
     let mut again = Client::connect(addr);
@@ -566,7 +609,7 @@ fn request_quota_closes_the_connection_with_a_typed_error() {
 
 /// A runner configuration slow enough per point that a cancel (or a
 /// disconnect) sent after the first result line lands while most of the
-/// space is still unevaluated — with one worker, the cursor stop is then
+/// space is still unevaluated — with one worker, the stop is then
 /// observable as strictly fewer evaluated points.
 fn slow_sweep_config() -> RunnerConfig {
     RunnerConfig {
@@ -628,7 +671,7 @@ fn cancelling_a_sweep_stops_the_cursor_and_reports_what_ran() {
     // evaluates fewer points than the space offers.
     assert!(
         evaluated < points,
-        "cancel stopped the cursor: {evaluated} of {points} points"
+        "cancel stopped the search: {evaluated} of {points} points"
     );
     assert!(evaluated >= results, "every written result was evaluated");
 
@@ -638,7 +681,7 @@ fn cancelling_a_sweep_stops_the_cursor_and_reports_what_ran() {
 
     // The tier never simulated the skipped points: fewer sim misses than a
     // full sweep's trace + per-point count.
-    let health = tier.health_snapshot();
+    let health = tier.health();
     assert!(
         (health.misses as usize) < points + 1,
         "skipped points were never simulated: {health:?}"
@@ -663,7 +706,7 @@ fn client_disconnect_mid_sweep_stops_the_cursor() {
         // Dropping the client closes the socket mid-stream.
     }
 
-    // The server notices the disconnect at its next poll, parks the cursor
+    // The server notices the disconnect at its next poll, stops the search
     // and winds the connection down (observable on the live-connection
     // gauge, which the reaper keeps honest).
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -675,10 +718,10 @@ fn client_disconnect_mid_sweep_stops_the_cursor() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let health = tier.health_snapshot();
+    let health = tier.health();
     assert!(
         (health.misses as usize) < points + 1,
-        "the cursor stopped before the space was exhausted: {health:?}"
+        "the search stopped before the space was exhausted: {health:?}"
     );
     assert!(
         (health.served as usize) < points + 1,
@@ -743,7 +786,7 @@ fn lines_sent_mid_sweep_count_against_the_request_quota() {
         "the refusal is the connection's last line: {answered:?}"
     );
 
-    // The refusal parked the cursor as a disconnect does: the connection
+    // The refusal stopped the search as a disconnect does: the connection
     // winds down without finishing the space.
     let deadline = Instant::now() + Duration::from_secs(60);
     while handle.open_connections() > 0 {
@@ -753,10 +796,10 @@ fn lines_sent_mid_sweep_count_against_the_request_quota() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    let health = tier.health_snapshot();
+    let health = tier.health();
     assert!(
         (health.misses as usize) < points + 1,
-        "the cursor stopped before the space was exhausted: {health:?}"
+        "the search stopped before the space was exhausted: {health:?}"
     );
     // The sweep and the two cancels it read were counted as requests.
     assert_eq!(health.requests, 3, "{health:?}");

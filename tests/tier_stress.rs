@@ -75,7 +75,7 @@ fn reference_sweep(cfg: RunnerConfig) -> Vec<Measurement> {
 /// Runs the full sweep on `THREADS` threads sharing `tier`; every thread
 /// computes every measurement. Panics in a worker propagate to the caller.
 fn threaded_sweep(cfg: RunnerConfig, tier: &SharedTier) -> Vec<Vec<Measurement>> {
-    let runner = Runner::with_store(cfg, TraceStore::with_tier(tier.clone()));
+    let runner = Runner::with_store(cfg, tier.clone());
     let system = SystemConfig::base();
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -109,7 +109,7 @@ fn fault_free_threaded_sweep_is_identical_and_single_flight() {
         assert_eq!(sweep, &expected, "thread {t} diverged from the reference");
     }
 
-    let health = tier.health_snapshot();
+    let health = tier.health();
     // Single-flight: one persisted entry per store key and one simulation
     // per sim key, no matter how many threads race. Misses are counted at
     // both the sim memo and the persist initializer, so the bound is the
@@ -151,7 +151,7 @@ fn an_unusable_store_dir_leaves_the_threaded_sweep_bit_identical() {
     }
     // The first save latched degraded mode with its one-time warning;
     // every later request stayed in memory, however many threads raced.
-    let health = tier.health_snapshot();
+    let health = tier.health();
     assert!(health.degraded, "{health:?}");
     assert_eq!(health.warnings, 1, "{health:?}");
     assert_eq!(health.regenerations, 0, "{health:?}");

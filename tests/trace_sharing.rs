@@ -12,7 +12,7 @@
 
 mod common;
 
-use rescache::core::experiment::{RunSetup, Runner, RunnerConfig, TraceStore};
+use rescache::core::experiment::{RunSetup, Runner, RunnerConfig, SharedTier};
 use rescache::core::{CachePoint, SystemConfig};
 use rescache::trace::{spec, Trace, TraceGenerator};
 
@@ -67,13 +67,13 @@ fn disk_loaded_traces_equal_fresh_generation_and_share_one_buffer() {
     let app = spec::gcc();
 
     // The first runner generates the trace and persists its store entry.
-    let writer = Runner::with_store(config, TraceStore::with_dir(Some(dir.clone())));
+    let writer = Runner::with_store(config, SharedTier::with_dir(Some(dir.clone())));
     writer.trace(&app);
     assert_eq!(writer.trace_store().health().misses, 1);
 
     // A second store over the same directory has nothing resident, so its
     // trace is decoded from the entry rather than generated.
-    let reader = Runner::with_store(config, TraceStore::with_dir(Some(dir.clone())));
+    let reader = Runner::with_store(config, SharedTier::with_dir(Some(dir.clone())));
     let (warm_a, measure_a) = reader.trace(&app);
     let health = reader.trace_store().health();
     assert_eq!((health.hits, health.misses), (1, 0), "served from disk");
