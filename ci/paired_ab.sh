@@ -7,13 +7,16 @@
 # in alternating pairs: the parent first in odd pairs, the change first in
 # even ones. Each pair runs `perfbench/run.py --trace 0` (unchanged) for
 # the checkout's BENCHMARK.json `run_seconds` and `cargo bench --bench
-# sim_throughput` once per side; the `figures` kind runs the Figure 7 and 8
-# benches (`fig7_dcache_strategy`, `fig8_icache_strategy`) at the caller's
-# RESCACHE_WARMUP/RESCACHE_MEASURE. For every perfbench end-to-end metric,
-# every sim_throughput stage median and every figure bench `completed in`
-# line it prints each side's median and quartiles, the change/parent ratio
-# (median, min and max over the pairs) and how many pairs the change won
-# and tied (a tie counts as neither).
+# sim_throughput` once per side; the `figures` kind runs the Figure 4, 7
+# and 8 benches (`fig4_org_assoc`, `fig7_dcache_strategy`,
+# `fig8_icache_strategy`) at the caller's RESCACHE_WARMUP/RESCACHE_MEASURE,
+# each binary as a child of its own python3 process, which reads the
+# bench's peak RSS (MiB) and CPU seconds from getrusage(RUSAGE_CHILDREN).
+# For every perfbench end-to-end metric, every sim_throughput stage median
+# and every figure bench `completed in` line, peak RSS and CPU time it
+# prints each side's median and quartiles, the change/parent ratio (median,
+# min and max over the pairs) and how many pairs the change won and tied (a
+# tie counts as neither).
 #
 # Run from the repository root:
 #   sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD]
@@ -59,6 +62,33 @@ fi
 repo=$(pwd)
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$repo/BENCHMARK.json")
+figure_benches="fig4_org_assoc fig7_dcache_strategy fig8_icache_strategy"
+# Runs one figure bench binary (argv: bench name, executable) and prints
+# "<bench>: <label><TAB><value>" lines: one per `completed in` line, then
+# the process's peak RSS and CPU seconds. The bench is this process's only
+# child, so RUSAGE_CHILDREN is the bench's own usage.
+figure_run='
+import re, resource, subprocess, sys
+bench, exe = sys.argv[1], sys.argv[2]
+out = subprocess.run([exe, "--bench"], stdout=subprocess.PIPE, text=True, check=True).stdout
+lines = re.findall(r"^\[(.*): completed in ([0-9.]+) s\]$", out, re.M)
+if not lines:
+    sys.exit(f"paired_ab: {bench} printed no completed-in line")
+for label, secs in lines:
+    print(f"{bench}: {label}\t{secs}")
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(f"{bench}: peak_rss_mb\t{usage.ru_maxrss / 1024:.1f}")
+print(f"{bench}: cpu_s\t{usage.ru_utime + usage.ru_stime:.2f}")
+'
+# The executable `cargo bench` built for one bench target.
+bench_exe() {
+    cargo bench --offline --quiet --bench "$1" --no-run --message-format=json |
+        python3 -c 'import json, sys
+for line in sys.stdin:
+    exe = json.loads(line).get("executable")
+    if exe:
+        print(exe)'
+}
 rm -rf "$scratch/results"
 mkdir -p "$scratch/results"
 for side in parent change; do
@@ -86,8 +116,9 @@ for side in parent change; do
             case $kind in
                 perfbench) cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml ;;
                 sim_throughput) cargo bench --offline --quiet --bench sim_throughput --no-run ;;
-                figures) cargo bench --offline --quiet --bench fig7_dcache_strategy \
-                    --bench fig8_icache_strategy --no-run ;;
+                figures) for bench in $figure_benches; do
+                        cargo bench --offline --quiet --bench "$bench" --no-run
+                    done ;;
                 *) echo "paired_ab: unknown kind $kind" >&2; exit 2 ;;
             esac
         done
@@ -109,16 +140,9 @@ run_side() {
                     cargo bench --offline --quiet --bench sim_throughput > /dev/null
                     cp BENCH_sim_throughput.json "$out" ;;
                 figures)
-                    # One "<bench>: <label><TAB><seconds>" line per
-                    # `completed in` line.
-                    for bench in fig7_dcache_strategy fig8_icache_strategy; do
-                        cargo bench --offline --quiet --bench "$bench" |
-                            sed -n "s/^\[\(.*\): completed in \([0-9.]*\) s\]\$/$bench: \1\t\2/p"
-                    done > "${out%.json}.tsv"
-                    if [ ! -s "${out%.json}.tsv" ]; then
-                        echo "paired_ab: the figure benches printed no completed-in line" >&2
-                        exit 1
-                    fi ;;
+                    for bench in $figure_benches; do
+                        python3 -c "$figure_run" "$bench" "$(bench_exe "$bench")"
+                    done > "${out%.json}.tsv" ;;
             esac
         done
     )

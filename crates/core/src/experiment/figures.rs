@@ -2,11 +2,15 @@
 //! ([`StaticOutcome`], [`DynamicOutcome`], [`Measurement`]) in application
 //! order; the benches derive the plotted percentages from them, and each
 //! search's `best.choice` names the point or parameters it chose.
+//!
+//! Every driver is application-major: one job per application runs all of
+//! that application's searches, so each job replays one trace, and no more
+//! jobs run at once than the tier keeps traces resident.
 
 use rescache_trace::AppProfile;
 
 use crate::error::CoreError;
-use crate::experiment::parallel::parallel_map;
+use crate::experiment::parallel::{effective_workers, parallel_map_on};
 use crate::experiment::report::mean;
 use crate::experiment::runner::{DynamicOutcome, Measurement, Runner, StaticOutcome};
 use crate::org::{ConfigSpace, Organization};
@@ -21,6 +25,9 @@ use crate::system::{ResizableCacheSide, SystemConfig};
 /// Organizations that are inapplicable at an associativity (selective-ways
 /// on a direct-mapped cache) are skipped; the paper evaluates only
 /// meaningful combinations.
+///
+/// Each application's job searches every cell in turn, so its trace is
+/// generated once for the whole grid, even under a resident cap of one.
 pub fn static_grid(
     runner: &Runner,
     apps: &[AppProfile],
@@ -28,22 +35,52 @@ pub fn static_grid(
     organizations: &[Organization],
     side: ResizableCacheSide,
 ) -> Vec<(u32, Organization, Vec<StaticOutcome>)> {
-    let mut cells = Vec::new();
-    for &assoc in associativities {
-        let system = SystemConfig::with_l1(32 * 1024, assoc);
-        for &org in organizations {
-            if ConfigSpace::enumerate(side.config_of(&system.hierarchy), org).is_err() {
-                continue;
-            }
-            let outcomes = parallel_map(apps, |app| {
+    let cells: Vec<(u32, Organization, SystemConfig)> = associativities
+        .iter()
+        .flat_map(|&assoc| {
+            let system = SystemConfig::with_l1(32 * 1024, assoc);
+            organizations.iter().map(move |&org| (assoc, org, system))
+        })
+        .filter(|(_, org, system)| {
+            ConfigSpace::enumerate(side.config_of(&system.hierarchy), *org).is_ok()
+        })
+        .collect();
+    let mut rows: Vec<_> = per_app(runner, apps, |app| {
+        cells
+            .iter()
+            .map(|(_, org, system)| {
                 runner
-                    .static_best(app, &system, org, side)
+                    .static_best(app, system, *org, side)
                     .expect("applicability checked above")
-            });
-            cells.push((assoc, org, outcomes));
-        }
-    }
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .map(Vec::into_iter)
+    .collect();
     cells
+        .into_iter()
+        .map(|(assoc, org, _)| {
+            let outcomes = rows
+                .iter_mut()
+                .map(|row| row.next().expect("one outcome per cell"))
+                .collect();
+            (assoc, org, outcomes)
+        })
+        .collect()
+}
+
+/// `job` over every application, in parallel and in application order,
+/// with at most as many jobs at once as `runner`'s tier keeps traces
+/// resident: each job replays its application's one trace, so the traces
+/// in flight fit under the cap and no job's trace is evicted by another's.
+fn per_app<R: Send>(
+    runner: &Runner,
+    apps: &[AppProfile],
+    job: impl Fn(&AppProfile) -> R + Sync,
+) -> Vec<R> {
+    let workers = effective_workers().min(runner.trace_store().resident_cap());
+    parallel_map_on(workers, apps, job)
 }
 
 /// The mean (over applications) energy-delay reduction of the chosen static
@@ -74,7 +111,7 @@ pub fn static_vs_dynamic(
     organization: Organization,
     side: ResizableCacheSide,
 ) -> Result<Vec<(StaticOutcome, DynamicOutcome)>, CoreError> {
-    parallel_map(apps, |app| {
+    per_app(runner, apps, |app| {
         let static_outcome = runner.static_best(app, system, organization, side)?;
         let dynamic_outcome =
             runner.dynamic_best(app, system, organization, side, &static_outcome)?;
@@ -156,7 +193,7 @@ pub fn dual_resizing(
     organization: Organization,
 ) -> Result<Vec<DualOutcome>, CoreError> {
     let (d_cfg, i_cfg) = (system.hierarchy.l1d, system.hierarchy.l1i);
-    parallel_map(apps, |app| {
+    per_app(runner, apps, |app| {
         let d_alone = runner.static_best(app, system, organization, ResizableCacheSide::Data)?;
         let i_alone =
             runner.static_best(app, system, organization, ResizableCacheSide::Instruction)?;
@@ -186,6 +223,8 @@ pub fn dual_resizing(
 mod tests {
     use super::*;
     use crate::experiment::runner::RunnerConfig;
+    use crate::experiment::SharedTier;
+    use crate::org::CachePoint;
     use rescache_trace::spec;
 
     fn tiny_runner(warmup: usize, measure: usize) -> Runner {
@@ -226,6 +265,56 @@ mod tests {
                 .collect();
             assert!(mean(&sizes) >= 0.0);
         }
+    }
+
+    #[test]
+    fn static_grid_generates_each_trace_once_under_a_cap_of_one() {
+        let config = *grid_runner().config();
+        let runner = Runner::with_store(config, SharedTier::with_dir(None).with_resident_cap(1));
+        let orgs = [Organization::SelectiveWays, Organization::SelectiveSets];
+        let assocs = [2, 4];
+        let apps = vec![spec::ammp(), spec::m88ksim()];
+        let side = ResizableCacheSide::Data;
+        let cells = static_grid(&runner, &apps, &assocs, &orgs, side);
+
+        let order: Vec<(u32, Organization)> = cells.iter().map(|(a, o, _)| (*a, *o)).collect();
+        let expected: Vec<(u32, Organization)> = assocs
+            .iter()
+            .flat_map(|&a| orgs.iter().map(move |&o| (a, o)))
+            .collect();
+        assert_eq!(order, expected, "associativity-then-organization order");
+        for (_, _, outcomes) in &cells {
+            let names: Vec<&str> = outcomes.iter().map(|o| o.app.as_str()).collect();
+            assert_eq!(names, ["ammp", "m88ksim"]);
+        }
+
+        // Distinct simulations per application: each associativity's
+        // full-size baseline plus every point either organization offers.
+        let geometries: usize = assocs
+            .iter()
+            .map(|&assoc| {
+                let system = SystemConfig::with_l1(32 * 1024, assoc);
+                let cache = side.config_of(&system.hierarchy);
+                let mut points = vec![CachePoint::full(&cache)];
+                for org in orgs {
+                    let space = ConfigSpace::enumerate(cache, org).unwrap();
+                    points.extend_from_slice(space.points());
+                }
+                points.sort_by_key(|p| (p.sets, p.ways));
+                points.dedup();
+                points.len()
+            })
+            .sum();
+        // The tier counts trace generations and simulations in one counter:
+        // one generation per application means the second application's
+        // trace evicted the first's exactly once, and nothing regenerated.
+        let health = runner.trace_store().health();
+        assert_eq!(
+            health.misses as usize,
+            apps.len() + apps.len() * geometries,
+            "{health:?}"
+        );
+        assert_eq!(health.evictions, 1, "{health:?}");
     }
 
     #[test]

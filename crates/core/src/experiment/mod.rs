@@ -42,5 +42,5 @@ pub use runner::{
     StaticOutcome,
 };
 pub use server::{ServeConfig, ServerHandle, SweepServer};
-pub use shared_tier::{SharedTier, StoreHealth, DEFAULT_RESIDENT_CAP};
+pub use shared_tier::{SharedTier, StoreHealth};
 pub use trace_store::TraceStore;

@@ -18,11 +18,22 @@
 //!   computation counts its own miss or store load) and keeps each key's
 //!   recency stamp under the same lock, so the trace memo evicts its
 //!   least-recently-used traces beyond [`SharedTier::resident_cap`] with no
-//!   second lock to order. A worker that panics mid-generation poisons
-//!   nothing permanently: the mutex only guards slot lookup and stamps
-//!   (safe to recover — the map's values are write-once `OnceLock`s), and a
-//!   panicked `OnceLock` initializer leaves the slot empty for the next
-//!   caller.
+//!   second lock to order. It makes room *before* a cold computation runs,
+//!   so a trace being generated never sits beside a full memo, and it never
+//!   evicts a trace a running simulation still holds (that would free
+//!   nothing and make the simulation's next lookup regenerate it). A worker
+//!   that panics mid-generation poisons nothing permanently: the mutex only
+//!   guards slot lookup and stamps (safe to recover — the map's values are
+//!   write-once `OnceLock`s), and a panicked `OnceLock` initializer leaves
+//!   the slot empty for the next caller.
+//! * **the resident cap** — one full trace per worker by default
+//!   ([`effective_workers`]): a static search replays one application's
+//!   trace at a time, so each worker needs at most one resident trace. A
+//!   paper-length trace is 29.75 MiB. A long-lived server
+//!   whose clients interleave more applications than it has workers raises
+//!   the cap with [`SharedTier::with_resident_cap`], or evicted traces are
+//!   regenerated (or reloaded from the store directory) on their next
+//!   request.
 //! * **[`StoreHealth`]** — every landing is counted (hits, misses,
 //!   coalesced, regenerations, evictions, warnings, degraded flag), so "the
 //!   store survived" is observable in tests and in the bench JSON rather
@@ -42,16 +53,33 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use rescache_trace::IoPolicy;
+use rescache_trace::{IoPolicy, Trace};
 
-/// Default cap on resident full traces (see [`SharedTier::resident_cap`]):
-/// generous for batch sweeps (a full 12-app × warm/measure sweep keeps under
-/// half of this), while bounding a long-lived server replaying arbitrarily
-/// many distinct workloads.
-pub const DEFAULT_RESIDENT_CAP: usize = 64;
+use crate::experiment::parallel::effective_workers;
+
+/// A memoized value that can tell whether a handle outside its memo slot
+/// still holds it. A capped [`Memo`] never evicts such a value: dropping the
+/// slot's copy would free nothing, and the holder's next lookup would
+/// compute it again.
+pub(crate) trait Held {
+    /// Whether a handle other than the memo slot's own shares this value.
+    fn is_held(&self) -> bool;
+}
+
+impl Held for Trace {
+    fn is_held(&self) -> bool {
+        self.is_shared()
+    }
+}
+
+impl<T> Held for Arc<T> {
+    fn is_held(&self) -> bool {
+        Arc::strong_count(self) > 1
+    }
+}
 
 /// A shared once-per-key memoization map with its landing accounting and,
-/// when capped, least-recently-used eviction.
+/// when capped, least-recently-used eviction of values no one else holds.
 ///
 /// One mutex guards the slot map and the recency stamps; it is held only to
 /// fetch, stamp or evict slots, while each key's [`OnceLock`] serializes
@@ -67,8 +95,8 @@ pub const DEFAULT_RESIDENT_CAP: usize = 64;
 #[derive(Debug)]
 pub(crate) struct Memo<K, V> {
     slots: Arc<Mutex<Slots<K, V>>>,
-    /// Most initialized slots kept after a computation lands (`usize::MAX`:
-    /// unbounded).
+    /// Most initialized slots kept once a computation lands, counting the
+    /// one it lands in (`usize::MAX`: unbounded).
     cap: usize,
 }
 
@@ -130,23 +158,27 @@ impl<K, V> Memo<K, V> {
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
+impl<K: Hash + Eq + Clone, V: Clone + Held> Memo<K, V> {
     /// `key`'s value, computed by `init` at most once however many callers
     /// race, with the landing counted in `health`: a warm slot is a hit and
     /// a lookup that blocked on a sibling's computation is coalesced. The
     /// lookup that runs `init` counts nothing itself — `init` counts its
     /// own landing (a miss, or how a store entry loaded).
     ///
-    /// Every served lookup stamps `key` as the most recently used. After a
-    /// computation lands, the least-recently-used initialized slots are
-    /// evicted (each counted in `health`) until at most the cap remain;
-    /// `key` itself and in-flight slots are never evicted.
+    /// Every served lookup stamps `key` as the most recently used. A lookup
+    /// of a cold key first evicts the least-recently-used initialized slots
+    /// until at most cap − 1 others remain, so the value about to be
+    /// computed fits under the cap, and evicts again once it lands in case
+    /// a sibling's landed meanwhile. Each eviction is counted in `health`;
+    /// `key` itself, in-flight slots and values still [held](Held)
+    /// elsewhere are never evicted, so the cap yields to values in use.
     pub(crate) fn get_or_init(
         &self,
         key: K,
         health: &HealthCounters,
         init: impl FnOnce() -> V,
     ) -> V {
+        let keep = self.cap.saturating_sub(1);
         let cell = {
             let mut guard = self.lock();
             let slots = &mut *guard;
@@ -160,7 +192,9 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
                 health.note_hit();
                 return value.clone();
             }
-            Arc::clone(&slot.cell)
+            let cell = Arc::clone(&slot.cell);
+            slots.evict_others(&key, keep, health);
+            cell
         };
         let mut ran = false;
         let value = cell
@@ -172,33 +206,39 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         if !ran {
             health.note_coalesced();
         }
-        self.lock().stamp_and_evict(&key, self.cap, health);
+        let mut slots = self.lock();
+        slots.stamp(&key);
+        slots.evict_others(&key, keep, health);
         value
     }
 }
 
-impl<K: Hash + Eq + Clone, V> Slots<K, V> {
-    /// Stamps `key` (if still present) as just used, then evicts the
-    /// least-recently-used initialized slots other than `key` until at most
-    /// `cap` initialized slots remain.
-    fn stamp_and_evict(&mut self, key: &K, cap: usize, health: &HealthCounters) {
+impl<K: Hash + Eq + Clone, V: Held> Slots<K, V> {
+    /// Stamps `key` (if still present) as just used.
+    fn stamp(&mut self, key: &K) {
         self.clock += 1;
         if let Some(slot) = self.map.get_mut(key) {
             slot.last_use = self.clock;
         }
-        while self.map.len() > cap {
-            let mut resident = 0usize;
+    }
+
+    /// Evicts the least-recently-used initialized slots other than `key`
+    /// whose values no one else [holds](Held), until at most `keep` such
+    /// others remain or none is evictable.
+    fn evict_others(&mut self, key: &K, keep: usize, health: &HealthCounters) {
+        while self.map.len() > keep {
+            let mut others = 0usize;
             let mut victim: Option<(&K, u64)> = None;
             for (k, slot) in &self.map {
-                if slot.cell.get().is_none() {
+                let Some(value) = slot.cell.get().filter(|_| k != key) else {
                     continue;
-                }
-                resident += 1;
-                if k != key && victim.is_none_or(|(_, oldest)| slot.last_use < oldest) {
+                };
+                others += 1;
+                if !value.is_held() && victim.is_none_or(|(_, oldest)| slot.last_use < oldest) {
                     victim = Some((k, slot.last_use));
                 }
             }
-            if resident <= cap {
+            if others <= keep {
                 break;
             }
             let Some((victim, _)) = victim else {
@@ -371,12 +411,14 @@ impl Default for SharedTier {
 }
 
 impl SharedTier {
-    /// A tier persisting to `dir` (`None` = in-memory only). The policy is
-    /// ignored: [`IoPolicy`] has only [`IoPolicy::none`], and the parameter
-    /// stays because the standalone benchmark builds its tier with it.
+    /// A tier persisting to `dir` (`None` = in-memory only), keeping one
+    /// resident full trace per worker ([`effective_workers`]; see
+    /// [`SharedTier::resident_cap`]). The policy is ignored: [`IoPolicy`]
+    /// has only [`IoPolicy::none`], and the parameter stays because the
+    /// standalone benchmark builds its tier with it.
     pub fn new(dir: Option<PathBuf>, _policy: IoPolicy) -> Self {
         Self {
-            traces: Memo::bounded(DEFAULT_RESIDENT_CAP),
+            traces: Memo::bounded(effective_workers()),
             sims: Memo::default(),
             dir,
             health: Arc::default(),
@@ -384,16 +426,21 @@ impl SharedTier {
     }
 
     /// This tier with the given cap on resident full traces (clamped to at
-    /// least 1 — the trace being served must stay resident).
+    /// least 1 — the trace being served must stay resident). A long-lived
+    /// server whose clients interleave more applications than it has
+    /// workers raises the default cap here.
     pub fn with_resident_cap(mut self, cap: usize) -> Self {
         self.traces.cap = cap.max(1);
         self
     }
 
-    /// Maximum number of full traces the tier keeps materialized at once;
-    /// beyond it, the least-recently-used resident trace is evicted (counted
-    /// in [`StoreHealth::evictions`]). Evicted traces are not lost — the next
-    /// request re-reads from disk or regenerates, exactly like a cold key.
+    /// Maximum number of full traces the tier keeps materialized at once:
+    /// by default one per worker ([`effective_workers`]). A cold trace
+    /// first evicts the least-recently-used resident traces that no running
+    /// simulation holds (counted in [`StoreHealth::evictions`]) until it
+    /// fits; traces in use are kept, so the cap yields to them. Evicted
+    /// traces are not lost — the next request re-reads from disk or
+    /// regenerates, exactly like a cold key.
     pub fn resident_cap(&self) -> usize {
         self.traces.cap
     }
@@ -442,7 +489,20 @@ impl SharedTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescache_trace::{InstrRecord, Op};
     use std::sync::atomic::AtomicUsize;
+
+    /// Plain numbers stand in for values no handle outside the memo holds.
+    impl Held for u64 {
+        fn is_held(&self) -> bool {
+            false
+        }
+    }
+
+    /// A one-record trace whose record carries `pc`.
+    fn trace(pc: u64) -> Trace {
+        Trace::new("t", vec![InstrRecord::new(pc, Op::Int)])
+    }
 
     /// `memo`'s counted lookup of `key`, whose computation yields `value`.
     fn fill(memo: &Memo<u32, u64>, health: &HealthCounters, key: u32, value: u64) -> u64 {
@@ -450,7 +510,7 @@ mod tests {
     }
 
     /// The keys of `memo`'s initialized slots, sorted.
-    fn resident(memo: &Memo<u32, u64>) -> Vec<u32> {
+    fn resident<V>(memo: &Memo<u32, V>) -> Vec<u32> {
         let slots = memo.lock();
         let mut keys: Vec<u32> = slots
             .map
@@ -588,6 +648,46 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_key_makes_room_before_its_computation_runs() {
+        let memo: Memo<u32, Trace> = Memo::bounded(2);
+        let health = HealthCounters::default();
+        memo.get_or_init(1, &health, || trace(1));
+        memo.get_or_init(2, &health, || trace(2));
+        // The cold key's init runs beside at most cap − 1 resident traces:
+        // the least recently used (key 1) went before generation started.
+        memo.get_or_init(3, &health, || {
+            assert_eq!(resident(&memo), [2], "init sees cap - 1 traces");
+            trace(3)
+        });
+        assert_eq!(resident(&memo), [2, 3]);
+        assert_eq!(health.snapshot().evictions, 1);
+        // A warm lookup makes no room: nothing is computed.
+        memo.get_or_init(2, &health, || unreachable!("key 2 is resident"));
+        assert_eq!(health.snapshot().evictions, 1);
+    }
+
+    #[test]
+    fn a_trace_in_use_is_never_evicted() {
+        let memo: Memo<u32, Trace> = Memo::bounded(1);
+        let health = HealthCounters::default();
+        let in_use = memo.get_or_init(1, &health, || trace(1));
+        // Key 1 is the only eviction candidate, but a live handle holds it:
+        // evicting it would free nothing, so the cap yields.
+        memo.get_or_init(2, &health, || trace(2));
+        assert_eq!(resident(&memo), [1, 2]);
+        assert_eq!(health.snapshot().evictions, 0);
+        // Once the handle drops, the next cold key evicts both (key 1 first,
+        // as the least recently used) to fit under the cap of 1.
+        drop(in_use);
+        memo.get_or_init(3, &health, || {
+            assert!(resident(&memo).is_empty(), "room made before init");
+            trace(3)
+        });
+        assert_eq!(resident(&memo), [3]);
+        assert_eq!(health.snapshot().evictions, 2);
+    }
+
+    #[test]
     fn memo_sorts_a_never_stamped_slot_oldest() {
         let memo: Memo<u32, u64> = Memo::bounded(2);
         let health = HealthCounters::default();
@@ -633,7 +733,7 @@ mod tests {
     #[test]
     fn resident_cap_builder_and_default() {
         let tier = SharedTier::default();
-        assert_eq!(tier.resident_cap(), DEFAULT_RESIDENT_CAP);
+        assert_eq!(tier.resident_cap(), effective_workers(), "one per worker");
         assert_eq!(tier.with_resident_cap(3).resident_cap(), 3);
         assert_eq!(
             SharedTier::default().with_resident_cap(0).resident_cap(),

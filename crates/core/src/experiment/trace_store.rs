@@ -119,11 +119,11 @@ impl SharedTier {
     /// Returns the full (warm + measure) trace for an application,
     /// materializing at most once per `(application, seed, total)`: the
     /// buffer whose records every run replays. The tier's trace memo counts
-    /// a resident or shared landing and keeps at most
-    /// [`resident_cap`](SharedTier::resident_cap) traces resident, evicting
-    /// the least recently used; an evicted trace reloads from disk (or
-    /// regenerates) like any cold key. [`SharedTier::load_entry`] counts a
-    /// materialization.
+    /// a resident or shared landing and, before a cold trace materializes,
+    /// evicts the least recently used traces no run holds until it fits
+    /// under [`resident_cap`](SharedTier::resident_cap); an evicted trace
+    /// reloads from disk (or regenerates) like any cold key.
+    /// [`SharedTier::load_entry`] counts a materialization.
     pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
         self.traces
@@ -457,7 +457,7 @@ mod tests {
 
     #[test]
     fn source_serves_resident_traces_and_in_memory_stores() {
-        let store = SharedTier::with_dir(None);
+        let store = SharedTier::with_dir(None).with_resident_cap(2);
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
 
@@ -562,7 +562,7 @@ mod tests {
         std::fs::remove_file(&dir).ok();
         // Make the "directory" a file so create_dir_all fails.
         std::fs::write(&dir, b"occupied").expect("occupy path");
-        let store = SharedTier::with_dir(Some(dir.clone()));
+        let store = SharedTier::with_dir(Some(dir.clone())).with_resident_cap(2);
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         assert_eq!(store.fetch_full(&spec::vpr(), &cfg).len(), total);
@@ -790,7 +790,13 @@ mod tests {
         let store = SharedTier::with_dir(Some(dir.clone())).with_resident_cap(1);
         let cfg = RunnerConfig::fast();
 
-        let (w1, m1) = store.fetch(&spec::ammp(), &cfg);
+        // Owned copies: a live handle would keep ammp's trace in use, and a
+        // trace in use is never evicted.
+        let (w1, m1) = {
+            let (w, m) = store.fetch(&spec::ammp(), &cfg);
+            let own = |t: &Trace| Trace::new(t.name(), t.records().to_vec());
+            (own(&w), own(&m))
+        };
         store.fetch(&spec::gcc(), &cfg);
         assert_eq!(store.resident_full_traces(), 1, "cap 1 holds");
         assert_eq!(store.health().evictions, 1);

@@ -62,6 +62,13 @@ impl Trace {
         self.len == 0
     }
 
+    /// Whether another handle — a clone, a slice or a split of this trace
+    /// or of the trace it came from — shares this trace's record buffer, so
+    /// dropping this handle would not free it.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.records) > 1
+    }
+
     /// Returns a copy-free sub-trace covering `range` of this trace's
     /// records. The returned trace shares the underlying record buffer.
     ///
@@ -242,6 +249,20 @@ mod tests {
         assert_eq!(warm.records().as_ptr(), base);
         assert_eq!(measure.records().as_ptr(), base.wrapping_add(2));
         assert_eq!(measure.slice(1..3).records().as_ptr(), base.wrapping_add(3));
+    }
+
+    #[test]
+    fn sharing_counts_every_view_of_the_buffer() {
+        let t = sample();
+        assert!(!t.is_shared(), "a fresh trace is its buffer's only handle");
+        let (warm, measure) = t.split_at(2);
+        assert!(t.is_shared() && warm.is_shared());
+        drop((warm, measure));
+        assert!(!t.is_shared(), "dropped views release the buffer");
+        let copy = t.clone();
+        assert!(copy.is_shared());
+        drop(t);
+        assert!(!copy.is_shared());
     }
 
     #[test]
