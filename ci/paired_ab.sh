@@ -6,17 +6,18 @@
 # checkout and .git are not touched), builds them, then runs the two sides
 # in alternating pairs: the parent first in odd pairs, the change first in
 # even ones. Each pair runs `perfbench/run.py --trace 0` (unchanged) for
-# the checkout's BENCHMARK.json `run_seconds` and `cargo bench --bench
-# sim_throughput` once per side; the `figures` kind runs the Figure 4, 7
-# and 8 benches (`fig4_org_assoc`, `fig7_dcache_strategy`,
-# `fig8_icache_strategy`) at the caller's RESCACHE_WARMUP/RESCACHE_MEASURE,
-# each binary as a child of its own python3 process, which reads the
-# bench's peak RSS (MiB) and CPU seconds from getrusage(RUSAGE_CHILDREN).
-# For every perfbench end-to-end metric, every sim_throughput stage median
-# and every figure bench `completed in` line, peak RSS and CPU time it
-# prints each side's median and quartiles, the change/parent ratio (median,
-# min and max over the pairs) and how many pairs the change won and tied (a
-# tie counts as neither).
+# the checkout's BENCHMARK.json `run_seconds` and the `sim_throughput`
+# bench once per side; the `figures` kind runs the Figure 4, 7 and 8
+# benches (`fig4_org_assoc`, `fig7_dcache_strategy`,
+# `fig8_icache_strategy`) at the caller's RESCACHE_WARMUP/RESCACHE_MEASURE.
+# Each bench binary runs as the only child of its own python3 process,
+# which reads the bench's peak RSS (MiB) and CPU seconds from
+# getrusage(RUSAGE_CHILDREN) and times its wall seconds. For every
+# perfbench end-to-end metric, every sim_throughput stage median, every
+# figure bench `completed in` line and every bench's peak RSS, CPU and
+# wall time it prints each side's median and quartiles, the change/parent
+# ratio (median, min and max over the pairs) and how many pairs the change
+# won and tied (a tie counts as neither).
 #
 # Run from the repository root:
 #   sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD]
@@ -63,22 +64,26 @@ repo=$(pwd)
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$repo/BENCHMARK.json")
 figure_benches="fig4_org_assoc fig7_dcache_strategy fig8_icache_strategy"
-# Runs one figure bench binary (argv: bench name, executable) and prints
-# "<bench>: <label><TAB><value>" lines: one per `completed in` line, then
-# the process's peak RSS and CPU seconds. The bench is this process's only
-# child, so RUSAGE_CHILDREN is the bench's own usage.
-figure_run='
-import re, resource, subprocess, sys
-bench, exe = sys.argv[1], sys.argv[2]
+# Runs one bench binary (argv: bench name, executable, and "timed" if it
+# must print `completed in` lines) and prints "<bench>: <label><TAB><value>"
+# lines: one per `completed in` line, then the process's peak RSS, CPU
+# seconds and wall seconds. The bench is this process's only child, so
+# RUSAGE_CHILDREN is the bench's own usage.
+bench_run='
+import re, resource, subprocess, sys, time
+bench, exe, timed = sys.argv[1], sys.argv[2], sys.argv[3:] == ["timed"]
+start = time.monotonic()
 out = subprocess.run([exe, "--bench"], stdout=subprocess.PIPE, text=True, check=True).stdout
+wall = time.monotonic() - start
 lines = re.findall(r"^\[(.*): completed in ([0-9.]+) s\]$", out, re.M)
-if not lines:
+if timed and not lines:
     sys.exit(f"paired_ab: {bench} printed no completed-in line")
 for label, secs in lines:
     print(f"{bench}: {label}\t{secs}")
 usage = resource.getrusage(resource.RUSAGE_CHILDREN)
 print(f"{bench}: peak_rss_mb\t{usage.ru_maxrss / 1024:.1f}")
 print(f"{bench}: cpu_s\t{usage.ru_utime + usage.ru_stime:.2f}")
+print(f"{bench}: wall_s\t{wall:.2f}")
 '
 # The executable `cargo bench` built for one bench target.
 bench_exe() {
@@ -137,11 +142,14 @@ run_side() {
                     python3 perfbench/run.py --workload "$workload" --seed "$3" \
                         --seconds "$seconds" --trace 0 | tail -n 1 > "$out" ;;
                 sim_throughput)
-                    cargo bench --offline --quiet --bench sim_throughput > /dev/null
+                    # The harness rewrites BENCH_sim_throughput.json at the
+                    # root of the tree it was built from.
+                    python3 -c "$bench_run" sim_throughput "$(bench_exe sim_throughput)" \
+                        > "${out%.json}.tsv"
                     cp BENCH_sim_throughput.json "$out" ;;
                 figures)
                     for bench in $figure_benches; do
-                        python3 -c "$figure_run" "$bench" "$(bench_exe "$bench")"
+                        python3 -c "$bench_run" "$bench" "$(bench_exe "$bench")" timed
                     done > "${out%.json}.tsv" ;;
             esac
         done
@@ -175,17 +183,23 @@ results, pairs, kinds, benchmark = sys.argv[1], int(sys.argv[2]), sys.argv[3].sp
 better = {m["name"]: m["better"] for m in json.load(open(benchmark))["end_to_end"]}
 
 
+def load_usage(side, kind, i):
+    with open(os.path.join(results, f"{side}-{kind}-{i}.tsv")) as f:
+        return {name: float(value) for name, value in (line.rstrip("\n").split("\t") for line in f)}
+
+
 def load(side, kind, i):
     if kind == "figures":
-        with open(os.path.join(results, f"{side}-figures-{i}.tsv")) as f:
-            return {name: float(secs) for name, secs in (line.rstrip("\n").split("\t") for line in f)}
+        return load_usage(side, kind, i)
     with open(os.path.join(results, f"{side}-{kind}-{i}.json")) as f:
         data = json.load(f)
     if kind == "perfbench":
         values = {k: v["value"] for k, v in data["metrics"].items()}
         values["correct"] = 1.0 if data.get("correct") and data.get("failed") == 0 else 0.0
         return values
-    return {s["name"]: s["median_s"] for s in data["engines"]}
+    values = {s["name"]: s["median_s"] for s in data["engines"]}
+    values.update(load_usage(side, kind, i))
+    return values
 
 
 def spread(values):

@@ -46,15 +46,15 @@ fn interval_sweep(runner: &Runner, apps: &[AppProfile], interval: u64) -> (f64, 
     cfg.dynamic_interval = interval;
     let runner = Runner::with_store(cfg, runner.trace_store().clone());
     let side = ResizableCacheSide::Data;
-    let pairs = static_vs_dynamic(
+    let per_system = static_vs_dynamic(
         &runner,
         apps,
-        &SystemConfig::in_order(),
+        &[SystemConfig::in_order()],
         Organization::SelectiveSets,
         side,
     )
     .expect("selective-sets applies");
-    let (reductions, resizes): (Vec<f64>, Vec<f64>) = pairs
+    let (reductions, resizes): (Vec<f64>, Vec<f64>) = per_system[0]
         .iter()
         .map(|(_, d)| {
             let resizes = d.best.measurement.resizes(side) as f64;

@@ -117,8 +117,10 @@ pub fn side_label(side: ResizableCacheSide) -> &'static str {
 
 /// Figures 7 and 8: static vs. miss-ratio-based dynamic selective-sets
 /// resizing of `side`'s cache, on the in-order/blocking and
-/// out-of-order/non-blocking configurations. Prints the header `title`, one
-/// table per configuration, then the paper's `reference` lines.
+/// out-of-order/non-blocking configurations, each application's two
+/// configurations in one job (one trace generation). Prints the header
+/// `title`, one `completed in` line for both, one table per configuration,
+/// then the paper's `reference` lines.
 pub fn strategy_figure(side: ResizableCacheSide, title: &str, reference: &[&str]) {
     print_header(
         title,
@@ -131,12 +133,10 @@ pub fn strategy_figure(side: ResizableCacheSide, title: &str, reference: &[&str]
     let applies = format!("selective-sets applies to the 2-way {side}");
     let configurations = [
         (
-            "(a) in-order issue, blocking d-cache",
             "(a) In-order issue engine with blocking d-cache",
             SystemConfig::in_order(),
         ),
         (
-            "(b) out-of-order issue, non-blocking d-cache",
             "(b) Out-of-order issue engine with non-blocking d-cache",
             SystemConfig::base(),
         ),
@@ -148,11 +148,12 @@ pub fn strategy_figure(side: ResizableCacheSide, title: &str, reference: &[&str]
         Column::averaged("EDP red. % (dynamic)", 1),
         Column::unaveraged("resizes", 0),
     ];
-    for (stage, label, system) in configurations {
-        let pairs = timed(stage, || {
-            static_vs_dynamic(&runner, &apps, &system, Organization::SelectiveSets, side)
-                .expect(&applies)
-        });
+    let systems = configurations.map(|(_, system)| system);
+    let per_system = timed("(a) and (b)", || {
+        static_vs_dynamic(&runner, &apps, &systems, Organization::SelectiveSets, side)
+            .expect(&applies)
+    });
+    for ((label, _), pairs) in configurations.iter().zip(&per_system) {
         let rows: Vec<(&str, Vec<f64>)> = pairs
             .iter()
             .map(|(s, d)| {

@@ -4,8 +4,12 @@
 //! search's `best.choice` names the point or parameters it chose.
 //!
 //! Every driver is application-major: one job per application runs all of
-//! that application's searches, so each job replays one trace, and no more
-//! jobs run at once than the tier keeps traces resident.
+//! that application's searches — every cell of a grid, every processor
+//! configuration — and holds the application's trace for the whole job, so
+//! each trace is generated once per driver call, and a sibling job's cold
+//! trace never evicts it between searches. The tier keeps the held traces
+//! plus the one used last, so no more traces are resident than jobs
+//! running, plus one.
 
 use rescache_trace::AppProfile;
 
@@ -27,7 +31,7 @@ use crate::system::{ResizableCacheSide, SystemConfig};
 /// meaningful combinations.
 ///
 /// Each application's job searches every cell in turn, so its trace is
-/// generated once for the whole grid, even under a resident cap of one.
+/// generated once for the whole grid.
 pub fn static_grid(
     runner: &Runner,
     apps: &[AppProfile],
@@ -45,7 +49,7 @@ pub fn static_grid(
             ConfigSpace::enumerate(side.config_of(&system.hierarchy), *org).is_ok()
         })
         .collect();
-    let mut rows: Vec<_> = per_app(runner, apps, |app| {
+    let rows = per_app(runner, apps, |app| {
         cells
             .iter()
             .map(|(_, org, system)| {
@@ -53,34 +57,41 @@ pub fn static_grid(
                     .static_best(app, system, *org, side)
                     .expect("applicability checked above")
             })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .map(Vec::into_iter)
-    .collect();
+            .collect()
+    });
     cells
-        .into_iter()
-        .map(|(assoc, org, _)| {
-            let outcomes = rows
-                .iter_mut()
-                .map(|row| row.next().expect("one outcome per cell"))
-                .collect();
-            (assoc, org, outcomes)
-        })
+        .iter()
+        .zip(by_cell(rows, cells.len()))
+        .map(|(&(assoc, org, _), outcomes)| (assoc, org, outcomes))
         .collect()
 }
 
-/// `job` over every application, in parallel and in application order,
-/// with at most as many jobs at once as `runner`'s tier keeps traces
-/// resident: each job replays its application's one trace, so the traces
-/// in flight fit under the cap and no job's trace is evicted by another's.
+/// `job` over every application, on every worker at once and in
+/// application order. Each job holds its application's trace until it
+/// returns, so the tier keeps it resident across the job's searches however
+/// many cold traces sibling jobs fetch meanwhile.
 fn per_app<R: Send>(
     runner: &Runner,
     apps: &[AppProfile],
     job: impl Fn(&AppProfile) -> R + Sync,
 ) -> Vec<R> {
-    let workers = effective_workers().min(runner.trace_store().resident_cap());
-    parallel_map_on(workers, apps, job)
+    parallel_map_on(effective_workers(), apps, |app| {
+        let _trace = runner.trace(app);
+        job(app)
+    })
+}
+
+/// Transposes per-application rows of `cells` results each into one column
+/// per cell, in application order.
+fn by_cell<T>(rows: Vec<Vec<T>>, cells: usize) -> Vec<Vec<T>> {
+    let mut rows: Vec<_> = rows.into_iter().map(Vec::into_iter).collect();
+    (0..cells)
+        .map(|_| {
+            rows.iter_mut()
+                .map(|row| row.next().expect("one result per cell"))
+                .collect()
+        })
+        .collect()
 }
 
 /// The mean (over applications) energy-delay reduction of the chosen static
@@ -93,13 +104,17 @@ pub fn mean_edp_reduction(outcomes: &[StaticOutcome]) -> f64 {
     mean(&reductions)
 }
 
-/// Figures 7 and 8: for every application, the best static and the best
-/// dynamic (miss-ratio based) resizing of `side` on `system`. The dynamic
-/// candidates are profiled from the static search
-/// ([`Runner::dynamic_best`]).
+/// Figures 7 and 8: for every application and each of `systems`, the best
+/// static and the best dynamic (miss-ratio based) resizing of `side`.
+/// Returns one list per system, in input order, of every application's
+/// outcomes in the order of `apps`. The dynamic candidates are profiled
+/// from the static search ([`Runner::dynamic_best`]).
 ///
 /// The paper uses 32K 2-way L1 caches and selective-sets here;
 /// `organization` is a parameter so the ablation bench can vary it.
+///
+/// Each application's job runs every system in turn, so its trace is
+/// generated once for all of them.
 ///
 /// # Errors
 ///
@@ -107,18 +122,24 @@ pub fn mean_edp_reduction(outcomes: &[StaticOutcome]) -> f64 {
 pub fn static_vs_dynamic(
     runner: &Runner,
     apps: &[AppProfile],
-    system: &SystemConfig,
+    systems: &[SystemConfig],
     organization: Organization,
     side: ResizableCacheSide,
-) -> Result<Vec<(StaticOutcome, DynamicOutcome)>, CoreError> {
-    per_app(runner, apps, |app| {
-        let static_outcome = runner.static_best(app, system, organization, side)?;
-        let dynamic_outcome =
-            runner.dynamic_best(app, system, organization, side, &static_outcome)?;
-        Ok((static_outcome, dynamic_outcome))
+) -> Result<Vec<Vec<(StaticOutcome, DynamicOutcome)>>, CoreError> {
+    let rows = per_app(runner, apps, |app| {
+        systems
+            .iter()
+            .map(|system| {
+                let static_outcome = runner.static_best(app, system, organization, side)?;
+                let dynamic_outcome =
+                    runner.dynamic_best(app, system, organization, side, &static_outcome)?;
+                Ok((static_outcome, dynamic_outcome))
+            })
+            .collect::<Result<Vec<_>, CoreError>>()
     })
     .into_iter()
-    .collect()
+    .collect::<Result<Vec<_>, _>>()?;
+    Ok(by_cell(rows, systems.len()))
 }
 
 /// One application of Figure 9: the best static d-cache-only and
@@ -267,6 +288,33 @@ mod tests {
         }
     }
 
+    /// Distinct simulations one application's static searches of `side`
+    /// run on `system` with each of `orgs`: the full-size baseline plus
+    /// every point either organization offers.
+    fn distinct_points(
+        system: &SystemConfig,
+        side: ResizableCacheSide,
+        orgs: &[Organization],
+    ) -> usize {
+        let cache = side.config_of(&system.hierarchy);
+        let mut points = vec![CachePoint::full(&cache)];
+        for &org in orgs {
+            let space = ConfigSpace::enumerate(cache, org).unwrap();
+            points.extend_from_slice(space.points());
+        }
+        points.sort_by_key(|p| (p.sets, p.ways));
+        points.dedup();
+        points.len()
+    }
+
+    /// Distinct simulations per application of a 32K static grid.
+    fn grid_points(assocs: &[u32], orgs: &[Organization], side: ResizableCacheSide) -> usize {
+        assocs
+            .iter()
+            .map(|&assoc| distinct_points(&SystemConfig::with_l1(32 * 1024, assoc), side, orgs))
+            .sum()
+    }
+
     #[test]
     fn static_grid_generates_each_trace_once_under_a_cap_of_one() {
         let config = *grid_runner().config();
@@ -288,33 +336,100 @@ mod tests {
             assert_eq!(names, ["ammp", "m88ksim"]);
         }
 
-        // Distinct simulations per application: each associativity's
-        // full-size baseline plus every point either organization offers.
-        let geometries: usize = assocs
-            .iter()
-            .map(|&assoc| {
-                let system = SystemConfig::with_l1(32 * 1024, assoc);
-                let cache = side.config_of(&system.hierarchy);
-                let mut points = vec![CachePoint::full(&cache)];
-                for org in orgs {
-                    let space = ConfigSpace::enumerate(cache, org).unwrap();
-                    points.extend_from_slice(space.points());
-                }
-                points.sort_by_key(|p| (p.sets, p.ways));
-                points.dedup();
-                points.len()
-            })
-            .sum();
         // The tier counts trace generations and simulations in one counter:
-        // one generation per application means the second application's
-        // trace evicted the first's exactly once, and nothing regenerated.
+        // one generation per application means nothing regenerated.
         let health = runner.trace_store().health();
         assert_eq!(
             health.misses as usize,
-            apps.len() + apps.len() * geometries,
+            apps.len() + apps.len() * grid_points(&assocs, &orgs, side),
             "{health:?}"
         );
-        assert_eq!(health.evictions, 1, "{health:?}");
+        // Jobs that run at once hold their traces, so only an application
+        // whose job starts after another's has ended evicts a trace; the
+        // last trace stays resident.
+        let evictions = health.evictions as usize;
+        assert!(
+            (apps.len().saturating_sub(effective_workers())..apps.len()).contains(&evictions),
+            "{health:?}"
+        );
+    }
+
+    #[test]
+    fn static_grid_on_a_default_tier_generates_each_trace_once() {
+        let runner = Runner::with_store(*grid_runner().config(), SharedTier::with_dir(None));
+        let orgs = [Organization::SelectiveWays, Organization::SelectiveSets];
+        let assocs = [4];
+        let apps = vec![spec::ammp(), spec::m88ksim(), spec::compress()];
+        let side = ResizableCacheSide::Data;
+        static_grid(&runner, &apps, &assocs, &orgs, side);
+        // Each job holds its trace, so a sibling's cold trace never evicts
+        // it mid-job and forces a regeneration.
+        let health = runner.trace_store().health();
+        assert_eq!(
+            health.misses as usize,
+            apps.len() + apps.len() * grid_points(&assocs, &orgs, side),
+            "{health:?}"
+        );
+        // Traces stay resident only while their jobs run, and the last ones
+        // until the next cold fetch: at most one per worker.
+        let resident = runner.trace_store().resident_full_traces();
+        assert!((1..=effective_workers()).contains(&resident), "{resident}");
+    }
+
+    #[test]
+    fn a_job_keeps_its_trace_while_a_sibling_fetches_a_cold_one() {
+        let runner = Runner::with_store(*grid_runner().config(), SharedTier::with_dir(None));
+        let system = SystemConfig::with_l1(32 * 1024, 4);
+        let orgs = [Organization::SelectiveWays, Organization::SelectiveSets];
+        let side = ResizableCacheSide::Data;
+        per_app(&runner, &[spec::ammp()], |app| {
+            runner.static_best(app, &system, orgs[0], side).unwrap();
+            // What a sibling job's cold trace does between two searches.
+            runner.trace(&spec::gcc());
+            runner.static_best(app, &system, orgs[1], side).unwrap();
+        });
+        // Two generations: ammp's trace was held, not evicted and rebuilt.
+        let health = runner.trace_store().health();
+        assert_eq!(
+            health.misses as usize,
+            2 + distinct_points(&system, side, &orgs),
+            "{health:?}"
+        );
+    }
+
+    #[test]
+    fn static_vs_dynamic_generates_each_trace_once_across_systems() {
+        let runner = Runner::with_store(
+            *tiny_runner(2_000, 8_000).config(),
+            SharedTier::with_dir(None),
+        );
+        let apps = vec![spec::ammp(), spec::m88ksim(), spec::su2cor()];
+        let systems = [SystemConfig::in_order(), SystemConfig::base()];
+        let org = Organization::SelectiveSets;
+        let side = ResizableCacheSide::Data;
+        let per_system = static_vs_dynamic(&runner, &apps, &systems, org, side).unwrap();
+        assert_eq!(per_system.len(), systems.len());
+        for (system, pairs) in systems.iter().zip(&per_system) {
+            assert_eq!(pairs.len(), apps.len());
+            for (app, (s, d)) in apps.iter().zip(pairs) {
+                // A memo hit: the system's own baseline, in input order.
+                let base = runner.run_static(app, system, None, None, 0, 0);
+                assert_eq!(s.app, app.name);
+                assert_eq!((s.base.cycles, d.base.cycles), (base.cycles, base.cycles));
+            }
+        }
+        // Dynamic runs are not memoized, so every miss is a trace or a
+        // static simulation: one generation per application, not per system.
+        let sims: usize = systems
+            .iter()
+            .map(|system| distinct_points(system, side, &[org]))
+            .sum();
+        let health = runner.trace_store().health();
+        assert_eq!(
+            health.misses as usize,
+            apps.len() * (1 + sims),
+            "{health:?}"
+        );
     }
 
     #[test]
@@ -406,11 +521,12 @@ mod tests {
         let rows = static_vs_dynamic(
             &runner,
             &apps,
-            &SystemConfig::in_order(),
+            &[SystemConfig::in_order()],
             Organization::SelectiveSets,
             ResizableCacheSide::Data,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|(s, d)| {
             s.best.size_reduction_percent >= 0.0 && d.best.size_reduction_percent >= -1.0
@@ -424,11 +540,12 @@ mod tests {
         let rows = static_vs_dynamic(
             &runner,
             &apps,
-            &SystemConfig::base(),
+            &[SystemConfig::base()],
             Organization::SelectiveSets,
             ResizableCacheSide::Data,
         )
-        .unwrap();
+        .unwrap()
+        .remove(0);
         let static_mean = mean(
             &rows
                 .iter()

@@ -296,10 +296,9 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner with empty trace and simulation caches over the
     /// tier the [`Knobs`](crate::Knobs) configure: persisted under
-    /// `RESCACHE_TRACE_DIR` when set, with one resident trace per worker
-    /// (`RESCACHE_THREADS`, or the host's parallelism; see
-    /// [`SharedTier::resident_cap`]). A malformed knob panics with its typed
-    /// error.
+    /// `RESCACHE_TRACE_DIR` when set, keeping the traces running jobs hold
+    /// plus the one used last (see [`SharedTier::resident_cap`]). A
+    /// malformed knob panics with its typed error.
     pub fn new(config: RunnerConfig) -> Self {
         Self::with_store(config, SharedTier::with_dir(knobs().trace_dir.clone()))
     }

@@ -26,14 +26,17 @@
 //!   guards slot lookup and stamps (safe to recover — the map's values are
 //!   write-once `OnceLock`s), and a panicked `OnceLock` initializer leaves
 //!   the slot empty for the next caller.
-//! * **the resident cap** — one full trace per worker by default
-//!   ([`effective_workers`]): a static search replays one application's
-//!   trace at a time, so each worker needs at most one resident trace. A
-//!   paper-length trace is 29.75 MiB. A long-lived server
-//!   whose clients interleave more applications than it has workers raises
-//!   the cap with [`SharedTier::with_resident_cap`], or evicted traces are
-//!   regenerated (or reloaded from the store directory) on their next
-//!   request.
+//! * **the resident cap** — one full trace by default: the memo keeps the
+//!   traces that running jobs hold plus the one used last. A static search
+//!   replays one application's trace at a time, so a sequential sweep needs
+//!   one resident trace (a paper-length trace is 29.75 MiB). Concurrent
+//!   callers keep their own traces by holding them — a held trace is never
+//!   evicted, so the cap yields to it — rather than through a larger cap;
+//!   the figure drivers hold each application's trace for its whole job. A
+//!   long-lived server whose clients interleave applications between
+//!   requests raises the cap with [`SharedTier::with_resident_cap`], or
+//!   evicted traces are regenerated (or reloaded from the store directory)
+//!   on their next request.
 //! * **[`StoreHealth`]** — every landing is counted (hits, misses,
 //!   coalesced, regenerations, evictions, warnings, degraded flag), so "the
 //!   store survived" is observable in tests and in the bench JSON rather
@@ -54,8 +57,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use rescache_trace::{IoPolicy, Trace};
-
-use crate::experiment::parallel::effective_workers;
 
 /// A memoized value that can tell whether a handle outside its memo slot
 /// still holds it. A capped [`Memo`] never evicts such a value: dropping the
@@ -412,13 +413,13 @@ impl Default for SharedTier {
 
 impl SharedTier {
     /// A tier persisting to `dir` (`None` = in-memory only), keeping one
-    /// resident full trace per worker ([`effective_workers`]; see
+    /// resident full trace beyond those running jobs hold (see
     /// [`SharedTier::resident_cap`]). The policy is ignored: [`IoPolicy`]
     /// has only [`IoPolicy::none`], and the parameter stays because the
     /// standalone benchmark builds its tier with it.
     pub fn new(dir: Option<PathBuf>, _policy: IoPolicy) -> Self {
         Self {
-            traces: Memo::bounded(effective_workers()),
+            traces: Memo::bounded(1),
             sims: Memo::default(),
             dir,
             health: Arc::default(),
@@ -427,20 +428,22 @@ impl SharedTier {
 
     /// This tier with the given cap on resident full traces (clamped to at
     /// least 1 — the trace being served must stay resident). A long-lived
-    /// server whose clients interleave more applications than it has
-    /// workers raises the default cap here.
+    /// server whose clients interleave applications between requests keeps
+    /// one trace per worker here, so a client's next request does not find
+    /// its trace evicted by another client's.
     pub fn with_resident_cap(mut self, cap: usize) -> Self {
         self.traces.cap = cap.max(1);
         self
     }
 
-    /// Maximum number of full traces the tier keeps materialized at once:
-    /// by default one per worker ([`effective_workers`]). A cold trace
+    /// Maximum number of full traces the tier keeps materialized once no
+    /// job holds them: 1 by default, the trace used last. A cold trace
     /// first evicts the least-recently-used resident traces that no running
-    /// simulation holds (counted in [`StoreHealth::evictions`]) until it
-    /// fits; traces in use are kept, so the cap yields to them. Evicted
-    /// traces are not lost — the next request re-reads from disk or
-    /// regenerates, exactly like a cold key.
+    /// job holds (counted in [`StoreHealth::evictions`]) until it fits;
+    /// traces in use are kept, so the cap yields to them. The cap applies
+    /// at each cold fetch: traces released since then stay resident until
+    /// the next one. Evicted traces are not lost — the next request
+    /// re-reads from disk or regenerates, exactly like a cold key.
     pub fn resident_cap(&self) -> usize {
         self.traces.cap
     }
@@ -733,7 +736,7 @@ mod tests {
     #[test]
     fn resident_cap_builder_and_default() {
         let tier = SharedTier::default();
-        assert_eq!(tier.resident_cap(), effective_workers(), "one per worker");
+        assert_eq!(tier.resident_cap(), 1, "the trace used last");
         assert_eq!(tier.with_resident_cap(3).resident_cap(), 3);
         assert_eq!(
             SharedTier::default().with_resident_cap(0).resident_cap(),

@@ -103,8 +103,10 @@ impl SharedTier {
         )
     }
 
-    /// Number of full traces currently materialized in this process (bounded
-    /// by the tier's [`resident_cap`](SharedTier::resident_cap)).
+    /// Number of full traces currently materialized in this process. A cold
+    /// fetch leaves at most the tier's
+    /// [`resident_cap`](SharedTier::resident_cap), or the traces then in use
+    /// plus the fetched one when those are more.
     pub fn resident_full_traces(&self) -> usize {
         self.traces.initialized_count()
     }
@@ -120,9 +122,10 @@ impl SharedTier {
     /// materializing at most once per `(application, seed, total)`: the
     /// buffer whose records every run replays. The tier's trace memo counts
     /// a resident or shared landing and, before a cold trace materializes,
-    /// evicts the least recently used traces no run holds until it fits
-    /// under [`resident_cap`](SharedTier::resident_cap); an evicted trace
-    /// reloads from disk (or regenerates) like any cold key.
+    /// evicts the least recently used traces no run or job holds until it
+    /// fits under [`resident_cap`](SharedTier::resident_cap) (by default
+    /// only the held traces stay); an evicted trace reloads from disk (or
+    /// regenerates) like any cold key.
     /// [`SharedTier::load_entry`] counts a materialization.
     pub(crate) fn fetch_full(&self, app: &AppProfile, config: &RunnerConfig) -> Trace {
         let key = Self::store_key(app, config);
@@ -778,6 +781,21 @@ mod tests {
             misses_before + 1,
             "the evicted trace regenerates like a cold key"
         );
+    }
+
+    #[test]
+    fn a_default_tier_keeps_only_the_trace_fetched_last() {
+        // No handle outlives its fetch, so nothing is in use: B's cold
+        // fetch evicts A, and B stays resident for the next request.
+        let store = SharedTier::with_dir(None);
+        let cfg = RunnerConfig::fast();
+        store.fetch(&spec::ammp(), &cfg);
+        store.fetch(&spec::gcc(), &cfg);
+        assert_eq!(store.resident_full_traces(), 1);
+        assert_eq!(store.health().evictions, 1);
+        let misses = store.health().misses;
+        store.fetch(&spec::gcc(), &cfg);
+        assert_eq!(store.health().misses, misses, "B is the resident trace");
     }
 
     #[test]

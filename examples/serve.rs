@@ -40,12 +40,15 @@ fn main() -> std::io::Result<()> {
     if std::env::args().any(|a| a == "--demo") {
         demo()
     } else {
-        let runner = Runner::new(knobs.runner_config(RunnerConfig::paper()));
         let config = ServeConfig {
             addr: knobs.serve_addr.clone(),
             max_requests_per_conn: knobs.serve_quota,
             ..ServeConfig::default()
         };
+        // Clients may interleave applications between requests, so the
+        // tier keeps one trace per worker, not only those in use.
+        let tier = SharedTier::with_dir(knobs.trace_dir.clone()).with_resident_cap(config.workers);
+        let runner = Runner::with_store(knobs.runner_config(RunnerConfig::paper()), tier);
         let server = SweepServer::bind(runner, config)?;
         println!(
             "rescache sweep service listening on {}",

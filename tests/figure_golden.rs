@@ -133,15 +133,14 @@ fn regenerate() -> String {
         }
     }
 
-    for (name, system) in [
-        ("in-order", SystemConfig::in_order()),
-        ("out-of-order", SystemConfig::base()),
-    ] {
-        for side in ResizableCacheSide::ALL {
-            let pairs =
-                static_vs_dynamic(&runner, &apps, &system, Organization::SelectiveSets, side)
-                    .expect("selective-sets applies");
-            for (s, d) in &pairs {
+    let systems = [SystemConfig::in_order(), SystemConfig::base()];
+    let per_side = ResizableCacheSide::ALL.map(|side| {
+        static_vs_dynamic(&runner, &apps, &systems, Organization::SelectiveSets, side)
+            .expect("selective-sets applies")
+    });
+    for (index, name) in ["in-order", "out-of-order"].into_iter().enumerate() {
+        for (side, per_system) in ResizableCacheSide::ALL.into_iter().zip(&per_side) {
+            for (s, d) in &per_system[index] {
                 writeln!(text, "strategy {name} {side} static {}", static_line(s)).unwrap();
                 writeln!(text, "strategy {name} {side} dynamic {}", dynamic_line(d)).unwrap();
             }
