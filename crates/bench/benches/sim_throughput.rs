@@ -190,10 +190,10 @@ fn bench_workloads() -> Vec<EngineResult> {
 }
 
 /// One dynamic-controller run (warm-up + measured region with the miss-ratio
-/// resizing hook attached) through `Runner::run_dynamic_observed`, on a
-/// runner whose store persists to a scratch directory: the path every
-/// dynamic experiment takes. The untimed first call generates and persists the entry; the
-/// timed repetitions replay the resident trace.
+/// resizing hook attached) through `Runner::run_dynamic` with an empty
+/// observer, on a runner whose store persists to a scratch directory: the
+/// path every dynamic experiment takes. The untimed first call generates and
+/// persists the entry; the timed repetitions replay the resident trace.
 fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> EngineResult {
     let warm_len = 20_000;
     let measure_len = 80_000;
@@ -222,7 +222,7 @@ fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> En
         ..RunSetup::default()
     };
     let result = measure(name, (warm_len + measure_len) as u64, move || {
-        let m = runner.run_dynamic_observed(&app, &system, &setup, None);
+        let m = runner.run_dynamic(&app, &system, &setup, |_| {});
         m.l1d_resizes + m.cycles
     });
     // The stage's tier health goes into the JSON record: a bench run that

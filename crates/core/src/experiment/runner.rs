@@ -260,15 +260,30 @@ pub(crate) struct StaticSim {
     pub(crate) snapshot: HierarchySnapshot,
 }
 
+/// A dynamic run's hook: the controller, handing each decision to the
+/// observer (a trait object, so every observer shares one engine instance).
+struct Observed<'a> {
+    controller: DynamicController,
+    observe: &'a mut dyn FnMut(&ResizeDecision),
+}
+
+impl SimHook for Observed<'_> {
+    fn post_commit(&mut self, _committed: u64, hierarchy: &mut MemoryHierarchy) {
+        if let Some(decision) = self.controller.step(hierarchy) {
+            (self.observe)(&decision);
+        }
+    }
+}
+
 /// Turns (application, system, cache setup) into measurements, handling
 /// trace generation, cache warm-up and energy evaluation identically for
 /// every experiment.
 ///
 /// Each kind of run has one entry point — [`Runner::run_static`] for fixed
-/// L1 geometries, [`Runner::run_dynamic_observed`] for a dynamic controller
-/// — and each resizing strategy has one search: [`Runner::static_best`] and
-/// [`Runner::dynamic_best`], whose candidates are profiled from the static
-/// search.
+/// L1 geometries, [`Runner::run_dynamic`] for a dynamic controller and its
+/// decision observer — and each resizing strategy has one search:
+/// [`Runner::static_best`] and [`Runner::dynamic_best`], whose candidates
+/// are profiled from the static search.
 ///
 /// The runner memoizes two pure, deterministic computations, keyed by their
 /// full inputs:
@@ -336,8 +351,8 @@ impl Runner {
     /// the static points applied (flush writebacks noted, as a real pre-run
     /// resize would), then warm-up, statistics reset and measured region over
     /// `app`'s resident trace, with this runner's region lengths. `hook` —
-    /// the dynamic controller, or [`NoopHook`] for a static run — sees every
-    /// commit of both regions.
+    /// the dynamic controller with its observer, or [`NoopHook`] for a
+    /// static run — sees every commit of both regions.
     ///
     /// The memoized static path and the dynamic path both come through here.
     /// `tests/common/mod.rs` rebuilds the same sequence from the crates'
@@ -473,13 +488,32 @@ impl Runner {
     /// without a controller is the memoized full-size [`Runner::run_static`]
     /// priced with the setup's tag bits.
     ///
-    /// With a decision sink, every resize the controller performs is
-    /// streamed into `sink` as a [`ResizeDecision`] while the simulation
-    /// runs — the hook the sweep service's `dynamic` verb forwards interval
-    /// decisions through. The store reads the whole trace before the run
-    /// starts, so the sink sees exactly the decisions of one run.
-    /// Observation never perturbs the measurement: the returned
-    /// [`Measurement`] is bit-identical with or without a sink.
+    /// `observe` sees every resize the controller performs, as a
+    /// [`ResizeDecision`], on the calling thread while the simulation runs
+    /// (the sweep service's `dynamic` verb writes each to its connection).
+    /// The returned [`Measurement`] is bit-identical whatever it does.
+    pub fn run_dynamic(
+        &self,
+        app: &AppProfile,
+        system: &SystemConfig,
+        setup: &RunSetup,
+        mut observe: impl FnMut(&ResizeDecision),
+    ) -> Measurement {
+        let Some((side, space, params)) = setup.dynamic.clone() else {
+            return self.run_static(app, system, None, None, setup.d_tag_bits, setup.i_tag_bits);
+        };
+        let mut hook = Observed {
+            controller: DynamicController::new(side, space, params)
+                .expect("dynamic parameters validated by the caller"),
+            observe: &mut observe,
+        };
+        let sim = self.simulate(app, system, None, None, &mut hook);
+        Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
+    }
+
+    /// [`Runner::run_dynamic`] sending each decision into `sink` (a dropped
+    /// receiver is ignored): an adapter kept only because perfbench's
+    /// reference calls it and infers its channel's type from `sink`.
     pub fn run_dynamic_observed(
         &self,
         app: &AppProfile,
@@ -487,16 +521,11 @@ impl Runner {
         setup: &RunSetup,
         sink: Option<&std::sync::mpsc::Sender<ResizeDecision>>,
     ) -> Measurement {
-        let Some((side, space, params)) = setup.dynamic.clone() else {
-            return self.run_static(app, system, None, None, setup.d_tag_bits, setup.i_tag_bits);
-        };
-        let mut controller = DynamicController::new(side, space, params)
-            .expect("dynamic parameters validated by the caller");
-        if let Some(sink) = sink {
-            controller = controller.with_decision_sink(sink.clone());
-        }
-        let sim = self.simulate(app, system, None, None, &mut controller);
-        Self::price(&sim, system, setup.d_tag_bits, setup.i_tag_bits)
+        self.run_dynamic(app, system, setup, |decision| {
+            if let Some(sink) = sink {
+                let _ = sink.send(*decision);
+            }
+        })
     }
 
     /// The trace-store key of an application under this runner's config.
@@ -625,7 +654,7 @@ impl Runner {
         // trace; sweep them in parallel like the static points.
         let evaluated: Vec<(DynamicParams, Measurement)> = parallel_map(&params, |p| {
             let setup = RunSetup::dynamic(side, space.clone(), *p);
-            (*p, self.run_dynamic_observed(app, system, &setup, None))
+            (*p, self.run_dynamic(app, system, &setup, |_| {}))
         });
         Ok(SearchOutcome::new(app, base, evaluated, side, system))
     }

@@ -2,7 +2,7 @@
 //! handler returns `Result<Flow, Stop>`; [`dispatch`] writes the one
 //! `ok:false` line for a refusal.
 
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use super::connection::{poll_control, Conn, Flow, SweepEnd};
 use super::protocol::{
@@ -13,7 +13,7 @@ use crate::experiment::runner::{Measurement, RunSetup, Runner};
 use crate::experiment::shared_tier::HealthCounters;
 use crate::json::Json;
 use crate::org::CachePoint;
-use crate::strategy::{DynamicParams, ResizeDecision};
+use crate::strategy::DynamicParams;
 use crate::system::ResizableCacheSide;
 
 /// Parses and executes one request line, writing the response line(s).
@@ -167,9 +167,11 @@ fn serve_sweep(runner: &Runner, id: &Json, target: &Target, conn: &mut Conn) -> 
 }
 
 /// Serves a `dynamic` request: runs the miss-ratio resizing controller for
-/// the target (parameters from the request, with profiling-style defaults),
-/// streaming every resize decision back as a `kind:"resize"` line while the
-/// simulation runs, then a `kind:"done"` line with the measurement.
+/// the target (parameters from the request, with profiling-style defaults)
+/// on the connection thread, writing every resize decision as a
+/// `kind:"resize"` line from the run's observer while the simulation runs,
+/// then a `kind:"done"` line with the measurement. A failed write stops the
+/// lines; the run finishes and its error then ends the connection.
 ///
 /// Dynamic runs are not memoized (the controller's trajectory is the whole
 /// point), so every `dynamic` request simulates; only the *trace* is shared
@@ -178,7 +180,7 @@ fn serve_sweep(runner: &Runner, id: &Json, target: &Target, conn: &mut Conn) -> 
 /// included), while `resizes` is the measurement's measured-region count —
 /// a run that settles at its size floor during warm-up streams decisions
 /// but reports zero measured resizes, exactly as the in-process
-/// [`Runner::run_dynamic_observed`] would.
+/// [`Runner::run_dynamic`] would.
 fn serve_dynamic(
     runner: &Runner,
     request: &Json,
@@ -209,36 +211,17 @@ fn serve_dynamic(
         .map_err(|e| Stop::out_of_range(e.to_string()))?;
     let setup = RunSetup::dynamic(target.side, space, params);
 
-    let (tx, rx) = mpsc::channel::<ResizeDecision>();
     let mut decisions = 0u64;
-    let mut write_error: Option<std::io::Error> = None;
-    let outcome = std::thread::scope(|scope| {
-        let setup = &setup;
-        let sim = scope.spawn(move || {
-            // `tx` moves in and drops when the run completes, which is what
-            // ends the drain loop below.
-            runner.run_dynamic_observed(&target.app, &target.system, setup, Some(&tx))
-        });
-        for decision in &rx {
-            if write_error.is_some() {
-                // The client is gone mid-stream; the simulation cannot be
-                // aborted (it owns no cancellation point), so drain quietly
-                // and let the run finish into the shared trace state.
-                continue;
-            }
+    let mut sent = Ok(());
+    let measurement = runner.run_dynamic(&target.app, &target.system, &setup, |decision| {
+        // Once a write fails the client is gone; the run still finishes
+        // into the shared trace state, and the error ends the connection.
+        if sent.is_ok() {
             decisions += 1;
-            if let Err(e) = conn.send(&resize_line(id, &decision)) {
-                write_error = Some(e);
-            }
+            sent = conn.send(&resize_line(id, decision));
         }
-        sim.join()
     });
-    // A panicked simulation thread is a bug, not a protocol error; the
-    // connection survives to report it.
-    let measurement = outcome.map_err(|_| Stop::refuse("internal error: dynamic run failed"))?;
-    if let Some(e) = write_error {
-        return Err(Stop::Io(e));
-    }
+    sent?;
     health(runner).note_served();
     let done = dynamic_done_line(id, target, &params, decisions, &measurement, &base);
     conn.send(&done)?;

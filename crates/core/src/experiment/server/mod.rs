@@ -16,9 +16,11 @@
 //!   connection thread), streaming each point's result line back as it
 //!   completes;
 //! * a `dynamic` request runs the paper's miss-ratio resizing controller
-//!   over the wire: every resize the controller performs streams back as a
-//!   `kind:"resize"` line while the simulation runs, then a `kind:"done"`
-//!   line carries the measurement;
+//!   over the wire, on the connection thread: the run's observer writes
+//!   every resize the controller performs as a `kind:"resize"` line while
+//!   the simulation runs, then a `kind:"done"` line carries the
+//!   measurement. A `dynamic` run is not cancellable; once a line fails to
+//!   write, the run finishes without writing and the connection closes;
 //! * a streaming sweep is cancellable mid-flight — an interleaved
 //!   `{"req":"cancel","id":...}` naming the sweep's id (or the client
 //!   disconnecting) stops the search: no further point starts, and only

@@ -1,7 +1,5 @@
 //! The miss-ratio-based dynamic resizing controller.
 
-use std::sync::mpsc;
-
 use rescache_cache::MemoryHierarchy;
 use rescache_cpu::SimHook;
 
@@ -102,11 +100,11 @@ impl DynamicParams {
     }
 }
 
-/// One resize the dynamic controller performed, as observed through a
-/// decision sink ([`DynamicController::with_decision_sink`]): the interval
-/// bookkeeping that triggered it plus the geometry transition. Resize-only
-/// by design — quiet intervals emit nothing, which bounds the stream's
-/// volume by the resize count rather than the access count.
+/// One resize the dynamic controller performed, as
+/// [`DynamicController::step`] returns it: the interval bookkeeping that
+/// triggered it plus the geometry transition. Resize-only by design — quiet
+/// intervals return nothing, which bounds an observer's stream by the
+/// resize count rather than the access count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResizeDecision {
     /// Cache accesses observed (since the last statistics reset) when the
@@ -139,8 +137,6 @@ pub struct DynamicController {
     min_index: usize,
     last_accesses: u64,
     last_misses: u64,
-    resizes: u64,
-    sink: Option<mpsc::Sender<ResizeDecision>>,
 }
 
 impl DynamicController {
@@ -175,35 +171,12 @@ impl DynamicController {
             min_index,
             last_accesses: 0,
             last_misses: 0,
-            resizes: 0,
-            sink: None,
         })
-    }
-
-    /// Returns this controller streaming every resize it performs into
-    /// `sink` as a [`ResizeDecision`] — the observation hook the sweep
-    /// service's `dynamic` verb uses to forward interval-by-interval
-    /// decisions over the wire while the simulation runs. A dropped
-    /// receiver is absorbed silently: observation must never perturb (or
-    /// abort) the run it observes.
-    pub fn with_decision_sink(mut self, sink: mpsc::Sender<ResizeDecision>) -> Self {
-        self.sink = Some(sink);
-        self
     }
 
     /// The currently selected configuration point.
     pub fn current_point(&self) -> CachePoint {
         self.space.points()[self.current]
-    }
-
-    /// Number of resizes performed so far.
-    pub fn resizes(&self) -> u64 {
-        self.resizes
-    }
-
-    /// The parameters this controller runs with.
-    pub fn params(&self) -> DynamicParams {
-        self.params
     }
 
     /// The interval signal pair: (accesses, misses) of the resized cache.
@@ -223,21 +196,23 @@ impl DynamicController {
         };
         hierarchy.note_resize_flush_writebacks(effect.dirty_writebacks);
         self.current = index;
-        self.resizes += 1;
     }
-}
 
-impl SimHook for DynamicController {
-    fn post_commit(&mut self, _committed: u64, hierarchy: &mut MemoryHierarchy) {
+    /// The controller's per-instruction check: once an interval's worth of
+    /// accesses has passed, compares its misses against the miss-bound,
+    /// steps one offered size up or down, and returns the resize it
+    /// performed. Returns `None` inside an interval, on a quiet decision
+    /// (already at the bound it steps towards), and when the statistics
+    /// were reset (end of warm-up), which re-anchors the interval.
+    pub fn step(&mut self, hierarchy: &mut MemoryHierarchy) -> Option<ResizeDecision> {
         let (accesses, misses) = self.cache_counters(hierarchy);
         if accesses < self.last_accesses {
-            // Statistics were reset (end of warm-up): re-anchor the interval.
             self.last_accesses = accesses;
             self.last_misses = misses;
-            return;
+            return None;
         }
         if accesses - self.last_accesses < self.params.interval_accesses {
-            return;
+            return None;
         }
         let interval_misses = misses - self.last_misses;
         self.last_accesses = accesses;
@@ -250,21 +225,24 @@ impl SimHook for DynamicController {
         } else {
             self.current
         };
-        if target != self.current {
-            let from = self.space.points()[self.current];
-            self.apply_point(target, hierarchy);
-            if let Some(sink) = &self.sink {
-                // Ignore a dropped receiver: the run's correctness never
-                // depends on anyone watching it.
-                let _ = sink.send(ResizeDecision {
-                    accesses,
-                    interval_signal: interval_misses,
-                    miss_bound: self.params.miss_bound,
-                    from,
-                    to: self.space.points()[target],
-                });
-            }
+        if target == self.current {
+            return None;
         }
+        let from = self.current_point();
+        self.apply_point(target, hierarchy);
+        Some(ResizeDecision {
+            accesses,
+            interval_signal: interval_misses,
+            miss_bound: self.params.miss_bound,
+            from,
+            to: self.current_point(),
+        })
+    }
+}
+
+impl SimHook for DynamicController {
+    fn post_commit(&mut self, _committed: u64, hierarchy: &mut MemoryHierarchy) {
+        self.step(hierarchy);
     }
 }
 
@@ -291,8 +269,13 @@ mod tests {
         .unwrap()
     }
 
-    fn drive(hierarchy: &mut MemoryHierarchy, controller: &mut DynamicController, misses: bool) {
-        // Issue one interval's worth of d-cache accesses, hitting or missing.
+    fn drive(
+        hierarchy: &mut MemoryHierarchy,
+        controller: &mut DynamicController,
+        misses: bool,
+    ) -> Option<ResizeDecision> {
+        // Issue one interval's worth of d-cache accesses, hitting or
+        // missing, then let the controller decide.
         for i in 0..100u64 {
             let addr = if misses {
                 0x900_0000 + (hierarchy.l1d().stats().accesses + i) * 64 * 1024
@@ -301,22 +284,20 @@ mod tests {
             };
             hierarchy.access_data(addr, false, i);
         }
-        controller.post_commit(0, hierarchy);
+        controller.step(hierarchy)
     }
 
     #[test]
     fn quiet_intervals_downsize_to_the_size_bound() {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let mut c = controller(10, 4 * 1024);
-        for _ in 0..10 {
-            drive(&mut h, &mut c, false);
-        }
+        let resizes = (0..10).filter_map(|_| drive(&mut h, &mut c, false)).count();
         assert_eq!(
             c.current_point().bytes(32),
             4 * 1024,
             "stops at the size bound"
         );
-        assert!(c.resizes() >= 3);
+        assert_eq!(resizes, 3, "32K to 4K in halving steps");
         assert_eq!(h.l1d().enabled_bytes(), 4 * 1024);
     }
 
@@ -345,9 +326,8 @@ mod tests {
         // Fewer accesses than one interval: no decision yet.
         for i in 0..50u64 {
             h.access_data(0x100, false, i);
-            c.post_commit(i, &mut h);
+            assert_eq!(c.step(&mut h), None);
         }
-        assert_eq!(c.resizes(), 0);
         assert_eq!(c.current_point().bytes(32), 32 * 1024);
     }
 
@@ -358,10 +338,8 @@ mod tests {
         for _ in 0..3 {
             drive(&mut h, &mut c, false);
         }
-        let before = c.resizes();
         h.reset_stats();
-        c.post_commit(0, &mut h);
-        assert_eq!(c.resizes(), before, "a reset must not trigger a resize");
+        assert_eq!(c.step(&mut h), None, "a reset must not trigger a resize");
     }
 
     #[test]
@@ -412,15 +390,20 @@ mod tests {
     }
 
     #[test]
-    fn decision_sink_observes_every_resize_and_survives_a_dropped_receiver() {
-        let (tx, rx) = std::sync::mpsc::channel();
+    fn step_returns_every_resize_it_performs() {
         let mut h = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let mut c = controller(10, 4 * 1024).with_decision_sink(tx);
+        let mut c = controller(10, 4 * 1024);
+        let mut decisions = Vec::new();
         for _ in 0..10 {
-            drive(&mut h, &mut c, false);
+            let before = h.l1d().enabled_bytes();
+            let decision = drive(&mut h, &mut c, false);
+            assert_eq!(
+                decision.is_some(),
+                h.l1d().enabled_bytes() != before,
+                "one decision per resize"
+            );
+            decisions.extend(decision);
         }
-        let decisions: Vec<ResizeDecision> = rx.try_iter().collect();
-        assert_eq!(decisions.len() as u64, c.resizes(), "one line per resize");
         for pair in decisions.windows(2) {
             assert_eq!(pair[0].to, pair[1].from, "transitions chain");
         }
@@ -428,13 +411,6 @@ mod tests {
         assert_eq!(last.to, c.current_point());
         assert!(last.interval_signal < 10, "quiet interval signal");
         assert_eq!(last.miss_bound, 10);
-
-        // The receiver is gone (collected above); further resizes must be
-        // absorbed, not panic or poison the run.
-        for _ in 0..10 {
-            drive(&mut h, &mut c, true);
-        }
-        assert_eq!(c.current_point().bytes(32), 32 * 1024);
     }
 
     #[test]

@@ -119,13 +119,15 @@ fn demo() -> std::io::Result<()> {
     );
 
     // A dynamic run streams one line per resize decision, then a done line
-    // matching what the in-process `Runner::run_dynamic_observed` would report.
+    // matching what the in-process `Runner::run_dynamic` would report.
     let dynamic = client.stream(r#"{"req":"dynamic","id":6,"app":"gcc"}"#)?;
     let done = dynamic.last().expect("a terminal line");
     assert_eq!(kind(done), "done");
+    let resizes = dynamic.iter().filter(|r| kind(r) == "resize").count() as u64;
     assert!(
-        done.get("params").is_some() && done.get("decisions").is_some(),
-        "the dynamic done line reports the controller parameters"
+        done.get("params").is_some()
+            && done.get("decisions").and_then(Json::as_u64) == Some(resizes),
+        "the dynamic done line reports the controller parameters and counts the resize lines"
     );
 
     client.exchange(r#"{"req":"health","id":7}"#)?;

@@ -6,8 +6,8 @@
 //! `EnergyModel::with_overhead(..).breakdown_snapshot`. It uses no
 //! `Runner`, trace store or simulation memo, so the runner's memoized
 //! static path (`Runner::run_static`) and its dynamic path
-//! (`Runner::run_dynamic_observed`) can both be required to match it bit
-//! for bit.
+//! (`Runner::run_dynamic`, whatever its decision observer does) can both
+//! be required to match it bit for bit.
 
 use rescache::core::experiment::{Measurement, RunSetup, RunnerConfig};
 use rescache::energy::ResizingTagOverhead;

@@ -13,8 +13,6 @@
 //! order of the two accesses within a record, which the unified L2's LRU
 //! state can see.
 
-use std::sync::mpsc;
-
 use rescache::prelude::*;
 use rescache_cache::HierarchySnapshot;
 use rescache_cpu::{InOrderEngine, OutOfOrderEngine};
@@ -53,6 +51,21 @@ enum Setup {
 /// warm-up + measure sequence.
 type Outcome = (SimResult, HierarchySnapshot, Vec<ResizeDecision>);
 
+/// One case's hook: its controller (none for a static setup), keeping
+/// every decision the controller's steps return.
+struct Recorder {
+    controller: Option<DynamicController>,
+    decisions: Vec<ResizeDecision>,
+}
+
+impl SimHook for Recorder {
+    fn post_commit(&mut self, _committed: u64, hierarchy: &mut MemoryHierarchy) {
+        if let Some(controller) = &mut self.controller {
+            self.decisions.extend(controller.step(hierarchy));
+        }
+    }
+}
+
 /// Runs `setup` over `records`, the first `warm` of them the warm-up
 /// region and the rest the measured region, with the functional warm-up
 /// (`functional`) or the timed reference. Also returns how many decisions
@@ -66,37 +79,42 @@ fn run(
     functional: bool,
 ) -> (Outcome, usize) {
     let mut hierarchy = MemoryHierarchy::new(system.hierarchy).expect("valid hierarchy");
-    let (sink, decisions) = mpsc::channel();
-    let mut noop = NoopHook;
-    let mut controller;
-    let hook: &mut dyn SimHook = match setup {
+    let controller = match setup {
         Setup::Static(point) => {
             if let Some(point) = point {
                 point.apply(hierarchy.l1d_mut());
                 point.apply(hierarchy.l1i_mut());
             }
-            &mut noop
+            None
         }
         Setup::Dynamic(side, space, params) => {
-            controller = DynamicController::new(*side, space.clone(), *params)
-                .expect("valid params")
-                .with_decision_sink(sink);
-            &mut controller
+            Some(DynamicController::new(*side, space.clone(), *params).expect("valid params"))
         }
     };
-    let mut seen = Vec::new();
+    let mut hook = Recorder {
+        controller,
+        decisions: Vec::new(),
+    };
+    let mut warmup_decisions = 0;
     let result = if functional {
         let measure = records.len() - warm;
-        Simulator::new(system.cpu).run_warm_measure(records, warm, measure, &mut hierarchy, hook)
+        Simulator::new(system.cpu).run_warm_measure(
+            records,
+            warm,
+            measure,
+            &mut hierarchy,
+            &mut hook,
+        )
     } else {
-        timed_region(system.cpu, &records[..warm], &mut hierarchy, hook);
-        seen.extend(decisions.try_iter());
+        timed_region(system.cpu, &records[..warm], &mut hierarchy, &mut hook);
+        warmup_decisions = hook.decisions.len();
         hierarchy.reset_stats();
-        timed_region(system.cpu, &records[warm..], &mut hierarchy, hook)
+        timed_region(system.cpu, &records[warm..], &mut hierarchy, &mut hook)
     };
-    let warmup_decisions = seen.len();
-    seen.extend(decisions.try_iter());
-    ((result, hierarchy.snapshot(), seen), warmup_decisions)
+    (
+        (result, hierarchy.snapshot(), hook.decisions),
+        warmup_decisions,
+    )
 }
 
 fn profiles() -> Vec<AppProfile> {

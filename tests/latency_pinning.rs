@@ -131,7 +131,7 @@ fn defaults_are_bit_identical_to_the_pre_refactor_tree() {
             d_tag_bits: 4,
             ..RunSetup::default()
         };
-        let dynamic = runner.run_dynamic_observed(&profile, &system, &dyn_setup, None);
+        let dynamic = runner.run_dynamic(&profile, &system, &dyn_setup, |_| {});
         assert_eq!(dynamic.cycles, golden.dyn_cycles, "{label}: dynamic cycles");
         assert_eq!(
             dynamic.energy_pj.to_bits(),

@@ -1,6 +1,6 @@
 //! Differential harness for the store-backed runner: a dynamic-controller
-//! run by `Runner::run_dynamic_observed` over its trace store's resident
-//! trace (in memory, or loaded from and persisted to a store directory) must
+//! run by `Runner::run_dynamic` over its trace store's resident trace
+//! (in memory, or loaded from and persisted to a store directory) must
 //! be **bit-identical** to the independent oracle of `common/mod.rs` over a
 //! freshly generated trace — same timing, same resize counts, same energy
 //! breakdowns — on both engines, across registry workloads and controller
@@ -69,8 +69,8 @@ fn assert_identical(label: &str, expected: &Measurement, got: &Measurement) {
 }
 
 /// The core differential: for one (profile, system) pair, run every
-/// candidate through the store-backed `Runner::run_dynamic_observed` and
-/// through the oracle, and require equality. `store_dir` selects the store
+/// candidate through the store-backed `Runner::run_dynamic` and through
+/// the oracle, and require equality. `store_dir` selects the store
 /// mode (None = in-memory, Some = persisted). Returns the total resizes
 /// observed so callers can assert controller activity where the workload
 /// makes it deterministic.
@@ -97,7 +97,7 @@ fn assert_dynamic_equivalence(
             ..RunSetup::default()
         };
         let expected = common::measure(&trace, &cfg, system, (None, None), &setup);
-        let got = store_runner.run_dynamic_observed(profile, system, &setup, None);
+        let got = store_runner.run_dynamic(profile, system, &setup, |_| {});
         let label = format!(
             "{} / {:?} / miss_bound {} size_bound {}",
             profile.name, system.cpu.engine, params.miss_bound, params.size_bound_bytes
@@ -269,7 +269,7 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
         &setup,
     );
     let backed = Runner::with_store(cfg, SharedTier::with_dir(Some(dir.clone())));
-    let got = backed.run_dynamic_observed(&app, &system, &setup, None);
+    let got = backed.run_dynamic(&app, &system, &setup, |_| {});
     assert_identical("corrupt-entry fallback", &expected, &got);
     let health = backed.trace_store().health();
     assert_eq!((health.regenerations, health.misses), (1, 0));
@@ -278,7 +278,7 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
     // self-heals: a new store loads it from disk instead of paying the
     // doomed partial read forever.
     let healed = Runner::with_store(cfg, SharedTier::with_dir(Some(dir.clone())));
-    let again = healed.run_dynamic_observed(&app, &system, &setup, None);
+    let again = healed.run_dynamic(&app, &system, &setup, |_| {});
     assert_identical("healed entry", &expected, &again);
     let health = healed.trace_store().health();
     assert_eq!((health.hits, health.regenerations), (1, 0));
@@ -288,7 +288,7 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
 #[test]
 fn static_setups_also_match_through_the_store() {
     // A static point through the store-backed memo, and a setup with no
-    // controller through `run_dynamic_observed` (which delegates to the
+    // controller through `run_dynamic` (which delegates to the
     // memoized full-size static path): both bit-identical to the oracle.
     let cfg = fast_config();
     let app = spec::ammp();
@@ -307,7 +307,7 @@ fn static_setups_also_match_through_the_store() {
     let got = backed.run_static(&app, &system, Some(point), None, 4, 0);
     assert_identical("store-backed static", &expected, &got);
     let expected = common::measure(&trace, &cfg, &system, (None, None), &setup);
-    let got = backed.run_dynamic_observed(&app, &system, &setup, None);
+    let got = backed.run_dynamic(&app, &system, &setup, |_| {});
     assert_identical("store-backed setup without a controller", &expected, &got);
     assert_eq!(backed.trace_store().resident_full_traces(), 1);
     std::fs::remove_dir_all(&dir).ok();

@@ -33,7 +33,7 @@ fn dynamic_controller_downsizes_an_oversized_cache() {
         d_tag_bits: 4,
         ..RunSetup::default()
     };
-    let resized = r.run_dynamic_observed(&app, &system, &setup, None);
+    let resized = r.run_dynamic(&app, &system, &setup, |_| {});
     let base = r.run_static(&app, &system, None, None, 0, 0);
     assert!(
         resized.l1d_mean_bytes < 12.0 * 1024.0,
@@ -67,7 +67,7 @@ fn controllers_only_touch_their_own_cache() {
         i_tag_bits: 4,
         ..RunSetup::default()
     };
-    let m = r.run_dynamic_observed(&app, &system, &setup, None);
+    let m = r.run_dynamic(&app, &system, &setup, |_| {});
     assert!(m.l1i_mean_bytes < 16.0 * 1024.0, "i-cache should shrink");
     assert_eq!(
         m.l1d_mean_bytes,
@@ -111,7 +111,7 @@ fn size_bound_is_never_violated() {
         d_tag_bits: 4,
         ..RunSetup::default()
     };
-    let m = r.run_dynamic_observed(&app, &system, &setup, None);
+    let m = r.run_dynamic(&app, &system, &setup, |_| {});
     assert!(
         m.l1d_mean_bytes >= 8.0 * 1024.0 - 1.0,
         "mean enabled size {:.1} KiB dipped below the 8 KiB size-bound",

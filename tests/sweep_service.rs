@@ -22,8 +22,9 @@
 //!   a client sends while a sweep streams too.
 //! * **Dynamic verb** — a `dynamic` request streams the controller's resize
 //!   decisions, one line per decision of the in-process
-//!   `Runner::run_dynamic_observed`, and its done line matches that run
-//!   bit-for-bit.
+//!   `Runner::run_dynamic`, and its done line matches that run
+//!   bit-for-bit. A client leaving mid-run closes its connection once the
+//!   run ends, and the next client's identical request gets the whole run.
 //! * **Multi-process** — N server *processes* sharing one
 //!   `RESCACHE_TRACE_DIR` share persisted trace entries and agree
 //!   bit-for-bit.
@@ -35,7 +36,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use rescache::prelude::*;
-use rescache_core::experiment::{RunSetup, ServeConfig, SharedTier, SweepServer};
+use rescache_core::experiment::{Measurement, RunSetup, ServeConfig, SharedTier, SweepServer};
 use rescache_core::json::Json;
 use rescache_core::ResizeDecision;
 use rescache_trace::IoPolicy;
@@ -808,6 +809,59 @@ fn lines_sent_mid_sweep_count_against_the_request_quota() {
     join.join().expect("server thread exits cleanly");
 }
 
+/// A `dynamic` request for gcc whose miss-bound (512) is above the interval
+/// length (256) and so can never be exceeded: every interval decision is a
+/// downsize until the size-bound floor, and resize lines deterministically
+/// stream before the done line.
+fn gcc_dynamic_request(id: u64) -> String {
+    format!(r#"{{"req":"dynamic","id":{id},"app":"gcc","interval":256,"miss_bound":512}}"#)
+}
+
+/// Reads the response to one `dynamic` request: its resize lines, then its
+/// done line.
+fn recv_dynamic(client: &mut Client, id: u64) -> (Vec<Json>, Json) {
+    let mut resize_lines = Vec::new();
+    loop {
+        let response = client.recv();
+        assert!(is_ok(&response), "{response:?}");
+        assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
+        match kind(&response) {
+            "resize" => resize_lines.push(response),
+            "done" => return (resize_lines, response),
+            other => panic!("unexpected response kind {other:?}: {response:?}"),
+        }
+    }
+}
+
+/// The in-process run [`gcc_dynamic_request`] must match: its measurement,
+/// every decision its observer saw, and the size-bound the request
+/// defaults to (the smallest offered capacity).
+fn gcc_dynamic_reference() -> (Measurement, Vec<ResizeDecision>, u64) {
+    let system = SystemConfig::base();
+    let space = ConfigSpace::enumerate(
+        ResizableCacheSide::Data.config_of(&system.hierarchy),
+        Organization::SelectiveSets,
+    )
+    .expect("selective-sets applies to the base d-cache");
+    let size_bound = space.min_bytes();
+    let params = DynamicParams::new(256, 512, size_bound).expect("valid params");
+    let setup = RunSetup {
+        dynamic: Some((ResizableCacheSide::Data, space, params)),
+        d_tag_bits: ResizableCacheSide::Data
+            .config_of(&system.hierarchy)
+            .resizing_tag_bits(),
+        ..RunSetup::default()
+    };
+    let mut observed = Vec::new();
+    let expected = Runner::new(service_config()).run_dynamic(
+        &spec::profile("gcc").expect("gcc is a spec profile"),
+        &system,
+        &setup,
+        |decision| observed.push(*decision),
+    );
+    (expected, observed, size_bound)
+}
+
 #[test]
 fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
     let tier = SharedTier::new(None, IoPolicy::none());
@@ -836,21 +890,8 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
         .expect("typed error")
         .contains("no sweep in flight"));
 
-    // A miss-bound above the interval length can never be exceeded, so
-    // every interval decision is a downsize until the size-bound floor —
-    // resize lines deterministically stream before the done line.
-    client.send(r#"{"req":"dynamic","id":4,"app":"gcc","interval":256,"miss_bound":512}"#);
-    let mut resize_lines = Vec::new();
-    let done = loop {
-        let response = client.recv();
-        assert!(is_ok(&response), "{response:?}");
-        assert_eq!(response.get("id").and_then(Json::as_u64), Some(4));
-        match kind(&response) {
-            "resize" => resize_lines.push(response),
-            "done" => break response,
-            other => panic!("unexpected response kind {other:?}: {response:?}"),
-        }
-    };
+    client.send(&gcc_dynamic_request(4));
+    let (resize_lines, done) = recv_dynamic(&mut client, 4);
     // `decisions` counts every streamed line over the whole run (the
     // downsizing to the floor happens during warm-up); `resizes` is the
     // measurement's measured-region count and may legitimately be smaller.
@@ -900,13 +941,7 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
     }
 
     // The done line must match the in-process run bit-for-bit.
-    let system = SystemConfig::base();
-    let space = ConfigSpace::enumerate(
-        ResizableCacheSide::Data.config_of(&system.hierarchy),
-        Organization::SelectiveSets,
-    )
-    .expect("selective-sets applies to the base d-cache");
-    let size_bound = space.min_bytes();
+    let (expected, observed, size_bound) = gcc_dynamic_reference();
     assert_eq!(
         done.get("params")
             .and_then(|p| p.get("size_bound"))
@@ -914,26 +949,8 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
         Some(size_bound),
         "the default size-bound is the smallest offered capacity"
     );
-    let params = DynamicParams::new(256, 512, size_bound).expect("valid params");
-    let setup = RunSetup {
-        dynamic: Some((ResizableCacheSide::Data, space, params)),
-        d_tag_bits: ResizableCacheSide::Data
-            .config_of(&system.hierarchy)
-            .resizing_tag_bits(),
-        ..RunSetup::default()
-    };
-    let reference = Runner::new(service_config());
-    let (tx, rx) = std::sync::mpsc::channel::<ResizeDecision>();
-    let expected = reference.run_dynamic_observed(
-        &spec::profile("gcc").expect("gcc is a spec profile"),
-        &system,
-        &setup,
-        Some(&tx),
-    );
-    drop(tx);
     // `decisions` has one meaning: the decisions of the one run, each
     // streamed as exactly one resize line.
-    let observed: Vec<ResizeDecision> = rx.iter().collect();
     assert_eq!(
         done.get("decisions").and_then(Json::as_u64),
         Some(observed.len() as u64),
@@ -980,6 +997,59 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
         "done carries a latency block"
     );
 
+    handle.stop();
+    join.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn client_leaving_mid_dynamic_lets_the_run_finish() {
+    let tier = SharedTier::new(None, IoPolicy::none());
+    let (addr, handle, join) = spawn_server(tier);
+
+    {
+        let mut client = Client::connect(addr);
+        client.send(&gcc_dynamic_request(1));
+        let first = client.recv();
+        assert_eq!(kind(&first), "resize", "{first:?}");
+        // Dropping the client closes the socket mid-stream.
+    }
+
+    // The run owns the connection thread, so the connection closes only
+    // once the run has finished; the server must not hang or die on the
+    // lines it can no longer write.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while handle.open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "dynamic run wound down after the disconnect"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // The next client's identical request gets the whole run.
+    let (expected, observed, _) = gcc_dynamic_reference();
+    let mut client = Client::connect(addr);
+    client.send(&gcc_dynamic_request(2));
+    let (resize_lines, done) = recv_dynamic(&mut client, 2);
+    assert_eq!(
+        done.get("cycles").and_then(Json::as_u64),
+        Some(expected.cycles),
+        "{done:?}"
+    );
+    assert_eq!(
+        done.get("decisions").and_then(Json::as_u64),
+        Some(observed.len() as u64),
+        "{done:?}"
+    );
+    assert_eq!(resize_lines.len(), observed.len());
+    let health = client.request(r#"{"req":"health","id":3}"#);
+    assert_eq!(
+        health.get("connections").and_then(Json::as_u64),
+        Some(1),
+        "only the asking connection is open: {health:?}"
+    );
+
+    drop(client);
     handle.stop();
     join.join().expect("server thread exits cleanly");
 }

@@ -66,7 +66,7 @@ fn reference_sweep(cfg: RunnerConfig) -> Vec<Measurement> {
     let mut out = Vec::new();
     for app in apps() {
         for setup in setups(&system, cfg.dynamic_interval) {
-            out.push(runner.run_dynamic_observed(&app, &system, &setup, None));
+            out.push(runner.run_dynamic(&app, &system, &setup, |_| {}));
         }
     }
     out
@@ -84,7 +84,7 @@ fn threaded_sweep(cfg: RunnerConfig, tier: &SharedTier) -> Vec<Vec<Measurement>>
                 let mut out = Vec::new();
                 for app in apps() {
                     for setup in setups(&system, cfg.dynamic_interval) {
-                        out.push(runner.run_dynamic_observed(&app, &system, &setup, None));
+                        out.push(runner.run_dynamic(&app, &system, &setup, |_| {}));
                     }
                 }
                 out
