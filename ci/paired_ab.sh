@@ -7,9 +7,11 @@
 # in alternating pairs: the parent first in odd pairs, the change first in
 # even ones. Each pair runs `perfbench/run.py --trace 0` (unchanged) for
 # the checkout's BENCHMARK.json `run_seconds` and the `sim_throughput`
-# bench once per side; the `figures` kind runs the Figure 4, 7 and 8
-# benches (`fig4_org_assoc`, `fig7_dcache_strategy`,
-# `fig8_icache_strategy`) at the caller's RESCACHE_WARMUP/RESCACHE_MEASURE.
+# bench once per side; the `figures` kind runs each side's figure benches
+# at the caller's RESCACHE_WARMUP/RESCACHE_MEASURE. A side's figure benches
+# are the `[[bench]]` targets of its own crates/bench/Cargo.toml other than
+# `sim_throughput` and `ablation`, so a revision with one `paper` bench is
+# compared with one that printed each figure from its own bench.
 # Each bench binary runs as the only child of its own python3 process,
 # which reads the bench's peak RSS (MiB) and CPU seconds from
 # getrusage(RUSAGE_CHILDREN) and times its wall seconds. For every
@@ -17,7 +19,11 @@
 # figure bench `completed in` line and every bench's peak RSS, CPU and
 # wall time it prints each side's median and quartiles, the change/parent
 # ratio (median, min and max over the pairs) and how many pairs the change
-# won and tied (a tie counts as neither).
+# won and tied (a tie counts as neither). A row only one side has (a bench
+# the other side does not build) prints that side's median and quartiles
+# alone. The figures kind also compares per-side totals over all figure
+# benches: `figures: wall_s` and `figures: cpu_s` (sums) and
+# `figures: peak_rss_mb` (the largest bench's peak).
 #
 # Run from the repository root:
 #   sh ci/paired_ab.sh [-p PARENT] [-c CHANGE] [-n PAIRS] [-w WORKLOAD]
@@ -63,7 +69,16 @@ fi
 repo=$(pwd)
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$repo/BENCHMARK.json")
-figure_benches="fig4_org_assoc fig7_dcache_strategy fig8_icache_strategy"
+# The figure benches of one exported tree: every `[[bench]]` target of its
+# crates/bench/Cargo.toml except `sim_throughput` and `ablation`.
+figure_benches() {
+    awk '/^\[\[bench\]\]/ { bench = 1; next }
+        bench && /^name *=/ {
+            gsub(/^name *= *"|".*$/, "")
+            if ($0 != "sim_throughput" && $0 != "ablation") print
+            bench = 0
+        }' "$1/crates/bench/Cargo.toml"
+}
 # Runs one bench binary (argv: bench name, executable, and "timed" if it
 # must print `completed in` lines) and prints "<bench>: <label><TAB><value>"
 # lines: one per `completed in` line, then the process's peak RSS, CPU
@@ -121,7 +136,7 @@ for side in parent change; do
             case $kind in
                 perfbench) cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml ;;
                 sim_throughput) cargo bench --offline --quiet --bench sim_throughput --no-run ;;
-                figures) for bench in $figure_benches; do
+                figures) for bench in $(figure_benches .); do
                         cargo bench --offline --quiet --bench "$bench" --no-run
                     done ;;
                 *) echo "paired_ab: unknown kind $kind" >&2; exit 2 ;;
@@ -148,7 +163,7 @@ run_side() {
                         > "${out%.json}.tsv"
                     cp BENCH_sim_throughput.json "$out" ;;
                 figures)
-                    for bench in $figure_benches; do
+                    for bench in $(figure_benches .); do
                         python3 -c "$bench_run" "$bench" "$(bench_exe "$bench")" timed
                     done > "${out%.json}.tsv" ;;
             esac
@@ -190,7 +205,15 @@ def load_usage(side, kind, i):
 
 def load(side, kind, i):
     if kind == "figures":
-        return load_usage(side, kind, i)
+        values = load_usage(side, kind, i)
+        column = lambda metric: [v for k, v in values.items() if k.endswith(f": {metric}")]
+        totals = {
+            "figures: wall_s": sum(column("wall_s")),
+            "figures: cpu_s": sum(column("cpu_s")),
+            "figures: peak_rss_mb": max(column("peak_rss_mb")),
+        }
+        values.update(totals)
+        return values
     with open(os.path.join(results, f"{side}-{kind}-{i}.json")) as f:
         data = json.load(f)
     if kind == "perfbench":
@@ -214,8 +237,14 @@ for kind in kinds:
         for side, side_runs in runs.items():
             ok = sum(int(r.pop("correct")) for r in side_runs)
             print(f"{side}: correct:true and failed:0 in {ok} of {pairs} runs")
-    for name in runs["parent"][0]:
-        if not all(name in r for side in runs.values() for r in side):
+    names = list(dict.fromkeys(name for side in runs.values() for name in side[0]))
+    for name in names:
+        present = [side for side, side_runs in runs.items() if all(name in r for r in side_runs)]
+        if len(present) == 1:
+            side = present[0]
+            print(f"{name:24} {side} only {spread([r[name] for r in runs[side]])}")
+            continue
+        if not present:
             continue
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]

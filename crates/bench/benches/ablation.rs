@@ -7,7 +7,7 @@
 //! * the number of configurations each organization offers per
 //!   associativity.
 
-use rescache_bench::{all_apps, bench_runner, print_header, timed};
+use rescache_bench::{all_apps, bench_runner, print_config, print_header, timed};
 use rescache_cache::CacheConfig;
 use rescache_core::experiment::{format_table, mean, static_vs_dynamic, Runner};
 use rescache_core::org::ConfigSpace;
@@ -65,6 +65,7 @@ fn interval_sweep(runner: &Runner, apps: &[AppProfile], interval: u64) -> (f64, 
 }
 
 fn main() {
+    print_config();
     print_header(
         "Ablations — subarray size, controller interval, offered-point counts",
         "Sensitivity of the savings to the resizing granule and the controller interval.",

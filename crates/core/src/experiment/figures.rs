@@ -3,6 +3,10 @@
 //! order; the benches derive the plotted percentages from them, and each
 //! search's `best.choice` names the point or parameters it chose.
 //!
+//! [`paper`] runs every cell the paper plots in one call; [`static_grid`],
+//! [`static_vs_dynamic`] and [`dual_resizing`] run parametric subsets of
+//! the same per-application bodies.
+//!
 //! Every driver is application-major: one job per application runs all of
 //! that application's searches — every cell of a grid, every processor
 //! configuration — and holds the application's trace for the whole job, so
@@ -19,6 +23,17 @@ use crate::experiment::report::mean;
 use crate::experiment::runner::{DynamicOutcome, Measurement, Runner, StaticOutcome};
 use crate::org::{ConfigSpace, Organization};
 use crate::system::{ResizableCacheSide, SystemConfig};
+
+/// One (associativity, organization) cell of a static grid with its 32K
+/// system.
+type GridCell = (u32, Organization, SystemConfig);
+
+/// Every application's outcome of each cell of a static grid, as
+/// [`static_grid`] returns it.
+pub type GridOutcome = Vec<(u32, Organization, Vec<StaticOutcome>)>;
+
+/// The associativities of Figures 4 and 6: 32K L1s of 2, 4, 8 and 16 ways.
+pub const PAPER_ASSOCIATIVITIES: [u32; 4] = [2, 4, 8, 16];
 
 /// Figures 4, 5 and 6: static resizing of `side` with each of
 /// `organizations`, on a 32K L1 of each base associativity, on the base
@@ -38,8 +53,19 @@ pub fn static_grid(
     associativities: &[u32],
     organizations: &[Organization],
     side: ResizableCacheSide,
-) -> Vec<(u32, Organization, Vec<StaticOutcome>)> {
-    let cells: Vec<(u32, Organization, SystemConfig)> = associativities
+) -> GridOutcome {
+    let cells = grid_cells(associativities, organizations, side);
+    let rows = per_app(runner, apps, |app| grid_row(runner, app, &cells, side));
+    label_cells(&cells, rows)
+}
+
+/// The applicable cells of a 32K grid of `side`, associativity-major.
+fn grid_cells(
+    associativities: &[u32],
+    organizations: &[Organization],
+    side: ResizableCacheSide,
+) -> Vec<GridCell> {
+    associativities
         .iter()
         .flat_map(|&assoc| {
             let system = SystemConfig::with_l1(32 * 1024, assoc);
@@ -48,17 +74,28 @@ pub fn static_grid(
         .filter(|(_, org, system)| {
             ConfigSpace::enumerate(side.config_of(&system.hierarchy), *org).is_ok()
         })
-        .collect();
-    let rows = per_app(runner, apps, |app| {
-        cells
-            .iter()
-            .map(|(_, org, system)| {
-                runner
-                    .static_best(app, system, *org, side)
-                    .expect("applicability checked above")
-            })
-            .collect()
-    });
+        .collect()
+}
+
+/// One application's static search of `side` in every cell of `cells`.
+fn grid_row(
+    runner: &Runner,
+    app: &AppProfile,
+    cells: &[GridCell],
+    side: ResizableCacheSide,
+) -> Vec<StaticOutcome> {
+    cells
+        .iter()
+        .map(|(_, org, system)| {
+            runner
+                .static_best(app, system, *org, side)
+                .expect("grid cells are applicable")
+        })
+        .collect()
+}
+
+/// Per-application rows of [`grid_row`] as one column per cell, labelled.
+fn label_cells(cells: &[GridCell], rows: Vec<Vec<StaticOutcome>>) -> GridOutcome {
     cells
         .iter()
         .zip(by_cell(rows, cells.len()))
@@ -131,15 +168,27 @@ pub fn static_vs_dynamic(
             .iter()
             .map(|system| {
                 let static_outcome = runner.static_best(app, system, organization, side)?;
-                let dynamic_outcome =
-                    runner.dynamic_best(app, system, organization, side, &static_outcome)?;
-                Ok((static_outcome, dynamic_outcome))
+                with_dynamic(runner, app, system, organization, side, static_outcome)
             })
             .collect::<Result<Vec<_>, CoreError>>()
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
     Ok(by_cell(rows, systems.len()))
+}
+
+/// One application's best dynamic resizing of `side` on `system`, profiled
+/// from its static search `static_outcome`, next to that search.
+fn with_dynamic(
+    runner: &Runner,
+    app: &AppProfile,
+    system: &SystemConfig,
+    organization: Organization,
+    side: ResizableCacheSide,
+    static_outcome: StaticOutcome,
+) -> Result<(StaticOutcome, DynamicOutcome), CoreError> {
+    let dynamic_outcome = runner.dynamic_best(app, system, organization, side, &static_outcome)?;
+    Ok((static_outcome, dynamic_outcome))
 }
 
 /// One application of Figure 9: the best static d-cache-only and
@@ -213,37 +262,134 @@ pub fn dual_resizing(
     system: &SystemConfig,
     organization: Organization,
 ) -> Result<Vec<DualOutcome>, CoreError> {
-    let (d_cfg, i_cfg) = (system.hierarchy.l1d, system.hierarchy.l1i);
     per_app(runner, apps, |app| {
         let d_alone = runner.static_best(app, system, organization, ResizableCacheSide::Data)?;
         let i_alone =
             runner.static_best(app, system, organization, ResizableCacheSide::Instruction)?;
-        // Memoized: when either side's choice is the full size, this shares
-        // a simulation already run above.
-        let both = runner.run_static(
+        Ok(dual_outcome(
+            runner,
             app,
             system,
-            Some(d_alone.best.choice),
-            Some(i_alone.best.choice),
-            organization.tag_bits(&d_cfg),
-            organization.tag_bits(&i_cfg),
-        );
-        Ok(DualOutcome {
+            organization,
             d_alone,
             i_alone,
-            both,
-            l1d_bytes: d_cfg.size_bytes,
-            l1i_bytes: i_cfg.size_bytes,
-        })
+        ))
     })
     .into_iter()
     .collect()
 }
 
+/// One application of Figure 9 from its single-cache searches on `system`:
+/// both caches run together at the points those searches chose.
+fn dual_outcome(
+    runner: &Runner,
+    app: &AppProfile,
+    system: &SystemConfig,
+    organization: Organization,
+    d_alone: StaticOutcome,
+    i_alone: StaticOutcome,
+) -> DualOutcome {
+    let (d_cfg, i_cfg) = (system.hierarchy.l1d, system.hierarchy.l1i);
+    // Memoized: when either side's choice is the full size, this shares a
+    // simulation the searches already ran.
+    let both = runner.run_static(
+        app,
+        system,
+        Some(d_alone.best.choice),
+        Some(i_alone.best.choice),
+        organization.tag_bits(&d_cfg),
+        organization.tag_bits(&i_cfg),
+    );
+    DualOutcome {
+        d_alone,
+        i_alone,
+        both,
+        l1d_bytes: d_cfg.size_bytes,
+        l1i_bytes: i_cfg.size_bytes,
+    }
+}
+
+/// Every cell the paper plots, from one [`paper`] call. Per-side arrays are
+/// in [`ResizableCacheSide::ALL`] order (d-cache first), and every list of
+/// outcomes is in application order.
+#[derive(Debug, Clone)]
+pub struct PaperOutcome {
+    /// Figure 6: every organization at each of [`PAPER_ASSOCIATIVITIES`],
+    /// as [`static_grid`] returns it. Figure 4 reads its selective-ways and
+    /// selective-sets cells, and Figure 5 their 4-way ones.
+    pub grids: [GridOutcome; 2],
+    /// Figures 7 (d-cache) and 8 (i-cache): selective-sets on the 32K 2-way
+    /// L1, as [`static_vs_dynamic`] returns it for the in-order processor,
+    /// then the base out-of-order one. The out-of-order static searches are
+    /// the grid's 2-way selective-sets cell.
+    pub strategies: [Vec<Vec<(StaticOutcome, DynamicOutcome)>>; 2],
+    /// Figure 9: selective-sets on the base system, as [`dual_resizing`]
+    /// returns it. Its single-cache searches are the grids' 2-way
+    /// selective-sets cells.
+    pub dual: Vec<DualOutcome>,
+}
+
+/// Figures 4–9 in one run: each application's one job runs both sides'
+/// Figure 6 grid, the in-order searches of Figures 7/8, every dynamic
+/// search of Figures 7/8 and Figure 9's joint run, holding the
+/// application's trace throughout.
+///
+/// The base system's L1s are 32K 2-way, so the grid's 2-way selective-sets
+/// cell is the static search of Figures 7/8's out-of-order column and of
+/// Figure 9's single caches: those are read from the grid, not searched
+/// again.
+pub fn paper(runner: &Runner, apps: &[AppProfile]) -> PaperOutcome {
+    let sets = Organization::SelectiveSets;
+    let applies = "selective-sets applies to the 32K 2-way L1s";
+    let cells = ResizableCacheSide::ALL
+        .map(|side| grid_cells(&PAPER_ASSOCIATIVITIES, &Organization::ALL, side));
+    let two_way_sets = cells[0]
+        .iter()
+        .position(|&(assoc, org, _)| assoc == 2 && org == sets)
+        .expect(applies);
+    let base = cells[0][two_way_sets].2;
+    let in_order = SystemConfig::in_order();
+    let rows = per_app(runner, apps, |app| {
+        let grids: [Vec<StaticOutcome>; 2] =
+            std::array::from_fn(|i| grid_row(runner, app, &cells[i], ResizableCacheSide::ALL[i]));
+        let strategies: [_; 2] = std::array::from_fn(|i| {
+            let side = ResizableCacheSide::ALL[i];
+            let in_order_static = runner
+                .static_best(app, &in_order, sets, side)
+                .expect(applies);
+            [
+                (&in_order, in_order_static),
+                (&base, grids[i][two_way_sets].clone()),
+            ]
+            .map(|(system, s)| with_dynamic(runner, app, system, sets, side, s).expect(applies))
+        });
+        let [d_alone, i_alone] = grids.each_ref().map(|row| row[two_way_sets].clone());
+        let dual = dual_outcome(runner, app, &base, sets, d_alone, i_alone);
+        (grids, strategies, dual)
+    });
+
+    let mut grid_rows: [Vec<Vec<StaticOutcome>>; 2] = Default::default();
+    let mut strategy_rows: [Vec<Vec<_>>; 2] = Default::default();
+    let mut dual = Vec::with_capacity(apps.len());
+    for (grids, strategies, dual_row) in rows {
+        for (i, (grid, strategy)) in grids.into_iter().zip(strategies).enumerate() {
+            grid_rows[i].push(grid);
+            strategy_rows[i].push(strategy.into());
+        }
+        dual.push(dual_row);
+    }
+    let mut cells = cells.into_iter();
+    PaperOutcome {
+        grids: grid_rows.map(|rows| label_cells(&cells.next().expect("one per side"), rows)),
+        strategies: strategy_rows.map(|rows| by_cell(rows, 2)),
+        dual,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::runner::RunnerConfig;
+    use crate::experiment::runner::{RunnerConfig, SearchOutcome};
     use crate::experiment::SharedTier;
     use crate::org::CachePoint;
     use rescache_trace::spec;
@@ -429,6 +575,79 @@ mod tests {
             health.misses as usize,
             apps.len() * (1 + sims),
             "{health:?}"
+        );
+    }
+
+    /// The fields of a search outcome that every figure derives from.
+    fn search_bits<K: Copy>(o: &SearchOutcome<K>) -> (String, K, u64, u64, usize) {
+        let m = &o.best.measurement;
+        let bits = (m.cycles, m.energy_pj.to_bits());
+        (
+            o.app.clone(),
+            o.best.choice,
+            bits.0,
+            bits.1,
+            o.evaluated.len(),
+        )
+    }
+
+    #[test]
+    fn paper_shares_every_run() {
+        let config = *tiny_runner(2_000, 8_000).config();
+        let apps = vec![spec::ammp(), spec::m88ksim(), spec::su2cor()];
+        let sets = Organization::SelectiveSets;
+        let shared = Runner::with_store(config, SharedTier::with_dir(None));
+        let outcome = paper(&shared, &apps);
+        let resident = shared.trace_store().resident_full_traces();
+        assert!(resident <= effective_workers(), "{resident}");
+
+        // The per-figure drivers in sequence, on a tier that keeps every
+        // trace, so each trace and static simulation runs once across them.
+        let separate = Runner::with_store(
+            config,
+            SharedTier::with_dir(None).with_resident_cap(usize::MAX),
+        );
+        for (side, grid) in ResizableCacheSide::ALL.into_iter().zip(&outcome.grids) {
+            let alone = static_grid(
+                &separate,
+                &apps,
+                &PAPER_ASSOCIATIVITIES,
+                &Organization::ALL,
+                side,
+            );
+            assert_eq!(grid.len(), alone.len());
+            for ((a, o, ours), (alone_a, alone_o, theirs)) in grid.iter().zip(&alone) {
+                assert_eq!((a, o), (alone_a, alone_o));
+                let ours: Vec<_> = ours.iter().map(search_bits).collect();
+                assert_eq!(ours, theirs.iter().map(search_bits).collect::<Vec<_>>());
+            }
+        }
+        let systems = [SystemConfig::in_order(), SystemConfig::base()];
+        for (side, per_system) in ResizableCacheSide::ALL.into_iter().zip(&outcome.strategies) {
+            let alone = static_vs_dynamic(&separate, &apps, &systems, sets, side).unwrap();
+            let bits = |pairs: &[(StaticOutcome, DynamicOutcome)]| -> Vec<_> {
+                pairs
+                    .iter()
+                    .map(|(s, d)| (search_bits(s), search_bits(d)))
+                    .collect()
+            };
+            let ours: Vec<_> = per_system.iter().map(|pairs| bits(pairs)).collect();
+            let theirs: Vec<_> = alone.iter().map(|pairs| bits(pairs)).collect();
+            assert_eq!(ours, theirs);
+        }
+        let alone = dual_resizing(&separate, &apps, &SystemConfig::base(), sets).unwrap();
+        let dual_bits = |o: &DualOutcome| {
+            let both = (o.both.cycles, o.both.energy_pj.to_bits());
+            (search_bits(&o.d_alone), search_bits(&o.i_alone), both)
+        };
+        let ours: Vec<_> = outcome.dual.iter().map(dual_bits).collect();
+        assert_eq!(ours, alone.iter().map(dual_bits).collect::<Vec<_>>());
+
+        // One generation per trace and one run per static simulation on
+        // both tiers: the paper run repeats nothing the drivers share.
+        assert_eq!(
+            shared.trace_store().health().misses,
+            separate.trace_store().health().misses
         );
     }
 

@@ -16,15 +16,21 @@
 //! (the trace memo, the simulation memo and their health counters);
 //! [`TraceStore`] is another name for it.
 //!
-//! | Paper artefact | Driver | Outcome per application |
+//! [`figures::paper`] runs every figure in one call, one job per
+//! application; each figure reads one field of its [`PaperOutcome`]. The
+//! parametric drivers [`figures::static_grid`],
+//! [`figures::static_vs_dynamic`] and [`figures::dual_resizing`] run
+//! subsets of the same jobs.
+//!
+//! | Paper artefact | [`PaperOutcome`] field | Outcome per application |
 //! |---|---|---|
-//! | Table 1 (hybrid size grid) | [`crate::org::hybrid_grid`] | — |
-//! | Figure 4 (orgs vs. associativity) | [`figures::static_grid`] | [`StaticOutcome`] per (associativity, organization) |
-//! | Figure 5 (orgs per application, 4-way) | [`figures::static_grid`] at `&[4]` | [`StaticOutcome`] per organization |
-//! | Figure 6 (hybrid effectiveness) | [`figures::static_grid`] over [`Organization::ALL`](crate::org::Organization::ALL) | [`StaticOutcome`] per (associativity, organization) |
-//! | Figure 7 (d-cache static vs. dynamic) | [`figures::static_vs_dynamic`] | ([`StaticOutcome`], [`DynamicOutcome`]) |
-//! | Figure 8 (i-cache static vs. dynamic) | [`figures::static_vs_dynamic`] | ([`StaticOutcome`], [`DynamicOutcome`]) |
-//! | Figure 9 (resizing both L1s) | [`figures::dual_resizing`] | [`DualOutcome`] |
+//! | Table 1 (hybrid size grid) | — ([`crate::org::hybrid_grid`]) | — |
+//! | Figure 4 (orgs vs. associativity) | `grids`, selective-ways and selective-sets cells | [`StaticOutcome`] per (associativity, organization) |
+//! | Figure 5 (orgs per application, 4-way) | `grids`, 4-way selective-ways and selective-sets cells | [`StaticOutcome`] per organization |
+//! | Figure 6 (hybrid effectiveness) | `grids` | [`StaticOutcome`] per (associativity, organization) |
+//! | Figure 7 (d-cache static vs. dynamic) | `strategies[0]` | ([`StaticOutcome`], [`DynamicOutcome`]) per processor |
+//! | Figure 8 (i-cache static vs. dynamic) | `strategies[1]` | ([`StaticOutcome`], [`DynamicOutcome`]) per processor |
+//! | Figure 9 (resizing both L1s) | `dual` | [`DualOutcome`] |
 
 pub mod figures;
 pub mod parallel;
@@ -34,7 +40,10 @@ pub mod server;
 pub mod shared_tier;
 pub mod trace_store;
 
-pub use figures::{dual_resizing, mean_edp_reduction, static_grid, static_vs_dynamic, DualOutcome};
+pub use figures::{
+    dual_resizing, mean_edp_reduction, paper, static_grid, static_vs_dynamic, DualOutcome,
+    GridOutcome, PaperOutcome, PAPER_ASSOCIATIVITIES,
+};
 pub use parallel::{effective_workers, parallel_map};
 pub use report::{format_table, mean};
 pub use runner::{

@@ -1,8 +1,8 @@
 //! Pins the figure drivers' outcomes bit for bit at a reduced length.
 //!
 //! One hermetic runner (no trace directory) at 2,000 + 8,000 instructions,
-//! seed 42 and a 1,024-access controller interval runs every figure driver
-//! over the twelve SPEC profiles:
+//! seed 42 and a 1,024-access controller interval runs the whole-paper
+//! driver (`paper`) over the twelve SPEC profiles:
 //!
 //! * the static grid over every organization at 2/4/8/16-way on both L1s
 //!   (Figures 4, 5 and 6);
@@ -30,9 +30,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use rescache::core::experiment::{
-    dual_resizing, static_grid, static_vs_dynamic, DynamicOutcome, Measurement, StaticOutcome,
-};
+use rescache::core::experiment::{paper, DynamicOutcome, Measurement, StaticOutcome};
 use rescache::core::org::hybrid_grid;
 use rescache::prelude::*;
 
@@ -123,9 +121,9 @@ fn regenerate() -> String {
         writeln!(text, "table1 {line}").unwrap();
     }
 
-    for side in ResizableCacheSide::ALL {
-        let cells = static_grid(&runner, &apps, &[2, 4, 8, 16], &Organization::ALL, side);
-        for (assoc, org, outcomes) in &cells {
+    let paper = paper(&runner, &apps);
+    for (side, cells) in ResizableCacheSide::ALL.into_iter().zip(&paper.grids) {
+        for (assoc, org, outcomes) in cells {
             for o in outcomes {
                 let line = static_line(o);
                 writeln!(text, "grid {side} {assoc}-way {} {line}", org.label()).unwrap();
@@ -133,13 +131,8 @@ fn regenerate() -> String {
         }
     }
 
-    let systems = [SystemConfig::in_order(), SystemConfig::base()];
-    let per_side = ResizableCacheSide::ALL.map(|side| {
-        static_vs_dynamic(&runner, &apps, &systems, Organization::SelectiveSets, side)
-            .expect("selective-sets applies")
-    });
     for (index, name) in ["in-order", "out-of-order"].into_iter().enumerate() {
-        for (side, per_system) in ResizableCacheSide::ALL.into_iter().zip(&per_side) {
+        for (side, per_system) in ResizableCacheSide::ALL.into_iter().zip(&paper.strategies) {
             for (s, d) in &per_system[index] {
                 writeln!(text, "strategy {name} {side} static {}", static_line(s)).unwrap();
                 writeln!(text, "strategy {name} {side} dynamic {}", dynamic_line(d)).unwrap();
@@ -147,14 +140,7 @@ fn regenerate() -> String {
         }
     }
 
-    let dual = dual_resizing(
-        &runner,
-        &apps,
-        &SystemConfig::base(),
-        Organization::SelectiveSets,
-    )
-    .expect("selective-sets applies");
-    for o in &dual {
+    for o in &paper.dual {
         writeln!(text, "dual d-alone {}", static_line(&o.d_alone)).unwrap();
         writeln!(text, "dual i-alone {}", static_line(&o.i_alone)).unwrap();
         writeln!(
