@@ -98,18 +98,24 @@ fn table2() {
         "  writeback buffer / MSHR: {} entries / {} entries",
         hier.writeback_entries, cpu.mshr_entries
     );
-    for (name, cache, unit) in [
-        ("L1 i-cache", hier.l1i, "cycle"),
-        ("L1 d-cache", hier.l1d, "cycle"),
-        ("L2 unified cache", hier.l2, "cycles"),
-    ] {
-        println!(
-            "  {name:<23}: {}K {}-way; {} {unit}",
-            cache.size_bytes / 1024,
-            cache.associativity,
-            cache.hit_latency
-        );
-    }
+    println!(
+        "  L1 i-cache             : {}K {}-way; {} cycle",
+        hier.l1i.size_bytes / 1024,
+        hier.l1i.associativity,
+        hier.l1i.hit_latency
+    );
+    println!(
+        "  L1 d-cache             : {}K {}-way; {} cycle",
+        hier.l1d.size_bytes / 1024,
+        hier.l1d.associativity,
+        hier.l1d.hit_latency
+    );
+    println!(
+        "  L2 unified cache       : {}K {}-way; {} cycles",
+        hier.l2.size_bytes / 1024,
+        hier.l2.associativity,
+        hier.l2.hit_latency
+    );
     println!(
         "  memory access latency  : ({} + {} per 8 bytes) cycles",
         hier.memory_base_latency, hier.memory_per_8_bytes

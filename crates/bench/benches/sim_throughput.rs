@@ -5,7 +5,7 @@
 //! engine run per registry workload — and records the numbers in `BENCH_sim_throughput.json` at the workspace root so successive
 //! performance PRs have a tracked trajectory.
 //!
-//! Unlike the figure benches (which reproduce the paper's *results*), this
+//! Unlike the `paper` bench (which reproduces the paper's *results*), this
 //! bench measures the *simulator*: its unit is MIPS, millions of simulated
 //! instructions per second of wall-clock time. End-to-end sweeps (a paper
 //! figure in-process, a sweep service under load) are measured by

@@ -18,9 +18,9 @@ use rescache_core::experiment::{Runner, RunnerConfig};
 use rescache_core::Knobs;
 use rescache_trace::{spec, AppProfile};
 
-/// The configuration every figure bench runs: the paper-quality
-/// configuration with the length, seed and interval knobs applied (see
-/// [`knobs`]).
+/// The configuration the `paper` and `ablation` benches run: the
+/// paper-quality configuration with the length, seed and interval knobs
+/// applied (see [`knobs`]).
 pub fn bench_config() -> RunnerConfig {
     knobs().runner_config(RunnerConfig::paper())
 }
@@ -35,7 +35,7 @@ pub fn knobs() -> &'static Knobs {
     })
 }
 
-/// The runner used by every figure bench (see [`bench_config`]).
+/// The runner of the `paper` and `ablation` benches (see [`bench_config`]).
 pub fn bench_runner() -> Runner {
     Runner::new(bench_config())
 }

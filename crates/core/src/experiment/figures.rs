@@ -343,6 +343,8 @@ pub fn paper(runner: &Runner, apps: &[AppProfile]) -> PaperOutcome {
     let applies = "selective-sets applies to the 32K 2-way L1s";
     let cells = ResizableCacheSide::ALL
         .map(|side| grid_cells(&PAPER_ASSOCIATIVITIES, &Organization::ALL, side));
+    // Both sides' grids have the same cells: each cell's system sets both
+    // L1s alike.
     let two_way_sets = cells[0]
         .iter()
         .position(|&(assoc, org, _)| assoc == 2 && org == sets)
@@ -378,9 +380,9 @@ pub fn paper(runner: &Runner, apps: &[AppProfile]) -> PaperOutcome {
         }
         dual.push(dual_row);
     }
-    let mut cells = cells.into_iter();
+    let ([d_cells, i_cells], [d_rows, i_rows]) = (cells, grid_rows);
     PaperOutcome {
-        grids: grid_rows.map(|rows| label_cells(&cells.next().expect("one per side"), rows)),
+        grids: [label_cells(&d_cells, d_rows), label_cells(&i_cells, i_rows)],
         strategies: strategy_rows.map(|rows| by_cell(rows, 2)),
         dual,
     }

@@ -16,10 +16,10 @@
 //! * **Scope** — resizing the d-cache, the i-cache, or both at once
 //!   (Figure 9's additivity result).
 //!
-//! The [`experiment`] module contains one driver per table/figure of the
-//! paper; the `rescache-bench` crate turns each into a `cargo bench` target,
-//! and each figure bench (`fig4_*` to `fig9_*`) ends with "Paper reference"
-//! lines that give the paper's values for its measured rows.
+//! The [`experiment`] module's `paper` driver runs every figure of the
+//! paper in one call; the `rescache-bench` crate's `paper` bench prints
+//! every table and figure from it, and ends each figure with "Paper
+//! reference" lines that give the paper's values for its measured rows.
 //!
 //! # Quick start
 //!

@@ -1,6 +1,5 @@
 //! Integration tests for the paper's headline claims, run at a reduced scale
-//! (the full-scale figures are produced by the `cargo bench` targets in
-//! `crates/bench`).
+//! (the full-scale figures are printed by `cargo bench --bench paper`).
 
 use rescache::core::experiment::{
     dual_resizing, mean_edp_reduction, static_grid, static_vs_dynamic, Runner, RunnerConfig,
