@@ -10,7 +10,7 @@ use rescache_bench::{all_apps, bench_runner, print_config, print_header, timed};
 use rescache_cache::{CacheConfig, HierarchyConfig};
 use rescache_core::experiment::{
     format_table, mean, mean_edp_reduction, paper, DualOutcome, DynamicOutcome, GridOutcome,
-    PaperOutcome, StaticOutcome, PAPER_ASSOCIATIVITIES,
+    PaperOutcome, SearchOutcome, StaticOutcome, PAPER_ASSOCIATIVITIES,
 };
 use rescache_core::org::{hybrid_grid, ConfigSpace};
 use rescache_core::{Organization, ResizableCacheSide};
@@ -98,24 +98,17 @@ fn table2() {
         "  writeback buffer / MSHR: {} entries / {} entries",
         hier.writeback_entries, cpu.mshr_entries
     );
-    println!(
-        "  L1 i-cache             : {}K {}-way; {} cycle",
-        hier.l1i.size_bytes / 1024,
-        hier.l1i.associativity,
-        hier.l1i.hit_latency
-    );
-    println!(
-        "  L1 d-cache             : {}K {}-way; {} cycle",
-        hier.l1d.size_bytes / 1024,
-        hier.l1d.associativity,
-        hier.l1d.hit_latency
-    );
-    println!(
-        "  L2 unified cache       : {}K {}-way; {} cycles",
-        hier.l2.size_bytes / 1024,
-        hier.l2.associativity,
-        hier.l2.hit_latency
-    );
+    for (name, cache, cycles) in [
+        ("L1 i-cache", hier.l1i, "cycle"),
+        ("L1 d-cache", hier.l1d, "cycle"),
+        ("L2 unified cache", hier.l2, "cycles"),
+    ] {
+        let (kib, ways) = (cache.size_bytes / 1024, cache.associativity);
+        println!(
+            "  {name:<23}: {kib}K {ways}-way; {} {cycles}",
+            cache.hit_latency
+        );
+    }
     println!(
         "  memory access latency  : ({} + {} per 8 bytes) cycles",
         hier.memory_base_latency, hier.memory_per_8_bytes
@@ -185,19 +178,7 @@ fn figure5(outcome: &PaperOutcome) {
         let four_way = |org| cell(cells, 4, org).expect("both organizations apply at 4-way");
         let ways = four_way(Organization::SelectiveWays);
         let sets = four_way(Organization::SelectiveSets);
-        let rows: Vec<(&str, Vec<f64>)> = ways
-            .iter()
-            .zip(sets)
-            .map(|(w, s)| {
-                let values = vec![
-                    w.best.size_reduction_percent,
-                    s.best.size_reduction_percent,
-                    w.best.edp_reduction_percent,
-                    s.best.edp_reduction_percent,
-                ];
-                (w.app.as_str(), values)
-            })
-            .collect();
+        let rows: Vec<_> = ways.iter().zip(sets).map(|(w, s)| compared(w, s)).collect();
         print_app_table(side_label(side), &columns, &rows);
     }
     print_lines(&[
@@ -247,17 +228,12 @@ fn strategy_figure(side: ResizableCacheSide, per_system: &[Vec<(StaticOutcome, D
         Column::unaveraged("resizes", 0),
     ];
     for (label, pairs) in labels.into_iter().zip(per_system) {
-        let rows: Vec<(&str, Vec<f64>)> = pairs
+        let rows: Vec<_> = pairs
             .iter()
             .map(|(s, d)| {
-                let values = vec![
-                    s.best.size_reduction_percent,
-                    d.best.size_reduction_percent,
-                    s.best.edp_reduction_percent,
-                    d.best.edp_reduction_percent,
-                    d.best.measurement.resizes(side) as f64,
-                ];
-                (s.app.as_str(), values)
+                let (app, mut values) = compared(s, d);
+                values.push(d.best.measurement.resizes(side) as f64);
+                (app, values)
             })
             .collect();
         print_app_table(label, &columns, &rows);
@@ -309,6 +285,18 @@ fn figure9(outcomes: &[DualOutcome]) {
         "Paper reference: simultaneous resizing saves ~20 % of processor energy-delay on average,",
         "and the combined saving is close to the sum of the individual savings (additivity).",
     ]);
+}
+
+/// An application's row comparing search `a` with search `b`: both size
+/// reductions, then both energy-delay reductions.
+fn compared<'a, A, B>(a: &'a SearchOutcome<A>, b: &SearchOutcome<B>) -> (&'a str, Vec<f64>) {
+    let values = vec![
+        a.best.size_reduction_percent,
+        b.best.size_reduction_percent,
+        a.best.edp_reduction_percent,
+        b.best.edp_reduction_percent,
+    ];
+    (a.app.as_str(), values)
 }
 
 fn print_lines(lines: &[&str]) {

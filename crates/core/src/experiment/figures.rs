@@ -3,10 +3,6 @@
 //! order; the benches derive the plotted percentages from them, and each
 //! search's `best.choice` names the point or parameters it chose.
 //!
-//! [`paper`] runs every cell the paper plots in one call; [`static_grid`],
-//! [`static_vs_dynamic`] and [`dual_resizing`] run parametric subsets of
-//! the same per-application bodies.
-//!
 //! Every driver is application-major: one job per application runs all of
 //! that application's searches — every cell of a grid, every processor
 //! configuration — and holds the application's trace for the whole job, so
@@ -168,27 +164,15 @@ pub fn static_vs_dynamic(
             .iter()
             .map(|system| {
                 let static_outcome = runner.static_best(app, system, organization, side)?;
-                with_dynamic(runner, app, system, organization, side, static_outcome)
+                let dynamic_outcome =
+                    runner.dynamic_best(app, system, organization, side, &static_outcome)?;
+                Ok((static_outcome, dynamic_outcome))
             })
             .collect::<Result<Vec<_>, CoreError>>()
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
     Ok(by_cell(rows, systems.len()))
-}
-
-/// One application's best dynamic resizing of `side` on `system`, profiled
-/// from its static search `static_outcome`, next to that search.
-fn with_dynamic(
-    runner: &Runner,
-    app: &AppProfile,
-    system: &SystemConfig,
-    organization: Organization,
-    side: ResizableCacheSide,
-    static_outcome: StaticOutcome,
-) -> Result<(StaticOutcome, DynamicOutcome), CoreError> {
-    let dynamic_outcome = runner.dynamic_best(app, system, organization, side, &static_outcome)?;
-    Ok((static_outcome, dynamic_outcome))
 }
 
 /// One application of Figure 9: the best static d-cache-only and
@@ -263,16 +247,15 @@ pub fn dual_resizing(
     organization: Organization,
 ) -> Result<Vec<DualOutcome>, CoreError> {
     per_app(runner, apps, |app| {
-        let d_alone = runner.static_best(app, system, organization, ResizableCacheSide::Data)?;
-        let i_alone =
-            runner.static_best(app, system, organization, ResizableCacheSide::Instruction)?;
+        let [d_alone, i_alone] =
+            ResizableCacheSide::ALL.map(|side| runner.static_best(app, system, organization, side));
         Ok(dual_outcome(
             runner,
             app,
             system,
             organization,
-            d_alone,
-            i_alone,
+            d_alone?,
+            i_alone?,
         ))
     })
     .into_iter()
@@ -341,48 +324,54 @@ pub struct PaperOutcome {
 pub fn paper(runner: &Runner, apps: &[AppProfile]) -> PaperOutcome {
     let sets = Organization::SelectiveSets;
     let applies = "selective-sets applies to the 32K 2-way L1s";
-    let cells = ResizableCacheSide::ALL
-        .map(|side| grid_cells(&PAPER_ASSOCIATIVITIES, &Organization::ALL, side));
-    // Both sides' grids have the same cells: each cell's system sets both
-    // L1s alike.
-    let two_way_sets = cells[0]
+    // Each cell's system sets both L1s alike, so both sides' grids have
+    // these cells.
+    let cells = grid_cells(
+        &PAPER_ASSOCIATIVITIES,
+        &Organization::ALL,
+        ResizableCacheSide::Data,
+    );
+    let two_way_sets = cells
         .iter()
         .position(|&(assoc, org, _)| assoc == 2 && org == sets)
         .expect(applies);
-    let base = cells[0][two_way_sets].2;
+    let base = cells[two_way_sets].2;
     let in_order = SystemConfig::in_order();
     let rows = per_app(runner, apps, |app| {
-        let grids: [Vec<StaticOutcome>; 2] =
-            std::array::from_fn(|i| grid_row(runner, app, &cells[i], ResizableCacheSide::ALL[i]));
+        let grids = ResizableCacheSide::ALL.map(|side| grid_row(runner, app, &cells, side));
         let strategies: [_; 2] = std::array::from_fn(|i| {
             let side = ResizableCacheSide::ALL[i];
             let in_order_static = runner
                 .static_best(app, &in_order, sets, side)
                 .expect(applies);
-            [
+            let searched = [
                 (&in_order, in_order_static),
                 (&base, grids[i][two_way_sets].clone()),
-            ]
-            .map(|(system, s)| with_dynamic(runner, app, system, sets, side, s).expect(applies))
+            ];
+            Vec::from(searched.map(|(system, static_outcome)| {
+                let dynamic_outcome = runner
+                    .dynamic_best(app, system, sets, side, &static_outcome)
+                    .expect(applies);
+                (static_outcome, dynamic_outcome)
+            }))
         });
         let [d_alone, i_alone] = grids.each_ref().map(|row| row[two_way_sets].clone());
         let dual = dual_outcome(runner, app, &base, sets, d_alone, i_alone);
         (grids, strategies, dual)
     });
 
-    let mut grid_rows: [Vec<Vec<StaticOutcome>>; 2] = Default::default();
-    let mut strategy_rows: [Vec<Vec<_>>; 2] = Default::default();
+    let mut grid_rows: [Vec<_>; 2] = Default::default();
+    let mut strategy_rows: [Vec<_>; 2] = Default::default();
     let mut dual = Vec::with_capacity(apps.len());
     for (grids, strategies, dual_row) in rows {
         for (i, (grid, strategy)) in grids.into_iter().zip(strategies).enumerate() {
             grid_rows[i].push(grid);
-            strategy_rows[i].push(strategy.into());
+            strategy_rows[i].push(strategy);
         }
         dual.push(dual_row);
     }
-    let ([d_cells, i_cells], [d_rows, i_rows]) = (cells, grid_rows);
     PaperOutcome {
-        grids: [label_cells(&d_cells, d_rows), label_cells(&i_cells, i_rows)],
+        grids: grid_rows.map(|rows| label_cells(&cells, rows)),
         strategies: strategy_rows.map(|rows| by_cell(rows, 2)),
         dual,
     }

@@ -16,11 +16,8 @@
 //! (the trace memo, the simulation memo and their health counters);
 //! [`TraceStore`] is another name for it.
 //!
-//! [`figures::paper`] runs every figure in one call, one job per
-//! application; each figure reads one field of its [`PaperOutcome`]. The
-//! parametric drivers [`figures::static_grid`],
-//! [`figures::static_vs_dynamic`] and [`figures::dual_resizing`] run
-//! subsets of the same jobs.
+//! [`figures::paper`] runs every figure in one call; the parametric
+//! drivers beside it run subsets of the same per-application jobs.
 //!
 //! | Paper artefact | [`PaperOutcome`] field | Outcome per application |
 //! |---|---|---|
