@@ -81,8 +81,8 @@ figure_benches() {
 }
 # Runs one bench binary (argv: bench name and executable) and prints
 # "<bench>: <label><TAB><value>" lines: one per `completed in` line, then
-# the process's peak RSS, CPU seconds and wall seconds. The bench is this process's only child, so
-# RUSAGE_CHILDREN is the bench's own usage.
+# the process's peak RSS, CPU seconds and wall seconds. The bench is this
+# process's only child, so RUSAGE_CHILDREN is the bench's own usage.
 bench_run='
 import re, resource, subprocess, sys, time
 bench, exe = sys.argv[1], sys.argv[2]
@@ -163,8 +163,8 @@ run_side() {
                     for bench in $(figure_benches .); do
                         python3 -c "$bench_run" "$bench" "$(bench_exe "$bench")"
                     done > "${out%.json}.tsv"
-                    # A side's figure benches time their sweeps; an older
-                    # side's table-only bench prints no `completed in` line.
+                    # A bench may time nothing (an older side's `table1`),
+                    # but a side's figure benches together must.
                     if ! grep -qvE ': (peak_rss_mb|cpu_s|wall_s)	' "${out%.json}.tsv"; then
                         echo "paired_ab: the $1 figure benches printed no completed-in line" >&2
                         exit 1

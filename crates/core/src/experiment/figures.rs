@@ -247,15 +247,16 @@ pub fn dual_resizing(
     organization: Organization,
 ) -> Result<Vec<DualOutcome>, CoreError> {
     per_app(runner, apps, |app| {
-        let [d_alone, i_alone] =
-            ResizableCacheSide::ALL.map(|side| runner.static_best(app, system, organization, side));
+        let d_alone = runner.static_best(app, system, organization, ResizableCacheSide::Data)?;
+        let i_alone =
+            runner.static_best(app, system, organization, ResizableCacheSide::Instruction)?;
         Ok(dual_outcome(
             runner,
             app,
             system,
             organization,
-            d_alone?,
-            i_alone?,
+            d_alone,
+            i_alone,
         ))
     })
     .into_iter()
@@ -572,12 +573,11 @@ mod tests {
     /// The fields of a search outcome that every figure derives from.
     fn search_bits<K: Copy>(o: &SearchOutcome<K>) -> (String, K, u64, u64, usize) {
         let m = &o.best.measurement;
-        let bits = (m.cycles, m.energy_pj.to_bits());
         (
             o.app.clone(),
             o.best.choice,
-            bits.0,
-            bits.1,
+            m.cycles,
+            m.energy_pj.to_bits(),
             o.evaluated.len(),
         )
     }
