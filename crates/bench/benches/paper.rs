@@ -1,8 +1,5 @@
-//! Tables 1 and 2 and Figures 4–9 of the paper from one run: every figure
-//! cell is searched once ([`paper`]) and each table below is printed from
-//! its [`PaperOutcome`].
-//!
-//! A quick look at one figure is a reduced-length run of the whole paper,
+//! Tables 1 and 2 and Figures 4–9 of the paper, every figure printed from
+//! one [`paper`] run. A quick look at one figure is a reduced-length run,
 //! e.g. `RESCACHE_WARMUP=5000 RESCACHE_MEASURE=30000 cargo bench --bench
 //! paper` (a few seconds on two cores).
 
@@ -15,6 +12,9 @@ use rescache_core::experiment::{
 use rescache_core::org::{hybrid_grid, ConfigSpace};
 use rescache_core::{Organization, ResizableCacheSide};
 use rescache_cpu::CpuConfig;
+
+/// Each cache side's sub-figure label, in [`ResizableCacheSide::ALL`] order.
+const SIDE_LABELS: [&str; 2] = ["(a) D-Cache", "(b) I-Cache"];
 
 fn main() {
     print_config();
@@ -31,10 +31,8 @@ fn main() {
             "selective-ways EDP red. %",
             "selective-sets EDP red. %",
         ],
-        &[
-            "Paper reference (d-cache): ways 5/8/11/15 %, sets 9/11/9/6 % for 2/4/8/16-way.",
-            "Paper reference (i-cache): ways 6/10/13/17 %, sets 11/12/11/8 %.",
-        ],
+        "Paper reference (d-cache): ways 5/8/11/15 %, sets 9/11/9/6 % for 2/4/8/16-way.\n\
+         Paper reference (i-cache): ways 6/10/13/17 %, sets 11/12/11/8 %.",
     );
     figure5(&outcome);
     org_assoc_figure(
@@ -47,10 +45,8 @@ fn main() {
             "sets EDP red. %",
             "hybrid EDP red. %",
         ],
-        &[
-            "Paper reference (d-cache hybrid): 9/12/13/15 % for 2/4/8/16-way;",
-            "(i-cache hybrid): 11/13/14/17 %. Hybrid always >= max(ways, sets).",
-        ],
+        "Paper reference (d-cache hybrid): 9/12/13/15 % for 2/4/8/16-way;\n\
+         (i-cache hybrid): 11/13/14/17 %. Hybrid always >= max(ways, sets).",
     );
     for (side, per_system) in ResizableCacheSide::ALL.into_iter().zip(&outcome.strategies) {
         strategy_figure(side, per_system);
@@ -68,7 +64,6 @@ fn table1() {
     let config = CacheConfig::l1_default(32 * 1024, 4);
     let grid = hybrid_grid(config).expect("hybrid applies to the 32K 4-way cache");
     println!("{}", grid.render());
-
     for org in Organization::ALL {
         let space = ConfigSpace::enumerate(config, org).expect("organization applies");
         let sizes: Vec<String> = space
@@ -86,78 +81,71 @@ fn table2() {
     println!("Table 2 — base system configuration");
     let cpu = CpuConfig::base_out_of_order();
     let hier = HierarchyConfig::base();
-    println!(
-        "  issue/decode width     : {} instructions per cycle",
-        cpu.issue_width
-    );
-    println!(
-        "  ROB / LSQ              : {} entries / {} entries",
-        cpu.rob_entries, cpu.lsq_entries
-    );
-    println!(
-        "  writeback buffer / MSHR: {} entries / {} entries",
-        hier.writeback_entries, cpu.mshr_entries
-    );
-    for (name, cache, cycles) in [
-        ("L1 i-cache", hier.l1i, "cycle"),
-        ("L1 d-cache", hier.l1d, "cycle"),
-        ("L2 unified cache", hier.l2, "cycles"),
-    ] {
+    let cache = |cache: CacheConfig, cycles| {
         let (kib, ways) = (cache.size_bytes / 1024, cache.associativity);
-        println!(
-            "  {name:<23}: {kib}K {ways}-way; {} {cycles}",
-            cache.hit_latency
-        );
+        format!("{kib}K {ways}-way; {} {cycles}", cache.hit_latency)
+    };
+    let (issue, rob, lsq) = (cpu.issue_width, cpu.rob_entries, cpu.lsq_entries);
+    let (wb, mshr) = (hier.writeback_entries, cpu.mshr_entries);
+    let (mem, per_8) = (hier.memory_base_latency, hier.memory_per_8_bytes);
+    for (name, value) in [
+        (
+            "issue/decode width",
+            format!("{issue} instructions per cycle"),
+        ),
+        ("ROB / LSQ", format!("{rob} entries / {lsq} entries")),
+        (
+            "writeback buffer / MSHR",
+            format!("{wb} entries / {mshr} entries"),
+        ),
+        ("L1 i-cache", cache(hier.l1i, "cycle")),
+        ("L1 d-cache", cache(hier.l1d, "cycle")),
+        ("L2 unified cache", cache(hier.l2, "cycles")),
+        (
+            "memory access latency",
+            format!("({mem} + {per_8} per 8 bytes) cycles"),
+        ),
+    ] {
+        println!("  {name:<23}: {value}");
     }
-    println!(
-        "  memory access latency  : ({} + {} per 8 bytes) cycles",
-        hier.memory_base_latency, hier.memory_per_8_bytes
-    );
 }
 
-/// Figures 4 and 6: the mean energy-delay reduction of static resizing with
-/// each of `orgs`, on 2/4/8/16-way 32K L1 d- and i-caches of the base
-/// out-of-order processor, read from `grids`. Prints the header `title`,
-/// one table per cache (columns `headers`: the associativity, then one per
-/// organization), then the paper's `reference` lines.
+/// Figures 4 and 6: per cache, the mean energy-delay reduction of each of
+/// `orgs` (columns `headers` after the associativity) at each associativity
+/// of `grids`, between the header `title` and the paper's `reference`.
 fn org_assoc_figure(
     title: &str,
-    grids: &[GridOutcome; 2],
+    grids: &[GridOutcome],
     orgs: &[Organization],
     headers: &[&str],
-    reference: &[&str],
+    reference: &str,
 ) {
     print_header(
         title,
         "Mean reduction (%) in processor energy-delay across the 12 applications, static resizing, base out-of-order processor.",
     );
-    for (side, cells) in ResizableCacheSide::ALL.into_iter().zip(grids) {
+    for (label, cells) in SIDE_LABELS.into_iter().zip(grids) {
         let rows: Vec<Vec<String>> = PAPER_ASSOCIATIVITIES
             .iter()
             .map(|&assoc| {
-                let values = orgs.iter().map(|&org| {
-                    cell(cells, assoc, org)
-                        .map(|outcomes| format!("{:.1}", mean_edp_reduction(outcomes)))
-                        .unwrap_or_else(|| "n/a".to_string())
-                });
+                let values = orgs
+                    .iter()
+                    .map(|&org| format!("{:.1}", mean_edp_reduction(cell(cells, assoc, org))));
                 std::iter::once(format!("{assoc}-way"))
                     .chain(values)
                     .collect()
             })
             .collect();
-        println!("{}", side_label(side));
+        println!("{label}");
         println!("{}", format_table(headers, &rows));
     }
-    print_lines(reference);
+    println!("{reference}");
 }
 
-/// Every application's outcome in the (`assoc`, `org`) cell of a grid, if
-/// the organization applies at that associativity.
-fn cell(cells: &GridOutcome, assoc: u32, org: Organization) -> Option<&[StaticOutcome]> {
-    cells
-        .iter()
-        .find(|(a, o, _)| *a == assoc && *o == org)
-        .map(|(_, _, outcomes)| outcomes.as_slice())
+/// Every application's outcome in the (`assoc`, `org`) cell of a grid.
+fn cell(cells: &GridOutcome, assoc: u32, org: Organization) -> &[StaticOutcome] {
+    let found = cells.iter().find(|(a, o, _)| *a == assoc && *o == org);
+    &found.expect("every organization applies at 2 to 16 ways").2
 }
 
 /// Figure 5: per-application comparison of static selective-ways and
@@ -169,63 +157,54 @@ fn figure5(outcome: &PaperOutcome) {
         "Per-application reductions in average cache size and processor energy-delay, static resizing, 32K 4-way L1s.",
     );
     let columns = [
-        Column::averaged("size red. % (ways)", 0),
-        Column::averaged("size red. % (sets)", 0),
-        Column::averaged("EDP red. % (ways)", 1),
-        Column::averaged("EDP red. % (sets)", 1),
+        ("size red. % (ways)", 0, true),
+        ("size red. % (sets)", 0, true),
+        ("EDP red. % (ways)", 1, true),
+        ("EDP red. % (sets)", 1, true),
     ];
-    for (side, cells) in ResizableCacheSide::ALL.into_iter().zip(&outcome.grids) {
-        let four_way = |org| cell(cells, 4, org).expect("both organizations apply at 4-way");
-        let ways = four_way(Organization::SelectiveWays);
-        let sets = four_way(Organization::SelectiveSets);
+    for (label, cells) in SIDE_LABELS.into_iter().zip(&outcome.grids) {
+        let ways = cell(cells, 4, Organization::SelectiveWays);
+        let sets = cell(cells, 4, Organization::SelectiveSets);
         let rows: Vec<_> = ways.iter().zip(sets).map(|(w, s)| compared(w, s)).collect();
-        print_app_table(side_label(side), &columns, &rows);
+        print_app_table(label, &columns, &rows);
     }
-    print_lines(&[
-        "Paper reference: selective-sets wins for 10 of 12 applications on the d-cache;",
-        "compress favours selective-ways; swim does not downsize; gcc/tomcatv do not downsize the i-cache.",
-    ]);
+    println!(
+        "Paper reference: selective-sets wins for 10 of 12 applications on the d-cache;\n\
+         compress favours selective-ways; swim does not downsize; gcc/tomcatv do not downsize the i-cache."
+    );
 }
 
-/// Figures 7 (d-cache) and 8 (i-cache): static vs. miss-ratio-based
-/// dynamic selective-sets resizing of `side`'s cache, on the
-/// in-order/blocking and out-of-order/non-blocking configurations
-/// (`per_system`, in that order). Prints one table per configuration, then
-/// the paper's reference lines.
+/// Figures 7 (d-cache) and 8 (i-cache): static vs. dynamic selective-sets
+/// resizing of `side`, one table per processor configuration of
+/// `per_system` (in-order/blocking, then out-of-order/non-blocking).
 fn strategy_figure(side: ResizableCacheSide, per_system: &[Vec<(StaticOutcome, DynamicOutcome)>]) {
-    let (title, reference): (&str, &[&str]) = match side {
+    let (title, reference) = match side {
         ResizableCacheSide::Data => (
             "Figure 7 — d-cache resizing in two processor configurations",
-            &[
-                "Paper reference: in-order static 5 % vs dynamic 9 %; out-of-order static 9 % vs dynamic 11 %.",
-                "Dynamic's advantage should be clearly larger on the in-order/blocking configuration.",
-            ],
+            "Paper reference: in-order static 5 % vs dynamic 9 %; out-of-order static 9 % vs dynamic 11 %.\n\
+             Dynamic's advantage should be clearly larger on the in-order/blocking configuration.",
         ),
         ResizableCacheSide::Instruction => (
             "Figure 8 — i-cache resizing in two processor configurations",
-            &[
-                "Paper reference: in-order static 16 % vs dynamic 18 %; out-of-order static 11 % vs dynamic 15 %.",
-                "For the i-cache, dynamic's advantage is larger on the out-of-order configuration,",
-                "where i-cache misses are more exposed to performance.",
-            ],
+            "Paper reference: in-order static 16 % vs dynamic 18 %; out-of-order static 11 % vs dynamic 15 %.\n\
+             For the i-cache, dynamic's advantage is larger on the out-of-order configuration,\n\
+             where i-cache misses are more exposed to performance.",
         ),
     };
-    print_header(
-        title,
-        &format!(
-            "Static vs. miss-ratio-based dynamic selective-sets resizing of the 32K 2-way {side}."
-        ),
+    let detail = format!(
+        "Static vs. miss-ratio-based dynamic selective-sets resizing of the 32K 2-way {side}."
     );
+    print_header(title, &detail);
     let labels = [
         "(a) In-order issue engine with blocking d-cache",
         "(b) Out-of-order issue engine with non-blocking d-cache",
     ];
     let columns = [
-        Column::averaged("size red. % (static)", 0),
-        Column::averaged("size red. % (dynamic)", 0),
-        Column::averaged("EDP red. % (static)", 1),
-        Column::averaged("EDP red. % (dynamic)", 1),
-        Column::unaveraged("resizes", 0),
+        ("size red. % (static)", 0, true),
+        ("size red. % (dynamic)", 0, true),
+        ("EDP red. % (static)", 1, true),
+        ("EDP red. % (dynamic)", 1, true),
+        ("resizes", 0, false),
     ];
     for (label, pairs) in labels.into_iter().zip(per_system) {
         let rows: Vec<_> = pairs
@@ -238,12 +217,11 @@ fn strategy_figure(side: ResizableCacheSide, per_system: &[Vec<(StaticOutcome, D
             .collect();
         print_app_table(label, &columns, &rows);
     }
-    print_lines(reference);
+    println!("{reference}");
 }
 
-/// Figure 9: resizing the d-cache alone, the i-cache alone, and both caches
-/// simultaneously (additivity of the savings), with static selective-sets
-/// on the base out-of-order system.
+/// Figure 9: static selective-sets resizing of the d-cache alone, the
+/// i-cache alone, and both at once (additivity of the savings).
 fn figure9(outcomes: &[DualOutcome]) {
     print_header(
         "Figure 9 — decoupled resizings on d-cache and i-cache",
@@ -256,9 +234,9 @@ fn figure9(outcomes: &[DualOutcome]) {
     print_app_table(
         "(a) Cache size reduction (% of combined d+i capacity)",
         &[
-            Column::averaged("d-cache alone", 0),
-            Column::averaged("i-cache alone", 0),
-            Column::averaged("both", 0),
+            ("d-cache alone", 0, true),
+            ("i-cache alone", 0, true),
+            ("both", 0, true),
         ],
         &sizes,
     );
@@ -273,18 +251,18 @@ fn figure9(outcomes: &[DualOutcome]) {
     print_app_table(
         "(b) Energy-delay reduction (%)",
         &[
-            Column::averaged("d-cache alone", 1),
-            Column::averaged("i-cache alone", 1),
-            Column::averaged("both together", 1),
-            Column::averaged("d+i stacked", 1),
-            Column::averaged("slowdown % (both)", 1),
+            ("d-cache alone", 1, true),
+            ("i-cache alone", 1, true),
+            ("both together", 1, true),
+            ("d+i stacked", 1, true),
+            ("slowdown % (both)", 1, true),
         ],
         &edps,
     );
-    print_lines(&[
-        "Paper reference: simultaneous resizing saves ~20 % of processor energy-delay on average,",
-        "and the combined saving is close to the sum of the individual savings (additivity).",
-    ]);
+    println!(
+        "Paper reference: simultaneous resizing saves ~20 % of processor energy-delay on average,\n\
+         and the combined saving is close to the sum of the individual savings (additivity)."
+    );
 }
 
 /// An application's row comparing search `a` with search `b`: both size
@@ -299,53 +277,13 @@ fn compared<'a, A, B>(a: &'a SearchOutcome<A>, b: &SearchOutcome<B>) -> (&'a str
     (a.app.as_str(), values)
 }
 
-fn print_lines(lines: &[&str]) {
-    for line in lines {
-        println!("{line}");
-    }
-}
-
-/// The sub-figure label of one cache side: "(a) D-Cache" or "(b) I-Cache".
-fn side_label(side: ResizableCacheSide) -> &'static str {
-    match side {
-        ResizableCacheSide::Data => "(a) D-Cache",
-        ResizableCacheSide::Instruction => "(b) I-Cache",
-    }
-}
-
-/// One column of a per-application table (see [`print_app_table`]).
-#[derive(Clone, Copy, Debug)]
-struct Column {
-    header: &'static str,
-    decimals: usize,
-    averaged: bool,
-}
-
-impl Column {
-    /// A column printed with `decimals` decimals whose `AVG.` cell is the
-    /// mean over the applications.
-    const fn averaged(header: &'static str, decimals: usize) -> Self {
-        Self {
-            header,
-            decimals,
-            averaged: true,
-        }
-    }
-
-    /// A column whose `AVG.` cell stays empty, such as a count of resizes.
-    const fn unaveraged(header: &'static str, decimals: usize) -> Self {
-        Self {
-            header,
-            decimals,
-            averaged: false,
-        }
-    }
-}
+/// A column of [`print_app_table`]: header, decimals, and whether its `AVG.`
+/// cell is the mean over the applications (a count of resizes is not).
+type Column = (&'static str, usize, bool);
 
 /// Prints `label`, then a table with an "application" column and
-/// `columns`: one row per `(application, values)`, where `values[i]` goes
-/// under `columns[i]`, then an `AVG.` row with the mean of every averaged
-/// column.
+/// `columns`: one row per `(application, values)` with `values[i]` under
+/// `columns[i]`, then an `AVG.` row.
 fn print_app_table(label: &str, columns: &[Column], rows: &[(&str, Vec<f64>)]) {
     let mut table: Vec<Vec<String>> = rows
         .iter()
@@ -353,25 +291,28 @@ fn print_app_table(label: &str, columns: &[Column], rows: &[(&str, Vec<f64>)]) {
             let cells = columns
                 .iter()
                 .zip(values)
-                .map(|(c, v)| format!("{v:.*}", c.decimals));
+                .map(|((_, decimals, _), v)| format!("{v:.*}", decimals));
             std::iter::once(app.to_string()).chain(cells).collect()
         })
         .collect();
-    let averages = columns.iter().enumerate().map(|(i, c)| {
-        if c.averaged {
-            let values: Vec<f64> = rows.iter().map(|(_, values)| values[i]).collect();
-            format!("{:.*}", c.decimals, mean(&values))
-        } else {
-            String::new()
-        }
-    });
+    let averages = columns
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, decimals, averaged))| {
+            if averaged {
+                let values: Vec<f64> = rows.iter().map(|(_, values)| values[i]).collect();
+                format!("{:.*}", decimals, mean(&values))
+            } else {
+                String::new()
+            }
+        });
     table.push(
         std::iter::once("AVG.".to_string())
             .chain(averages)
             .collect(),
     );
     let headers: Vec<&str> = std::iter::once("application")
-        .chain(columns.iter().map(|c| c.header))
+        .chain(columns.iter().map(|(header, _, _)| *header))
         .collect();
     println!("{label}");
     println!("{}", format_table(&headers, &table));

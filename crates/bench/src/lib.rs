@@ -1,16 +1,9 @@
-//! Shared helpers for the `rescache` benchmark harness.
-//!
-//! The crate has three `[[bench]]` targets: `paper` prints Tables 1 and 2
-//! and every figure (4–9) of the HPCA 2002 resizable-cache paper from one
-//! run of [`rescache_core::experiment::paper`], `ablation` sweeps three
-//! design choices, and `sim_throughput` is the throughput harness. The
-//! helpers here keep them small: a common runner configuration (the
-//! paper's, with the `RESCACHE_*` knobs of [`rescache_core::Knobs`]
-//! applied; a malformed knob stops the bench before any work, with exit
-//! status 2), the full application list, the configuration and section
-//! headers, a tiny stopwatch for reporting how long a sweep took, and the
-//! median/min/max summary the throughput harness reports its timing
-//! samples with.
+//! Shared helpers of the `rescache` benches: `paper` (Tables 1 and 2 and
+//! Figures 4–9 of the HPCA 2002 resizable-cache paper), `ablation` and the
+//! `sim_throughput` harness. They share the runner configuration (the
+//! paper's, with the `RESCACHE_*` knobs of [`rescache_core::Knobs`] applied;
+//! a malformed knob exits with status 2 before any work), the application
+//! list, the headers, a stopwatch and a median/min/max [`Spread`].
 
 use std::time::Instant;
 

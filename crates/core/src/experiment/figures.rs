@@ -20,8 +20,7 @@ use crate::experiment::runner::{DynamicOutcome, Measurement, Runner, StaticOutco
 use crate::org::{ConfigSpace, Organization};
 use crate::system::{ResizableCacheSide, SystemConfig};
 
-/// One (associativity, organization) cell of a static grid with its 32K
-/// system.
+/// One (associativity, organization) cell of a static grid, with its system.
 type GridCell = (u32, Organization, SystemConfig);
 
 /// Every application's outcome of each cell of a static grid, as
@@ -35,14 +34,8 @@ pub const PAPER_ASSOCIATIVITIES: [u32; 4] = [2, 4, 8, 16];
 /// `organizations`, on a 32K L1 of each base associativity, on the base
 /// out-of-order processor. Returns, per applicable (associativity,
 /// organization) pair in input order, every application's outcome in the
-/// order of `apps`.
-///
-/// Organizations that are inapplicable at an associativity (selective-ways
-/// on a direct-mapped cache) are skipped; the paper evaluates only
-/// meaningful combinations.
-///
-/// Each application's job searches every cell in turn, so its trace is
-/// generated once for the whole grid.
+/// order of `apps`. Inapplicable cells (selective-ways on a direct-mapped
+/// cache) are skipped, as in the paper.
 pub fn static_grid(
     runner: &Runner,
     apps: &[AppProfile],
@@ -146,9 +139,6 @@ pub fn mean_edp_reduction(outcomes: &[StaticOutcome]) -> f64 {
 /// The paper uses 32K 2-way L1 caches and selective-sets here;
 /// `organization` is a parameter so the ablation bench can vary it.
 ///
-/// Each application's job runs every system in turn, so its trace is
-/// generated once for all of them.
-///
 /// # Errors
 ///
 /// Returns an error if the organization cannot be applied to the cache.
@@ -160,19 +150,31 @@ pub fn static_vs_dynamic(
     side: ResizableCacheSide,
 ) -> Result<Vec<Vec<(StaticOutcome, DynamicOutcome)>>, CoreError> {
     let rows = per_app(runner, apps, |app| {
-        systems
-            .iter()
-            .map(|system| {
-                let static_outcome = runner.static_best(app, system, organization, side)?;
-                let dynamic_outcome =
-                    runner.dynamic_best(app, system, organization, side, &static_outcome)?;
-                Ok((static_outcome, dynamic_outcome))
-            })
-            .collect::<Result<Vec<_>, CoreError>>()
+        strategy_row(runner, app, systems, organization, side)
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
     Ok(by_cell(rows, systems.len()))
+}
+
+/// One application's static and dynamic searches of `side` on each of
+/// `systems`.
+fn strategy_row(
+    runner: &Runner,
+    app: &AppProfile,
+    systems: &[SystemConfig],
+    organization: Organization,
+    side: ResizableCacheSide,
+) -> Result<Vec<(StaticOutcome, DynamicOutcome)>, CoreError> {
+    systems
+        .iter()
+        .map(|system| {
+            let static_outcome = runner.static_best(app, system, organization, side)?;
+            let dynamic_outcome =
+                runner.dynamic_best(app, system, organization, side, &static_outcome)?;
+            Ok((static_outcome, dynamic_outcome))
+        })
+        .collect()
 }
 
 /// One application of Figure 9: the best static d-cache-only and
@@ -247,32 +249,22 @@ pub fn dual_resizing(
     organization: Organization,
 ) -> Result<Vec<DualOutcome>, CoreError> {
     per_app(runner, apps, |app| {
-        let d_alone = runner.static_best(app, system, organization, ResizableCacheSide::Data)?;
-        let i_alone =
-            runner.static_best(app, system, organization, ResizableCacheSide::Instruction)?;
-        Ok(dual_outcome(
-            runner,
-            app,
-            system,
-            organization,
-            d_alone,
-            i_alone,
-        ))
+        dual_row(runner, app, system, organization)
     })
     .into_iter()
     .collect()
 }
 
-/// One application of Figure 9 from its single-cache searches on `system`:
+/// One application of Figure 9: its single-cache searches on `system`, and
 /// both caches run together at the points those searches chose.
-fn dual_outcome(
+fn dual_row(
     runner: &Runner,
     app: &AppProfile,
     system: &SystemConfig,
     organization: Organization,
-    d_alone: StaticOutcome,
-    i_alone: StaticOutcome,
-) -> DualOutcome {
+) -> Result<DualOutcome, CoreError> {
+    let d_alone = runner.static_best(app, system, organization, ResizableCacheSide::Data)?;
+    let i_alone = runner.static_best(app, system, organization, ResizableCacheSide::Instruction)?;
     let (d_cfg, i_cfg) = (system.hierarchy.l1d, system.hierarchy.l1i);
     // Memoized: when either side's choice is the full size, this shares a
     // simulation the searches already ran.
@@ -284,96 +276,64 @@ fn dual_outcome(
         organization.tag_bits(&d_cfg),
         organization.tag_bits(&i_cfg),
     );
-    DualOutcome {
+    Ok(DualOutcome {
         d_alone,
         i_alone,
         both,
         l1d_bytes: d_cfg.size_bytes,
         l1i_bytes: i_cfg.size_bytes,
-    }
+    })
 }
 
-/// Every cell the paper plots, from one [`paper`] call. Per-side arrays are
+/// Every cell the paper plots, from one [`paper`] call. Per-side lists are
 /// in [`ResizableCacheSide::ALL`] order (d-cache first), and every list of
 /// outcomes is in application order.
 #[derive(Debug, Clone)]
 pub struct PaperOutcome {
-    /// Figure 6: every organization at each of [`PAPER_ASSOCIATIVITIES`],
-    /// as [`static_grid`] returns it. Figure 4 reads its selective-ways and
-    /// selective-sets cells, and Figure 5 their 4-way ones.
-    pub grids: [GridOutcome; 2],
+    /// Figures 4–6: every organization at each of [`PAPER_ASSOCIATIVITIES`],
+    /// as [`static_grid`] returns it.
+    pub grids: Vec<GridOutcome>,
     /// Figures 7 (d-cache) and 8 (i-cache): selective-sets on the 32K 2-way
     /// L1, as [`static_vs_dynamic`] returns it for the in-order processor,
-    /// then the base out-of-order one. The out-of-order static searches are
-    /// the grid's 2-way selective-sets cell.
-    pub strategies: [Vec<Vec<(StaticOutcome, DynamicOutcome)>>; 2],
+    /// then the base out-of-order one.
+    pub strategies: Vec<Vec<Vec<(StaticOutcome, DynamicOutcome)>>>,
     /// Figure 9: selective-sets on the base system, as [`dual_resizing`]
-    /// returns it. Its single-cache searches are the grids' 2-way
-    /// selective-sets cells.
+    /// returns it.
     pub dual: Vec<DualOutcome>,
 }
 
-/// Figures 4–9 in one run: each application's one job runs both sides'
-/// Figure 6 grid, the in-order searches of Figures 7/8, every dynamic
-/// search of Figures 7/8 and Figure 9's joint run, holding the
-/// application's trace throughout.
-///
-/// The base system's L1s are 32K 2-way, so the grid's 2-way selective-sets
-/// cell is the static search of Figures 7/8's out-of-order column and of
-/// Figure 9's single caches: those are read from the grid, not searched
-/// again.
+/// Figures 4–9 in one run: each application's one job runs the rows of
+/// [`static_grid`], [`static_vs_dynamic`] and [`dual_resizing`] for every
+/// figure. The base system's L1s are 32K 2-way, so the static searches on
+/// it replay simulations the grid's 2-way selective-sets cell ran.
 pub fn paper(runner: &Runner, apps: &[AppProfile]) -> PaperOutcome {
     let sets = Organization::SelectiveSets;
+    let systems = [SystemConfig::in_order(), SystemConfig::base()];
     let applies = "selective-sets applies to the 32K 2-way L1s";
-    // Each cell's system sets both L1s alike, so both sides' grids have
-    // these cells.
-    let cells = grid_cells(
-        &PAPER_ASSOCIATIVITIES,
-        &Organization::ALL,
-        ResizableCacheSide::Data,
-    );
-    let two_way_sets = cells
-        .iter()
-        .position(|&(assoc, org, _)| assoc == 2 && org == sets)
-        .expect(applies);
-    let base = cells[two_way_sets].2;
-    let in_order = SystemConfig::in_order();
-    let rows = per_app(runner, apps, |app| {
-        let grids = ResizableCacheSide::ALL.map(|side| grid_row(runner, app, &cells, side));
-        let strategies: [_; 2] = std::array::from_fn(|i| {
-            let side = ResizableCacheSide::ALL[i];
-            let in_order_static = runner
-                .static_best(app, &in_order, sets, side)
-                .expect(applies);
-            let searched = [
-                (&in_order, in_order_static),
-                (&base, grids[i][two_way_sets].clone()),
-            ];
-            Vec::from(searched.map(|(system, static_outcome)| {
-                let dynamic_outcome = runner
-                    .dynamic_best(app, system, sets, side, &static_outcome)
-                    .expect(applies);
-                (static_outcome, dynamic_outcome)
-            }))
+    // Each cell's system sets both L1s alike: both sides have these cells.
+    let data = ResizableCacheSide::Data;
+    let cells = grid_cells(&PAPER_ASSOCIATIVITIES, &Organization::ALL, data);
+    let (sides, dual): (Vec<_>, Vec<_>) = per_app(runner, apps, |app| {
+        let sides = ResizableCacheSide::ALL.map(|side| {
+            let grid = grid_row(runner, app, &cells, side);
+            let strategies = strategy_row(runner, app, &systems, sets, side).expect(applies);
+            (grid, strategies)
         });
-        let [d_alone, i_alone] = grids.each_ref().map(|row| row[two_way_sets].clone());
-        let dual = dual_outcome(runner, app, &base, sets, d_alone, i_alone);
-        (grids, strategies, dual)
-    });
-
-    let mut grid_rows: [Vec<_>; 2] = Default::default();
-    let mut strategy_rows: [Vec<_>; 2] = Default::default();
-    let mut dual = Vec::with_capacity(apps.len());
-    for (grids, strategies, dual_row) in rows {
-        for (i, (grid, strategy)) in grids.into_iter().zip(strategies).enumerate() {
-            grid_rows[i].push(grid);
-            strategy_rows[i].push(strategy);
-        }
-        dual.push(dual_row);
-    }
+        let dual = dual_row(runner, app, &systems[1], sets).expect(applies);
+        (Vec::from(sides), dual)
+    })
+    .into_iter()
+    .unzip();
+    let (grids, strategies) = by_cell(sides, 2)
+        .into_iter()
+        .map(|rows| {
+            let (grid, pairs): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
+            (label_cells(&cells, grid), by_cell(pairs, systems.len()))
+        })
+        .unzip();
     PaperOutcome {
-        grids: grid_rows.map(|rows| label_cells(&cells, rows)),
-        strategies: strategy_rows.map(|rows| by_cell(rows, 2)),
+        grids,
+        strategies,
         dual,
     }
 }

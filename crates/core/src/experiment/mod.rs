@@ -16,8 +16,8 @@
 //! (the trace memo, the simulation memo and their health counters);
 //! [`TraceStore`] is another name for it.
 //!
-//! [`figures::paper`] runs every figure in one call; the parametric
-//! drivers beside it run subsets of the same per-application jobs.
+//! [`figures::paper`] runs every figure in one call, each read from one
+//! field of its outcome; the parametric drivers run subsets of its jobs.
 //!
 //! | Paper artefact | [`PaperOutcome`] field | Outcome per application |
 //! |---|---|---|

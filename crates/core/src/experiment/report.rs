@@ -13,29 +13,25 @@ pub fn mean(values: &[f64]) -> f64 {
 /// cell. Intended for the bench harness output that mirrors the paper's
 /// figures.
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let columns = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate().take(columns) {
-            widths[i] = widths[i].max(cell.len());
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let render_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate() {
-            line.push_str(&format!("{:<width$}  ", cell, width = widths[i]));
-        }
-        line.trim_end().to_string()
+    let render = |cells: &[String]| {
+        let line: String = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, &width)| format!("{cell:<width$}  "))
+            .collect();
+        line.trim_end().to_string() + "\n"
     };
-    let header_cells: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    out.push_str(&render_row(&header_cells, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * columns));
-    out.push('\n');
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * headers.len());
+    let header: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let mut out = render(&header) + &rule + "\n";
     for row in rows {
-        out.push_str(&render_row(row, &widths));
-        out.push('\n');
+        out += &render(row);
     }
     out
 }

@@ -8,9 +8,9 @@
 //! set-but-empty value) is a [`CoreError::InvalidParameter`] naming the
 //! variable; nothing is silently defaulted.
 //!
-//! Entry points that can report errors (the `paper` and `ablation`
-//! benches, the `serve` example, the throughput harness) resolve the knobs
-//! before doing any work and exit with status 2 on an error. Library paths that cannot return one
+//! Entry points that can report errors (the benches and the `serve`
+//! example) resolve the knobs before doing any work and exit with status 2
+//! on an error. Library paths that cannot return one
 //! ([`Runner::new`](crate::experiment::Runner::new),
 //! [`effective_workers`](crate::experiment::effective_workers)) panic with
 //! the same typed message.
