@@ -13,9 +13,9 @@
 //!
 //! Run with `cargo bench --bench sim_throughput`. Every stage reports the
 //! median, minimum and maximum of [`SAMPLES`] timed repetitions. The
-//! store-backed stages (`trace_store_load`, `dyn_run`) work in a
+//! disk stage (`trace_store_load`) works in a
 //! `rescache-bench-<stage>-<pid>` directory under the system temp directory
-//! and remove it afterwards.
+//! and removes it afterwards.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -48,8 +48,8 @@ struct EngineResult {
 }
 
 /// A per-stage scratch store directory under the system temp directory,
-/// namespaced by stage and pid so concurrent runs cannot collide; callers
-/// remove it when done.
+/// namespaced by stage and pid so concurrent runs cannot collide; the
+/// caller removes it when done.
 fn scratch_dir(stage: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rescache-bench-{stage}-{}", std::process::id()))
 }
@@ -89,8 +89,8 @@ fn bench_trace_gen() -> EngineResult {
     })
 }
 
-/// Decoding a persisted trace from the on-disk store (the cross-process
-/// reuse path `RESCACHE_TRACE_DIR` enables): the stage times
+/// Decoding a persisted trace from the on-disk store (the load a tier built
+/// with [`SharedTier::with_dir`] runs on a persisted entry): the stage times
 /// `codec::load`, the whole-entry load the store runs.
 fn bench_trace_store_load() -> EngineResult {
     let n = 250_000;
@@ -191,9 +191,9 @@ fn bench_workloads() -> Vec<EngineResult> {
 
 /// One dynamic-controller run (warm-up + measured region with the miss-ratio
 /// resizing hook attached) through `Runner::run_dynamic` with an empty
-/// observer, on a runner whose store persists to a scratch directory: the
-/// path every dynamic experiment takes. The untimed first call generates and
-/// persists the entry; the timed repetitions replay the resident trace.
+/// observer, on an in-memory tier: the path every dynamic experiment takes.
+/// The untimed first call generates the trace; the timed repetitions replay
+/// the resident trace.
 fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> EngineResult {
     let warm_len = 20_000;
     let measure_len = 80_000;
@@ -204,9 +204,7 @@ fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> En
         dynamic_interval: 1_024,
         ..RunnerConfig::paper()
     };
-    let dir = scratch_dir(name);
-    std::fs::remove_dir_all(&dir).ok();
-    let tier = SharedTier::with_dir(Some(dir.clone()));
+    let tier = SharedTier::default();
     let runner = Runner::with_store(cfg, tier.clone());
     let app = spec::su2cor();
     let system = SystemConfig::base();
@@ -229,7 +227,6 @@ fn bench_dynamic(name: &'static str, health_out: &mut Option<StoreHealth>) -> En
     // quietly retried, regenerated or degraded is not measuring what it
     // claims to measure.
     *health_out = Some(tier.health());
-    std::fs::remove_dir_all(&dir).ok();
     result
 }
 
@@ -244,8 +241,7 @@ fn main() {
     println!("(median [min, max] seconds over {SAMPLES} timed repetitions per stage)");
     println!();
 
-    // Captured by the store-backed dynamic stage: its shared tier's
-    // health counters.
+    // Captured by the dynamic stage: its shared tier's health counters.
     let mut store_health = None;
     // Stages are pushed one at a time rather than built as one `vec![...]`
     // literal: materializing a dozen stage results as macro temporaries
@@ -276,10 +272,10 @@ fn main() {
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"rescache-sim-throughput/15\",\n");
-    // The dynamic stage's shared-tier health counters. `regenerations` and
-    // `warnings` read 0 with `"degraded": false` on a healthy machine;
-    // anything else flags a run whose numbers were taken while the store
-    // was fighting its disk.
+    // The dynamic stage's shared-tier health counters. Its tier is in
+    // memory, so `regenerations` and `warnings` read 0 with
+    // `"degraded": false`; the hit and miss counts show the timed
+    // repetitions replaying one resident trace.
     if let Some(h) = health {
         out.push_str(&format!(
             "  \"store_health\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \"regenerations\": {}, \"warnings\": {}, \"degraded\": {}}},\n",

@@ -13,7 +13,6 @@ use crate::error::CoreError;
 use crate::experiment::parallel::{effective_workers, parallel_map, parallel_map_on};
 use crate::experiment::shared_tier::SharedTier;
 use crate::experiment::trace_store::TraceKey;
-use crate::knobs::knobs;
 use crate::org::{CachePoint, ConfigSpace, Organization};
 use crate::strategy::{DynamicController, DynamicParams, ResizeDecision};
 use crate::system::{ResizableCacheSide, SystemConfig};
@@ -290,9 +289,7 @@ impl SimHook for Observed<'_> {
 ///
 /// * **traces** — `(profile, seed, lengths)` always expands to the same
 ///   record stream, and every configuration of an experiment replays it, so
-///   it is generated once and shared copy-free through the [`SharedTier`]
-///   (which also persists traces across processes when `RESCACHE_TRACE_DIR`
-///   is set);
+///   it is generated once and shared copy-free through the [`SharedTier`];
 /// * **static simulations** — a static run is a pure function of
 ///   `(trace, system, enabled geometry)`; the baseline, the full-size point
 ///   every organization offers, and sweep arms that differ only in
@@ -309,17 +306,15 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Creates a runner with empty trace and simulation caches over the
-    /// tier the [`Knobs`](crate::Knobs) configure: persisted under
-    /// `RESCACHE_TRACE_DIR` when set, keeping the traces running jobs hold
-    /// plus the one used last (see [`SharedTier::resident_cap`]). A
-    /// malformed knob panics with its typed error.
+    /// Creates a runner with empty trace and simulation caches over an
+    /// in-memory [`SharedTier`], which keeps the traces running jobs hold
+    /// plus the one used last (see [`SharedTier::resident_cap`]).
     pub fn new(config: RunnerConfig) -> Self {
-        Self::with_store(config, SharedTier::with_dir(knobs().trace_dir.clone()))
+        Self::with_store(config, SharedTier::default())
     }
 
-    /// Creates a runner over an explicit shared tier (tests and tools that
-    /// must control persistence; [`Runner::new`] follows the knobs). The
+    /// Creates a runner over an explicit shared tier: a raised resident
+    /// cap, or a persistence directory ([`SharedTier::with_dir`]). The
     /// tier carries the simulation memo as well as the traces, so two
     /// runners over one tier share simulations too.
     pub fn with_store(config: RunnerConfig, tier: SharedTier) -> Self {

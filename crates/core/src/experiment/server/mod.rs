@@ -35,10 +35,11 @@
 //!   **one** simulation, observable as
 //!   [`StoreHealth`](crate::experiment::StoreHealth) `coalesced`/`hits`
 //!   (`StoreHealth::result_cache_hit_rate` is the service's headline
-//!   metric). Several server *processes* can share one
-//!   `RESCACHE_TRACE_DIR` store too: each save renames a whole file into
-//!   place, so a cold entry two processes both generate is written twice
-//!   but never read torn;
+//!   metric). Several server *processes* whose tiers are built over one
+//!   directory ([`SharedTier::with_dir`](crate::experiment::SharedTier::with_dir))
+//!   share its entries too: each save renames a whole file into place, so a
+//!   cold entry two processes both generate is written twice but never read
+//!   torn;
 //! * malformed, oversized or unserviceable request lines get typed error
 //!   responses on the same connection — never a panic, never a silent
 //!   disconnect — and a per-connection request quota

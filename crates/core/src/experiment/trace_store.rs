@@ -8,9 +8,11 @@
 //! generated trace per `(application, seed, total length)` within a process
 //! (concurrent callers block on the one generation; warm/measure splits are
 //! copy-free views, so two runner configurations whose totals agree share one
-//! buffer) and — when `RESCACHE_TRACE_DIR` names a directory — persists each
-//! generated trace with the [`rescache_trace::codec`] so later processes of a
-//! multi-app/multi-seed campaign replay from disk instead of regenerating.
+//! buffer) and — when the tier is built over a directory
+//! ([`SharedTier::with_dir`]) — persists each generated trace with the
+//! [`rescache_trace::codec`] so later processes over that directory replay
+//! from disk instead of regenerating.
+//! [`Runner::new`](crate::experiment::Runner::new) builds an in-memory tier.
 //!
 //! There is one way to get records: [`SharedTier::fetch`] materializes (and
 //! memoizes) the full trace — loading a persisted entry whole with

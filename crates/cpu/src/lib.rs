@@ -60,9 +60,7 @@ pub use completion::COMPLETION_RING;
 pub use config::{CpuConfig, EngineKind};
 pub use fetch::FetchUnit;
 pub use hook::{NoopHook, SimHook};
-pub use inorder::InOrderEngine;
 pub use lsq::LoadStoreQueue;
-pub use ooo::OutOfOrderEngine;
 pub use result::{LatencyStats, SimResult};
 pub use rob::ReorderBuffer;
 pub use simulator::Simulator;

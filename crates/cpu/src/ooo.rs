@@ -1,6 +1,6 @@
 //! The out-of-order issue engine with a non-blocking data cache.
 //!
-//! [`OutOfOrderEngine::run`] is one loop over the record slice: each record
+//! [`run`] is one loop over the record slice: each record
 //! is fetched through the [`FetchUnit`], takes a ROB slot (committing the
 //! oldest entry when the window is full), reads its producers from the
 //! completion ring and dispatches on its one-byte kind tag. The loop counts
@@ -21,7 +21,9 @@ use crate::lsq::LoadStoreQueue;
 use crate::result::{LatencyStats, SimResult};
 use crate::rob::ReorderBuffer;
 
-/// Four-wide out-of-order issue with a non-blocking d-cache.
+/// Replays `records` against `hierarchy` on the four-wide out-of-order
+/// issue engine with a non-blocking d-cache, invoking `hook` after every
+/// dispatched-and-eventually-committed instruction.
 ///
 /// The model is dispatch-driven: instructions enter the window at up to
 /// `issue_width` per cycle (stalling on i-cache misses, branch mispredictions
@@ -31,197 +33,172 @@ use crate::rob::ReorderBuffer;
 /// paper finds static resizing competitive with dynamic resizing on this
 /// configuration: the extra d-cache misses a smaller static size causes are
 /// largely off the critical path.
-#[derive(Debug, Clone)]
-pub struct OutOfOrderEngine {
-    config: CpuConfig,
-}
+///
+/// `cfg` must pass [`CpuConfig::assert_valid`]; [`crate::Simulator::new`]
+/// checks it once. The loop monomorphizes over the hook:
+/// [`crate::NoopHook`] compiles the hook call away, so plain (non-resizing)
+/// simulations pay no per-instruction virtual call.
+pub fn run<H: SimHook + ?Sized>(
+    cfg: &CpuConfig,
+    records: &[InstrRecord],
+    hierarchy: &mut MemoryHierarchy,
+    hook: &mut H,
+) -> SimResult {
+    let mut dispatch_cycle: u64 = 1;
+    let mut dispatched_this_cycle: u32 = 0;
+    let mut fetch_resume_cycle: u64 = 0;
+    let mut completion = [0u64; COMPLETION_RING];
+    let mut rob = ReorderBuffer::new(cfg.rob_entries, cfg.issue_width);
+    let mut lsq = LoadStoreQueue::new(cfg.lsq_entries);
+    let mut mshr = MshrFile::new(cfg.mshr_entries);
+    let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, cfg.issue_width);
+    let mut predictor = BranchPredictor::default();
+    let mut last_forced_commit: u64 = 0;
+    let block_shift = hierarchy.config().l1d.block_bytes.max(1).trailing_zeros();
+    let store_latency_cap = hierarchy.config().l1d.hit_latency + 1;
+    // The ALU classes (the most common pair) resolve their latency by a
+    // two-entry table indexed with the kind tag instead of a branch.
+    let alu_latency = [cfg.int_latency, cfg.fp_latency];
+    // Only four activity totals are counted per instruction, without a
+    // branch; the full counter set follows from them (see
+    // `ActivityCounters::from_run_totals`).
+    let mut fp_ops: u64 = 0;
+    let mut mem_ops: u64 = 0;
+    let mut branches: u64 = 0;
+    let mut regfile_reads: u64 = 0;
+    let mut latency = LatencyStats::default();
 
-impl OutOfOrderEngine {
-    /// Creates the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero-sized structures.
-    pub fn new(config: CpuConfig) -> Self {
-        config.assert_valid();
-        Self { config }
-    }
+    let mut idx: usize = 0;
+    for rec in records {
+        let k = rec.kind_tag();
+        fp_ops += u64::from(k == kind::FP);
+        mem_ops += u64::from(k == kind::LOAD || k == kind::STORE);
+        branches += u64::from(k >= kind::BRANCH_NOT_TAKEN);
+        regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
 
-    /// The configuration this engine runs with.
-    pub fn config(&self) -> &CpuConfig {
-        &self.config
-    }
+        // Width wrap and misprediction redirects resolve through selects:
+        // both follow simulated data, so host branches here are
+        // unpredictable (this loop head runs once per instruction).
+        let wrap = dispatched_this_cycle >= cfg.issue_width;
+        dispatch_cycle += u64::from(wrap);
+        if wrap {
+            dispatched_this_cycle = 0;
+        }
+        let redirected = dispatch_cycle < fetch_resume_cycle;
+        dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
+        if redirected {
+            dispatched_this_cycle = 0;
+        }
 
-    /// Replays `records` against `hierarchy`, invoking `hook` after every
-    /// dispatched-and-eventually-committed instruction — the engine's one
-    /// run entry.
-    ///
-    /// The loop monomorphizes over the hook: [`crate::NoopHook`] compiles
-    /// the hook call away, so plain (non-resizing) simulations pay no
-    /// per-instruction virtual call.
-    pub fn run<H: SimHook + ?Sized>(
-        &self,
-        records: &[InstrRecord],
-        hierarchy: &mut MemoryHierarchy,
-        hook: &mut H,
-    ) -> SimResult {
-        let cfg = &self.config;
-        let mut dispatch_cycle: u64 = 1;
-        let mut dispatched_this_cycle: u32 = 0;
-        let mut fetch_resume_cycle: u64 = 0;
-        let mut completion = [0u64; COMPLETION_RING];
-        let mut rob = ReorderBuffer::new(cfg.rob_entries, cfg.issue_width);
-        let mut lsq = LoadStoreQueue::new(cfg.lsq_entries);
-        let mut mshr = MshrFile::new(cfg.mshr_entries);
-        let mut fetch = FetchUnit::new(hierarchy.config().l1i.block_bytes, cfg.issue_width);
-        let mut predictor = BranchPredictor::default();
-        let mut last_forced_commit: u64 = 0;
-        let block_shift = hierarchy.config().l1d.block_bytes.max(1).trailing_zeros();
-        let store_latency_cap = hierarchy.config().l1d.hit_latency + 1;
-        // The ALU classes (the most common pair) resolve their latency by a
-        // two-entry table indexed with the kind tag instead of a branch.
-        let alu_latency = [cfg.int_latency, cfg.fp_latency];
-        // Only four activity totals are counted per instruction, without a
-        // branch; the full counter set follows from them (see
-        // `ActivityCounters::from_run_totals`).
-        let mut fp_ops: u64 = 0;
-        let mut mem_ops: u64 = 0;
-        let mut branches: u64 = 0;
-        let mut regfile_reads: u64 = 0;
-        let mut latency = LatencyStats::default();
+        // Instruction fetch: i-cache misses stall dispatch directly.
+        let fetch_stall = fetch.fetch(rec.pc(), dispatch_cycle, hierarchy);
+        if fetch_stall > 0 {
+            dispatch_cycle += fetch_stall;
+            dispatched_this_cycle = 0;
+        }
 
-        let mut idx: usize = 0;
-        for rec in records {
-            let k = rec.kind_tag();
-            fp_ops += u64::from(k == kind::FP);
-            mem_ops += u64::from(k == kind::LOAD || k == kind::STORE);
-            branches += u64::from(k >= kind::BRANCH_NOT_TAKEN);
-            regfile_reads += u64::from(rec.dep1() > 0) + u64::from(rec.dep2() > 0);
-
-            // Width wrap and misprediction redirects resolve through selects:
-            // both follow simulated data, so host branches here are
-            // unpredictable (this loop head runs once per instruction).
-            let wrap = dispatched_this_cycle >= cfg.issue_width;
-            dispatch_cycle += u64::from(wrap);
-            if wrap {
+        // Window space: a full ROB forces the oldest instruction to
+        // commit before this one can dispatch.
+        if let Some(commit_cycle) = rob.commit_if_full() {
+            last_forced_commit = last_forced_commit.max(commit_cycle);
+            let bumped = commit_cycle > dispatch_cycle;
+            dispatch_cycle = dispatch_cycle.max(commit_cycle);
+            if bumped {
                 dispatched_this_cycle = 0;
             }
-            let redirected = dispatch_cycle < fetch_resume_cycle;
-            dispatch_cycle = dispatch_cycle.max(fetch_resume_cycle);
-            if redirected {
-                dispatched_this_cycle = 0;
+        }
+
+        // Operands become ready when both producers have completed.
+        let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
+            &completion,
+            idx,
+            rec.dep2(),
+        ));
+        let ready = dispatch_cycle.max(dep_ready);
+
+        let complete = if k >= kind::BRANCH_NOT_TAKEN {
+            let correct = predictor.resolve(rec.pc(), k == kind::BRANCH_TAKEN);
+            let finish = ready + cfg.int_latency;
+            if !correct {
+                // Fetch resumes only after the branch resolves and the
+                // front end refills.
+                fetch_resume_cycle = fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
             }
-
-            // Instruction fetch: i-cache misses stall dispatch directly.
-            let fetch_stall = fetch.fetch(rec.pc(), dispatch_cycle, hierarchy);
-            if fetch_stall > 0 {
-                dispatch_cycle += fetch_stall;
-                dispatched_this_cycle = 0;
-            }
-
-            // Window space: a full ROB forces the oldest instruction to
-            // commit before this one can dispatch.
-            if let Some(commit_cycle) = rob.commit_if_full() {
-                last_forced_commit = last_forced_commit.max(commit_cycle);
-                let bumped = commit_cycle > dispatch_cycle;
-                dispatch_cycle = dispatch_cycle.max(commit_cycle);
-                if bumped {
-                    dispatched_this_cycle = 0;
+            finish
+        } else if k == kind::LOAD {
+            let addr = u64::from(rec.addr_raw());
+            let access = hierarchy.access_data(addr, false, ready);
+            // Every load looks the block up in the MSHR file, hit or
+            // miss: a tag hit may find its fill still in flight (the
+            // hierarchy fills lines at access time), and the same pass
+            // retires completed entries. `ready` is not monotone across
+            // loads, so retiring only on misses would let a later,
+            // earlier-`ready` miss merge with an entry an intervening hit
+            // would have retired.
+            let block = addr >> block_shift;
+            let fill = mshr.lookup_retire(block, ready);
+            let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
+                AccessClass::Hit => ready + access.latency,
+                AccessClass::DelayedHit { remaining } => {
+                    latency.delayed_hits += 1;
+                    latency.delayed_hit_cycles += remaining;
+                    hierarchy.note_delayed_hit(remaining);
+                    ready + remaining
                 }
-            }
-
-            // Operands become ready when both producers have completed.
-            let dep_ready = producer_ready(&completion, idx, rec.dep1()).max(producer_ready(
-                &completion,
-                idx,
-                rec.dep2(),
-            ));
-            let ready = dispatch_cycle.max(dep_ready);
-
-            let complete = if k >= kind::BRANCH_NOT_TAKEN {
-                let correct = predictor.resolve(rec.pc(), k == kind::BRANCH_TAKEN);
-                let finish = ready + cfg.int_latency;
-                if !correct {
-                    // Fetch resumes only after the branch resolves and the
-                    // front end refills.
-                    fetch_resume_cycle = fetch_resume_cycle.max(finish + cfg.mispredict_penalty);
+                AccessClass::PrimaryMiss => {
+                    let start = if mshr.is_full() {
+                        // All MSHRs busy: the miss waits for one to free.
+                        let free_at = mshr
+                            .earliest_completion()
+                            .expect("full MSHR file is non-empty");
+                        mshr.retire_completed(free_at);
+                        free_at.max(ready)
+                    } else {
+                        ready
+                    };
+                    let finish = start + access.latency;
+                    mshr.allocate(block, start, finish);
+                    latency.note_primary_miss(access.latency, access.l2_hit);
+                    finish
                 }
-                finish
-            } else if k == kind::LOAD {
-                let addr = u64::from(rec.addr_raw());
-                let access = hierarchy.access_data(addr, false, ready);
-                // Every load looks the block up in the MSHR file, hit or
-                // miss: a tag hit may find its fill still in flight (the
-                // hierarchy fills lines at access time), and the same pass
-                // retires completed entries. `ready` is not monotone across
-                // loads, so retiring only on misses would let a later,
-                // earlier-`ready` miss merge with an entry an intervening hit
-                // would have retired.
-                let block = addr >> block_shift;
-                let fill = mshr.lookup_retire(block, ready);
-                let finish = match access.classify(fill.map(|f| f.ready_cycle), ready) {
-                    AccessClass::Hit => ready + access.latency,
-                    AccessClass::DelayedHit { remaining } => {
-                        latency.delayed_hits += 1;
-                        latency.delayed_hit_cycles += remaining;
-                        hierarchy.note_delayed_hit(remaining);
-                        ready + remaining
-                    }
-                    AccessClass::PrimaryMiss => {
-                        let start = if mshr.is_full() {
-                            // All MSHRs busy: the miss waits for one to free.
-                            let free_at = mshr
-                                .earliest_completion()
-                                .expect("full MSHR file is non-empty");
-                            mshr.retire_completed(free_at);
-                            free_at.max(ready)
-                        } else {
-                            ready
-                        };
-                        let finish = start + access.latency;
-                        mshr.allocate(block, start, finish);
-                        latency.note_primary_miss(access.latency, access.l2_hit);
-                        finish
-                    }
-                };
-                finish + lsq.reserve_delay(ready, finish)
-            } else if k == kind::STORE {
-                // Stores update the cache but retire through the write
-                // buffer: the pipeline only pays the L1 access.
-                let access = hierarchy.access_data(u64::from(rec.addr_raw()), true, ready);
-                if !access.l1_hit {
-                    // A store miss starts a fill too, but the pipeline only
-                    // ever pays the capped write-buffer latency.
-                    latency.note_primary_miss(access.latency.min(store_latency_cap), access.l2_hit);
-                }
-                let finish = ready + access.latency.min(store_latency_cap);
-                finish + lsq.reserve_delay(ready, finish)
-            } else {
-                ready + alu_latency[usize::from(k)]
             };
+            finish + lsq.reserve_delay(ready, finish)
+        } else if k == kind::STORE {
+            // Stores update the cache but retire through the write
+            // buffer: the pipeline only pays the L1 access.
+            let access = hierarchy.access_data(u64::from(rec.addr_raw()), true, ready);
+            if !access.l1_hit {
+                // A store miss starts a fill too, but the pipeline only
+                // ever pays the capped write-buffer latency.
+                latency.note_primary_miss(access.latency.min(store_latency_cap), access.l2_hit);
+            }
+            let finish = ready + access.latency.min(store_latency_cap);
+            finish + lsq.reserve_delay(ready, finish)
+        } else {
+            ready + alu_latency[usize::from(k)]
+        };
 
-            rob.dispatch(complete);
-            completion[idx % COMPLETION_RING] = complete;
-            dispatched_this_cycle += 1;
-            idx += 1;
-            hook.post_commit(idx as u64, hierarchy);
-        }
+        rob.dispatch(complete);
+        completion[idx % COMPLETION_RING] = complete;
+        dispatched_this_cycle += 1;
+        idx += 1;
+        hook.post_commit(idx as u64, hierarchy);
+    }
 
-        let drained = rob.drain();
-        let cycles = drained.max(last_forced_commit).max(dispatch_cycle);
-        SimResult {
-            cycles,
-            instructions: idx as u64,
-            activity: ActivityCounters::from_run_totals(
-                idx as u64,
-                fp_ops,
-                mem_ops,
-                branches,
-                regfile_reads,
-            ),
-            branch: predictor.stats(),
-            latency,
-        }
+    let drained = rob.drain();
+    let cycles = drained.max(last_forced_commit).max(dispatch_cycle);
+    SimResult {
+        cycles,
+        instructions: idx as u64,
+        activity: ActivityCounters::from_run_totals(
+            idx as u64,
+            fp_ops,
+            mem_ops,
+            branches,
+            regfile_reads,
+        ),
+        branch: predictor.stats(),
+        latency,
     }
 }
 
@@ -229,13 +206,13 @@ impl OutOfOrderEngine {
 mod tests {
     use super::*;
     use crate::hook::NoopHook;
-    use crate::inorder::InOrderEngine;
     use rescache_cache::HierarchyConfig;
     use rescache_trace::{spec, Op, Trace, TraceGenerator};
 
     fn run_ooo(trace: &Trace) -> (SimResult, MemoryHierarchy) {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        let result = OutOfOrderEngine::new(CpuConfig::base_out_of_order()).run(
+        let result = run(
+            &CpuConfig::base_out_of_order(),
             trace.records(),
             &mut hierarchy,
             &mut NoopHook,
@@ -245,7 +222,8 @@ mod tests {
 
     fn run_inorder(trace: &Trace) -> SimResult {
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        InOrderEngine::new(CpuConfig::base_in_order()).run(
+        crate::inorder::run(
+            &CpuConfig::base_in_order(),
             trace.records(),
             &mut hierarchy,
             &mut NoopHook,
@@ -418,7 +396,7 @@ mod tests {
             ..CpuConfig::base_out_of_order()
         };
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
-        OutOfOrderEngine::new(config).run(trace.records(), &mut hierarchy, &mut NoopHook)
+        run(&config, trace.records(), &mut hierarchy, &mut NoopHook)
     }
 
     #[test]
@@ -467,7 +445,8 @@ mod tests {
         let trace = TraceGenerator::new(spec::vpr(), 2).generate(2_000);
         let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::base()).unwrap();
         let mut hook = Counter(0);
-        OutOfOrderEngine::new(CpuConfig::base_out_of_order()).run(
+        run(
+            &CpuConfig::base_out_of_order(),
             trace.records(),
             &mut hierarchy,
             &mut hook,

@@ -37,8 +37,7 @@ use crate::result::{LatencyStats, SimResult};
 use crate::rob::ReorderBuffer;
 
 /// Dispatches to the scalar reference loop of the configuration's engine —
-/// the reference twin of one engine run (`InOrderEngine::run` or
-/// `OutOfOrderEngine::run`).
+/// the reference twin of one engine run (`inorder::run` or `ooo::run`).
 pub fn run_engine_reference<H: SimHook + ?Sized>(
     cfg: &CpuConfig,
     records: &[InstrRecord],

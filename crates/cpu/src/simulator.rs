@@ -13,9 +13,8 @@ use rescache_trace::{kind, InstrRecord, Trace};
 use crate::config::{CpuConfig, EngineKind};
 use crate::fetch::FetchUnit;
 use crate::hook::{NoopHook, SimHook};
-use crate::inorder::InOrderEngine;
-use crate::ooo::OutOfOrderEngine;
 use crate::result::SimResult;
+use crate::{inorder, ooo};
 
 /// Runs a trace on the processor configuration's engine.
 ///
@@ -67,12 +66,8 @@ impl Simulator {
         hook: &mut H,
     ) -> SimResult {
         match self.config.engine {
-            EngineKind::InOrderBlocking => {
-                InOrderEngine::new(self.config).run(records, hierarchy, hook)
-            }
-            EngineKind::OutOfOrderNonBlocking => {
-                OutOfOrderEngine::new(self.config).run(records, hierarchy, hook)
-            }
+            EngineKind::InOrderBlocking => inorder::run(&self.config, records, hierarchy, hook),
+            EngineKind::OutOfOrderNonBlocking => ooo::run(&self.config, records, hierarchy, hook),
         }
     }
 

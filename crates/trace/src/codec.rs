@@ -2,8 +2,8 @@
 //! experiment trace store.
 //!
 //! Trace generation is deterministic but not free (it is the slowest single
-//! stage of a cold sweep), so multi-process experiment campaigns persist
-//! generated traces under `RESCACHE_TRACE_DIR` and replay them from disk.
+//! stage of a cold sweep), so a trace store built over a directory persists
+//! generated traces and replays them from disk.
 //! There is one container, with delta-compressed chunks (the crate-private
 //! `compress` module holds the per-record payload layout):
 //!

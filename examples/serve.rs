@@ -47,7 +47,7 @@ fn main() -> std::io::Result<()> {
         };
         // Clients may interleave applications between requests, so the
         // tier keeps one trace per worker, not only those in use.
-        let tier = SharedTier::with_dir(knobs.trace_dir.clone()).with_resident_cap(config.workers);
+        let tier = SharedTier::default().with_resident_cap(config.workers);
         let runner = Runner::with_store(knobs.runner_config(RunnerConfig::paper()), tier);
         let server = SweepServer::bind(runner, config)?;
         println!(

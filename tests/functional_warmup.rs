@@ -15,7 +15,7 @@
 
 use rescache::prelude::*;
 use rescache_cache::HierarchySnapshot;
-use rescache_cpu::{InOrderEngine, OutOfOrderEngine};
+use rescache_cpu::{inorder, ooo};
 use rescache_trace::{InstrRecord, Op};
 
 const WARM: usize = 8_000;
@@ -31,10 +31,8 @@ fn timed_region(
     hook: &mut dyn SimHook,
 ) -> SimResult {
     match cpu.engine {
-        EngineKind::InOrderBlocking => InOrderEngine::new(cpu).run(records, hierarchy, hook),
-        EngineKind::OutOfOrderNonBlocking => {
-            OutOfOrderEngine::new(cpu).run(records, hierarchy, hook)
-        }
+        EngineKind::InOrderBlocking => inorder::run(&cpu, records, hierarchy, hook),
+        EngineKind::OutOfOrderNonBlocking => ooo::run(&cpu, records, hierarchy, hook),
     }
 }
 

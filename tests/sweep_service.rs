@@ -25,9 +25,8 @@
 //!   `Runner::run_dynamic`, and its done line matches that run
 //!   bit-for-bit. A client leaving mid-run closes its connection once the
 //!   run ends, and the next client's identical request gets the whole run.
-//! * **Multi-process** — N server *processes* sharing one
-//!   `RESCACHE_TRACE_DIR` share persisted trace entries and agree
-//!   bit-for-bit.
+//! * **Multi-process** — N server *processes* whose tiers persist to one
+//!   directory share persisted trace entries and agree bit-for-bit.
 //! * **Shutdown** — a `shutdown` request drains the server cleanly, even
 //!   when the server was bound to a wildcard address with no clients.
 
@@ -1056,16 +1055,18 @@ fn client_leaving_mid_dynamic_lets_the_run_finish() {
 
 /// Re-exec target for [`multi_process_servers_share_one_store`]: inert in a
 /// normal test run; with `RESCACHE_SWEEP_WORKER_PORT_FILE` set it becomes a
-/// server process over the store the environment configures, publishing its
-/// port through that file (stdout is useless for the handoff — libtest's
-/// capture holds it until the test *ends*, and the worker serves until
-/// shutdown) and serving until a client sends `shutdown`.
+/// server process over a tier persisting to the directory
+/// `RESCACHE_SWEEP_WORKER_STORE_DIR` names, publishing its port through the
+/// port file (stdout is useless for the handoff — libtest's capture holds
+/// it until the test *ends*, and the worker serves until shutdown) and
+/// serving until a client sends `shutdown`.
 #[test]
 fn multiproc_worker() {
     let Ok(port_file) = std::env::var("RESCACHE_SWEEP_WORKER_PORT_FILE") else {
         return;
     };
-    let runner = Runner::new(service_config());
+    let dir = std::env::var_os("RESCACHE_SWEEP_WORKER_STORE_DIR").expect("store directory");
+    let runner = Runner::with_store(service_config(), SharedTier::with_dir(Some(dir.into())));
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         ..ServeConfig::default()
@@ -1085,7 +1086,7 @@ fn multi_process_servers_share_one_store() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create shared store directory");
 
-    // Two *processes* (not threads) serving over one RESCACHE_TRACE_DIR,
+    // Two *processes* (not threads) whose tiers persist to one directory,
     // sharing entries only through the store's atomic saves.
     let exe = std::env::current_exe().expect("test binary path");
     let port_file = |i: usize| {
@@ -1099,7 +1100,7 @@ fn multi_process_servers_share_one_store() {
         std::process::Command::new(&exe)
             .args(["multiproc_worker", "--exact", "--test-threads=1"])
             .env("RESCACHE_SWEEP_WORKER_PORT_FILE", port_file(i))
-            .env("RESCACHE_TRACE_DIR", &dir)
+            .env("RESCACHE_SWEEP_WORKER_STORE_DIR", &dir)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
             .spawn()
