@@ -89,6 +89,12 @@
 //! `protocol` parses requests and builds every response line (no socket, no
 //! [`Runner`]); `connection` reads, polls, counts and answers one client;
 //! `dispatch` runs the verbs and writes the one `ok:false` line a refusal gets.
+//! A connection reads and writes through a transport seam: a boxed reader
+//! whose waits can be switched off (`ClientRead`, whose one production impl
+//! is [`TcpStream`]) and a boxed `Write`. The accept loop wraps each socket
+//! in it; the connection tests wrap a scripted client, which reaches every
+//! stop path (a cancel, a hang-up, a failed write, the quota, a shutdown)
+//! on every run.
 
 mod connection;
 mod dispatch;
@@ -101,7 +107,7 @@ use std::time::Duration;
 
 use crate::experiment::parallel::effective_workers;
 use crate::experiment::runner::Runner;
-use connection::serve_connection;
+use connection::{serve_connection, Conn};
 
 /// Cap on one request line. Real requests are under 200 bytes; the cap
 /// exists so a stuck or hostile client cannot make a connection thread
@@ -292,7 +298,9 @@ impl SweepServer {
                             }
                         }
                         let _open = Open(gauge);
-                        if let Err(e) = serve_connection(&runner, stream, &config, &handle) {
+                        let served = Conn::tcp(stream, &config, &handle)
+                            .and_then(|conn| serve_connection(&runner, conn));
+                        if let Err(e) = served {
                             // A vanished client is normal server life, not a
                             // server failure.
                             eprintln!("rescache-serve: connection ended: {e}");
@@ -393,13 +401,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
         let (stream, _) = listener.accept().unwrap();
+        // A clone of the served socket shares its timeout and its
+        // `O_NONBLOCK` flag, so it shows what the polls leave behind.
+        let mut probe = stream.try_clone().unwrap();
         let config = ServeConfig::default();
         let handle = ServerHandle {
             addr,
             shutdown: Arc::new(AtomicBool::new(false)),
             connections: Arc::new(AtomicUsize::new(0)),
         };
-        let mut conn = Conn::new(stream, &config, &handle).unwrap();
+        let mut conn = Conn::tcp(stream, &config, &handle).unwrap();
 
         // A quiet connection answers every poll at once.
         let start = Instant::now();
@@ -416,7 +427,7 @@ mod tests {
         let request = b"{\"req\":\"ping\"}\n";
         client.write_all(request).unwrap();
         let mut peeked = vec![0u8; request.len()];
-        while conn.reader.get_ref().peek(&mut peeked).unwrap_or(0) < request.len() {}
+        while probe.peek(&mut peeked).unwrap_or(0) < request.len() {}
         let LineOutcome::Line(line) = conn.poll_line().unwrap() else {
             panic!("the sent line");
         };
@@ -425,7 +436,7 @@ mod tests {
         // The poll left the socket blocking: a plain read with nothing
         // pending waits out the socket timeout instead of failing at once.
         let start = Instant::now();
-        let err = conn.reader.get_mut().read(&mut [0u8; 1]).unwrap_err();
+        let err = probe.read(&mut [0u8; 1]).unwrap_err();
         assert!(
             matches!(
                 err.kind(),

@@ -1,5 +1,5 @@
 //! Integration tests of the sweep service: the JSON-lines request server
-//! over the shared store/memo tier.
+//! over the shared store/memo tier, end to end over real sockets.
 //!
 //! The contract under test:
 //!
@@ -8,27 +8,23 @@
 //!   beyond those two misses is a `hit` or a `coalesced` in the tier's
 //!   health counters. Likewise N clients running the same sweep share one
 //!   simulation per unique point.
-//! * **Robustness** — malformed, oversized and unserviceable request lines
-//!   get typed `ok:false` responses on a connection that stays usable;
-//!   never a panic, never a silent disconnect.
 //! * **Degradation** — over a store directory that cannot be created the
 //!   service keeps serving correct results while the store degrades to
 //!   in-memory operation.
-//! * **Cancellation** — a `cancel` naming an in-flight sweep (or the client
-//!   disconnecting mid-stream) stops the search: provably fewer points
-//!   are evaluated than the space offers.
-//! * **Quotas** — `ServeConfig::max_requests_per_conn` closes a connection
-//!   with a typed `quota_exhausted` error once exceeded, counting the lines
-//!   a client sends while a sweep streams too.
 //! * **Dynamic verb** — a `dynamic` request streams the controller's resize
 //!   decisions, one line per decision of the in-process
 //!   `Runner::run_dynamic`, and its done line matches that run
-//!   bit-for-bit. A client leaving mid-run closes its connection once the
-//!   run ends, and the next client's identical request gets the whole run.
+//!   bit-for-bit.
 //! * **Multi-process** — N server *processes* whose tiers persist to one
 //!   directory share persisted trace entries and agree bit-for-bit.
 //! * **Shutdown** — a `shutdown` request drains the server cleanly, even
 //!   when the server was bound to a wildcard address with no clients.
+//!
+//! The stop paths run over a scripted client instead of a socket, in
+//! `server/connection.rs`: typed errors for malformed and oversized lines
+//! on a connection that stays usable, a cancel, a client that hangs up
+//! mid-sweep or whose writes fail mid-`dynamic`, the request quota (lines
+//! read mid-sweep included), and a server shutdown mid-sweep.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -64,9 +60,7 @@ fn spawn_server(
     spawn_server_with(service_config(), tier, config)
 }
 
-/// [`spawn_server`] with explicit runner and serve configurations (for the
-/// quota, cancellation and disconnect tests, which need a request cap or a
-/// single slow worker).
+/// [`spawn_server`] with explicit runner and serve configurations.
 fn spawn_server_with(
     runner_config: RunnerConfig,
     tier: SharedTier,
@@ -288,174 +282,6 @@ fn overlapping_sweeps_share_one_simulation_per_unique_point() {
 }
 
 #[test]
-fn malformed_and_oversized_lines_get_typed_errors_and_the_connection_survives() {
-    let tier = SharedTier::new(None, IoPolicy::none());
-    let (addr, handle, join) = spawn_server(tier);
-    let mut client = Client::connect(addr);
-
-    for (bad, expect, code) in [
-        ("this is not json", "malformed request", None),
-        (r#"{"no_req":true}"#, "missing \"req\"", None),
-        (r#"{"req":"frobnicate"}"#, "unknown request", None),
-        (r#"{"req":"point","id":1}"#, "missing \"app\"", None),
-        (
-            r#"{"req":"point","app":"no_such_app"}"#,
-            "unknown application",
-            None,
-        ),
-        (
-            r#"{"req":"point","app":"ammp","sets":7,"ways":2}"#,
-            "not offered",
-            None,
-        ),
-        (
-            r#"{"req":"point","app":"ammp","sets":64}"#,
-            "both \"sets\" and \"ways\"",
-            None,
-        ),
-        (
-            r#"{"req":"sweep","app":"ammp","org":"bogus"}"#,
-            "unknown org",
-            None,
-        ),
-        (
-            r#"{"req":"point","id":2,"app":"ammp","sets":"64","ways":2}"#,
-            "must be non-negative integers",
-            None,
-        ),
-        (
-            r#"{"req":"point","id":3,"app":"ammp","sets":64,"ways":2.5}"#,
-            "must be non-negative integers",
-            None,
-        ),
-        (
-            r#"{"req":"point","id":4,"app":"ammp","sets":64,"ways":4294967296}"#,
-            "exceeds the supported maximum",
-            Some("out_of_range"),
-        ),
-        (
-            r#"{"req":"dynamic","id":5,"app":"ammp","interval":"fast"}"#,
-            "\"interval\" must be a non-negative integer",
-            None,
-        ),
-        (
-            r#"{"req":"dynamic","id":6,"app":"ammp","miss_bound":-1}"#,
-            "\"miss_bound\" must be a non-negative integer",
-            None,
-        ),
-        (
-            r#"{"req":"dynamic","id":7,"app":"ammp","size_bound":1.5}"#,
-            "\"size_bound\" must be a non-negative integer",
-            None,
-        ),
-        (
-            r#"{"req":"point","id":8,"app":"ammp","system":"bogus"}"#,
-            "unknown system",
-            None,
-        ),
-        (
-            r#"{"req":"dynamic","id":9,"app":"ammp","side":"bogus"}"#,
-            "unknown side",
-            None,
-        ),
-        (
-            r#"{"req":"sweep","id":"ten","app":"ammp","objective":"bogus"}"#,
-            "unknown field \"objective\"",
-            None,
-        ),
-        (r#"{"req":"cancel","id":11}"#, "no sweep in flight", None),
-        // Each verb takes only the target fields and its own, a tag must be
-        // a string, and a key may appear once: none is defaulted or ignored.
-        (
-            r#"{"req":"sweep","app":"ammp","sets":64}"#,
-            "unknown field \"sets\"",
-            None,
-        ),
-        (
-            r#"{"req":"point","app":"ammp","interval":9}"#,
-            "unknown field \"interval\"",
-            None,
-        ),
-        (
-            r#"{"req":"dynamic","app":"ammp","ways":2}"#,
-            "unknown field \"ways\"",
-            None,
-        ),
-        (
-            r#"{"req":"point","app":"ammp","system":5}"#,
-            "\"system\" must be a string",
-            None,
-        ),
-        (
-            r#"{"req":"sweep","app":"ammp","org":true}"#,
-            "\"org\" must be a string",
-            None,
-        ),
-        (
-            r#"{"req":"dynamic","app":"ammp","side":null}"#,
-            "\"side\" must be a",
-            None,
-        ),
-        (
-            r#"{"req":"point","app":"ammp","app":"gcc"}"#,
-            "duplicate field \"app\"",
-            None,
-        ),
-        (
-            r#"{"req":"sweep","app":"ammp","org":"x","org":"y"}"#,
-            "duplicate field",
-            None,
-        ),
-    ] {
-        let response = client.request(bad);
-        assert_eq!(
-            response.get("ok").and_then(Json::as_bool),
-            Some(false),
-            "{bad} -> {response:?}"
-        );
-        let error = response
-            .get("error")
-            .and_then(Json::as_str)
-            .expect("typed error");
-        assert!(error.contains(expect), "{bad} -> {error}");
-        // The request's id is echoed; a line that is not JSON has none.
-        let id = Json::parse(bad)
-            .ok()
-            .and_then(|request| request.get("id").cloned())
-            .unwrap_or(Json::Null);
-        assert_eq!(response.get("id"), Some(&id), "{bad} -> {response:?}");
-        assert_eq!(
-            response.get("code").and_then(Json::as_str),
-            code,
-            "{bad} -> {response:?}"
-        );
-    }
-
-    // An oversized line (beyond the 64 KiB cap) is answered and skipped
-    // without buffering it or killing the connection.
-    let mut huge = String::with_capacity(100_000);
-    huge.push_str(r#"{"req":"point","pad":""#);
-    huge.push_str(&"x".repeat(100_000 - huge.len() - 2));
-    huge.push_str("\"}");
-    let response = client.request(&huge);
-    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(response
-        .get("error")
-        .and_then(Json::as_str)
-        .expect("typed error")
-        .contains("exceeds"));
-
-    // The same connection still serves real requests afterwards.
-    let pong = client.request(r#"{"req":"ping","id":9}"#);
-    assert!(is_ok(&pong), "{pong:?}");
-    assert_eq!(kind(&pong), "pong");
-    assert_eq!(pong.get("id").and_then(Json::as_u64), Some(9));
-
-    handle.stop();
-    join.join().expect("server thread exits cleanly");
-}
-
-#[test]
 fn sweep_service_survives_disk_faults_and_degrades_gracefully() {
     // A store directory whose path is a regular file: persistence fails,
     // the tier degrades to in-memory operation mid-serve, and every client
@@ -560,252 +386,6 @@ fn stopping_a_wildcard_bound_server_needs_no_clients() {
     handle.stop();
     join.join()
         .expect("wildcard-bound server stops without clients");
-}
-
-#[test]
-fn request_quota_closes_the_connection_with_a_typed_error() {
-    let tier = SharedTier::new(None, IoPolicy::none());
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        max_requests_per_conn: 2,
-        ..ServeConfig::default()
-    };
-    let (addr, handle, join) = spawn_server_with(service_config(), tier.clone(), config);
-
-    let mut client = Client::connect(addr);
-    for id in [1, 2] {
-        let pong = client.request(&format!(r#"{{"req":"ping","id":{id}}}"#));
-        assert!(is_ok(&pong), "within quota: {pong:?}");
-    }
-    let refused = client.request(r#"{"req":"ping","id":3}"#);
-    assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(
-        refused.get("code").and_then(Json::as_str),
-        Some("quota_exhausted"),
-        "{refused:?}"
-    );
-    assert_eq!(refused.get("id").and_then(Json::as_u64), Some(3));
-    // After the typed error the server closes the connection.
-    let mut line = String::new();
-    let n = client
-        .reader
-        .read_line(&mut line)
-        .expect("read after quota");
-    assert_eq!(
-        n, 0,
-        "connection closed after quota exhaustion, got {line:?}"
-    );
-    // The refused request still counted as a request.
-    assert_eq!(tier.health().requests, 3);
-
-    // A fresh connection gets a fresh quota.
-    let mut again = Client::connect(addr);
-    let pong = again.request(r#"{"req":"ping","id":9}"#);
-    assert!(is_ok(&pong), "quota is per-connection: {pong:?}");
-
-    handle.stop();
-    join.join().expect("server thread exits cleanly");
-}
-
-/// A runner configuration slow enough per point that a cancel (or a
-/// disconnect) sent after the first result line lands while most of the
-/// space is still unevaluated — with one worker, the stop is then
-/// observable as strictly fewer evaluated points.
-fn slow_sweep_config() -> RunnerConfig {
-    RunnerConfig {
-        warmup_instructions: 20_000,
-        measure_instructions: 400_000,
-        ..RunnerConfig::fast()
-    }
-}
-
-fn single_worker_config() -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        ..ServeConfig::default()
-    }
-}
-
-#[test]
-fn cancelling_a_sweep_stops_the_cursor_and_reports_what_ran() {
-    let tier = SharedTier::new(None, IoPolicy::none());
-    let (addr, handle, join) =
-        spawn_server_with(slow_sweep_config(), tier.clone(), single_worker_config());
-    let points = selective_sets_points();
-
-    let mut client = Client::connect(addr);
-    client.send(r#"{"req":"sweep","id":11,"app":"ammp","org":"selective_sets"}"#);
-    let first = client.recv();
-    assert!(is_ok(&first), "{first:?}");
-    assert_eq!(kind(&first), "result");
-    // Cancel naming the wrong id is answered mid-stream and changes nothing.
-    client.send(r#"{"req":"cancel","id":999}"#);
-    // Then cancel the sweep itself.
-    client.send(r#"{"req":"cancel","id":11}"#);
-    let mut results = 1;
-    let cancelled = loop {
-        let response = client.recv();
-        match kind(&response) {
-            "result" => results += 1,
-            "cancelled" => break response,
-            // The unmatched cancel's error line arrives interleaved.
-            "" => {
-                assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
-                assert_eq!(response.get("id").and_then(Json::as_u64), Some(999));
-            }
-            other => panic!("unexpected response kind {other:?}: {response:?}"),
-        }
-    };
-    assert!(is_ok(&cancelled), "{cancelled:?}");
-    assert_eq!(cancelled.get("id").and_then(Json::as_u64), Some(11));
-    let evaluated = cancelled
-        .get("points")
-        .and_then(Json::as_u64)
-        .expect("cancelled line counts evaluated points") as usize;
-    assert_eq!(
-        cancelled.get("space_points").and_then(Json::as_u64),
-        Some(points as u64)
-    );
-    // The acceptance criterion: a cancel after the first result provably
-    // evaluates fewer points than the space offers.
-    assert!(
-        evaluated < points,
-        "cancel stopped the search: {evaluated} of {points} points"
-    );
-    assert!(evaluated >= results, "every written result was evaluated");
-
-    // The connection survives cancellation.
-    let pong = client.request(r#"{"req":"ping","id":12}"#);
-    assert!(is_ok(&pong), "{pong:?}");
-
-    // The tier never simulated the skipped points: fewer sim misses than a
-    // full sweep's trace + per-point count.
-    let health = tier.health();
-    assert!(
-        (health.misses as usize) < points + 1,
-        "skipped points were never simulated: {health:?}"
-    );
-
-    handle.stop();
-    join.join().expect("server thread exits cleanly");
-}
-
-#[test]
-fn client_disconnect_mid_sweep_stops_the_cursor() {
-    let tier = SharedTier::new(None, IoPolicy::none());
-    let (addr, handle, join) =
-        spawn_server_with(slow_sweep_config(), tier.clone(), single_worker_config());
-    let points = selective_sets_points();
-
-    {
-        let mut client = Client::connect(addr);
-        client.send(r#"{"req":"sweep","id":1,"app":"ammp","org":"selective_sets"}"#);
-        let first = client.recv();
-        assert_eq!(kind(&first), "result");
-        // Dropping the client closes the socket mid-stream.
-    }
-
-    // The server notices the disconnect at its next poll, stops the search
-    // and winds the connection down (observable on the live-connection
-    // gauge, which the reaper keeps honest).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.open_connections() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "sweep wound down after the disconnect"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    let health = tier.health();
-    assert!(
-        (health.misses as usize) < points + 1,
-        "the search stopped before the space was exhausted: {health:?}"
-    );
-    assert!(
-        (health.served as usize) < points + 1,
-        "only written results count as served: {health:?}"
-    );
-
-    handle.stop();
-    join.join().expect("server thread exits cleanly");
-}
-
-#[test]
-fn lines_sent_mid_sweep_count_against_the_request_quota() {
-    let tier = SharedTier::new(None, IoPolicy::none());
-    let config = ServeConfig {
-        max_requests_per_conn: 2,
-        ..single_worker_config()
-    };
-    let (addr, handle, join) = spawn_server_with(slow_sweep_config(), tier.clone(), config);
-    let points = selective_sets_points();
-
-    let mut client = Client::connect(addr);
-    client.send(r#"{"req":"sweep","id":1,"app":"ammp","org":"selective_sets"}"#);
-    let first = client.recv();
-    assert_eq!(kind(&first), "result", "{first:?}");
-    // The sweep is request 1 and the first cancel request 2; the second
-    // cancel is past the quota, and nothing after it may be answered.
-    for id in 100..105 {
-        client.send(&format!(r#"{{"req":"cancel","id":{id}}}"#));
-    }
-    client.send(r#"{"req":"ping","id":7}"#);
-    // A connection left open would otherwise hang the test.
-    client
-        .writer
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let mut answered = Vec::new();
-    loop {
-        let mut line = String::new();
-        match client.reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => answered.push(Json::parse(line.trim_end()).expect("valid JSON")),
-        }
-    }
-    let errors: Vec<&Json> = answered.iter().filter(|r| kind(r) != "result").collect();
-    assert_eq!(
-        errors.len(),
-        2,
-        "one unmatched cancel, then the refusal: {errors:?}"
-    );
-    assert_eq!(errors[0].get("id").and_then(Json::as_u64), Some(100));
-    assert_eq!(errors[0].get("ok").and_then(Json::as_bool), Some(false));
-    let refused = errors[1];
-    assert_eq!(
-        refused.get("code").and_then(Json::as_str),
-        Some("quota_exhausted"),
-        "{refused:?}"
-    );
-    assert_eq!(refused.get("id").and_then(Json::as_u64), Some(101));
-    assert_eq!(
-        kind(answered.last().expect("answered")),
-        "",
-        "the refusal is the connection's last line: {answered:?}"
-    );
-
-    // The refusal stopped the search as a disconnect does: the connection
-    // winds down without finishing the space.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.open_connections() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "sweep wound down after the refusal"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let health = tier.health();
-    assert!(
-        (health.misses as usize) < points + 1,
-        "the search stopped before the space was exhausted: {health:?}"
-    );
-    // The sweep and the two cancels it read were counted as requests.
-    assert_eq!(health.requests, 3, "{health:?}");
-
-    handle.stop();
-    join.join().expect("server thread exits cleanly");
 }
 
 /// A `dynamic` request for gcc whose miss-bound (512) is above the interval
@@ -996,59 +576,6 @@ fn dynamic_request_streams_resizes_and_matches_the_in_process_run() {
         "done carries a latency block"
     );
 
-    handle.stop();
-    join.join().expect("server thread exits cleanly");
-}
-
-#[test]
-fn client_leaving_mid_dynamic_lets_the_run_finish() {
-    let tier = SharedTier::new(None, IoPolicy::none());
-    let (addr, handle, join) = spawn_server(tier);
-
-    {
-        let mut client = Client::connect(addr);
-        client.send(&gcc_dynamic_request(1));
-        let first = client.recv();
-        assert_eq!(kind(&first), "resize", "{first:?}");
-        // Dropping the client closes the socket mid-stream.
-    }
-
-    // The run owns the connection thread, so the connection closes only
-    // once the run has finished; the server must not hang or die on the
-    // lines it can no longer write.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while handle.open_connections() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "dynamic run wound down after the disconnect"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // The next client's identical request gets the whole run.
-    let (expected, observed, _) = gcc_dynamic_reference();
-    let mut client = Client::connect(addr);
-    client.send(&gcc_dynamic_request(2));
-    let (resize_lines, done) = recv_dynamic(&mut client, 2);
-    assert_eq!(
-        done.get("cycles").and_then(Json::as_u64),
-        Some(expected.cycles),
-        "{done:?}"
-    );
-    assert_eq!(
-        done.get("decisions").and_then(Json::as_u64),
-        Some(observed.len() as u64),
-        "{done:?}"
-    );
-    assert_eq!(resize_lines.len(), observed.len());
-    let health = client.request(r#"{"req":"health","id":3}"#);
-    assert_eq!(
-        health.get("connections").and_then(Json::as_u64),
-        Some(1),
-        "only the asking connection is open: {health:?}"
-    );
-
-    drop(client);
     handle.stop();
     join.join().expect("server thread exits cleanly");
 }
