@@ -1,5 +1,6 @@
-//! One client connection: bounded line reads, the non-blocking mid-sweep
-//! poll, the request quota, and the read–dispatch loop.
+//! One client connection: the transport seam, bounded line reads, the
+//! non-blocking mid-sweep poll, the request quota, and the read–dispatch
+//! loop.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};

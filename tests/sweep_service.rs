@@ -19,6 +19,8 @@
 //!   directory share persisted trace entries and agree bit-for-bit.
 //! * **Shutdown** — a `shutdown` request drains the server cleanly, even
 //!   when the server was bound to a wildcard address with no clients.
+//! * **Connection gauge** — `health` counts the open connections, and a
+//!   client that leaves stops being counted.
 //!
 //! The stop paths run over a scripted client instead of a socket, in
 //! `server/connection.rs`: typed errors for malformed and oversized lines
@@ -386,6 +388,37 @@ fn stopping_a_wildcard_bound_server_needs_no_clients() {
     handle.stop();
     join.join()
         .expect("wildcard-bound server stops without clients");
+}
+
+#[test]
+fn a_client_that_leaves_is_no_longer_counted_open() {
+    let tier = SharedTier::new(None, IoPolicy::none());
+    let (addr, handle, join) = spawn_server(tier);
+    let mut leaving = Client::connect(addr);
+    let pong = leaving.request(r#"{"req":"ping"}"#);
+    assert!(is_ok(&pong), "{pong:?}");
+    drop(leaving);
+
+    // The connection thread ends at its next read, and the gauge with it.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while handle.open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the gauge dropped after the hang-up"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut client = Client::connect(addr);
+    let health = client.request(r#"{"req":"health"}"#);
+    assert_eq!(
+        health.get("connections").and_then(Json::as_u64),
+        Some(1),
+        "only the asking connection is open: {health:?}"
+    );
+
+    drop(client);
+    handle.stop();
+    join.join().expect("server thread exits cleanly");
 }
 
 /// A `dynamic` request for gcc whose miss-bound (512) is above the interval
