@@ -14,7 +14,6 @@ set -eu
 status=0
 for file in \
     crates/trace/src/codec.rs \
-    crates/trace/src/compress.rs \
     crates/core/src/experiment/trace_store.rs \
     crates/core/src/experiment/shared_tier.rs \
     crates/core/src/experiment/server/mod.rs \

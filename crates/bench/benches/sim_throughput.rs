@@ -40,11 +40,9 @@ struct EngineResult {
     seconds: Spread,
     /// Millions of items per second at the median repetition.
     mips: f64,
-    /// On-disk size of the store entry the stage replays, and the ratio of
-    /// the packed 12-byte in-memory record to that size; `Some` only for
+    /// On-disk size of the store entry the stage replays; `Some` only for
     /// `trace_store_load`, the stage whose whole point is the disk format.
     store_bytes: Option<u64>,
-    compression_ratio: Option<f64>,
 }
 
 /// A per-stage scratch store directory under the system temp directory,
@@ -78,7 +76,6 @@ fn measure(name: &'static str, items: u64, mut body: impl FnMut() -> u64) -> Eng
         seconds,
         mips,
         store_bytes: None,
-        compression_ratio: None,
     }
 }
 
@@ -104,9 +101,6 @@ fn bench_trace_store_load() -> EngineResult {
         codec::load(&path).expect("load bench trace").len() as u64
     });
     result.store_bytes = Some(store_bytes);
-    // Ratio of the packed in-memory record (12 bytes) to what the entry
-    // actually occupies on disk.
-    result.compression_ratio = Some(12.0 * n as f64 / store_bytes as f64);
     std::fs::remove_dir_all(&dir).ok();
     result
 }
@@ -271,7 +265,7 @@ fn main() {
 /// carries no serde dependency).
 fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"rescache-sim-throughput/15\",\n");
+    out.push_str("  \"schema\": \"rescache-sim-throughput/16\",\n");
     // The dynamic stage's shared-tier health counters. Its tier is in
     // memory, so `regenerations` and `warnings` read 0 with
     // `"degraded": false`; the hit and miss counts show the timed
@@ -292,10 +286,8 @@ fn render_json(results: &[EngineResult], health: Option<StoreHealth>) -> String 
     out.push_str("  \"engines\": [\n");
     for (i, r) in results.iter().enumerate() {
         let mut extra = String::new();
-        if let (Some(bytes), Some(ratio)) = (r.store_bytes, r.compression_ratio) {
-            extra.push_str(&format!(
-                ", \"store_bytes\": {bytes}, \"compression_ratio\": {ratio:.3}"
-            ));
+        if let Some(bytes) = r.store_bytes {
+            extra.push_str(&format!(", \"store_bytes\": {bytes}"));
         }
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"items\": {}, \"median_s\": {:.6}, \"min_s\": {:.6}, \"max_s\": {:.6}, \"mips\": {:.3}{extra}}}{}\n",

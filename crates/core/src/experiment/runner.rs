@@ -30,9 +30,10 @@ pub struct RunnerConfig {
     /// Interval length (in cache accesses) of the dynamic resizing
     /// controller.
     pub dynamic_interval: u64,
-    /// Trace-format version the generated bit streams use. v3 is the only
-    /// format, so this field has one value; it stays because the standalone
-    /// benchmark (`perfbench/src/layers.rs`) reads it.
+    /// Trace-format version the generated bit streams and store entries
+    /// use. v4 is the only format, so this field has one value; it stays
+    /// because the standalone benchmark (`perfbench/src/layers.rs`) reads
+    /// it.
     pub trace_format: TraceFormat,
 }
 

@@ -3,7 +3,7 @@
 //! loop.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -119,13 +119,13 @@ impl ClientRead for TcpStream {
     }
 }
 
-/// Per-connection state: the buffered reader and writer, the incremental
+/// Per-connection state: the buffered reader, the writer, the incremental
 /// line scanner, any request lines the client pipelined while a sweep was
 /// streaming (dispatched in arrival order once the sweep finishes), and the
 /// count of request lines read against the connection's quota.
 pub(super) struct Conn<'a> {
     reader: BufReader<Box<dyn ClientRead>>,
-    writer: BufWriter<Box<dyn Write + Send>>,
+    writer: Box<dyn Write + Send>,
     lines: LineReader,
     pending: VecDeque<String>,
     accepted: usize,
@@ -144,7 +144,7 @@ impl<'a> Conn<'a> {
     ) -> Self {
         Self {
             reader: BufReader::new(reader),
-            writer: BufWriter::new(writer),
+            writer,
             lines: LineReader::default(),
             pending: VecDeque::new(),
             accepted: 0,
@@ -167,10 +167,13 @@ impl<'a> Conn<'a> {
         Ok(Self::new(reader, Box::new(stream), config, handle))
     }
 
-    /// Writes one response line (the protocol is strictly line-delimited).
+    /// Writes one response line (the protocol is strictly line-delimited)
+    /// with one `write_all`. Nothing is buffered, so a line whose write
+    /// failed is never written again.
     pub(super) fn send(&mut self, response: &Json) -> std::io::Result<()> {
-        writeln!(self.writer, "{}", response.render())?;
-        self.writer.flush()
+        let mut line = response.render();
+        line.push('\n');
+        self.writer.write_all(line.as_bytes())
     }
 
     /// A look at the connection that never waits, used between streamed
@@ -438,7 +441,7 @@ mod tests {
                 s.refused.push(text);
                 return Err(ErrorKind::BrokenPipe.into());
             }
-            // `Conn::send` flushes one whole line at a time.
+            // `Conn::send` writes one whole line at a time.
             let line = text.strip_suffix('\n').expect("one whole line");
             s.lines.push(line.to_string());
             if s.shut_down_at.is_some_and(|after| s.lines.len() >= after) {
@@ -651,8 +654,7 @@ mod tests {
             assert_eq!(error.kind(), ErrorKind::BrokenPipe);
             assert_eq!(ended.lines, resizes[..fail_at - 1]);
             let failed = format!("{}\n", resizes[fail_at - 1]);
-            assert!(!ended.refused.is_empty());
-            assert!(ended.refused.iter().all(|w| *w == failed), "{fail_at}");
+            assert_eq!(ended.refused, [failed], "{fail_at}");
             assert_eq!(counters(&runner), (1, 1, 2));
 
             // The next client's identical request gets the whole run.

@@ -64,7 +64,7 @@ pub(crate) type TraceKey = (&'static str, u64, u64, usize, usize);
 pub(crate) type StoreKey = (&'static str, u64, u64, usize);
 
 /// File-name suffix of every store entry.
-const ENTRY_SUFFIX: &str = TraceFormat::V3.file_suffix();
+const ENTRY_SUFFIX: &str = TraceFormat::V4.file_suffix();
 
 /// The store of generated traces: another name for the [`SharedTier`]. It
 /// stays only because the standalone benchmark (`perfbench/`) names it.
@@ -238,6 +238,17 @@ mod tests {
         (SharedTier::with_dir(Some(dir.clone())), dir)
     }
 
+    /// A record past the codec's first read buffer (4 Ki records) in a
+    /// [`RunnerConfig::fast`] entry.
+    const LATE_RECORD: usize = 10_000;
+
+    /// Byte offset of record `k`'s kind byte in the v4 entry of `app`: the
+    /// magic, the name length, the name and the count, then 11 bytes per
+    /// record whose ninth is the kind.
+    fn kind_offset(app: &str, k: usize) -> usize {
+        8 + 4 + app.len() + 8 + 11 * k + 8
+    }
+
     fn entry_path(dir: &Path) -> PathBuf {
         let entries: Vec<_> = std::fs::read_dir(dir)
             .expect("store dir exists")
@@ -284,17 +295,16 @@ mod tests {
         let path = entry_path(&dir);
 
         // A fresh store (a "new process") must serve the identical trace
-        // from disk; wrecking the first chunk's directory entry proves the
-        // file is actually read (the fetch falls back to regeneration).
-        // Flipping a *payload* byte would not do: a compressed chunk can
-        // decode a flipped varint byte to different-but-valid records.
+        // from disk; a bad kind byte in a record past the codec's first read
+        // buffer proves the whole file is actually read (the fetch falls
+        // back to regeneration). Flipping a PC or address byte would not
+        // do: it decodes to a different-but-valid record.
         let fresh = SharedTier::with_dir(Some(dir.clone()));
         let (_, m2) = fresh.fetch(&spec::m88ksim(), &cfg);
         assert_eq!(m1, m2);
 
         let mut bytes = std::fs::read(&path).expect("read entry");
-        let first_chunk = 9 + 4 + "m88ksim".len() + 8;
-        bytes[first_chunk + 4..first_chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[kind_offset("m88ksim", LATE_RECORD)] = 0xff;
         std::fs::write(&path, &bytes).expect("corrupt entry");
         let corrupted = SharedTier::with_dir(Some(dir.clone()));
         let (_, m3) = corrupted.fetch(&spec::m88ksim(), &cfg);
@@ -489,11 +499,13 @@ mod tests {
 
     #[test]
     fn wrong_format_at_the_right_path_is_rejected_and_regenerated() {
-        // Plant each retired layout at a v3 entry's exact path (a store
+        // Plant each retired layout at a v4 entry's exact path (a store
         // written by an older build): `RCTRACE1`/`RCTRACE2` headers (no
-        // flags byte, raw 12-byte records) and an `RCTRACE3` header with the
-        // raw layout's flags 0. Each is rejected typed, the request
-        // regenerates the honest bits, and their save replaces the file.
+        // flags byte, raw 12-byte records), an `RCTRACE3` header with the
+        // retired raw layout's flags 0, and one with the delta-compressed
+        // chunks' flags 1 (the last format before v4). Each is rejected
+        // typed, the request regenerates the honest bits, and their save
+        // replaces the file.
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let app = spec::m88ksim();
@@ -514,6 +526,7 @@ mod tests {
             ("v1", old_entry(b"RCTRACE1", None)),
             ("v2", old_entry(b"RCTRACE2", None)),
             ("raw", old_entry(b"RCTRACE3", Some(0))),
+            ("v3", old_entry(b"RCTRACE3", Some(1))),
         ] {
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).expect("create dir");
@@ -522,7 +535,7 @@ mod tests {
             let typed = match label {
                 "v1" => matches!(err, CodecError::UnsupportedVersion { version: b'1' }),
                 "v2" => matches!(err, CodecError::UnsupportedVersion { version: b'2' }),
-                _ => matches!(err, CodecError::UnsupportedFlags { flags: 0 }),
+                _ => matches!(err, CodecError::UnsupportedVersion { version: b'3' }),
             };
             assert!(typed, "{label}: {err}");
 
@@ -592,8 +605,8 @@ mod tests {
         /// first read fails with a real I/O error, and the save that would
         /// replace it fails too.
         Unreadable,
-        /// Corrupt bytes in the second chunk's header: a codec content
-        /// error, replaced by the regeneration's save.
+        /// A bad kind byte in a record past the codec's first read buffer:
+        /// a codec content error, replaced by the regeneration's save.
         Corrupt,
     }
 
@@ -620,22 +633,13 @@ mod tests {
                 std::fs::create_dir(&path).expect("directory at the entry path");
             }
             LoadFault::Corrupt => {
-                // The second chunk's header sits past the first chunk's
-                // payload.
-                let bytes = std::fs::read(&path).expect("read entry");
-                let first_chunk = 9 + 4 + app.name.len() + 8;
-                let first_len = u32::from_le_bytes(
-                    bytes[first_chunk + 4..first_chunk + 8]
-                        .try_into()
-                        .expect("4 bytes"),
-                );
-                let second_chunk = (first_chunk + 8) as u64 + u64::from(first_len);
                 let mut file = std::fs::OpenOptions::new()
                     .write(true)
                     .open(&path)
                     .expect("open entry for writing");
-                file.seek(SeekFrom::Start(second_chunk + 4)).expect("seek");
-                file.write_all(&u32::MAX.to_le_bytes()).expect("corrupt");
+                let at = kind_offset(app.name, LATE_RECORD) as u64;
+                file.seek(SeekFrom::Start(at)).expect("seek");
+                file.write_all(&[0xff]).expect("corrupt");
             }
         }
 
@@ -690,11 +694,11 @@ mod tests {
     #[test]
     fn corrupt_entries_are_regenerated_once_and_replaced() {
         // A broken magic fails the load at the header; a cut mid-record
-        // fails it in the last chunk with a typed `Truncated` error,
-        // provably corrupt (a random bit-flip could land in an address
-        // field and decode as a different-but-valid record, which no
-        // reader can detect); two whole images back to back would decode
-        // as the first, but the file is not that trace.
+        // fails its length check with a typed `Truncated` error, provably
+        // corrupt (a random bit-flip could land in an address field and
+        // decode as a different-but-valid record, which no reader can
+        // detect); two whole images back to back would decode as the
+        // first, but the file is not that trace.
         let cfg = RunnerConfig::fast();
         for label in ["header", "body", "doubled"] {
             let (store, dir) = temp_store(&format!("bad-{label}"));

@@ -4,36 +4,36 @@
 //! Trace generation is deterministic but not free (it is the slowest single
 //! stage of a cold sweep), so a trace store built over a directory persists
 //! generated traces and replays them from disk.
-//! There is one container, with delta-compressed chunks (the crate-private
-//! `compress` module holds the per-record payload layout):
+//! There is one container, and it stores every record verbatim:
 //!
 //! ```text
-//! magic      8 bytes   b"RCTRACE3"
-//! flags      1 byte    always 1: chunks are delta compressed
+//! magic      8 bytes   b"RCTRACE4"
 //! name_len   4 bytes   u32 LE, at most MAX_NAME_BYTES
 //! name       n bytes   UTF-8 application name
-//! records    8 bytes   u64 LE total record count
-//! chunk*                repeated until `records` records have been read:
-//!   len      4 bytes   u32 LE records in this chunk (1 ..= CHUNK_RECORDS)
-//!   bytes    4 bytes   u32 LE payload length (3×len ..= 13×len)
-//!   data     bytes     compressed records, delta bases reset per chunk
+//! records    8 bytes   u64 LE record count
+//! record*   11 bytes   each: pc u32 LE, addr u32 LE, kind, dep1, dep2
 //! ```
+//!
+//! A file is therefore exactly `20 + name_len + 11 × records` bytes, and
+//! [`load`] checks that against the file's length before it allocates:
+//! a short file is [`CodecError::Truncated`], a long one
+//! [`CodecError::TrailingBytes`]. The record bytes are the packed
+//! [`InstrRecord`] lanes in field order; a kind byte past
+//! [`kind::BRANCH_TAKEN`] is [`CodecError::BadKind`], naming the record.
 //!
 //! Readers validate everything they touch and return a [`CodecError`] —
 //! never panic — on truncated, corrupt or foreign files, so a store
 //! populated by a crashed or concurrent process degrades to regeneration
-//! rather than an aborted sweep. A file of a retired format (`RCTRACE1`,
-//! `RCTRACE2`) or an unknown one is [`CodecError::UnsupportedVersion`]; a
-//! header with any other flags byte (including the retired raw layout's `0`)
-//! is [`CodecError::UnsupportedFlags`]. A file that goes on after its last
-//! promised chunk is [`CodecError::TrailingBytes`].
+//! rather than an aborted sweep. A file of a retired format (`RCTRACE1` …
+//! `RCTRACE3`) or an unknown one is [`CodecError::UnsupportedVersion`].
+//! Nothing checksums the record bits: the magic, the name, the count, the
+//! length and each kind byte are what a load can check.
 //!
 //! There is one save and one load: [`save_trace`] writes a resident
-//! [`Trace`] to a file atomically, framing its records into
-//! [`CHUNK_RECORDS`]-record chunks, and [`load`] reads a file back whole,
-//! decoding each chunk straight into its slot of one record buffer. A load
-//! either returns the whole trace or a [`CodecError`]; there is no partial
-//! result to check afterwards.
+//! [`Trace`] to a file atomically, and [`load`] reads a file back whole,
+//! through one fixed read buffer, into one record buffer sized from the
+//! header. A load either returns the whole trace or a [`CodecError`];
+//! there is no partial result to check afterwards.
 //!
 //! The atomic save writes a temp file unique to the writer and renames it
 //! into place, so any number of threads or processes may save one path at
@@ -44,25 +44,29 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::compress;
 use crate::format::TraceFormat;
-use crate::record::InstrRecord;
-use crate::source::{TraceSource, CHUNK_RECORDS};
+use crate::record::{kind, InstrRecord};
+use crate::source::TraceSource;
 use crate::trace::Trace;
-
-pub use crate::compress::{CorruptChunk, UnencodableRecord};
 
 /// Version-independent prefix of every trace-file magic: a file with this
 /// prefix but another version digit is a rescache trace of a format this
 /// build does not read.
 const MAGIC_PREFIX: [u8; 7] = *b"RCTRACE";
 
-/// The header flags byte: bit 0 announces delta-compressed chunks, the only
-/// encoding.
-const FLAGS: u8 = 1;
-
 /// Upper bound on the encoded application-name length.
 const MAX_NAME_BYTES: u32 = 4 * 1024;
+
+/// Header bytes besides the name: the magic, the name length and the
+/// record count.
+const HEADER_BYTES: u64 = 8 + 4 + 8;
+
+/// Bytes of one stored record.
+const RECORD_BYTES: usize = 11;
+
+/// Records per read or write of the body: the one fixed I/O buffer holds a
+/// chunk of 4 Ki records (44 KiB).
+const IO_CHUNK_RECORDS: usize = 4 * 1024;
 
 /// Error produced when decoding a persisted trace.
 #[derive(Debug)]
@@ -72,51 +76,33 @@ pub enum CodecError {
     /// The file does not start with `RCTRACE` — not a rescache trace at all.
     BadMagic,
     /// The magic names a trace-format version this build does not read
-    /// (the retired v1/v2, or a future one).
+    /// (the retired v1–v3, or a future one).
     UnsupportedVersion {
         /// The unrecognized version byte from the magic.
         version: u8,
     },
-    /// The header's flags byte is not the delta-compressed encoding's — the
-    /// retired raw layout, or a future encoding, must be regenerated, not
-    /// half-decoded.
-    UnsupportedFlags {
-        /// The rejected flags byte.
-        flags: u8,
-    },
     /// The application name is over-long or not UTF-8.
     BadName,
-    /// A chunk header is impossible (zero, over-long, or exceeding the
-    /// remaining record count).
-    BadChunk {
-        /// The rejected chunk length.
-        len: u32,
-        /// Records still expected when the chunk header was read.
-        remaining: u64,
-    },
-    /// A chunk's byte length is impossible for its record count (the chunk
-    /// directory points at the wrong place).
-    BadChunkBytes {
-        /// Records the chunk header promises.
-        len: u32,
-        /// The impossible payload byte length.
-        byte_len: u32,
-    },
-    /// A chunk payload failed to decode.
-    BadPayload(CorruptChunk),
-    /// The file ended before the promised record count was delivered.
+    /// The file is shorter than its header promises.
     Truncated {
         /// Records promised by the header.
         expected: u64,
-        /// Records successfully decoded before the end of the file.
+        /// Whole records the file holds.
         got: u64,
     },
-    /// The file goes on after the last promised chunk (two images written
+    /// The file goes on after the last promised record (two images written
     /// back to back, or a foreign tail): serving its first trace would hide
     /// the damage.
     TrailingBytes {
-        /// Bytes after the last chunk.
+        /// Bytes after the last record.
         extra: u64,
+    },
+    /// A record's kind byte is none of the [`kind`] tags.
+    BadKind {
+        /// Index of the record in the file.
+        record: u64,
+        /// The rejected kind byte.
+        kind: u8,
     },
 }
 
@@ -129,29 +115,18 @@ impl fmt::Display for CodecError {
                 f,
                 "trace file has an unsupported format version byte {version:#04x}"
             ),
-            CodecError::UnsupportedFlags { flags } => write!(
-                f,
-                "trace file header has unsupported flags byte {flags:#04x}"
-            ),
             CodecError::BadName => write!(f, "trace file has an invalid application name"),
-            CodecError::BadChunk { len, remaining } => write!(
-                f,
-                "trace file has an invalid chunk header (len {len}, {remaining} records remaining)"
-            ),
-            CodecError::BadChunkBytes { len, byte_len } => write!(
-                f,
-                "trace file has an impossible compressed chunk ({len} records in {byte_len} bytes)"
-            ),
-            CodecError::BadPayload(e) => {
-                write!(f, "trace file has a corrupt compressed chunk: {e}")
-            }
             CodecError::Truncated { expected, got } => write!(
                 f,
-                "trace file is truncated: expected {expected} records, decoded {got}"
+                "trace file is truncated: expected {expected} records, it holds {got}"
             ),
             CodecError::TrailingBytes { extra } => write!(
                 f,
-                "trace file has {extra} bytes after its last promised chunk"
+                "trace file has {extra} bytes after its last promised record"
+            ),
+            CodecError::BadKind { record, kind } => write!(
+                f,
+                "trace file record {record} has an invalid kind byte {kind:#04x}"
             ),
         }
     }
@@ -161,15 +136,8 @@ impl std::error::Error for CodecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CodecError::Io(e) => Some(e),
-            CodecError::BadPayload(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CorruptChunk> for CodecError {
-    fn from(e: CorruptChunk) -> Self {
-        CodecError::BadPayload(e)
     }
 }
 
@@ -179,15 +147,13 @@ impl From<io::Error> for CodecError {
     }
 }
 
-/// Writes `trace` to `w` in the format described at module level, framed
-/// into [`CHUNK_RECORDS`]-record chunks.
+/// Writes `trace` to `w` in the format described at module level.
 ///
 /// # Errors
 ///
 /// Besides writer errors, returns `InvalidInput` for a name over
-/// [`MAX_NAME_BYTES`] or a record the payload cannot represent (see
-/// [`UnencodableRecord`]) — a reader would reject such a file, so it must
-/// never be produced.
+/// [`MAX_NAME_BYTES`]: a reader would reject such a file, so it must never
+/// be produced.
 fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
     let name = trace.name().as_bytes();
     if name.len() as u64 > u64::from(MAX_NAME_BYTES) {
@@ -199,20 +165,20 @@ fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&TraceFormat::V3.magic())?;
-    w.write_all(&[FLAGS])?;
+    w.write_all(&TraceFormat::V4.magic())?;
     w.write_all(&(name.len() as u32).to_le_bytes())?;
     w.write_all(name)?;
     w.write_all(&(trace.len() as u64).to_le_bytes())?;
 
-    let mut payload = Vec::new();
-    for frame in trace.records().chunks(CHUNK_RECORDS) {
-        payload.clear();
-        compress::encode_chunk(frame, &mut payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        w.write_all(&(frame.len() as u32).to_le_bytes())?;
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(&payload)?;
+    let mut chunk = vec![0u8; IO_CHUNK_RECORDS * RECORD_BYTES];
+    for records in trace.records().chunks(IO_CHUNK_RECORDS) {
+        let bytes = &mut chunk[..records.len() * RECORD_BYTES];
+        for (raw, record) in bytes.chunks_exact_mut(RECORD_BYTES).zip(records) {
+            raw[..4].copy_from_slice(&record.pc_raw().to_le_bytes());
+            raw[4..8].copy_from_slice(&record.addr_raw().to_le_bytes());
+            raw[8..].copy_from_slice(&[record.kind_tag(), record.dep1(), record.dep2()]);
+        }
+        w.write_all(bytes)?;
     }
     Ok(())
 }
@@ -225,13 +191,8 @@ fn read_header<R: Read>(r: &mut R) -> Result<(String, u64), CodecError> {
     if magic[..7] != MAGIC_PREFIX {
         return Err(CodecError::BadMagic);
     }
-    if magic != TraceFormat::V3.magic() {
+    if magic != TraceFormat::V4.magic() {
         return Err(CodecError::UnsupportedVersion { version: magic[7] });
-    }
-    let mut flags = [0u8; 1];
-    read_exact_or_truncated(r, &mut flags, 0, 0)?;
-    if flags[0] != FLAGS {
-        return Err(CodecError::UnsupportedFlags { flags: flags[0] });
     }
 
     let mut len4 = [0u8; 4];
@@ -249,54 +210,48 @@ fn read_header<R: Read>(r: &mut R) -> Result<(String, u64), CodecError> {
     Ok((name, u64::from_le_bytes(len8)))
 }
 
-/// Decodes a whole trace image of `file_bytes` bytes from `r`. The record
-/// buffer is sized once, and every chunk decodes straight into its slot of
-/// it; the image must end with its last promised chunk.
+/// Decodes a whole trace image of `file_bytes` bytes from `r`. The image
+/// must be exactly as long as its header promises; the body is read through
+/// one fixed buffer into a record buffer sized once.
 fn decode_trace<R: Read>(mut r: R, file_bytes: u64) -> Result<Trace, CodecError> {
-    let (name, total) = read_header(&mut r)?;
-    // Every record takes at least `MIN_RECORD_BYTES` of payload, so a count
-    // the file cannot hold is a lie: reject it before trusting it for an
-    // allocation.
-    let capacity = usize::try_from(total)
-        .ok()
-        .filter(|_| total <= file_bytes / compress::MIN_RECORD_BYTES as u64)
-        .ok_or(CodecError::Truncated {
-            expected: total,
-            got: 0,
-        })?;
-    let mut records = Vec::with_capacity(capacity);
-    let mut raw = Vec::new();
-    let mut len4 = [0u8; 4];
-    while records.len() < capacity {
-        let got = records.len();
-        let remaining = (capacity - got) as u64;
-        read_exact_or_truncated(&mut r, &mut len4, total, got as u64)?;
-        let len = u32::from_le_bytes(len4);
-        if len == 0 || len as usize > CHUNK_RECORDS || u64::from(len) > remaining {
-            return Err(CodecError::BadChunk { len, remaining });
-        }
-        read_exact_or_truncated(&mut r, &mut len4, total, got as u64)?;
-        let byte_len = u32::from_le_bytes(len4);
-        // The payload bounds are a structural invariant (3 layout and head
-        // bytes plus two bounded delta fields per record); anything outside
-        // them means the chunk directory is lying, so reject before trusting
-        // it for an allocation or a read.
-        if (byte_len as usize) < compress::MIN_RECORD_BYTES * len as usize
-            || byte_len as usize > compress::MAX_RECORD_BYTES * len as usize
-        {
-            return Err(CodecError::BadChunkBytes { len, byte_len });
-        }
-        let byte_len = byte_len as usize;
-        // Grow-only: a shorter chunk reuses the front of the buffer rather
-        // than re-zeroing it on the next longer one.
-        raw.resize(byte_len.max(raw.len()), 0);
-        read_exact_or_truncated(&mut r, &mut raw[..byte_len], total, got as u64)?;
-        records.resize(got + len as usize, InstrRecord::zeroed());
-        compress::decode_chunk_into(&raw[..byte_len], &mut records[got..])?;
+    let (name, count) = read_header(&mut r)?;
+    let body = file_bytes.saturating_sub(HEADER_BYTES + name.len() as u64);
+    let promised = count.saturating_mul(RECORD_BYTES as u64);
+    if body < promised {
+        return Err(CodecError::Truncated {
+            expected: count,
+            got: body / RECORD_BYTES as u64,
+        });
     }
-    let extra = io::copy(&mut r, &mut io::sink())?;
-    if extra > 0 {
-        return Err(CodecError::TrailingBytes { extra });
+    if body > promised {
+        return Err(CodecError::TrailingBytes {
+            extra: body - promised,
+        });
+    }
+    // The count fits the file, so it fits memory's address space too.
+    let capacity = count as usize;
+    let mut records = Vec::with_capacity(capacity);
+    let mut chunk = vec![0u8; IO_CHUNK_RECORDS * RECORD_BYTES];
+    while records.len() < capacity {
+        let first = records.len();
+        let bytes = &mut chunk[..(capacity - first).min(IO_CHUNK_RECORDS) * RECORD_BYTES];
+        read_exact_or_truncated(&mut r, bytes, count, first as u64)?;
+        for (i, raw) in bytes.chunks_exact(RECORD_BYTES).enumerate() {
+            let kind = raw[8];
+            if kind > kind::BRANCH_TAKEN {
+                return Err(CodecError::BadKind {
+                    record: (first + i) as u64,
+                    kind,
+                });
+            }
+            records.push(InstrRecord::from_lanes_validated(
+                u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]),
+                u32::from_le_bytes([raw[4], raw[5], raw[6], raw[7]]),
+                kind,
+                raw[9],
+                raw[10],
+            ));
+        }
     }
     Ok(Trace::new(name, records))
 }
@@ -307,7 +262,7 @@ fn decode_trace<R: Read>(mut r: R, file_bytes: u64) -> Result<Trace, CodecError>
 ///
 /// Returns [`CodecError::Io`] if the file cannot be opened or read, and a
 /// content error if the file is truncated, corrupt, of another format or
-/// longer than its chunks. Nothing of a failed load is returned.
+/// longer than its records. Nothing of a failed load is returned.
 pub fn load(path: &Path) -> Result<Trace, CodecError> {
     let file = File::open(path)?;
     let file_bytes = file.metadata()?.len();
@@ -404,8 +359,7 @@ fn read_exact_or_truncated<R: Read>(
 /// # Errors
 ///
 /// Besides filesystem errors, returns `InvalidInput` for an over-long name
-/// or an unencodable record (the partial file is discarded, never renamed
-/// into place).
+/// (the partial file is discarded, never renamed into place).
 pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
     // The temporary name must be unique per writer, not just per process:
     // two threads saving the same store entry would otherwise share the
@@ -436,6 +390,7 @@ pub fn save_trace(path: &Path, trace: &Trace) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::generator::TraceGenerator;
+    use crate::record::Op;
     use crate::spec;
 
     fn sample(n: usize) -> Trace {
@@ -459,28 +414,37 @@ mod tests {
         dir
     }
 
-    /// Byte offsets of each chunk header, walked via the chunk directory's
-    /// explicit byte lengths.
-    fn chunk_offsets(bytes: &[u8], name_len: usize) -> Vec<usize> {
-        let mut off = 9 + 4 + name_len + 8;
-        let mut offsets = Vec::new();
-        while off < bytes.len() {
-            offsets.push(off);
-            let byte_len =
-                u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes")) as usize;
-            off += 8 + byte_len;
-        }
-        offsets
+    /// Byte offset of record `k`'s kind byte in an image of `name_len`.
+    fn kind_offset(name_len: usize, k: usize) -> usize {
+        HEADER_BYTES as usize + name_len + k * RECORD_BYTES + 8
     }
 
     #[test]
     fn round_trips_through_memory() {
         // Cover the empty, sub-chunk and multi-chunk cases.
-        for n in [0usize, 1, 1000, CHUNK_RECORDS + 17] {
+        for n in [0usize, 1, 1000, IO_CHUNK_RECORDS + 17] {
             let trace = sample(n);
             let decoded = decode(&encode(&trace)).expect("round trip");
             assert_eq!(decoded, trace, "{n} records");
         }
+    }
+
+    #[test]
+    fn a_saved_entry_is_its_header_and_eleven_bytes_per_record() {
+        let dir = temp_dir("size");
+        let path = dir.join("compress.rctrace");
+        for n in [0usize, 1, 5_000] {
+            let trace = sample(n);
+            save_trace(&path, &trace).expect("save");
+            let bytes = std::fs::read(&path).expect("read");
+            assert_eq!(bytes.len(), 20 + "compress".len() + 11 * n, "{n} records");
+            assert_eq!(&bytes[..8], b"RCTRACE4");
+        }
+        // Each record is its lanes verbatim, in field order.
+        let record = InstrRecord::with_deps(0x0403_0201, Op::Store(0x0807_0605), 9, 10);
+        let bytes = encode(&Trace::new("x", vec![record]));
+        assert_eq!(&bytes[21..], &[1, 2, 3, 4, 5, 6, 7, 8, kind::STORE, 9, 10]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -499,9 +463,9 @@ mod tests {
     #[test]
     fn mixed_version_open_is_rejected_with_a_typed_error() {
         // Headers of the retired formats: v1/v2 were `RCTRACE1`/`RCTRACE2`
-        // followed directly by the name (no flags byte) and raw 12-byte
-        // records; v3's raw layout carried flags 0. All are rejected at the
-        // header, typed, before any record is read.
+        // followed directly by the name and raw 12-byte records; v3 was
+        // `RCTRACE3`, a flags byte and delta-compressed chunks. All are
+        // rejected at the magic, typed, before any record is read.
         let dir = temp_dir("mixed");
         let old_header = |magic: &[u8], flags: Option<u8>| {
             let mut bytes = magic.to_vec();
@@ -513,20 +477,19 @@ mod tests {
             bytes.extend_from_slice(&[0u8; 12]);
             bytes
         };
-        for (tag, bytes) in [
-            ("v1", old_header(b"RCTRACE1", None)),
-            ("v2", old_header(b"RCTRACE2", None)),
-            ("raw", old_header(b"RCTRACE3", Some(0))),
+        for (version, bytes) in [
+            (b'1', old_header(b"RCTRACE1", None)),
+            (b'2', old_header(b"RCTRACE2", None)),
+            (b'3', old_header(b"RCTRACE3", Some(1))),
         ] {
-            let path = dir.join(format!("{tag}.rctrace"));
+            let path = dir.join(format!("v{}.rctrace", char::from(version)));
             std::fs::write(&path, &bytes).expect("plant old file");
             let err = load(&path).unwrap_err();
-            let expected = match tag {
-                "v1" => matches!(err, CodecError::UnsupportedVersion { version: b'1' }),
-                "v2" => matches!(err, CodecError::UnsupportedVersion { version: b'2' }),
-                _ => matches!(err, CodecError::UnsupportedFlags { flags: 0 }),
-            };
-            assert!(expected, "{tag}: {err}");
+            assert!(
+                matches!(err, CodecError::UnsupportedVersion { version: v } if v == version),
+                "v{}: {err}",
+                char::from(version)
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -561,51 +524,54 @@ mod tests {
     fn truncation_is_an_error_not_a_panic() {
         let bytes = encode(&sample(1000));
         // Cut the file at every structurally interesting prefix length:
-        // inside the magic, the flags byte, the name, the count, the chunk
-        // header and the payload.
-        for cut in [0, 4, 8, 10, 20, 30, 34, bytes.len() / 2, bytes.len() - 1] {
+        // inside the magic, the name length, the name, the count, the first
+        // record and the body.
+        for cut in [
+            0,
+            4,
+            8,
+            10,
+            14,
+            25,
+            30,
+            40,
+            bytes.len() / 2,
+            bytes.len() - 1,
+        ] {
             let err = decode(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, CodecError::Truncated { .. }),
                 "cut {cut}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn corrupt_record_tag_is_an_error() {
-        // An operation tag beyond the last kind in the first record's head
-        // (payload byte 1: the layout byte leads, then the little-endian
-        // head whose low three bits are the tag).
-        let trace = sample(100);
-        let mut bytes = encode(&trace);
-        let chunk = chunk_offsets(&bytes, trace.name().len())[0];
-        bytes[chunk + 9] |= 0x07;
+        // A body cut mid-record reports the whole records it holds.
         assert!(matches!(
-            decode(&bytes),
-            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+            decode(&bytes[..bytes.len() - 12]),
+            Err(CodecError::Truncated {
+                expected: 1000,
+                got: 998
+            })
         ));
     }
 
     #[test]
-    fn impossible_chunk_header_is_an_error() {
+    fn corrupt_record_tag_is_an_error() {
+        // A kind byte past the last tag, at record k: the error names k.
         let trace = sample(100);
-        let bytes = encode(&trace);
-        let chunk = chunk_offsets(&bytes, trace.name().len())[0];
-        // Zero, over-long and more-than-remaining record counts.
-        for len in [0u32, u32::MAX, CHUNK_RECORDS as u32 + 1, 101] {
-            let mut b = bytes.clone();
-            b[chunk..chunk + 4].copy_from_slice(&len.to_le_bytes());
+        for (k, tag) in [(0usize, kind::BRANCH_TAKEN + 1), (37, 0xff), (99, 6)] {
+            let mut bytes = encode(&trace);
+            bytes[kind_offset(trace.name().len(), k)] = tag;
+            let err = decode(&bytes).unwrap_err();
             assert!(
-                matches!(decode(&b), Err(CodecError::BadChunk { len: l, .. }) if l == len),
-                "chunk length {len}"
+                matches!(err, CodecError::BadKind { record, kind } if record == k as u64 && kind == tag),
+                "record {k}: {err}"
             );
+            assert!(err.to_string().contains(&format!("record {k} ")), "{err}");
         }
     }
 
     #[test]
     fn over_long_name_is_rejected_at_write_time() {
-        use crate::record::Op;
         let trace = Trace::new(
             "n".repeat(MAX_NAME_BYTES as usize + 1),
             vec![InstrRecord::new(0x400, Op::Int)],
@@ -648,13 +614,13 @@ mod tests {
 
     #[test]
     fn oversized_name_is_an_error() {
-        // The name-length field follows the magic and the flags byte.
+        // The name-length field follows the magic.
         let mut bytes = encode(&sample(10));
-        bytes[9..13].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
+        bytes[8..12].copy_from_slice(&(MAX_NAME_BYTES + 1).to_le_bytes());
         assert!(matches!(decode(&bytes), Err(CodecError::BadName)));
         // A name that is not UTF-8 is rejected the same way.
         let mut bytes = encode(&sample(10));
-        bytes[13] = 0xff;
+        bytes[12] = 0xff;
         assert!(matches!(decode(&bytes), Err(CodecError::BadName)));
     }
 
@@ -662,7 +628,7 @@ mod tests {
     fn file_source_replays_and_splits_across_chunk_boundaries() {
         let dir = temp_dir("fsrc");
         let path = dir.join("compress.rctrace");
-        let trace = sample(2 * CHUNK_RECORDS + 50);
+        let trace = sample(2 * IO_CHUNK_RECORDS + 50);
         save_trace(&path, &trace).expect("save");
         let drain = |take: Option<usize>| {
             let mut src = TraceFileSource::open(&path, take).expect("open");
@@ -674,7 +640,7 @@ mod tests {
 
         // Whole-file replay, and a prefix that ends mid-chunk.
         assert_eq!(drain(None), trace.records());
-        let take = CHUNK_RECORDS + 300;
+        let take = IO_CHUNK_RECORDS + 300;
         assert_eq!(drain(Some(take)), &trace.records()[..take]);
 
         // A request longer than the file is rejected at open time.
@@ -687,46 +653,39 @@ mod tests {
 
     #[test]
     fn a_corrupt_later_chunk_fails_the_whole_load() {
+        // A bad kind byte in the second read chunk: the intact first chunk
+        // is not handed out on its own; the load returns the typed error.
         let dir = temp_dir("fault");
         let path = dir.join("compress.rctrace");
-        let trace = sample(2 * CHUNK_RECORDS + 100);
+        let trace = sample(2 * IO_CHUNK_RECORDS + 100);
         save_trace(&path, &trace).expect("save");
-        let clean = std::fs::read(&path).expect("read");
-        let chunks = chunk_offsets(&clean, trace.name().len());
-
-        // A bad record tag in the second chunk: the intact first chunk is
-        // not handed out on its own; the load returns the typed error.
-        let mut bytes = clean.clone();
-        bytes[chunks[1] + 9] |= 0x07;
+        let mut bytes = std::fs::read(&path).expect("read");
+        let k = IO_CHUNK_RECORDS + 5;
+        bytes[kind_offset(trace.name().len(), k)] = 0x80;
         std::fs::write(&path, &bytes).expect("corrupt");
         assert!(matches!(
             load(&path),
-            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
+            Err(CodecError::BadKind { record, kind: 0x80 }) if record == k as u64
         ));
-
-        // Likewise a scribbled directory entry of the last chunk.
-        let mut bytes = clean;
-        let last = *chunks.last().expect("chunks");
-        bytes[last + 4..last + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("corrupt tail");
-        assert!(matches!(load(&path), Err(CodecError::BadChunkBytes { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_record_count_the_file_cannot_hold_is_a_typed_error() {
-        // A header promising 2^40 records over a file of a few hundred
-        // bytes must fail typed, never abort on an allocation.
-        let mut bytes = encode(&sample(100));
-        let count = 9 + 4 + "compress".len();
+        // A header promising 2^40 (or 2^64 − 1) records over a file of a
+        // few hundred bytes must fail typed, never abort on an allocation.
+        let trace = sample(100);
+        let count = 12 + trace.name().len();
+        for promised in [1u64 << 40, u64::MAX] {
+            let mut bytes = encode(&trace);
+            bytes[count..count + 8].copy_from_slice(&promised.to_le_bytes());
+            assert!(matches!(
+                decode(&bytes),
+                Err(CodecError::Truncated { expected, got: 100 }) if expected == promised
+            ));
+        }
+        let mut bytes = encode(&trace);
         bytes[count..count + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        assert!(matches!(
-            decode(&bytes),
-            Err(CodecError::Truncated {
-                expected: 0x100_0000_0000,
-                got: 0
-            })
-        ));
         let dir = temp_dir("huge");
         let path = dir.join("compress.rctrace");
         std::fs::write(&path, &bytes).expect("plant");
@@ -753,110 +712,21 @@ mod tests {
             load(&path),
             Err(CodecError::TrailingBytes { extra: e }) if e == extra
         ));
-        // One stray byte is enough.
+        // One stray byte is enough, and so is a count one record short.
         let mut padded = image.clone();
         padded.push(0);
         assert!(matches!(
             decode(&padded),
             Err(CodecError::TrailingBytes { extra: 1 })
         ));
+        let mut short_count = image;
+        let count = 12 + trace.name().len();
+        short_count[count..count + 8].copy_from_slice(&9_999u64.to_le_bytes());
+        assert!(matches!(
+            decode(&short_count),
+            Err(CodecError::TrailingBytes { extra: 11 })
+        ));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v3_default_is_compressed_and_at_least_halves_the_file() {
-        let trace = sample(20_000);
-        let bytes = encode(&trace);
-        assert_eq!(&bytes[..8], b"RCTRACE3");
-        assert_eq!(bytes[8], 1, "flags byte announces compression");
-        assert!(
-            bytes.len() * 2 <= trace.len() * std::mem::size_of::<InstrRecord>(),
-            "{} bytes for {} records is under 2x compression",
-            bytes.len(),
-            trace.len()
-        );
-        assert_eq!(decode(&bytes).expect("decode").records(), trace.records());
-    }
-
-    #[test]
-    fn unknown_flags_byte_is_a_typed_error() {
-        for flags in [0x82u8, 0, 3] {
-            let mut bytes = encode(&sample(100));
-            bytes[8] = flags;
-            assert!(
-                matches!(decode(&bytes), Err(CodecError::UnsupportedFlags { flags: f }) if f == flags),
-                "flags {flags:#04x}"
-            );
-        }
-    }
-
-    #[test]
-    fn compressed_chunk_corruption_is_typed_never_a_panic() {
-        let trace = sample(2 * CHUNK_RECORDS);
-        let bytes = encode(&trace);
-        let chunk = chunk_offsets(&bytes, trace.name().len())[0];
-        let byte_len = u32::from_le_bytes(bytes[chunk + 4..chunk + 8].try_into().expect("4 bytes"));
-
-        // An impossible chunk-directory byte length (pointing the payload
-        // frame at the wrong place) is rejected before anything is decoded.
-        let mut b = bytes.clone();
-        b[chunk + 4..chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode(&b),
-            Err(CodecError::BadChunkBytes {
-                byte_len: u32::MAX,
-                ..
-            })
-        ));
-
-        // A lying-but-in-bounds byte length cuts the last record's delta
-        // field: truncation inside the payload, reported typed.
-        let mut b = bytes.clone();
-        b[chunk + 4..chunk + 8].copy_from_slice(&(byte_len - 1).to_le_bytes());
-        assert!(matches!(
-            decode(&b),
-            Err(CodecError::BadPayload(CorruptChunk::Truncated))
-        ));
-
-        // One byte too long: the payload keeps going after the last record.
-        let mut b = bytes.clone();
-        b[chunk + 4..chunk + 8].copy_from_slice(&(byte_len + 1).to_le_bytes());
-        assert!(matches!(
-            decode(&b),
-            Err(CodecError::BadPayload(CorruptChunk::TrailingBytes {
-                extra: 1
-            }))
-        ));
-
-        // A reserved bit in the first record's head (payload byte 2: the
-        // layout byte leads, then the little-endian head).
-        let mut b = bytes.clone();
-        b[chunk + 10] |= 0x80;
-        assert!(matches!(
-            decode(&b),
-            Err(CodecError::BadPayload(CorruptChunk::BadHead { .. }))
-        ));
-    }
-
-    #[test]
-    fn bad_delta_base_is_a_typed_error() {
-        // Hand-assemble a file whose single record steps the PC stream below
-        // zero — the "bad delta base" shape a resequenced or bit-flipped
-        // chunk produces.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"RCTRACE3");
-        bytes.push(1); // flags: compressed
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // name_len
-        bytes.push(b'x');
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // records
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // chunk len
-        let payload: &[u8] = &[0x01, 0, 0, 0x01]; // layout: 1 PC byte; head = Int; pc delta = -1
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        assert!(matches!(
-            decode(&bytes),
-            Err(CodecError::BadPayload(CorruptChunk::DeltaOutOfRange))
-        ));
     }
 
     #[test]

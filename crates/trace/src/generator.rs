@@ -40,10 +40,10 @@ impl TraceGenerator {
         Self { profile, seed }
     }
 
-    /// Selects the [`TraceFormat`] this generator produces. v3 is the only
+    /// Selects the [`TraceFormat`] this generator produces. v4 is the only
     /// format, so this returns the generator unchanged; it stays because the
     /// standalone benchmark (`perfbench/src/layers.rs`) compiles against it.
-    pub fn with_format(self, TraceFormat::V3: TraceFormat) -> Self {
+    pub fn with_format(self, TraceFormat::V4: TraceFormat) -> Self {
         self
     }
 

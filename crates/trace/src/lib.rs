@@ -17,12 +17,12 @@
 //! * [`format`](mod@format) — the [`TraceFormat`]: the one generation algorithm and
 //!   on-disk container.
 //! * [`trace`] — the [`Trace`] container and [`TraceStats`] summary.
-//! * [`source`] — [`CHUNK_RECORDS`], the on-disk chunk size, and
-//!   [`TraceSource`], a pull interface kept for the standalone benchmark.
-//! * [`codec`] — binary persistence for traces: one container of
-//!   length-prefixed, delta-compressed chunks, saved from a [`Trace`] and
-//!   loaded back whole, with one typed error ([`CodecError`]) for a file
-//!   that cannot be served.
+//! * [`source`] — [`TraceSource`], a pull interface kept for the standalone
+//!   benchmark.
+//! * [`codec`] — binary persistence for traces: one container of a
+//!   length-prefixed header and every record verbatim (11 bytes each),
+//!   saved from a [`Trace`] and loaded back whole, with one typed error
+//!   ([`CodecError`]) for a file that cannot be served.
 //! * [`rng`] — a small deterministic pseudo-random number generator.
 //! * [`phase`] — [`PhaseSchedule`]: how a working set evolves over time.
 //! * [`working_set`] — [`WorkingSetSpec`]: size, aliasing segments, locality.
@@ -58,7 +58,6 @@ pub mod address;
 pub mod branch;
 pub mod code;
 pub mod codec;
-mod compress;
 pub mod format;
 pub mod generator;
 pub mod ilp;
@@ -76,7 +75,7 @@ pub mod workload;
 pub use address::AddressStream;
 pub use branch::BranchBehavior;
 pub use code::CodeStream;
-pub use codec::{CodecError, CorruptChunk, IoPolicy, UnencodableRecord};
+pub use codec::{CodecError, IoPolicy};
 pub use format::TraceFormat;
 pub use generator::TraceGenerator;
 pub use ilp::{DistanceSampler, DistanceTable, IlpBehavior, MAX_DISTANCE};
@@ -85,7 +84,7 @@ pub use phase::{Phase, PhaseSchedule, ScheduleCursor, ScheduleKind};
 pub use profile::{AppProfile, CodeBehavior, DataBehavior};
 pub use record::{kind, InstrRecord, Op};
 pub use rng::{chance_bits, Prng};
-pub use source::{TraceSource, CHUNK_RECORDS};
+pub use source::TraceSource;
 pub use trace::{Trace, TraceStats};
 pub use working_set::WorkingSetSpec;
 pub use workload::{WorkloadRegistry, WorkloadSpec};

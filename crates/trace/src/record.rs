@@ -195,24 +195,12 @@ impl InstrRecord {
         self.dep2
     }
 
-    /// The all-zero record (an INT op at PC 0): the filler the decode paths
-    /// pre-size their output slices with before overwriting every slot.
-    pub(crate) const fn zeroed() -> Self {
-        Self {
-            pc: 0,
-            addr: 0,
-            kind: 0,
-            dep1: 0,
-            dep2: 0,
-        }
-    }
-
     /// Assembles a record from lane values the caller already validated.
     ///
-    /// The compressed codec's hot decode loop rejects bad operation tags
-    /// while parsing the record head, so re-checking here would put a dead
-    /// branch on the per-record path; the debug assertion keeps the contract
-    /// honest under `cargo test`.
+    /// The codec's decode loop rejects bad operation tags as it reads each
+    /// record, so re-checking here would put a dead branch on the
+    /// per-record path; the debug assertion keeps the contract honest under
+    /// `cargo test`.
     #[inline(always)]
     pub(crate) fn from_lanes_validated(pc: u32, addr: u32, kind: u8, dep1: u8, dep2: u8) -> Self {
         debug_assert!(kind <= KIND_BRANCH_TAKEN, "unvalidated tag {kind}");
@@ -223,20 +211,6 @@ impl InstrRecord {
             dep1,
             dep2,
         }
-    }
-
-    /// Lane setters for the sectioned chunk decoder: its first pass
-    /// materializes the head plane (kind and dependencies), its second fills
-    /// the PC/address lanes in place.
-    #[inline(always)]
-    pub(crate) fn set_pc_lane(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
-    /// See [`InstrRecord::set_pc_lane`].
-    #[inline(always)]
-    pub(crate) fn set_addr_lane(&mut self, addr: u32) {
-        self.addr = addr;
     }
 }
 

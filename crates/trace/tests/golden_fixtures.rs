@@ -1,15 +1,17 @@
 //! Golden-fixture suite: committed encoded traces that pin the generator +
 //! codec byte stream across refactors and across processes.
 //!
-//! Until now the only guard on trace bytes was in-process A/B comparison —
-//! a refactor that changed generation and decoding *consistently* would
-//! pass every test while silently invalidating persisted stores and
-//! breaking cross-version reproducibility. These fixtures are the
-//! cross-process anchor: small (1–6 KiB) encoded traces for three registry
+//! In-process A/B comparison alone cannot catch a refactor that changes
+//! generation and decoding *consistently*: every test would pass while
+//! persisted stores were silently invalidated. These fixtures are the
+//! cross-process anchor: small (11 KiB) encoded traces for three registry
 //! workloads, committed under `tests/fixtures/`, with their FNV-1a content
-//! hashes pinned in this file. The fixtures are delta compressed
-//! (length-prefixed fields), so they additionally pin the compressor's byte
-//! stream.
+//! hashes pinned in this file. The v4 container stores each record
+//! verbatim, in the byte order `record_hashes.rs` already hashes (PC and
+//! address as little-endian `u32`, then the kind and both dependency
+//! distances), so the records are pinned twice; what these fixtures pin on
+//! their own is the container: the magic, the name, the count and the
+//! exact file length.
 //!
 //! A deliberate format bump re-blesses the fixtures (and their hashes) in
 //! the same change:
@@ -25,7 +27,7 @@ use std::path::PathBuf;
 
 use rescache_trace::{codec, TraceFormat, TraceGenerator, WorkloadRegistry};
 
-/// Length of every fixture trace: 1000 records, 12 KiB before compression.
+/// Length of every fixture trace: 1000 records of 11 bytes on disk.
 const FIXTURE_RECORDS: usize = 1000;
 
 /// Generation seed shared by every fixture.
@@ -35,9 +37,9 @@ const FIXTURE_SEED: u64 = 42;
 /// encoded file bytes). Regenerate with `RESCACHE_BLESS_FIXTURES=1` (see
 /// the module docs) — and only on a deliberate format bump.
 const PINNED: &[(&str, TraceFormat, u64)] = &[
-    ("nominal", TraceFormat::V3, 0x297d2cf0990a9031),
-    ("pointer_chase", TraceFormat::V3, 0x7251c8676902eb09),
-    ("phase_flip", TraceFormat::V3, 0xc47ec671bcb9c804),
+    ("nominal", TraceFormat::V4, 0x577114fdb9e88c8c),
+    ("pointer_chase", TraceFormat::V4, 0xd5f87702e97873e5),
+    ("phase_flip", TraceFormat::V4, 0xf9306bf1b20dca04),
 ];
 
 /// FNV-1a over a byte stream (the same construction the workspace uses for
@@ -94,7 +96,7 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
             let bytes = encode_fixture(workload);
             std::fs::write(fixture_path(workload, format), &bytes).expect("write fixture");
             eprintln!(
-                "    (\"{workload}\", TraceFormat::V3, {:#018x}),",
+                "    (\"{workload}\", TraceFormat::V4, {:#018x}),",
                 fnv1a(&bytes)
             );
         }
@@ -105,13 +107,12 @@ fn golden_fixtures_pin_generator_and_codec_bytes() {
         let committed = std::fs::read(&path).unwrap_or_else(|e| {
             panic!("missing fixture {} ({e}); see module docs", path.display())
         });
-        // The ceiling doubles as a compression pin: above ~6 KiB the codec
-        // has stopped at least halving the 12-byte records.
-        let budget = 1024..=FIXTURE_RECORDS * 12 / 2;
-        assert!(
-            budget.contains(&committed.len()),
-            "{workload} {format}: fixture size {} outside the {budget:?} byte budget",
-            committed.len()
+        // The container is its 20 header bytes, the name and 11 bytes per
+        // record, nothing more.
+        assert_eq!(
+            committed.len(),
+            20 + workload.len() + 11 * FIXTURE_RECORDS,
+            "{workload} {format}: fixture size"
         );
 
         // The committed bytes are what today's generator + codec produce…

@@ -2,12 +2,13 @@
 //! records per (profile, seed, length), for every SPEC profile and every
 //! registry workload.
 //!
-//! The golden fixtures pin three workloads through the codec's byte stream;
+//! The golden fixtures pin three workloads through the codec's container;
 //! these hashes pin the generator alone, over all 21 profiles, so an
 //! optimisation of the generator must reproduce every record bit for bit.
 //! The hash covers each record's packed fields in a fixed order (PC and
 //! address as little-endian `u32`, then the kind tag and both dependency
-//! distances), not any file format.
+//! distances). That order is also the v4 container's record body, so a
+//! fixture's body is these bytes verbatim; the hash itself reads no file.
 //!
 //! A deliberate generator change re-blesses the table in the same change:
 //!

@@ -234,19 +234,17 @@ fn store_backed_dynamic_run_survives_a_corrupted_store_entry() {
         .expect("entry")
         .path();
     let mut bytes = std::fs::read(&entry).expect("read entry");
-    // Wreck the *second* chunk's directory entry so the fault hits mid-read.
-    // v3 compressed container: magic(8) + flags(1) + name_len(4) + name +
-    // count(8), then per chunk [len u32][byte_len u32][payload].
-    assert_eq!(&bytes[..8], b"RCTRACE3");
-    assert_eq!(bytes[8], 1, "store entries are compressed by default");
-    let first_chunk = 9 + 4 + app.name.len() + 8;
-    let first_bytes = u32::from_le_bytes(
-        bytes[first_chunk + 4..first_chunk + 8]
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    let second_chunk = first_chunk + 8 + first_bytes;
-    bytes[second_chunk + 4..second_chunk + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+    // Write a bad kind byte into a record past the codec's first read
+    // buffer (4 Ki records) so the fault hits mid-read. v4 container:
+    // magic(8) + name_len(4) + name + count(8), then 11 bytes per record
+    // [pc u32][addr u32][kind][dep1][dep2].
+    assert_eq!(&bytes[..8], b"RCTRACE4");
+    let record = 10_000;
+    let total = cfg.warmup_instructions + cfg.measure_instructions;
+    assert!(record < total);
+    let body = 8 + 4 + app.name.len() + 8;
+    assert_eq!(bytes.len(), body + 11 * total);
+    bytes[body + 11 * record + 8] = 0xff;
     std::fs::write(&entry, &bytes).expect("corrupt entry");
 
     let space = ConfigSpace::enumerate(
