@@ -501,11 +501,10 @@ mod tests {
     fn wrong_format_at_the_right_path_is_rejected_and_regenerated() {
         // Plant each retired layout at a v4 entry's exact path (a store
         // written by an older build): `RCTRACE1`/`RCTRACE2` headers (no
-        // flags byte, raw 12-byte records), an `RCTRACE3` header with the
-        // retired raw layout's flags 0, and one with the delta-compressed
-        // chunks' flags 1 (the last format before v4). Each is rejected
-        // typed, the request regenerates the honest bits, and their save
-        // replaces the file.
+        // flags byte, raw 12-byte records) and an `RCTRACE3` header (a
+        // flags byte, then delta-compressed chunks). Each is rejected at
+        // its magic, typed, the request regenerates the honest bits, and
+        // their save replaces the file.
         let cfg = RunnerConfig::fast();
         let total = cfg.warmup_instructions + cfg.measure_instructions;
         let app = spec::m88ksim();
@@ -525,7 +524,6 @@ mod tests {
         for (label, bytes) in [
             ("v1", old_entry(b"RCTRACE1", None)),
             ("v2", old_entry(b"RCTRACE2", None)),
-            ("raw", old_entry(b"RCTRACE3", Some(0))),
             ("v3", old_entry(b"RCTRACE3", Some(1))),
         ] {
             std::fs::remove_dir_all(&dir).ok();
